@@ -27,21 +27,31 @@ STAGES = ("lex", "parse", "lower", "ssa", "interp", "dswp", "hls", "replay", "in
 
 
 class StageTimings:
-    """Accumulated wall-clock per stage: total seconds and call counts."""
+    """Accumulated wall-clock per stage: total seconds and call counts.
 
-    __slots__ = ("seconds", "calls")
+    Stages nest (``explore`` wraps ``dswp`` and ``replay``), and each
+    stage's ``seconds`` include its nested stages.  :meth:`total`
+    therefore counts only the time of outermost stages, so it never
+    exceeds the wall time covered.
+    """
+
+    __slots__ = ("seconds", "calls", "outermost_seconds", "open_stages")
 
     def __init__(self) -> None:
         self.seconds: Dict[str, float] = {}
         self.calls: Dict[str, int] = {}
+        self.outermost_seconds = 0.0
+        self.open_stages = 0
 
-    def add(self, stage_name: str, elapsed: float) -> None:
+    def add(self, stage_name: str, elapsed: float, outermost: bool = True) -> None:
         self.seconds[stage_name] = self.seconds.get(stage_name, 0.0) + elapsed
         self.calls[stage_name] = self.calls.get(stage_name, 0) + 1
+        if outermost:
+            self.outermost_seconds += elapsed
 
     def total(self) -> float:
-        """Sum of all stage seconds (stages never nest, so this is additive)."""
-        return sum(self.seconds.values())
+        """Seconds spent inside any stage, nested stages counted once."""
+        return self.outermost_seconds
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """JSON form: ``{stage: {"seconds": s, "calls": n}}`` in pipeline order."""
@@ -103,12 +113,15 @@ def stage(name: str) -> Iterator[None]:
     if recorder is None and observer is None:
         yield
         return
+    if recorder is not None:
+        recorder.open_stages += 1
     start = time.perf_counter()
     try:
         yield
     finally:
         elapsed = time.perf_counter() - start
         if recorder is not None:
-            recorder.add(name, elapsed)
+            recorder.open_stages -= 1
+            recorder.add(name, elapsed, outermost=recorder.open_stages == 0)
         if observer is not None:
             observer(name, elapsed)

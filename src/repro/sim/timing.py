@@ -2,10 +2,11 @@
 
 The simulator replays the dynamic instruction trace under a thread
 assignment.  Each thread consumes its own slice of the trace in order;
-cross-thread value flow goes through :class:`~repro.runtime.queue.TimedQueue`
-instances (one per produced static value and consuming thread — exactly the
-DSWP queue granularity), which is where queue latency, queue-depth
-back-pressure and the processor stream-interface overhead enter the model.
+cross-thread value flow goes through FIFO queues (one per produced static
+value and consuming thread — exactly the DSWP queue granularity, modelled
+by :class:`~repro.runtime.queue.TimedQueue`), which is where queue latency,
+queue-depth back-pressure and the processor stream-interface overhead enter
+the model.
 
 Per-domain execution:
 
@@ -18,32 +19,44 @@ Per-domain execution:
   full latency; loads/stores pay the memory-bus cost plus a coherency delay
   when the producing store happened in the other domain (§4.1/§4.5).
 
-Engines
--------
+Record once, re-time many
+-------------------------
 
-``ready`` (default) — a readiness-driven scheduler.  Threads are visited
-through a time-ordered heap keyed by (pass, thread position): a thread that
-blocks (an operand's producing event not yet timed, or a full queue it must
-enqueue into) parks itself on a wake list for exactly that event or queue,
-and re-enters the heap the moment the dependency resolves.  Idle threads are
-never re-polled.  Replays whose events all land on a single thread (the
-pure-software and pure-hardware baselines — two of the three replays every
-evaluation runs) take straight-line fast paths with no queue/bus machinery
-at all.  The visit order is provably identical to the legacy poll loop's
-(failed executability probes are side-effect-free), so the resulting
-:class:`TimingResult` is byte-identical.
+A multi-thread replay is two passes.  The first,
+:meth:`TimingSimulator._schedule`, decides the order in which events run: the visit order of the original
+cooperative round-robin poll loop (``tests/replay_oracle.py`` keeps that
+loop as the differential oracle), found by a readiness-driven scheduler.
+Threads are visited through a heap keyed by (pass, thread position); a
+thread that blocks (an operand's producing event not yet run, or a full
+queue it must enqueue into) parks on a wake list for exactly that event or
+queue and re-enters the heap when it resolves.  Every one of those tests
+reads *whether* an event has run or *how many* entries a queue holds —
+never a time — so the order is a function of (trace, assignment,
+``queue_depth``) alone, and the pass records it without timing anything: a
+flat array of (thread, first, end) visits plus the order in which queues
+came into being.
 
-``poll`` (``REPRO_REPLAY=poll``) — the original cooperative round-robin
-that rescans every thread each pass.  Kept as the differential-testing
-reference; a defensive fallback force-processes the oldest blocked event
-should a cyclic wait appear, and counts how often it fired so tests can
-assert it did not (both engines share that fallback).
+The second pass, :meth:`TimingSimulator._retime`, times the recording under
+the simulator's configuration with one flat loop: no heap, no wake lists,
+no probes, and queues reduced to per-queue completion-time lists.  The
+recording is memoised per queue depth, so every later replay of the same
+trace under an assignment of the same content and the same depth — each
+latency, bus, cost-model and HLS point of a sweep — runs the second pass
+only.  The float operations run in the poll loop's order with its int/float
+tie rules, so the bytes match.  Both memos (the assignment-dependent setup
+and the schedules) live on the trace's process-local :class:`_TraceIndex`.
+
+Replays whose events all land on a single thread (the pure-software and
+pure-hardware baselines) take straight-line fast paths with no queue/bus
+machinery at all.  Should a cyclic wait ever leave the scheduler with no
+runnable thread, it forces the oldest blocked event through, as the poll
+loop did, and counts it in ``forced_events``.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -53,18 +66,16 @@ from repro.costmodel.hardware import HardwareCostModel
 from repro.costmodel.software import SoftwareCostModel
 from repro.interp.trace import Trace, TraceEvent
 from repro.ir.instructions import Opcode
-from repro.runtime.bus import MessageBus
-from repro.runtime.queue import TimedQueue
 from repro.sim.assignment import ExecutionDomain, ThreadAssignment, ThreadSpec
-
-# Environment switch for the replay engine: "ready" (default) or "poll"
-# (the legacy reference implementation, kept for differential testing).
-REPLAY_ENGINE_ENV = "REPRO_REPLAY"
 
 # Thread visit states for the readiness scheduler.
 _QUEUED = 0      # in the heap, will be visited
-_BLOCKED = 1     # parked on a wake list (dep finish or queue dequeue)
+_BLOCKED = 1     # parked on a wake list (an operand or a queue dequeue)
 _DONE = 2        # all events executed
+
+#: Distinct assignments whose setup (and schedules) one trace keeps; the
+#: least recently used is dropped beyond this.
+_SETUP_MEMO_LIMIT = 8
 
 
 class _TraceIndex:
@@ -82,7 +93,8 @@ class _TraceIndex:
     of the opcode-cost table (domain + each opcode's resolved cost), so
     sweeps that vary queue geometry — which never changes execution costs —
     reuse one vector, while a sweep that does change a cost (say memory
-    read cycles) gets its own.
+    read cycles) gets its own.  ``setups`` memoises, per assignment content,
+    the :class:`_ReplaySetup` that carries the recorded schedules.
     """
 
     __slots__ = (
@@ -96,19 +108,25 @@ class _TraceIndex:
         "opcode_counts",
         "prints",
         "cost_arrays",
+        "setups",
     )
 
     def __init__(self, events: List[TraceEvent]):
         n = len(events)
-        self.inst_ids: List[int] = [0] * n
-        self.opcodes: List[Opcode] = [Opcode.ADD] * n
-        self.reg_deps: List[Tuple[int, ...]] = [()] * n
-        self.deps_seq: List[Tuple[int, ...]] = [()] * n
-        self.mem_tail: List[bool] = [False] * n
-        self.block_occurrence: List[int] = [0] * n
+        inst_ids = [0] * n
+        block_occurrence = [0] * n
+        opcodes: List[Opcode] = [Opcode.ADD] * n
+        reg_deps: List[Tuple[int, ...]] = [()] * n
+        deps_seq: List[Tuple[int, ...]] = [()] * n
+        mem_tail = bytearray(n)
+        self.opcodes = opcodes
+        self.reg_deps = reg_deps
+        self.deps_seq = deps_seq
+        self.mem_tail = mem_tail
         self.rep_events: Dict[Opcode, TraceEvent] = {}
         self.opcode_counts: Dict[Opcode, int] = {}
         self.cost_arrays: Dict[Tuple, List[float]] = {}
+        self.setups: Dict[Tuple, _ReplaySetup] = {}
 
         counts = self.opcode_counts
         rep = self.rep_events
@@ -119,29 +137,29 @@ class _TraceIndex:
         for i, event in enumerate(events):
             inst = event.inst
             opcode = inst.opcode
-            self.inst_ids[i] = id(inst)
-            self.opcodes[i] = opcode
+            inst_ids[i] = id(inst)
+            opcodes[i] = opcode
             counts[opcode] = counts.get(opcode, 0) + 1
             if opcode not in rep:
                 rep[opcode] = event
             deps = event.deps
-            self.reg_deps[i] = deps
+            reg_deps[i] = deps
             mem_dep = event.mem_dep
             if mem_dep is None:
-                self.deps_seq[i] = deps
+                deps_seq[i] = deps
             else:
                 # Legacy order exactly: register deps first, mem_dep last; the
                 # tail flag marks a memory dep taking the coherency path (one
                 # that is not also a register dep).
-                self.deps_seq[i] = deps + (mem_dep,)
-                self.mem_tail[i] = mem_dep not in deps
+                deps_seq[i] = deps + (mem_dep,)
+                mem_tail[i] = mem_dep not in deps
             # Dynamic basic-block occurrence ids: every block occurrence —
             # including re-entry of the same block on the next loop iteration —
             # is a serialisation point for a hardware FSM.
             block_key = (event.function, id(inst.parent))
             if prev_block_key is None or block_key != prev_block_key or prev_was_terminator:
                 occurrence += 1
-            self.block_occurrence[i] = occurrence
+            block_occurrence[i] = occurrence
             prev_block_key = block_key
             prev_was_terminator = inst.is_terminator()
             if (
@@ -151,11 +169,123 @@ class _TraceIndex:
                 and inst.callee.name == "print_int"
             ):
                 prints.append((event.seq, event.value))
+        # Compact columns: read per event, kept for the trace's lifetime.
+        self.inst_ids = array("q", inst_ids)
+        self.block_occurrence = array("i", block_occurrence)
         # The observable output stream commits in program (trace) order: the
         # runtime serialises side effects, so finish times stay timing
         # metadata only and never reorder what the program prints.
         prints.sort(key=lambda p: p[0])
         self.prints: Tuple[int, ...] = tuple(p[1] for p in prints)
+
+    def setup(self, assignment: ThreadAssignment) -> "_ReplaySetup":
+        """The memoised :class:`_ReplaySetup` for *assignment*'s content.
+
+        The key is what the setup is a function of: the instruction → thread
+        map (sorted, as flat bytes), the default thread and the thread specs.
+        Instruction ids are those of live objects — the trace's events hold
+        its instructions — so equal keys mean equal per-event threads.
+        """
+        flat = array("q")
+        for item in sorted(assignment._map.items()):
+            flat.extend(item)
+        key = (flat.tobytes(), assignment.default_thread, tuple(assignment.threads))
+        setups = self.setups
+        setup = setups.pop(key, None)
+        if setup is None:
+            setup = _ReplaySetup(self, assignment)
+            if len(setups) >= _SETUP_MEMO_LIMIT:
+                del setups[next(iter(setups))]
+        setups[key] = setup
+        return setup
+
+
+class _ReplaySetup:
+    """Replay precomputation that depends on the trace and the assignment.
+
+    ``thread_of`` maps each event to its thread, ``per_thread`` lists each
+    thread's events in program order, and ``dyn_consumers`` names, for each
+    event, the other threads that read its value (the queues it feeds).
+    ``local`` flags the events with neither: every operand comes from the
+    event's own thread (so it is already timed when the thread reaches the
+    event) and no queue is fed, so they never block and are timed without
+    queues or the bus; ``stops`` lists, per thread, the positions of its
+    other events — the only ones the scheduler has to look at.
+    ``schedules`` holds the recorded visit order per queue depth (see
+    :class:`_Schedule`).
+    """
+
+    __slots__ = (
+        "thread_of", "per_thread", "dyn_consumers", "local", "stops", "populated", "schedules",
+    )
+
+    def __init__(self, index: _TraceIndex, assignment: ThreadAssignment):
+        amap_get = assignment._map.get
+        default_thread = assignment.default_thread
+        thread_of = [amap_get(iid, default_thread) for iid in index.inst_ids]
+        buckets: Dict[int, List[int]] = {t.thread_id: [] for t in assignment.threads}
+        for i, tid in enumerate(thread_of):
+            buckets[tid].append(i)
+
+        # Which threads consume each dynamic event's value across threads?
+        n = len(thread_of)
+        consumer_sets: Dict[int, Set[int]] = {}
+        for i, deps in enumerate(index.reg_deps):
+            my_thread = thread_of[i]
+            for dep in deps:
+                if thread_of[dep] != my_thread:
+                    s = consumer_sets.get(dep)
+                    if s is None:
+                        s = consumer_sets[dep] = set()
+                    s.add(my_thread)
+        dyn_consumers: List[Tuple[int, ...]] = [()] * n
+        shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        for i, s in consumer_sets.items():
+            consumers = tuple(sorted(s))
+            dyn_consumers[i] = shared.setdefault(consumers, consumers)
+        local = bytearray(n)
+        for i, deps in enumerate(index.deps_seq):
+            if not dyn_consumers[i]:
+                my_thread = thread_of[i]
+                for dep in deps:
+                    if thread_of[dep] != my_thread:
+                        break
+                else:
+                    local[i] = 1
+
+        self.thread_of = array("i", thread_of)
+        self.per_thread: Dict[int, array] = {
+            tid: array("i", indices) for tid, indices in buckets.items()
+        }
+        self.dyn_consumers = dyn_consumers
+        self.local = local
+        self.stops: Dict[int, array] = {
+            tid: array("i", [p for p, i in enumerate(indices) if not local[i]])
+            for tid, indices in buckets.items()
+        }
+        self.populated = [tid for tid, indices in buckets.items() if indices]
+        self.schedules: Dict[int, _Schedule] = {}
+
+
+class _Schedule:
+    """The scheduler's visit order for one (trace, assignment, queue depth).
+
+    ``visits`` is a flat ``array('i')`` of (thread id, first, end) triples:
+    each visit executes ``per_thread[tid][first:end]`` in order.
+    ``queue_keys`` are the (producer instruction id, consumer thread) keys
+    of the queues in the order they came into being — the order the
+    result's per-queue stall sums run in.  ``forced_events`` counts the
+    events the cyclic-wait fallback forced (each is a visit of its own).
+    """
+
+    __slots__ = ("visits", "queue_keys", "forced_events")
+
+    def __init__(
+        self, visits: array, queue_keys: Tuple[Tuple[int, int], ...], forced_events: int
+    ):
+        self.visits = visits
+        self.queue_keys = queue_keys
+        self.forced_events = forced_events
 
 
 def _trace_index(trace: Trace) -> _TraceIndex:
@@ -235,19 +365,10 @@ class TimingSimulator:
 
     # -- public API ------------------------------------------------------------------
 
-    def simulate(
-        self,
-        trace: Trace,
-        assignment: ThreadAssignment,
-        engine: Optional[str] = None,
-    ) -> TimingResult:
+    def simulate(self, trace: Trace, assignment: ThreadAssignment) -> TimingResult:
         events = trace.events
         if not events:
             return TimingResult(0.0, {}, 0, 0, 0.0, 0.0, 0, 0, 0)
-        if engine is None:
-            engine = os.environ.get(REPLAY_ENGINE_ENV, "ready")
-        if engine not in ("ready", "poll"):
-            raise ValueError(f"unknown replay engine {engine!r} (expected 'ready' or 'poll')")
 
         index = _trace_index(trace)
         timelines: Dict[int, ThreadTimeline] = {
@@ -255,15 +376,12 @@ class TimingSimulator:
         }
         n = len(events)
 
-        if engine != "poll" and len(timelines) == 1:
+        if len(timelines) == 1:
             # Single-thread assignment (the pure-SW / pure-HW baselines):
             # every event lands on the one thread, so skip the per-event
             # assignment/consumer setup entirely — no queues, no bus.
             timeline = next(iter(timelines.values()))
-            if timeline.spec.domain is ExecutionDomain.SOFTWARE:
-                self._replay_single_software(index, timeline)
-            else:
-                self._replay_single_hardware(index, timeline)
+            self._replay_single(index, timeline)
             return TimingResult(
                 total_cycles=timeline.finish_time,
                 threads=timelines,
@@ -276,93 +394,29 @@ class TimingSimulator:
                 events=n,
                 replay_outputs=index.prints,
             )
-        thread_of: List[int] = [0] * n
-        per_thread: Dict[int, List[int]] = {t.thread_id: [] for t in assignment.threads}
-        amap_get = assignment._map.get
-        default_thread = assignment.default_thread
-        for i, iid in enumerate(index.inst_ids):
-            tid = amap_get(iid, default_thread)
-            thread_of[i] = tid
-            per_thread[tid].append(i)
 
-        # Which threads consume each dynamic event's value across threads?
-        dyn_consumers: List[Tuple[int, ...]] = [()] * n
-        consumer_sets: List[Optional[Set[int]]] = [None] * n
-        for i, deps in enumerate(index.reg_deps):
-            my_thread = thread_of[i]
-            for dep in deps:
-                if thread_of[dep] != my_thread:
-                    s = consumer_sets[dep]
-                    if s is None:
-                        s = set()
-                        consumer_sets[dep] = s
-                    s.add(my_thread)
-        for i, s in enumerate(consumer_sets):
-            if s:
-                dyn_consumers[i] = tuple(sorted(s))
-
-        block_occurrence = index.block_occurrence
-
-        finish: List[Optional[float]] = [None] * n
-        store_domain: Dict[int, ExecutionDomain] = {}
-        # (dep event index, consumer thread) -> time the dequeued value is in hand
-        received: Dict[Tuple[int, int], float] = {}
-
-        queues: Dict[Tuple[int, int], TimedQueue] = {}
-        module_bus = MessageBus("module-bus", latency=self.runtime.bus_latency)
-
-        queue_depth = self.runtime.queue_depth
-        queue_latency = self.runtime.queue_latency
-
-        def queue_for(producer_event: TraceEvent, consumer_thread: int) -> TimedQueue:
-            key = (id(producer_event.inst), consumer_thread)
-            q = queues.get(key)
-            if q is None:
-                q = TimedQueue(
-                    queue_id=len(queues),
-                    depth=queue_depth,
-                    latency=queue_latency,
-                )
-                queues[key] = q
-            return q
-
-        context = _ReplayContext(
-            events=events,
-            thread_of=thread_of,
-            finish=finish,
-            timelines=timelines,
-            queue_for=queue_for,
-            module_bus=module_bus,
-            store_domain=store_domain,
-            received=received,
-            dyn_consumers=dyn_consumers,
-            block_occurrence=block_occurrence,
-            queues=queues,
-        )
-
-        populated = [tid for tid, indices in per_thread.items() if indices]
-        if engine == "poll":
-            forced_events = self._replay_poll(context, per_thread)
-        elif len(populated) == 1:
-            forced_events = 0
-            tid = populated[0]
-            timeline = timelines[tid]
-            if timeline.spec.domain is ExecutionDomain.SOFTWARE:
-                self._replay_single_software(index, timeline)
-            else:
-                self._replay_single_hardware(index, timeline)
+        setup = index.setup(assignment)
+        forced_events = 0
+        if len(setup.populated) == 1:
+            self._replay_single(index, timelines[setup.populated[0]])
+            stats = (0, 0, 0, 0, 0)
         else:
-            forced_events = self._replay_ready(context, per_thread, index)
+            depth = self.runtime.queue_depth
+            schedule = setup.schedules.get(depth)
+            if schedule is None:
+                schedule = setup.schedules[depth] = self._schedule(index, setup)
+            forced_events = schedule.forced_events
+            stats = self._retime(index, setup, schedule, timelines)
 
-        total = max((t.finish_time for t in timelines.values()), default=0.0)
+        queue_count, queue_transfers, producer_stall, consumer_stall, bus_transfers = stats
         return TimingResult(
-            total_cycles=total,
+            total_cycles=max((t.finish_time for t in timelines.values()), default=0.0),
             threads=timelines,
-            queue_count=len(queues),
-            queue_transfers=sum(q.total_transfers() for q in queues.values()),
-            producer_stall_cycles=sum(q.stats.producer_stall_cycles for q in queues.values()),
-            consumer_stall_cycles=sum(q.stats.consumer_stall_cycles for q in queues.values()),
-            bus_transfers=module_bus.stats.transfers,
+            queue_count=queue_count,
+            queue_transfers=queue_transfers,
+            producer_stall_cycles=producer_stall,
+            consumer_stall_cycles=consumer_stall,
+            bus_transfers=bus_transfers,
             forced_events=forced_events,
             events=n,
             replay_outputs=index.prints,
@@ -377,18 +431,23 @@ class TimingSimulator:
             for opcode, event in index.rep_events.items()
         }
 
-    def _cost_array(
-        self, index: _TraceIndex, domain: ExecutionDomain, table: Dict[Opcode, float]
-    ) -> List[float]:
-        """Per-event cost vector, memoized on the trace by table *content*."""
+    def _cost_array(self, index: _TraceIndex, domain: ExecutionDomain) -> List[float]:
+        """Per-event cost vector, memoized on the trace by cost-table *content*."""
+        table = self._cost_table(index, domain)
         key = (domain, tuple(sorted((op.value, cost) for op, cost in table.items())))
-        array = index.cost_arrays.get(key)
-        if array is None:
-            array = [table[op] for op in index.opcodes]
-            index.cost_arrays[key] = array
-        return array
+        array_ = index.cost_arrays.get(key)
+        if array_ is None:
+            array_ = [table[op] for op in index.opcodes]
+            index.cost_arrays[key] = array_
+        return array_
 
     # -- single-thread fast paths ------------------------------------------------------
+
+    def _replay_single(self, index: _TraceIndex, timeline: ThreadTimeline) -> None:
+        if timeline.spec.domain is ExecutionDomain.SOFTWARE:
+            self._replay_single_software(index, timeline)
+        else:
+            self._replay_single_hardware(index, timeline)
 
     def _replay_single_software(self, index: _TraceIndex, timeline: ThreadTimeline) -> None:
         """Pure-software replay: strict in-order issue on one thread.
@@ -421,9 +480,7 @@ class TimingSimulator:
         n = len(index.opcodes)
         deps_seq = index.deps_seq
         block_occurrence = index.block_occurrence
-        cost_arr = self._cost_array(
-            index, ExecutionDomain.HARDWARE, self._cost_table(index, ExecutionDomain.HARDWARE)
-        )
+        cost_arr = self._cost_array(index, ExecutionDomain.HARDWARE)
         loop_pipe = self.hls.loop_pipelining
         slot = 1.0 / max(1, self.hls.issue_width)
         finish = [0.0] * n
@@ -470,31 +527,232 @@ class TimingSimulator:
         timeline.current_block = cur_block
         timeline.block_max_done = block_max
 
-    # -- readiness-driven engine -------------------------------------------------------
+    # -- readiness-driven scheduler -----------------------------------------------------
 
-    def _replay_ready(
-        self, ctx: "_ReplayContext", per_thread: Dict[int, List[int]], index: _TraceIndex
-    ) -> int:
-        """Wake-driven replay with the legacy poll loop's exact visit order.
+    def _schedule(self, index: _TraceIndex, setup: _ReplaySetup) -> _Schedule:
+        """Record the poll loop's visit order without timing anything.
 
         A thread sits in a heap keyed by ``(pass, position)`` — the cyclic
-        round-robin coordinates of the legacy engine.  When its head event
-        blocks it registers on a wake list (the first unfinished dependency,
+        round-robin coordinates of the poll loop.  When its head event
+        blocks it registers on a wake list (the first operand not yet run,
         or the first full queue it must feed) and leaves the heap; resolving
         that dependency re-queues it at the coordinate the poll loop would
-        next have retried it.  Since failed executability probes never
-        mutate simulation state, skipping them preserves byte-identical
-        results while eliminating the per-pass rescans.
+        next have retried it.  Failed probes never change anything, so
+        skipping them keeps the poll loop's exact order.
+
+        Only counts are tracked: which events have run (each thread runs
+        its events in order, so an event has run once its thread's last
+        executed event is at or past it), and how many values each queue
+        has taken and given.  Local events (see :class:`_ReplaySetup`) can
+        never block, so a visit jumps from one non-local event to the next.
+        Wakes are applied when the visit ends; a wake only pushes a thread
+        at a key fixed by the visit's coordinates, so when it happens inside
+        the visit does not matter.
+
+        If no thread can run (a cyclic wait), the oldest blocked event is
+        forced through, exactly as the poll loop's no-progress fallback
+        does, and every blocked thread gets a fresh pass.  Being the oldest
+        head event, it reads only operands that have run (an unrun operand
+        would be older, and so would its thread's head); what forcing
+        overrides is a full queue, which it overfills.
         """
-        thread_of = ctx.thread_of
-        finish = ctx.finish
-        timelines = ctx.timelines
-        received = ctx.received
-        dyn_consumers = ctx.dyn_consumers
-        block_occurrence = ctx.block_occurrence
-        queues = ctx.queues
-        queues_get = queues.get
-        bus_request = ctx.module_bus.request
+        queue_depth = self.runtime.queue_depth
+        thread_of = setup.thread_of
+        per_thread = setup.per_thread
+        stops = setup.stops
+        dyn_consumers = setup.dyn_consumers
+        inst_ids = index.inst_ids
+        deps_seq = index.deps_seq
+        mem_tail = index.mem_tail
+
+        order = setup.populated
+        pos_of = {tid: k for k, tid in enumerate(order)}
+        pointer: Dict[int, int] = {tid: 0 for tid in order}
+        cursor: Dict[int, int] = {tid: 0 for tid in order}
+        # Per thread: the trace index of its last executed event.
+        last_run: Dict[int, int] = {tid: -1 for tid in order}
+        state: Dict[int, int] = {tid: _QUEUED for tid in order}
+        heap: List[Tuple[int, int, int]] = [(0, k, tid) for k, tid in enumerate(order)]
+        # Already heap-ordered (ascending position, one pass), no heapify needed.
+        dep_waiters: Dict[int, List[int]] = {}
+        waited_in: Dict[int, Set[int]] = {tid: set() for tid in order}
+        queue_waiters: Dict[Tuple[int, int], List[int]] = {}
+        # (producer instruction id, consumer thread) -> [enqueued, dequeued],
+        # in the order the queues come into being.
+        counts: Dict[Tuple[int, int], List[int]] = {}
+        received: Set[Tuple[int, int]] = set()
+        visits = array("i")
+        record = visits.extend
+        remaining = len(deps_seq)
+        forced_events = 0
+
+        def wake(waiters: List[int], cur_pass: int, cur_pos: int) -> None:
+            for w in waiters:
+                if state[w] == _BLOCKED:
+                    wpos = pos_of[w]
+                    if wpos > cur_pos:
+                        heappush(heap, (cur_pass, wpos, w))
+                    else:
+                        heappush(heap, (cur_pass + 1, wpos, w))
+                    state[w] = _QUEUED
+
+        def force(i: int, tid: int) -> None:
+            """Count forced event *i*'s queue traffic, dequeues first."""
+            dseq = deps_seq[i]
+            tail = len(dseq) - 1 if mem_tail[i] else -1
+            for k, dep in enumerate(dseq):
+                if k != tail and thread_of[dep] != tid and (dep, tid) not in received:
+                    received.add((dep, tid))
+                    key = (inst_ids[dep], tid)
+                    count = counts.get(key)
+                    if count is None:
+                        count = counts[key] = [0, 0]
+                    count[1] += 1
+            for consumer_thread in dyn_consumers[i]:
+                key = (inst_ids[i], consumer_thread)
+                count = counts.get(key)
+                if count is None:
+                    count = counts[key] = [0, 0]
+                count[0] += 1
+
+        last_pass = 0
+        while remaining > 0:
+            if not heap:
+                event_index = min(
+                    per_thread[t][pointer[t]] for t in order if pointer[t] < len(per_thread[t])
+                )
+                tid = thread_of[event_index]
+                ptr = pointer[tid]
+                force(event_index, tid)  # a forced dequeue wakes nobody
+                record((tid, ptr, ptr + 1))
+                pointer[tid] = ptr + 1
+                stop = stops[tid]
+                if cursor[tid] < len(stop) and stop[cursor[tid]] == ptr:
+                    cursor[tid] += 1
+                last_run[tid] = event_index
+                remaining -= 1
+                forced_events += 1
+                dep_waiters.pop(event_index, None)
+                waited_in[tid].discard(event_index)
+                resume = [
+                    t for t in order
+                    if pointer[t] < len(per_thread[t]) and state[t] != _QUEUED
+                ]
+                for t in resume:
+                    state[t] = _BLOCKED
+                wake(resume, last_pass, len(order))
+                continue
+
+            cur_pass, cur_pos, tid = heappop(heap)
+            last_pass = cur_pass
+            indices = per_thread[tid]
+            stop = stops[tid]
+            n_stops = len(stop)
+            first = pointer[tid]
+            c = cursor[tid]
+            drained: List[Tuple[int, int]] = []
+            blocked = False
+            while c < n_stops:
+                ptr = stop[c]
+                i = indices[ptr]
+                dseq = deps_seq[i]
+                # 1. Operand readiness: only another thread's operand can be
+                # pending (the thread's own ran before it, in order).
+                waiting_on = -1
+                for dep in dseq:
+                    dep_thread = thread_of[dep]
+                    if dep_thread != tid and dep > last_run[dep_thread]:
+                        waiting_on = dep
+                        break
+                if waiting_on >= 0:
+                    dep_waiters.setdefault(waiting_on, []).append(tid)
+                    waited_in[thread_of[waiting_on]].add(waiting_on)
+                    blocked = True
+                    break
+                # 2. Back-pressure: every queue this event feeds needs a slot.
+                fed = []
+                full_key = None
+                for consumer_thread in dyn_consumers[i]:
+                    key = (inst_ids[i], consumer_thread)
+                    count = counts.get(key)
+                    if count is None:
+                        count = counts[key] = [0, 0]
+                    if count[0] >= queue_depth and count[0] - queue_depth >= count[1]:
+                        full_key = key
+                        break
+                    fed.append(count)
+                if full_key is not None:
+                    queue_waiters.setdefault(full_key, []).append(tid)
+                    blocked = True
+                    break
+                # 3. Run it: the first read of another thread's value takes
+                # it from that value's queue; then the event feeds its own.
+                tail = len(dseq) - 1 if mem_tail[i] else -1
+                for k, dep in enumerate(dseq):
+                    if k != tail and thread_of[dep] != tid and (dep, tid) not in received:
+                        received.add((dep, tid))
+                        key = (inst_ids[dep], tid)
+                        count = counts.get(key)
+                        if count is None:
+                            count = counts[key] = [0, 0]
+                        count[1] += 1
+                        drained.append(key)
+                for count in fed:
+                    count[0] += 1
+                c += 1
+            else:
+                ptr = len(indices)
+
+            if ptr > first:
+                record((tid, first, ptr))
+                remaining -= ptr - first
+                last = last_run[tid] = indices[ptr - 1]
+                waited = waited_in[tid]
+                for event_index in [e for e in waited if e <= last]:
+                    waited.discard(event_index)
+                    wake(dep_waiters.pop(event_index), cur_pass, cur_pos)
+            for key in drained:
+                waiters = queue_waiters.pop(key, None)
+                if waiters:
+                    wake(waiters, cur_pass, cur_pos)
+            pointer[tid] = ptr
+            cursor[tid] = c
+            state[tid] = _BLOCKED if blocked else _DONE
+
+        return _Schedule(visits, tuple(counts), forced_events)
+
+    # -- re-timing a recorded schedule ----------------------------------------------------
+
+    def _retime(
+        self,
+        index: _TraceIndex,
+        setup: _ReplaySetup,
+        schedule: _Schedule,
+        timelines: Dict[int, ThreadTimeline],
+    ) -> Tuple:
+        """Time a recorded visit order under this simulator's configuration.
+
+        Executes the events in the order :meth:`_schedule` recorded for this
+        (trace, assignment, queue depth), with the issue/dequeue/enqueue
+        arithmetic of the poll loop step for step: each queue is a pair of
+        completion-time lists plus two stall accumulators (the state of a
+        :class:`~repro.runtime.queue.TimedQueue`), the module bus a set of
+        booked cycle slots (a :class:`~repro.runtime.bus.MessageBus`).  No
+        probe is needed: the recording only runs an event whose operands are
+        timed and whose queues have room — except a forced event, whose
+        enqueue into a full queue waits for no slot.
+
+        Returns (queues, transfers, producer stall, consumer stall, bus
+        transfers), the statistics :meth:`simulate` reports.
+        """
+        thread_of = setup.thread_of
+        per_thread = setup.per_thread
+        dyn_consumers = setup.dyn_consumers
+        local = setup.local
+        block_occurrence = index.block_occurrence
+        inst_ids = index.inst_ids
+        deps_seq = index.deps_seq
+        mem_tail = index.mem_tail
 
         runtime = self.runtime
         coherency_delay = runtime.coherency_delay
@@ -505,121 +763,51 @@ class TimingSimulator:
         queue_latency = runtime.queue_latency
         loop_pipe = self.hls.loop_pipelining
         slot = 1.0 / max(1, self.hls.issue_width)
-
-        inst_ids = index.inst_ids
-        deps_seq = index.deps_seq
-        mem_tail = index.mem_tail
         cost_arrays = {
-            domain: self._cost_array(index, domain, self._cost_table(index, domain))
+            domain: self._cost_array(index, domain)
             for domain in (ExecutionDomain.SOFTWARE, ExecutionDomain.HARDWARE)
         }
         thread_domain = {tid: t.spec.domain for tid, t in timelines.items()}
 
-        order = [tid for tid, indices in per_thread.items() if indices]
-        pos_of = {tid: k for k, tid in enumerate(order)}
-        pointer: Dict[int, int] = {tid: 0 for tid in order}
-        state: Dict[int, int] = {tid: _QUEUED for tid in order}
-        heap: List[Tuple[int, int, int]] = [(0, k, tid) for k, tid in enumerate(order)]
-        # Already heap-ordered (ascending position, one pass), no heapify needed.
-        dep_waiters: Dict[int, List[int]] = {}
-        queue_waiters: Dict[Tuple[int, int], List[int]] = {}
+        queue_of = {key: k for k, key in enumerate(schedule.queue_keys)}
+        n_queues = len(queue_of)
+        enq_done: List[List[float]] = [[] for _ in range(n_queues)]
+        deq_done: List[List[float]] = [[] for _ in range(n_queues)]
+        producer_stall = [0.0] * n_queues
+        consumer_stall = [0.0] * n_queues
+        bus_slots: Set[int] = set()
+        bus_transfers = 0
+        finish: List[Optional[float]] = [None] * len(deps_seq)
+        received: Dict[Tuple[int, int], float] = {}
 
-        remaining = len(inst_ids)
-        forced_events = 0
-
-        def wake(waiters: List[int], cur_pass: int, cur_pos: int) -> None:
-            for w in waiters:
-                if state.get(w) == _BLOCKED:
-                    wpos = pos_of[w]
-                    if wpos > cur_pos:
-                        heappush(heap, (cur_pass, wpos, w))
-                    else:
-                        heappush(heap, (cur_pass + 1, wpos, w))
-                    state[w] = _QUEUED
-
-        last_pass = 0
-        while remaining > 0:
-            if not heap:
-                # Cyclic wait: force the oldest blocked event, exactly like
-                # the poll loop's no-progress fallback, then give every
-                # still-blocked thread a fresh pass (stale wake registrations
-                # are harmless — a spurious visit is side-effect-free).
-                candidates = [
-                    indices[pointer[t]]
-                    for t, indices in per_thread.items()
-                    if t in pointer and pointer[t] < len(indices)
-                ]
-                event_index = min(candidates)
-                self._try_execute(ctx, event_index, force=True)
-                forced_tid = thread_of[event_index]
-                pointer[forced_tid] += 1
-                remaining -= 1
-                forced_events += 1
-                waiters = dep_waiters.pop(event_index, None)
-                resume = [
-                    tid for tid in order
-                    if pointer[tid] < len(per_thread[tid]) and state[tid] != _QUEUED
-                ]
-                for tid in resume:
-                    state[tid] = _BLOCKED
-                wake(resume, last_pass, len(order))
-                continue
-
-            cur_pass, cur_pos, tid = heappop(heap)
-            last_pass = cur_pass
-            indices = per_thread[tid]
-            ptr = pointer[tid]
-            n_thread = len(indices)
+        visits = schedule.visits
+        for v in range(0, len(visits), 3):
+            tid = visits[v]
+            first = visits[v + 1]
+            end = visits[v + 2]
             timeline = timelines[tid]
-            domain = timeline.spec.domain
+            domain = thread_domain[tid]
             is_sw = domain is ExecutionDomain.SOFTWARE
+            fsm = not is_sw and not loop_pipe
             cost_arr = cost_arrays[domain]
-            # Timeline fields live in locals for the visit; all mutations in
-            # a visit touch only this thread's timeline.
+            op_cost = processor_op_cycles if is_sw else 2
             next_free = timeline.next_free
             busy = timeline.busy_cycles
             finish_time = timeline.finish_time
-            executed = timeline.events_executed
             cur_block = timeline.current_block
             block_max = timeline.block_max_done
-            blocked = False
 
-            while ptr < n_thread:
-                i = indices[ptr]
-                dseq = deps_seq[i]
-                # 1. Operand readiness (register dataflow + memory dataflow).
-                waiting_on = -1
-                for dep in dseq:
-                    if finish[dep] is None:
-                        waiting_on = dep
-                        break
-                if waiting_on >= 0:
-                    dep_waiters.setdefault(waiting_on, []).append(tid)
-                    blocked = True
-                    break
-                # 2. Back-pressure: every queue this event feeds needs a slot.
-                consumer_threads = dyn_consumers[i]
-                if consumer_threads:
-                    iid = inst_ids[i]
-                    full_key = None
-                    for consumer_thread in consumer_threads:
-                        qkey = (iid, consumer_thread)
-                        q = queues_get(qkey)
-                        if q is None:
-                            q = TimedQueue(
-                                queue_id=len(queues), depth=queue_depth, latency=queue_latency
-                            )
-                            queues[qkey] = q
-                        if not q.can_enqueue():
-                            full_key = qkey
-                            break
-                    if full_key is not None:
-                        queue_waiters.setdefault(full_key, []).append(tid)
-                        blocked = True
-                        break
-                # 3. Issue and execute (arithmetic mirrors _try_execute).
+            for i in per_thread[tid][first:end]:
                 ready = 0.0
-                if dseq:
+                if local[i]:
+                    for dep in deps_seq[i]:
+                        dep_finish = finish[dep]
+                        if dep_finish > ready:
+                            ready = dep_finish
+                    consumer_threads = ()
+                else:
+                    consumer_threads = dyn_consumers[i]
+                    dseq = deps_seq[i]
                     tail = len(dseq) - 1 if mem_tail[i] else -1
                     for k, dep in enumerate(dseq):
                         dep_finish = finish[dep]
@@ -637,31 +825,31 @@ class TimingSimulator:
                             if arrival > ready:
                                 ready = arrival
                             continue
-                        # Cross-thread register flow through a DSWP queue.
                         key = (dep, tid)
                         got = received.get(key)
                         if got is None:
-                            qkey = (inst_ids[dep], tid)
-                            q = queues_get(qkey)
-                            if q is None:
-                                q = TimedQueue(
-                                    queue_id=len(queues),
-                                    depth=queue_depth,
-                                    latency=queue_latency,
-                                )
-                                queues[qkey] = q
-                            q.dequeue_cost = processor_op_cycles if is_sw else 2
-                            got = q.dequeue(next_free if next_free > 0.0 else 0.0)
+                            # TimedQueue.dequeue(next_free or 0.0).
+                            q = queue_of[(inst_ids[dep], tid)]
+                            dq = deq_done[q]
+                            eq = enq_done[q]
+                            at = len(dq)
+                            start = next_free if next_free > 0.0 else 0.0
+                            # Every value read has been produced, so it is in.
+                            available = eq[at] + queue_latency
+                            if available > start:
+                                consumer_stall[q] += available - start
+                                start = available
+                            got = start + op_cost
+                            if dq and dq[-1] > got:
+                                got = dq[-1]
+                            dq.append(got)
                             received[key] = got
-                            busy += q.dequeue_cost
+                            busy += op_cost
                             if got > next_free:
                                 next_free = got
-                            waiters = queue_waiters.pop(qkey, None)
-                            if waiters:
-                                wake(waiters, cur_pass, cur_pos)
                         if got > ready:
                             ready = got
-                if not is_sw and not loop_pipe:
+                if fsm:
                     occ = block_occurrence[i]
                     if occ != cur_block:
                         if block_max > next_free:
@@ -671,189 +859,64 @@ class TimingSimulator:
                 issue = ready if ready >= next_free else next_free
                 cost = cost_arr[i]
                 done = issue + cost
-                if is_sw:
-                    next_free = done
-                    busy += cost
-                elif cost > 1.0:
+                if is_sw or cost > 1.0:
                     next_free = done
                     busy += cost
                 else:
                     next_free = issue + slot
                     busy += slot
-                # 4. Produce: enqueue the value for every consuming thread.
                 if consumer_threads:
                     iid = inst_ids[i]
                     for consumer_thread in consumer_threads:
-                        q = queues[(iid, consumer_thread)]
-                        q.enqueue_cost = processor_op_cycles if is_sw else 2
-                        bus_ready = bus_request(done, processor=is_sw)
-                        floor = bus_ready - bus_latency
-                        enqueue_done = q.enqueue(done if done >= floor else floor)
-                        busy += q.enqueue_cost
+                        # MessageBus.request(done, processor=is_sw).
+                        bus_slot = int(done)
+                        if not is_sw:
+                            while bus_slot in bus_slots:
+                                bus_slot += 1
+                        bus_slots.add(bus_slot)
+                        bus_transfers += 1
+                        floor = bus_slot + bus_latency - bus_latency
+                        # TimedQueue.enqueue(max(done, floor)).
+                        start = done if done >= floor else floor
+                        q = queue_of[(iid, consumer_thread)]
+                        eq = enq_done[q]
+                        at = len(eq)
+                        if at >= queue_depth:
+                            dq = deq_done[q]
+                            at -= queue_depth
+                            space_free = dq[at] if at < len(dq) else 0.0
+                            if space_free > start:
+                                producer_stall[q] += space_free - start
+                                start = space_free
+                        enqueue_done = start + op_cost
+                        if eq and eq[-1] > enqueue_done:
+                            enqueue_done = eq[-1]
+                        eq.append(enqueue_done)
+                        busy += op_cost
                         if enqueue_done > next_free:
                             next_free = enqueue_done
-                if not is_sw and not loop_pipe and done > block_max:
+                if fsm and done > block_max:
                     block_max = done
                 finish[i] = done
-                executed += 1
                 if next_free > finish_time:
                     finish_time = next_free
                 if done > finish_time:
                     finish_time = done
-                waiters = dep_waiters.pop(i, None)
-                if waiters:
-                    wake(waiters, cur_pass, cur_pos)
-                ptr += 1
-                remaining -= 1
 
-            pointer[tid] = ptr
             timeline.next_free = next_free
             timeline.busy_cycles = busy
             timeline.finish_time = finish_time
-            timeline.events_executed = executed
+            timeline.events_executed += end - first
             timeline.current_block = cur_block
             timeline.block_max_done = block_max
-            state[tid] = _BLOCKED if blocked else _DONE
-        return forced_events
 
-    # -- legacy poll engine ------------------------------------------------------------
-
-    def _replay_poll(self, ctx: "_ReplayContext", per_thread: Dict[int, List[int]]) -> int:
-        """Original round-robin poll loop (differential-testing reference)."""
-        pointer: Dict[int, int] = {t: 0 for t in per_thread}
-        remaining = len(ctx.events)
-        forced_events = 0
-        thread_of = ctx.thread_of
-        while remaining > 0:
-            progress = False
-            for thread_id, indices in per_thread.items():
-                while pointer[thread_id] < len(indices):
-                    if not self._try_execute(ctx, indices[pointer[thread_id]], force=False):
-                        break
-                    pointer[thread_id] += 1
-                    remaining -= 1
-                    progress = True
-            if not progress and remaining > 0:
-                candidates = [
-                    indices[pointer[t]]
-                    for t, indices in per_thread.items()
-                    if pointer[t] < len(indices)
-                ]
-                event_index = min(candidates)
-                self._try_execute(ctx, event_index, force=True)
-                pointer[thread_of[event_index]] += 1
-                remaining -= 1
-                forced_events += 1
-        return forced_events
-
-    # -- one event --------------------------------------------------------------------------
-
-    def _try_execute(self, ctx: "_ReplayContext", index: int, force: bool) -> bool:
-        events = ctx.events
-        event = events[index]
-        thread_id = ctx.thread_of[index]
-        timeline = ctx.timelines[thread_id]
-        domain = timeline.spec.domain
-
-        # 1. Operand readiness (register dataflow + memory dataflow).
-        deps = list(event.deps)
-        if event.mem_dep is not None:
-            deps.append(event.mem_dep)
-        for dep in deps:
-            if ctx.finish[dep] is None and not force:
-                return False
-
-        # 2. Back-pressure: every queue this event must feed needs a free slot.
-        consumer_threads = ctx.dyn_consumers[index]
-        if consumer_threads and not force:
-            for consumer_thread in consumer_threads:
-                if not ctx.queue_for(event, consumer_thread).can_enqueue():
-                    return False
-
-        ready = 0.0
-        for dep in deps:
-            dep_finish = ctx.finish[dep]
-            if dep_finish is None:
-                dep_finish = ctx.timelines[ctx.thread_of[dep]].next_free
-            dep_thread = ctx.thread_of[dep]
-            if dep_thread == thread_id:
-                ready = max(ready, dep_finish)
-                continue
-            if dep == event.mem_dep and dep not in event.deps:
-                # Cross-thread memory flow: shared memory + coherency delay.
-                delay = self.runtime.coherency_delay
-                if ctx.timelines[dep_thread].spec.domain != domain:
-                    delay += self.runtime.memory_read_cycles
-                ready = max(ready, dep_finish + delay)
-                continue
-            # Cross-thread register flow through a DSWP queue: dequeue once.
-            key = (dep, thread_id)
-            got = ctx.received.get(key)
-            if got is None:
-                q = ctx.queue_for(events[dep], thread_id)
-                q.dequeue_cost = (
-                    self.runtime.processor_op_cycles
-                    if domain is ExecutionDomain.SOFTWARE
-                    else 2
-                )
-                got = q.dequeue(max(timeline.next_free, 0.0))
-                ctx.received[key] = got
-                timeline.busy_cycles += q.dequeue_cost
-                timeline.next_free = max(timeline.next_free, got)
-            ready = max(ready, got)
-
-        # 3. Issue and execute.
-        if domain is ExecutionDomain.HARDWARE and not self.hls.loop_pipelining:
-            # FSM semantics: a new basic-block occurrence (including the next
-            # iteration of a loop) cannot start before every state of the
-            # previous occurrence has finished.
-            occurrence = ctx.block_occurrence[index]
-            if occurrence != timeline.current_block:
-                timeline.next_free = max(timeline.next_free, timeline.block_max_done)
-                timeline.current_block = occurrence
-                timeline.block_max_done = 0.0
-        issue = max(ready, timeline.next_free)
-        cost = self._execution_cost(event, domain)
-        done = issue + cost
-        if domain is ExecutionDomain.SOFTWARE:
-            timeline.next_free = done
-            timeline.busy_cycles += cost
-        else:
-            # FSM-style execution: single-cycle operations fill a state up to
-            # the issue width (the ILP LegUp exploits); multi-cycle operations
-            # (memory over the bus, dividers) hold the state machine for their
-            # full latency — LegUp's serial divider and blocking memory
-            # accesses behave exactly like this (§5.2, §6.4).
-            if cost > 1.0:
-                timeline.next_free = done
-                timeline.busy_cycles += cost
-            else:
-                timeline.next_free = issue + 1.0 / max(1, self.hls.issue_width)
-                timeline.busy_cycles += 1.0 / max(1, self.hls.issue_width)
-
-        # 4. Produce: enqueue the value for every consuming thread.
-        for consumer_thread in consumer_threads:
-            q = ctx.queue_for(event, consumer_thread)
-            q.enqueue_cost = (
-                self.runtime.processor_op_cycles
-                if domain is ExecutionDomain.SOFTWARE
-                else 2
-            )
-            bus_ready = ctx.module_bus.request(done, processor=domain is ExecutionDomain.SOFTWARE)
-            enqueue_done = q.enqueue(max(done, bus_ready - self.runtime.bus_latency))
-            timeline.busy_cycles += q.enqueue_cost
-            timeline.next_free = max(timeline.next_free, enqueue_done)
-
-        if domain is ExecutionDomain.HARDWARE and not self.hls.loop_pipelining:
-            timeline.block_max_done = max(timeline.block_max_done, done)
-
-        if event.opcode is Opcode.STORE:
-            ctx.store_domain[index] = domain
-
-        ctx.finish[index] = done
-        timeline.events_executed += 1
-        timeline.finish_time = max(timeline.finish_time, timeline.next_free, done)
-        return True
+        return (
+            n_queues,
+            sum(len(eq) for eq in enq_done),
+            sum(producer_stall),
+            sum(consumer_stall),
+            bus_transfers,
+        )
 
     def _execution_cost(self, event: TraceEvent, domain: ExecutionDomain) -> float:
         opcode = event.opcode
@@ -865,25 +928,6 @@ class TimingSimulator:
         elif opcode is Opcode.STORE:
             cost = float(self.runtime.memory_write_cycles)
         return max(cost, 0.0)
-
-
-@dataclass
-class _ReplayContext:
-    """Mutable state shared by the per-event executor."""
-
-    events: List[TraceEvent]
-    thread_of: List[int]
-    finish: List[Optional[float]]
-    timelines: Dict[int, ThreadTimeline]
-    queue_for: object
-    module_bus: MessageBus
-    store_domain: Dict[int, ExecutionDomain]
-    received: Dict[Tuple[int, int], float]
-    dyn_consumers: List[Tuple[int, ...]]
-    block_occurrence: List[int] = field(default_factory=list)
-    # The shared (producer instruction id, consumer thread) → TimedQueue map
-    # behind ``queue_for``; the ready engine indexes it directly.
-    queues: Dict[Tuple[int, int], TimedQueue] = field(default_factory=dict)
 
 
 def simulate_partitioned(

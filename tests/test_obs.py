@@ -161,6 +161,26 @@ def test_perf_stages_cover_ingest_and_explore():
     assert "ingest" in perf.STAGES and "explore" in perf.STAGES
 
 
+def test_stage_total_counts_nested_stages_once(monkeypatch):
+    from repro import perf
+
+    clock = iter(range(100))
+    monkeypatch.setattr(perf.time, "perf_counter", lambda: float(next(clock)))
+    with perf.collect() as timings:
+        with perf.stage("explore"):          # 0 .. 7
+            with perf.stage("dswp"):         # 1 .. 2
+                pass
+            with perf.stage("replay"):       # 3 .. 6
+                with perf.stage("replay"):   # 4 .. 5
+                    pass
+        with perf.stage("interp"):           # 8 .. 9
+            pass
+    assert timings.seconds == {"explore": 7.0, "dswp": 1.0, "replay": 4.0, "interp": 1.0}
+    assert timings.calls["replay"] == 2
+    assert timings.total() == 8.0
+    assert timings.table().splitlines()[-1].split() == ["total", "8.0000"]
+
+
 # ---------------------------------------------------------------------------
 # tracer
 # ---------------------------------------------------------------------------

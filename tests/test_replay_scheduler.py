@@ -1,16 +1,14 @@
 """Byte-identity tests: readiness-driven replay engine vs the poll engine.
 
-The heap-scheduled ``ready`` engine replaced the original cooperative
-round-robin ``poll`` engine on the hot path; the legacy engine stays
-selectable (``REPRO_REPLAY=poll`` or ``simulate(..., engine="poll")``).
-Both must produce the *same* :class:`~repro.sim.timing.TimingResult` —
+The readiness-driven scheduler and its re-time pass replaced the original
+cooperative round-robin ``poll`` engine, which lives on as the
+differential oracle in ``tests/replay_oracle.py``.  Both must produce the *same* :class:`~repro.sim.timing.TimingResult` —
 not approximately, but field-for-field across every thread timeline —
 on every assignment shape the system simulates (pure SW, pure HW, and
 the DSWP-partitioned Twill configuration), across queue-depth extremes.
 """
 
 import dataclasses
-import os
 
 import pytest
 
@@ -19,10 +17,10 @@ from repro.dswp import run_dswp
 from repro.frontend import compile_c
 from repro.interp import Profile, run_module
 from repro.sim import ThreadAssignment, TimingSimulator
-from repro.sim.timing import REPLAY_ENGINE_ENV
 from repro.transforms import GlobalsToArguments, default_pipeline
 from repro.workloads import get_workload
 from tests.conftest import PIPELINE_PROGRAM
+from tests.replay_oracle import poll_replay
 
 WORKLOADS = ("blowfish", "mips")
 
@@ -59,8 +57,8 @@ def test_engines_identical_on_pipeline(pipeline):
     module, execution, dswp = pipeline
     sim = TimingSimulator()
     for label, assignment in _assignments(module, dswp).items():
-        ready = sim.simulate(execution.trace, assignment, engine="ready")
-        poll = sim.simulate(execution.trace, assignment, engine="poll")
+        ready = sim.simulate(execution.trace, assignment)
+        poll = poll_replay(sim, execution.trace, assignment)
         assert _as_comparable(ready) == _as_comparable(poll), label
         assert ready.forced_events == 0, label
         assert ready.replay_outputs == poll.replay_outputs
@@ -71,8 +69,8 @@ def test_engines_identical_on_workloads(name):
     module, execution, dswp = _compiled(get_workload(name).source, name)
     sim = TimingSimulator()
     for label, assignment in _assignments(module, dswp).items():
-        ready = sim.simulate(execution.trace, assignment, engine="ready")
-        poll = sim.simulate(execution.trace, assignment, engine="poll")
+        ready = sim.simulate(execution.trace, assignment)
+        poll = poll_replay(sim, execution.trace, assignment)
         assert _as_comparable(ready) == _as_comparable(poll), f"{name}/{label}"
         assert ready.forced_events == 0, f"{name}/{label}"
 
@@ -83,26 +81,7 @@ def test_engines_identical_across_queue_depths(pipeline):
     assignment = ThreadAssignment.from_partitioning(module, dswp.partitioning)
     for depth in (1, 2, 64):
         sim = TimingSimulator(RuntimeConfig(queue_depth=depth))
-        ready = sim.simulate(execution.trace, assignment, engine="ready")
-        poll = sim.simulate(execution.trace, assignment, engine="poll")
+        ready = sim.simulate(execution.trace, assignment)
+        poll = poll_replay(sim, execution.trace, assignment)
         assert _as_comparable(ready) == _as_comparable(poll), f"depth={depth}"
 
-
-def test_env_selects_engine(pipeline, monkeypatch):
-    module, execution, dswp = pipeline
-    assignment = ThreadAssignment.from_partitioning(module, dswp.partitioning)
-    sim = TimingSimulator()
-
-    monkeypatch.setenv(REPLAY_ENGINE_ENV, "poll")
-    via_env = sim.simulate(execution.trace, assignment)
-    explicit = sim.simulate(execution.trace, assignment, engine="poll")
-    assert _as_comparable(via_env) == _as_comparable(explicit)
-
-    monkeypatch.setenv(REPLAY_ENGINE_ENV, "bogus")
-    with pytest.raises(ValueError, match="unknown replay engine"):
-        sim.simulate(execution.trace, assignment)
-
-    monkeypatch.delenv(REPLAY_ENGINE_ENV)
-    default = sim.simulate(execution.trace, assignment)
-    ready = sim.simulate(execution.trace, assignment, engine="ready")
-    assert _as_comparable(default) == _as_comparable(ready)

@@ -1,25 +1,30 @@
 #!/usr/bin/env python
-"""Before/after micro-benchmark of the three hot-path overhauls.
+"""Before/after micro-benchmark of the hot-path overhauls.
 
-Each leg times the new implementation against its still-selectable legacy
-fallback **in the same process, on the same inputs**, and verifies the two
-produce identical output before reporting a single number:
+Each leg times the new implementation against its reference **in the same
+process, on the same inputs**, and verifies the two produce identical
+output before reporting a single number:
 
 * **frontend** — batched-regex lexer + table-driven LL(1) parser
   (``REPRO_PARSER`` default) vs the recursive-descent reference
   (``REPRO_PARSER=rd``), parsing every builtin workload source; per-stage
   lex/parse seconds come from the :mod:`repro.perf` collectors.
-* **replay** — readiness-driven heap scheduler (``engine="ready"``,
-  ``REPRO_REPLAY`` default) vs the cooperative poll engine
-  (``engine="poll"``), replaying each workload's trace under its pure-SW,
-  pure-HW and DSWP-partitioned assignments.
+* **replay** — a first replay (readiness-driven scheduler, then the
+  re-time pass) vs the cooperative poll engine kept as the differential
+  oracle (``tests/replay_oracle.py``), replaying each workload's trace
+  under its pure-SW, pure-HW and DSWP-partitioned assignments.  The replay
+  memos are dropped before every replay, so none is served a recording.
+* **sweep** — one workload's six Figure 6.5/6.6 runtime points replayed
+  the way a report does (the first replay of each queue depth schedules,
+  the rest re-time its recording) vs the same points with the memos
+  dropped before each, which re-runs the scheduler every time.
 * **explore** — incremental candidate evaluation (memoized shared
   re-partition stage) vs re-running DSWP for every candidate, over the
   report's 3x3 split-target x queue-depth space.
 
 Results land in ``BENCH_hotpath.json`` (override with ``--out``).  Exits
 non-zero if any leg's outputs diverge or any leg's new implementation is
-slower than its legacy fallback beyond ``--tolerance``.
+slower than its reference beyond ``--tolerance``.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+sys.path.insert(0, REPO_ROOT)  # tests.replay_oracle
 
 from repro import perf  # noqa: E402
 from repro.frontend.lexer import tokenize  # noqa: E402
@@ -43,6 +49,11 @@ from repro.workloads import all_workloads  # noqa: E402
 #: Workloads whose traces the replay leg simulates (kept small: replay cost
 #: scales with dynamic instruction count, and two shapes suffice).
 REPLAY_WORKLOADS = ("blowfish", "mips")
+#: The legs, in report order.
+LEGS = ("frontend", "replay", "sweep", "explore")
+#: Workload whose runtime sweep the sweep leg replays: of all workloads its
+#: Twill replay has the largest share of cross-thread events (about 42 %).
+SWEEP_WORKLOAD = "jpeg"
 
 
 def _timed(fn):
@@ -80,43 +91,65 @@ def bench_frontend(repeats: int) -> dict:
     }
 
 
-def bench_replay(repeats: int) -> dict:
-    """Leg (b): replay each workload trace with both timing engines."""
-    import dataclasses
-
+def _compiled(name: str):
+    """(module, trace, DSWP result) of one builtin workload."""
     from repro.core.compiler import TwillCompiler
     from repro.dswp import run_dswp
     from repro.interp import Profile, run_module
-    from repro.sim import ThreadAssignment, TimingSimulator
     from repro.workloads import get_workload
+
+    module = TwillCompiler().compile_module(get_workload(name).source, name)
+    execution = run_module(module, record_trace=True)
+    profile = Profile.from_trace(module, execution.trace)
+    return module, execution.trace, run_dswp(module, profile=profile)
+
+
+def _drop_replay_memos(trace) -> None:
+    """Forget the trace's memoised setups and schedules (keeps its index)."""
+    from repro.sim.timing import _trace_index
+
+    _trace_index(trace).setups.clear()
+
+
+def bench_replay(repeats: int) -> dict:
+    """Leg (b): replay each workload trace with the scheduler and the oracle."""
+    import dataclasses
+
+    from repro.sim import ThreadAssignment, TimingSimulator
+    from tests.replay_oracle import poll_replay
 
     jobs = []
     for name in REPLAY_WORKLOADS:
-        compiler = TwillCompiler()
-        module = compiler.compile_module(get_workload(name).source, name)
-        execution = run_module(module, record_trace=True)
-        profile = Profile.from_trace(module, execution.trace)
-        dswp = run_dswp(module, profile=profile)
+        module, trace, dswp = _compiled(name)
         for assignment in (
             ThreadAssignment.pure_software(module),
             ThreadAssignment.pure_hardware(module),
             ThreadAssignment.from_partitioning(module, dswp.partitioning),
         ):
-            jobs.append((execution.trace, assignment))
+            jobs.append((trace, assignment))
 
     sim = TimingSimulator()
 
-    def run(engine):
+    def ready():
         results = []
         for _ in range(repeats):
             for trace, assignment in jobs:
-                results.append(sim.simulate(trace, assignment, engine=engine))
+                _drop_replay_memos(trace)
+                results.append(sim.simulate(trace, assignment))
         return results
 
-    ready_seconds, ready = _timed(lambda: run("ready"))
-    poll_seconds, poll = _timed(lambda: run("poll"))
+    def oracle():
+        return [
+            poll_replay(sim, trace, assignment)
+            for _ in range(repeats)
+            for trace, assignment in jobs
+        ]
+
+    ready_seconds, ready_results = _timed(ready)
+    poll_seconds, poll_results = _timed(oracle)
     identical = all(
-        dataclasses.asdict(a) == dataclasses.asdict(b) for a, b in zip(ready, poll)
+        dataclasses.asdict(a) == dataclasses.asdict(b)
+        for a, b in zip(ready_results, poll_results)
     )
     return {
         "after_seconds": round(ready_seconds, 4),
@@ -128,8 +161,65 @@ def bench_replay(repeats: int) -> dict:
     }
 
 
+def bench_sweep(repeats: int) -> dict:
+    """Leg (c): one workload's runtime sweep, re-timed vs re-scheduled.
+
+    The six points are the distinct runtime configurations of Figures 6.5
+    (queue latencies at the base depth) and 6.6 (queue depths at the base
+    latency).  Points that share a queue depth share one recorded schedule.
+    """
+    import dataclasses
+
+    from repro.config import RuntimeConfig
+    from repro.eval.experiments import FIGURE_6_6_BASE_DEPTH, QUEUE_DEPTHS, QUEUE_LATENCIES
+    from repro.sim import ThreadAssignment, TimingSimulator
+
+    module, trace, dswp = _compiled(SWEEP_WORKLOAD)
+    assignment = ThreadAssignment.from_partitioning(module, dswp.partitioning)
+    points = [
+        RuntimeConfig(queue_depth=FIGURE_6_6_BASE_DEPTH, queue_latency=latency)
+        for latency in QUEUE_LATENCIES
+    ] + [
+        RuntimeConfig(queue_depth=depth, queue_latency=QUEUE_LATENCIES[0])
+        for depth in QUEUE_DEPTHS
+        if depth != FIGURE_6_6_BASE_DEPTH
+    ]
+    sims = [TimingSimulator(runtime) for runtime in points]
+    # Build the trace index once, outside both timings.
+    TimingSimulator().simulate(trace, ThreadAssignment.pure_software(module))
+
+    def memoised():
+        results = []
+        for _ in range(repeats):
+            _drop_replay_memos(trace)
+            results.extend(sim.simulate(trace, assignment) for sim in sims)
+        return results
+
+    def rescheduled():
+        results = []
+        for _ in range(repeats):
+            for sim in sims:
+                _drop_replay_memos(trace)
+                results.append(sim.simulate(trace, assignment))
+        return results
+
+    after_seconds, after = _timed(memoised)
+    before_seconds, before = _timed(rescheduled)
+    return {
+        "after_seconds": round(after_seconds, 4),
+        "before_seconds": round(before_seconds, 4),
+        "speedup": round(before_seconds / max(after_seconds, 1e-9), 3),
+        "identical": [dataclasses.asdict(r) for r in after]
+        == [dataclasses.asdict(r) for r in before],
+        "workload": SWEEP_WORKLOAD,
+        "points": len(points),
+        "events": len(trace.events),
+        "repeats": repeats,
+    }
+
+
 def bench_explore() -> dict:
-    """Leg (c): evaluate the report's 9-candidate space both ways.
+    """Leg (d): evaluate the report's 9-candidate space both ways.
 
     The "before" path re-runs DSWP per candidate (memo cleared around every
     point, no stage cache) — exactly what evaluation did before the
@@ -198,20 +288,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_hotpath.json", help="timing output file")
     parser.add_argument(
-        "--repeats", type=int, default=3, help="frontend/replay timing repetitions (default: 3)"
+        "--repeats", type=int, default=3, help="frontend/replay/sweep timing repetitions (default: 3)"
     )
     parser.add_argument(
         "--tolerance",
         type=float,
         default=float(os.environ.get("BENCH_HOTPATH_TOLERANCE", "0.9")),
         help="fail a leg if its speedup falls below this (default: 0.9, i.e. "
-        "the new path may not be >10%% slower than the legacy one)",
+        "the new path may not be >10%% slower than the reference)",
     )
     args = parser.parse_args(argv)
 
     record = {
         "frontend": bench_frontend(args.repeats),
         "replay": bench_replay(args.repeats),
+        "sweep": bench_sweep(args.repeats),
         "explore": bench_explore(),
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
@@ -229,16 +320,16 @@ def main(argv: list[str] | None = None) -> int:
         "bench_hotpath",
         {
             f"{leg}_{side}_seconds": record[leg][f"{side}_seconds"]
-            for leg in ("frontend", "replay", "explore")
+            for leg in LEGS
             for side in ("after", "before")
         },
         attrs={"repeats": args.repeats},
     )
 
     failures = []
-    for leg in ("frontend", "replay", "explore"):
+    for leg in LEGS:
         if not record[leg]["identical"]:
-            failures.append(f"{leg}: new and legacy implementations diverge")
+            failures.append(f"{leg}: new and reference implementations diverge")
         if record[leg]["speedup"] < args.tolerance:
             failures.append(
                 f"{leg}: speedup {record[leg]['speedup']}x below tolerance {args.tolerance}x"
@@ -249,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(
         "ok: "
-        + ", ".join(f"{leg} {record[leg]['speedup']}x" for leg in ("frontend", "replay", "explore"))
+        + ", ".join(f"{leg} {record[leg]['speedup']}x" for leg in LEGS)
     )
     return 0
 
