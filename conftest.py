@@ -6,6 +6,7 @@ test and benchmark suites work even in fully offline environments where
 hermetic (see :func:`hermetic_state`).
 """
 
+import itertools
 import os
 import sys
 
@@ -26,7 +27,8 @@ def hermetic_state(tmp_path_factory):
     Without this every test run that reports, explores or benchmarks would
     append records to ``./.repro_history`` and fill ``./.repro_cache`` in
     the working tree.  Tests that need their own locations still override
-    the variables (or pass ``--cache-dir``/``--history``).
+    the variables (or pass ``--cache-dir``/``--history``).  The history
+    location is replaced per test by :func:`own_history`.
     """
     root = tmp_path_factory.mktemp("repro-state")
     saved = {name: os.environ.get(name) for name in (HISTORY_ENV, CACHE_DIR_ENV)}
@@ -40,3 +42,20 @@ def hermetic_state(tmp_path_factory):
                 os.environ.pop(name, None)
             else:
                 os.environ[name] = value
+
+
+_ledgers = itertools.count()
+
+
+@pytest.fixture(autouse=True)
+def own_history(hermetic_state, monkeypatch):
+    """Give every test an empty run-history directory of its own.
+
+    An explicit ``$REPRO_HISTORY`` turns on the HTML report's trends card,
+    drawn from the ledger's records.  A ledger shared by the session would
+    make what a test renders depend on which tests ran before it; a fresh
+    one per test holds only that test's own runs.  A test that renders the
+    same report twice and compares the bytes still sets
+    ``REPRO_HISTORY=0``, since its first run adds a record the second sees.
+    """
+    monkeypatch.setenv(HISTORY_ENV, str(hermetic_state / "history" / str(next(_ledgers))))

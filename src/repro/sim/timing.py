@@ -98,9 +98,9 @@ class _TraceIndex:
     """
 
     __slots__ = (
-        "inst_ids",
+        "inst_no",
+        "static_ids",
         "opcodes",
-        "reg_deps",
         "deps_seq",
         "mem_tail",
         "block_occurrence",
@@ -113,14 +113,16 @@ class _TraceIndex:
 
     def __init__(self, events: List[TraceEvent]):
         n = len(events)
-        inst_ids = [0] * n
+        # Instructions are numbered in order of first execution, so each
+        # event carries a small static number instead of an object id.
+        inst_no = [0] * n
+        number: Dict[int, int] = {}
+        number_get = number.get
         block_occurrence = [0] * n
         opcodes: List[Opcode] = [Opcode.ADD] * n
-        reg_deps: List[Tuple[int, ...]] = [()] * n
         deps_seq: List[Tuple[int, ...]] = [()] * n
         mem_tail = bytearray(n)
         self.opcodes = opcodes
-        self.reg_deps = reg_deps
         self.deps_seq = deps_seq
         self.mem_tail = mem_tail
         self.rep_events: Dict[Opcode, TraceEvent] = {}
@@ -137,13 +139,16 @@ class _TraceIndex:
         for i, event in enumerate(events):
             inst = event.inst
             opcode = inst.opcode
-            inst_ids[i] = id(inst)
+            iid = id(inst)
+            no = number_get(iid)
+            if no is None:
+                no = number[iid] = len(number)
+            inst_no[i] = no
             opcodes[i] = opcode
             counts[opcode] = counts.get(opcode, 0) + 1
             if opcode not in rep:
                 rep[opcode] = event
             deps = event.deps
-            reg_deps[i] = deps
             mem_dep = event.mem_dep
             if mem_dep is None:
                 deps_seq[i] = deps
@@ -170,7 +175,8 @@ class _TraceIndex:
             ):
                 prints.append((event.seq, event.value))
         # Compact columns: read per event, kept for the trace's lifetime.
-        self.inst_ids = array("q", inst_ids)
+        self.static_ids = list(number)
+        self.inst_no = array("i", inst_no)
         self.block_occurrence = array("i", block_occurrence)
         # The observable output stream commits in program (trace) order: the
         # runtime serialises side effects, so finish times stay timing
@@ -181,19 +187,19 @@ class _TraceIndex:
     def setup(self, assignment: ThreadAssignment) -> "_ReplaySetup":
         """The memoised :class:`_ReplaySetup` for *assignment*'s content.
 
-        The key is what the setup is a function of: the instruction → thread
-        map (sorted, as flat bytes), the default thread and the thread specs.
-        Instruction ids are those of live objects — the trace's events hold
-        its instructions — so equal keys mean equal per-event threads.
+        The key is what the setup is a function of: the thread of each
+        instruction the trace executes (as flat bytes, in static-number
+        order) and the thread specs.  Assignments that differ only on
+        instructions the trace never runs share a setup.
         """
-        flat = array("q")
-        for item in sorted(assignment._map.items()):
-            flat.extend(item)
-        key = (flat.tobytes(), assignment.default_thread, tuple(assignment.threads))
+        amap_get = assignment._map.get
+        default_thread = assignment.default_thread
+        thread_map = [amap_get(iid, default_thread) for iid in self.static_ids]
+        key = (array("i", thread_map).tobytes(), tuple(assignment.threads))
         setups = self.setups
         setup = setups.pop(key, None)
         if setup is None:
-            setup = _ReplaySetup(self, assignment)
+            setup = _ReplaySetup(self, assignment.threads, thread_map)
             if len(setups) >= _SETUP_MEMO_LIMIT:
                 del setups[next(iter(setups))]
         setups[key] = setup
@@ -219,39 +225,40 @@ class _ReplaySetup:
         "thread_of", "per_thread", "dyn_consumers", "local", "stops", "populated", "schedules",
     )
 
-    def __init__(self, index: _TraceIndex, assignment: ThreadAssignment):
-        amap_get = assignment._map.get
-        default_thread = assignment.default_thread
-        thread_of = [amap_get(iid, default_thread) for iid in index.inst_ids]
-        buckets: Dict[int, List[int]] = {t.thread_id: [] for t in assignment.threads}
-        for i, tid in enumerate(thread_of):
-            buckets[tid].append(i)
-
-        # Which threads consume each dynamic event's value across threads?
+    def __init__(self, index: _TraceIndex, threads: List[ThreadSpec], thread_map: List[int]):
+        thread_of = list(map(thread_map.__getitem__, index.inst_no))
         n = len(thread_of)
+
+        # One pass over the operands: which threads consume each event's
+        # value across threads, and which events read another thread's value.
+        mem_tail = index.mem_tail
+        local = bytearray(b"\x01") * n
         consumer_sets: Dict[int, Set[int]] = {}
-        for i, deps in enumerate(index.reg_deps):
+        for i, dseq in enumerate(index.deps_seq):
             my_thread = thread_of[i]
-            for dep in deps:
+            for dep in dseq:
                 if thread_of[dep] != my_thread:
-                    s = consumer_sets.get(dep)
-                    if s is None:
-                        s = consumer_sets[dep] = set()
-                    s.add(my_thread)
+                    local[i] = 0
+                    # A memory-only operand (the tail) reaches no queue.
+                    if not mem_tail[i] or dep != dseq[-1]:
+                        s = consumer_sets.get(dep)
+                        if s is None:
+                            s = consumer_sets[dep] = set()
+                        s.add(my_thread)
         dyn_consumers: List[Tuple[int, ...]] = [()] * n
         shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         for i, s in consumer_sets.items():
+            local[i] = 0
             consumers = tuple(sorted(s))
             dyn_consumers[i] = shared.setdefault(consumers, consumers)
-        local = bytearray(n)
-        for i, deps in enumerate(index.deps_seq):
-            if not dyn_consumers[i]:
-                my_thread = thread_of[i]
-                for dep in deps:
-                    if thread_of[dep] != my_thread:
-                        break
-                else:
-                    local[i] = 1
+
+        buckets: Dict[int, List[int]] = {t.thread_id: [] for t in threads}
+        stops: Dict[int, List[int]] = {tid: [] for tid in buckets}
+        for i, tid in enumerate(thread_of):
+            indices = buckets[tid]
+            if not local[i]:
+                stops[tid].append(len(indices))
+            indices.append(i)
 
         self.thread_of = array("i", thread_of)
         self.per_thread: Dict[int, array] = {
@@ -259,10 +266,7 @@ class _ReplaySetup:
         }
         self.dyn_consumers = dyn_consumers
         self.local = local
-        self.stops: Dict[int, array] = {
-            tid: array("i", [p for p, i in enumerate(indices) if not local[i]])
-            for tid, indices in buckets.items()
-        }
+        self.stops: Dict[int, array] = {tid: array("i", stop) for tid, stop in stops.items()}
         self.populated = [tid for tid, indices in buckets.items() if indices]
         self.schedules: Dict[int, _Schedule] = {}
 
@@ -272,7 +276,7 @@ class _Schedule:
 
     ``visits`` is a flat ``array('i')`` of (thread id, first, end) triples:
     each visit executes ``per_thread[tid][first:end]`` in order.
-    ``queue_keys`` are the (producer instruction id, consumer thread) keys
+    ``queue_keys`` are the (producer static number, consumer thread) keys
     of the queues in the order they came into being — the order the
     result's per-queue stall sums run in.  ``forced_events`` counts the
     events the cyclic-wait fallback forced (each is a visit of its own).
@@ -561,7 +565,7 @@ class TimingSimulator:
         per_thread = setup.per_thread
         stops = setup.stops
         dyn_consumers = setup.dyn_consumers
-        inst_ids = index.inst_ids
+        inst_no = index.inst_no
         deps_seq = index.deps_seq
         mem_tail = index.mem_tail
 
@@ -577,7 +581,7 @@ class TimingSimulator:
         dep_waiters: Dict[int, List[int]] = {}
         waited_in: Dict[int, Set[int]] = {tid: set() for tid in order}
         queue_waiters: Dict[Tuple[int, int], List[int]] = {}
-        # (producer instruction id, consumer thread) -> [enqueued, dequeued],
+        # (producer static number, consumer thread) -> [enqueued, dequeued],
         # in the order the queues come into being.
         counts: Dict[Tuple[int, int], List[int]] = {}
         received: Set[Tuple[int, int]] = set()
@@ -603,13 +607,13 @@ class TimingSimulator:
             for k, dep in enumerate(dseq):
                 if k != tail and thread_of[dep] != tid and (dep, tid) not in received:
                     received.add((dep, tid))
-                    key = (inst_ids[dep], tid)
+                    key = (inst_no[dep], tid)
                     count = counts.get(key)
                     if count is None:
                         count = counts[key] = [0, 0]
                     count[1] += 1
             for consumer_thread in dyn_consumers[i]:
-                key = (inst_ids[i], consumer_thread)
+                key = (inst_no[i], consumer_thread)
                 count = counts.get(key)
                 if count is None:
                     count = counts[key] = [0, 0]
@@ -673,7 +677,7 @@ class TimingSimulator:
                 fed = []
                 full_key = None
                 for consumer_thread in dyn_consumers[i]:
-                    key = (inst_ids[i], consumer_thread)
+                    key = (inst_no[i], consumer_thread)
                     count = counts.get(key)
                     if count is None:
                         count = counts[key] = [0, 0]
@@ -691,7 +695,7 @@ class TimingSimulator:
                 for k, dep in enumerate(dseq):
                     if k != tail and thread_of[dep] != tid and (dep, tid) not in received:
                         received.add((dep, tid))
-                        key = (inst_ids[dep], tid)
+                        key = (inst_no[dep], tid)
                         count = counts.get(key)
                         if count is None:
                             count = counts[key] = [0, 0]
@@ -750,7 +754,7 @@ class TimingSimulator:
         dyn_consumers = setup.dyn_consumers
         local = setup.local
         block_occurrence = index.block_occurrence
-        inst_ids = index.inst_ids
+        inst_no = index.inst_no
         deps_seq = index.deps_seq
         mem_tail = index.mem_tail
 
@@ -829,7 +833,7 @@ class TimingSimulator:
                         got = received.get(key)
                         if got is None:
                             # TimedQueue.dequeue(next_free or 0.0).
-                            q = queue_of[(inst_ids[dep], tid)]
+                            q = queue_of[(inst_no[dep], tid)]
                             dq = deq_done[q]
                             eq = enq_done[q]
                             at = len(dq)
@@ -866,7 +870,7 @@ class TimingSimulator:
                     next_free = issue + slot
                     busy += slot
                 if consumer_threads:
-                    iid = inst_ids[i]
+                    producer = inst_no[i]
                     for consumer_thread in consumer_threads:
                         # MessageBus.request(done, processor=is_sw).
                         bus_slot = int(done)
@@ -878,7 +882,7 @@ class TimingSimulator:
                         floor = bus_slot + bus_latency - bus_latency
                         # TimedQueue.enqueue(max(done, floor)).
                         start = done if done >= floor else floor
-                        q = queue_of[(iid, consumer_thread)]
+                        q = queue_of[(producer, consumer_thread)]
                         eq = enq_done[q]
                         at = len(eq)
                         if at >= queue_depth:

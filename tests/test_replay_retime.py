@@ -163,17 +163,25 @@ def test_assignment_memo_is_keyed_by_content():
     # Rebuilt from scratch, the same content hits the memo ...
     assert index.setup(ThreadAssignment.from_partitioning(module, dswp.partitioning)) is setup
 
-    # ... while moving one instruction to another thread misses it.
+    # ... and so does one that differs only on an instruction the trace
+    # never runs ...
+    other_module, _, _ = _compiled(PIPELINE_PROGRAM, "pipeline")
+    unrun = next(inst for fn in other_module.defined_functions() for inst in fn.instructions())
+    padded = ThreadAssignment.from_partitioning(module, dswp.partitioning)
+    padded.assign_instruction(unrun, 1)
+    assert index.setup(padded) is setup
+
+    # ... while moving an executed instruction to another thread misses it.
     moved = ThreadAssignment.from_partitioning(module, dswp.partitioning)
-    inst_id, thread = next(iter(moved._map.items()))
-    moved._map[inst_id] = 1 if thread == 0 else 0
+    executed = trace.events[0].inst
+    moved.assign_instruction(executed, 1 if moved._map[id(executed)] == 0 else 0)
     assert index.setup(moved) is not setup
     relabelled = ThreadAssignment.from_partitioning(module, dswp.partitioning)
     relabelled.threads[0] = ThreadSpec(0, ExecutionDomain.HARDWARE, "fabric")
     assert index.setup(relabelled) is not setup
 
     sim = TimingSimulator()
-    for assignment in (twill, moved, relabelled, twill):
+    for assignment in (twill, padded, moved, relabelled, twill):
         result = sim.simulate(trace, assignment)
         _check_invariants(result)
         assert _fields(result) == _fields(poll_replay(sim, trace, assignment))

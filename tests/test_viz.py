@@ -312,9 +312,9 @@ def test_cli_figure_svg_writes_standalone_file(tmp_path, capsys):
 
 
 def test_cli_report_html_end_to_end(tmp_path, capsys, monkeypatch):
-    # The trends card renders whenever $REPRO_HISTORY names a ledger (as the
-    # test session's does) and grows with every run; warm byte-identity is
-    # a property of the report without it.
+    # The trends card renders whenever $REPRO_HISTORY names a ledger (as
+    # every test's own does) and grows with every run; warm byte-identity
+    # is a property of the report without it.
     monkeypatch.setenv("REPRO_HISTORY", "0")
     args = ["report", "--benchmarks", "blowfish", "--html", str(tmp_path / "out")]
     code, out, err = run_cli(args, tmp_path, capsys)
