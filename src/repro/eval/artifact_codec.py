@@ -9,9 +9,16 @@ that wrote it.
 
 This module replaces pickle for compile artifacts with an explicit codec:
 
-* the payload is one line of magic (``repro-artifact-v1``) followed by a
+* the payload is one line of magic (``repro-artifact-v2``) followed by a
   single canonical JSON document, so ``python -m json.tool`` (skip the
   first line) inspects any cached compile;
+* the dynamic trace — most of an artifact — is one binary block inside
+  that document: its columns' little-endian array bytes, concatenated,
+  zlib-compressed (level 1) and base64-encoded (see :data:`_TRACE_COLUMNS`).
+  Encode and decode are ``tobytes``/``frombytes`` with no per-event Python
+  loop, and decode validates the columns with C-level passes before it
+  builds a trace, so a damaged block raises :class:`ArtifactCodecError`
+  instead of yielding a wrong trace;
 * decoding **executes no stored code** — it walks the JSON and rebuilds the
   object graph through a fixed table of IR classes, so an artifact cache
   does not have to be a trusted directory (no HMAC envelope needed);
@@ -22,14 +29,14 @@ The encoding strategy mirrors how the IR itself names things:
 
 * every instruction of every defined function gets a **global index**
   (module function order → block order → instruction order); operands,
-  trace events, profile counts, partitions, queues and HLS schedules all
-  refer to instructions by that index, which replaces pickle's object
-  identity;
+  the trace's static instruction table, profile counts, partitions,
+  queues and HLS schedules all refer to instructions by that index, which
+  replaces pickle's object identity;
 * ``id()``-keyed maps (``FunctionPartitioning.assignment``,
-  ``Trace.instruction_counts``, ``BlockSchedule.start_cycle``,
-  ``Profile._counts``) are never stored keyed — they are re-derived or
-  re-keyed against the decoded instructions, exactly like the classes'
-  own ``__setstate__`` hooks do for pickle;
+  ``BlockSchedule.start_cycle``, ``Profile._counts``) are never stored
+  keyed — they are re-derived or re-keyed against the decoded
+  instructions, exactly like the classes' own ``__setstate__`` hooks do
+  for pickle;
 * purely derived analysis state (the PDG, its SCC condensation and the
   weight-model cache inside :class:`DSWPResult`) is **recomputed** on
   decode: it is a deterministic function of the decoded module and
@@ -45,7 +52,14 @@ initialisation), pass two appends operands through the normal
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
+import sys
+import zlib
+from array import array
+from itertools import chain, islice, repeat
+from operator import ge, gt, sub
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
@@ -84,7 +98,9 @@ from repro.ir.types import (
 )
 from repro.ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
 
-ARTIFACT_MAGIC = b"repro-artifact-v1\n"
+ARTIFACT_MAGIC = b"repro-artifact-v2\n"
+
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class ArtifactCodecError(ReproError):
@@ -393,72 +409,126 @@ def _dec_memory(data: Dict):
     return memory
 
 
-def _enc_trace(trace, index: Dict[int, int]) -> Dict:
-    """Columnar trace encoding: one list per event field.
+#: The trace block's arrays, in block order: (name, typecode).  ``static``
+#: maps the trace's static numbers to global instruction indices and
+#: ``static_fn`` to entries of the document's function-name table; the rest
+#: are the :class:`~repro.interp.trace.Trace` columns of the same name.
+_TRACE_COLUMNS = (
+    ("static", "i"),
+    ("static_fn", "i"),
+    ("inst", "i"),
+    ("dep_offsets", "i"),
+    ("deps", "i"),
+    ("mem_dep", "i"),
+    ("address", "q"),
+    ("value", "q"),
+    ("present", "B"),
+    ("block_starts", "i"),
+)
 
-    Events are stored without their ``seq`` when sequence numbers are the
-    plain 0..n-1 enumeration (they always are for interpreter-produced
-    traces); a non-contiguous trace stores them explicitly.
-    """
-    functions: List[str] = []
+
+def _enc_trace(trace, index: Dict[int, int]) -> Dict:
+    """The trace as one compressed block of little-endian column bytes."""
     fn_ids: Dict[str, int] = {}
-    inst: List[int] = []
-    fn_col: List[int] = []
-    deps: List[List[int]] = []
-    mem_dep: List[Optional[int]] = []
-    address: List[Optional[int]] = []
-    value: List[Optional[int]] = []
-    seqs: List[int] = []
-    contiguous = True
-    for i, event in enumerate(trace.events):
-        if event.seq != i:
-            contiguous = False
-        seqs.append(event.seq)
-        inst.append(index[id(event.inst)])
-        fid = fn_ids.get(event.function)
-        if fid is None:
-            fid = fn_ids[event.function] = len(functions)
-            functions.append(event.function)
-        fn_col.append(fid)
-        deps.append(list(event.deps))
-        mem_dep.append(event.mem_dep)
-        address.append(event.address)
-        value.append(event.value)
+    columns = {
+        "static": array("i", [index[id(inst)] for inst in trace.instructions]),
+        "static_fn": array("i", [fn_ids.setdefault(f, len(fn_ids)) for f in trace.functions]),
+    }
+    lengths = []
+    chunks = []
+    for name, typecode in _TRACE_COLUMNS:
+        column = columns[name] if name in columns else getattr(trace, name)
+        if _BIG_ENDIAN:
+            column = array(typecode, column)
+            column.byteswap()
+        lengths.append(len(column))
+        chunks.append(column.tobytes())
+    block = zlib.compress(b"".join(chunks), 1)
     return {
-        "functions": functions,
-        "inst": inst,
-        "fn": fn_col,
-        "deps": deps,
-        "mem_dep": mem_dep,
-        "address": address,
-        "value": value,
-        "seq": None if contiguous else seqs,
-        "block_counts": [[f, b, c] for (f, b), c in trace.block_counts.items()],
+        "functions": list(fn_ids),
+        "lengths": lengths,
+        "block": base64.b64encode(block).decode("ascii"),
         "truncated": trace.truncated,
     }
 
 
 def _dec_trace(data: Dict, instructions: List[Instruction]):
-    from repro.interp.trace import Trace, TraceEvent
+    """Rebuild the trace columns, validating them with C-level passes only."""
+    from repro.interp.trace import Trace
 
-    trace = Trace()
+    lengths = data["lengths"]
+    if len(lengths) != len(_TRACE_COLUMNS) or not all(
+        isinstance(k, int) and k >= 0 for k in lengths
+    ):
+        raise ArtifactCodecError("trace block: bad column lengths")
+    sizes = [k * array(t).itemsize for k, (_, t) in zip(lengths, _TRACE_COLUMNS)]
+    expected = sum(sizes)
+    try:
+        # One byte of headroom: a block that inflates past its lengths is
+        # caught without inflating all of it.
+        inflater = zlib.decompressobj()
+        raw = inflater.decompress(base64.b64decode(data["block"], validate=True), expected + 1)
+    except (binascii.Error, TypeError, ValueError, zlib.error) as exc:
+        raise ArtifactCodecError(f"trace block: {exc}") from exc
+    if len(raw) != expected or not inflater.eof or inflater.unused_data:
+        raise ArtifactCodecError(f"trace block does not hold the {expected} bytes its lengths say")
+    columns = {}
+    at = 0
+    for (name, typecode), size in zip(_TRACE_COLUMNS, sizes):
+        column = array(typecode)
+        column.frombytes(raw[at:at + size])
+        if _BIG_ENDIAN:
+            column.byteswap()
+        columns[name] = column
+        at += size
     functions = data["functions"]
-    seqs = data["seq"]
-    for i in range(len(data["inst"])):
-        trace.append(
-            TraceEvent(
-                seq=i if seqs is None else seqs[i],
-                inst=instructions[data["inst"][i]],
-                function=functions[data["fn"][i]],
-                deps=tuple(data["deps"][i]),
-                mem_dep=data["mem_dep"][i],
-                address=data["address"][i],
-                value=data["value"][i],
-            )
-        )
-    trace.block_counts = {(f, b): c for f, b, c in data["block_counts"]}
-    trace.truncated = data["truncated"]
-    return trace
+    _check_trace(columns, len(functions), len(instructions))
+    static = columns.pop("static")
+    static_fn = columns.pop("static_fn")
+    return Trace.from_columns(
+        [instructions[i] for i in static],
+        [functions[i] for i in static_fn],
+        truncated=bool(data["truncated"]),
+        **columns,
+    )
+
+
+def _check_trace(columns: Dict[str, array], n_functions: int, n_insts: int) -> None:
+    """Reject columns that would make an inconsistent trace."""
+
+    def bad(what: str) -> ArtifactCodecError:
+        return ArtifactCodecError(f"trace block: {what}")
+
+    static, static_fn = columns["static"], columns["static_fn"]
+    inst, offsets, deps = columns["inst"], columns["dep_offsets"], columns["deps"]
+    n = len(inst)
+    if len(static_fn) != len(static) or any(
+        len(columns[name]) != n for name in ("mem_dep", "address", "value", "present")
+    ) or len(offsets) != n + 1:
+        raise bad("column lengths disagree")
+    if static and (min(static) < 0 or max(static) >= n_insts or len(set(static)) != len(static)):
+        raise bad("static instruction out of range or repeated")
+    if static_fn and (min(static_fn) < 0 or max(static_fn) >= n_functions):
+        raise bad("function number out of range")
+    if inst and (min(inst) < 0 or max(inst) >= len(static)):
+        raise bad("instruction number out of range")
+    ends = islice(offsets, 1, None)
+    if offsets[0] != 0 or offsets[-1] != len(deps) or any(map(gt, offsets, ends)):
+        raise bad("dep offsets not monotone over the deps")
+    # The event each dep belongs to, as a C-level stream.
+    owners = chain.from_iterable(map(repeat, range(n), map(sub, islice(offsets, 1, None), offsets)))
+    if (deps and min(deps) < 0) or any(map(ge, deps, owners)):
+        raise bad("a dep is not an earlier event")
+    mem_dep = columns["mem_dep"]
+    if (mem_dep and min(mem_dep) < -1) or any(map(ge, mem_dep, range(n))):
+        raise bad("a memory dep is not an earlier event")
+    if columns["present"] and max(columns["present"]) > 3:
+        raise bad("bad presence flags")
+    starts = columns["block_starts"]
+    if (n and (not starts or starts[0] != 0)) or (starts and starts[-1] >= n) or any(
+        map(ge, starts, islice(starts, 1, None))
+    ):
+        raise bad("block starts not strictly increasing from event 0")
 
 
 def _enc_execution(execution, index: Dict[int, int]) -> Dict:

@@ -64,7 +64,7 @@ def difftest_workload(harness, name: str) -> DiffTestOutcome:
     interp_outputs = [int(v) for v in run.result.execution.outputs]
     expected = run.workload.expected_outputs()
     trace = run.result.execution.trace
-    trace_events = len(trace.events) if trace is not None else 0
+    trace_events = len(trace) if trace is not None else 0
 
     failures: List[str] = []
     if interp_outputs != expected:

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import InterpreterError, InterpreterTrap
 from repro.interp.memory import SimulatedMemory
-from repro.interp.trace import Trace, TraceEvent
+from repro.interp.trace import Trace
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import (
@@ -93,8 +93,10 @@ class Interpreter:
         self.memory.load_globals(module)
         self.outputs: List[int] = []
         self.trace: Optional[Trace] = Trace() if record_trace else None
+        if self.trace is not None:
+            # Record straight into the trace's columns.
+            self._record = self.trace.record
         self.steps = 0
-        self._seq = 0
         self._last_store_event: Dict[int, int] = {}
         # Queues used only when interpreting DSWP-transformed IR functionally.
         self.queues: Dict[int, List[int]] = {}
@@ -115,35 +117,19 @@ class Interpreter:
 
     # -- helpers --------------------------------------------------------------------
 
-    def _next_seq(self) -> int:
-        seq = self._seq
-        self._seq += 1
-        return seq
-
     def _record(
         self,
         inst: Instruction,
         fn_name: str,
-        deps: Tuple[int, ...],
-        mem_dep: Optional[int] = None,
+        mem_dep: int = -1,
         address: Optional[int] = None,
         value: Optional[int] = None,
     ) -> Optional[int]:
-        if self.trace is None:
-            return None
-        seq = self._next_seq()
-        self.trace.append(
-            TraceEvent(
-                seq=seq,
-                inst=inst,
-                function=fn_name,
-                deps=deps,
-                mem_dep=mem_dep,
-                address=address,
-                value=value,
-            )
-        )
-        return seq
+        """Record one event (see :meth:`Trace.record`); untraced, a no-op.
+
+        A tracing interpreter shadows this with its trace's ``record``.
+        """
+        return None
 
     def _operand_value(self, frame: _Frame, value: Value) -> int:
         if isinstance(value, Constant):
@@ -168,15 +154,21 @@ class Interpreter:
             return frame.events.get(id(value))
         return None
 
-    def _deps(self, frame: _Frame, operands: Sequence[Value]) -> Tuple[int, ...]:
+    def _deps(self, frame: _Frame, operands: Sequence[Value]) -> None:
+        """Write the producing events of *operands* into the trace's deps.
+
+        Only instructions and arguments have producing events, and
+        ``frame.events`` is keyed by the ids of exactly those (live) values,
+        so a lookup needs no type test.
+        """
         if self.trace is None:
-            return ()
-        deps: List[int] = []
+            return
+        get = frame.events.get
+        append = self.trace.deps.append
         for op in operands:
-            event = self._operand_event(frame, op)
+            event = get(id(op))
             if event is not None:
-                deps.append(event)
-        return tuple(deps)
+                append(event)
 
     # -- execution ----------------------------------------------------------------------
 
@@ -198,10 +190,11 @@ class Interpreter:
         if block is None:
             raise InterpreterError(f"function {fn.name} has no entry block")
         prev_block: Optional[BasicBlock] = None
+        trace = self.trace
 
         while True:
-            if self.trace is not None:
-                self.trace.count_block(fn.name, block.name)
+            if trace is not None:
+                trace.enter_block(block)
             # Phis first, evaluated simultaneously from the incoming edge.
             phis = block.phis()
             if phis:
@@ -215,8 +208,9 @@ class Interpreter:
                     staged.append((phi, value, event))
                 for phi, value, event in staged:
                     frame.values[id(phi)] = value
-                    deps = (event,) if event is not None else ()
-                    seq = self._record(phi, fn.name, deps, value=value)
+                    if trace is not None and event is not None:
+                        trace.deps.append(event)
+                    seq = self._record(phi, fn.name, value=value)
                     frame.events[id(phi)] = seq if seq is not None else event
                     self.steps += 1
                     if self.steps > self.max_steps:
@@ -241,20 +235,23 @@ class Interpreter:
                         event = (
                             self._operand_event(frame, inst.value) if inst.value is not None else None
                         )
-                        self._record(inst, name, self._deps(frame, inst.operands), value=value)
+                        self._deps(frame, inst._operands)
+                        self._record(inst, name, value=value)
                         return value, event
                     if tag == _TAG_BRANCH:
-                        self._record(inst, name, ())
+                        self._record(inst, name)
                         next_block = inst.target
                         break
                     if tag == _TAG_CONDBR:
                         cond = self._operand_value(frame, inst.condition)
-                        self._record(inst, name, self._deps(frame, [inst.condition]), value=cond)
+                        self._deps(frame, (inst.condition,))
+                        self._record(inst, name, value=cond)
                         next_block = inst.true_target if cond != 0 else inst.false_target
                         break
                     # _TAG_SWITCH
                     value = self._operand_value(frame, inst.value)
-                    self._record(inst, name, self._deps(frame, [inst.value]), value=value)
+                    self._deps(frame, (inst.value,))
+                    self._record(inst, name, value=value)
                     next_block = inst.default
                     for case_value, target in inst.cases:
                         if case_value == value:
@@ -293,7 +290,8 @@ class Interpreter:
             value = evaluate_binary(inst.opcode, inst.type, lhs, rhs)
         except ZeroDivisionError as exc:
             raise InterpreterTrap(f"division by zero in {name}") from exc
-        seq = self._record(inst, name, self._deps(frame, inst.operands), value=value)
+        self._deps(frame, inst._operands)
+        seq = self._record(inst, name, value=value)
         return value, seq
 
     def _exec_icmp(self, frame: _Frame, name: str, inst: ICmp):
@@ -301,26 +299,28 @@ class Interpreter:
         rhs = self._operand_value(frame, inst.rhs)
         ty = inst.lhs.type if isinstance(inst.lhs.type, IntType) else IntType(32, True)
         value = evaluate_icmp(inst.predicate, ty, lhs, rhs)
-        seq = self._record(inst, name, self._deps(frame, inst.operands), value=value)
+        self._deps(frame, inst._operands)
+        seq = self._record(inst, name, value=value)
         return value, seq
 
     def _exec_select(self, frame: _Frame, name: str, inst: Select):
         cond = self._operand_value(frame, inst.condition)
         value = self._operand_value(frame, inst.true_value if cond else inst.false_value)
-        seq = self._record(inst, name, self._deps(frame, inst.operands), value=value)
+        self._deps(frame, inst._operands)
+        seq = self._record(inst, name, value=value)
         return value, seq
 
     def _exec_alloca(self, frame: _Frame, name: str, inst: Alloca):
         address = self.memory.allocate_stack(inst.allocated_type)
-        seq = self._record(inst, name, (), address=address)
+        seq = self._record(inst, name, address=address)
         return address, seq
 
     def _exec_load(self, frame: _Frame, name: str, inst: Load):
         address = self._operand_value(frame, inst.pointer)
         value = self.memory.load_typed(address, inst.type)
-        mem_dep = self._last_store_event.get(address)
+        self._deps(frame, inst._operands)
         seq = self._record(
-            inst, name, self._deps(frame, inst.operands), mem_dep=mem_dep, address=address, value=value
+            inst, name, self._last_store_event.get(address, -1), address=address, value=value
         )
         return value, seq
 
@@ -328,9 +328,8 @@ class Interpreter:
         address = self._operand_value(frame, inst.pointer)
         value = self._operand_value(frame, inst.value)
         self.memory.store_typed(address, value, inst.value.type)
-        seq = self._record(
-            inst, name, self._deps(frame, inst.operands), address=address, value=value
-        )
+        self._deps(frame, inst._operands)
+        seq = self._record(inst, name, address=address, value=value)
         if seq is not None:
             self._last_store_event[address] = seq
         return None, seq
@@ -345,7 +344,8 @@ class Interpreter:
             if isinstance(current, ArrayType):
                 current = current.element
             address += idx * current.size_bytes()
-        seq = self._record(inst, name, self._deps(frame, inst.operands), address=address, value=address)
+        self._deps(frame, inst._operands)
+        seq = self._record(inst, name, address=address, value=address)
         return address, seq
 
     def _exec_cast(self, frame: _Frame, name: str, inst: Cast):
@@ -363,7 +363,8 @@ class Interpreter:
                 result = dst_type.wrap(src_type.wrap(value))
             else:  # trunc / bitcast
                 result = dst_type.wrap(value)
-        seq = self._record(inst, name, self._deps(frame, inst.operands), value=result)
+        self._deps(frame, inst._operands)
+        seq = self._record(inst, name, value=result)
         return result, seq
 
     def _exec_call(self, frame: _Frame, name: str, inst: Call):
@@ -377,8 +378,12 @@ class Interpreter:
             if inst.callee.is_declaration() and inst.callee.name == "print_int" and arg_values
             else None
         )
-        seq = self._record(inst, name, self._deps(frame, inst.operands), value=printed)
+        self._deps(frame, inst._operands)
+        seq = self._record(inst, name, value=printed)
         result, result_event = self._call(inst.callee, arg_values, arg_events)
+        if self.trace is not None:
+            # The rest of this block is a new occurrence once a callee ran.
+            self.trace.enter_block(inst.parent)
         # The call's consumers depend directly on the producer of the
         # returned value (precise cross-function dataflow); fall back to
         # the call event itself for declarations.
@@ -387,7 +392,8 @@ class Interpreter:
     def _exec_produce(self, frame: _Frame, name: str, inst: Produce):
         value = self._operand_value(frame, inst.value)
         self.queues.setdefault(inst.queue_id, []).append(value)
-        seq = self._record(inst, name, self._deps(frame, inst.operands), value=value)
+        self._deps(frame, inst._operands)
+        seq = self._record(inst, name, value=value)
         return None, seq
 
     def _exec_consume(self, frame: _Frame, name: str, inst: Consume):
@@ -395,7 +401,7 @@ class Interpreter:
         if not queue:
             raise InterpreterTrap(f"consume from empty queue {inst.queue_id} in {name}")
         value = queue.pop(0)
-        seq = self._record(inst, name, (), value=value)
+        seq = self._record(inst, name, value=value)
         return value, seq
 
     @classmethod

@@ -35,9 +35,10 @@ class Profile:
     def from_trace(cls, module: Module, trace: Trace) -> "Profile":
         """Build a profile from measured dynamic instruction counts."""
         profile = cls(module)
+        counts = trace.instruction_counts()
         for fn in module.defined_functions():
             for inst in fn.instructions():
-                profile._counts[id(inst)] = float(trace.dynamic_count(inst))
+                profile._counts[id(inst)] = float(counts.get(inst, 0))
         return profile
 
     @classmethod

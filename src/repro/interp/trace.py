@@ -1,32 +1,51 @@
-"""Dynamic execution trace.
+"""Dynamic execution trace, stored as columns.
 
-Each executed IR instruction becomes one :class:`TraceEvent`.  Events carry
-*precise dynamic dependences*:
+Each executed IR instruction is one *event*, and the trace keeps its events
+as parallel compact arrays — one entry per event — rather than as objects:
 
-* ``deps`` — sequence numbers of the events that produced each operand value
-  (register dataflow);
-* ``mem_dep`` — sequence number of the store event whose value a load reads
-  (memory dataflow), resolved exactly because the interpreter knows every
-  address.
+* ``inst`` — the event's static instruction number, an index into
+  ``instructions`` (the numbered instruction table: instructions are
+  numbered in order of first execution) and ``functions`` (each one's
+  function name);
+* ``deps`` / ``dep_offsets`` — *precise dynamic dependences*: event ``i``'s
+  register operands were produced by events ``deps[dep_offsets[i]:
+  dep_offsets[i + 1]]``;
+* ``mem_dep`` — the store event whose value a load reads (memory dataflow,
+  resolved exactly because the interpreter knows every address), ``-1``
+  for none;
+* ``address`` / ``value`` with ``present`` (bit 0: has an address, bit 1:
+  has a value), so a missing field stays distinguishable from zero;
+* ``block_starts`` — the event at which each dynamic basic-block occurrence
+  begins, marked by the interpreter as it enters blocks.
 
 The hybrid timing simulator replays this trace, dispatching each event to
 the thread its static instruction was partitioned onto; the dependences are
 what create (or forbid) overlap between threads, and cross-thread
-dependences are the ones that pay queue costs.
+dependences are the ones that pay queue costs.  The replay reads the
+columns directly, and the artifact codec stores them as array bytes, so no
+per-event object is ever built on those paths.  :class:`TraceEvent` is a
+read view for tests, oracles and tools: iterating a trace, or its
+``events`` list, builds the events on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from collections import Counter
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.ir.function import Function
+from repro.ir.basicblock import BasicBlock
 from repro.ir.instructions import Instruction, Opcode
+
+#: ``present`` flag bits.
+HAS_ADDRESS = 1
+HAS_VALUE = 2
 
 
 @dataclass
 class TraceEvent:
-    """One dynamically executed instruction."""
+    """One dynamically executed instruction (a read view of one trace row)."""
 
     seq: int
     inst: Instruction
@@ -45,73 +64,146 @@ class TraceEvent:
 
 
 class Trace:
-    """An ordered list of trace events plus summary statistics."""
+    """The columns of one dynamic trace (see the module docstring)."""
 
     def __init__(self) -> None:
-        self.events: List[TraceEvent] = []
-        self.instruction_counts: Dict[int, int] = {}   # id(static inst) -> dynamic count
-        self.block_counts: Dict[Tuple[str, str], int] = {}  # (function, block name) -> count
+        self.instructions: List[Instruction] = []
+        self.functions: List[str] = []
+        self.inst = array("i")
+        self.deps = array("i")
+        self.dep_offsets = array("i", [0])
+        self.mem_dep = array("i")
+        self.address = array("q")
+        self.value = array("q")
+        self.present = array("B")
+        self.block_starts = array("i")
         self.truncated = False
+        # Static instruction -> number, for recording.
+        self._numbers: Dict[Instruction, int] = {}
 
-    # -- construction (called by the interpreter) ------------------------------------
+    # -- construction -------------------------------------------------------------------
+
+    def enter_block(self, block: Optional[BasicBlock]) -> None:
+        """Mark entry into *block*: the next event may begin an occurrence.
+
+        Every dynamic block occurrence — including re-entry of the same block
+        on the next loop iteration, and the rest of a block after a call
+        returns into it — is a serialisation point for a hardware FSM.  An
+        occurrence begins unless the last event is a non-terminator of this
+        same block (as after a call to a declaration, which records nothing).
+        """
+        inst = self.inst
+        if inst:
+            last = self.instructions[inst[-1]]
+            if last.parent is block and not last.is_terminator():
+                return
+        self.block_starts.append(len(inst))
+
+    def record(
+        self,
+        inst: Instruction,
+        function: str,
+        mem_dep: int = -1,
+        address: Optional[int] = None,
+        value: Optional[int] = None,
+    ) -> int:
+        """Append one event and return its sequence number.
+
+        Its register deps must already be in ``deps`` (the interpreter
+        writes them there as it reads the operands).
+        """
+        seq = len(self.inst)
+        no = self._numbers.get(inst)
+        if no is None:
+            no = self._numbers[inst] = len(self.instructions)
+            self.instructions.append(inst)
+            self.functions.append(function)
+        self.inst.append(no)
+        self.dep_offsets.append(len(self.deps))
+        self.mem_dep.append(mem_dep)
+        flags = 0
+        if address is None:
+            self.address.append(0)
+        else:
+            self.address.append(address)
+            flags = HAS_ADDRESS
+        if value is None:
+            self.value.append(0)
+        else:
+            self.value.append(value)
+            flags |= HAS_VALUE
+        self.present.append(flags)
+        return seq
 
     def append(self, event: TraceEvent) -> None:
-        self.events.append(event)
-        key = id(event.inst)
-        self.instruction_counts[key] = self.instruction_counts.get(key, 0) + 1
+        """Append a hand-built event (its ``seq`` must be the next position).
 
-    def count_block(self, function: str, block_name: str) -> None:
-        key = (function, block_name)
-        self.block_counts[key] = self.block_counts.get(key, 0) + 1
+        A block occurrence begins where the event's (function, block)
+        differs from the previous event's or the previous event was a
+        terminator — the same boundaries the interpreter marks.
+        """
+        if event.seq != len(self.inst):
+            raise ValueError(f"event #{event.seq} appended at position {len(self.inst)}")
+        self.enter_block(event.inst.parent)
+        self.deps.extend(event.deps)
+        self.record(
+            event.inst,
+            event.function,
+            -1 if event.mem_dep is None else event.mem_dep,
+            event.address,
+            event.value,
+        )
 
-    # -- pickling ---------------------------------------------------------------------
-    #
-    # instruction_counts is keyed by id(inst), and object ids do not survive
-    # a pickle round trip (a cached artifact's instructions unpickle at new
-    # addresses, so every lookup would silently miss).  The counts are pure
-    # derived data, so drop them on pickle and rebuild them from the events
-    # — whose ``inst`` references unpickle consistently with the module —
-    # exactly as append() built them.
+    @classmethod
+    def from_columns(
+        cls, instructions: List[Instruction], functions: List[str], **columns
+    ) -> "Trace":
+        """A trace over existing columns (the codec's decode)."""
+        trace = cls()
+        trace.instructions = instructions
+        trace.functions = functions
+        for name, column in columns.items():
+            setattr(trace, name, column)
+        trace._numbers = {inst: no for no, inst in enumerate(instructions)}
+        return trace
 
     def __getstate__(self) -> Dict:
+        # The replay index (see repro.sim.timing) is process-local derived
+        # state, rebuilt on first replay.
         state = self.__dict__.copy()
-        state["instruction_counts"] = None
-        # Process-local replay precomputation (see repro.sim.timing); rebuilt
-        # lazily on first replay after unpickling.
         state.pop("_replay_index", None)
         return state
-
-    def __setstate__(self, state: Dict) -> None:
-        self.__dict__.update(state)
-        counts: Dict[int, int] = {}
-        for event in self.events:
-            key = id(event.inst)
-            counts[key] = counts.get(key, 0) + 1
-        self.instruction_counts = counts
 
     # -- queries ------------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.inst)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
+        return map(self._event, range(len(self.inst)))
 
-    def dynamic_count(self, inst: Instruction) -> int:
-        return self.instruction_counts.get(id(inst), 0)
+    @property
+    def events(self) -> List[TraceEvent]:
+        """Every event as a :class:`TraceEvent`, built anew on each access."""
+        return list(self)
 
-    def opcode_histogram(self) -> Dict[str, int]:
-        histogram: Dict[str, int] = {}
-        for event in self.events:
-            name = event.opcode.value
-            histogram[name] = histogram.get(name, 0) + 1
-        return histogram
+    def _event(self, i: int) -> TraceEvent:
+        offsets = self.dep_offsets
+        no = self.inst[i]
+        mem_dep = self.mem_dep[i]
+        flags = self.present[i]
+        return TraceEvent(
+            seq=i,
+            inst=self.instructions[no],
+            function=self.functions[no],
+            deps=tuple(self.deps[offsets[i]:offsets[i + 1]]),
+            mem_dep=None if mem_dep < 0 else mem_dep,
+            address=self.address[i] if flags & HAS_ADDRESS else None,
+            value=self.value[i] if flags & HAS_VALUE else None,
+        )
 
-    def events_for_function(self, name: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.function == name]
+    def instruction_counts(self) -> Dict[Instruction, int]:
+        """Dynamic execution count of every executed static instruction."""
+        instructions = self.instructions
+        return {instructions[no]: count for no, count in Counter(self.inst).items()}
 
-    def memory_traffic(self) -> Tuple[int, int]:
-        """(dynamic loads, dynamic stores)."""
-        loads = sum(1 for e in self.events if e.opcode is Opcode.LOAD)
-        stores = sum(1 for e in self.events if e.opcode is Opcode.STORE)
-        return loads, stores

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.dswp.pipeline import ModulePartitioning
 from repro.dswp.partitioner import PartitionKind
-from repro.interp.trace import TraceEvent
 from repro.ir.module import Module
 
 
@@ -60,10 +59,6 @@ class ThreadAssignment:
         self._map[id(inst)] = thread_id
 
     # -- queries -----------------------------------------------------------------------
-
-    def thread_of_event(self, event: TraceEvent) -> ThreadSpec:
-        thread_id = self._map.get(id(event.inst), self.default_thread)
-        return self.by_id[thread_id]
 
     def software_threads(self) -> List[ThreadSpec]:
         return [t for t in self.threads if t.is_software()]

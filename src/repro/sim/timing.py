@@ -46,6 +46,11 @@ only.  The float operations run in the poll loop's order with its int/float
 tie rules, so the bytes match.  Both memos (the assignment-dependent setup
 and the schedules) live on the trace's process-local :class:`_TraceIndex`.
 
+Both passes read the trace's columns (see :mod:`repro.interp.trace`): the
+static-number column maps events to threads, and the index adds only the
+per-event operand tuples, block occurrence ids and printed values,
+derived once per trace.  No replay builds a per-event object.
+
 Replays whose events all land on a single thread (the pure-software and
 pure-hardware baselines) take straight-line fast paths with no queue/bus
 machinery at all.  Should a cyclic wait ever leave the scheduler with no
@@ -56,15 +61,18 @@ loop did, and counts it in ``forced_events``.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import chain, compress, count, islice, repeat
+from operator import sub
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import perf
 from repro.config import HLSConfig, RuntimeConfig
 from repro.costmodel.hardware import HardwareCostModel
 from repro.costmodel.software import SoftwareCostModel
-from repro.interp.trace import Trace, TraceEvent
+from repro.interp.trace import HAS_VALUE, Trace
 from repro.ir.instructions import Opcode
 from repro.sim.assignment import ExecutionDomain, ThreadAssignment, ThreadSpec
 
@@ -82,12 +90,23 @@ class _TraceIndex:
     """Replay precomputation that depends on the *trace* alone.
 
     A report replays the same trace many times — three baseline assignments,
-    every split-sweep fraction, every explore candidate — and each replay
-    used to re-derive the same per-event tables with multiple O(events)
-    passes.  Everything here is a pure function of the event list (never of
-    the assignment or the runtime/HLS configuration), so it is computed once
-    and cached on the :class:`~repro.interp.trace.Trace` object itself
-    (``Trace.__getstate__`` drops the cache, keeping pickles clean).
+    every split-sweep fraction, every explore candidate.  The trace's own
+    columns serve every replay as they are (``inst_no`` is the trace's
+    static-number column); this index adds only what the replay loops want
+    in another shape, derived once with C-level passes over the columns:
+
+    * ``deps_seq`` — each event's operands as one tuple, register deps
+      first and the memory dep last, with ``mem_tail`` flagging a memory
+      dep that takes the coherency path (one that is not also a register
+      dep);
+    * ``block_occurrence`` — each event's dynamic block occurrence id
+      (1, 2, ...), expanded from the trace's ``block_starts``;
+    * ``static_opcodes``/``opcode_counts`` and ``prints`` — the opcode of
+      each static instruction, dynamic counts per opcode, and the printed
+      values in program order.
+
+    It is cached on the trace object (see :func:`_trace_index`); a pickled
+    trace leaves it behind.
 
     ``cost_arrays`` memoises per-event cost vectors keyed by the *content*
     of the opcode-cost table (domain + each opcode's resolved cost), so
@@ -98,91 +117,64 @@ class _TraceIndex:
     """
 
     __slots__ = (
+        "n",
         "inst_no",
         "static_ids",
-        "opcodes",
+        "static_opcodes",
         "deps_seq",
         "mem_tail",
         "block_occurrence",
-        "rep_events",
         "opcode_counts",
         "prints",
         "cost_arrays",
         "setups",
     )
 
-    def __init__(self, events: List[TraceEvent]):
-        n = len(events)
-        # Instructions are numbered in order of first execution, so each
-        # event carries a small static number instead of an object id.
-        inst_no = [0] * n
-        number: Dict[int, int] = {}
-        number_get = number.get
-        block_occurrence = [0] * n
-        opcodes: List[Opcode] = [Opcode.ADD] * n
-        deps_seq: List[Tuple[int, ...]] = [()] * n
-        mem_tail = bytearray(n)
-        self.opcodes = opcodes
-        self.deps_seq = deps_seq
-        self.mem_tail = mem_tail
-        self.rep_events: Dict[Opcode, TraceEvent] = {}
-        self.opcode_counts: Dict[Opcode, int] = {}
+    def __init__(self, trace: Trace):
+        n = self.n = len(trace)
+        inst_no = self.inst_no = trace.inst
+        statics = trace.instructions
+        self.static_ids = [id(inst) for inst in statics]
+        self.static_opcodes = [inst.opcode for inst in statics]
         self.cost_arrays: Dict[Tuple, List[float]] = {}
         self.setups: Dict[Tuple, _ReplaySetup] = {}
 
-        counts = self.opcode_counts
-        rep = self.rep_events
-        occurrence = 0
-        prev_block_key: Optional[Tuple[str, int]] = None
-        prev_was_terminator = False
-        prints: List[Tuple[int, int]] = []
-        for i, event in enumerate(events):
-            inst = event.inst
-            opcode = inst.opcode
-            iid = id(inst)
-            no = number_get(iid)
-            if no is None:
-                no = number[iid] = len(number)
-            inst_no[i] = no
-            opcodes[i] = opcode
-            counts[opcode] = counts.get(opcode, 0) + 1
-            if opcode not in rep:
-                rep[opcode] = event
-            deps = event.deps
-            mem_dep = event.mem_dep
-            if mem_dep is None:
-                deps_seq[i] = deps
-            else:
-                # Legacy order exactly: register deps first, mem_dep last; the
-                # tail flag marks a memory dep taking the coherency path (one
-                # that is not also a register dep).
-                deps_seq[i] = deps + (mem_dep,)
-                mem_tail[i] = mem_dep not in deps
-            # Dynamic basic-block occurrence ids: every block occurrence —
-            # including re-entry of the same block on the next loop iteration —
-            # is a serialisation point for a hardware FSM.
-            block_key = (event.function, id(inst.parent))
-            if prev_block_key is None or block_key != prev_block_key or prev_was_terminator:
-                occurrence += 1
-            block_occurrence[i] = occurrence
-            prev_block_key = block_key
-            prev_was_terminator = inst.is_terminator()
-            if (
-                opcode is Opcode.CALL
-                and event.value is not None
-                and getattr(inst, "callee", None) is not None
-                and inst.callee.name == "print_int"
-            ):
-                prints.append((event.seq, event.value))
-        # Compact columns: read per event, kept for the trace's lifetime.
-        self.static_ids = list(number)
-        self.inst_no = array("i", inst_no)
-        self.block_occurrence = array("i", block_occurrence)
+        offsets = trace.dep_offsets
+        deps_seq = list(
+            map(tuple, map(trace.deps.__getitem__, map(slice, offsets, islice(offsets, 1, None))))
+        )
+        mem_dep = trace.mem_dep
+        mem_tail = bytearray(n)
+        for i in compress(range(n), map((-1).__lt__, mem_dep)):
+            deps = deps_seq[i]
+            dep = mem_dep[i]
+            deps_seq[i] = deps + (dep,)
+            mem_tail[i] = dep not in deps
+        self.deps_seq = deps_seq
+        self.mem_tail = mem_tail
+
+        starts = trace.block_starts
+        lengths = map(sub, chain(islice(starts, 1, None), (n,)), starts)
+        self.block_occurrence = array("i", chain.from_iterable(map(repeat, count(1), lengths)))
+
+        counts: Dict[Opcode, int] = {}
+        for no, k in Counter(inst_no).items():
+            opcode = self.static_opcodes[no]
+            counts[opcode] = counts.get(opcode, 0) + k
+        self.opcode_counts = counts
+
         # The observable output stream commits in program (trace) order: the
         # runtime serialises side effects, so finish times stay timing
         # metadata only and never reorder what the program prints.
-        prints.sort(key=lambda p: p[0])
-        self.prints: Tuple[int, ...] = tuple(p[1] for p in prints)
+        is_print = bytes(
+            inst.opcode is Opcode.CALL and inst.callee.name == "print_int" for inst in statics
+        )
+        present, value = trace.present, trace.value
+        self.prints: Tuple[int, ...] = tuple(
+            value[i]
+            for i in compress(range(n), map(is_print.__getitem__, inst_no))
+            if present[i] & HAS_VALUE
+        )
 
     def setup(self, assignment: ThreadAssignment) -> "_ReplaySetup":
         """The memoised :class:`_ReplaySetup` for *assignment*'s content.
@@ -296,8 +288,7 @@ def _trace_index(trace: Trace) -> _TraceIndex:
     """The trace's cached :class:`_TraceIndex`, built on first replay."""
     index = getattr(trace, "_replay_index", None)
     if index is None:
-        index = _TraceIndex(trace.events)
-        trace._replay_index = index
+        index = trace._replay_index = _TraceIndex(trace)
     return index
 
 
@@ -370,15 +361,14 @@ class TimingSimulator:
     # -- public API ------------------------------------------------------------------
 
     def simulate(self, trace: Trace, assignment: ThreadAssignment) -> TimingResult:
-        events = trace.events
-        if not events:
+        n = len(trace)
+        if not n:
             return TimingResult(0.0, {}, 0, 0, 0.0, 0.0, 0, 0, 0)
 
         index = _trace_index(trace)
         timelines: Dict[int, ThreadTimeline] = {
             t.thread_id: ThreadTimeline(spec=t) for t in assignment.threads
         }
-        n = len(events)
 
         if len(timelines) == 1:
             # Single-thread assignment (the pure-SW / pure-HW baselines):
@@ -429,11 +419,8 @@ class TimingSimulator:
     # -- shared per-event precomputation ----------------------------------------------
 
     def _cost_table(self, index: _TraceIndex, domain: ExecutionDomain) -> Dict[Opcode, float]:
-        """Opcode → cost for the trace's opcodes (one representative each)."""
-        return {
-            opcode: self._execution_cost(event, domain)
-            for opcode, event in index.rep_events.items()
-        }
+        """Opcode → cost for the trace's opcodes."""
+        return {opcode: self._execution_cost(opcode, domain) for opcode in index.opcode_counts}
 
     def _cost_array(self, index: _TraceIndex, domain: ExecutionDomain) -> List[float]:
         """Per-event cost vector, memoized on the trace by cost-table *content*."""
@@ -441,7 +428,8 @@ class TimingSimulator:
         key = (domain, tuple(sorted((op.value, cost) for op, cost in table.items())))
         array_ = index.cost_arrays.get(key)
         if array_ is None:
-            array_ = [table[op] for op in index.opcodes]
+            static_costs = [table[op] for op in index.static_opcodes]
+            array_ = list(map(static_costs.__getitem__, index.inst_no))
             index.cost_arrays[key] = array_
         return array_
 
@@ -472,16 +460,16 @@ class TimingSimulator:
             )
         else:
             total = 0.0
-            for opcode in index.opcodes:
-                total += table[opcode]
+            for cost in self._cost_array(index, ExecutionDomain.SOFTWARE):
+                total += cost
         timeline.next_free = total
         timeline.busy_cycles = total
-        timeline.events_executed = len(index.opcodes)
+        timeline.events_executed = index.n
         timeline.finish_time = total
 
     def _replay_single_hardware(self, index: _TraceIndex, timeline: ThreadTimeline) -> None:
         """Pure-hardware replay: one FSM thread, no queues, no bus."""
-        n = len(index.opcodes)
+        n = index.n
         deps_seq = index.deps_seq
         block_occurrence = index.block_occurrence
         cost_arr = self._cost_array(index, ExecutionDomain.HARDWARE)
@@ -922,8 +910,7 @@ class TimingSimulator:
             bus_transfers,
         )
 
-    def _execution_cost(self, event: TraceEvent, domain: ExecutionDomain) -> float:
-        opcode = event.opcode
+    def _execution_cost(self, opcode: Opcode, domain: ExecutionDomain) -> float:
         if domain is ExecutionDomain.SOFTWARE:
             return float(self.software.opcode_cost(opcode))
         cost = float(self.hardware.opcode_cost(opcode))

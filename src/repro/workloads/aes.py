@@ -15,27 +15,20 @@ from repro.workloads.base import Workload, WorkloadRegistry
 
 
 def _build_sbox() -> List[int]:
-    """Standard AES S-box, computed (multiplicative inverse + affine map)."""
+    """Standard AES S-box, computed (multiplicative inverse + affine map).
 
-    def gmul(a: int, b: int) -> int:
-        p = 0
-        for _ in range(8):
-            if b & 1:
-                p ^= a
-            high = a & 0x80
-            a = (a << 1) & 0xFF
-            if high:
-                a ^= 0x1B
-            b >>= 1
-        return p
-
-    # Build inverses by brute force (field is tiny).
-    inv = [0] * 256
-    for x in range(1, 256):
-        for y in range(1, 256):
-            if gmul(x, y) == 1:
-                inv[x] = y
-                break
+    Inverses come from log/antilog tables over the generator 3: every
+    non-zero x is 3^k for one k, and its inverse is 3^(255 - k).
+    """
+    antilog = [0] * 255
+    log = [0] * 256
+    x = 1
+    for k in range(255):
+        antilog[k] = x
+        log[x] = k
+        # x * 3 = xtime(x) ^ x
+        x ^= ((x << 1) ^ (0x1B if x & 0x80 else 0)) & 0xFF
+    inv = [0] + [antilog[(255 - log[x]) % 255] for x in range(1, 256)]
     sbox = []
     for x in range(256):
         b = inv[x]

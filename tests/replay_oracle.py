@@ -7,7 +7,10 @@ every queue it feeds); when a pass makes no progress it force-processes the
 oldest blocked event.  It shares nothing with ``repro.sim.timing``'s engines
 but the result types, the queue/bus models and the opcode cost function,
 and it recomputes the assignment setup from scratch — so it can disagree
-with the scheduler, the re-time pass and their memos.
+with the scheduler, the re-time pass and their memos.  It reads the trace
+through its :class:`~repro.interp.trace.TraceEvent` view and derives block
+occurrences and printed values from the events itself, so it also checks
+the columns the replay index derives them from.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.interp.trace import Trace
+from repro.ir.instructions import Opcode
 from repro.runtime.bus import MessageBus
 from repro.runtime.queue import TimedQueue
 from repro.sim.assignment import ExecutionDomain, ThreadAssignment
-from repro.sim.timing import ThreadTimeline, TimingResult, TimingSimulator, _trace_index
+from repro.sim.timing import ThreadTimeline, TimingResult, TimingSimulator
 
 
 class _Replay:
@@ -47,7 +51,7 @@ class _Replay:
         self.received: Dict[Tuple[int, int], float] = {}
         self.queues: Dict[Tuple[int, int], TimedQueue] = {}
         self.module_bus = MessageBus("module-bus", latency=sim.runtime.bus_latency)
-        self.block_occurrence = list(_trace_index(trace).block_occurrence)
+        self.block_occurrence = block_occurrences(self.events)
 
     def queue_for(self, inst, consumer_thread: int) -> TimedQueue:
         key = (id(inst), consumer_thread)
@@ -120,7 +124,7 @@ class _Replay:
                 timeline.current_block = occurrence
                 timeline.block_max_done = 0.0
         issue = max(ready, timeline.next_free)
-        cost = sim._execution_cost(event, domain)
+        cost = sim._execution_cost(event.opcode, domain)
         done = issue + cost
         if domain is ExecutionDomain.SOFTWARE or cost > 1.0:
             timeline.next_free = done
@@ -151,12 +155,43 @@ class _Replay:
         return True
 
 
+def block_occurrences(events) -> List[int]:
+    """Each event's dynamic block occurrence id, 1, 2, ...
+
+    A new occurrence begins where the (function, block) changes or the
+    previous event was a terminator: re-entering a loop block, and the
+    rest of a block after a call returns into it, are new occurrences.
+    """
+    occurrence = 0
+    out: List[int] = []
+    prev = None
+    for event in events:
+        key = (event.function, id(event.inst.parent))
+        if prev is None or key != prev[0] or prev[1]:
+            occurrence += 1
+        out.append(occurrence)
+        prev = (key, event.inst.is_terminator())
+    return out
+
+
+def printed_values(events) -> Tuple[int, ...]:
+    """The values the program printed, in program order."""
+    return tuple(
+        event.value
+        for event in events
+        if event.opcode is Opcode.CALL
+        and event.value is not None
+        and event.inst.callee.name == "print_int"
+    )
+
+
+
 def poll_replay(sim: TimingSimulator, trace: Trace, assignment: ThreadAssignment) -> TimingResult:
     """Replay *trace* under *assignment* with the poll engine."""
-    events = trace.events
-    if not events:
+    if not len(trace):
         return TimingResult(0.0, {}, 0, 0, 0.0, 0.0, 0, 0, 0)
     replay = _Replay(sim, trace, assignment)
+    events = replay.events
     per_thread = replay.per_thread
     pointer = {t: 0 for t in per_thread}
     remaining = len(events)
@@ -190,5 +225,5 @@ def poll_replay(sim: TimingSimulator, trace: Trace, assignment: ThreadAssignment
         bus_transfers=replay.module_bus.stats.transfers,
         forced_events=forced_events,
         events=len(events),
-        replay_outputs=_trace_index(trace).prints,
+        replay_outputs=printed_values(events),
     )

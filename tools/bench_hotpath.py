@@ -21,10 +21,15 @@ output before reporting a single number:
 * **explore** — incremental candidate evaluation (memoized shared
   re-partition stage) vs re-running DSWP for every candidate, over the
   report's 3x3 split-target x queue-depth space.
+* **trace** — per workload, the seconds to record the columnar trace (an
+  interpreter run with tracing, next to one without), to encode it into
+  the compile artifact's trace section and to decode it back, plus the
+  section's bytes.  Not an A/B leg: its check is that every decoded trace
+  equals the recorded one event for event.
 
 Results land in ``BENCH_hotpath.json`` (override with ``--out``).  Exits
-non-zero if any leg's outputs diverge or any leg's new implementation is
-slower than its reference beyond ``--tolerance``.
+non-zero if any leg's outputs diverge or any A/B leg's new implementation
+is slower than its reference beyond ``--tolerance``.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from repro.workloads import all_workloads  # noqa: E402
 #: Workloads whose traces the replay leg simulates (kept small: replay cost
 #: scales with dynamic instruction count, and two shapes suffice).
 REPLAY_WORKLOADS = ("blowfish", "mips")
-#: The legs, in report order.
+#: The A/B legs, in report order (the trace leg has no reference side).
 LEGS = ("frontend", "replay", "sweep", "explore")
 #: Workload whose runtime sweep the sweep leg replays: of all workloads its
 #: Twill replay has the largest share of cross-thread events (about 42 %).
@@ -213,7 +218,7 @@ def bench_sweep(repeats: int) -> dict:
         == [dataclasses.asdict(r) for r in before],
         "workload": SWEEP_WORKLOAD,
         "points": len(points),
-        "events": len(trace.events),
+        "events": len(trace),
         "repeats": repeats,
     }
 
@@ -284,11 +289,60 @@ def bench_explore() -> dict:
     }
 
 
+def bench_trace(repeats: int) -> dict:
+    """Leg (e): record, encode and decode every workload's trace.
+
+    Each time is the best of *repeats*; encode includes the JSON dump of
+    the trace section and decode its JSON load, as in the artifact cache.
+    """
+    from repro.core.compiler import TwillCompiler
+    from repro.eval.artifact_codec import (
+        _dec_trace,
+        _enc_trace,
+        _instruction_index,
+        _instruction_list,
+    )
+    from repro.interp import run_module
+
+    per_workload = {}
+    identical = True
+    for workload in all_workloads():
+        module = TwillCompiler().compile_module(workload.source, workload.name)
+        index = _instruction_index(module)
+        instructions = _instruction_list(module)
+        best = {"untraced": [], "record": [], "encode": [], "decode": []}
+        for _ in range(repeats):
+            seconds, _ = _timed(lambda: run_module(module))
+            best["untraced"].append(seconds)
+            seconds, execution = _timed(lambda: run_module(module, record_trace=True))
+            best["record"].append(seconds)
+            trace = execution.trace
+            seconds, payload = _timed(lambda: json.dumps(_enc_trace(trace, index)))
+            best["encode"].append(seconds)
+            seconds, decoded = _timed(lambda: _dec_trace(json.loads(payload), instructions))
+            best["decode"].append(seconds)
+        identical = identical and decoded.events == trace.events
+        per_workload[workload.name] = {
+            "events": len(trace),
+            "encoded_bytes": len(payload),
+            **{f"{step}_seconds": round(min(times), 4) for step, times in best.items()},
+        }
+    totals = {
+        key: round(sum(w[key] for w in per_workload.values()), 4)
+        for key in ("untraced_seconds", "record_seconds", "encode_seconds", "decode_seconds",
+                    "encoded_bytes", "events")
+    }
+    return {**totals, "identical": identical, "workloads": per_workload, "repeats": repeats}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_hotpath.json", help="timing output file")
     parser.add_argument(
-        "--repeats", type=int, default=3, help="frontend/replay/sweep timing repetitions (default: 3)"
+        "--repeats",
+        type=int,
+        default=3,
+        help="frontend/replay/sweep/trace timing repetitions (default: 3)",
     )
     parser.add_argument(
         "--tolerance",
@@ -304,6 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         "replay": bench_replay(args.repeats),
         "sweep": bench_sweep(args.repeats),
         "explore": bench_explore(),
+        "trace": bench_trace(args.repeats),
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
     }
@@ -319,14 +374,22 @@ def main(argv: list[str] | None = None) -> int:
     obs_history.record_run(
         "bench_hotpath",
         {
-            f"{leg}_{side}_seconds": record[leg][f"{side}_seconds"]
-            for leg in LEGS
-            for side in ("after", "before")
+            **{
+                f"{leg}_{side}_seconds": record[leg][f"{side}_seconds"]
+                for leg in LEGS
+                for side in ("after", "before")
+            },
+            **{
+                f"trace_{step}_seconds": record["trace"][f"{step}_seconds"]
+                for step in ("record", "encode", "decode")
+            },
         },
         attrs={"repeats": args.repeats},
     )
 
     failures = []
+    if not record["trace"]["identical"]:
+        failures.append("trace: a decoded trace differs from the recorded one")
     for leg in LEGS:
         if not record[leg]["identical"]:
             failures.append(f"{leg}: new and reference implementations diverge")
@@ -341,6 +404,8 @@ def main(argv: list[str] | None = None) -> int:
     print(
         "ok: "
         + ", ".join(f"{leg} {record[leg]['speedup']}x" for leg in LEGS)
+        + f", trace record/encode/decode {record['trace']['record_seconds']}/"
+        f"{record['trace']['encode_seconds']}/{record['trace']['decode_seconds']} s"
     )
     return 0
 

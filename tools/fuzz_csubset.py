@@ -237,7 +237,7 @@ def check_program(source: str, name: str = "fuzzed", min_outputs: int = 0) -> Op
             "optimised pipeline outputs diverge from the unoptimised reference "
             f"({list(result.execution.outputs)[:4]} vs {reference[:4]})"
         )
-    trace_events = len(result.execution.trace.events)
+    trace_events = len(result.execution.trace)
     for label, attr in (
         ("software_only", "pure_software"),
         ("hybrid", "twill"),
