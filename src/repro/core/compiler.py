@@ -17,7 +17,7 @@ the thesis describes (Figure 5.1):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import perf
 from repro.analysis.callgraph import CallGraph
@@ -36,9 +36,20 @@ from repro.transforms.globals_to_args import GlobalsToArguments
 from repro.transforms.pass_manager import default_pipeline
 
 
+#: The fields a lazy :class:`CompilationResult` builds on their first read.
+_HEAVY_FIELDS = frozenset(("module", "execution", "profile", "dswp", "legup"))
+
+
 @dataclass
 class CompilationResult:
-    """Everything produced by one compile-and-simulate run."""
+    """Everything produced by one compile-and-simulate run.
+
+    A result decoded from the artifact cache is *lazy* (:meth:`lazy`): it
+    holds ``name``, ``system``, the functional outputs and the DSWP summary,
+    and builds the five heavy fields on the first read of any of them.
+    ``==``, pickling and :func:`dataclasses.replace` read every field, so
+    they materialise it first; a report reads none of them.
+    """
 
     name: str
     module: Module
@@ -48,10 +59,52 @@ class CompilationResult:
     legup: LegUpResult
     system: SystemResult
 
+    @classmethod
+    def lazy(
+        cls,
+        name: str,
+        system: SystemResult,
+        outputs: List[int],
+        dswp_summary: Dict[str, float],
+        load: Callable[[], Dict[str, Any]],
+    ) -> "CompilationResult":
+        """A result whose heavy fields are ``load()``'s, built on first read.
+
+        *load* returns the five heavy fields by name and runs at most once
+        successfully; ``execution.outputs`` must be *outputs*.
+        """
+        result = cls.__new__(cls)
+        result.name = name
+        result.system = system
+        result._outputs = outputs
+        result._dswp_summary = dswp_summary
+        result._load = load
+        return result
+
+    def __getattr__(self, attr: str) -> Any:
+        # Only reached for attributes the instance lacks: the heavy fields
+        # of a lazy result before their first read.
+        if "_load" not in self.__dict__ or attr not in _HEAVY_FIELDS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        self._materialise()
+        return self.__dict__[attr]
+
+    def _materialise(self) -> None:
+        load = self.__dict__.get("_load")
+        if load is not None:
+            self.__dict__.update(load())
+            del self._load, self._outputs, self._dswp_summary
+
+    def __getstate__(self) -> Dict[str, Any]:
+        self._materialise()  # the loader is not picklable
+        return self.__dict__
+
     # -- convenience accessors --------------------------------------------------------
 
     @property
     def outputs(self) -> List[int]:
+        if "_load" in self.__dict__:
+            return self._outputs
         return self.execution.outputs
 
     @property
@@ -67,16 +120,19 @@ class CompilationResult:
         return self.system.speedup_vs_hardware
 
     def dswp_summary(self) -> Dict[str, float]:
+        if "_load" in self.__dict__:
+            return dict(self._dswp_summary)
         return self.dswp.summary()
 
     def summary_dict(self) -> Dict[str, object]:
         """Machine-readable counterpart of :meth:`report` (``repro run --json``)."""
         s = self.system
+        dswp = self.dswp_summary()
         return {
             "benchmark": self.name,
-            "queues": self.dswp.partitioning.total_queues,
-            "semaphores": self.dswp.partitioning.total_semaphores,
-            "hw_threads": self.dswp.partitioning.hardware_thread_count,
+            "queues": dswp["queues"],
+            "semaphores": dswp["semaphores"],
+            "hw_threads": dswp["hw_threads"],
             "pure_sw_cycles": s.pure_software.cycles,
             "pure_hw_cycles": s.pure_hardware.cycles,
             "twill_cycles": s.twill.cycles,

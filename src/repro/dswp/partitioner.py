@@ -26,8 +26,9 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import PartitionError
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
+from repro.pdg.builder import build_pdg
 from repro.pdg.graph import ProgramDependenceGraph
-from repro.pdg.scc import StronglyConnectedComponent, component_of_map, topological_order
+from repro.pdg.scc import StronglyConnectedComponent, component_of_map, condense
 from repro.pdg.weights import WeightModel
 
 
@@ -64,9 +65,19 @@ class Partition:
         )
 
 
+def _assignment_of(partitions: Sequence[Partition]) -> Dict[int, int]:
+    """id(instruction) -> partition index, the inverse of the instruction lists."""
+    return {id(inst): partition.index for partition in partitions for inst in partition.instructions}
+
+
 @dataclass
 class FunctionPartitioning:
-    """The partitioning decision for one function."""
+    """The partitioning decision for one function.
+
+    ``pdg`` and its weight-annotated SCC condensation ``components`` are
+    derived from ``function`` and the weight model.  A partitioning decoded
+    from a compile artifact (:meth:`decoded`) rebuilds them on first read.
+    """
 
     function: Function
     partitions: List[Partition]
@@ -75,8 +86,40 @@ class FunctionPartitioning:
     pdg: ProgramDependenceGraph
     sw_fraction: float
 
-    def partition_of(self, inst: Instruction) -> int:
-        return self.assignment[id(inst)]
+    @classmethod
+    def decoded(
+        cls,
+        function: Function,
+        partitions: List[Partition],
+        sw_fraction: float,
+        weight_model: WeightModel,
+    ) -> "FunctionPartitioning":
+        """A partitioning whose ``pdg``/``components`` are built on first read.
+
+        They are rebuilt exactly as :meth:`DSWPPartitioner.partition_function`
+        built them (deterministic for the function and *weight_model*).  Only
+        queue allocation in a fresh DSWP run reads them, so a cached compile
+        artifact usually never builds them.
+        """
+        partitioning = cls.__new__(cls)
+        partitioning.function = function
+        partitioning.partitions = partitions
+        partitioning.assignment = _assignment_of(partitions)
+        partitioning.sw_fraction = sw_fraction
+        partitioning._weight_model = weight_model
+        return partitioning
+
+    def __getattr__(self, attr: str):
+        # Only reached for attributes the instance lacks: the PDG and SCCs of
+        # a decoded partitioning before their first read.
+        weight_model = self.__dict__.get("_weight_model")
+        if weight_model is None or attr not in ("pdg", "components"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        self.pdg = build_pdg(self.function)
+        self.components = condense(self.pdg)
+        weight_model.annotate_sccs(self.components)
+        del self._weight_model
+        return self.__dict__[attr]
 
     # -- pickling ---------------------------------------------------------------------
     #
@@ -96,17 +139,10 @@ class FunctionPartitioning:
     def __setstate__(self, state: Dict) -> None:
         self.__dict__.update(state)
         if self.assignment is None:
-            self.assignment = {
-                id(inst): partition.index
-                for partition in self.partitions
-                for inst in partition.instructions
-            }
+            self.assignment = _assignment_of(self.partitions)
 
     def software_partitions(self) -> List[Partition]:
         return [p for p in self.partitions if p.is_software()]
-
-    def hardware_partitions(self) -> List[Partition]:
-        return [p for p in self.partitions if p.is_hardware()]
 
     def master_partition(self) -> Partition:
         for p in self.partitions:
@@ -120,9 +156,6 @@ class FunctionPartitioning:
         if total <= 0:
             return 0.0
         return sum(p.sw_weight for p in self.software_partitions()) / total
-
-    def non_empty_partitions(self) -> List[Partition]:
-        return [p for p in self.partitions if p.instructions]
 
 
 class DSWPPartitioner:
@@ -158,8 +191,6 @@ class DSWPPartitioner:
             raise PartitionError(f"num_partitions must be >= 1, got {num_partitions}")
         if not 0.0 <= sw_fraction <= 1.0:
             raise PartitionError(f"sw_fraction must be within [0, 1], got {sw_fraction}")
-
-        from repro.pdg.scc import condense  # local import to avoid cycles
 
         components = condense(pdg)
         self.weight_model.annotate_sccs(components)
@@ -284,15 +315,6 @@ class DSWPPartitioner:
         )
 
     # -- helpers -------------------------------------------------------------------------
-
-    @staticmethod
-    def _targets(num_partitions: int, sw_fraction: float, total_weight: float) -> List[float]:
-        if num_partitions == 1:
-            return [total_weight]
-        sw_target = sw_fraction * total_weight
-        hw_total = total_weight - sw_target
-        hw_each = hw_total / (num_partitions - 1)
-        return [sw_target] + [hw_each] * (num_partitions - 1)
 
     @staticmethod
     def _validate_acyclic(

@@ -79,12 +79,6 @@ class ModulePartitioning:
                     sw += p.sw_weight
         return sw / total if total > 0 else 0.0
 
-    def partition_of(self, fn_name: str, inst) -> Optional[int]:
-        partitioning = self.functions.get(fn_name)
-        if partitioning is None:
-            return None
-        return partitioning.assignment.get(id(inst))
-
 
 @dataclass
 class DSWPResult:

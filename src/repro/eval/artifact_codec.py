@@ -7,18 +7,38 @@ shared caches need the HMAC envelope), and the byte format is opaque — you
 cannot inspect a cached compile with anything but the exact Python objects
 that wrote it.
 
-This module replaces pickle for compile artifacts with an explicit codec:
+This module replaces pickle for compile artifacts with an explicit codec.
+The payload (``repro-artifact-v3``) is four parts, in order:
 
-* the payload is one line of magic (``repro-artifact-v2``) followed by a
-  single canonical JSON document, so ``python -m json.tool`` (skip the
-  first line) inspects any cached compile;
-* the dynamic trace — most of an artifact — is one binary block inside
-  that document: its columns' little-endian array bytes, concatenated,
-  zlib-compressed (level 1) and base64-encoded (see :data:`_TRACE_COLUMNS`).
-  Encode and decode are ``tobytes``/``frombytes`` with no per-event Python
-  loop, and decode validates the columns with C-level passes before it
-  builds a trace, so a damaged block raises :class:`ArtifactCodecError`
-  instead of yielding a wrong trace;
+1. the magic line ``repro-artifact-v3``;
+2. a line holding the ``crc32`` of the rest of the payload, as 8 lowercase
+   hex digits;
+3. one summary JSON line: ``name``, ``outputs``, ``system`` (the three
+   timing replays with area and power) and the DSWP summary — everything
+   a report reads;
+4. the heavy JSON document: ``module``, the rest of ``execution``,
+   ``profile``, ``dswp`` and ``legup``.
+
+Both JSON parts are canonical (sorted keys, no spaces), so ``python -m
+json.tool`` inspects either line of any cached compile.  Decoding checks
+the magic and the checksum and decodes the summary; it returns a *lazy*
+result (:meth:`CompilationResult.lazy`) that parses and decodes the heavy
+document on the first read of a heavy field.  So:
+
+* any damaged byte fails the checksum, and the cache reads the entry as a
+  corrupt miss and recomputes it;
+* a heavy part that is malformed under a valid checksum (a writer bug)
+  raises :class:`ArtifactCodecError` on first access;
+* a warm report, which reads only the summary, decodes no heavy part.
+
+Inside the heavy document:
+
+* the dynamic trace — most of an artifact — is one binary block: its
+  columns' little-endian array bytes, concatenated, zlib-compressed
+  (level 1) and base64-encoded (see :data:`_TRACE_COLUMNS`).  Encode and
+  decode are ``tobytes``/``frombytes`` with no per-event Python loop, and
+  decode validates the columns with C-level passes before it builds a
+  trace;
 * decoding **executes no stored code** — it walks the JSON and rebuilds the
   object graph through a fixed table of IR classes, so an artifact cache
   does not have to be a trusted directory (no HMAC envelope needed);
@@ -37,11 +57,10 @@ The encoding strategy mirrors how the IR itself names things:
   keyed — they are re-derived or re-keyed against the decoded
   instructions, exactly like the classes' own ``__setstate__`` hooks do
   for pickle;
-* purely derived analysis state (the PDG, its SCC condensation and the
-  weight-model cache inside :class:`DSWPResult`) is **recomputed** on
-  decode: it is a deterministic function of the decoded module and
-  profile, and recomputing is cheaper than encoding a graph with
-  instruction-identity edges.
+* purely derived analysis state (the PDG and its SCC condensation inside
+  each :class:`FunctionPartitioning`) is not stored: it is a deterministic
+  function of the decoded function and profile, rebuilt on first read
+  (:meth:`FunctionPartitioning.decoded`).
 
 Reconstruction of instructions is two-pass because phi operands may
 reference instructions that appear later in the block order: pass one
@@ -98,7 +117,7 @@ from repro.ir.types import (
 )
 from repro.ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
 
-ARTIFACT_MAGIC = b"repro-artifact-v2\n"
+ARTIFACT_MAGIC = b"repro-artifact-v3\n"
 
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -192,6 +211,8 @@ class _ValueCodec:
     def decode(self, data: Any, instructions: List[Instruction]) -> Value:
         tag = data[0]
         if tag == "i":
+            if data[1] < 0:  # would silently index from the end
+                raise ArtifactCodecError(f"negative instruction index {data[1]}")
             return instructions[data[1]]
         if tag == "c":
             return Constant(_dec_type(data[1]), data[2])
@@ -532,21 +553,21 @@ def _check_trace(columns: Dict[str, array], n_functions: int, n_insts: int) -> N
 
 
 def _enc_execution(execution, index: Dict[int, int]) -> Dict:
+    """Everything of the execution but its outputs, which the summary holds."""
     return {
         "return_value": execution.return_value,
-        "outputs": list(execution.outputs),
         "steps": execution.steps,
         "trace": None if execution.trace is None else _enc_trace(execution.trace, index),
         "memory": _enc_memory(execution.memory),
     }
 
 
-def _dec_execution(data: Dict, instructions: List[Instruction]):
+def _dec_execution(data: Dict, outputs: List[int], instructions: List[Instruction]):
     from repro.interp.interpreter import ExecutionResult
 
     return ExecutionResult(
         return_value=data["return_value"],
-        outputs=list(data["outputs"]),
+        outputs=outputs,
         steps=data["steps"],
         trace=None if data["trace"] is None else _dec_trace(data["trace"], instructions),
         memory=_dec_memory(data["memory"]),
@@ -652,9 +673,7 @@ def _dec_dswp(data: Dict, module: Module, instructions: List[Instruction], profi
     from repro.dswp.pipeline import DSWPResult, ModulePartitioning
     from repro.dswp.queues import CrossPartitionDep, QueueAllocation, QueueSpec
     from repro.interp.profile import Profile
-    from repro.pdg.builder import build_pdg
     from repro.pdg.graph import DependenceKind
-    from repro.pdg.scc import condense
     from repro.pdg.weights import WeightModel
 
     config = PartitionConfig.from_dict(data["config"])
@@ -667,13 +686,6 @@ def _dec_dswp(data: Dict, module: Module, instructions: List[Instruction], profi
 
     partitioning = ModulePartitioning(module=module)
     for fn_name, f in data["functions"].items():
-        fn = module.get_function(fn_name)
-        # The PDG and its SCC condensation are derived state: rebuild them
-        # from the decoded function (deterministic), then re-annotate the
-        # SCC weights the way the partitioner did.
-        pdg = build_pdg(fn)
-        components = condense(pdg)
-        weight_model.annotate_sccs(components)
         partitions = [
             Partition(
                 index=p["index"],
@@ -687,16 +699,10 @@ def _dec_dswp(data: Dict, module: Module, instructions: List[Instruction], profi
             )
             for p in f["partitions"]
         ]
-        assignment = {
-            id(inst): partition.index for partition in partitions for inst in partition.instructions
-        }
-        partitioning.functions[fn_name] = FunctionPartitioning(
-            function=fn,
-            partitions=partitions,
-            assignment=assignment,
-            components=components,
-            pdg=pdg,
-            sw_fraction=f["sw_fraction"],
+        # The PDG and its SCC condensation are derived state, rebuilt from
+        # the decoded function on first read.
+        partitioning.functions[fn_name] = FunctionPartitioning.decoded(
+            module.get_function(fn_name), partitions, f["sw_fraction"], weight_model
         )
     for fn_name, q in data["queues"].items():
         deps = [
@@ -939,39 +945,101 @@ def _dec_system(data: Dict):
 # ---------------------------------------------------------------------------
 
 
+#: The DSWP summary's keys (:meth:`repro.dswp.pipeline.DSWPResult.summary`).
+_DSWP_SUMMARY_KEYS = ("hw_threads", "queues", "semaphores", "sw_fraction", "sw_threads")
+
+#: What decoding a malformed part under a valid checksum can raise.
+_MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError, ReproError)
+
+
+def _dumps(document: Dict) -> bytes:
+    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def encode_compilation_result(result) -> bytes:
-    """Encode a :class:`CompilationResult` into the magic + JSON payload."""
+    """Encode a :class:`CompilationResult` into the v3 payload (see the module doc)."""
     index = _instruction_index(result.module)
     instructions = _instruction_list(result.module)
-    document = {
+    summary = {
         "name": result.name,
+        "outputs": list(result.outputs),
+        "system": _enc_system(result.system),
+        "dswp": result.dswp_summary(),
+    }
+    heavy = {
         "module": encode_module(result.module),
         "execution": _enc_execution(result.execution, index),
         "profile": _enc_profile(result.profile, index, instructions),
         "dswp": _enc_dswp(result.dswp, index),
         "legup": _enc_legup(result.legup, index),
-        "system": _enc_system(result.system),
     }
-    payload = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return ARTIFACT_MAGIC + payload.encode("utf-8")
+    body = _dumps(summary) + b"\n" + _dumps(heavy)
+    return ARTIFACT_MAGIC + b"%08x\n" % zlib.crc32(body) + body
+
+
+def _checked_body(data: bytes) -> bytes:
+    """The payload after its checksum line, if magic and checksum hold."""
+    if not data.startswith(ARTIFACT_MAGIC):
+        raise ArtifactCodecError("not a repro artifact (bad magic)")
+    start = len(ARTIFACT_MAGIC) + 9
+    body = data[start:]
+    if data[start - 9:start] != b"%08x\n" % zlib.crc32(body):
+        raise ArtifactCodecError("artifact checksum mismatch")
+    return body
+
+
+def _dec_summary(data: bytes) -> Tuple[str, List[int], Any, Dict[str, float]]:
+    try:
+        summary = json.loads(data)
+        name, outputs, dswp = summary["name"], summary["outputs"], summary["dswp"]
+        system = _dec_system(summary["system"])
+    except _MALFORMED as exc:
+        raise ArtifactCodecError(f"artifact summary: {exc!r}") from exc
+    if (
+        not isinstance(name, str)
+        or not isinstance(outputs, list)
+        or not all(isinstance(v, int) for v in outputs)
+        or not isinstance(dswp, dict)
+        or sorted(dswp) != list(_DSWP_SUMMARY_KEYS)
+    ):
+        raise ArtifactCodecError("artifact summary: bad name, outputs or DSWP summary")
+    return name, outputs, system, dswp
+
+
+def _decode_heavy(data: bytes, outputs: List[int]) -> Dict[str, Any]:
+    """The five heavy fields of a result, rebuilt with every check above."""
+    try:
+        document = json.loads(data)
+        module, instructions = decode_module(document["module"])
+        profile = _dec_profile(document["profile"], module, instructions)
+        return {
+            "module": module,
+            "execution": _dec_execution(document["execution"], outputs, instructions),
+            "profile": profile,
+            "dswp": _dec_dswp(document["dswp"], module, instructions, profile),
+            "legup": _dec_legup(document["legup"], module, instructions),
+        }
+    except ArtifactCodecError:
+        raise
+    except _MALFORMED as exc:
+        raise ArtifactCodecError(f"artifact heavy part: {exc!r}") from exc
 
 
 def decode_compilation_result(data: bytes):
-    """Decode the payload back into a fully linked :class:`CompilationResult`."""
+    """Decode a v3 payload into a lazy :class:`CompilationResult`.
+
+    Checks the magic and the checksum and decodes the summary now; the
+    heavy part is decoded (and validated) on the first read of a heavy
+    field, raising :class:`ArtifactCodecError` then if it is malformed.
+    """
     from repro.core.compiler import CompilationResult
 
-    if not data.startswith(ARTIFACT_MAGIC):
-        raise ArtifactCodecError("not a repro artifact (bad magic)")
-    document = json.loads(data[len(ARTIFACT_MAGIC):].decode("utf-8"))
-    module, instructions = decode_module(document["module"])
-    execution = _dec_execution(document["execution"], instructions)
-    profile = _dec_profile(document["profile"], module, instructions)
-    return CompilationResult(
-        name=document["name"],
-        module=module,
-        execution=execution,
-        profile=profile,
-        dswp=_dec_dswp(document["dswp"], module, instructions, profile),
-        legup=_dec_legup(document["legup"], module, instructions),
-        system=_dec_system(document["system"]),
+    body = _checked_body(data)
+    end = body.find(b"\n")
+    if end < 0:
+        raise ArtifactCodecError("artifact has no summary line")
+    name, outputs, system, dswp_summary = _dec_summary(body[:end])
+    heavy = body[end + 1:]
+    return CompilationResult.lazy(
+        name, system, outputs, dswp_summary, lambda: _decode_heavy(heavy, outputs)
     )

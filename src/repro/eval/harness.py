@@ -9,9 +9,9 @@ caches at three levels:
    derived sweep key) for the lifetime of the harness, so the experiment
    generators in ``repro.eval.experiments`` share artefacts within a process;
 2. **on disk** — a content-addressed :class:`repro.eval.cache.ArtifactCache`
-   under ``.repro_cache/`` (pickled compile artifacts, structured-JSON sweep
-   artifacts), so repeat invocations of any table, figure or CLI command skip
-   the work entirely;
+   under ``.repro_cache/`` (compile artifacts through the structured codec,
+   structured-JSON sweep artifacts), so repeat invocations of any table,
+   figure or CLI command skip the work entirely;
 3. **single-flight** — keyed computations go through per-key advisory file
    locks, so concurrent processes missing on the same key compute it once.
 
@@ -161,7 +161,7 @@ class EvaluationHarness:
 
     def declare_compile(self, graph: TaskGraph, name: str) -> str:
         """Add (or reuse) the compile node for *name*; returns its task id."""
-        return graph.add(taskgraph.compile_task(name, self.config))
+        return graph.add(taskgraph.compile_task(name, self.config, self._compile_key(name)))
 
     def declare_runtime_point(
         self, graph: TaskGraph, name: str, runtime: RuntimeConfig, label: str
@@ -169,14 +169,18 @@ class EvaluationHarness:
         """Add one queue-latency/depth sweep-point node (and its compile dep)."""
         self.declare_compile(graph, name)
         return graph.add(
-            taskgraph.runtime_task(name, self.config, self._cache_root, runtime, label)
+            taskgraph.runtime_task(
+                name, self.config, self._cache_root, runtime, label, self._compile_key(name)
+            )
         )
 
     def declare_split_point(self, graph: TaskGraph, name: str, sw_fraction: float) -> str:
         """Add one partition-split sweep-point node (and its compile dep)."""
         self.declare_compile(graph, name)
         return graph.add(
-            taskgraph.split_task(name, self.config, self._cache_root, sw_fraction)
+            taskgraph.split_task(
+                name, self.config, self._cache_root, sw_fraction, self._compile_key(name)
+            )
         )
 
     def declare_explore_point(self, graph: TaskGraph, name: str, space, candidate) -> str:
@@ -190,7 +194,9 @@ class EvaluationHarness:
 
         self.declare_compile(graph, name)
         return graph.add(
-            explore_task(name, self.config, self._cache_root, space, candidate)
+            explore_task(
+                name, self.config, self._cache_root, space, candidate, self._compile_key(name)
+            )
         )
 
     def declare_ingest(
@@ -288,7 +294,9 @@ class EvaluationHarness:
         key = self._compile_key(name)
         if self.cache is not None:
             result = self.cache.get_or_compute(
-                key, lambda: taskgraph.compute_compile(name, self.config), serializer="pickle"
+                key,
+                lambda: taskgraph.compute_compile(name, self.config),
+                serializer=taskgraph._compile_serializer(self.config),
             )
         else:
             result = taskgraph.compute_compile(name, self.config)
@@ -328,11 +336,14 @@ class EvaluationHarness:
         Single-point counterpart of a ``runtime`` task node — it runs the
         same payload function, so CLI one-offs and graph runs cannot diverge.
         """
-        key = derived_key(self._compile_key(name), "runtime", runtime.to_dict())
+        parent = self._compile_key(name)
+        key = derived_key(parent, "runtime", runtime.to_dict())
 
         def compute() -> float:
-            taskgraph.seed_sweep_input(self._compile_key(name), self.run(name).result)
-            return taskgraph.compute_runtime_point(name, self.config, self._cache_root, runtime)
+            taskgraph.seed_sweep_input(parent, self.run(name).result)
+            return taskgraph.compute_runtime_point(
+                name, self.config, self._cache_root, runtime, parent
+            )
 
         return self._derived_cached(key, compute)
 
@@ -340,10 +351,13 @@ class EvaluationHarness:
         """Re-partition with a different targeted SW share and report cycles + queues.
 
         Single-point counterpart of a ``split`` task node (same payload)."""
-        key = derived_key(self._compile_key(name), "split", {"sw_fraction": sw_fraction})
+        parent = self._compile_key(name)
+        key = derived_key(parent, "split", {"sw_fraction": sw_fraction})
 
         def compute() -> Dict[str, float]:
-            taskgraph.seed_sweep_input(self._compile_key(name), self.run(name).result)
-            return taskgraph.compute_split_point(name, self.config, self._cache_root, sw_fraction)
+            taskgraph.seed_sweep_input(parent, self.run(name).result)
+            return taskgraph.compute_split_point(
+                name, self.config, self._cache_root, sw_fraction, parent
+            )
 
         return self._derived_cached(key, compute)

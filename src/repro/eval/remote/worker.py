@@ -7,7 +7,7 @@ payload functions the local process pool uses, and publishes the result via
 its configured cache backend — a shared directory or, more usefully across
 machines, an ``http://`` cache-service URL.  Only the small completion
 notice (and, for JSON-serialised sweep values, the value itself) crosses
-the coordinator wire; pickled compile artifacts stay in the cache and are
+the coordinator wire; compile artifacts stay in the cache and are
 reported as ``in_cache``.
 
 A background thread heartbeats at a third of the coordinator's lease

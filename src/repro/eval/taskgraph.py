@@ -48,7 +48,6 @@ from repro.core.compiler import CompilationResult, TwillCompiler
 from repro.errors import TaskGraphCycleError, TaskGraphError
 from repro.eval.cache import (
     ArtifactCache,
-    compile_key,
     derived_key,
     render_key,
     set_process_hmac_key,
@@ -212,7 +211,7 @@ def compute_compile(name: str, config: CompilerConfig) -> CompilationResult:
 
 
 # Per-process memo of compile artifacts consumed by sweep-point payloads, so
-# a worker that executes many sweep points for one workload unpickles (or
+# a worker that executes many sweep points for one workload decodes (or
 # recompiles, when caching is off) that workload's artifact only once.  Keyed
 # by content address, so a stale value is impossible by construction; bounded
 # so long test sessions cannot accumulate every artifact they ever touched.
@@ -229,14 +228,17 @@ def seed_sweep_input(key: str, result: CompilationResult) -> None:
         _SWEEP_INPUT_MEMO.popitem(last=False)
 
 
-def _sweep_input(name: str, config: CompilerConfig, cache_root: Optional[str]) -> CompilationResult:
+def _sweep_input(
+    name: str, config: CompilerConfig, cache_root: Optional[str], key: str
+) -> CompilationResult:
     """The compile artifact a sweep point re-simulates: memo → cache → compute.
 
     *cache_root* is a cache *spec* — a directory path or an ``http(s)://``
     cache-service URL — so the same payload runs unchanged in the parent, in
-    a pool worker, and on a remote worker machine.
+    a pool worker, and on a remote worker machine.  *key* is the artifact's
+    :func:`~repro.eval.cache.compile_key`, computed once where the task was
+    declared.
     """
-    key = compile_key(get_workload(name).source, config)
     hit = _SWEEP_INPUT_MEMO.get(key)
     if hit is not None:
         _SWEEP_INPUT_MEMO.move_to_end(key)
@@ -252,10 +254,14 @@ def _sweep_input(name: str, config: CompilerConfig, cache_root: Optional[str]) -
 
 
 def compute_runtime_point(
-    name: str, config: CompilerConfig, cache_root: Optional[str], runtime: RuntimeConfig
+    name: str,
+    config: CompilerConfig,
+    cache_root: Optional[str],
+    runtime: RuntimeConfig,
+    compile_key: str,
 ) -> float:
     """One Figure 6.5/6.6 sweep point: Twill cycles under a modified runtime."""
-    result = _sweep_input(name, config, cache_root)
+    result = _sweep_input(name, config, cache_root, compile_key)
     timing = simulate_partitioned(
         result.module, result.execution.trace, result.dswp.partitioning, runtime, config.hls
     )
@@ -263,10 +269,14 @@ def compute_runtime_point(
 
 
 def compute_split_point(
-    name: str, config: CompilerConfig, cache_root: Optional[str], sw_fraction: float
+    name: str,
+    config: CompilerConfig,
+    cache_root: Optional[str],
+    sw_fraction: float,
+    compile_key: str,
 ) -> Dict[str, float]:
     """One Figure 6.3/6.4 sweep point: re-partition at *sw_fraction*."""
-    result = _sweep_input(name, config, cache_root)
+    result = _sweep_input(name, config, cache_root, compile_key)
     dswp, system = resimulate_with_split(
         result.name,
         result.module,
@@ -297,11 +307,11 @@ def _execute_in_worker(
     ``get_or_compute`` gives single-flight semantics per key, so two workers
     (or two independent ``repro`` processes) racing on the same content
     address do the work once and share the stored entry.  Returns a small
-    envelope dict: pickled artifacts come back with ``in_cache=True`` (the
-    parent re-reads them from the cache instead of paying a second
-    multi-megabyte pipe serialisation) while small JSON values ride in
-    ``value`` directly; ``pid``/``start``/``end`` feed the ``--trace``
-    timeline.
+    envelope dict: compile artifacts come back with ``in_cache=True`` (the
+    parent re-reads them from the cache, decoding only their summary,
+    instead of paying a multi-megabyte pipe serialisation) while small JSON
+    values ride in ``value`` directly; ``pid``/``start``/``end`` feed the
+    ``--trace`` timeline.
 
     *trace_ctx* carries the parent's span context (plus task id/kind) across
     the process boundary: thread-local trace state does not survive a fork,
@@ -345,14 +355,18 @@ def _execute_in_worker(
 # ---------------------------------------------------------------------------
 
 
-def compile_task(name: str, config: CompilerConfig) -> Task:
-    """The compile node for one workload (id ``compile:<name>``)."""
+def compile_task(name: str, config: CompilerConfig, key: str) -> Task:
+    """The compile node for one workload (id ``compile:<name>``).
+
+    *key* is its :func:`~repro.eval.cache.compile_key`; the harness computes
+    it once per workload and passes it to every node of that workload.
+    """
     return Task(
         task_id=f"compile:{name}",
         kind=KIND_COMPILE,
         fn=compute_compile,
         args=(name, config),
-        key=compile_key(get_workload(name).source, config),
+        key=key,
         serializer=_compile_serializer(config),
         workload=name,
     )
@@ -364,14 +378,15 @@ def runtime_task(
     cache_root: Optional[str],
     runtime: RuntimeConfig,
     label: str,
+    parent: str,
 ) -> Task:
-    """One queue-latency/depth sweep-point node depending on its compile node."""
-    parent = compile_key(get_workload(name).source, config)
+    """One queue-latency/depth sweep-point node depending on its compile node
+    (whose key is *parent*)."""
     return Task(
         task_id=f"sweep:{label}",
         kind=KIND_RUNTIME,
         fn=compute_runtime_point,
-        args=(name, config, cache_root, runtime),
+        args=(name, config, cache_root, runtime, parent),
         deps=(f"compile:{name}",),
         key=derived_key(parent, "runtime", runtime.to_dict()),
         serializer="json",
@@ -380,15 +395,19 @@ def runtime_task(
 
 
 def split_task(
-    name: str, config: CompilerConfig, cache_root: Optional[str], sw_fraction: float
+    name: str,
+    config: CompilerConfig,
+    cache_root: Optional[str],
+    sw_fraction: float,
+    parent: str,
 ) -> Task:
-    """One partition-split sweep-point node depending on its compile node."""
-    parent = compile_key(get_workload(name).source, config)
+    """One partition-split sweep-point node depending on its compile node
+    (whose key is *parent*)."""
     return Task(
         task_id=f"sweep:split:{name}:{sw_fraction}",
         kind=KIND_SPLIT,
         fn=compute_split_point,
-        args=(name, config, cache_root, sw_fraction),
+        args=(name, config, cache_root, sw_fraction, parent),
         deps=(f"compile:{name}",),
         key=derived_key(parent, "split", {"sw_fraction": sw_fraction}),
         serializer="json",
@@ -454,7 +473,7 @@ def render_task(
 class TaskOutcome:
     """One finished worker task as reported by an executor.
 
-    ``in_cache=True`` means the worker published the (pickled) value through
+    ``in_cache=True`` means the worker published the (compile) value through
     the shared cache instead of shipping it back; the scheduler re-reads it.
     ``worker``/``start``/``end`` feed the ``--trace`` utilisation timeline.
     """

@@ -222,6 +222,7 @@ class ExplorationDriver:
                     self.harness._cache_root,
                     self.space,
                     candidate,
+                    self.harness._compile_key(self.workload),
                 )
             )
         results = self.harness.execute(graph, parallel=self.jobs, executor=self.executor)

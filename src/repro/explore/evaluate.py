@@ -160,9 +160,9 @@ def compute_explore_point(
     for DSWP once per distinct partition, not once per candidate.
     """
     with perf.stage("explore"):
-        result = taskgraph._sweep_input(name, config, cache_root)
-        candidate_config = apply_params(space_from_dict(space_dict), config, params)
         parent = compile_key(get_workload(name).source, config)
+        result = taskgraph._sweep_input(name, config, cache_root, parent)
+        candidate_config = apply_params(space_from_dict(space_dict), config, params)
         dswp = _candidate_dswp(parent, result, candidate_config, cache_root)
         system = evaluate_with_partition(
             result.name,
@@ -199,9 +199,10 @@ def explore_task(
     cache_root: Optional[str],
     space: SearchSpace,
     candidate: Candidate,
+    parent: str,
 ) -> "taskgraph.Task":
-    """One candidate-evaluation node depending on its workload's compile node."""
-    parent = compile_key(get_workload(name).source, config)
+    """One candidate-evaluation node depending on its workload's compile node
+    (whose key is *parent*)."""
     return taskgraph.Task(
         task_id=explore_task_id(name, candidate),
         kind=taskgraph.KIND_EXPLORE,

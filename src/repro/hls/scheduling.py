@@ -52,6 +52,25 @@ class BlockSchedule:
     def state_count(self) -> int:
         return len(self.states)
 
+    # -- pickling ---------------------------------------------------------------------
+    #
+    # ``start_cycle`` is keyed by id(inst), and object ids do not survive a
+    # pickle round trip: store (instruction, cycle) pairs in block order and
+    # re-key them against the unpickled instructions.
+
+    def __getstate__(self) -> Dict:
+        state = self.__dict__.copy()
+        state["start_cycle"] = [
+            (inst, self.start_cycle[id(inst)])
+            for inst in self.block.instructions
+            if id(inst) in self.start_cycle
+        ]
+        return state
+
+    def __setstate__(self, state: Dict) -> None:
+        self.__dict__.update(state)
+        self.start_cycle = {id(inst): cycle for inst, cycle in state["start_cycle"]}
+
 
 @dataclass
 class FSMSchedule:
@@ -66,15 +85,6 @@ class FSMSchedule:
 
     def block_latency(self, block_name: str) -> int:
         return self.blocks[block_name].latency
-
-    def instruction_start(self, inst: Instruction) -> int:
-        """Relative start cycle of ``inst`` within its block's schedule."""
-        if inst.parent is None:
-            return 0
-        block = self.blocks.get(inst.parent.name)
-        if block is None:
-            return 0
-        return block.start_cycle.get(id(inst), 0)
 
     def total_latency_estimate(self, block_counts: Optional[Dict[str, float]] = None) -> float:
         """Estimated execution cycles given per-block execution counts."""

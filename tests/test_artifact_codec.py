@@ -1,18 +1,21 @@
 """Round-trip tests for the structured compile-artifact codec.
 
 ``repro.eval.artifact_codec`` serialises a full :class:`CompilationResult`
-into one canonical JSON document (behind a magic header) instead of a
-pickle — loading it executes no code.  The contract is stronger than
-"fields survive": a *decoded* result must drive every downstream consumer
-(split re-simulation, partitioned timing replay, report rows) to
-**byte-identical** output, because the cache serves decoded artifacts
-interchangeably with freshly-computed ones.
+into a checksummed summary line and one canonical heavy JSON document
+(behind a magic header) instead of a pickle — loading it executes no code.
+The contract is stronger than "fields survive": a *decoded* result must
+drive every downstream consumer (split re-simulation, partitioned timing
+replay, report rows) to **byte-identical** output, because the cache
+serves decoded artifacts interchangeably with freshly-computed ones.  A
+decoded result is lazy: its heavy part is decoded on first access, and a
+malformed one raises then.
 """
 
 import base64
 import dataclasses
 import json
 import os
+import pickle
 import zlib
 from array import array
 
@@ -21,6 +24,7 @@ import pytest
 from repro.config import CompilerConfig
 from repro.core.compiler import TwillCompiler
 from repro.errors import ReproError
+from repro.eval import artifact_codec
 from repro.eval.artifact_codec import (
     _TRACE_COLUMNS,
     ARTIFACT_MAGIC,
@@ -32,10 +36,12 @@ from repro.eval.artifact_codec import (
     decode_compilation_result,
     encode_compilation_result,
 )
-from repro.eval.cache import ArtifactCache
+from repro.eval.cache import _LOOKUPS, ArtifactCache
+from repro.eval.harness import EvaluationHarness
 from repro.ir.printer import print_module
 from repro.sim import ThreadAssignment, TimingSimulator
 from repro.workloads import get_workload
+from tests.conftest import SMALL_PROGRAM
 
 
 @pytest.fixture(scope="module")
@@ -52,15 +58,44 @@ def roundtripped(compiled):
     return decode_compilation_result(encode_compilation_result(result))
 
 
-def test_artifact_is_magic_plus_canonical_json(compiled):
+def _canonical(document) -> bytes:
+    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _parts(data: bytes):
+    """(summary line, heavy document) of a payload."""
+    summary, heavy = data[len(ARTIFACT_MAGIC) + 9:].split(b"\n", 1)
+    return summary, json.loads(heavy)
+
+
+def _payload(summary: bytes, heavy) -> bytes:
+    """A payload with a valid checksum over *summary* and *heavy*."""
+    body = summary + b"\n" + _canonical(heavy)
+    return ARTIFACT_MAGIC + b"%08x\n" % zlib.crc32(body) + body
+
+
+def _materialise(data: bytes):
+    """Decode *data* and read a heavy field, which decodes the heavy part."""
+    return decode_compilation_result(data).module
+
+
+def test_artifact_is_magic_checksum_summary_and_heavy_json(compiled):
     _, result = compiled
     data = encode_compilation_result(result)
     assert data.startswith(ARTIFACT_MAGIC)
-    document = json.loads(data[len(ARTIFACT_MAGIC):].decode("utf-8"))
-    assert isinstance(document, dict)
-    # Canonical form: re-dumping with sorted keys reproduces the payload.
-    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    assert data == ARTIFACT_MAGIC + canonical.encode("utf-8")
+    crc, body = data[len(ARTIFACT_MAGIC):].split(b"\n", 1)
+    assert crc == b"%08x" % zlib.crc32(body)
+    summary_line, heavy_line = body.split(b"\n")
+    summary, heavy = json.loads(summary_line), json.loads(heavy_line)
+    assert sorted(summary) == ["dswp", "name", "outputs", "system"]
+    assert sorted(heavy) == ["dswp", "execution", "legup", "module", "profile"]
+    # outputs and system live in the summary only.
+    assert "outputs" not in heavy["execution"]
+    assert summary["outputs"] == result.outputs
+    assert summary["dswp"] == result.dswp.summary()
+    # Canonical form: re-dumping with sorted keys reproduces both lines.
+    assert summary_line == _canonical(summary) and heavy_line == _canonical(heavy)
+    assert _payload(summary_line, heavy) == data
 
 
 def test_module_text_roundtrips(compiled, roundtripped):
@@ -155,6 +190,171 @@ def test_cache_stores_artifact_entries(compiled, tmp_path):
     assert print_module(loaded.module) == print_module(result.module)
 
 
+def test_harness_run_stores_the_compile_artifact_with_the_codec(tmp_path):
+    def harness():
+        return EvaluationHarness(
+            config=CompilerConfig(), benchmarks=["blowfish"], cache_dir=str(tmp_path)
+        )
+
+    cold = harness()
+    cold.run("blowfish")
+    serializer, data = cold.cache.backend.get_blob(cold._compile_key("blowfish"))
+    assert serializer == "artifact" and data.startswith(ARTIFACT_MAGIC)
+    # So a later run reads it back through the lazy codec, not pickle.
+    warm = harness().run("blowfish").result
+    assert "_load" in vars(warm)
+
+
+# ---------------------------------------------------------------------------
+# laziness and the checksum
+# ---------------------------------------------------------------------------
+
+
+def _count_heavy_decodes(monkeypatch):
+    calls = []
+    original = artifact_codec._decode_heavy
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(artifact_codec, "_decode_heavy", counting)
+    return calls
+
+
+def test_decode_serves_the_summary_without_the_heavy_part(compiled, monkeypatch):
+    _, result = compiled
+    heavy = _count_heavy_decodes(monkeypatch)
+    lazy = decode_compilation_result(encode_compilation_result(result))
+    assert lazy.name == result.name
+    assert lazy.outputs == result.outputs
+    assert lazy.dswp_summary() == result.dswp_summary()
+    assert lazy.summary_dict() == result.summary_dict()
+    assert lazy.speedup_vs_software == result.speedup_vs_software
+    assert len(heavy) == 0
+    outputs = lazy.outputs
+    assert lazy.execution.outputs is outputs  # one list before and after
+    assert len(heavy) == 1
+    for field in ("module", "profile", "dswp", "legup"):
+        assert getattr(lazy, field) is not None
+    assert len(heavy) == 1  # the first access built all five fields
+    assert lazy.dswp_summary() == result.dswp_summary()
+    with pytest.raises(AttributeError):
+        lazy.no_such_field
+
+
+def _scc_shape(components):
+    return [
+        (c.index, c.sw_weight, c.hw_weight, sorted(c.predecessors), sorted(c.successors),
+         [i.name for i in c.instructions])
+        for c in components
+    ]
+
+
+def test_decoded_partitioning_builds_its_pdg_on_first_read(compiled):
+    _, result = compiled
+    lazy = decode_compilation_result(encode_compilation_result(result))
+    for name, decoded in lazy.dswp.partitioning.functions.items():
+        assert "pdg" not in vars(decoded) and "components" not in vars(decoded)
+        eager = result.dswp.partitioning.functions[name]
+        assert _scc_shape(decoded.components) == _scc_shape(eager.components)
+        assert sorted(
+            (e.tail.name, e.head.name, e.kind.value) for e in decoded.pdg.edges
+        ) == sorted((e.tail.name, e.head.name, e.kind.value) for e in eager.pdg.edges)
+        # A pickle before the first read rebuilds them the same way afterwards.
+        again = pickle.loads(pickle.dumps(lazy.dswp.partitioning.functions[name]))
+        assert _scc_shape(again.components) == _scc_shape(eager.components)
+
+
+@pytest.fixture(scope="module")
+def small_payload():
+    result = TwillCompiler(CompilerConfig()).compile_and_simulate(SMALL_PROGRAM, name="small")
+    return encode_compilation_result(result)
+
+
+@pytest.mark.parametrize("mask", [0x01, 0xFF])
+def test_every_flipped_byte_fails_the_checksum(small_payload, mask):
+    assert decode_compilation_result(small_payload).outputs
+    for at in range(len(small_payload)):
+        flipped = bytearray(small_payload)
+        flipped[at] ^= mask
+        with pytest.raises(ArtifactCodecError):
+            decode_compilation_result(bytes(flipped))
+
+
+def test_a_flipped_byte_in_the_cache_is_a_corrupt_miss_and_recomputed(compiled, tmp_path):
+    _, result = compiled
+    cache = ArtifactCache(tmp_path)
+    key = "b" * 64
+    path = cache.put(key, result, serializer="artifact")
+    data = bytearray(path.read_bytes())
+    at = data.index(b'"steps":') + len(b'"steps":')  # a digit inside the heavy part
+    data[at] ^= 0x01
+    path.write_bytes(bytes(data))
+    before = _LOOKUPS.value(outcome="corrupt_miss")
+    computed = []
+
+    def compute():
+        computed.append(1)
+        return result
+
+    assert cache.get_or_compute(key, compute, serializer="artifact") is result
+    assert computed == [1]
+    assert _LOOKUPS.value(outcome="corrupt_miss") == before + 1
+    assert cache.get(key).summary_dict() == result.summary_dict()
+
+
+def _first(module, predicate):
+    for fn in module["functions"]:
+        for block in fn["blocks"]:
+            for inst in block["insts"]:
+                if predicate(inst):
+                    return inst
+    raise AssertionError("no such instruction")
+
+
+def _set_first_operand(value):
+    def mutate(module):
+        inst = _first(module, lambda i: any(ref[0] == "i" for ref in i["x"]))
+        ref = next(ref for ref in inst["x"] if ref[0] == "i")
+        ref[1] = value
+
+    return mutate
+
+
+MODULE_MUTATIONS = {
+    "unknown opcode": lambda m: _first(m, lambda i: True).__setitem__("op", "frobnicate"),
+    "operand past the instructions": _set_first_operand(10**6),
+    "negative operand": _set_first_operand(-1),
+    "unknown callee": lambda m: _first(m, lambda i: "callee" in i).__setitem__("callee", "nowhere"),
+    "unknown operand tag": lambda m: _first(m, lambda i: i["x"])["x"].__setitem__(0, ["?", 0]),
+    "missing field": lambda m: m["functions"][0].pop("blocks"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MODULE_MUTATIONS))
+def test_checksum_valid_bad_module_raises_on_first_access(compiled, mutation):
+    document = _trace_document(compiled)
+    MODULE_MUTATIONS[mutation](document["module"])
+    lazy = decode_compilation_result(_encode_document(document))  # the checksum holds
+    assert lazy.outputs == compiled[1].outputs
+    for _ in range(2):  # and every later access raises too: no object ever
+        with pytest.raises(ArtifactCodecError):
+            lazy.module
+    assert "_load" in vars(lazy)
+
+
+def test_checksum_valid_bad_trace_in_the_cache_raises_on_first_access(compiled, tmp_path):
+    document = _trace_document(compiled)
+    data = _rewrite_columns(document, MUTATIONS["dep on a later event"])
+    cache = ArtifactCache(tmp_path)
+    cache.backend.put_blob("d" * 64, "artifact", data)
+    lazy = cache.get("d" * 64)  # a hit: only the summary was decoded
+    assert lazy.summary_dict() == compiled[1].summary_dict()
+    with pytest.raises(ArtifactCodecError, match="trace block"):
+        lazy.execution
+
+
 # ---------------------------------------------------------------------------
 # the trace block
 # ---------------------------------------------------------------------------
@@ -189,13 +389,16 @@ def test_trace_block_roundtrips_event_for_event(name, source):
 
 
 def _trace_document(compiled):
+    """The heavy document of the blowfish artifact, plus its summary line
+    under ``"summary"`` for :func:`_encode_document`."""
     _, result = compiled
-    data = encode_compilation_result(result)
-    return json.loads(data[len(ARTIFACT_MAGIC):].decode("utf-8"))
+    summary, heavy = _parts(encode_compilation_result(result))
+    return {"summary": summary, **heavy}
 
 
 def _encode_document(document) -> bytes:
-    return ARTIFACT_MAGIC + json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+    heavy = dict(document)
+    return _payload(heavy.pop("summary"), heavy)
 
 
 def _rewrite_columns(document, mutate):
@@ -261,14 +464,14 @@ def test_damaged_trace_block_raises_codec_error(compiled, kind):
     document = _trace_document(compiled)
     data = _set_block(document, _bad_blocks(document)[kind])
     with pytest.raises(ArtifactCodecError, match="trace block"):
-        decode_compilation_result(data)
+        _materialise(data)
 
 
 def test_trace_block_that_is_not_base64_raises_codec_error(compiled):
     document = _trace_document(compiled)
     document["execution"]["trace"]["block"] = "not*base64!"
     with pytest.raises(ArtifactCodecError, match="trace block"):
-        decode_compilation_result(_encode_document(document))
+        _materialise(_encode_document(document))
 
 
 def _dep_at(distance):
@@ -310,4 +513,46 @@ def test_inconsistent_trace_columns_raise_codec_error(compiled, mutation):
     document = _trace_document(compiled)
     data = _rewrite_columns(document, MUTATIONS[mutation])
     with pytest.raises(ArtifactCodecError, match="trace block"):
-        decode_compilation_result(data)
+        _materialise(data)
+
+
+# ---------------------------------------------------------------------------
+# a lazy result against the eager one
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def eager_payloads():
+    """(eager result, its payload) of every builtin workload and corpus file."""
+    compiler = TwillCompiler(CompilerConfig())
+    out = {}
+    for name, source in _sources():
+        result = compiler.compile_and_simulate(source, name=name)
+        out[name] = result, encode_compilation_result(result)
+    return out
+
+
+@pytest.mark.parametrize("name", [n for n, _ in _sources()])
+def test_pickle_eq_and_replace_of_a_lazy_result_equal_the_eager_result(eager_payloads, name):
+    """Re-encoding is the equality oracle: module, trace, profile, partitions,
+    queues, schedules and system byte for byte."""
+    eager, data = eager_payloads[name]
+    assert encode_compilation_result(decode_compilation_result(data)) == data
+
+    pickled = pickle.loads(pickle.dumps(decode_compilation_result(data)))
+    assert "_load" not in vars(pickled)
+    assert encode_compilation_result(pickled) == data
+
+    lazy = decode_compilation_result(data)
+    replaced = dataclasses.replace(lazy)
+    assert "_load" not in vars(lazy)
+    assert encode_compilation_result(replaced) == data
+
+    lazy = decode_compilation_result(data)
+    same = lazy
+    assert lazy == same  # == reads every field, so it builds the heavy part
+    assert "_load" not in vars(lazy)
+    assert lazy == dataclasses.replace(lazy)
+    assert lazy.summary_dict() == eager.summary_dict()
+    assert lazy.dswp_summary() == eager.dswp_summary()
+    assert lazy.outputs == eager.outputs

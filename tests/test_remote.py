@@ -280,14 +280,20 @@ def test_task_spec_round_trip_substitutes_configs_and_cache_spec():
 
     config = CompilerConfig()
     task = taskgraph.runtime_task(
-        "blowfish", config, "/parent/cache", RuntimeConfig(queue_latency=8), "latency:blowfish:8"
+        "blowfish",
+        config,
+        "/parent/cache",
+        RuntimeConfig(queue_latency=8),
+        "latency:blowfish:8",
+        "c" * 64,
     )
     spec = json.loads(json.dumps(protocol.encode_task(task, "/parent/cache")))
     task_id, fn, args, key, serializer = protocol.decode_task(spec, "http://worker-view:1")
     assert task_id == task.task_id and key == task.key and serializer == "json"
     assert fn is taskgraph.compute_runtime_point
-    name, decoded_config, cache_spec, runtime = args
+    name, decoded_config, cache_spec, runtime, parent_key = args
     assert name == "blowfish"
+    assert parent_key == "c" * 64  # the compile key travels; workers never recompute it
     assert cache_spec == "http://worker-view:1"  # the worker's own cache, not the parent path
     assert decoded_config.content_hash() == config.content_hash()  # identical cache keys
     assert runtime.queue_latency == 8

@@ -256,7 +256,8 @@ def test_derived_artifacts_stored_as_json(tmp_path):
     harness.twill_cycles_with_split("blowfish", 0.4)
     objects = harness.cache.objects_dir
     assert len(list(objects.rglob("*.json"))) == 2  # both sweep artifacts
-    assert len(list(objects.rglob("*.pkl"))) == 1   # only the compile artifact
+    assert len(list(objects.rglob("*.art"))) == 1   # only the compile artifact
+    assert not list(objects.rglob("*.pkl"))         # nothing is pickled
     # The JSON is plain data, loadable without unpickling anything.
     payloads = [json.loads(p.read_text()) for p in objects.rglob("*.json")]
     assert any(isinstance(p, dict) and "cycles" in p for p in payloads)

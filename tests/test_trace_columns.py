@@ -5,7 +5,9 @@ marks block occurrences as it enters blocks; the replay index and the
 artifact codec read the columns.  These tests hold the columns to the
 event-level definitions the replay oracle uses, check the
 :class:`TraceEvent` read view, and pin that no report path — cold or warm —
-builds a single event object, and a warm one no replay index either.
+builds a single event object, and a warm one no replay index either.  A
+warm report, and the parent of a cold parallel one, does not even decode
+the heavy part (module, trace, partitioning) of a cached compile artifact.
 """
 
 import json
@@ -16,12 +18,14 @@ import pytest
 
 from repro.config import CompilerConfig
 from repro.core.compiler import TwillCompiler
-from repro.eval import experiments
+from repro.eval import artifact_codec, experiments
+from repro.eval import harness as harness_module
 from repro.eval.harness import EvaluationHarness
 from repro.frontend import compile_c
 from repro.interp import Profile, run_module
 from repro.interp import trace as trace_module
 from repro.interp.trace import Trace, TraceEvent
+from repro.pdg.graph import ProgramDependenceGraph
 from repro.sim import timing
 from repro.workloads import all_workloads
 from tests.conftest import PIPELINE_PROGRAM, SMALL_PROGRAM
@@ -157,3 +161,48 @@ def test_warm_report_builds_no_events_and_no_replay_index(tmp_path, monkeypatch)
     warm = report()
     assert built == {"events": 0, "indexes": 0}
     assert warm == cold
+
+
+def _report(cache_dir, parallel=None):
+    harness = EvaluationHarness(
+        config=CompilerConfig(), benchmarks=["blowfish", "adpcm"], cache_dir=str(cache_dir)
+    )
+    return json.dumps(experiments.run_report(harness, parallel=parallel), sort_keys=True)
+
+
+def _counting_calls(monkeypatch, owner, name, counter, key):
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        counter[key] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def _count_decodes_and_pdgs(monkeypatch):
+    built = {"heavy": 0, "pdgs": 0, "keys": 0}
+    _counting_calls(monkeypatch, artifact_codec, "_decode_heavy", built, "heavy")
+    _counting(monkeypatch, ProgramDependenceGraph, built, "pdgs")
+    _counting_calls(monkeypatch, harness_module, "compile_key", built, "keys")
+    return built
+
+
+def test_warm_report_decodes_no_heavy_part_and_builds_no_pdg(tmp_path, monkeypatch):
+    built = _count_decodes_and_pdgs(monkeypatch)
+    cold = _report(tmp_path)
+    assert built["pdgs"] > 0  # the counters see the cold DSWP runs
+    assert built["keys"] == 2  # one compile key per workload
+    built.update(heavy=0, pdgs=0, keys=0)
+    warm = _report(tmp_path)
+    assert built == {"heavy": 0, "pdgs": 0, "keys": 2}
+    assert warm == cold
+
+
+def test_cold_parallel_report_parent_decodes_no_heavy_part(tmp_path, monkeypatch):
+    built = _count_decodes_and_pdgs(monkeypatch)
+    parallel = _report(tmp_path / "parallel", parallel=2)
+    # The workers compiled; the parent re-read each artifact they wrote but
+    # only ever used its summary.
+    assert built["heavy"] == 0 and built["pdgs"] == 0
+    assert parallel == _report(tmp_path / "serial")

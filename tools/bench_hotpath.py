@@ -26,6 +26,12 @@ output before reporting a single number:
   the compile artifact's trace section and to decode it back, plus the
   section's bytes.  Not an A/B leg: its check is that every decoded trace
   equals the recorded one event for event.
+* **artifact** — per workload, the seconds to decode its compile artifact
+  the way a cache hit does (magic, checksum, summary), to build the heavy
+  part on first access, and to decode it eagerly (both, plus every
+  partitioning's PDG — what the one-pass decode used to do), plus the
+  payload's bytes.  Not an A/B leg: its check is that re-encoding every
+  decoded result gives the payload back byte for byte.
 
 Results land in ``BENCH_hotpath.json`` (override with ``--out``).  Exits
 non-zero if any leg's outputs diverge or any A/B leg's new implementation
@@ -54,7 +60,8 @@ from repro.workloads import all_workloads  # noqa: E402
 #: Workloads whose traces the replay leg simulates (kept small: replay cost
 #: scales with dynamic instruction count, and two shapes suffice).
 REPLAY_WORKLOADS = ("blowfish", "mips")
-#: The A/B legs, in report order (the trace leg has no reference side).
+#: The A/B legs, in report order (the trace and artifact legs have no
+#: reference side).
 LEGS = ("frontend", "replay", "sweep", "explore")
 #: Workload whose runtime sweep the sweep leg replays: of all workloads its
 #: Twill replay has the largest share of cross-thread events (about 42 %).
@@ -335,6 +342,47 @@ def bench_trace(repeats: int) -> dict:
     return {**totals, "identical": identical, "workloads": per_workload, "repeats": repeats}
 
 
+def bench_artifact(repeats: int) -> dict:
+    """Leg (f): decode every workload's compile artifact lazily and eagerly.
+
+    Each time is the best of *repeats*, each on a fresh decode of the
+    payload.
+    """
+    from repro.core.compiler import TwillCompiler
+    from repro.eval.artifact_codec import decode_compilation_result, encode_compilation_result
+
+    def first_access(payload):
+        result = decode_compilation_result(payload)
+        return _timed(lambda: result.module)[0]
+
+    def eager(payload):
+        result = decode_compilation_result(payload)
+        pdgs = [p.pdg for p in result.dswp.partitioning.functions.values()]
+        return result, pdgs
+
+    per_workload = {}
+    identical = True
+    for workload in all_workloads():
+        result = TwillCompiler().compile_and_simulate(workload.source, name=workload.name)
+        payload = encode_compilation_result(result)
+        best = {"decode": [], "first_access": [], "eager": []}
+        for _ in range(repeats):
+            best["decode"].append(_timed(lambda: decode_compilation_result(payload))[0])
+            best["first_access"].append(first_access(payload))
+            seconds, (decoded, _) = _timed(lambda: eager(payload))
+            best["eager"].append(seconds)
+        identical = identical and encode_compilation_result(decoded) == payload
+        per_workload[workload.name] = {
+            "bytes": len(payload),
+            **{f"{step}_seconds": round(min(times), 4) for step, times in best.items()},
+        }
+    totals = {
+        key: round(sum(w[key] for w in per_workload.values()), 4)
+        for key in ("decode_seconds", "first_access_seconds", "eager_seconds", "bytes")
+    }
+    return {**totals, "identical": identical, "workloads": per_workload, "repeats": repeats}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_hotpath.json", help="timing output file")
@@ -342,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         "--repeats",
         type=int,
         default=3,
-        help="frontend/replay/sweep/trace timing repetitions (default: 3)",
+        help="frontend/replay/sweep/trace/artifact timing repetitions (default: 3)",
     )
     parser.add_argument(
         "--tolerance",
@@ -359,6 +407,7 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": bench_sweep(args.repeats),
         "explore": bench_explore(),
         "trace": bench_trace(args.repeats),
+        "artifact": bench_artifact(args.repeats),
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
     }
@@ -383,6 +432,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"trace_{step}_seconds": record["trace"][f"{step}_seconds"]
                 for step in ("record", "encode", "decode")
             },
+            **{
+                f"artifact_{step}_seconds": record["artifact"][f"{step}_seconds"]
+                for step in ("decode", "first_access", "eager")
+            },
         },
         attrs={"repeats": args.repeats},
     )
@@ -390,6 +443,8 @@ def main(argv: list[str] | None = None) -> int:
     failures = []
     if not record["trace"]["identical"]:
         failures.append("trace: a decoded trace differs from the recorded one")
+    if not record["artifact"]["identical"]:
+        failures.append("artifact: a decoded result does not re-encode to its payload")
     for leg in LEGS:
         if not record[leg]["identical"]:
             failures.append(f"{leg}: new and reference implementations diverge")
@@ -406,6 +461,8 @@ def main(argv: list[str] | None = None) -> int:
         + ", ".join(f"{leg} {record[leg]['speedup']}x" for leg in LEGS)
         + f", trace record/encode/decode {record['trace']['record_seconds']}/"
         f"{record['trace']['encode_seconds']}/{record['trace']['decode_seconds']} s"
+        + f", artifact decode/first access/eager {record['artifact']['decode_seconds']}/"
+        f"{record['artifact']['first_access_seconds']}/{record['artifact']['eager_seconds']} s"
     )
     return 0
 
