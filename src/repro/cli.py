@@ -1012,7 +1012,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         startup_timeout=args.startup_timeout,
         poll_wait=args.poll_wait,
         max_tasks=args.max_tasks,
-        hmac_key=args.cache_hmac_key,
         verbose=not args.quiet,
     )
     if args.pool is not None and args.pool != 1:
@@ -1573,11 +1572,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_worker.add_argument(
         "--max-tasks", type=int, metavar="N", help="exit after executing N tasks"
-    )
-    p_worker.add_argument(
-        "--cache-hmac-key",
-        metavar="KEY",
-        help="HMAC key for signed cache envelopes (default: $REPRO_CACHE_HMAC_KEY)",
     )
     p_worker.add_argument("--quiet", action="store_true", help="suppress per-task log lines")
     p_worker.set_defaults(func=_cmd_worker)

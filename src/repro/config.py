@@ -91,11 +91,6 @@ class RuntimeConfig:
     # most this many bytes after each run.  Policy fields are excluded from
     # to_dict()/content_hash() so changing them never invalidates artefacts.
     cache_max_bytes: Optional[int] = None
-    # Evaluation-host policy as well: HMAC key for the signed envelope around
-    # cached compile-artifact pickles (see docs/CACHING.md).  Falls back to
-    # the REPRO_CACHE_HMAC_KEY environment variable when unset; never part of
-    # content hashes, and never sent over the remote-execution wire.
-    cache_hmac_key: Optional[str] = None
     # Host policy: shared secret required (constant-time checked) on every
     # cache-service and coordinator request (docs/DISTRIBUTED.md "Trust
     # model").  Falls back to the REPRO_SERVICE_TOKEN environment variable;
@@ -122,7 +117,7 @@ class RuntimeConfig:
 
     #: Fields that tune the evaluation host rather than the simulated
     #: architecture; kept out of the content hash so they never change keys.
-    _POLICY_FIELDS = ("cache_max_bytes", "cache_hmac_key", "service_token")
+    _POLICY_FIELDS = ("cache_max_bytes", "service_token")
 
     def to_dict(self) -> Dict:
         """Plain-dict form (stable field order) used for cache keys and reports.

@@ -124,12 +124,13 @@ class FunctionPartitioning:
     # -- pickling ---------------------------------------------------------------------
     #
     # ``assignment`` is keyed by id(inst), and object ids do not survive a
-    # pickle round trip (a cached artifact's instructions unpickle at new
-    # addresses, so every lookup — e.g. ThreadAssignment.from_partitioning —
-    # would silently miss and the hybrid would degenerate to pure software).
-    # The map is exactly the inverse of the partitions' instruction lists
-    # (see DSWPPartitioner: both are materialised in one loop), so drop it on
-    # pickle and rebuild it from the unpickled instruction objects.
+    # pickle round trip (a compile result a ``--no-cache -j N`` pool worker
+    # sends back arrives with its instructions at new addresses, so every
+    # lookup — e.g. ThreadAssignment.from_partitioning — would silently miss
+    # and the hybrid would degenerate to pure software).  The map is exactly
+    # the inverse of the partitions' instruction lists (see DSWPPartitioner:
+    # both are materialised in one loop), so drop it on pickle and rebuild it
+    # from the unpickled instruction objects.
 
     def __getstate__(self) -> Dict:
         state = self.__dict__.copy()

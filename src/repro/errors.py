@@ -97,13 +97,6 @@ class UnknownWorkloadError(ReproError, KeyError):
         return self.args[0] if self.args else ""
 
 
-class CacheIntegrityError(ReproError):
-    """Raised when a cached artifact fails its HMAC signature check (the
-    envelope is missing, malformed, or signed with a different key).  The
-    cache layer converts this into a miss, so a tampered or foreign entry is
-    recomputed instead of unpickled."""
-
-
 class RemoteError(ReproError):
     """Base class for errors raised by the distributed execution subsystem
     (:mod:`repro.eval.remote`): cache service, coordinator, and workers."""

@@ -1,14 +1,14 @@
-"""Structured (non-pickle) serialisation of compile artifacts.
+"""Structured serialisation of compile artifacts and DSWP results.
 
-A cached :class:`repro.core.compiler.CompilationResult` is the single
-largest artifact the evaluation harness stores, and with pickle it has two
-costs: loading executes ``__reduce__``/``__setstate__`` code (which is why
-shared caches need the HMAC envelope), and the byte format is opaque — you
-cannot inspect a cached compile with anything but the exact Python objects
-that wrote it.
+Everything the artifact cache stores is either plain JSON or this codec's
+output, so loading an entry never executes stored code: decoding walks JSON
+and rebuilds the object graph through a fixed table of IR classes.  The
+format only depends on the documented IR/result classes, so entries are
+inspectable with ``python -m json.tool`` and survive Python version bumps.
 
-This module replaces pickle for compile artifacts with an explicit codec.
-The payload (``repro-artifact-v3``) is four parts, in order:
+A cached :class:`repro.core.compiler.CompilationResult` is the largest
+artifact the evaluation harness stores.  Its payload (``repro-artifact-v3``)
+is four parts, in order:
 
 1. the magic line ``repro-artifact-v3``;
 2. a line holding the ``crc32`` of the rest of the payload, as 8 lowercase
@@ -31,32 +31,35 @@ document on the first read of a heavy field.  So:
   raises :class:`ArtifactCodecError` on first access;
 * a warm report, which reads only the summary, decodes no heavy part.
 
-Inside the heavy document:
+Inside the heavy document, the dynamic trace — most of an artifact — is
+one binary block: its columns' little-endian array bytes, concatenated,
+zlib-compressed (level 1) and base64-encoded (see :data:`_TRACE_COLUMNS`).
+Encode and decode are ``tobytes``/``frombytes`` with no per-event Python
+loop, and decode validates the columns with C-level passes before it
+builds a trace.
 
-* the dynamic trace — most of an artifact — is one binary block: its
-  columns' little-endian array bytes, concatenated, zlib-compressed
-  (level 1) and base64-encoded (see :data:`_TRACE_COLUMNS`).  Encode and
-  decode are ``tobytes``/``frombytes`` with no per-event Python loop, and
-  decode validates the columns with C-level passes before it builds a
-  trace;
-* decoding **executes no stored code** — it walks the JSON and rebuilds the
-  object graph through a fixed table of IR classes, so an artifact cache
-  does not have to be a trusted directory (no HMAC envelope needed);
-* the format only depends on the documented IR/result classes, not on
-  pickle's memo/opcode machinery, so entries survive Python version bumps.
+A :class:`~repro.dswp.pipeline.DSWPResult` on its own (the explore
+engine's DSWP-stage entry) is one JSON document,
+:func:`encode_dswp_result`: the same ``dswp`` section the heavy document
+holds, plus the instruction count of the module it was computed on and a
+checksum of the section.  It is decoded onto the caller's own module
+(:func:`decode_dswp_result`), so the partition points at the instructions
+the caller's trace replays.
 
 The encoding strategy mirrors how the IR itself names things:
 
 * every instruction of every defined function gets a **global index**
   (module function order → block order → instruction order); operands,
   the trace's static instruction table, profile counts, partitions,
-  queues and HLS schedules all refer to instructions by that index, which
-  replaces pickle's object identity;
+  queues, thread extractions and HLS schedules all refer to instructions
+  by that index instead of by object identity;
+* extracted thread functions (``f_dswp_<k>``) are functions of the module,
+  so an :class:`~repro.dswp.thread_extraction.ExtractedThread` is stored
+  by its function's name;
 * ``id()``-keyed maps (``FunctionPartitioning.assignment``,
-  ``BlockSchedule.start_cycle``, ``Profile._counts``) are never stored
-  keyed — they are re-derived or re-keyed against the decoded
-  instructions, exactly like the classes' own ``__setstate__`` hooks do
-  for pickle;
+  ``ExtractionResult.queue_map``, ``BlockSchedule.start_cycle``,
+  ``Profile._counts``) are never stored keyed — they are re-derived or
+  re-keyed against the decoded instructions;
 * purely derived analysis state (the PDG and its SCC condensation inside
   each :class:`FunctionPartitioning`) is not stored: it is a deterministic
   function of the decoded function and profile, rebuilt on first read
@@ -73,13 +76,14 @@ from __future__ import annotations
 
 import base64
 import binascii
+import contextlib
 import json
 import sys
 import zlib
 from array import array
 from itertools import chain, islice, repeat
 from operator import ge, gt, sub
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.errors import ReproError
 from repro.ir.basicblock import BasicBlock
@@ -605,11 +609,6 @@ def _enc_dswp(dswp, index: Dict[int, int]) -> Dict:
     import dataclasses
 
     partitioning = dswp.partitioning
-    if partitioning.extractions:
-        raise ArtifactCodecError(
-            "cannot encode a DSWP result with materialised thread extractions; "
-            "cache such artifacts with the pickle serializer"
-        )
     functions = {}
     for fn_name, fp in partitioning.functions.items():
         functions[fn_name] = {
@@ -663,7 +662,62 @@ def _enc_dswp(dswp, index: Dict[int, int]) -> Dict:
         "functions": functions,
         "queues": queues,
         "semaphores": dict(partitioning.semaphores),
+        "extractions": {
+            fn_name: _enc_extraction(extraction, partitioning.module, index)
+            for fn_name, extraction in partitioning.extractions.items()
+        },
     }
+
+
+def _enc_extraction(extraction, module: Module, index: Dict[int, int]) -> Dict:
+    """One function's extracted threads: each by its function's name, and
+    the queue map keyed by instruction number instead of ``id()``."""
+    for thread in extraction.threads:
+        if module.functions.get(thread.function.name) is not thread.function:
+            raise ArtifactCodecError(
+                f"extracted thread {thread.function.name} is not a function of the module"
+            )
+    return {
+        "threads": [
+            {
+                "function": t.function.name,
+                "partition": t.partition_index,
+                "kind": t.kind.value,
+                "is_master": t.is_master,
+                "reads": list(t.queue_reads),
+                "writes": list(t.queue_writes),
+            }
+            for t in extraction.threads
+        ],
+        "queue_count": extraction.queue_count,
+        "queue_map": [[index[v], p, q] for (v, p), q in extraction.queue_map.items()],
+    }
+
+
+def _at(instructions: List[Instruction], number: Any) -> Instruction:
+    """Instruction *number*, refusing anything but an in-range int."""
+    if type(number) is not int or not 0 <= number < len(instructions):
+        raise ArtifactCodecError(f"bad instruction number {number!r}")
+    return instructions[number]
+
+
+def _check_cover(fn_name: str, fp) -> None:
+    """Reject partitions that do not hold each of the function's
+    instructions exactly once."""
+    assignment = fp.assignment
+    if len(assignment) != sum(len(p.instructions) for p in fp.partitions) or (
+        assignment.keys() != {id(i) for i in fp.function.instructions()}
+    ):
+        raise ArtifactCodecError(f"partitions of {fn_name} do not hold its instructions once each")
+
+
+def _check_queue_ends(fn_name: str, fp, allocation) -> None:
+    """Reject queues whose ends are not in the partitions they name."""
+    ends = [(d.value, d.producer_partition) for d in allocation.deps]
+    ends += [(d.consumer, d.consumer_partition) for d in allocation.deps]
+    ends += [(q.value, q.producer_partition) for q in allocation.queues]
+    if any(fp.assignment.get(id(inst)) != partition for inst, partition in ends):
+        raise ArtifactCodecError(f"queues of {fn_name} disagree with its partitions")
 
 
 def _dec_dswp(data: Dict, module: Module, instructions: List[Instruction], profile):
@@ -691,7 +745,7 @@ def _dec_dswp(data: Dict, module: Module, instructions: List[Instruction], profi
                 index=p["index"],
                 kind=PartitionKind(p["kind"]),
                 scc_indices=list(p["sccs"]),
-                instructions=[instructions[i] for i in p["insts"]],
+                instructions=[_at(instructions, i) for i in p["insts"]],
                 sw_weight=p["sw_weight"],
                 hw_weight=p["hw_weight"],
                 target_weight=p["target_weight"],
@@ -701,14 +755,16 @@ def _dec_dswp(data: Dict, module: Module, instructions: List[Instruction], profi
         ]
         # The PDG and its SCC condensation are derived state, rebuilt from
         # the decoded function on first read.
-        partitioning.functions[fn_name] = FunctionPartitioning.decoded(
+        fp = FunctionPartitioning.decoded(
             module.get_function(fn_name), partitions, f["sw_fraction"], weight_model
         )
+        _check_cover(fn_name, fp)
+        partitioning.functions[fn_name] = fp
     for fn_name, q in data["queues"].items():
         deps = [
             CrossPartitionDep(
-                value=instructions[d["value"]],
-                consumer=instructions[d["consumer"]],
+                value=_at(instructions, d["value"]),
+                consumer=_at(instructions, d["consumer"]),
                 producer_partition=d["pp"],
                 consumer_partition=d["cp"],
                 kind=DependenceKind(d["kind"]),
@@ -724,7 +780,7 @@ def _dec_dswp(data: Dict, module: Module, instructions: List[Instruction], profi
                 QueueSpec(
                     queue_id=spec["queue_id"],
                     function=fn_name,
-                    value=instructions[spec["value"]],
+                    value=_at(instructions, spec["value"]),
                     producer_partition=spec["pp"],
                     consumer_partition=spec["cp"],
                     width_bits=spec["width_bits"],
@@ -732,9 +788,35 @@ def _dec_dswp(data: Dict, module: Module, instructions: List[Instruction], profi
                     deps=[deps[i] for i in spec["deps"]],
                 )
             )
+        _check_queue_ends(fn_name, partitioning.functions[fn_name], allocation)
         partitioning.queues[fn_name] = allocation
     partitioning.semaphores = dict(data["semaphores"])
+    for fn_name, e in data["extractions"].items():
+        partitioning.extractions[fn_name] = _dec_extraction(fn_name, e, module, instructions)
     return DSWPResult(partitioning=partitioning, weight_model=weight_model, config=config)
+
+
+def _dec_extraction(fn_name: str, data: Dict, module: Module, instructions: List[Instruction]):
+    from repro.dswp.partitioner import PartitionKind
+    from repro.dswp.thread_extraction import ExtractedThread, ExtractionResult
+
+    return ExtractionResult(
+        source_function=fn_name,
+        threads=[
+            ExtractedThread(
+                function=module.get_function(t["function"]),
+                source_function=fn_name,
+                partition_index=t["partition"],
+                kind=PartitionKind(t["kind"]),
+                is_master=t["is_master"],
+                queue_reads=list(t["reads"]),
+                queue_writes=list(t["writes"]),
+            )
+            for t in data["threads"]
+        ],
+        queue_count=data["queue_count"],
+        queue_map={(id(_at(instructions, v)), p): q for v, p, q in data["queue_map"]},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -988,13 +1070,22 @@ def _checked_body(data: bytes) -> bytes:
     return body
 
 
-def _dec_summary(data: bytes) -> Tuple[str, List[int], Any, Dict[str, float]]:
+@contextlib.contextmanager
+def _malformed(part: str) -> Iterator[None]:
+    """Turn what decoding a malformed *part* can raise into a codec error."""
     try:
+        yield
+    except ArtifactCodecError:
+        raise
+    except _MALFORMED as exc:
+        raise ArtifactCodecError(f"{part}: {exc!r}") from exc
+
+
+def _dec_summary(data: bytes) -> Tuple[str, List[int], Any, Dict[str, float]]:
+    with _malformed("artifact summary"):
         summary = json.loads(data)
         name, outputs, dswp = summary["name"], summary["outputs"], summary["dswp"]
         system = _dec_system(summary["system"])
-    except _MALFORMED as exc:
-        raise ArtifactCodecError(f"artifact summary: {exc!r}") from exc
     if (
         not isinstance(name, str)
         or not isinstance(outputs, list)
@@ -1008,7 +1099,7 @@ def _dec_summary(data: bytes) -> Tuple[str, List[int], Any, Dict[str, float]]:
 
 def _decode_heavy(data: bytes, outputs: List[int]) -> Dict[str, Any]:
     """The five heavy fields of a result, rebuilt with every check above."""
-    try:
+    with _malformed("artifact heavy part"):
         document = json.loads(data)
         module, instructions = decode_module(document["module"])
         profile = _dec_profile(document["profile"], module, instructions)
@@ -1019,10 +1110,6 @@ def _decode_heavy(data: bytes, outputs: List[int]) -> Dict[str, Any]:
             "dswp": _dec_dswp(document["dswp"], module, instructions, profile),
             "legup": _dec_legup(document["legup"], module, instructions),
         }
-    except ArtifactCodecError:
-        raise
-    except _MALFORMED as exc:
-        raise ArtifactCodecError(f"artifact heavy part: {exc!r}") from exc
 
 
 def decode_compilation_result(data: bytes):
@@ -1043,3 +1130,29 @@ def decode_compilation_result(data: bytes):
     return CompilationResult.lazy(
         name, system, outputs, dswp_summary, lambda: _decode_heavy(heavy, outputs)
     )
+
+
+def encode_dswp_result(dswp) -> Dict:
+    """A DSWP result as one JSON document that names instructions by their
+    number in its module (the explore engine's DSWP-stage entry), with the
+    ``crc32`` of its canonical ``dswp`` section."""
+    index = _instruction_index(dswp.partitioning.module)
+    section = _enc_dswp(dswp, index)
+    return {"instructions": len(index), "crc": zlib.crc32(_dumps(section)), "dswp": section}
+
+
+def decode_dswp_result(document: Dict, module: Module, profile):
+    """Rebuild an :func:`encode_dswp_result` document onto *module*'s own
+    instructions and *profile*.
+
+    Raises :class:`ArtifactCodecError` if the document is malformed or
+    damaged, was written for a module with another instruction count, or
+    has partitions that do not hold each instruction exactly once.
+    """
+    instructions = _instruction_list(module)
+    with _malformed("DSWP document"):
+        if document["crc"] != zlib.crc32(_dumps(document["dswp"])):
+            raise ArtifactCodecError("DSWP document checksum mismatch")
+        if document["instructions"] != len(instructions):
+            raise ArtifactCodecError("DSWP document was written for another module")
+        return _dec_dswp(document["dswp"], module, instructions, profile)

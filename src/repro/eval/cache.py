@@ -14,10 +14,13 @@ near-instantly once its inputs have been computed once:
   source plus the full :class:`repro.config.CompilerConfig` contents;
 * **derived artifacts** — small structured-JSON documents produced by
   re-simulating an existing compile artifact under different parameters
-  (queue latency, queue depth, partition split), keyed by the parent compile
-  key plus the sweep kind and its parameters.  JSON (unlike pickle) executes
-  no code on load, so the hot read path of a warm report does not require a
-  trusted cache directory.
+  (queue latency, queue depth, partition split, an explore candidate, and
+  explore's DSWP stage, :func:`repro.eval.artifact_codec.encode_dswp_result`),
+  keyed by the parent compile key plus the sweep kind and its parameters.
+
+No entry executes code on load: both formats are decoded by walking JSON,
+so a cache directory or a shared cache service never has to be trusted to
+hold safe bytes.
 
 Since PR 3 *where* the bytes live is pluggable: :class:`ArtifactCache` holds
 the key scheme, serialisation and single-flight logic, and delegates blob
@@ -38,24 +41,15 @@ Writes go through a temp file + :func:`os.replace` so a cache shared by
 concurrent processes never exposes a half-written entry, and
 :meth:`ArtifactCache.get_or_compute` adds per-key advisory locks so
 concurrent missers of the same key do the work once (single-flight).
-
-Pickled entries can additionally be wrapped in an HMAC-SHA256 signed
-envelope (key from ``RuntimeConfig.cache_hmac_key`` or the
-``REPRO_CACHE_HMAC_KEY`` environment variable), so a cache shared over the
-network no longer requires a trusted directory: an entry that does not carry
-a valid signature under the reader's key is treated as a miss and recomputed
-instead of unpickled.  See ``docs/CACHING.md`` for the full layout, key and
-envelope scheme.
+See ``docs/CACHING.md`` for the full layout and key scheme.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import hmac as hmac_mod
 import json
 import os
-import pickle
 import tempfile
 import time
 from pathlib import Path
@@ -67,7 +61,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
 from repro.config import CompilerConfig
-from repro.errors import CacheIntegrityError, ReproError
+from repro.errors import ReproError
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 
@@ -92,60 +86,29 @@ CACHE_SCHEMA_VERSION = 2
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Environment variable supplying the HMAC key for signed pickle envelopes.
-CACHE_HMAC_ENV = "REPRO_CACHE_HMAC_KEY"
-
 #: Default cache directory (relative to the current working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
 
-#: Storage formats an entry can use: ``artifact`` for compile artifacts
-#: (the structured non-pickle codec in :mod:`repro.eval.artifact_codec`),
-#: ``json`` for structured derived artifacts, ``pickle`` for arbitrary
-#: Python objects (DSWP stage artifacts, and compile artifacts whose
-#: configuration the structured codec cannot express).
-SERIALIZERS = ("pickle", "json", "artifact")
+#: Storage formats an entry can use, in lookup order: ``artifact`` for
+#: compile artifacts (the structured codec in
+#: :mod:`repro.eval.artifact_codec`), ``json`` for everything else.
+SERIALIZERS = ("artifact", "json")
 
 #: Orphaned ``*.tmp`` files older than this are swept by prune(); younger
 #: ones may be a concurrent writer's in-flight put and are left alone.
 ORPHAN_TMP_MAX_AGE_SECONDS = 3600.0
 
-#: First line of the signed-pickle envelope; versioned independently of the
-#: cache schema so the envelope format can evolve without invalidating
-#: unsigned caches.
-HMAC_ENVELOPE_MAGIC = b"repro-hmac-v1\n"
+_EXTENSIONS = {"artifact": ".art", "json": ".json"}
 
-_EXTENSIONS = {"pickle": ".pkl", "json": ".json", "artifact": ".art"}
+#: Entry suffixes that maintenance (stats, prune, clear) counts and removes:
+#: the current formats plus ``.pkl``, which earlier versions wrote and which
+#: is never read.
+_ENTRY_SUFFIXES = (*_EXTENSIONS.values(), ".pkl")
 
 
 def default_cache_dir() -> Path:
     """The cache directory: ``$REPRO_CACHE_DIR`` or ``./.repro_cache``."""
     return Path(os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR))
-
-
-# -- process-wide HMAC key ------------------------------------------------------
-
-_process_hmac_key: Optional[str] = None
-
-
-def set_process_hmac_key(key: Optional[str]) -> Optional[str]:
-    """Set the process-default envelope key (worker daemons, pool workers).
-
-    Caches constructed without an explicit ``hmac_key`` pick this up, falling
-    back to ``$REPRO_CACHE_HMAC_KEY``.  ``None`` restores the env fallback.
-    Returns the previous override so a scoped caller (the scheduler) can
-    restore it instead of leaking a run's key into the rest of the process.
-    """
-    global _process_hmac_key
-    previous = _process_hmac_key
-    _process_hmac_key = key or None
-    return previous
-
-
-def process_hmac_key() -> Optional[str]:
-    """The effective default envelope key for this process (may be ``None``)."""
-    if _process_hmac_key:
-        return _process_hmac_key
-    return os.environ.get(CACHE_HMAC_ENV) or None
 
 
 # -- content addresses ----------------------------------------------------------
@@ -228,8 +191,8 @@ def render_key(figure_id: str, dep_keys: "List[str]") -> str:
 class CacheBackend:
     """Where cache blobs live.  Implementations move *bytes*, never objects.
 
-    :class:`ArtifactCache` owns serialisation (pickle/JSON plus the optional
-    HMAC envelope) and single-flight orchestration; a backend only has to
+    :class:`ArtifactCache` owns serialisation (the artifact codec and JSON)
+    and single-flight orchestration; a backend only has to
     store, retrieve and advisory-lock opaque blobs by content key.  ``spec``
     is the string that reconstructs an equivalent backend in another process
     (a directory path, or an ``http://`` URL) — it is what the task graph
@@ -272,7 +235,7 @@ class CacheBackend:
 
 
 class LocalFSBackend(CacheBackend):
-    """The historical on-disk layout: ``<root>/objects/<key[:2]>/<key>{.pkl,.json}``.
+    """The on-disk layout: ``<root>/objects/<key[:2]>/<key>{.art,.json}``.
 
     Git-style fan-out so a directory never accumulates thousands of files.
     Safe to share between concurrent processes for *writes* (temp file +
@@ -299,21 +262,19 @@ class LocalFSBackend(CacheBackend):
     def locks_dir(self) -> Path:
         return self.root / "locks"
 
-    def _path(self, key: str, serializer: str = "pickle") -> Path:
+    def _path(self, key: str, serializer: str) -> Path:
         return self.objects_dir / key[:2] / f"{key}{_EXTENSIONS[serializer]}"
 
     def _entry_paths(self) -> List[Path]:
-        """Every stored entry, in a stable order (JSON and pickle alike)."""
+        """Every stored entry, in a stable order (stale ``.pkl`` files too)."""
         if not self.objects_dir.is_dir():
             return []
-        return sorted(
-            p for p in self.objects_dir.rglob("*") if p.suffix in (".pkl", ".json", ".art")
-        )
+        return sorted(p for p in self.objects_dir.rglob("*") if p.suffix in _ENTRY_SUFFIXES)
 
     # -- blobs -----------------------------------------------------------------
 
     def get_blob(self, key: str) -> Optional[Tuple[str, bytes]]:
-        for serializer in ("artifact", "json", "pickle"):
+        for serializer in SERIALIZERS:
             path = self._path(key, serializer)
             try:
                 data = path.read_bytes()
@@ -340,8 +301,8 @@ class LocalFSBackend(CacheBackend):
             except OSError:
                 pass
             raise
-        # Drop a twin in the other format (e.g. a pre-JSON pickle of the same
-        # derived key) so one key never has two competing entries.
+        # Drop a twin in the other format so one key never has two competing
+        # entries.
         for other in SERIALIZERS:
             if other != serializer:
                 try:
@@ -502,32 +463,6 @@ class LocalFSBackend(CacheBackend):
 
 
 # ---------------------------------------------------------------------------
-# signed-pickle envelope
-# ---------------------------------------------------------------------------
-
-
-def sign_envelope(payload: bytes, key: str) -> bytes:
-    """Wrap *payload* in the HMAC-SHA256 envelope: magic, hex mac, payload."""
-    mac = hmac_mod.new(key.encode("utf-8"), payload, hashlib.sha256).hexdigest()
-    return HMAC_ENVELOPE_MAGIC + mac.encode("ascii") + b"\n" + payload
-
-
-def open_envelope(data: bytes, key: str) -> bytes:
-    """Verify and strip the envelope; raises :class:`CacheIntegrityError` when
-    the envelope is absent, malformed, or signed with a different key."""
-    if not data.startswith(HMAC_ENVELOPE_MAGIC):
-        raise CacheIntegrityError("cached entry is not HMAC-enveloped")
-    rest = data[len(HMAC_ENVELOPE_MAGIC):]
-    mac, sep, payload = rest.partition(b"\n")
-    if not sep:
-        raise CacheIntegrityError("malformed HMAC envelope")
-    expected = hmac_mod.new(key.encode("utf-8"), payload, hashlib.sha256).hexdigest()
-    if not hmac_mod.compare_digest(mac.decode("ascii", "replace"), expected):
-        raise CacheIntegrityError("HMAC signature mismatch on cached entry")
-    return payload
-
-
-# ---------------------------------------------------------------------------
 # the cache proper
 # ---------------------------------------------------------------------------
 
@@ -538,34 +473,27 @@ class ArtifactCache:
     ``ArtifactCache(root)`` keeps the historical local-directory behaviour;
     ``ArtifactCache.from_spec(spec)`` also accepts an ``http(s)://`` URL and
     builds the :mod:`repro.eval.remote.cache_http` client, so worker
-    processes on other machines can share one store.  When *hmac_key* is set
-    (explicitly, via :func:`set_process_hmac_key`, or via
-    ``$REPRO_CACHE_HMAC_KEY``), pickled entries are written inside a signed
-    envelope and entries failing verification read as misses.
+    processes on other machines can share one store.
     """
 
     def __init__(
         self,
         root: Optional[Union[Path, str]] = None,
         backend: Optional[CacheBackend] = None,
-        hmac_key: Optional[str] = None,
     ):
         if backend is not None:
             self.backend = backend
         else:
             self.backend = LocalFSBackend(Path(root) if root is not None else default_cache_dir())
-        self.hmac_key = hmac_key if hmac_key else process_hmac_key()
 
     @classmethod
-    def from_spec(
-        cls, spec: Optional[Union[Path, str]] = None, hmac_key: Optional[str] = None
-    ) -> "ArtifactCache":
+    def from_spec(cls, spec: Optional[Union[Path, str]] = None) -> "ArtifactCache":
         """Build a cache from its address string: a path, or an HTTP(S) URL."""
         if spec is not None and str(spec).startswith(("http://", "https://")):
             from repro.eval.remote.cache_http import HTTPCacheBackend
 
-            return cls(backend=HTTPCacheBackend(str(spec)), hmac_key=hmac_key)
-        return cls(root=spec, hmac_key=hmac_key)
+            return cls(backend=HTTPCacheBackend(str(spec)))
+        return cls(root=spec)
 
     @property
     def spec(self) -> str:
@@ -595,43 +523,26 @@ class ArtifactCache:
     def locks_dir(self) -> Path:
         return self._local.locks_dir
 
-    def _path(self, key: str, serializer: str = "pickle") -> Path:
+    def _path(self, key: str, serializer: str) -> Path:
         return self._local._path(key, serializer)
 
     # -- serialisation ---------------------------------------------------------------
 
-    def _encode(self, value: Any, serializer: str) -> bytes:
-        if serializer == "json":
-            return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    @staticmethod
+    def _encode(value: Any, serializer: str) -> bytes:
         if serializer == "artifact":
-            # Structured compile-artifact codec: inspectable, cross-version
-            # stable, and — like JSON — executes no code on load, so it needs
-            # no HMAC envelope even on an untrusted/shared store.
             from repro.eval.artifact_codec import encode_compilation_result
 
             return encode_compilation_result(value)
-        data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        if self.hmac_key:
-            data = sign_envelope(data, self.hmac_key)
-        return data
+        return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    def _decode(self, data: bytes, serializer: str) -> Any:
-        if serializer == "json":
-            return json.loads(data.decode("utf-8"))
+    @staticmethod
+    def _decode(data: bytes, serializer: str) -> Any:
         if serializer == "artifact":
             from repro.eval.artifact_codec import decode_compilation_result
 
             return decode_compilation_result(data)
-        if self.hmac_key:
-            # With a key configured, *only* validly signed entries are ever
-            # unpickled; anything else (unsigned legacy entry, tampered or
-            # foreign bytes) raises and reads as a miss.
-            data = open_envelope(data, self.hmac_key)
-        elif data.startswith(HMAC_ENVELOPE_MAGIC):
-            # A key-less reader must neither unpickle nor destroy an entry
-            # some keyed writer signed; it just cannot use it.
-            raise CacheIntegrityError("entry is HMAC-enveloped but no key is configured")
-        return pickle.loads(data)
+        return json.loads(data.decode("utf-8"))
 
     # -- store ---------------------------------------------------------------------
 
@@ -641,13 +552,8 @@ class ArtifactCache:
     def get(self, key: str) -> Optional[Any]:
         """Load the entry for *key*, or ``None`` on a miss.
 
-        A genuinely corrupt or unreadable entry is deleted (where the
-        backend supports it) so the recompute overwrites it.  An *envelope
-        mismatch* — unsigned vs this reader's key, signed vs a key-less or
-        differently-keyed reader — also reads as a miss but is **not**
-        deleted: the entry may be perfectly valid for correctly configured
-        readers, and one misconfigured process must not wipe a shared store
-        it merely reads.
+        A corrupt or unreadable entry is deleted (where the backend supports
+        it) so the recompute overwrites it.
         """
         blob = self.backend.get_blob(key)
         if blob is None:
@@ -656,9 +562,6 @@ class ArtifactCache:
         serializer, data = blob
         try:
             value = self._decode(data, serializer)
-        except CacheIntegrityError:
-            _LOOKUPS.inc(outcome="integrity_miss")
-            return None
         except Exception:
             self.backend.delete(key)
             _LOOKUPS.inc(outcome="corrupt_miss")
@@ -666,7 +569,7 @@ class ArtifactCache:
         _LOOKUPS.inc(outcome="hit")
         return value
 
-    def put(self, key: str, value: Any, serializer: str = "pickle") -> Optional[Path]:
+    def put(self, key: str, value: Any, serializer: str) -> Optional[Path]:
         """Atomically store *value* under *key*; returns its path when local."""
         if serializer not in SERIALIZERS:
             raise ValueError(f"unknown serializer '{serializer}' (expected one of {SERIALIZERS})")
@@ -687,9 +590,7 @@ class ArtifactCache:
         """Remove the persistent lock artefact for *key* (interrupt cleanup)."""
         self.backend.discard_lock_file(key)
 
-    def get_or_compute(
-        self, key: str, compute: Callable[[], Any], serializer: str = "pickle"
-    ) -> Any:
+    def get_or_compute(self, key: str, compute: Callable[[], Any], serializer: str) -> Any:
         """Return the entry for *key*, computing and storing it on a miss.
 
         Single-flight across processes (and, through the HTTP backend, across

@@ -97,9 +97,7 @@ class EvaluationHarness:
         else:
             # cache_dir is a cache *spec*: a directory path, or an
             # ``http(s)://`` URL of a ``repro cache serve`` service.
-            self.cache = ArtifactCache.from_spec(
-                cache_dir, hmac_key=self.config.runtime.cache_hmac_key
-            )
+            self.cache = ArtifactCache.from_spec(cache_dir)
         self._runs: Dict[str, BenchmarkRun] = {}
         self._compile_keys: Dict[str, str] = {}
         self._derived: Dict[str, Any] = {}
@@ -296,7 +294,7 @@ class EvaluationHarness:
             result = self.cache.get_or_compute(
                 key,
                 lambda: taskgraph.compute_compile(name, self.config),
-                serializer=taskgraph._compile_serializer(self.config),
+                serializer="artifact",
             )
         else:
             result = taskgraph.compute_compile(name, self.config)

@@ -4,9 +4,10 @@ The service wraps one :class:`~repro.eval.cache.LocalFSBackend` store in a
 :class:`http.server.ThreadingHTTPServer` so several machines can share it;
 the :class:`HTTPCacheBackend` client plugs into
 :class:`~repro.eval.cache.ArtifactCache` wherever a local directory would.
-Blobs travel verbatim — serialisation, content addressing and the optional
-HMAC envelope all stay client-side, so the service never unpickles anything
-and a reader can trust entries only as far as its own signature check.
+Blobs travel verbatim — serialisation and content addressing stay
+client-side, so the service never decodes anything.  Every blob is either a
+compile artifact or JSON (``X-Repro-Serializer: artifact`` or ``json``), and
+neither executes code when a client decodes it.
 
 Endpoints (keys are validated as 64 hex chars, so no path escapes):
 
@@ -341,7 +342,7 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
             self.end_headers()
             return
         blob_serializer = None
-        for serializer in ("artifact", "json", "pickle"):
+        for serializer in SERIALIZERS:
             if self.server.backend._path(key, serializer).is_file():
                 blob_serializer = serializer
                 break
@@ -475,7 +476,12 @@ class HTTPCacheBackend:
         )
         try:
             with urlopen(request, timeout=self.timeout) as response:
-                serializer = response.headers.get(SERIALIZER_HEADER, "pickle")
+                serializer = response.headers.get(SERIALIZER_HEADER)
+                if serializer not in SERIALIZERS:
+                    raise RemoteError(
+                        f"cache service sent {SERIALIZER_HEADER}: {serializer!r}, "
+                        f"expected one of {SERIALIZERS}"
+                    )
                 return serializer, response.read()
         except urllib.error.HTTPError as exc:
             if exc.code == 404:

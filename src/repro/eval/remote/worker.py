@@ -35,7 +35,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.errors import RemoteError
-from repro.eval.cache import ArtifactCache, set_process_hmac_key
+from repro.eval.cache import ArtifactCache
 from repro.eval.remote import protocol
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
@@ -107,7 +107,7 @@ def _execute_spec(
                 task_id, fn, args, key, serializer = protocol.decode_task(spec, cache.spec)
                 value = cache.get_or_compute(key, lambda: fn(*args), serializer=serializer)
         _TASKS_EXECUTED.inc(outcome="ok")
-        if serializer in ("pickle", "artifact"):
+        if serializer == "artifact":
             # The artifact is in the shared cache; don't ship it again.
             return {"ok": True, "in_cache": True, "value": None, "start": start, "end": time.time()}
         return {"ok": True, "in_cache": False, "value": value, "start": start, "end": time.time()}
@@ -130,7 +130,6 @@ def run_worker(
     startup_timeout: float = 120.0,
     poll_wait: float = 10.0,
     max_tasks: Optional[int] = None,
-    hmac_key: Optional[str] = None,
     verbose: bool = False,
 ) -> int:
     """Serve tasks until the coordinator ends the run; returns an exit code.
@@ -144,8 +143,6 @@ def run_worker(
         # Accept the bare HOST:PORT form that `repro report --workers` takes,
         # so copying an address between the two commands just works.
         coordinator_url = f"http://{coordinator_url}"
-    if hmac_key:
-        set_process_hmac_key(hmac_key)
     obs_tracing.set_service("worker")
     obs_metrics.install_stage_observer()
     obs_profile.maybe_start(service="worker")
@@ -266,8 +263,7 @@ def run_worker_pool(pool: int, name: Optional[str] = None, **kwargs: Any) -> int
     a stable ``--name`` was given.  The parent just supervises: it waits for
     the children to observe the coordinator's shutdown and exit, forwards
     Ctrl-C as termination, and returns the worst child exit code.  Children
-    inherit the environment, so ``$REPRO_CACHE_HMAC_KEY`` and
-    ``$REPRO_SERVICE_TOKEN`` apply pool-wide.
+    inherit the environment, so ``$REPRO_SERVICE_TOKEN`` applies pool-wide.
     """
     if pool < 1:
         raise ValueError(f"pool size must be >= 1, got {pool}")

@@ -46,12 +46,7 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Seque
 from repro.config import CompilerConfig, RuntimeConfig
 from repro.core.compiler import CompilationResult, TwillCompiler
 from repro.errors import TaskGraphCycleError, TaskGraphError
-from repro.eval.cache import (
-    ArtifactCache,
-    derived_key,
-    render_key,
-    set_process_hmac_key,
-)
+from repro.eval.cache import ArtifactCache, derived_key, render_key
 from repro.eval.trace import TraceRecorder
 from repro.obs import profile as obs_profile
 from repro.obs import tracing as obs_tracing
@@ -86,7 +81,8 @@ class Task:
     the scheduler may run it in any process.  Aggregate tasks run in the
     parent and are called as ``fn(results, *args)`` with the mapping of every
     finished task's value.  ``key`` is the content address under which the
-    scheduler memoises the output (``None`` = never disk-cached).
+    scheduler memoises the output (``None`` = never disk-cached), stored in
+    the ``serializer`` format (``artifact`` or ``json``).
     """
 
     task_id: str
@@ -95,7 +91,7 @@ class Task:
     args: Tuple[Any, ...] = ()
     deps: Tuple[str, ...] = ()
     key: Optional[str] = None
-    serializer: str = "pickle"
+    serializer: Optional[str] = None
     workload: Optional[str] = None
 
     def runs_in_worker(self) -> bool:
@@ -197,13 +193,6 @@ class TaskGraph:
 # ---------------------------------------------------------------------------
 
 
-def _compile_serializer(config: CompilerConfig) -> str:
-    """Storage format for compile artifacts: the structured non-pickle codec,
-    except for configurations whose results it cannot express (materialised
-    thread extractions hold extracted sub-functions outside the module)."""
-    return "pickle" if config.extract_threads else "artifact"
-
-
 def compute_compile(name: str, config: CompilerConfig) -> CompilationResult:
     """Pure compile payload: run the whole pipeline for one workload."""
     workload = get_workload(name)
@@ -245,7 +234,7 @@ def _sweep_input(
         return hit
     if cache_root is not None:
         result = ArtifactCache.from_spec(cache_root).get_or_compute(
-            key, lambda: compute_compile(name, config), serializer=_compile_serializer(config)
+            key, lambda: compute_compile(name, config), serializer="artifact"
         )
     else:
         result = compute_compile(name, config)
@@ -299,7 +288,6 @@ def _execute_in_worker(
     key: Optional[str],
     cache_spec: Optional[str],
     serializer: str,
-    hmac_key: Optional[str] = None,
     trace_ctx: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Pool-worker entry: run one task payload through the shared cache.
@@ -319,8 +307,6 @@ def _execute_in_worker(
     here is re-parented under the scheduler's span explicitly.
     """
     start = time.time()
-    if hmac_key is not None:
-        set_process_hmac_key(hmac_key)
     # Pool children inherit $REPRO_PROFILE: start this child's sampler on
     # its first task (idempotent, one dict lookup afterwards) and count the
     # execution exactly — the deterministic complement to the samples.
@@ -337,7 +323,7 @@ def _execute_in_worker(
             if key is not None and cache_spec is not None:
                 cache = ArtifactCache.from_spec(cache_spec)
                 value = cache.get_or_compute(key, lambda: fn(*args), serializer=serializer)
-                if serializer in ("pickle", "artifact"):
+                if serializer == "artifact":
                     value, in_cache = None, True
             else:
                 value = fn(*args)
@@ -367,7 +353,7 @@ def compile_task(name: str, config: CompilerConfig, key: str) -> Task:
         fn=compute_compile,
         args=(name, config),
         key=key,
-        serializer=_compile_serializer(config),
+        serializer="artifact",
         workload=name,
     )
 
@@ -549,7 +535,6 @@ class LocalProcessExecutor(TaskExecutor):
             task.key,
             cache.spec if cache is not None else None,
             task.serializer,
-            cache.hmac_key if cache is not None else None,
             trace_ctx,
         )
         self._futures[future] = task
@@ -672,27 +657,13 @@ class TaskScheduler:
 
     def _run(self) -> Dict[str, Any]:
         order = self.graph.topological_order()
-        keyed = self.cache is not None and bool(self.cache.hmac_key)
-        if keyed:
-            # Sweep payloads running *inline* rebuild their cache from the
-            # spec string (exactly as pool/remote workers do), so the parent
-            # process must carry the envelope key the same way workers get
-            # it via _execute_in_worker — otherwise an explicitly keyed run
-            # would reject its own signed compile artifacts when the
-            # in-memory sweep-input memo misses.  Restored afterwards so the
-            # key stays scoped to this run, not the whole process.
-            previous_key = set_process_hmac_key(self.cache.hmac_key)
-        try:
-            executor = self.executor
-            if executor is None:
-                jobs = self.jobs or 1
-                if jobs <= 1:
-                    return self._run_serial(order)
-                executor = LocalProcessExecutor(jobs)
-            return self._run_with_executor(order, executor)
-        finally:
-            if keyed:
-                set_process_hmac_key(previous_key)
+        executor = self.executor
+        if executor is None:
+            jobs = self.jobs or 1
+            if jobs <= 1:
+                return self._run_serial(order)
+            executor = LocalProcessExecutor(jobs)
+        return self._run_with_executor(order, executor)
 
     def _cached_or_none(self, task: Task) -> Optional[Any]:
         if task.key is not None and self.cache is not None:

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro import perf
 from repro.config import CompilerConfig
 from repro.eval import taskgraph
+from repro.eval.artifact_codec import decode_dswp_result, encode_dswp_result
 from repro.eval.cache import ArtifactCache, compile_key, derived_key
 from repro.explore.space import Candidate, Dimension, SearchSpace
 from repro.sim.system import evaluate_with_partition, repartition
@@ -51,12 +52,13 @@ def space_from_dict(space_dict: Dict[str, Any]) -> SearchSpace:
     )
 
 
-# Per-process memo for candidate partitions, keyed by the DSWP stage key.
-# A 240-candidate search typically spans only a handful of distinct partition
+# Per-process memo for candidate partitions, keyed by the DSWP stage key:
+# the stage's document and the DSWPResult last decoded from it.  A
+# 240-candidate search typically spans only a handful of distinct partition
 # parameter sets (the other dimensions act after partitioning), so candidates
 # evaluated in the same worker process share one in-memory DSWPResult instead
 # of re-running DSWP — and re-reading it from disk — per candidate.
-_DSWP_MEMO: "OrderedDict[str, Any]" = OrderedDict()
+_DSWP_MEMO: "OrderedDict[str, Tuple[Dict[str, Any], Any]]" = OrderedDict()
 _DSWP_MEMO_LIMIT = 16
 
 
@@ -72,64 +74,50 @@ def dswp_stage_key(parent_compile_key: str, candidate_config: CompilerConfig) ->
     return derived_key(parent_compile_key, "dswp", params)
 
 
-def _rebind_partitioning(dswp: Any, module: Any) -> Any:
-    """Re-anchor a cached :class:`DSWPResult` onto *module*'s own objects.
-
-    Partition assignments are keyed by instruction object identity, so a
-    DSWPResult loaded from the artifact cache references its *own* unpickled
-    copy of the module — not the instruction objects the compile artifact's
-    trace replays.  Both copies unpickle from content-addressed artifacts
-    whose keys share the same compile parent, so instruction order is
-    identical and a positional remap is exact.  No-op when already bound
-    (fresh computes and repeat memo hits), so rebinding is safe to call on
-    every lookup.
-    """
-    for fn_name, fp in dswp.partitioning.functions.items():
-        target = module.get_function(fn_name)
-        if fp.function is target:
-            continue
-        remap = dict(zip((id(i) for i in fp.function.instructions()), target.instructions()))
-        for partition in fp.partitions:
-            partition.instructions = [remap[id(inst)] for inst in partition.instructions]
-        fp.assignment = {
-            id(inst): partition.index
-            for partition in fp.partitions
-            for inst in partition.instructions
-        }
-        fp.function = target
-    dswp.partitioning.module = module
-    return dswp
-
-
 def _candidate_dswp(
     parent_compile_key: str,
     compile_result: Any,
     candidate_config: CompilerConfig,
     cache_root: Optional[str],
 ) -> Any:
-    """Re-partition for one candidate, memoized per process and cached on disk."""
+    """Re-partition for one candidate, memoized per process and cached on disk.
+
+    The stage is stored as a JSON document
+    (:func:`~repro.eval.artifact_codec.encode_dswp_result`) that names
+    instructions by their number in the compile artifact's module, and is
+    decoded onto ``compile_result.module`` itself, so the partition points
+    at the instructions the artifact's trace replays.  A memo hit computed
+    on another copy of the module is decoded again from its document.
+    """
     key = dswp_stage_key(parent_compile_key, candidate_config)
+    module = compile_result.module
     hit = _DSWP_MEMO.get(key)
     if hit is not None:
-        _DSWP_MEMO.move_to_end(key)
-        return _rebind_partitioning(hit, compile_result.module)
-
-    def compute() -> Any:
-        return repartition(
-            compile_result.module,
-            compile_result.profile,
-            candidate_config,
-            candidate_config.partition.sw_fraction,
-        )
-
-    if cache_root is not None:
-        dswp = ArtifactCache.from_spec(cache_root).get_or_compute(
-            key, compute, serializer="pickle"
-        )
+        document, dswp = hit
     else:
-        dswp = compute()
-    dswp = _rebind_partitioning(dswp, compile_result.module)
-    _DSWP_MEMO[key] = dswp
+        fresh = []
+
+        def compute() -> Dict[str, Any]:
+            fresh.append(
+                repartition(
+                    module,
+                    compile_result.profile,
+                    candidate_config,
+                    candidate_config.partition.sw_fraction,
+                )
+            )
+            return encode_dswp_result(fresh[0])
+
+        if cache_root is not None:
+            document = ArtifactCache.from_spec(cache_root).get_or_compute(
+                key, compute, serializer="json"
+            )
+        else:
+            document = compute()
+        dswp = fresh[0] if fresh else None
+    if dswp is None or dswp.partitioning.module is not module:
+        dswp = decode_dswp_result(document, module, compile_result.profile)
+    _DSWP_MEMO[key] = (document, dswp)
     _DSWP_MEMO.move_to_end(key)
     while len(_DSWP_MEMO) > _DSWP_MEMO_LIMIT:
         _DSWP_MEMO.popitem(last=False)

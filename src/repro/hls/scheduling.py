@@ -55,8 +55,9 @@ class BlockSchedule:
     # -- pickling ---------------------------------------------------------------------
     #
     # ``start_cycle`` is keyed by id(inst), and object ids do not survive a
-    # pickle round trip: store (instruction, cycle) pairs in block order and
-    # re-key them against the unpickled instructions.
+    # pickle round trip (a compile result a ``--no-cache -j N`` pool worker
+    # sends back): store (instruction, cycle) pairs in block order and re-key
+    # them against the unpickled instructions.
 
     def __getstate__(self) -> Dict:
         state = self.__dict__.copy()

@@ -56,9 +56,10 @@ class Profile:
     # -- pickling ---------------------------------------------------------------------
     #
     # _counts is keyed by id(inst), and object ids do not survive a pickle
-    # round trip: a cached artifact's instructions unpickle at new addresses,
-    # so every count() would silently fall back to 1.0 and a re-partition of
-    # the unpickled module would degenerate.  Pickle therefore re-keys the
+    # round trip: a compile result a ``--no-cache -j N`` pool worker sends
+    # back arrives with its instructions at new addresses, so every count()
+    # would silently fall back to 1.0 and a re-partition of the unpickled
+    # module would degenerate.  Pickle therefore re-keys the
     # counts by structural path — (function name, block index, instruction
     # index) is stable because the module pickles alongside the profile —
     # and unpickling maps them back onto the restored instruction objects.

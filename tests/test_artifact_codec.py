@@ -34,13 +34,21 @@ from repro.eval.artifact_codec import (
     _instruction_index,
     _instruction_list,
     decode_compilation_result,
+    decode_dswp_result,
     encode_compilation_result,
+    encode_dswp_result,
 )
-from repro.eval.cache import _LOOKUPS, ArtifactCache
+from repro.eval import taskgraph
+from repro.eval.cache import _LOOKUPS, ArtifactCache, compile_key
 from repro.eval.harness import EvaluationHarness
+from repro.dswp.partitioner import PartitionKind
+from repro.dswp.thread_extraction import ExtractedThread, ExtractionResult
+from repro.ir import verify_module
+from repro.ir.function import Function
 from repro.ir.printer import print_module
 from repro.sim import ThreadAssignment, TimingSimulator
-from repro.workloads import get_workload
+from repro.sim.system import repartition
+from repro.workloads import all_workloads, get_workload
 from tests.conftest import SMALL_PROGRAM
 
 
@@ -161,20 +169,138 @@ def test_decoded_partitioning_replays_identically(compiled, roundtripped):
     assert dataclasses.asdict(decoded) == dataclasses.asdict(fresh)
 
 
-def test_refuses_materialised_thread_extractions(compiled):
+# ---------------------------------------------------------------------------
+# thread extractions and the DSWP-stage document
+# ---------------------------------------------------------------------------
+
+EXTRACTING = CompilerConfig(extract_threads=True)
+
+
+@pytest.mark.parametrize("name", [w.name for w in all_workloads()])
+def test_thread_extraction_compile_round_trips_through_the_cache(name, tmp_path):
+    """A compile with materialised thread extractions is stored with the
+    codec: it re-encodes to the eager result's bytes, and its threads and
+    queue map point into the decoded module."""
+    cache = ArtifactCache(tmp_path)
+    key = compile_key(get_workload(name).source, EXTRACTING)
+    eager = cache.get_or_compute(
+        key, lambda: taskgraph.compute_compile(name, EXTRACTING), serializer="artifact"
+    )
+    assert cache._path(key, "artifact").is_file()
+    lazy = cache.get(key)
+    assert encode_compilation_result(lazy) == encode_compilation_result(eager)
+
+    extractions = lazy.dswp.partitioning.extractions
+    assert extractions and extractions.keys() == eager.dswp.partitioning.extractions.keys()
+    for fn_name, extraction in extractions.items():
+        assert extraction.threads
+        for thread in extraction.threads:
+            assert thread.function is lazy.module.get_function(thread.function.name)
+            assert thread.source_function == fn_name
+        source = {id(i) for i in lazy.module.get_function(fn_name).instructions()}
+        assert extraction.queue_map and all(v in source for v, _ in extraction.queue_map)
+    # The decoded threads verify exactly as the extracted ones do.  (Some
+    # extractions place a consume before a phi, which the verifier reports.)
+    verdict = verify_module(eager.module, raise_on_error=False).errors
+    assert verify_module(lazy.module, raise_on_error=False).errors == verdict
+
+
+def test_refuses_a_thread_extraction_outside_the_module(compiled):
+    """An extracted thread is stored by its function's name, so a thread
+    whose function the module does not hold cannot be encoded."""
     _, result = compiled
-    with_extractions = dataclasses.replace(
+    module = result.dswp.partitioning.module
+    main = module.get_function("main")
+    detached = Function("main_dswp_0", main.function_type, [a.name for a in main.args])
+    thread = ExtractedThread(detached, "main", 0, PartitionKind.SOFTWARE, True)
+    with_extraction = dataclasses.replace(
         result,
         dswp=dataclasses.replace(
             result.dswp,
             partitioning=dataclasses.replace(
-                result.dswp.partitioning, extractions={"stage_0": object()}
+                result.dswp.partitioning,
+                extractions={"main": ExtractionResult("main", [thread], 0, {})},
             ),
         ),
     )
-    with pytest.raises(ArtifactCodecError, match="extraction"):
-        encode_compilation_result(with_extractions)
+    with pytest.raises(ArtifactCodecError, match="not a function of the module"):
+        encode_compilation_result(with_extraction)
     assert issubclass(ArtifactCodecError, ReproError)
+
+
+def _stage_document(result, sw_fraction=0.3):
+    dswp = repartition(result.module, result.profile, CompilerConfig(), sw_fraction)
+    return json.loads(json.dumps(encode_dswp_result(dswp))), dswp
+
+
+def test_dswp_document_decodes_onto_the_callers_instructions(compiled):
+    _, result = compiled
+    document, fresh = _stage_document(result)
+    decoded = decode_dswp_result(document, result.module, result.profile)
+    assert encode_dswp_result(decoded) == document
+    assert decoded.summary() == fresh.summary()
+    for fn_name, fp in decoded.partitioning.functions.items():
+        original = fresh.partitioning.functions[fn_name]
+        for partition, expected in zip(fp.partitions, original.partitions):
+            assert all(a is b for a, b in zip(partition.instructions, expected.instructions))
+
+
+def _first_partition(document):
+    return next(iter(document["dswp"]["functions"].values()))["partitions"][0]
+
+
+def _first_queue(document):
+    return next(q for q in document["dswp"]["queues"].values() if q["queues"])["queues"][0]
+
+
+def _swap_partition_of_a_queue_value(document):
+    queue = _first_queue(document)
+    queue["pp"] = queue["cp"]
+
+
+def _duplicate_an_instruction(document):
+    insts = _first_partition(document)["insts"]
+    insts[0] = insts[-1]
+
+
+DSWP_DOCUMENT_DAMAGE = {
+    "instruction count": lambda d: d.update(instructions=d["instructions"] + 1),
+    "negative number": lambda d: _first_partition(d)["insts"].__setitem__(0, -1),
+    "number out of range": lambda d: _first_partition(d)["insts"].__setitem__(0, 10**6),
+    "number not an int": lambda d: _first_partition(d)["insts"].__setitem__(0, "7"),
+    "instruction twice": _duplicate_an_instruction,
+    "queue end elsewhere": _swap_partition_of_a_queue_value,
+    "missing section": lambda d: d["dswp"].pop("queues"),
+    "unknown kind": lambda d: _first_partition(d).update(kind="fpga"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DSWP_DOCUMENT_DAMAGE))
+def test_malformed_dswp_document_raises_codec_error(compiled, damage):
+    """Damage under a valid checksum (a writer bug) is caught by the checks
+    on instruction numbers, partitions and queue ends."""
+    _, result = compiled
+    document, _ = _stage_document(result)
+    DSWP_DOCUMENT_DAMAGE[damage](document)
+    document["crc"] = zlib.crc32(_canonical(document["dswp"]))
+    with pytest.raises(ArtifactCodecError):
+        decode_dswp_result(document, result.module, result.profile)
+
+
+def test_damaged_dswp_document_fails_its_checksum(compiled):
+    """A queue end moved to another instruction of the same partition passes
+    every structural check; the checksum still refuses it."""
+    _, result = compiled
+    document, _ = _stage_document(result)
+    function = next(f for f, q in document["dswp"]["queues"].items() if q["deps"])
+    dep = document["dswp"]["queues"][function]["deps"][0]
+    partition = next(
+        p for p in document["dswp"]["functions"][function]["partitions"]
+        if p["index"] == dep["pp"]
+    )
+    dep["value"] = next(i for i in partition["insts"] if i != dep["value"])
+    with pytest.raises(ArtifactCodecError, match="checksum"):
+        decode_dswp_result(document, result.module, result.profile)
 
 
 def test_cache_stores_artifact_entries(compiled, tmp_path):

@@ -43,11 +43,19 @@ def test_architecture_doc_covers_every_package():
 
 def test_caching_doc_matches_the_implementation():
     doc = _read("docs", "CACHING.md")
-    from repro.eval.cache import CACHE_DIR_ENV, CACHE_HMAC_ENV, CACHE_SCHEMA_VERSION, DEFAULT_CACHE_DIR
+    from repro.eval.cache import (
+        _EXTENSIONS,
+        CACHE_DIR_ENV,
+        CACHE_SCHEMA_VERSION,
+        DEFAULT_CACHE_DIR,
+        SERIALIZERS,
+    )
 
     assert DEFAULT_CACHE_DIR in doc
     assert CACHE_DIR_ENV in doc
-    assert CACHE_HMAC_ENV in doc
+    for serializer in SERIALIZERS:
+        assert f"`{serializer}`" in doc and _EXTENSIONS[serializer] in doc
+    assert "no entry executes code on load" in doc.lower()
     assert f"schema version: {CACHE_SCHEMA_VERSION}" in doc.lower() or str(CACHE_SCHEMA_VERSION) in doc
 
 
@@ -60,7 +68,7 @@ def test_distributed_doc_covers_the_cli_surface():
         "--pool",
         "lease",
         "heartbeat",
-        "REPRO_CACHE_HMAC_KEY",
+        "Trust model",
         "REPRO_SERVICE_TOKEN",
         "byte-identical",
     ):

@@ -6,6 +6,7 @@ never touch (or depend on) a developer's ``.repro_cache/``.
 """
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -73,7 +74,7 @@ def test_compile_key_depends_on_code_digest(monkeypatch):
 def test_cache_put_get_roundtrip(tmp_path):
     cache = ArtifactCache(tmp_path / "c")
     assert cache.get("0" * 64) is None
-    cache.put("0" * 64, {"x": 1})
+    cache.put("0" * 64, {"x": 1}, serializer="json")
     assert cache.get("0" * 64) == {"x": 1}
     assert cache.contains("0" * 64)
     stats = cache.stats()
@@ -83,16 +84,16 @@ def test_cache_put_get_roundtrip(tmp_path):
 
 def test_cache_corrupt_entry_is_a_miss(tmp_path):
     cache = ArtifactCache(tmp_path / "c")
-    path = cache.put("1" * 64, {"x": 1})
-    path.write_bytes(b"not a pickle")
+    path = cache.put("1" * 64, {"x": 1}, serializer="json")
+    path.write_bytes(b"not json")
     assert cache.get("1" * 64) is None
     assert not path.exists()  # corrupt entries are evicted
 
 
 def test_cache_clear(tmp_path):
     cache = ArtifactCache(tmp_path / "c")
-    cache.put("2" * 64, 1)
-    cache.put("3" * 64, 2)
+    cache.put("2" * 64, 1, serializer="json")
+    cache.put("3" * 64, 2, serializer="json")
     assert cache.clear() == 2
     assert cache.stats()["entries"] == 0
     assert cache.clear() == 0  # idempotent on an empty cache
@@ -100,7 +101,7 @@ def test_cache_clear(tmp_path):
 
 def test_cache_clear_sweeps_orphaned_tmp_files(tmp_path):
     cache = ArtifactCache(tmp_path / "c")
-    path = cache.put("4" * 64, 1)
+    path = cache.put("4" * 64, 1, serializer="json")
     orphan = path.parent / "tmpdead.tmp"  # writer killed mid-put
     orphan.write_bytes(b"partial")
     stats = cache.stats()
@@ -108,6 +109,48 @@ def test_cache_clear_sweeps_orphaned_tmp_files(tmp_path):
     assert stats["total_bytes"] > path.stat().st_size  # orphan bytes counted
     assert cache.clear() == 1  # one real entry...
     assert not orphan.exists()  # ...and the orphan is swept too
+
+
+class _PlantMarker:
+    """Unpickling this creates the file *path*: a stand-in for a hostile
+    pickle planted in a shared cache."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def test_a_planted_pickle_is_never_loaded_but_still_maintained(tmp_path):
+    """Earlier versions wrote ``.pkl`` entries.  None is read any more, so
+    a planted one runs no code; maintenance still counts and removes it."""
+    cache = ArtifactCache(tmp_path / "c")
+    marker = tmp_path / "marker"
+    key = "5" * 64
+    planted = cache.objects_dir / key[:2] / f"{key}.pkl"
+    planted.parent.mkdir(parents=True)
+    planted.write_bytes(pickle.dumps(_PlantMarker(marker)))
+
+    assert cache.get(key) is None
+    assert not cache.contains(key)
+    assert not marker.exists()
+    assert planted.exists()
+    stats = cache.stats()
+    assert stats["entries"] == 1 and stats["total_bytes"] == planted.stat().st_size
+    assert cache.prune(max_bytes=0)["removed_entries"] == 1
+    assert not planted.exists()
+
+    planted.write_bytes(pickle.dumps(_PlantMarker(marker)))
+    assert cache.clear() == 1
+    assert not planted.exists() and not marker.exists()
+
+
+def test_put_refuses_an_unknown_serializer(tmp_path):
+    cache = ArtifactCache(tmp_path / "c")
+    with pytest.raises(ValueError, match="unknown serializer"):
+        cache.put("6" * 64, {"x": 1}, serializer="pickle")
+    assert cache.stats()["entries"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +297,7 @@ def test_cache_load_still_checks_functional_outputs(tmp_path):
     key = h1._compile_key("blowfish")
     result = h1.cache.get(key)
     result.execution.outputs[0] ^= 1
-    h1.cache.put(key, result)
+    h1.cache.put(key, result, serializer="artifact")
     h2 = make_harness(tmp_path)
     with pytest.raises(AssertionError, match="functional outputs"):
         h2.run("blowfish")

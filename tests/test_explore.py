@@ -314,6 +314,25 @@ def test_report_exploration_artefact_serial_vs_parallel(tmp_path):
     assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
 
 
+def test_report_and_explore_store_only_artifacts_and_json(tmp_path, monkeypatch):
+    """A cold report with its explore figure, then ``repro explore all``,
+    store every cache entry as a compile artifact or JSON: nothing pickled."""
+    from repro import cli
+    from repro.eval import experiments
+    from repro.explore import evaluate
+
+    monkeypatch.chdir(tmp_path)
+    evaluate._DSWP_MEMO.clear()  # every DSWP stage must reach the cache
+    cache_dir = str(tmp_path / "cache")
+    harness = EvaluationHarness(benchmarks=["blowfish", "mips"], cache_dir=cache_dir)
+    assert experiments.run_report(harness=harness)["exploration"]["rows"]
+    argv = ["explore", "all", "--budget", "12", "--benchmarks", "blowfish,mips"]
+    assert cli.main(argv + ["--cache-dir", cache_dir]) == 0
+    stored = [p.suffix for p in (tmp_path / "cache" / "objects").rglob("*") if p.is_file()]
+    assert set(stored) == {".art", ".json"}
+    assert stored.count(".art") == 2
+
+
 # ---------------------------------------------------------------------------
 # incremental evaluation: the shared re-partition stage
 # ---------------------------------------------------------------------------
@@ -394,51 +413,59 @@ def test_memoized_points_byte_identical_to_fresh(tmp_path):
     assert disk_warm == cold
 
 
-def test_rebind_partitioning_across_pickle_roundtrip():
-    """A DSWPResult unpickled from the stage cache references its own copy
-    of the module; ``_rebind_partitioning`` must re-anchor it onto the live
-    module's instruction objects, and the rebound partitioning must replay
-    byte-identically to the original."""
-    import dataclasses
-    import pickle
-
-    from repro.dswp import run_dswp
-    from repro.explore.evaluate import _rebind_partitioning
-    from repro.frontend import compile_c
-    from repro.interp import Profile, run_module
-    from repro.sim import ThreadAssignment, TimingSimulator
-    from repro.transforms import GlobalsToArguments, default_pipeline
+def test_dswp_stage_read_back_binds_to_the_compile_results_own_instructions(
+    tmp_path, monkeypatch
+):
+    """A DSWP-stage entry is a JSON document over instruction numbers.  Read
+    back with the memo cleared, it decodes onto the compile result's own
+    module — every partitioned instruction *is* one of its instructions —
+    and gives the fresh-compute objectives.  A memo hit bound to another
+    copy of the module is decoded again onto the caller's copy."""
+    from repro.config import CompilerConfig
+    from repro.eval import taskgraph
+    from repro.eval.artifact_codec import decode_compilation_result, encode_compilation_result
+    from repro.eval.cache import compile_key
+    from repro.explore import evaluate
     from repro.workloads import get_workload
 
-    module = compile_c(get_workload("blowfish").source, "blowfish")
-    default_pipeline().run(module)
-    GlobalsToArguments().run(module)
-    execution = run_module(module, record_trace=True)
-    profile = Profile.from_trace(module, execution.trace)
-    dswp = run_dswp(module, profile=profile)
+    config = CompilerConfig()
+    cache_root = str(tmp_path / "cache")
+    parent = compile_key(get_workload("blowfish").source, config)
+    result = taskgraph._sweep_input("blowfish", config, cache_root, parent)
+    candidates = list(SMALL_SPACE.candidates())
 
-    # The pickle round-trip detaches the partitioning onto a private module copy.
-    detached = pickle.loads(pickle.dumps(dswp))
-    fp = next(iter(detached.partitioning.functions.values()))
-    live = {id(inst) for fn in module.functions.values() for inst in fn.instructions()}
-    assert all(id(inst) not in live for p in fp.partitions for inst in p.instructions)
+    def points():
+        return [
+            evaluate.compute_explore_point(
+                "blowfish", config, cache_root, c.params(), SMALL_SPACE.to_dict()
+            )
+            for c in candidates
+        ]
 
-    rebound = _rebind_partitioning(detached, module)
-    for fn_name, rebound_fp in rebound.partitioning.functions.items():
-        assert rebound_fp.function is module.get_function(fn_name)
-        for partition in rebound_fp.partitions:
-            for inst in partition.instructions:
-                assert id(inst) in live
-                assert rebound_fp.assignment[id(inst)] == partition.index
+    def assert_bound(dswp, module):
+        instructions = {id(i) for fn in module.functions.values() for i in fn.instructions()}
+        assert dswp.partitioning.module is module
+        for fn_name, fp in dswp.partitioning.functions.items():
+            assert fp.function is module.get_function(fn_name)
+            for partition in fp.partitions:
+                assert all(id(i) in instructions for i in partition.instructions)
+                assert all(fp.assignment[id(i)] == partition.index for i in partition.instructions)
 
-    sim = TimingSimulator()
-    original = sim.simulate(
-        execution.trace, ThreadAssignment.from_partitioning(module, dswp.partitioning)
-    )
-    replayed = sim.simulate(
-        execution.trace, ThreadAssignment.from_partitioning(module, rebound.partitioning)
-    )
-    assert dataclasses.asdict(replayed) == dataclasses.asdict(original)
+    evaluate._DSWP_MEMO.clear()
+    fresh = points()
+    monkeypatch.setattr(evaluate, "repartition", None)  # from here on, nothing recomputes
+    evaluate._DSWP_MEMO.clear()
+    assert points() == fresh
+    for candidate in candidates:
+        candidate_config = candidate.apply(SMALL_SPACE, config)
+        dswp = evaluate._candidate_dswp(parent, result, candidate_config, cache_root)
+        assert_bound(dswp, result.module)
+    stored = [p.suffix for p in (tmp_path / "cache" / "objects").rglob("*") if p.is_file()]
+    assert stored.count(".json") == 3 and set(stored) <= {".art", ".json"}  # one per split
 
-    # Rebinding an already-bound result is a no-op (the memo-hit path).
-    assert _rebind_partitioning(rebound, module) is rebound
+    copy = decode_compilation_result(encode_compilation_result(result))
+    candidate_config = candidates[0].apply(SMALL_SPACE, config)
+    rebound = evaluate._candidate_dswp(parent, copy, candidate_config, cache_root)
+    assert_bound(rebound, copy.module)
+    again = evaluate._candidate_dswp(parent, result, candidate_config, cache_root)
+    assert_bound(again, result.module)

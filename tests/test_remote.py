@@ -21,9 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import RemoteProtocolError, RemoteTaskError, ReproError
+from repro.errors import RemoteError, RemoteProtocolError, RemoteTaskError, ReproError
 from repro.config import CompilerConfig, RuntimeConfig
-from repro.eval.cache import ArtifactCache, LocalFSBackend, sign_envelope
+from repro.eval.cache import ArtifactCache, LocalFSBackend
 from repro.eval.remote import protocol
 from repro.eval.remote.cache_http import HTTPCacheBackend, make_cache_server
 from repro.eval.remote.coordinator import Coordinator
@@ -337,52 +337,8 @@ def test_unregistered_payloads_and_keyless_tasks_are_rejected():
 
 
 # ---------------------------------------------------------------------------
-# HMAC-signed envelope
+# cache service leases
 # ---------------------------------------------------------------------------
-
-
-def test_signed_pickles_round_trip_and_reject_tampering(tmp_path):
-    cache = ArtifactCache(tmp_path, hmac_key="s3cret")
-    path = cache.put("a" * 64, {"payload": [1, 2, 3]}, serializer="pickle")
-    raw = path.read_bytes()
-    assert raw.startswith(b"repro-hmac-v1\n")
-    assert cache.get("a" * 64) == {"payload": [1, 2, 3]}
-    # Flip one payload byte: signature check fails and the entry reads as a
-    # miss — never unpickled.  It is NOT deleted (a mis-signed entry is
-    # indistinguishable from another reader's validly keyed one); the
-    # recompute that follows the miss overwrites it in place.
-    path.write_bytes(raw[:-1] + bytes([raw[-1] ^ 0xFF]))
-    assert cache.get("a" * 64) is None
-    assert path.exists()
-    recomputed = cache.get_or_compute("a" * 64, lambda: {"payload": "fresh"}, serializer="pickle")
-    assert recomputed == {"payload": "fresh"}
-    assert cache.get("a" * 64) == {"payload": "fresh"}
-
-
-def test_key_mismatch_and_unsigned_entries_read_as_misses(tmp_path):
-    signed = ArtifactCache(tmp_path, hmac_key="key-one")
-    signed.put("b" * 64, "value", serializer="pickle")
-    assert ArtifactCache(tmp_path, hmac_key="key-two").get("b" * 64) is None  # wrong key
-    unsigned = ArtifactCache(tmp_path)
-    unsigned.put("c" * 64, "legacy", serializer="pickle")
-    assert ArtifactCache(tmp_path, hmac_key="key-one").get("c" * 64) is None  # unsigned entry
-    # JSON entries carry no envelope and are unaffected by keys.
-    signed2 = ArtifactCache(tmp_path, hmac_key="key-one")
-    signed2.put("d" * 64, {"v": 1}, serializer="json")
-    assert ArtifactCache(tmp_path).get("d" * 64) == {"v": 1}
-
-
-def test_scheduler_scopes_the_process_hmac_key_to_the_run(tmp_path):
-    """A keyed run must not leak its envelope key into later key-less caches
-    constructed in the same process."""
-    from repro.eval.cache import process_hmac_key
-
-    before = process_hmac_key()
-    cache = ArtifactCache(tmp_path, hmac_key="run-scoped")
-    graph = TaskGraph()
-    graph.add(aggregate_task("noop", lambda results: 1, []))
-    TaskScheduler(graph, cache=cache).run()
-    assert process_hmac_key() == before  # restored, not "run-scoped"
 
 
 def test_crashed_lock_holder_is_reaped_without_further_acquires(tmp_path):
@@ -405,18 +361,6 @@ def test_crashed_lock_holder_is_reaped_without_further_acquires(tmp_path):
         server.server_close()
 
 
-def test_envelope_helpers_reject_truncation():
-    from repro.errors import CacheIntegrityError
-    from repro.eval.cache import open_envelope
-
-    data = sign_envelope(b"payload", "k")
-    assert open_envelope(data, "k") == b"payload"
-    with pytest.raises(CacheIntegrityError):
-        open_envelope(data[: len(b"repro-hmac-v1\n") + 10], "k")
-    with pytest.raises(CacheIntegrityError):
-        open_envelope(b"not an envelope", "k")
-
-
 # ---------------------------------------------------------------------------
 # HTTP cache service
 # ---------------------------------------------------------------------------
@@ -435,19 +379,71 @@ def cache_server(tmp_path):
 
 
 def test_http_cache_round_trip_json_and_pickle(cache_server):
+    """JSON and compile artifacts round-trip; a ``pickle`` blob is refused."""
+    from repro.core.compiler import TwillCompiler
+    from repro.eval.artifact_codec import encode_compilation_result
+    from tests.conftest import SMALL_PROGRAM
+
+    result = TwillCompiler(CompilerConfig()).compile_and_simulate(SMALL_PROGRAM, name="small")
     remote = ArtifactCache(backend=HTTPCacheBackend(cache_server.url))
     assert remote.get("1" * 64) is None
     assert not remote.contains("1" * 64)
     remote.put("1" * 64, {"cycles": 123.5}, serializer="json")
-    remote.put("2" * 64, ("tuple", [1, 2]), serializer="pickle")
+    remote.put("2" * 64, result, serializer="artifact")
     assert remote.get("1" * 64) == {"cycles": 123.5}
-    assert remote.get("2" * 64) == ("tuple", [1, 2])
+    assert remote.backend.get_blob("2" * 64)[0] == "artifact"
+    assert encode_compilation_result(remote.get("2" * 64)) == encode_compilation_result(result)
     assert remote.contains("2" * 64)
     # The served store is an ordinary local cache: a direct reader sees the
     # same entries, byte-compatibly.
     local = ArtifactCache(backend=cache_server.backend)
     assert local.get("1" * 64) == {"cycles": 123.5}
     assert remote.stats()["entries"] == 2
+
+    with pytest.raises(ReproError, match="400"):
+        remote.backend.put_blob("3" * 64, "pickle", b"\x80\x04N.")
+    assert not remote.contains("3" * 64)
+    assert remote.stats()["entries"] == 2
+
+
+def test_http_cache_head_ignores_a_stale_pickle(cache_server):
+    key = "4" * 64
+    stale = cache_server.backend.objects_dir / key[:2] / f"{key}.pkl"
+    stale.parent.mkdir(parents=True)
+    stale.write_bytes(b"\x80\x04N.")
+    remote = ArtifactCache(backend=HTTPCacheBackend(cache_server.url))
+    assert not remote.contains(key)
+    assert remote.get(key) is None
+
+
+@pytest.mark.parametrize("header", [None, "pickle"])
+def test_http_cache_client_refuses_a_missing_or_unknown_serializer(header):
+    """A blob must say which of the two formats it is; the client never
+    guesses one."""
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_GET(self):  # noqa: N802
+            self.send_response(200)
+            if header is not None:
+                self.send_header("X-Repro-Serializer", header)
+            self.send_header("Content-Length", "2")
+            self.end_headers()
+            self.wfile.write(b"{}")
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        backend = HTTPCacheBackend(f"http://127.0.0.1:{server.server_address[1]}")
+        with pytest.raises(RemoteError, match="X-Repro-Serializer"):
+            ArtifactCache(backend=backend).get("5" * 64)
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def test_http_cache_single_flight_across_clients(cache_server):

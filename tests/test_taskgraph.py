@@ -132,17 +132,17 @@ def test_report_warm_run_matches_cold_run(tmp_path):
 def test_sweeps_from_unpickled_artifact_match_fresh(tmp_path):
     """Re-simulating a disk-loaded compile artifact must equal the fresh run.
 
-    Guards the pickle round trip of the id()-keyed structures (Profile,
-    Trace, FunctionPartitioning.assignment): before their __getstate__ hooks
-    existed, a re-partition of an unpickled module silently degenerated to
-    the pure-software configuration.
+    Guards the re-keying of the id()-keyed structures (Profile,
+    FunctionPartitioning.assignment) onto the decoded instructions: a
+    re-partition of a module whose keys miss silently degenerates to the
+    pure-software configuration.
     """
     h1 = make_harness(tmp_path)
     fresh_split = h1.twill_cycles_with_split("blowfish", 0.4)
     fresh_cycles = h1.twill_cycles_with_runtime("blowfish", RuntimeConfig(queue_latency=32))
     assert fresh_split["queues"] > 0  # the fresh hybrid really is hybrid
-    # Drop only the derived JSON entries; the compile pickle stays, so a new
-    # harness must recompute both sweep points from the unpickled artifact.
+    # Drop only the derived JSON entries; the compile artifact stays, so a
+    # new harness must recompute both sweep points from the decoded artifact.
     for derived in h1.cache.objects_dir.rglob("*.json"):
         derived.unlink()
     h2 = make_harness(tmp_path)
@@ -222,7 +222,9 @@ def test_get_refreshes_recency(tmp_path):
 def test_prune_to_zero_and_stats_across_formats(tmp_path):
     cache = ArtifactCache(tmp_path / "c")
     cache.get_or_compute("1" * 64, lambda: {"derived": True}, serializer="json")
-    cache.put("2" * 64, object, serializer="pickle")
+    stale = cache.objects_dir / "22" / ("2" * 64 + ".pkl")  # an earlier version's entry
+    stale.parent.mkdir()
+    stale.write_bytes(b"\x80\x04N.")
     assert cache.stats()["entries"] == 2
     assert (cache.locks_dir / "11" / ("1" * 64 + ".lock")).exists()
     summary = cache.prune(max_bytes=0)
