@@ -169,7 +169,11 @@ class ThreadExtractor:
 
         for old_block in fn.blocks:
             new_block = block_map[id(old_block)]
+            # Queue operations for phi values go after the block's phi run:
+            # only phis may precede a phi.
+            phi_queue_ops: List[Instruction] = []
             for inst in old_block.instructions:
+                emit = phi_queue_ops.append if isinstance(inst, Phi) else new_block.append
                 owned = keep.get(id(inst)) == my_index
                 is_term = inst.is_terminator()
                 if not owned and not is_term:
@@ -183,7 +187,7 @@ class ThreadExtractor:
                             else IntType(32, True)
                         )
                         consume = Consume(queue_id, width_type, name=f"{inst.name or 'v'}.q{queue_id}")
-                        new_block.append(consume)
+                        emit(consume)
                         value_map[id(inst)] = consume
                         queue_reads.append(queue_id)
                     continue
@@ -198,8 +202,11 @@ class ThreadExtractor:
                         if consumer_partition == my_index:
                             continue
                         queue_id = queue_for(inst, consumer_partition)
-                        new_block.append(Produce(queue_id, cloned))
+                        emit(Produce(queue_id, cloned))
                         queue_writes.append(queue_id)
+            at = new_block.first_non_phi_index()
+            for offset, queue_op in enumerate(phi_queue_ops):
+                new_block.insert(at + offset, queue_op)
 
         # Second pass: fill phi incoming edges now that every value is mapped.
         for old_phi, new_phi in phi_fixups:

@@ -5,16 +5,44 @@ the program outputs, an optional dynamic :class:`~repro.interp.trace.Trace`
 and memory statistics.  Semantics follow C on a 32-bit machine: two's
 complement wrap-around, truncation toward zero for division, and traps on
 division by zero.
+
+**Decode.**  Each function is decoded once per :class:`Interpreter`, on its
+first call, and kept under its ``Function`` object.  Every block reachable
+from the entry becomes its body ops and its terminator op.  An op holds its
+kind, a cell for its trace number (``-1`` until its first execution
+numbers it), its static instruction, its dep slots (the slots of its
+instruction and argument operands, in ``_operands`` order), its result
+slot, its operand slots and whatever decode could fold: binary and compare
+functions with their wrap masks, GEP strides, cast masks, and branch
+targets as block indices.  A block's leading phis become one copy list per
+predecessor edge, keyed by the predecessor ``BasicBlock``.
+
+**Slots.**  Every value a function reads gets a slot.  Constants, ``undef``
+and globals (resolved to this run's addresses) are filled in once, in the
+function's frame template; instruction and argument slots start out as
+``None``, which is how a read before the definition is caught.  A frame is
+two lists indexed by slot: values, copied from the template on each call,
+and producing events.  No binding is keyed on an object's identity.
+
+**Inline recording.**  A tracing run appends each event straight to the
+trace's columns: the dep slots' events, then one entry per column.
+Instructions are numbered in order of first execution through
+``Trace._numbers``, as :meth:`Trace.record` numbers them.  Whether an event
+begins a new block occurrence is read from a per-number table of the block
+each numbered instruction keeps open (its parent block, or ``None`` for a
+terminator) — the test :meth:`Trace.enter_block` makes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import InterpreterError, InterpreterTrap
 from repro.interp.memory import SimulatedMemory
-from repro.interp.trace import Trace
+from repro.interp.trace import HAS_ADDRESS, HAS_VALUE, Trace
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import (
@@ -23,6 +51,7 @@ from repro.ir.instructions import (
     Branch,
     Call,
     Cast,
+    CmpPredicate,
     CondBranch,
     Consume,
     GetElementPtr,
@@ -37,10 +66,9 @@ from repro.ir.instructions import (
     Store,
     Switch,
     evaluate_binary,
-    evaluate_icmp,
 )
 from repro.ir.module import Module
-from repro.ir.types import ArrayType, IntType, PointerType
+from repro.ir.types import ArrayType, IntType, PointerType, VoidType
 from repro.ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
 
 
@@ -67,14 +95,86 @@ class ExecutionResult:
         return h
 
 
-class _Frame:
-    """Per-call environment: SSA value bindings and their producing events."""
+# Op kinds.  An op is ``[kind, trace number, instruction, dep slots, result
+# slot, ...]``; the comments list the rest.  Body ops, in the order the run
+# loop tests them (most frequent first):
+(
+    _BINARY,  # lhs, rhs, fn, mask, sign, modulus
+    _ICMP,  # lhs, rhs, compare, mask, sign, modulus
+    _GEP,  # base, ((index slot, stride), ...)
+    _LOAD,  # pointer, loaded type
+    _CAST,  # value, pre-mask, pre-sign, pre-modulus, mask, sign, modulus
+    _STORE,  # value, pointer, stored type
+    _SELECT,  # condition, true value, false value
+    _CALL,  # callee, argument slots, prints, returns a value
+    _ALLOCA,  # allocated type
+    _PRODUCE,  # value, queue id
+    _CONSUME,  # queue id
+    _UNSUPPORTED,  # error message
+    # Terminators, one per block:
+    _CONDBR,  # condition, true block index, false block index
+    _BR,  # target block index
+    _SWITCH,  # value, default block index, {case: block index}
+    _RETURN,  # value slot or -1
+) = range(16)
 
-    __slots__ = ("values", "events")
+_SIMPLE_BINARY = {
+    Opcode.ADD: operator.add,
+    Opcode.SUB: operator.sub,
+    Opcode.MUL: operator.mul,
+    Opcode.AND: operator.and_,
+    Opcode.OR: operator.or_,
+    Opcode.XOR: operator.xor,
+}
 
-    def __init__(self) -> None:
-        self.values: Dict[int, int] = {}
-        self.events: Dict[int, Optional[int]] = {}
+_COMPARE = {
+    CmpPredicate.EQ: operator.eq,
+    CmpPredicate.NE: operator.ne,
+    CmpPredicate.SLT: operator.lt,
+    CmpPredicate.SLE: operator.le,
+    CmpPredicate.SGT: operator.gt,
+    CmpPredicate.SGE: operator.ge,
+    CmpPredicate.ULT: operator.lt,
+    CmpPredicate.ULE: operator.le,
+    CmpPredicate.UGT: operator.gt,
+    CmpPredicate.UGE: operator.ge,
+}
+
+
+def _wrap_masks(ty: IntType, signed: bool) -> Tuple[int, int, int]:
+    """(mask, sign bit, modulus): ``v &= mask; if v & sign: v -= modulus`` wraps."""
+    return (1 << ty.bits) - 1, (1 << (ty.bits - 1)) if signed else 0, 1 << ty.bits
+
+
+def _binary_fn(opcode: Opcode, ty: IntType):
+    """The unwrapped two-operand function of ``opcode`` (the caller wraps)."""
+    simple = _SIMPLE_BINARY.get(opcode)
+    if simple is not None:
+        return simple
+    mask, sign, _ = _wrap_masks(ty, ty.signed)
+    shift = ty.bits - 1
+    if opcode is Opcode.SHL:
+        return lambda a, b: a << (b & shift)
+    if opcode is Opcode.LSHR:
+        return lambda a, b: (a & mask) >> (b & shift)
+    if opcode is Opcode.ASHR:
+        return lambda a, b: ((a & mask) - ((a & sign) << 1)) >> (b & shift)
+    # Division and remainder: rare, and their C semantics live in one place.
+    return partial(evaluate_binary, opcode, ty)
+
+
+class _Code:
+    """One function's decoded form."""
+
+    __slots__ = ("blocks", "template", "arg_slots", "slots")
+
+    def __init__(
+        self, blocks: List[list], template: list, arg_slots: List[int], slots: Dict[Value, int]
+    ):
+        self.blocks = blocks  # [block, phi edges, body ops, terminator op]; the entry first
+        self.template = template
+        self.arg_slots = arg_slots
+        self.slots = slots
 
 
 class Interpreter:
@@ -93,20 +193,21 @@ class Interpreter:
         self.memory.load_globals(module)
         self.outputs: List[int] = []
         self.trace: Optional[Trace] = Trace() if record_trace else None
-        if self.trace is not None:
-            # Record straight into the trace's columns.
-            self._record = self.trace.record
         self.steps = 0
         self._last_store_event: Dict[int, int] = {}
         # Queues used only when interpreting DSWP-transformed IR functionally.
         self.queues: Dict[int, List[int]] = {}
+        self._code: Dict[Function, _Code] = {}
+        # Trace number -> the block its events keep open (None: a terminator).
+        self._open_block: List[Optional[BasicBlock]] = []
 
     # -- public API ---------------------------------------------------------------
 
     def run(self, function: str = "main", args: Sequence[int] = ()) -> ExecutionResult:
         fn = self.module.get_function(function)
         arg_values = list(args) + [0] * max(0, len(fn.args) - len(args))
-        value, _ = self._call(fn, arg_values, [None] * len(arg_values))
+        arg_events = [None] * len(arg_values) if self.trace is not None else None
+        value, _ = self._call(fn, arg_values, arg_events)
         return ExecutionResult(
             return_value=value,
             outputs=list(self.outputs),
@@ -115,60 +216,147 @@ class Interpreter:
             memory=self.memory,
         )
 
-    # -- helpers --------------------------------------------------------------------
+    # -- decode ---------------------------------------------------------------------
 
-    def _record(
-        self,
-        inst: Instruction,
-        fn_name: str,
-        mem_dep: int = -1,
-        address: Optional[int] = None,
-        value: Optional[int] = None,
-    ) -> Optional[int]:
-        """Record one event (see :meth:`Trace.record`); untraced, a no-op.
+    def _decode(self, fn: Function) -> _Code:
+        entry_block = fn.entry_block
+        if entry_block is None:
+            raise InterpreterError(f"function {fn.name} has no entry block")
+        slots: Dict[Value, int] = {}
+        template: List[Optional[int]] = []
+        addresses = self.memory.global_addresses
 
-        A tracing interpreter shadows this with its trace's ``record``.
-        """
-        return None
+        def slot(value: Value) -> int:
+            s = slots.get(value)
+            if s is None:
+                s = slots[value] = len(template)
+                if isinstance(value, Constant):
+                    template.append(value.value)
+                elif isinstance(value, GlobalVariable):
+                    template.append(addresses.get(value.name))
+                elif isinstance(value, UndefValue):
+                    template.append(0)
+                else:  # set by the run, or never (a read of it raises)
+                    template.append(None)
+            return s
 
-    def _operand_value(self, frame: _Frame, value: Value) -> int:
-        if isinstance(value, Constant):
-            return value.value
-        if isinstance(value, GlobalVariable):
-            return self.memory.global_address(value.name)
-        if isinstance(value, UndefValue):
-            return 0
-        if isinstance(value, (Instruction, Argument)):
-            try:
-                return frame.values[id(value)]
-            except KeyError as exc:
-                raise InterpreterError(
-                    f"use of value {value.short_name()} before definition"
-                ) from exc
-        if isinstance(value, Function):
-            raise InterpreterError("function pointers are not supported")
-        raise InterpreterError(f"cannot evaluate operand {value!r}")  # pragma: no cover
+        # Branch targets are block indices, so the tables hold no cycle and
+        # die with the run by reference counting.
+        blocks: List[list] = []
+        numbers: Dict[BasicBlock, int] = {}
 
-    def _operand_event(self, frame: _Frame, value: Value) -> Optional[int]:
-        if isinstance(value, (Instruction, Argument)):
-            return frame.events.get(id(value))
-        return None
+        def block(bb: BasicBlock) -> int:
+            n = numbers.get(bb)
+            if n is None:
+                n = numbers[bb] = len(blocks)
+                blocks.append([bb, None, None, None])
+            return n
 
-    def _deps(self, frame: _Frame, operands: Sequence[Value]) -> None:
-        """Write the producing events of *operands* into the trace's deps.
+        arg_slots = [slot(arg) for arg in fn.args]
+        block(entry_block)
+        for d in blocks:  # grows as terminators name new targets
+            bb = d[0]
+            d[1] = self._decode_phis(bb, slot)
+            d[2] = body = []
+            for inst in bb.instructions:
+                cls = inst.__class__
+                if cls is Phi:
+                    continue
+                deps = tuple(
+                    slot(v) for v in inst._operands if isinstance(v, (Instruction, Argument))
+                )
+                op = self._decode_op(inst, cls, slot, block)
+                op[1:1] = (-1, inst, deps, slot(inst))
+                if cls is Return or cls is Branch or cls is CondBranch or cls is Switch:
+                    d[3] = op
+                    break
+                body.append(op)
+        return _Code(blocks, template, arg_slots, slots)
 
-        Only instructions and arguments have producing events, and
-        ``frame.events`` is keyed by the ids of exactly those (live) values,
-        so a lookup needs no type test.
-        """
-        if self.trace is None:
-            return
-        get = frame.events.get
-        append = self.trace.deps.append
-        for op in operands:
-            event = get(id(op))
-            if event is not None:
-                append(event)
+    @staticmethod
+    def _decode_phis(bb: BasicBlock, slot) -> Optional[Dict[BasicBlock, list]]:
+        """Predecessor -> copy ops of the block's leading phis, or None."""
+        phis = bb.phis()
+        if not phis:
+            return None
+        incoming = []
+        for phi in phis:
+            sources: Dict[BasicBlock, int] = {}
+            for value, pred in phi.incoming():
+                sources.setdefault(pred, slot(value))
+            incoming.append(sources)
+        edges = {}
+        for pred in incoming[0]:
+            if all(pred in sources for sources in incoming):
+                edges[pred] = [
+                    [None, -1, phi, None, slot(phi), sources[pred]]
+                    for phi, sources in zip(phis, incoming)
+                ]
+        return edges
+
+    def _decode_op(self, inst: Instruction, cls: type, slot, block) -> list:
+        """An op without its common head (trace number, instruction, deps, result)."""
+        operands = inst._operands
+        if cls is Return:
+            return [_RETURN, slot(operands[0]) if operands else -1]
+        if cls is Branch:
+            return [_BR, block(inst.target)]
+        if cls is CondBranch:
+            return [_CONDBR, slot(inst.condition), block(inst.true_target), block(inst.false_target)]
+        if cls is Switch:
+            cases: Dict[int, int] = {}
+            for value, target in inst.cases:
+                cases.setdefault(value, block(target))
+            return [_SWITCH, slot(inst.value), block(inst.default), cases]
+        if isinstance(inst, BinaryOp):
+            ty = inst.type
+            return [_BINARY, slot(inst.lhs), slot(inst.rhs), _binary_fn(inst.opcode, ty),
+                    *_wrap_masks(ty, ty.signed)]
+        if isinstance(inst, ICmp):
+            ty = inst.lhs.type if isinstance(inst.lhs.type, IntType) else IntType(32, True)
+            predicate = inst.predicate
+            wrapped = predicate.is_signed() or predicate in (CmpPredicate.EQ, CmpPredicate.NE)
+            return [_ICMP, slot(inst.lhs), slot(inst.rhs), _COMPARE[predicate],
+                    *_wrap_masks(ty, wrapped and ty.signed)]
+        if isinstance(inst, Select):
+            return [_SELECT, *map(slot, operands)]
+        if isinstance(inst, Alloca):
+            return [_ALLOCA, inst.allocated_type]
+        if isinstance(inst, Load):
+            return [_LOAD, slot(inst.pointer), inst.type]
+        if isinstance(inst, Store):
+            return [_STORE, slot(inst.value), slot(inst.pointer), inst.value.type]
+        if isinstance(inst, GetElementPtr):
+            base_type = inst.base.type
+            assert isinstance(base_type, PointerType)
+            current = base_type.pointee
+            strides = []
+            for index in inst.indices:
+                if isinstance(current, ArrayType):
+                    current = current.element
+                strides.append((slot(index), current.size_bytes()))
+            return [_GEP, slot(inst.base), tuple(strides)]
+        if isinstance(inst, Cast):
+            src, dst = inst.value.type, inst.type
+            assert isinstance(dst, (IntType, PointerType))
+            pre = post = (-1, 0, 0)  # the identity
+            if isinstance(dst, IntType):
+                post = _wrap_masks(dst, dst.signed)
+                if inst.opcode is Opcode.ZEXT and isinstance(src, IntType):
+                    pre = _wrap_masks(src, False)
+                elif inst.opcode is Opcode.SEXT and isinstance(src, IntType):
+                    pre = _wrap_masks(src, src.signed)
+            return [_CAST, slot(inst.value), *pre, *post]
+        if isinstance(inst, Call):
+            callee = inst.callee
+            prints = callee.is_declaration() and callee.name == "print_int"
+            return [_CALL, callee, tuple(map(slot, operands)), prints,
+                    not isinstance(inst.type, VoidType)]
+        if isinstance(inst, Produce):
+            return [_PRODUCE, slot(inst.value), inst.queue_id]
+        if isinstance(inst, Consume):
+            return [_CONSUME, inst.queue_id]
+        return [_UNSUPPORTED, f"cannot interpret instruction class {cls.__name__}"]
 
     # -- execution ----------------------------------------------------------------------
 
@@ -176,251 +364,318 @@ class Interpreter:
         self,
         fn: Function,
         arg_values: Sequence[int],
-        arg_events: Sequence[Optional[int]],
+        arg_events: Optional[Sequence[Optional[int]]],
     ) -> Tuple[Optional[int], Optional[int]]:
         """Execute ``fn``; returns (return value, producing event seq)."""
-        if fn.is_declaration():
-            return self._call_intrinsic(fn, arg_values, arg_events)
-        frame = _Frame()
-        for arg, value, event in zip(fn.args, arg_values, arg_events):
-            frame.values[id(arg)] = value
-            frame.events[id(arg)] = event
-
-        block = fn.entry_block
-        if block is None:
-            raise InterpreterError(f"function {fn.name} has no entry block")
-        prev_block: Optional[BasicBlock] = None
+        code = self._code.get(fn)
+        if code is None:
+            if fn.is_declaration():
+                return self._call_intrinsic(fn, arg_values, arg_events)
+            code = self._code[fn] = self._decode(fn)
+        vals = code.template[:]
+        for s, value in zip(code.arg_slots, arg_values):
+            vals[s] = value
+        slots = code.slots
+        name = fn.name
+        max_steps = self.max_steps
+        steps = self.steps
+        memory = self.memory
+        load = memory.load_typed
+        store = memory.store_typed
         trace = self.trace
+        rec = trace is not None
+        if rec:
+            evs: List[Optional[int]] = [None] * len(vals)
+            for s, event in zip(code.arg_slots, arg_events):
+                evs[s] = event
+            number = self._number
+            open_block = self._open_block
+            last_store = self._last_store_event
+            icol = trace.inst
+            dcol = trace.deps
+            dappend = dcol.append
+            iappend = icol.append
+            oappend = trace.dep_offsets.append
+            mappend = trace.mem_dep.append
+            aappend = trace.address.append
+            vappend = trace.value.append
+            pappend = trace.present.append
+            sappend = trace.block_starts.append
+            nev = len(icol)
 
-        while True:
-            if trace is not None:
-                trace.enter_block(block)
-            # Phis first, evaluated simultaneously from the incoming edge.
-            phis = block.phis()
-            if phis:
-                staged: List[Tuple[Phi, int, Optional[int]]] = []
-                for phi in phis:
-                    if prev_block is None:
-                        raise InterpreterError(f"phi {phi.short_name()} in entry block")
-                    incoming = phi.incoming_value_for(prev_block)
-                    value = self._operand_value(frame, incoming)
-                    event = self._operand_event(frame, incoming)
-                    staged.append((phi, value, event))
-                for phi, value, event in staged:
-                    frame.values[id(phi)] = value
-                    if trace is not None and event is not None:
-                        trace.deps.append(event)
-                    seq = self._record(phi, fn.name, value=value)
-                    frame.events[id(phi)] = seq if seq is not None else event
-                    self.steps += 1
-                    if self.steps > self.max_steps:
-                        raise InterpreterError(f"step limit exceeded ({self.max_steps})")
-
-            next_block: Optional[BasicBlock] = None
-            dispatch = self._DISPATCH
-            name = fn.name
-            for inst in block.instructions:
-                cls = inst.__class__
-                tag = _CONTROL_TAGS.get(cls)
-                if tag is not None:
-                    if tag == _TAG_PHI:
-                        continue
-                    self.steps += 1
-                    if self.steps > self.max_steps:
-                        raise InterpreterError(f"step limit exceeded ({self.max_steps})")
-                    if tag == _TAG_RETURN:
-                        value = (
-                            self._operand_value(frame, inst.value) if inst.value is not None else None
-                        )
-                        event = (
-                            self._operand_event(frame, inst.value) if inst.value is not None else None
-                        )
-                        self._deps(frame, inst._operands)
-                        self._record(inst, name, value=value)
-                        return value, event
-                    if tag == _TAG_BRANCH:
-                        self._record(inst, name)
-                        next_block = inst.target
-                        break
-                    if tag == _TAG_CONDBR:
-                        cond = self._operand_value(frame, inst.condition)
-                        self._deps(frame, (inst.condition,))
-                        self._record(inst, name, value=cond)
-                        next_block = inst.true_target if cond != 0 else inst.false_target
-                        break
-                    # _TAG_SWITCH
-                    value = self._operand_value(frame, inst.value)
-                    self._deps(frame, (inst.value,))
-                    self._record(inst, name, value=value)
-                    next_block = inst.default
-                    for case_value, target in inst.cases:
-                        if case_value == value:
-                            next_block = target
-                            break
-                    break
-
-                self.steps += 1
-                if self.steps > self.max_steps:
-                    raise InterpreterError(f"step limit exceeded ({self.max_steps})")
-                handler = dispatch.get(cls)
-                if handler is None:
-                    handler = self._resolve_handler(cls)
-                value, event = handler(self, frame, name, inst)
-                if not inst.type.is_void():
-                    frame.values[id(inst)] = value if value is not None else 0
-                frame.events[id(inst)] = event
-
-            if next_block is None:
-                raise InterpreterError(f"block {fn.name}/{block.name} fell through without a terminator")
-            prev_block, block = block, next_block
-
-    # -- per-instruction semantics -------------------------------------------------------
-    #
-    # One handler per concrete instruction class, bound through a precomputed
-    # dispatch table (class -> unbound handler) instead of a long isinstance
-    # chain: the interpreter's inner loop does a single dict lookup per
-    # executed instruction.  Subclasses of the known instruction classes are
-    # resolved once via _resolve_handler and memoised into the table.
-
-    def _exec_binary(self, frame: _Frame, name: str, inst: BinaryOp):
-        lhs = self._operand_value(frame, inst.lhs)
-        rhs = self._operand_value(frame, inst.rhs)
-        assert isinstance(inst.type, IntType)
+        blocks = code.blocks
+        block = blocks[0]
+        prev: Optional[BasicBlock] = None
         try:
-            value = evaluate_binary(inst.opcode, inst.type, lhs, rhs)
-        except ZeroDivisionError as exc:
-            raise InterpreterTrap(f"division by zero in {name}") from exc
-        self._deps(frame, inst._operands)
-        seq = self._record(inst, name, value=value)
-        return value, seq
+            while True:
+                bb, edges, body, terminator = block
+                if rec and (not nev or open_block[icol[-1]] is not bb):
+                    sappend(nev)
+                # Phis first, evaluated simultaneously from the incoming edge.
+                if edges is not None:
+                    copies = edges.get(prev)
+                    if copies is None:
+                        raise self._phi_error(bb, prev, vals, slots)
+                    staged = [vals[c[5]] for c in copies]
+                    if None in staged:
+                        raise self._phi_error(bb, prev, vals, slots)
+                    if rec:
+                        staged_events = [evs[c[5]] for c in copies]
+                    for i, c in enumerate(copies):
+                        v = vals[c[4]] = staged[i]
+                        if rec:
+                            event = staged_events[i]
+                            if event is not None:
+                                dappend(event)
+                            no = c[1]
+                            if no < 0:
+                                no = number(c, name)
+                            iappend(no)
+                            oappend(len(dcol))
+                            mappend(-1)
+                            aappend(0)
+                            vappend(v)
+                            pappend(HAS_VALUE)
+                            evs[c[4]] = nev
+                            nev += 1
+                        steps += 1
+                        if steps > max_steps:
+                            raise InterpreterError(f"step limit exceeded ({max_steps})")
+                prev = bb
 
-    def _exec_icmp(self, frame: _Frame, name: str, inst: ICmp):
-        lhs = self._operand_value(frame, inst.lhs)
-        rhs = self._operand_value(frame, inst.rhs)
-        ty = inst.lhs.type if isinstance(inst.lhs.type, IntType) else IntType(32, True)
-        value = evaluate_icmp(inst.predicate, ty, lhs, rhs)
-        self._deps(frame, inst._operands)
-        seq = self._record(inst, name, value=value)
-        return value, seq
+                for op in body:
+                    kind = op[0]
+                    steps += 1
+                    if steps > max_steps:
+                        raise InterpreterError(f"step limit exceeded ({max_steps})")
+                    mem = -1
+                    address = 0
+                    flags = HAS_VALUE
+                    if kind == _BINARY:
+                        a = vals[op[5]]
+                        b = vals[op[6]]
+                        if a is None or b is None:
+                            raise self._undefined(vals, slots, op[2]._operands)
+                        try:
+                            v = op[7](a, b) & op[8]
+                        except ZeroDivisionError as exc:
+                            raise InterpreterTrap(f"division by zero in {name}") from exc
+                        if v & op[9]:
+                            v -= op[10]
+                        vals[op[4]] = v
+                    elif kind == _ICMP:
+                        a = vals[op[5]]
+                        b = vals[op[6]]
+                        if a is None or b is None:
+                            raise self._undefined(vals, slots, op[2]._operands)
+                        mask = op[8]
+                        sign = op[9]
+                        a &= mask
+                        if a & sign:
+                            a -= op[10]
+                        b &= mask
+                        if b & sign:
+                            b -= op[10]
+                        v = vals[op[4]] = 1 if op[7](a, b) else 0
+                    elif kind == _GEP:
+                        address = vals[op[5]]
+                        if address is None:
+                            raise self._undefined(vals, slots, op[2]._operands)
+                        for s, stride in op[6]:
+                            index = vals[s]
+                            if index is None:
+                                raise self._undefined(vals, slots, op[2]._operands)
+                            address += index * stride
+                        v = vals[op[4]] = address
+                        flags = HAS_ADDRESS | HAS_VALUE
+                    elif kind == _LOAD:
+                        address = vals[op[5]]
+                        if address is None:
+                            raise self._undefined(vals, slots, op[2]._operands)
+                        v = vals[op[4]] = load(address, op[6])
+                        if rec:
+                            mem = last_store.get(address, -1)
+                        flags = HAS_ADDRESS | HAS_VALUE
+                    elif kind == _CAST:
+                        v = vals[op[5]]
+                        if v is None:
+                            raise self._undefined(vals, slots, op[2]._operands)
+                        v &= op[6]
+                        if v & op[7]:
+                            v -= op[8]
+                        v &= op[9]
+                        if v & op[10]:
+                            v -= op[11]
+                        vals[op[4]] = v
+                    elif kind == _STORE:
+                        address = vals[op[6]]
+                        v = vals[op[5]]
+                        if address is None or v is None:
+                            raise self._undefined(vals, slots, reversed(op[2]._operands))
+                        store(address, v, op[7])
+                        flags = HAS_ADDRESS | HAS_VALUE
+                        if rec:
+                            last_store[address] = nev
+                    elif kind == _SELECT:
+                        cond = vals[op[5]]
+                        if cond is None:
+                            raise self._undefined(vals, slots, op[2]._operands[:1])
+                        v = vals[op[6] if cond else op[7]]
+                        if v is None:
+                            raise self._undefined(vals, slots, (op[2]._operands[1 if cond else 2],))
+                        vals[op[4]] = v
+                    elif kind == _CALL:
+                        args = [vals[s] for s in op[6]]
+                        if None in args:
+                            raise self._undefined(vals, slots, op[2]._operands)
+                        # print_int is the program's observable output channel;
+                        # recording the printed value on the Call event lets
+                        # trace replays reproduce the output stream.
+                        v = int(args[0]) if op[7] and args else None
+                        if v is None:
+                            flags = 0
+                        events = [evs[s] for s in op[6]] if rec else None
+                    elif kind == _ALLOCA:
+                        address = v = vals[op[4]] = memory.allocate_stack(op[5])
+                        flags = HAS_ADDRESS
+                    elif kind == _PRODUCE:
+                        v = vals[op[5]]
+                        if v is None:
+                            raise self._undefined(vals, slots, op[2]._operands)
+                        self.queues.setdefault(op[6], []).append(v)
+                    elif kind == _CONSUME:
+                        queue = self.queues.setdefault(op[5], [])
+                        if not queue:
+                            raise InterpreterTrap(f"consume from empty queue {op[5]} in {name}")
+                        v = vals[op[4]] = queue.pop(0)
+                    else:
+                        raise InterpreterError(op[5])
 
-    def _exec_select(self, frame: _Frame, name: str, inst: Select):
-        cond = self._operand_value(frame, inst.condition)
-        value = self._operand_value(frame, inst.true_value if cond else inst.false_value)
-        self._deps(frame, inst._operands)
-        seq = self._record(inst, name, value=value)
-        return value, seq
+                    if rec:
+                        for s in op[3]:
+                            event = evs[s]
+                            if event is not None:
+                                dappend(event)
+                        no = op[1]
+                        if no < 0:
+                            no = number(op, name)
+                        iappend(no)
+                        oappend(len(dcol))
+                        mappend(mem)
+                        aappend(address)
+                        vappend(v if flags & HAS_VALUE else 0)
+                        pappend(flags)
+                        evs[op[4]] = nev
+                        nev += 1
+                    if kind == _CALL:
+                        self.steps = steps
+                        v, event = self._call(op[5], args, events)
+                        steps = self.steps
+                        if rec:
+                            # The rest of this block is a new occurrence once a callee ran.
+                            nev = len(icol)
+                            if open_block[icol[-1]] is not op[2].parent:
+                                sappend(nev)
+                            # The call's consumers depend directly on the producer
+                            # of the returned value (precise cross-function
+                            # dataflow), else on the call event itself.
+                            if event is not None:
+                                evs[op[4]] = event
+                        if op[8]:
+                            vals[op[4]] = v if v is not None else 0
 
-    def _exec_alloca(self, frame: _Frame, name: str, inst: Alloca):
-        address = self.memory.allocate_stack(inst.allocated_type)
-        seq = self._record(inst, name, address=address)
-        return address, seq
+                op = terminator
+                if op is None:
+                    raise InterpreterError(
+                        f"block {fn.name}/{bb.name} fell through without a terminator"
+                    )
+                kind = op[0]
+                steps += 1
+                if steps > max_steps:
+                    raise InterpreterError(f"step limit exceeded ({max_steps})")
+                v = None
+                if kind == _CONDBR:
+                    v = vals[op[5]]
+                    if v is None:
+                        raise self._undefined(vals, slots, op[2]._operands)
+                    block = blocks[op[6] if v != 0 else op[7]]
+                elif kind == _BR:
+                    block = blocks[op[5]]
+                elif kind == _SWITCH:
+                    v = vals[op[5]]
+                    if v is None:
+                        raise self._undefined(vals, slots, op[2]._operands)
+                    block = blocks[op[7].get(v, op[6])]
+                elif op[5] >= 0:  # a return with a value
+                    v = vals[op[5]]
+                    if v is None:
+                        raise self._undefined(vals, slots, op[2]._operands)
+                if rec:
+                    for s in op[3]:
+                        event = evs[s]
+                        if event is not None:
+                            dappend(event)
+                    no = op[1]
+                    if no < 0:
+                        no = number(op, name)
+                    iappend(no)
+                    oappend(len(dcol))
+                    mappend(-1)
+                    aappend(0)
+                    if v is None:
+                        vappend(0)
+                        pappend(0)
+                    else:
+                        vappend(v)
+                        pappend(HAS_VALUE)
+                    nev += 1
+                if kind == _RETURN:
+                    return v, evs[op[5]] if rec and op[5] >= 0 else None
+        finally:
+            self.steps = steps
 
-    def _exec_load(self, frame: _Frame, name: str, inst: Load):
-        address = self._operand_value(frame, inst.pointer)
-        value = self.memory.load_typed(address, inst.type)
-        self._deps(frame, inst._operands)
-        seq = self._record(
-            inst, name, self._last_store_event.get(address, -1), address=address, value=value
-        )
-        return value, seq
+    def _number(self, op: list, function: str) -> int:
+        """Number *op*'s instruction on its first execution (as ``Trace.record`` does)."""
+        inst = op[2]
+        trace = self.trace
+        no = trace._numbers.get(inst)
+        if no is None:
+            no = trace._numbers[inst] = len(trace.instructions)
+            trace.instructions.append(inst)
+            trace.functions.append(function)
+            self._open_block.append(None if inst.is_terminator() else inst.parent)
+        op[1] = no
+        return no
 
-    def _exec_store(self, frame: _Frame, name: str, inst: Store):
-        address = self._operand_value(frame, inst.pointer)
-        value = self._operand_value(frame, inst.value)
-        self.memory.store_typed(address, value, inst.value.type)
-        self._deps(frame, inst._operands)
-        seq = self._record(inst, name, address=address, value=value)
-        if seq is not None:
-            self._last_store_event[address] = seq
-        return None, seq
+    # -- errors (off the hot path) -----------------------------------------------------------
 
-    def _exec_gep(self, frame: _Frame, name: str, inst: GetElementPtr):
-        address = self._operand_value(frame, inst.base)
-        base_type = inst.base.type
-        assert isinstance(base_type, PointerType)
-        current = base_type.pointee
-        for index_value in inst.indices:
-            idx = self._operand_value(frame, index_value)
-            if isinstance(current, ArrayType):
-                current = current.element
-            address += idx * current.size_bytes()
-        self._deps(frame, inst._operands)
-        seq = self._record(inst, name, address=address, value=address)
-        return address, seq
+    def _undefined(self, vals: list, slots: Dict[Value, int], operands) -> InterpreterError:
+        """The error for the first operand, in evaluation order, that has no value."""
+        for value in operands:
+            if vals[slots[value]] is None:
+                return self._operand_error(value)
+        raise AssertionError("every operand has a value")  # pragma: no cover
 
-    def _exec_cast(self, frame: _Frame, name: str, inst: Cast):
-        value = self._operand_value(frame, inst.value)
-        src_type = inst.value.type
-        dst_type = inst.type
-        assert isinstance(dst_type, (IntType, PointerType))
-        if isinstance(dst_type, PointerType):
-            result = value
-        else:
-            if inst.opcode is Opcode.ZEXT and isinstance(src_type, IntType):
-                raw = value & ((1 << src_type.bits) - 1)
-                result = dst_type.wrap(raw)
-            elif inst.opcode is Opcode.SEXT and isinstance(src_type, IntType):
-                result = dst_type.wrap(src_type.wrap(value))
-            else:  # trunc / bitcast
-                result = dst_type.wrap(value)
-        self._deps(frame, inst._operands)
-        seq = self._record(inst, name, value=result)
-        return result, seq
+    def _operand_error(self, value: Value) -> InterpreterError:
+        if isinstance(value, (Instruction, Argument)):
+            return InterpreterError(f"use of value {value.short_name()} before definition")
+        if isinstance(value, Function):
+            return InterpreterError("function pointers are not supported")
+        if isinstance(value, GlobalVariable):
+            self.memory.global_address(value.name)  # raises: not in this module
+        return InterpreterError(f"cannot evaluate operand {value!r}")  # pragma: no cover
 
-    def _exec_call(self, frame: _Frame, name: str, inst: Call):
-        arg_values = [self._operand_value(frame, a) for a in inst.args]
-        arg_events = [self._operand_event(frame, a) for a in inst.args]
-        # print_int is the program's observable output channel; recording
-        # the printed value on the Call event lets trace replays (the
-        # timing simulator) reproduce the output stream.
-        printed = (
-            int(arg_values[0])
-            if inst.callee.is_declaration() and inst.callee.name == "print_int" and arg_values
-            else None
-        )
-        self._deps(frame, inst._operands)
-        seq = self._record(inst, name, value=printed)
-        result, result_event = self._call(inst.callee, arg_values, arg_events)
-        if self.trace is not None:
-            # The rest of this block is a new occurrence once a callee ran.
-            self.trace.enter_block(inst.parent)
-        # The call's consumers depend directly on the producer of the
-        # returned value (precise cross-function dataflow); fall back to
-        # the call event itself for declarations.
-        return result, result_event if result_event is not None else seq
-
-    def _exec_produce(self, frame: _Frame, name: str, inst: Produce):
-        value = self._operand_value(frame, inst.value)
-        self.queues.setdefault(inst.queue_id, []).append(value)
-        self._deps(frame, inst._operands)
-        seq = self._record(inst, name, value=value)
-        return None, seq
-
-    def _exec_consume(self, frame: _Frame, name: str, inst: Consume):
-        queue = self.queues.setdefault(inst.queue_id, [])
-        if not queue:
-            raise InterpreterTrap(f"consume from empty queue {inst.queue_id} in {name}")
-        value = queue.pop(0)
-        seq = self._record(inst, name, value=value)
-        return value, seq
-
-    @classmethod
-    def _resolve_handler(cls, inst_cls: type):
-        """Resolve (and memoise) the handler for a subclass of a known class."""
-        for known, handler in cls._DISPATCH_BASES:
-            if issubclass(inst_cls, known):
-                cls._DISPATCH[inst_cls] = handler
-                return handler
-        raise InterpreterError(f"cannot interpret instruction class {inst_cls.__name__}")
-
-    def _execute_instruction(
-        self, frame: _Frame, fn: Function, inst: Instruction
-    ) -> Tuple[Optional[int], Optional[int]]:
-        """Single-instruction entry point (kept for tests and tooling)."""
-        handler = self._DISPATCH.get(inst.__class__)
-        if handler is None:
-            handler = self._resolve_handler(inst.__class__)
-        return handler(self, frame, fn.name, inst)
+    def _phi_error(
+        self, bb: BasicBlock, prev: Optional[BasicBlock], vals: list, slots: Dict[Value, int]
+    ) -> Exception:
+        """The error a phi run raises when entered from *prev*."""
+        for phi in bb.phis():
+            if prev is None:
+                return InterpreterError(f"phi {phi.short_name()} in entry block")
+            incoming = phi.incoming_value_for(prev)  # raises for a missing edge
+            if vals[slots[incoming]] is None:
+                return self._operand_error(incoming)
+        raise AssertionError("the phi run has every incoming value")  # pragma: no cover
 
     # -- intrinsics ---------------------------------------------------------------------------
 
@@ -428,7 +683,7 @@ class Interpreter:
         self,
         fn: Function,
         arg_values: Sequence[int],
-        arg_events: Sequence[Optional[int]],
+        arg_events: Optional[Sequence[Optional[int]]],
     ) -> Tuple[Optional[int], Optional[int]]:
         if fn.name == "print_int":
             self.outputs.append(int(arg_values[0]) if arg_values else 0)
@@ -436,39 +691,6 @@ class Interpreter:
         if fn.name == "twill_checksum":
             return (int(arg_values[0]) if arg_values else 0), (arg_events[0] if arg_events else None)
         raise InterpreterError(f"call to undefined function '{fn.name}'")
-
-
-# Control-flow tags: instruction classes the block loop must handle inline
-# (they terminate the block or were already evaluated in the phi stage).
-_TAG_RETURN = 0
-_TAG_BRANCH = 1
-_TAG_CONDBR = 2
-_TAG_SWITCH = 3
-_TAG_PHI = 4
-_CONTROL_TAGS: Dict[type, int] = {
-    Return: _TAG_RETURN,
-    Branch: _TAG_BRANCH,
-    CondBranch: _TAG_CONDBR,
-    Switch: _TAG_SWITCH,
-    Phi: _TAG_PHI,
-}
-
-# Precomputed dispatch table: concrete instruction class -> unbound handler.
-Interpreter._DISPATCH = {
-    BinaryOp: Interpreter._exec_binary,
-    ICmp: Interpreter._exec_icmp,
-    Select: Interpreter._exec_select,
-    Alloca: Interpreter._exec_alloca,
-    Load: Interpreter._exec_load,
-    Store: Interpreter._exec_store,
-    GetElementPtr: Interpreter._exec_gep,
-    Cast: Interpreter._exec_cast,
-    Call: Interpreter._exec_call,
-    Produce: Interpreter._exec_produce,
-    Consume: Interpreter._exec_consume,
-}
-# isinstance-ordered fallback pairs for subclasses of the known classes.
-Interpreter._DISPATCH_BASES = tuple(Interpreter._DISPATCH.items())
 
 
 def run_module(

@@ -1,8 +1,11 @@
 """Tests for the DSWP partitioner, queue allocation, thread extraction and HLS."""
 
+import os
+
 import pytest
 
-from repro.config import HLSConfig, PartitionConfig
+from repro.config import CompilerConfig, HLSConfig, PartitionConfig
+from repro.core.compiler import TwillCompiler
 from repro.dswp import run_dswp
 from repro.dswp.partitioner import DSWPPartitioner, PartitionKind
 from repro.dswp.queues import allocate_queues, find_cross_partition_deps
@@ -14,7 +17,20 @@ from repro.interp import Profile, run_module
 from repro.ir import Opcode, verify_module
 from repro.pdg import WeightModel, build_pdg
 from repro.transforms import GlobalsToArguments, default_pipeline
+from repro.workloads import all_workloads
 from tests.conftest import PIPELINE_PROGRAM
+
+CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
+WORKLOADS = {w.name for w in all_workloads()}
+
+
+def _sources():
+    """(name, source) of every builtin workload and corpus file."""
+    sources = [(w.name, w.source) for w in all_workloads()]
+    for filename in sorted(os.listdir(CORPUS)):
+        with open(os.path.join(CORPUS, filename), encoding="utf-8") as fh:
+            sources.append((filename[:-2], fh.read()))
+    return sources
 
 
 def _prepare(source):
@@ -135,6 +151,20 @@ class TestQueuesAndExtraction:
             writes.update(t.queue_writes)
             reads.update(t.queue_reads)
         assert writes and reads
+
+    @pytest.mark.parametrize("name,source", _sources(), ids=[n for n, _ in _sources()])
+    def test_extracted_threads_are_valid_ir(self, name, source):
+        """Queue operations of phi-defined values follow the block's phi run.
+
+        A consume standing in for a foreign phi, or a produce right after an
+        owned one, used to land inside the phi run ("phi after non-phi").
+        """
+        compiler = TwillCompiler(CompilerConfig(extract_threads=True))
+        result = compiler.compile_and_simulate(source, name=name)
+        if name in WORKLOADS:  # the corpus programs are too small to split
+            assert result.dswp.partitioning.extractions
+        report = verify_module(result.module, raise_on_error=False)
+        assert report.errors == []
 
     def test_sw_fraction_sweep_changes_partitioning(self):
         module, profile = _prepare(PIPELINE_PROGRAM)

@@ -21,6 +21,11 @@ output before reporting a single number:
 * **explore** — incremental candidate evaluation (memoized shared
   re-partition stage) vs re-running DSWP for every candidate, over the
   report's 3x3 split-target x queue-depth space.
+* **interp** — traced interpretation of every workload by the decoded,
+  slot-indexed interpreter vs the tree-walking engine kept as the
+  differential oracle (``tests/interp_oracle.py``), on the same compiled
+  modules; every trace column, the instruction table, the outputs and the
+  step counts must agree.
 * **trace** — per workload, the seconds to record the columnar trace (an
   interpreter run with tracing, next to one without), to encode it into
   the compile artifact's trace section and to decode it back, plus the
@@ -49,7 +54,7 @@ import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
-sys.path.insert(0, REPO_ROOT)  # tests.replay_oracle
+sys.path.insert(0, REPO_ROOT)  # tests.replay_oracle, tests.interp_oracle
 
 from repro import perf  # noqa: E402
 from repro.frontend.lexer import tokenize  # noqa: E402
@@ -62,7 +67,7 @@ from repro.workloads import all_workloads  # noqa: E402
 REPLAY_WORKLOADS = ("blowfish", "mips")
 #: The A/B legs, in report order (the trace and artifact legs have no
 #: reference side).
-LEGS = ("frontend", "replay", "sweep", "explore")
+LEGS = ("frontend", "replay", "sweep", "explore", "interp")
 #: Workload whose runtime sweep the sweep leg replays: of all workloads its
 #: Twill replay has the largest share of cross-thread events (about 42 %).
 SWEEP_WORKLOAD = "jpeg"
@@ -296,8 +301,52 @@ def bench_explore() -> dict:
     }
 
 
+#: The trace columns the interp leg compares.
+TRACE_COLUMNS = ("inst", "deps", "dep_offsets", "mem_dep", "address", "value", "present",
+                 "block_starts")
+
+
+def bench_interp(repeats: int) -> dict:
+    """Leg (e): trace every workload with the decoded interpreter and the oracle.
+
+    Each side is timed over *repeats* traced runs of all the modules.
+    """
+    from repro.core.compiler import TwillCompiler
+    from repro.interp.interpreter import Interpreter
+    from tests.interp_oracle import OracleInterpreter
+
+    modules = [TwillCompiler().compile_module(w.source, w.name) for w in all_workloads()]
+
+    def run(engine):
+        return [
+            engine(module, record_trace=True).run()
+            for _ in range(repeats)
+            for module in modules
+        ]
+
+    def same(a, b) -> bool:
+        return (
+            all(getattr(a.trace, c) == getattr(b.trace, c) for c in TRACE_COLUMNS)
+            and a.trace.instructions == b.trace.instructions
+            and a.trace.functions == b.trace.functions
+            and (a.outputs, a.return_value, a.steps) == (b.outputs, b.return_value, b.steps)
+        )
+
+    after_seconds, after = _timed(lambda: run(Interpreter))
+    before_seconds, before = _timed(lambda: run(OracleInterpreter))
+    return {
+        "after_seconds": round(after_seconds, 4),
+        "before_seconds": round(before_seconds, 4),
+        "speedup": round(before_seconds / max(after_seconds, 1e-9), 3),
+        "identical": all(same(a, b) for a, b in zip(after, before)),
+        "events": sum(len(r.trace) for r in after[: len(modules)]),
+        "workloads": len(modules),
+        "repeats": repeats,
+    }
+
+
 def bench_trace(repeats: int) -> dict:
-    """Leg (e): record, encode and decode every workload's trace.
+    """Leg (f): record, encode and decode every workload's trace.
 
     Each time is the best of *repeats*; encode includes the JSON dump of
     the trace section and decode its JSON load, as in the artifact cache.
@@ -343,7 +392,7 @@ def bench_trace(repeats: int) -> dict:
 
 
 def bench_artifact(repeats: int) -> dict:
-    """Leg (f): decode every workload's compile artifact lazily and eagerly.
+    """Leg (g): decode every workload's compile artifact lazily and eagerly.
 
     Each time is the best of *repeats*, each on a fresh decode of the
     payload.
@@ -390,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
         "--repeats",
         type=int,
         default=3,
-        help="frontend/replay/sweep/trace/artifact timing repetitions (default: 3)",
+        help="frontend/replay/sweep/interp/trace/artifact timing repetitions (default: 3)",
     )
     parser.add_argument(
         "--tolerance",
@@ -406,6 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         "replay": bench_replay(args.repeats),
         "sweep": bench_sweep(args.repeats),
         "explore": bench_explore(),
+        "interp": bench_interp(args.repeats),
         "trace": bench_trace(args.repeats),
         "artifact": bench_artifact(args.repeats),
         "python": sys.version.split()[0],
