@@ -13,35 +13,18 @@ Typical use::
     print(result.report())
 """
 
-from __future__ import annotations
+from repro.lazy import export_names, lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "TwillCompiler",
-    "CompilationResult",
-    "CompilerConfig",
-    "RuntimeConfig",
-    "PartitionConfig",
-    "__version__",
-]
-
-# The heavyweight subpackages are imported lazily so that low-level pieces
-# (e.g. repro.ir, repro.frontend) can be used without pulling in the whole
-# compiler/simulator stack.
-_LAZY_EXPORTS = {
-    "TwillCompiler": ("repro.core.compiler", "TwillCompiler"),
-    "CompilationResult": ("repro.core.compiler", "CompilationResult"),
-    "CompilerConfig": ("repro.core.config", "CompilerConfig"),
-    "RuntimeConfig": ("repro.core.config", "RuntimeConfig"),
-    "PartitionConfig": ("repro.core.config", "PartitionConfig"),
+# The subpackages are imported on first use of a name, so that low-level
+# pieces (e.g. repro.ir, repro.frontend) can be used without pulling in the
+# whole compiler/simulator stack.
+_EXPORTS = {
+    "repro.core.compiler": ("TwillCompiler",),
+    "repro.results": ("CompilationResult",),
+    "repro.config": ("CompilerConfig", "RuntimeConfig", "PartitionConfig"),
 }
 
-
-def __getattr__(name: str):
-    if name in _LAZY_EXPORTS:
-        import importlib
-
-        module_name, attr = _LAZY_EXPORTS[name]
-        return getattr(importlib.import_module(module_name), attr)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+__all__ = export_names(_EXPORTS) + ["__version__"]
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -103,35 +103,26 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from repro import perf
-from repro.config import CompilerConfig
 from repro.errors import ReproError
-from repro.eval import experiments
-from repro.eval.cache import ArtifactCache, default_cache_dir
-from repro.eval.compare import compare_reports
-from repro.eval.experiments import SPLIT_FIGURE_WORKLOADS
-from repro.eval.harness import EvaluationHarness
-from repro.eval.taskgraph import TaskGraph
-from repro.eval.trace import TraceRecorder
-from repro.explore.driver import ExplorationDriver
-from repro.explore.strategies import STRATEGIES
 from repro.obs import history as obs_history
-from repro.obs import profile as obs_profile
-from repro.obs import tracing as obs_tracing
-from repro.workloads import all_workloads, get_workload
 
-#: Experiment generators by artefact id, in thesis order.
-TABLES = {"6.1": experiments.table_6_1, "6.2": experiments.table_6_2}
-FIGURES = {
-    "6.1": experiments.figure_6_1,
-    "6.2": experiments.figure_6_2,
-    "6.3": experiments.figure_6_3,
-    "6.4": experiments.figure_6_4,
-    "6.5": experiments.figure_6_5,
-    "6.6": experiments.figure_6_6,
-}
+if TYPE_CHECKING:
+    from repro.eval.harness import EvaluationHarness
+
+# Each command imports the subsystems it runs, so that `repro list` and a
+# warm `repro report` load no compiler stage (docs/PERFORMANCE.md,
+# "Start-up").  Only the parser's own defaults are bound here.
+
+#: Experiment generators of :mod:`repro.eval.experiments` by artefact id,
+#: in thesis order.
+TABLES = {"6.1": "table_6_1", "6.2": "table_6_2"}
+FIGURES = {f"6.{n}": f"figure_6_{n}" for n in range(1, 7)}
+
+#: The ``explore --strategy`` choices: the names of
+#: :data:`repro.explore.strategies.STRATEGIES` (pinned by tests/test_cli.py).
+STRATEGY_NAMES = ("annealing", "exhaustive", "greedy", "random")
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +132,9 @@ FIGURES = {
 
 def _make_harness(args: argparse.Namespace, benchmarks: Optional[List[str]] = None) -> EvaluationHarness:
     """Build the harness described by the common CLI options."""
+    from repro.config import CompilerConfig
+    from repro.eval.harness import EvaluationHarness
+
     names = benchmarks if benchmarks is not None else _requested_benchmarks(args)
     return EvaluationHarness(
         config=CompilerConfig(),
@@ -287,7 +281,14 @@ def _emit(data: Dict, args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _profile_sink() -> str:
+    """``$REPRO_PROFILE``: the file this run's sampling profile goes to ('' = off)."""
+    return (os.environ.get("REPRO_PROFILE") or "").strip()
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.workloads import all_workloads
+
     for workload in all_workloads():
         chstone = f" (CHStone {workload.chstone_name})" if workload.chstone_name else ""
         print(f"{workload.name:10s} {workload.description}{chstone}")
@@ -296,6 +297,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _profile_views(args: argparse.Namespace, stacks: Dict[str, int]) -> None:
     """Write the ``--flame`` / ``--collapsed`` views of one stack set."""
+    from repro.obs import profile as obs_profile
+
     if args.flame:
         from repro.viz.flame import flamegraph
 
@@ -327,6 +330,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     PROFILE.jsonl``, skip compiling and render the records a
     ``$REPRO_PROFILE`` run left behind, merged across its processes.
     """
+    from repro.obs import profile as obs_profile
+
     if args.from_file:
         try:
             records = obs_profile.load_profiles(Path(args.from_file))
@@ -362,13 +367,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     if not args.workload:
         raise ReproError("profile needs a workload (see 'repro list') or --from PROFILE.jsonl")
+    from repro import perf
+    from repro.config import CompilerConfig
     from repro.core.compiler import TwillCompiler
+    from repro.workloads import get_workload
 
     workload = get_workload(args.workload)
     compiler = TwillCompiler(CompilerConfig())
     sampler = None
     if args.flame or args.collapsed:
-        sampler = obs_profile.SamplingProfiler(hz=args.hz, service="cli")
+        sampler = obs_profile.SamplingProfiler(hz=args.hz or obs_profile.DEFAULT_HZ, service="cli")
         sampler.start()
     with perf.collect() as timings:
         result = compiler.compile_and_simulate(workload.source, name=workload.name)
@@ -397,6 +405,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.workloads import get_workload
+
     get_workload(args.workload)  # fail fast before building a harness
     harness = _make_harness(args, benchmarks=[args.workload])
     run = harness.run(args.workload)
@@ -415,6 +425,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.eval import experiments
+
     if args.kind == "latency":
         harness = _make_harness(args)
         _emit(experiments.figure_6_5(harness, parallel=args.parallel), args)
@@ -430,13 +442,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from repro.eval import experiments
+
     harness = _make_harness(args)
-    _emit(TABLES[args.id](harness, parallel=args.parallel), args)
+    _emit(getattr(experiments, TABLES[args.id])(harness, parallel=args.parallel), args)
     return 0
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    split_workload = SPLIT_FIGURE_WORKLOADS.get(args.id)
+    from repro.eval import experiments
+
+    split_workload = experiments.SPLIT_FIGURE_WORKLOADS.get(args.id)
     if split_workload:
         _check_split_workload(split_workload, args)
     harness = _make_harness(args, benchmarks=[split_workload] if split_workload else None)
@@ -451,7 +467,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             path.write_text(markup, encoding="utf-8")
             print(f"wrote {path}", file=sys.stderr)
         return 0
-    _emit(FIGURES[args.id](harness, parallel=args.parallel), args)
+    _emit(getattr(experiments, FIGURES[args.id])(harness, parallel=args.parallel), args)
     return 0
 
 
@@ -469,6 +485,8 @@ def _record_run_history(
     Never prints and never raises — stdout byte-identity and run success
     are pinned by the same tests that pin tracing.
     """
+    from repro.obs import tracing as obs_tracing
+
     metrics: Dict[str, float] = {"wall_seconds": round(wall_seconds, 6)}
     stats = getattr(harness, "last_stats", None) or {}
     if stats:
@@ -498,7 +516,7 @@ def _record_run_history(
     trace_sink = obs_tracing.sink_spec()
     if trace_sink:
         attrs["trace_sink"] = trace_sink
-    profile_path = (os.environ.get(obs_profile.PROFILE_ENV) or "").strip()
+    profile_path = _profile_sink()
     if profile_path:
         attrs["profile"] = profile_path
     if extra_attrs:
@@ -510,6 +528,7 @@ def _write_report_html(
     args: argparse.Namespace, harness, artefacts, figures, trace, stage_timings=None
 ) -> int:
     """Assemble and write the self-contained ``report.html``."""
+    from repro.obs import tracing as obs_tracing
     from repro.viz.charts import Span
     from repro.viz.report_html import build_benchmark_page, build_report_html
 
@@ -550,7 +569,11 @@ def _write_report_html(
                 "overhead": obs_analyze.scheduler_overhead(records),
             }
     profile_card = None
-    active_profiler = obs_profile.profiler()
+    active_profiler = None
+    if _profile_sink():
+        from repro.obs import profile as obs_profile
+
+        active_profiler = obs_profile.profiler()
     if active_profiler is not None:
         # Same opt-in logic: only a $REPRO_PROFILE run gets the card.
         from repro.viz.flame import flamegraph
@@ -612,6 +635,10 @@ def _write_report_html(
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro import perf
+    from repro.eval import experiments
+    from repro.eval.trace import TraceRecorder
+
     if args.html and (args.json or args.markdown):
         # One output contract per invocation: --html writes a document and
         # keeps stdout empty, so combining it with a stdout format would
@@ -685,6 +712,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
             key: {k: v for k, v in data.items() if k != "table"}
             for key, data in artefacts.items()
         }
+        from repro.eval.compare import compare_reports
+
         diff = compare_reports(current, baseline)
         if args.json:
             print(json.dumps({k: v for k, v in diff.items() if k != "table"},
@@ -747,6 +776,9 @@ def _explore_text(result) -> str:
 
 def _cmd_explore(args: argparse.Namespace) -> int:
     """``repro explore``: search the partition/configuration design space."""
+    from repro.explore.driver import ExplorationDriver
+    from repro.workloads import all_workloads, get_workload
+
     if args.workload == "all":
         names = _requested_benchmarks(args) or [w.name for w in all_workloads()]
     else:
@@ -846,6 +878,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     """``repro ingest``: register a raw .c file as a first-class workload."""
+    from repro.eval import experiments
+    from repro.eval.taskgraph import TaskGraph
     from repro.ingest import default_workload_name, ingest_file
 
     name = args.name or default_workload_name(args.file)
@@ -883,9 +917,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         payload["sweep"] = {k: v for k, v in data.items() if k != "table"}
         extra_text.append(data["table"])
     elif args.explore:
-        from repro.explore.driver import ExplorationDriver as _Driver
+        from repro.explore.driver import ExplorationDriver
 
-        driver = _Driver(
+        driver = ExplorationDriver(
             harness, name, strategy="random", budget=args.budget, seed=0, jobs=args.parallel
         )
         result = driver.run()
@@ -908,11 +942,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_difftest(args: argparse.Namespace) -> int:
     """``repro difftest``: assert interp/sim output agreement per workload."""
-    import os
-
     from repro.core.report import format_result_table
     from repro.ingest import load_corpus
     from repro.ingest.difftest import CONFIGS, difftest_workload
+    from repro.workloads import all_workloads, get_workload
 
     harness = _make_harness(args, benchmarks=[])
     corpus_dir = args.corpus
@@ -960,6 +993,8 @@ def _cmd_difftest(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from repro.eval.cache import ArtifactCache, default_cache_dir
+
     if args.action == "serve":
         from repro.eval.remote.cache_http import serve_cache
 
@@ -1023,6 +1058,10 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 def _cmd_graph(args: argparse.Namespace) -> int:
     """Print the full report task graph without executing any of it."""
+    from repro.eval import experiments
+    from repro.eval.taskgraph import TaskGraph
+    from repro.workloads import get_workload
+
     harness = _make_harness(args)
     graph = TaskGraph()
     artefacts = experiments.declare_report(graph, harness)
@@ -1285,7 +1324,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cache-dir",
         metavar="DIR",
-        help=f"artifact cache directory (default: $REPRO_CACHE_DIR or {default_cache_dir()})",
+        help="artifact cache directory (default: $REPRO_CACHE_DIR or ./.repro_cache)",
     )
     common.add_argument("--no-cache", action="store_true", help="disable the on-disk artifact cache")
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
@@ -1339,9 +1378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument(
         "--hz",
         type=int,
-        default=obs_profile.DEFAULT_HZ,
         metavar="N",
-        help=f"sampling frequency for --flame/--collapsed (default: {obs_profile.DEFAULT_HZ})",
+        help="sampling frequency for --flame/--collapsed (default: 97)",
     )
     p_profile.set_defaults(func=_cmd_profile)
 
@@ -1420,7 +1458,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_explore.add_argument(
         "--strategy",
-        choices=sorted(STRATEGIES),
+        choices=STRATEGY_NAMES,
         default="annealing",
         help="search strategy (default: annealing)",
     )
@@ -1775,7 +1813,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Console entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    obs_profile.maybe_start(service="cli")
+    if _profile_sink():
+        from repro.obs import profile as obs_profile
+
+        obs_profile.maybe_start(service="cli")
     try:
         return args.func(args)
     except ReproError as exc:
@@ -1788,6 +1829,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # The scheduler has already torn down its executor (pool terminated /
         # leases revoked) and swept in-flight lock files; 130 = SIGINT.
         # Flush open spans so an interrupted $REPRO_TRACE file stays parseable.
+        from repro.obs import tracing as obs_tracing
+
         obs_tracing.shutdown()
         print("interrupted", file=sys.stderr)
         return 130

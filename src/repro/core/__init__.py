@@ -1,15 +1,13 @@
 """Public API of the Twill reproduction: the compiler driver and its configuration."""
 
-from repro.core.config import CompilerConfig, HLSConfig, PartitionConfig, RuntimeConfig
-from repro.core.compiler import CompilationResult, TwillCompiler
-from repro.core.report import format_result_table
+from repro.lazy import export_names, lazy_exports
 
-__all__ = [
-    "CompilerConfig",
-    "HLSConfig",
-    "PartitionConfig",
-    "RuntimeConfig",
-    "CompilationResult",
-    "TwillCompiler",
-    "format_result_table",
-]
+_EXPORTS = {
+    "repro.config": ("CompilerConfig", "HLSConfig", "PartitionConfig", "RuntimeConfig"),
+    "repro.results": ("CompilationResult",),
+    "repro.core.compiler": ("TwillCompiler",),
+    "repro.core.report": ("format_result_table",),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -16,152 +16,24 @@ the thesis describes (Figure 5.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import perf
 from repro.analysis.callgraph import CallGraph
 from repro.config import CompilerConfig, RuntimeConfig
-from repro.dswp.pipeline import DSWPResult, run_dswp
+from repro.dswp.pipeline import run_dswp
 from repro.frontend.lowering import compile_c
-from repro.hls.legup import LegUpFlow, LegUpResult
+from repro.hls.legup import LegUpFlow
 from repro.interp.interpreter import ExecutionResult, Interpreter
 from repro.interp.profile import Profile
 from repro.ir.module import Module
 from repro.ir.verifier import verify_module
-from repro.sim.system import HybridSystem, SystemResult
+from repro.results import CompilationResult
+from repro.sim.system import HybridSystem
 from repro.sim.system import resimulate_with_split as sim_resimulate_with_split
 from repro.sim.timing import TimingResult, simulate_partitioned
 from repro.transforms.globals_to_args import GlobalsToArguments
 from repro.transforms.pass_manager import default_pipeline
-
-
-#: The fields a lazy :class:`CompilationResult` builds on their first read.
-_HEAVY_FIELDS = frozenset(("module", "execution", "profile", "dswp", "legup"))
-
-
-@dataclass
-class CompilationResult:
-    """Everything produced by one compile-and-simulate run.
-
-    A result decoded from the artifact cache is *lazy* (:meth:`lazy`): it
-    holds ``name``, ``system``, the functional outputs and the DSWP summary,
-    and builds the five heavy fields on the first read of any of them.
-    ``==``, pickling and :func:`dataclasses.replace` read every field, so
-    they materialise it first; a report reads none of them.
-    """
-
-    name: str
-    module: Module
-    execution: ExecutionResult
-    profile: Profile
-    dswp: DSWPResult
-    legup: LegUpResult
-    system: SystemResult
-
-    @classmethod
-    def lazy(
-        cls,
-        name: str,
-        system: SystemResult,
-        outputs: List[int],
-        dswp_summary: Dict[str, float],
-        load: Callable[[], Dict[str, Any]],
-    ) -> "CompilationResult":
-        """A result whose heavy fields are ``load()``'s, built on first read.
-
-        *load* returns the five heavy fields by name and runs at most once
-        successfully; ``execution.outputs`` must be *outputs*.
-        """
-        result = cls.__new__(cls)
-        result.name = name
-        result.system = system
-        result._outputs = outputs
-        result._dswp_summary = dswp_summary
-        result._load = load
-        return result
-
-    def __getattr__(self, attr: str) -> Any:
-        # Only reached for attributes the instance lacks: the heavy fields
-        # of a lazy result before their first read.
-        if "_load" not in self.__dict__ or attr not in _HEAVY_FIELDS:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
-        self._materialise()
-        return self.__dict__[attr]
-
-    def _materialise(self) -> None:
-        load = self.__dict__.get("_load")
-        if load is not None:
-            self.__dict__.update(load())
-            del self._load, self._outputs, self._dswp_summary
-
-    def __getstate__(self) -> Dict[str, Any]:
-        self._materialise()  # the loader is not picklable
-        return self.__dict__
-
-    # -- convenience accessors --------------------------------------------------------
-
-    @property
-    def outputs(self) -> List[int]:
-        if "_load" in self.__dict__:
-            return self._outputs
-        return self.execution.outputs
-
-    @property
-    def return_value(self) -> Optional[int]:
-        return self.execution.return_value
-
-    @property
-    def speedup_vs_software(self) -> float:
-        return self.system.speedup_vs_software
-
-    @property
-    def speedup_vs_hardware(self) -> float:
-        return self.system.speedup_vs_hardware
-
-    def dswp_summary(self) -> Dict[str, float]:
-        if "_load" in self.__dict__:
-            return dict(self._dswp_summary)
-        return self.dswp.summary()
-
-    def summary_dict(self) -> Dict[str, object]:
-        """Machine-readable counterpart of :meth:`report` (``repro run --json``)."""
-        s = self.system
-        dswp = self.dswp_summary()
-        return {
-            "benchmark": self.name,
-            "queues": dswp["queues"],
-            "semaphores": dswp["semaphores"],
-            "hw_threads": dswp["hw_threads"],
-            "pure_sw_cycles": s.pure_software.cycles,
-            "pure_hw_cycles": s.pure_hardware.cycles,
-            "twill_cycles": s.twill.cycles,
-            "speedup_vs_sw": s.speedup_vs_software,
-            "speedup_vs_hw": s.speedup_vs_hardware,
-            "legup_luts": s.pure_hardware.area.luts,
-            "twill_luts": s.twill.area.luts,
-        }
-
-    def report(self) -> str:
-        """Human-readable one-benchmark report."""
-        s = self.system
-        lines = [
-            f"benchmark             : {self.name}",
-            f"functional outputs    : {len(self.outputs)} values, checksum 0x{self.execution.output_checksum:08x}",
-            f"dynamic instructions  : {len(self.execution.trace) if self.execution.trace else 0}",
-            f"queues / semaphores   : {self.dswp.partitioning.total_queues} / {self.dswp.partitioning.total_semaphores}",
-            f"hardware threads      : {self.dswp.partitioning.hardware_thread_count}",
-            f"pure SW cycles        : {s.pure_software.cycles:,.0f}",
-            f"pure HW cycles        : {s.pure_hardware.cycles:,.0f}",
-            f"Twill cycles          : {s.twill.cycles:,.0f}",
-            f"speedup vs pure SW    : {s.speedup_vs_software:.2f}x",
-            f"speedup vs pure HW    : {s.speedup_vs_hardware:.2f}x",
-            f"LegUp LUTs            : {s.pure_hardware.area.luts:,}",
-            f"Twill HWThread LUTs   : {s.hw_thread_area.luts:,}",
-            f"Twill LUTs (+runtime) : {s.twill.area.luts - self.system.twill.area.detail.get('microblaze', 0):,}",
-            f"power (norm. to SW)   : HW {s.power_normalised()['pure_hw']:.2f}, Twill {s.power_normalised()['twill']:.2f}",
-        ]
-        return "\n".join(lines)
 
 
 class TwillCompiler:

@@ -10,55 +10,35 @@ single-flight per-key locks; ``repro.cli`` exposes the same generators (and
 ``repro graph``) on the command line.
 """
 
-from repro.eval.cache import ArtifactCache, CacheBackend, LocalFSBackend
-from repro.eval.harness import EvaluationHarness, BenchmarkRun
-from repro.eval.taskgraph import (
-    LocalProcessExecutor,
-    Task,
-    TaskExecutor,
-    TaskGraph,
-    TaskOutcome,
-    TaskScheduler,
-)
-from repro.eval.trace import TraceRecorder
-from repro.eval.experiments import (
-    table_6_1,
-    table_6_2,
-    figure_6_1,
-    figure_6_2,
-    figure_6_3,
-    figure_6_4,
-    figure_6_5,
-    figure_6_6,
-    split_sweep,
-    summary,
-    declare_report,
-    run_report,
-)
+from repro.lazy import export_names, lazy_exports
 
-__all__ = [
-    "ArtifactCache",
-    "CacheBackend",
-    "LocalFSBackend",
-    "EvaluationHarness",
-    "BenchmarkRun",
-    "Task",
-    "TaskExecutor",
-    "TaskOutcome",
-    "TaskGraph",
-    "TaskScheduler",
-    "LocalProcessExecutor",
-    "TraceRecorder",
-    "table_6_1",
-    "table_6_2",
-    "figure_6_1",
-    "figure_6_2",
-    "figure_6_3",
-    "figure_6_4",
-    "figure_6_5",
-    "figure_6_6",
-    "split_sweep",
-    "summary",
-    "declare_report",
-    "run_report",
-]
+_EXPORTS = {
+    "repro.eval.cache": ("ArtifactCache", "CacheBackend", "LocalFSBackend"),
+    "repro.eval.harness": ("EvaluationHarness", "BenchmarkRun"),
+    "repro.eval.taskgraph": (
+        "Task",
+        "TaskExecutor",
+        "TaskOutcome",
+        "TaskGraph",
+        "TaskScheduler",
+        "LocalProcessExecutor",
+    ),
+    "repro.eval.trace": ("TraceRecorder",),
+    "repro.eval.experiments": (
+        "table_6_1",
+        "table_6_2",
+        "figure_6_1",
+        "figure_6_2",
+        "figure_6_3",
+        "figure_6_4",
+        "figure_6_5",
+        "figure_6_6",
+        "split_sweep",
+        "summary",
+        "declare_report",
+        "run_report",
+    ),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -33,7 +33,6 @@ from repro.eval.trace import TraceRecorder
 from repro.explore.evaluate import explore_task_id
 from repro.explore.frontier import Frontier, scalar_cost
 from repro.explore.space import report_space
-from repro.viz.figures import FIGURE_SPECS, render_figure
 from repro.workloads import get_workload
 
 
@@ -679,11 +678,11 @@ FIGURE_DATA_AGGREGATORS: Dict[str, Callable[..., Dict]] = {
 }
 
 #: Figures renderable to SVG, in HTML-report order: the six thesis figures
-#: plus the two composite figures built from the same compile artefacts.
-#: Derived from the FIGURE_SPECS registry so the declarable set can never
-#: drift from the renderable set (the aggregator registry above is pinned
-#: to it by tests/test_viz.py).
-RENDER_FIGURE_IDS: Tuple[str, ...] = tuple(FIGURE_SPECS)
+#: plus the composite and exploration figures built from the same
+#: artefacts.  tests/test_viz.py pins this to the order of
+#: :data:`repro.viz.figures.FIGURE_SPECS`, which this module imports only
+#: when it renders.
+RENDER_FIGURE_IDS: Tuple[str, ...] = tuple(FIGURE_DATA_AGGREGATORS)
 
 
 def compute_figure_render(
@@ -705,6 +704,8 @@ def compute_figure_render(
     never diverge from the printed numbers) and handed to
     :func:`repro.viz.figures.render_figure`.
     """
+    from repro.viz.figures import render_figure
+
     if values is None:
         cache = ArtifactCache.from_spec(cache_spec)
         values = {}

@@ -29,12 +29,12 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import CompilerConfig, RuntimeConfig
-from repro.core.compiler import CompilationResult, TwillCompiler
 from repro.eval import taskgraph
 from repro.eval.cache import ArtifactCache, compile_key, derived_key
 from repro.eval.taskgraph import TaskExecutor, TaskGraph, TaskScheduler
 from repro.eval.trace import TraceRecorder
 from repro.obs import tracing as obs_tracing
+from repro.results import CompilationResult
 from repro.workloads import all_workloads, get_workload
 from repro.workloads.base import Workload
 
@@ -88,7 +88,6 @@ class EvaluationHarness:
         use_cache: bool = True,
     ):
         self.config = config or CompilerConfig()
-        self.compiler = TwillCompiler(self.config)
         self.benchmark_names = list(benchmarks) if benchmarks else [w.name for w in all_workloads()]
         if not use_cache:
             self.cache: Optional[ArtifactCache] = None

@@ -36,22 +36,20 @@ is.  ``repro graph`` prints these DAGs without executing them.
 
 from __future__ import annotations
 
+import importlib
 import os
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import CompilerConfig, RuntimeConfig
-from repro.core.compiler import CompilationResult, TwillCompiler
 from repro.errors import TaskGraphCycleError, TaskGraphError
 from repro.eval.cache import ArtifactCache, derived_key, render_key
 from repro.eval.trace import TraceRecorder
-from repro.obs import profile as obs_profile
 from repro.obs import tracing as obs_tracing
-from repro.sim.system import resimulate_with_split
-from repro.sim.timing import simulate_partitioned
+from repro.results import CompilationResult
 from repro.workloads import get_workload
 
 #: Node kinds, also used by ``repro graph`` for display and by the harness
@@ -66,6 +64,20 @@ KIND_AGGREGATE = "aggregate"
 
 #: Kinds whose payload is picklable and may run in a worker process.
 WORKER_KINDS = (KIND_COMPILE, KIND_RUNTIME, KIND_SPLIT, KIND_EXPLORE, KIND_INGEST, KIND_RENDER)
+
+#: The modules pool workers run: the compiler stages, the figure renderer,
+#: the IR half of the artifact codec and the profiler hook of
+#: :func:`_execute_in_worker`.  A cache hit needs none of them, so the code
+#: that runs each imports it, and :meth:`LocalProcessExecutor.submit`
+#: imports all of them before its pool forks.
+WORKER_MODULES = (
+    "repro.core.compiler",
+    "repro.sim.system",
+    "repro.explore.evaluate",
+    "repro.viz.figures",
+    "repro.eval.module_codec",
+    "repro.obs.profile",
+)
 
 #: Kinds whose value is a derived (JSON) artifact of a compile node — the
 #: harness memoises them in its in-memory derived layer after a run.
@@ -195,6 +207,8 @@ class TaskGraph:
 
 def compute_compile(name: str, config: CompilerConfig) -> CompilationResult:
     """Pure compile payload: run the whole pipeline for one workload."""
+    from repro.core.compiler import TwillCompiler
+
     workload = get_workload(name)
     return TwillCompiler(config).compile_and_simulate(workload.source, name=name)
 
@@ -250,6 +264,8 @@ def compute_runtime_point(
     compile_key: str,
 ) -> float:
     """One Figure 6.5/6.6 sweep point: Twill cycles under a modified runtime."""
+    from repro.sim.timing import simulate_partitioned
+
     result = _sweep_input(name, config, cache_root, compile_key)
     timing = simulate_partitioned(
         result.module, result.execution.trace, result.dswp.partitioning, runtime, config.hls
@@ -265,6 +281,8 @@ def compute_split_point(
     compile_key: str,
 ) -> Dict[str, float]:
     """One Figure 6.3/6.4 sweep point: re-partition at *sw_fraction*."""
+    from repro.sim.system import resimulate_with_split
+
     result = _sweep_input(name, config, cache_root, compile_key)
     dswp, system = resimulate_with_split(
         result.name,
@@ -306,6 +324,8 @@ def _execute_in_worker(
     so when ``$REPRO_TRACE`` is active in this child the task span recorded
     here is re-parented under the scheduler's span explicitly.
     """
+    from repro.obs import profile as obs_profile
+
     start = time.time()
     # Pool children inherit $REPRO_PROFILE: start this child's sampler on
     # its first task (idempotent, one dict lookup afterwards) and count the
@@ -511,7 +531,8 @@ class LocalProcessExecutor(TaskExecutor):
 
     Workers exchange artefacts through the shared cache rather than over the
     pipe (see :func:`_execute_in_worker`); the pool is created lazily on the
-    first submit so cache-warm runs never fork at all.
+    first submit so cache-warm runs never fork at all, and never import the
+    stages either.
     """
 
     def __init__(self, jobs: int):
@@ -524,6 +545,12 @@ class LocalProcessExecutor(TaskExecutor):
 
     def submit(self, task: Task, cache: Optional[ArtifactCache]) -> None:
         if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            # A forked worker starts with what the parent has imported:
+            # import the stages here, once, so that no worker imports them.
+            for module in WORKER_MODULES:
+                importlib.import_module(module)
             self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
         trace_ctx = obs_tracing.wire_context()
         if trace_ctx is not None:

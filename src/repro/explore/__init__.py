@@ -9,7 +9,7 @@ trade-offs, and reports the exact Pareto frontier of everything it evaluated.
 The pieces (one module each):
 
 * :mod:`repro.explore.space` — a declarative :class:`SearchSpace` of typed
-  dimensions derived from :mod:`repro.core.config`; every
+  dimensions derived from :mod:`repro.config`; every
   :class:`Candidate` is hashable and maps onto an existing cache content
   key, so search never re-evaluates a configuration any run has seen;
 * :mod:`repro.explore.evaluate` — the pure ``explore`` task payload
@@ -29,24 +29,20 @@ The pieces (one module each):
 entry point; see ``docs/EXPLORATION.md``.
 """
 
-from repro.explore.driver import ExplorationDriver, ExplorationResult
-from repro.explore.frontier import OBJECTIVES, Frontier, Objective, pareto_indices
-from repro.explore.space import Candidate, Dimension, SearchSpace, default_space, report_space
-from repro.explore.strategies import STRATEGIES, Strategy, make_strategy
+from repro.lazy import export_names, lazy_exports
 
-__all__ = [
-    "Candidate",
-    "Dimension",
-    "ExplorationDriver",
-    "ExplorationResult",
-    "Frontier",
-    "OBJECTIVES",
-    "Objective",
-    "STRATEGIES",
-    "SearchSpace",
-    "Strategy",
-    "default_space",
-    "make_strategy",
-    "pareto_indices",
-    "report_space",
-]
+_EXPORTS = {
+    "repro.explore.space": (
+        "Candidate",
+        "Dimension",
+        "SearchSpace",
+        "default_space",
+        "report_space",
+    ),
+    "repro.explore.driver": ("ExplorationDriver", "ExplorationResult"),
+    "repro.explore.frontier": ("Frontier", "OBJECTIVES", "Objective", "pareto_indices"),
+    "repro.explore.strategies": ("STRATEGIES", "Strategy", "make_strategy"),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -31,7 +31,6 @@ from repro.eval import taskgraph
 from repro.eval.artifact_codec import decode_dswp_result, encode_dswp_result
 from repro.eval.cache import ArtifactCache, compile_key, derived_key
 from repro.explore.space import Candidate, Dimension, SearchSpace
-from repro.sim.system import evaluate_with_partition, repartition
 from repro.workloads import get_workload
 
 
@@ -89,6 +88,8 @@ def _candidate_dswp(
     at the instructions the artifact's trace replays.  A memo hit computed
     on another copy of the module is decoded again from its document.
     """
+    from repro.sim.system import repartition
+
     key = dswp_stage_key(parent_compile_key, candidate_config)
     module = compile_result.module
     hit = _DSWP_MEMO.get(key)
@@ -147,6 +148,8 @@ def compute_explore_point(
     match, so a search that varies only runtime/queue/HLS dimensions pays
     for DSWP once per distinct partition, not once per candidate.
     """
+    from repro.sim.system import evaluate_with_partition
+
     with perf.stage("explore"):
         parent = compile_key(get_workload(name).source, config)
         result = taskgraph._sweep_input(name, config, cache_root, parent)

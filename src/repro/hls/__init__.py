@@ -12,19 +12,15 @@ parts of that flow the evaluation depends on:
   every figure of Chapter 6.
 """
 
-from repro.hls.scheduling import FSMSchedule, ScheduledState, HLSScheduler
-from repro.hls.binding import BindingResult, bind_function
-from repro.hls.area import AreaEstimate, AreaModel
-from repro.hls.legup import LegUpFlow, LegUpResult
+from repro.lazy import export_names, lazy_exports
 
-__all__ = [
-    "FSMSchedule",
-    "ScheduledState",
-    "HLSScheduler",
-    "BindingResult",
-    "bind_function",
-    "AreaEstimate",
-    "AreaModel",
-    "LegUpFlow",
-    "LegUpResult",
-]
+_EXPORTS = {
+    "repro.hls.scheduling": ("FSMSchedule", "ScheduledState", "HLSScheduler"),
+    "repro.hls.binding": ("BindingResult", "bind_function"),
+    "repro.hls.area": ("AreaModel",),
+    "repro.hls.legup": ("LegUpFlow", "LegUpResult"),
+    "repro.results": ("AreaEstimate",),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -14,8 +14,7 @@ Three area totals matter in the thesis's evaluation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.costmodel.hardware import HardwareCostModel, RUNTIME_PRIMITIVE_AREA
 from repro.hls.binding import BindingResult, bind_function
@@ -24,36 +23,13 @@ from repro.ir.function import Function
 from repro.ir.instructions import Opcode
 from repro.ir.module import Module
 from repro.ir.types import ArrayType
+from repro.results import AreaEstimate
 
 from repro.costmodel.hardware import (
     FSM_LUTS_PER_STATE,
     REGISTER_LUTS_PER_LIVE_VALUE,
     THREAD_BASE_LUTS,
 )
-
-
-@dataclass
-class AreaEstimate:
-    """Area of one circuit (a thread, a function, or a whole design)."""
-
-    luts: int = 0
-    dsps: int = 0
-    brams: int = 0
-    detail: Dict[str, int] = field(default_factory=dict)
-
-    def add(self, label: str, luts: int = 0, dsps: int = 0, brams: int = 0) -> None:
-        self.luts += luts
-        self.dsps += dsps
-        self.brams += brams
-        if luts:
-            self.detail[label] = self.detail.get(label, 0) + luts
-
-    def merged_with(self, other: "AreaEstimate") -> "AreaEstimate":
-        merged = AreaEstimate(self.luts + other.luts, self.dsps + other.dsps, self.brams + other.brams)
-        merged.detail = dict(self.detail)
-        for key, value in other.detail.items():
-            merged.detail[key] = merged.detail.get(key, 0) + value
-        return merged
 
 
 class AreaModel:

@@ -1,12 +1,15 @@
 """Differential testing: interpreter vs. timing-simulator output agreement.
 
 The timing simulator replays the interpreter's dynamic trace, so the two
-engines share a functional execution — but the replay re-orders work across
+engines share a functional execution — the replay re-orders work across
 threads, applies queue back-pressure, and may force-process events on a
-cyclic wait.  A divergence in the *observable output stream* (the values the
-program printed, in completion order — ``TimingResult.replay_outputs``)
-therefore means the replay dropped, duplicated or mis-ordered events, which
-is exactly the class of bug differential testing exists to catch.
+cyclic wait, but it does not compute the *observable output stream*.
+``TimingResult.replay_outputs`` is the trace's own print values in program
+order (``_TraceIndex.prints`` in :mod:`repro.sim.timing`), not an order the
+replay derived from completion times.  The replay-vs-interpreter check
+below therefore compares the trace with the run that recorded it, and
+cannot catch a timing or DSWP bug until an execution of the extracted DSWP
+threads replaces it (see ROADMAP.md).
 
 For every workload, :func:`difftest_workload` checks under the three
 standard hardware configurations (software-only MicroBlaze, hardware-heavy

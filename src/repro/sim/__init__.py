@@ -9,19 +9,21 @@ execution in hardware, queue latency/occupancy, bus contention, memory
 coherency delay, and the processor stream-interface overhead.
 """
 
-from repro.sim.assignment import ThreadAssignment, ThreadSpec, ExecutionDomain
-from repro.sim.timing import TimingSimulator, TimingResult
-from repro.sim.system import HybridSystem, SystemResult
-from repro.sim.power import PowerModel, PowerEstimate
+from repro.lazy import export_names, lazy_exports
 
-__all__ = [
-    "ThreadAssignment",
-    "ThreadSpec",
-    "ExecutionDomain",
-    "TimingSimulator",
-    "TimingResult",
-    "HybridSystem",
-    "SystemResult",
-    "PowerModel",
-    "PowerEstimate",
-]
+_EXPORTS = {
+    "repro.sim.assignment": ("ThreadAssignment",),
+    "repro.sim.timing": ("TimingSimulator",),
+    "repro.sim.system": ("HybridSystem",),
+    "repro.sim.power": ("PowerModel",),
+    "repro.results": (
+        "ThreadSpec",
+        "ExecutionDomain",
+        "TimingResult",
+        "SystemResult",
+        "PowerEstimate",
+    ),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -13,35 +13,12 @@ Three standard assignments reproduce the three bars of the thesis's figures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.dswp.pipeline import ModulePartitioning
 from repro.dswp.partitioner import PartitionKind
 from repro.ir.module import Module
-
-
-class ExecutionDomain(str, Enum):
-    """Where a thread executes."""
-
-    SOFTWARE = "sw"
-    HARDWARE = "hw"
-
-
-@dataclass(frozen=True)
-class ThreadSpec:
-    """One execution thread of the simulated system."""
-
-    thread_id: int
-    domain: ExecutionDomain
-    label: str
-
-    def is_software(self) -> bool:
-        return self.domain is ExecutionDomain.SOFTWARE
-
-    def is_hardware(self) -> bool:
-        return self.domain is ExecutionDomain.HARDWARE
+from repro.results import ExecutionDomain, ThreadSpec
 
 
 class ThreadAssignment:

@@ -16,26 +16,7 @@ and Twill between pure HW and pure SW — the ordering the thesis reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-
-@dataclass
-class PowerEstimate:
-    """Milliwatt estimate for one configuration."""
-
-    microblaze_mw: float = 0.0
-    fabric_static_mw: float = 0.0
-    fabric_dynamic_mw: float = 0.0
-
-    @property
-    def total_mw(self) -> float:
-        return self.microblaze_mw + self.fabric_static_mw + self.fabric_dynamic_mw
-
-    def normalised_to(self, baseline: "PowerEstimate") -> float:
-        if baseline.total_mw <= 0:
-            return 0.0
-        return self.total_mw / baseline.total_mw
+from repro.results import PowerEstimate
 
 
 class PowerModel:

@@ -8,78 +8,20 @@ Twill hybrid — plus the area and power roll-ups for each configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 from repro import perf
 from repro.config import CompilerConfig, HLSConfig, RuntimeConfig
 from repro.dswp.pipeline import DSWPResult, run_dswp
-from repro.hls.area import AreaEstimate, AreaModel
+from repro.hls.area import AreaModel
 from repro.hls.legup import LegUpFlow, LegUpResult
 from repro.hls.scheduling import HLSScheduler
 from repro.interp.trace import Trace
 from repro.ir.module import Module
+from repro.results import AreaEstimate, ConfigurationResult, SystemResult, TimingResult
 from repro.sim.assignment import ThreadAssignment
-from repro.sim.power import PowerEstimate, PowerModel
-from repro.sim.timing import TimingResult, TimingSimulator
-
-
-@dataclass
-class ConfigurationResult:
-    """Timing + area + power of one configuration (pure SW / pure HW / Twill)."""
-
-    name: str
-    timing: TimingResult
-    area: AreaEstimate
-    power: PowerEstimate
-
-    @property
-    def cycles(self) -> float:
-        return self.timing.total_cycles
-
-
-@dataclass
-class SystemResult:
-    """Results of all three configurations for one benchmark."""
-
-    benchmark: str
-    pure_software: ConfigurationResult
-    pure_hardware: ConfigurationResult
-    twill: ConfigurationResult
-    hw_thread_area: AreaEstimate = field(default_factory=AreaEstimate)
-    runtime_area: AreaEstimate = field(default_factory=AreaEstimate)
-
-    # -- the headline metrics of Chapter 6 ------------------------------------------------
-
-    @property
-    def speedup_vs_software(self) -> float:
-        return self.pure_software.cycles / max(self.twill.cycles, 1e-9)
-
-    @property
-    def speedup_vs_hardware(self) -> float:
-        return self.pure_hardware.cycles / max(self.twill.cycles, 1e-9)
-
-    @property
-    def hw_speedup_vs_software(self) -> float:
-        return self.pure_software.cycles / max(self.pure_hardware.cycles, 1e-9)
-
-    @property
-    def area_ratio_hw_threads(self) -> float:
-        """LegUp pure-HW LUTs / Twill HW-thread LUTs (the 1.73x reduction metric)."""
-        return self.pure_hardware.area.luts / max(self.hw_thread_area.luts, 1)
-
-    @property
-    def area_ratio_total(self) -> float:
-        """Twill (incl. runtime) LUTs / LegUp pure-HW LUTs (the 1.35x increase metric)."""
-        return self.twill.area.luts / max(self.pure_hardware.area.luts, 1)
-
-    def power_normalised(self) -> Dict[str, float]:
-        baseline = self.pure_software.power
-        return {
-            "pure_sw": 1.0,
-            "pure_hw": self.pure_hardware.power.normalised_to(baseline),
-            "twill": self.twill.power.normalised_to(baseline),
-        }
+from repro.sim.power import PowerModel
+from repro.sim.timing import TimingSimulator
 
 
 def repartition(

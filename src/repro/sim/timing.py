@@ -62,7 +62,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, compress, count, islice, repeat
 from operator import sub
@@ -74,7 +73,8 @@ from repro.costmodel.hardware import HardwareCostModel
 from repro.costmodel.software import SoftwareCostModel
 from repro.interp.trace import HAS_VALUE, Trace
 from repro.ir.instructions import Opcode
-from repro.sim.assignment import ExecutionDomain, ThreadAssignment, ThreadSpec
+from repro.results import ExecutionDomain, ThreadSpec, ThreadTimeline, TimingResult
+from repro.sim.assignment import ThreadAssignment
 
 # Thread visit states for the readiness scheduler.
 _QUEUED = 0      # in the heap, will be visited
@@ -290,55 +290,6 @@ def _trace_index(trace: Trace) -> _TraceIndex:
     if index is None:
         index = trace._replay_index = _TraceIndex(trace)
     return index
-
-
-@dataclass
-class ThreadTimeline:
-    """Accounting for one simulated thread."""
-
-    spec: ThreadSpec
-    next_free: float = 0.0
-    busy_cycles: float = 0.0
-    events_executed: int = 0
-    finish_time: float = 0.0
-    # FSM modelling for hardware threads: the basic block currently being
-    # executed and the latest completion time inside it.  A hardware thread
-    # does not start the next basic block's states until the current block
-    # has drained (unless loop pipelining is enabled in HLSConfig).
-    current_block: int = -1
-    block_max_done: float = 0.0
-
-
-@dataclass
-class TimingResult:
-    """Outcome of one timing replay."""
-
-    total_cycles: float
-    threads: Dict[int, ThreadTimeline]
-    queue_count: int
-    queue_transfers: int
-    producer_stall_cycles: float
-    consumer_stall_cycles: float
-    bus_transfers: int
-    forced_events: int
-    events: int
-    # Values the replayed program printed, ordered by the cycle the print
-    # event completed — the observable output stream the differential tests
-    # compare against the interpreter's.
-    replay_outputs: Tuple[int, ...] = ()
-
-    @property
-    def hardware_busy_cycles(self) -> float:
-        return sum(t.busy_cycles for t in self.threads.values() if t.spec.is_hardware())
-
-    @property
-    def software_busy_cycles(self) -> float:
-        return sum(t.busy_cycles for t in self.threads.values() if t.spec.is_software())
-
-    def speedup_over(self, baseline: "TimingResult") -> float:
-        if self.total_cycles <= 0:
-            return float("inf")
-        return baseline.total_cycles / self.total_cycles
 
 
 class TimingSimulator:

@@ -26,7 +26,12 @@ other derived artefact.  Determinism is a hard requirement throughout: no
 clocks, no randomness, no environment-dependent output.
 """
 
-from repro.viz.figures import FIGURE_SPECS, render_figure
-from repro.viz.report_html import build_report_html
+from repro.lazy import export_names, lazy_exports
 
-__all__ = ["FIGURE_SPECS", "render_figure", "build_report_html"]
+_EXPORTS = {
+    "repro.viz.figures": ("FIGURE_SPECS", "render_figure"),
+    "repro.viz.report_html": ("build_report_html",),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -349,6 +349,15 @@ def test_cli_and_report_artefact_registries_stay_in_sync():
     assert set(experiments.ARTEFACT_DECLARERS) == expected
 
 
+def test_cli_strategy_choices_match_the_registry():
+    """`repro explore --strategy` lists the registry's names without
+    importing it (the parser is built on every start-up)."""
+    from repro import cli
+    from repro.explore.strategies import STRATEGIES
+
+    assert cli.STRATEGY_NAMES == tuple(sorted(STRATEGIES))
+
+
 # ---------------------------------------------------------------------------
 # subprocess entry points
 # ---------------------------------------------------------------------------

@@ -349,16 +349,18 @@ def test_repartition_runs_once_per_distinct_partition(tmp_path, monkeypatch):
     """
     from repro.config import CompilerConfig
     from repro.explore import evaluate
+    from repro.sim import system
 
     evaluate._DSWP_MEMO.clear()
     calls = []
-    real_repartition = evaluate.repartition
+    real_repartition = system.repartition
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real_repartition(*args, **kwargs)
 
-    monkeypatch.setattr(evaluate, "repartition", counting)
+    # The explore payload imports the DSWP stage where it runs it.
+    monkeypatch.setattr(system, "repartition", counting)
     config = CompilerConfig()
     cache_root = str(tmp_path / "cache")
 
@@ -426,6 +428,7 @@ def test_dswp_stage_read_back_binds_to_the_compile_results_own_instructions(
     from repro.eval.artifact_codec import decode_compilation_result, encode_compilation_result
     from repro.eval.cache import compile_key
     from repro.explore import evaluate
+    from repro.sim import system
     from repro.workloads import get_workload
 
     config = CompilerConfig()
@@ -453,7 +456,7 @@ def test_dswp_stage_read_back_binds_to_the_compile_results_own_instructions(
 
     evaluate._DSWP_MEMO.clear()
     fresh = points()
-    monkeypatch.setattr(evaluate, "repartition", None)  # from here on, nothing recomputes
+    monkeypatch.setattr(system, "repartition", None)  # from here on, nothing recomputes
     evaluate._DSWP_MEMO.clear()
     assert points() == fresh
     for candidate in candidates:

@@ -37,6 +37,11 @@ output before reporting a single number:
   partitioning's PDG — what the one-pass decode used to do), plus the
   payload's bytes.  Not an A/B leg: its check is that re-encoding every
   decoded result gives the payload back byte for byte.
+* **startup** — the wall time of a fresh interpreter running
+  ``import repro.cli``, ``repro list`` and a warm ``repro report --json``
+  (median of :data:`STARTUP_RUNS`, pinned to one CPU), with the number of
+  ``repro`` modules and source lines each loads.  Not an A/B leg: its check
+  is that the warm report prints the cold report's bytes.
 
 Results land in ``BENCH_hotpath.json`` (override with ``--out``).  Exits
 non-zero if any leg's outputs diverge or any A/B leg's new implementation
@@ -48,6 +53,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -71,6 +79,8 @@ LEGS = ("frontend", "replay", "sweep", "explore", "interp")
 #: Workload whose runtime sweep the sweep leg replays: of all workloads its
 #: Twill replay has the largest share of cross-thread events (about 42 %).
 SWEEP_WORKLOAD = "jpeg"
+#: Fresh-interpreter runs per command of the startup leg (it reports the median).
+STARTUP_RUNS = 7
 
 
 def _timed(fn):
@@ -245,18 +255,20 @@ def bench_explore() -> dict:
     from repro.config import CompilerConfig
     from repro.explore import evaluate
     from repro.explore.space import report_space
+    from repro.sim import system
 
     space = report_space()
     config = CompilerConfig()
     candidates = list(space.candidates())
     dswp_runs = []
-    real_repartition = evaluate.repartition
+    real_repartition = system.repartition
 
     def counting(*args, **kwargs):
         dswp_runs.append(1)
         return real_repartition(*args, **kwargs)
 
-    evaluate.repartition = counting
+    # The explore payload imports the DSWP stage where it runs it.
+    system.repartition = counting
     try:
         with tempfile.TemporaryDirectory(prefix="repro-hotpath-") as workdir:
             cache_root = os.path.join(workdir, "cache")
@@ -287,7 +299,7 @@ def bench_explore() -> dict:
             )
             before_runs = len(dswp_runs)
     finally:
-        evaluate.repartition = real_repartition
+        system.repartition = real_repartition
         evaluate._DSWP_MEMO.clear()
 
     return {
@@ -432,6 +444,92 @@ def bench_artifact(repeats: int) -> dict:
     return {**totals, "identical": identical, "workloads": per_workload, "repeats": repeats}
 
 
+# Runs one start-up command (argv ``null``: only ``import repro.cli``), then
+# reports the repro modules it loaded and their source lines on stderr.
+_STARTUP_PROBE = """
+import json, sys
+argv = json.loads(sys.argv[1])
+import repro.cli
+code = 0 if argv is None else repro.cli.main(argv)
+sys.stdout.flush()
+files = [getattr(m, "__file__", None) for n, m in list(sys.modules.items())
+         if n == "repro" or n.startswith("repro.")]
+lines = sum(sum(1 for _ in open(f, encoding="utf-8")) for f in files if f)
+print(json.dumps({"modules": len(files), "lines": lines}), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def bench_startup(runs: int) -> dict:
+    """Leg (h): fresh-interpreter start-up of three commands.
+
+    The package is copied without any ``__pycache__`` and run with
+    ``PYTHONDONTWRITEBYTECODE=1``, so every run compiles ``repro`` from
+    source as a checkout without bytecode does, while the standard library
+    keeps its bytecode.  (An empty ``PYTHONPYCACHEPREFIX`` would hide the
+    standard library's bytecode too, and the leg would mostly time
+    compiling it.)  The warm report runs on a cache one cold report filled,
+    and records its run history as a real one does.
+    """
+    pin = None
+    if hasattr(os, "sched_setaffinity"):
+        cpu = min(os.sched_getaffinity(0))
+
+        def pin():
+            os.sched_setaffinity(0, {cpu})
+
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "src")
+        shutil.copytree(
+            os.path.join(REPO_ROOT, "src", "repro"),
+            os.path.join(src, "repro"),
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env.update(
+            PYTHONPATH=src,
+            PYTHONDONTWRITEBYTECODE="1",
+            REPRO_HISTORY=os.path.join(tmp, "history"),
+        )
+        cache = os.path.join(tmp, "cache")
+        commands = {
+            "import": None,
+            "list": ["list"],
+            "warm_report": ["report", "--json", "--cache-dir", cache],
+        }
+
+        def run(args):
+            proc = subprocess.run(
+                [sys.executable] + args,
+                env=env,
+                cwd=tmp,
+                capture_output=True,
+                check=True,
+                preexec_fn=pin,
+            )
+            return proc.stdout, proc.stderr
+
+        cold, _ = run(["-m", "repro.cli"] + commands["warm_report"])
+        record: dict = {"runs": runs}
+        identical = True
+        for name, argv in commands.items():
+            args = ["-c", "import repro.cli"] if argv is None else ["-m", "repro.cli"] + argv
+            seconds = []
+            for _ in range(runs):
+                elapsed, (stdout, _) = _timed(lambda: run(args))
+                seconds.append(elapsed)
+                if name == "warm_report":
+                    identical = identical and stdout == cold
+            _, stderr = run(["-c", _STARTUP_PROBE, json.dumps(argv)])
+            loaded = json.loads(stderr.decode().strip().splitlines()[-1])
+            record[name] = {
+                "seconds": round(statistics.median(seconds), 4),
+                "modules": loaded["modules"],
+                "lines": loaded["lines"],
+            }
+    return {**record, "identical": identical}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_hotpath.json", help="timing output file")
@@ -458,6 +556,7 @@ def main(argv: list[str] | None = None) -> int:
         "interp": bench_interp(args.repeats),
         "trace": bench_trace(args.repeats),
         "artifact": bench_artifact(args.repeats),
+        "startup": bench_startup(STARTUP_RUNS),
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
     }
@@ -486,6 +585,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"artifact_{step}_seconds": record["artifact"][f"{step}_seconds"]
                 for step in ("decode", "first_access", "eager")
             },
+            **{
+                f"startup_{command}_seconds": record["startup"][command]["seconds"]
+                for command in ("import", "list", "warm_report")
+            },
         },
         attrs={"repeats": args.repeats},
     )
@@ -495,6 +598,8 @@ def main(argv: list[str] | None = None) -> int:
         failures.append("trace: a decoded trace differs from the recorded one")
     if not record["artifact"]["identical"]:
         failures.append("artifact: a decoded result does not re-encode to its payload")
+    if not record["startup"]["identical"]:
+        failures.append("startup: the warm report's stdout differs from the cold report's")
     for leg in LEGS:
         if not record[leg]["identical"]:
             failures.append(f"{leg}: new and reference implementations diverge")
@@ -513,6 +618,9 @@ def main(argv: list[str] | None = None) -> int:
         f"{record['trace']['encode_seconds']}/{record['trace']['decode_seconds']} s"
         + f", artifact decode/first access/eager {record['artifact']['decode_seconds']}/"
         f"{record['artifact']['first_access_seconds']}/{record['artifact']['eager_seconds']} s"
+        + ", startup import/list/warm report "
+        + "/".join(str(record["startup"][c]["seconds"]) for c in ("import", "list", "warm_report"))
+        + " s"
     )
     return 0
 
