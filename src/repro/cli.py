@@ -60,26 +60,11 @@ suite use, so numbers never diverge between entry points:
   (``.repro_history/runs.jsonl``, appended by report/explore/bench runs):
   recent records, per-metric trends (``--svg-dir`` renders line charts),
   and rolling-median regression detection (``check`` exits non-zero when
-  the latest run is slower than ``--threshold`` times baseline);
-* ``repro cluster status --coordinator URL [--cache URL]`` — one live
-  summary of a distributed run (workers, heartbeat ages, queue depth,
-  throughput, cache hit rate), scraped from the services' ``/metrics``
-  endpoints;
-* ``repro collect serve --sink TRACE.jsonl`` — a standalone span
-  collector: processes started with ``REPRO_TRACE=http://HOST:PORT`` ship
-  their spans here in batches, yielding one merged trace for a multi-host
-  run;
-* ``repro dash --coordinator URL [--cache URL]`` — a live auto-refreshing
-  ops dashboard over a running cluster (worker liveness, queue/lease
-  sparklines, cache hit rate, run history, event feed); ``--snapshot
-  FILE.html`` writes one page and exits;
-* ``repro alerts check --coordinator URL`` — evaluate the declarative
-  alert rules the dashboard colours by, headlessly; exits non-zero when
-  anything fires (see docs/OBSERVABILITY.md "Live ops").
+  the latest run is slower than ``--threshold`` times baseline).
 
-The cache, coordinator, collector and dashboard services optionally
-require a shared secret on every request (set ``REPRO_SERVICE_TOKEN`` or
-``RuntimeConfig.service_token`` on both ends) and optionally serve TLS
+The cache service and the coordinator optionally require a shared secret on
+every request (set ``REPRO_SERVICE_TOKEN`` or ``RuntimeConfig.service_token``
+on both ends) and optionally serve TLS
 (``REPRO_SERVICE_TLS_CERT``/``REPRO_SERVICE_TLS_KEY``, clients trusting a
 private CA via ``REPRO_SERVICE_TLS_CA``) — see docs/DISTRIBUTED.md
 "Trust model".
@@ -1201,104 +1186,6 @@ def _cmd_history(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    """``repro cluster status``: one live summary of the running services."""
-    from repro.obs import cluster as obs_cluster
-
-    summary = obs_cluster.collect_status(
-        args.coordinator, cache_url=args.cache, timeout=args.timeout
-    )
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        print(obs_cluster.render_status(summary))
-    return 0
-
-
-def _dash_state(args: argparse.Namespace):
-    """Shared ``repro dash`` / ``repro alerts`` state construction."""
-    from repro.obs import alerts as obs_alerts
-    from repro.obs.dash import DashState
-
-    rules = obs_alerts.load_rules(Path(args.rules) if args.rules else None)
-    return DashState(
-        coordinator_url=args.coordinator,
-        cache_url=args.cache,
-        history_dir=Path(args.history) if args.history else None,
-        rules=rules,
-        refresh=args.refresh,
-        timeout=args.timeout,
-    )
-
-
-def _cmd_dash(args: argparse.Namespace) -> int:
-    """``repro dash``: serve the live ops page (or snapshot it once)."""
-    from repro.obs.dash import make_dash_server, render_html, serve_dash
-
-    state = _dash_state(args)
-    if args.snapshot:
-        # One-shot mode (CI artifacts): poll, render, write, exit.
-        state.poll(force=True)
-        out = Path(args.snapshot)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(render_html(state), encoding="utf-8")
-        print(f"wrote dashboard snapshot to {out}", file=sys.stderr)
-        return 0
-    if args.port == 0:
-        # Port 0 is only useful to tests that need a free port and the
-        # bound URL; bind explicitly so we can print it before serving.
-        server = make_dash_server(state, host=args.host, port=0)
-        print(f"repro dash on {server.url} (Ctrl-C stops)", flush=True)
-        try:
-            server.serve_forever(poll_interval=0.2)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.server_close()
-        return 0
-    serve_dash(state, host=args.host, port=args.port)
-    return 0
-
-
-def _cmd_alerts(args: argparse.Namespace) -> int:
-    """``repro alerts check``: evaluate the rules once, exit non-zero on fire."""
-    from repro.obs import alerts as obs_alerts
-
-    state = _dash_state(args)
-    for index in range(max(1, args.samples)):
-        if index:
-            time.sleep(max(0.0, args.interval))
-        state.poll(force=True)
-    payload = state.status_payload()
-    alerts = [obs_alerts.Alert(**a) for a in payload["alerts"]]
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "ok": not alerts,
-                    "alerts": payload["alerts"],
-                    "rules": state.rules.to_dict(),
-                    "snapshot": payload["snapshot"],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        print(obs_alerts.render_alerts(alerts))
-    return 1 if alerts else 0
-
-
-def _cmd_collect(args: argparse.Namespace) -> int:
-    """``repro collect serve``: run the standalone span collector."""
-    from repro.obs import collect as obs_collect
-
-    obs_collect.serve_collector(
-        Path(args.sink), host=args.host, port=args.port, verbose=args.verbose
-    )
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -1691,120 +1578,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_history.set_defaults(func=_cmd_history)
-
-    p_cluster = sub.add_parser(
-        "cluster",
-        parents=[common],
-        help="observe running distributed services (coordinator + cache)",
-    )
-    p_cluster.add_argument("action", choices=["status"])
-    p_cluster.add_argument(
-        "--coordinator",
-        required=True,
-        metavar="URL",
-        help="coordinator URL printed by 'repro report --workers'",
-    )
-    p_cluster.add_argument(
-        "--cache", metavar="URL", help="also summarise this cache service"
-    )
-    p_cluster.add_argument(
-        "--timeout",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="per-request timeout (default: 5)",
-    )
-    p_cluster.set_defaults(func=_cmd_cluster)
-
-    scrape = argparse.ArgumentParser(add_help=False)
-    scrape.add_argument(
-        "--coordinator",
-        required=True,
-        metavar="URL",
-        help="coordinator URL printed by 'repro report --workers'",
-    )
-    scrape.add_argument("--cache", metavar="URL", help="also watch this cache service")
-    scrape.add_argument(
-        "--history",
-        metavar="DIR",
-        help="run-history directory (default: $REPRO_HISTORY or ./.repro_history)",
-    )
-    scrape.add_argument(
-        "--rules",
-        metavar="RULES.json",
-        help="alert-rule overrides as JSON (see docs/OBSERVABILITY.md)",
-    )
-    scrape.add_argument(
-        "--timeout",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="per-request scrape timeout (default: 5)",
-    )
-
-    p_dash = sub.add_parser(
-        "dash",
-        parents=[scrape],
-        help="serve a live auto-refreshing ops dashboard over a cluster",
-    )
-    p_dash.add_argument("--host", default="127.0.0.1", help="bind host (default: 127.0.0.1)")
-    p_dash.add_argument(
-        "--port", type=int, default=8912, metavar="PORT", help="bind port (default: 8912)"
-    )
-    p_dash.add_argument(
-        "--refresh",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="page refresh + scrape interval (default: 5)",
-    )
-    p_dash.add_argument(
-        "--snapshot",
-        metavar="FILE.html",
-        help="write one dashboard snapshot to FILE and exit (CI artifacts)",
-    )
-    p_dash.set_defaults(func=_cmd_dash)
-
-    p_alerts = sub.add_parser(
-        "alerts",
-        parents=[scrape],
-        help="evaluate the alert rules headlessly (CI gate: non-zero exit on fire)",
-    )
-    p_alerts.add_argument("action", choices=["check"])
-    p_alerts.add_argument(
-        "--samples",
-        type=int,
-        default=1,
-        metavar="N",
-        help="snapshots to take before evaluating (sustained rules need >= 3)",
-    )
-    p_alerts.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="pause between snapshots (default: 2)",
-    )
-    p_alerts.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    p_alerts.set_defaults(func=_cmd_alerts, refresh=1.0)
-
-    p_collect = sub.add_parser(
-        "collect",
-        help="run a standalone span collector (POST /spans -> one JSONL file)",
-    )
-    p_collect.add_argument("action", choices=["serve"])
-    p_collect.add_argument(
-        "--sink",
-        required=True,
-        metavar="TRACE.jsonl",
-        help="JSONL file the collector appends received spans to",
-    )
-    p_collect.add_argument("--host", default="127.0.0.1", help="bind host (default: 127.0.0.1)")
-    p_collect.add_argument(
-        "--port", type=int, default=8917, metavar="PORT", help="bind port (default: 8917)"
-    )
-    p_collect.add_argument("--verbose", action="store_true", help="log each request")
-    p_collect.set_defaults(func=_cmd_collect)
 
     return parser
 

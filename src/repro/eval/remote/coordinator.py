@@ -57,9 +57,7 @@ from repro.eval.remote.protocol import (
     service_token,
     wrap_server_socket,
 )
-from repro.obs import collect as obs_collect
 from repro.obs import metrics as obs_metrics
-from repro.obs import tracing as obs_tracing
 from repro.obs.logs import get_logger
 
 #: Default seconds a leased task may go without a heartbeat before it is
@@ -524,22 +522,6 @@ class CoordinatorHTTPServer(ThreadingHTTPServer):
         scheme = "https" if self.tls else "http"
         return f"{scheme}://{host}:{port}"
 
-    def record_ingested_span(self, record: Dict[str, Any]) -> None:
-        """Merge one span POSTed by a worker/cache process into this
-        (client) process's own trace sink — the point of the collector.
-
-        Discarded when the client is untraced, or when its own sink is a
-        RemoteSink pointing back at this very server (re-recording would
-        ship the span to ourselves forever).
-        """
-        active = obs_tracing.tracer()
-        if active is None:
-            return
-        writer_url = getattr(active.writer, "base_url", None) if active.writer else None
-        if writer_url is not None and writer_url.rstrip("/") == self.url:
-            return
-        active.record(record)
-
 
 class _CoordinatorRequestHandler(BaseHTTPRequestHandler):
     """JSON-over-HTTP routing onto the coordinator's methods."""
@@ -590,13 +572,6 @@ class _CoordinatorRequestHandler(BaseHTTPRequestHandler):
     @_timed_handler
     def do_POST(self) -> None:  # noqa: N802
         coordinator = self.server.coordinator
-        if self.path == "/spans":
-            # Span ingestion owns its own body handling: the batch byte cap
-            # must refuse oversized bodies without buffering them.
-            obs_collect.handle_spans_post(
-                self, self.server.record_ingested_span, self.server.token
-            )
-            return
         body = self._read_json()  # drain first (keep-alive safety), then auth
         if not check_auth(self, self.server.token):
             return

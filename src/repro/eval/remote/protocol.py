@@ -265,7 +265,7 @@ def raise_for_auth(exc: "urllib.error.HTTPError", url: str) -> None:
 # -- TLS ------------------------------------------------------------------------
 
 #: Server certificate + key (PEM).  Setting the cert switches every repro
-#: service in the process — cache, coordinator, collector, dashboard — to
+#: service in the process — the cache service and the coordinator — to
 #: HTTPS; the key variable may be omitted when the cert file bundles both.
 TLS_CERT_ENV = "REPRO_SERVICE_TLS_CERT"
 TLS_KEY_ENV = "REPRO_SERVICE_TLS_KEY"
@@ -328,7 +328,7 @@ def client_ssl_context() -> ssl.SSLContext:
 def urlopen(request: Any, timeout: float = 30.0) -> Any:
     """``urllib.request.urlopen`` with the repro client TLS context.
 
-    Every service client (coordinator, cache, collector, dashboard scraper)
+    Every service client (coordinator client, cache client, worker daemon)
     funnels through here so ``https://`` URLs verify against
     ``$REPRO_SERVICE_TLS_CA`` uniformly; plain ``http://`` requests pass an
     explicit ``context=None`` and behave exactly as before.

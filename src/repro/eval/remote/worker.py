@@ -243,8 +243,7 @@ def run_worker(
     finally:
         stop.set()
         # Flush telemetry now rather than trusting atexit: a pool child
-        # exits via sys.exit inside multiprocessing, and a remote span
-        # shipper needs its queue drained while the collector is still up.
+        # exits via sys.exit inside multiprocessing.
         obs_tracing.shutdown()
     return 0
 

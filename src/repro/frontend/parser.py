@@ -1,4 +1,4 @@
-"""Parsers for the supported C subset.
+"""Parser for the supported C subset.
 
 Grammar highlights (everything the CHStone-style kernels need):
 
@@ -14,17 +14,11 @@ Deliberately unsupported (raises :class:`UnsupportedFeatureError`, mirroring
 the restrictions Twill documents): structs/unions/typedefs, floating point,
 function pointers, variadic functions, ``goto``.
 
-Two implementations produce identical ASTs and identical diagnostics:
-
-* :class:`~repro.frontend.tableparser.TableParser` (the default) dispatches
-  on the LL(1) predict table built at import by :mod:`repro.frontend.ll1`
-  and folds binary operators iteratively with an explicit operator stack;
-* :class:`RecursiveDescentParser` (this module) is the original
-  recursive-descent implementation, kept as the differential-testing
-  reference and selectable with ``REPRO_PARSER=rd``.
-
-:func:`Parser` is a factory that picks the implementation per call, so all
-existing ``Parser(tokens, ...)`` call sites keep working unchanged.
+One recursive-descent parser, one method per grammar rule (the grammar is
+LL(1) apart from the cast-vs-parenthesis choice at ``(``, settled with one
+extra token of lookahead, and the dangling ``else``, which binds to the
+nearest ``if``).  Binary operators are folded by precedence climbing over
+:data:`_BINARY_PRECEDENCE`.
 
 Two error modes: the default raises on the first problem (what the compile
 pipeline wants — a bad workload must not half-compile), while
@@ -36,8 +30,7 @@ of a file's problems in one pass.
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from repro import perf
 from repro.errors import FrontendError, ParseError, UnsupportedFeatureError
@@ -74,16 +67,29 @@ from repro.frontend.ast_nodes import (
     WhileStmt,
 )
 from repro.frontend.lexer import Token, TokenKind, tokenize
-from repro.frontend.ll1 import _ASSIGN_OPS, _BINARY_PRECEDENCE, _TYPE_KEYWORDS
 
-#: Environment variable selecting the parser implementation ("rd" = legacy
-#: recursive descent; anything else = the table-driven default).
-PARSER_ENV = "REPRO_PARSER"
+# Binary operator precedence (C precedence, higher binds tighter).
+_BINARY_PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "|": 3,
+    "^": 4,
+    "&": 5,
+    "==": 6, "!=": 6,
+    "<": 7, ">": 7, "<=": 7, ">=": 7,
+    "<<": 8, ">>": 8,
+    "+": 9, "-": 9,
+    "*": 10, "/": 10, "%": 10,
+}
+
+_ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>=", "&=", "|=", "^="}
+
+_TYPE_KEYWORDS = {"void", "char", "short", "int", "long", "unsigned", "signed", "const", "static", "volatile"}
 
 
-class _ParserBase:
-    """Token stream, panic-mode recovery and type-specifier scanning shared
-    by both parser implementations."""
+class Parser:
+    """Recursive-descent parser over a token list, with optional panic-mode
+    recovery (``recover=True``)."""
 
     def __init__(self, tokens: List[Token], recover: bool = False, filename: str = "<string>"):
         self.tokens = tokens
@@ -255,13 +261,6 @@ class _ParserBase:
         if value is None:
             raise self._error("expected a constant expression")
         return value
-
-    def _parse_conditional(self) -> Expr:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class RecursiveDescentParser(_ParserBase):
-    """The original recursive-descent implementation (``REPRO_PARSER=rd``)."""
 
     # -- top level -------------------------------------------------------------------
 
@@ -628,21 +627,6 @@ class RecursiveDescentParser(_ParserBase):
         if tok.kind is TokenKind.STRING_LITERAL:
             raise UnsupportedFeatureError("string literals are not supported", line=tok.line, col=tok.col)
         raise self._error(f"unexpected token {tok.text!r} in expression")
-
-
-def active_parser_class() -> type:
-    """The parser implementation selected by ``REPRO_PARSER`` (read per call
-    so tests can flip implementations without re-importing)."""
-    if os.environ.get(PARSER_ENV, "").strip().lower() in ("rd", "recursive", "legacy"):
-        return RecursiveDescentParser
-    from repro.frontend.tableparser import TableParser
-
-    return TableParser
-
-
-def Parser(tokens: List[Token], recover: bool = False, filename: str = "<string>"):
-    """Factory: build the active parser implementation over ``tokens``."""
-    return active_parser_class()(tokens, recover=recover, filename=filename)
 
 
 def evaluate_constant_expr(expr: Expr) -> Optional[int]:

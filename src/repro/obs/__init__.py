@@ -12,23 +12,11 @@ identical — is the design constraint, enforced by tests/test_obs.py):
   distributed report run yields one coherent trace.  Spans stream to a
   JSONL sink named by ``$REPRO_TRACE``; ``repro trace`` renders them.
 * :mod:`repro.obs.metrics` — a process-local registry of counters, gauges
-  and histograms rendered in Prometheus text exposition format.  The cache
-  server and the coordinator expose it as an auth-exempt ``GET /metrics``;
-  ``repro cluster status`` summarises a live cluster from those endpoints
-  (:mod:`repro.obs.cluster`).
-
-On top of the pillars sits the central telemetry plane:
-
-* :mod:`repro.obs.collect` — span *collection*.  ``REPRO_TRACE`` may name a
-  collector URL instead of a file: spans then ship in batches to a
-  ``POST /spans`` endpoint (on the coordinator, or a standalone
-  ``repro collect serve``), so one client-side file captures an entire
-  distributed run without gathering per-host sinks.
-* :mod:`repro.obs.dash` — the live ops page (``repro dash``): worker
-  liveness, queue/latency/throughput sparklines, cache hit rate, recent run
-  history with the regression verdict, alerts and a rolling event feed.
-* :mod:`repro.obs.alerts` — the declarative threshold rules behind both the
-  dashboard and the CI-able ``repro alerts check``.
+  and histograms rendered in Prometheus text exposition format, and the
+  parser that reads it back.  The cache server and the coordinator expose
+  it as an auth-exempt ``GET /metrics``; with the coordinator's token-auth'd
+  ``GET /status`` (per-worker heartbeat ages and trace ids) that is how a
+  live cluster is read (docs/OBSERVABILITY.md).
 
 :mod:`repro.obs.profile` (sampling profiler + exact counters),
 :mod:`repro.obs.analyze` (trace summary / critical path) and

@@ -11,7 +11,7 @@ the cache server / coordinator expose the union on their auth-exempt
 :func:`MetricsRegistry.render` produces the Prometheus text exposition
 format (``# HELP`` / ``# TYPE`` comments, ``name{label="v"} value``
 samples, ``_bucket``/``_sum``/``_count`` series for histograms) that both
-``promtool``-style scrapers and :mod:`repro.obs.cluster`'s own parser
+``promtool``-style scrapers and this module's own :func:`parse_prometheus`
 consume.  Collector callbacks registered via
 :func:`MetricsRegistry.register_collector` run just before each render so
 point-in-time gauges (queue depth, heartbeat ages, store size) are fresh at
@@ -25,6 +25,7 @@ not a ``perf.collect`` block is active.
 
 from __future__ import annotations
 
+import re
 import threading
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -297,6 +298,60 @@ def set_build_info(registry: Optional[MetricsRegistry] = None) -> Gauge:
     )
     info.set(1.0, version=__version__, python=platform.python_version())
     return info
+
+
+# -- parsing the exposition format ---------------------------------------------
+
+_SAMPLE_RE = re.compile(
+    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
+    r"(?:\{(?P<labels>[^}]*)\})?"
+    r"\s+(?P<value>[^\s]+)\s*$"
+)
+_LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+
+
+def parse_prometheus(text: str) -> Dict[str, List[Tuple[Dict[str, str], float]]]:
+    """Parse Prometheus text exposition into ``{name: [(labels, value)]}``."""
+    samples: Dict[str, List[Tuple[Dict[str, str], float]]] = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        match = _SAMPLE_RE.match(line)
+        if not match:
+            continue
+        labels: Dict[str, str] = {}
+        if match.group("labels"):
+            for label_match in _LABEL_RE.finditer(match.group("labels")):
+                value = label_match.group(2)
+                value = value.replace('\\"', '"').replace("\\n", "\n").replace("\\\\", "\\")
+                labels[label_match.group(1)] = value
+        raw = match.group("value")
+        try:
+            value = float("inf") if raw == "+Inf" else float(raw)
+        except ValueError:
+            continue
+        samples.setdefault(match.group("name"), []).append((labels, value))
+    return samples
+
+
+def metric_value(
+    samples: Dict[str, List[Tuple[Dict[str, str], float]]],
+    name: str,
+    **labels: str,
+) -> Optional[float]:
+    """Sum of *name* samples whose labels include *labels* (``None`` = absent)."""
+    rows = samples.get(name)
+    if rows is None:
+        return None
+    matched = [
+        value
+        for sample_labels, value in rows
+        if all(sample_labels.get(k) == v for k, v in labels.items())
+    ]
+    if not matched:
+        return None
+    return sum(matched)
 
 
 # -- repro.perf bridge -----------------------------------------------------------

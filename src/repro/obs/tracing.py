@@ -31,6 +31,7 @@ import atexit
 import itertools
 import json
 import os
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -102,32 +103,20 @@ NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Records finished spans to an in-memory buffer and a span writer.
+    """Records finished spans to an in-memory buffer and a JSONL file.
 
-    The default writer is a JSONL file: the handle is opened once in append
-    mode and **flushed after every record**, so a process killed mid-run
-    (KeyboardInterrupt, OOM, SIGTERM) leaves a valid JSONL prefix — every
-    line that was written is complete and parseable.  When ``$REPRO_TRACE``
-    is an ``http(s)://`` URL the writer is instead a
-    :class:`repro.obs.collect.RemoteSink` shipping batches to a central
-    collector.  :func:`shutdown` (registered ``atexit``) additionally
-    records any still-open spans as ``interrupted`` and closes the writer.
+    The file handle is opened once in append mode and **flushed after every
+    record**, so a process killed mid-run (KeyboardInterrupt, OOM, SIGTERM)
+    leaves a valid JSONL prefix — every line that was written is complete
+    and parseable.  :func:`shutdown` (registered ``atexit``) additionally
+    records any still-open spans as ``interrupted`` and closes the file.
     """
 
-    def __init__(
-        self,
-        sink: Optional[Path] = None,
-        service: str = "cli",
-        writer: Optional[Any] = None,
-    ):
+    def __init__(self, sink: Optional[Path] = None, service: str = "cli"):
         self.sink = Path(sink) if sink else None
-        self.writer = writer
-        #: The raw ``$REPRO_TRACE`` value this tracer writes to (file path
-        #: or collector URL) — recorded into the run-history ledger so a
-        #: flagged regression links back to its trace.
+        #: The sink path this tracer writes to — recorded into the
+        #: run-history ledger so a flagged regression links back to its trace.
         self.sink_spec: Optional[str] = str(sink) if sink else None
-        if writer is not None and self.sink_spec is None:
-            self.sink_spec = getattr(writer, "base_url", None)
         self.service = service
         self._lock = threading.Lock()
         self._spans: List[Dict[str, Any]] = []
@@ -138,12 +127,6 @@ class Tracer:
         with self._lock:
             if len(self._spans) < _BUFFER_LIMIT:
                 self._spans.append(record)
-        if self.writer is not None:
-            try:
-                self.writer.write_record(record)
-            except Exception:
-                pass  # observe-only: a broken shipper never fails work
-            return
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         with self._lock:
             if self.sink is None or self._sink_broken:
@@ -160,11 +143,6 @@ class Tracer:
 
     def close(self) -> None:
         """Flush and close the sink (a file handle reopens on next record)."""
-        if self.writer is not None:
-            try:
-                self.writer.close()
-            except Exception:
-                pass
         with self._lock:
             if self._handle is not None:
                 try:
@@ -267,10 +245,8 @@ _context = _Context()
 def tracer() -> Optional[Tracer]:
     """The process tracer, lazily built from ``$REPRO_TRACE`` (``None`` = off).
 
-    A plain value is a JSONL sink path; an ``http(s)://`` value selects a
-    :class:`~repro.obs.collect.RemoteSink` shipping spans to that central
-    collector instead (``POST /spans`` on the coordinator or a standalone
-    ``repro collect serve``).
+    The value is a JSONL sink path.  A URL is not a path: it leaves tracing
+    off with one line on stderr, so stdout and the work are unchanged.
     """
     global _tracer
     if _tracer is _UNSET:
@@ -278,10 +254,12 @@ def tracer() -> Optional[Tracer]:
         if not spec:
             _tracer = None
         elif spec.startswith(("http://", "https://")):
-            from repro.obs import collect
-
-            _tracer = Tracer(writer=collect.RemoteSink(spec), service=_service_name)
-            _tracer.sink_spec = spec
+            print(
+                f"repro: {TRACE_ENV}={spec!r} is a URL; it takes a file path "
+                "(spans are written as JSONL), so tracing is off",
+                file=sys.stderr,
+            )
+            _tracer = None
         else:
             _tracer = Tracer(Path(spec), service=_service_name)
         if _tracer is not None:
@@ -290,7 +268,7 @@ def tracer() -> Optional[Tracer]:
 
 
 def sink_spec() -> Optional[str]:
-    """The active tracer's sink (file path or collector URL), if tracing."""
+    """The active tracer's sink file path, if tracing."""
     active = tracer()
     return active.sink_spec if active is not None else None
 

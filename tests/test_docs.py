@@ -130,7 +130,7 @@ def test_observability_doc_covers_the_surface():
         LOG_LEVEL_ENV,
         "repro trace",
         "--gantt",
-        "repro cluster status",
+        "/status",
         "GET /metrics",
         "/healthz",
         "byte-identical",

@@ -11,9 +11,9 @@ Four layers, cheapest first:
 * live-socket checks: a real worker + RemoteExecutor round trip yields one
   coherent trace across the coordinator hop, and both services answer
   ``/healthz`` (enriched) and ``/metrics`` (auth-exempt) correctly;
-* CLI: ``repro trace`` renders tree and Gantt views, ``repro cluster
-  status`` summarises live services, and a traced ``repro ingest`` is
-  byte-identical to an untraced one (the full-report byte-identity runs in
+* CLI: ``repro trace`` renders tree and Gantt views, a traced ``repro
+  ingest`` is byte-identical to an untraced one, and a URL in
+  ``$REPRO_TRACE`` leaves tracing off with one stderr line (the full-report byte-identity runs in
   ``tools/obs_smoke.py`` / the ``obs-smoke`` CI job).
 """
 
@@ -34,8 +34,8 @@ from repro.eval.remote.executor import RemoteExecutor
 from repro.eval.remote.worker import run_worker
 from repro.eval.taskgraph import Task, TaskGraph, TaskScheduler, aggregate_task
 from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import metric_value, parse_prometheus
 from repro.obs import tracing as obs_tracing
-from repro.obs.cluster import collect_status, metric_value, parse_prometheus, render_status
 from repro.obs.logs import get_logger
 from repro.obs.render import load_spans, render_gantt, render_tree
 
@@ -100,7 +100,7 @@ def test_label_values_are_escaped():
     registry.counter("odd_total", "Odd.").inc(path='a"b\\c\nd')
     line = [l for l in registry.render().splitlines() if l.startswith("odd_total{")][0]
     assert '\\"' in line and "\\\\" in line and "\\n" in line
-    # ...and the cluster parser reverses the escaping exactly.
+    # ...and the exposition parser reverses the escaping exactly.
     ((labels, value),) = parse_prometheus(line)["odd_total"]
     assert labels == {"path": 'a"b\\c\nd'} and value == 1.0
 
@@ -367,7 +367,7 @@ def test_worker_heartbeat_carries_the_current_trace_id():
 
 
 # ---------------------------------------------------------------------------
-# services: enriched /healthz, auth-exempt /metrics, cluster status
+# services: enriched /healthz, auth-exempt /metrics
 # ---------------------------------------------------------------------------
 
 
@@ -441,47 +441,6 @@ def test_services_expose_build_info_and_request_histograms(tmp_path):
     finally:
         coordinator_server.shutdown()
         cache_server.shutdown()
-
-
-def test_cluster_status_summarises_live_services(tmp_path, capsys):
-    cache_server = make_cache_server(tmp_path / "store", port=0)
-    threading.Thread(target=cache_server.serve_forever, daemon=True).start()
-    coordinator = Coordinator()
-    coordinator_server = start_coordinator_server(coordinator, port=0)
-    coordinator.register(name="w1")
-    try:
-        summary = collect_status(coordinator_server.url, cache_url=cache_server.url)
-        assert summary["coordinator"]["ok"] and summary["cache"]["ok"]
-        assert summary["coordinator"]["workers"] == ["w1"]
-        text = render_status(summary)
-        assert "workers live: 1" in text and "cache http://" in text
-        # The CLI front end renders the same summary.
-        code = main([
-            "cluster", "status",
-            "--coordinator", coordinator_server.url, "--cache", cache_server.url,
-        ])
-        out, _ = capsys.readouterr()
-        assert code == 0 and "coordinator http://" in out
-        # --json is machine-readable with a stable key order: re-serialising
-        # the parsed payload reproduces the output byte for byte.
-        code = main([
-            "cluster", "status", "--json",
-            "--coordinator", coordinator_server.url, "--cache", cache_server.url,
-        ])
-        out, _ = capsys.readouterr()
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["coordinator"]["workers"] == ["w1"]
-        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    finally:
-        coordinator_server.shutdown()
-        cache_server.shutdown()
-
-
-def test_cluster_status_unreachable_coordinator_is_a_clean_error(capsys):
-    code = main(["cluster", "status", "--coordinator", "127.0.0.1:9"])
-    _, err = capsys.readouterr()
-    assert code == 2 and "unreachable" in err
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +587,32 @@ def test_traced_ingest_is_byte_identical_and_captures_spans(tmp_path, capsys, mo
         assert traced_out == plain  # byte-identical stdout
         spans = load_spans(sink)
         assert any(record["name"].startswith("task:ingest:") for record in spans)
+    finally:
+        monkeypatch.delenv(obs_tracing.TRACE_ENV, raising=False)
+        obs_tracing.reset()
+        obs_tracing.set_service("cli")
+
+
+def test_url_trace_value_warns_once_and_leaves_report_unchanged(tmp_path, capsys, monkeypatch):
+    """``$REPRO_TRACE`` takes a file path: a URL is named on stderr, not
+    opened as a file, and the report on stdout is unchanged."""
+    monkeypatch.chdir(tmp_path)
+    args = ["report", "--json", "--benchmarks", "blowfish", "--cache-dir", str(tmp_path / "cache")]
+    monkeypatch.delenv(obs_tracing.TRACE_ENV, raising=False)
+    obs_tracing.reset()
+    try:
+        assert main(args) == 0
+        plain, _ = capsys.readouterr()
+        monkeypatch.setenv(obs_tracing.TRACE_ENV, "http://127.0.0.1:9")
+        obs_tracing.reset()  # re-read the env, as a fresh process would
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert out == plain
+        warnings = [line for line in err.splitlines() if obs_tracing.TRACE_ENV in line]
+        assert len(warnings) == 1
+        assert "http://127.0.0.1:9" in warnings[0] and "file path" in warnings[0]
+        assert not obs_tracing.enabled()
+        assert not (tmp_path / "http:").exists()
     finally:
         monkeypatch.delenv(obs_tracing.TRACE_ENV, raising=False)
         obs_tracing.reset()

@@ -4,8 +4,9 @@ Three layers, cheapest first:
 
 * pure-logic tests of the :class:`Coordinator` state machine (lease,
   heartbeat, expiry-reassignment, retry cap) and the wire protocol;
-* live-socket tests of the HTTP cache service (round trip, server-side
-  single-flight) and of a real worker loop driving a
+* live-socket tests of the HTTP cache service (round trip, TLS, metrics
+  scrapes under concurrent PUTs, server-side single-flight) and of a real
+  worker loop driving a
   :class:`RemoteExecutor`-backed scheduler — all in-process with fake
   (cheap) payload functions, no workload compiles;
 * one subprocess end-to-end smoke (``tools/distributed_smoke.py``): cache
@@ -14,8 +15,11 @@ Three layers, cheapest first:
 """
 
 import json
+import shutil
+import subprocess
 import threading
 import time
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -31,6 +35,7 @@ from repro.eval.remote.executor import RemoteExecutor
 from repro.eval.remote.worker import run_worker
 from repro.eval.taskgraph import Task, TaskGraph, TaskScheduler, aggregate_task
 from repro.eval.trace import TraceRecorder
+from repro.obs.metrics import metric_value, parse_prometheus
 
 
 def make_spec(task_id="sweep:fake", attempt=None):
@@ -490,6 +495,91 @@ def test_from_spec_picks_backend(tmp_path):
     assert isinstance(ArtifactCache.from_spec(str(tmp_path)).backend, LocalFSBackend)
     assert isinstance(ArtifactCache.from_spec("http://example:1").backend, HTTPCacheBackend)
     assert ArtifactCache.from_spec("http://example:1").spec == "http://example:1"
+
+
+def test_cache_metrics_stay_parseable_under_concurrent_puts(cache_server):
+    """Four threads scrape ``/metrics`` while four threads PUT entries: every
+    scrape is a complete exposition carrying the PUT counter."""
+    backend = HTTPCacheBackend(cache_server.url)
+    errors = []
+    bodies = []
+    lock = threading.Lock()
+
+    def scrape():
+        try:
+            for _ in range(5):
+                with urllib.request.urlopen(cache_server.url + "/metrics", timeout=10) as r:
+                    text = r.read().decode("utf-8")
+                with lock:
+                    bodies.append(text)
+        except Exception as exc:  # pragma: no cover - failure detail
+            errors.append(exc)
+
+    def put(base):
+        try:
+            for i in range(5):
+                backend.put_blob(f"{base * 100 + i:064x}", "json", b'{"v": 1}')
+        except Exception as exc:  # pragma: no cover - failure detail
+            errors.append(exc)
+
+    threads = [threading.Thread(target=scrape) for _ in range(4)]
+    threads += [threading.Thread(target=put, args=(n,)) for n in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not errors
+    assert len(bodies) == 20
+    for body in bodies:
+        value = metric_value(parse_prometheus(body), "repro_cache_puts_total")
+        assert isinstance(value, float)
+    assert ArtifactCache(backend=cache_server.backend).stats()["entries"] == 20
+
+
+def _mint_self_signed(tmp_path):
+    openssl = shutil.which("openssl")
+    if openssl is None:
+        pytest.skip("no openssl binary available to mint a test certificate")
+    cert, key = tmp_path / "tls.crt", tmp_path / "tls.key"
+    subprocess.run(
+        [openssl, "req", "-x509", "-newkey", "rsa:2048", "-nodes",
+         "-keyout", str(key), "-out", str(cert), "-days", "1",
+         "-subj", "/CN=127.0.0.1",
+         "-addext", "subjectAltName=IP:127.0.0.1"],
+        check=True, capture_output=True, timeout=60,
+    )
+    return cert, key
+
+
+def test_cache_service_round_trip_over_tls(tmp_path, monkeypatch):
+    cert, key = _mint_self_signed(tmp_path)
+    monkeypatch.setenv(protocol.TLS_CERT_ENV, str(cert))
+    monkeypatch.setenv(protocol.TLS_KEY_ENV, str(key))
+    server = make_cache_server(tmp_path / "served", port=0)
+    assert server.url.startswith("https://")
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    monkeypatch.delenv(protocol.TLS_CERT_ENV)
+    monkeypatch.delenv(protocol.TLS_KEY_ENV)
+    try:
+        # The server must not accept plaintext clients once TLS is on.
+        plain = "http://" + server.url[len("https://"):]
+        with pytest.raises(OSError):
+            urllib.request.urlopen(f"{plain}/healthz", timeout=10)
+        # A client trusting the cert as its CA completes a put/get round trip.
+        monkeypatch.setenv(protocol.TLS_CA_ENV, str(cert))
+        remote = ArtifactCache(backend=HTTPCacheBackend(server.url))
+        remote.put("5" * 64, {"cycles": 7.0}, serializer="json")
+        assert remote.get("5" * 64) == {"cycles": 7.0}
+        # An untrusting client fails certificate verification.
+        monkeypatch.delenv(protocol.TLS_CA_ENV)
+        with pytest.raises(urllib.error.URLError, match="certificate verify failed"):
+            protocol.urlopen(f"{server.url}/healthz", timeout=5)
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 # ---------------------------------------------------------------------------

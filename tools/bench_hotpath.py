@@ -1,14 +1,14 @@
 #!/usr/bin/env python
 """Before/after micro-benchmark of the hot-path overhauls.
 
-Each leg times the new implementation against its reference **in the same
-process, on the same inputs**, and verifies the two produce identical
+Each A/B leg times the new implementation against its reference **in the
+same process, on the same inputs**, and verifies the two produce identical
 output before reporting a single number:
 
-* **frontend** — batched-regex lexer + table-driven LL(1) parser
-  (``REPRO_PARSER`` default) vs the recursive-descent reference
-  (``REPRO_PARSER=rd``), parsing every builtin workload source; per-stage
-  lex/parse seconds come from the :mod:`repro.perf` collectors.
+* **frontend** — the batched-regex lexer and the recursive-descent parser
+  over every builtin workload source; per-stage lex/parse seconds come
+  from the :mod:`repro.perf` collectors.  Not an A/B leg: there is one
+  parser, so this is a plain timing.
 * **replay** — a first replay (readiness-driven scheduler, then the
   re-time pass) vs the cooperative poll engine kept as the differential
   oracle (``tests/replay_oracle.py``), replaying each workload's trace
@@ -66,16 +66,15 @@ sys.path.insert(0, REPO_ROOT)  # tests.replay_oracle, tests.interp_oracle
 
 from repro import perf  # noqa: E402
 from repro.frontend.lexer import tokenize  # noqa: E402
-from repro.frontend.parser import RecursiveDescentParser  # noqa: E402
-from repro.frontend.tableparser import TableParser  # noqa: E402
+from repro.frontend.parser import Parser  # noqa: E402
 from repro.workloads import all_workloads  # noqa: E402
 
 #: Workloads whose traces the replay leg simulates (kept small: replay cost
 #: scales with dynamic instruction count, and two shapes suffice).
 REPLAY_WORKLOADS = ("blowfish", "mips")
-#: The A/B legs, in report order (the trace and artifact legs have no
-#: reference side).
-LEGS = ("frontend", "replay", "sweep", "explore", "interp")
+#: The A/B legs, in report order (the frontend, trace and artifact legs have
+#: no reference side).
+LEGS = ("replay", "sweep", "explore", "interp")
 #: Workload whose runtime sweep the sweep leg replays: of all workloads its
 #: Twill replay has the largest share of cross-thread events (about 42 %).
 SWEEP_WORKLOAD = "jpeg"
@@ -91,28 +90,23 @@ def _timed(fn):
 
 
 def bench_frontend(repeats: int) -> dict:
-    """Leg (a): lex+parse every builtin workload with both parsers."""
+    """Leg (a): lex+parse every builtin workload source."""
     sources = [w.source for w in all_workloads()]
 
-    def run(parser_cls):
+    def run():
         with perf.collect() as timings:
-            units = []
             for _ in range(repeats):
                 for source in sources:
                     with perf.stage("lex"):
                         tokens = tokenize(source)
                     with perf.stage("parse"):
-                        units.append(parser_cls(tokens).parse_translation_unit())
-            return units, timings
+                        Parser(tokens).parse_translation_unit()
+            return timings
 
-    table_seconds, (table_units, table_timings) = _timed(lambda: run(TableParser))
-    rd_seconds, (rd_units, _) = _timed(lambda: run(RecursiveDescentParser))
+    seconds, timings = _timed(run)
     return {
-        "after_seconds": round(table_seconds, 4),
-        "before_seconds": round(rd_seconds, 4),
-        "speedup": round(rd_seconds / max(table_seconds, 1e-9), 3),
-        "stages": table_timings.as_dict(),
-        "identical": table_units == rd_units,
+        "seconds": round(seconds, 4),
+        "stages": timings.as_dict(),
         "sources": len(sources),
         "repeats": repeats,
     }
@@ -572,6 +566,7 @@ def main(argv: list[str] | None = None) -> int:
     obs_history.record_run(
         "bench_hotpath",
         {
+            "frontend_seconds": record["frontend"]["seconds"],
             **{
                 f"{leg}_{side}_seconds": record[leg][f"{side}_seconds"]
                 for leg in LEGS
@@ -612,7 +607,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     print(
-        "ok: "
+        f"ok: frontend {record['frontend']['seconds']} s, "
         + ", ".join(f"{leg} {record[leg]['speedup']}x" for leg in LEGS)
         + f", trace record/encode/decode {record['trace']['record_seconds']}/"
         f"{record['trace']['encode_seconds']}/{record['trace']['decode_seconds']} s"

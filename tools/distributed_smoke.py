@@ -5,10 +5,13 @@ Starts a full miniature cluster on 127.0.0.1 — one ``repro cache serve``
 service, two ``repro worker serve`` daemons, and a ``repro report
 --workers`` run whose embedded coordinator they poll — then runs the same
 report serially against a *separate, cold* cache and asserts the two JSON
-outputs are byte-identical.  One worker is started with the
-``REPRO_WORKER_SELF_DESTRUCT`` crash hook armed so it hard-exits the first
-time it leases a sweep task: the run completing anyway (via lease-timeout
-reassignment to the surviving worker) is part of the check.
+outputs are byte-identical.  Worker 1 is started alone with the
+``REPRO_WORKER_SELF_DESTRUCT`` crash hook armed, so it hard-exits the first
+time it leases a sweep task; worker 2 starts only once worker 1 has exited
+with the hook's status.  The run completing anyway (via lease-timeout
+reassignment to the surviving worker) is part of the check, and it is
+deterministic: no sweep task can be drained by worker 2 before worker 1
+leases one.
 
 Used by the ``distributed-smoke`` CI job and by
 ``tests/test_remote.py::test_distributed_smoke_localhost``; handy manually:
@@ -102,8 +105,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 # Worker 1 crashes the first time it leases a sweep task;
                 # reassignment must finish the run on worker 2.
                 worker_env["REPRO_WORKER_SELF_DESTRUCT"] = "sweep:"
-            workers = [
-                subprocess.Popen(
+
+            def start_worker(index: int) -> subprocess.Popen:
+                worker = subprocess.Popen(
                     repro_cmd(
                         "worker", "serve",
                         "--coordinator", coordinator_url,
@@ -113,9 +117,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                     ),
                     env=worker_env if index == 1 else env,
                 )
-                for index in (1, 2)
-            ]
-            processes.extend(workers)
+                processes.append(worker)
+                return worker
+
+            first = start_worker(1)
+            if args.no_crash:
+                start_worker(2)
 
             report_args = [
                 "report", "--json",
@@ -126,12 +133,41 @@ def main(argv: Optional[List[str]] = None) -> int:
             ]
             print(f"smoke: running distributed report ({args.benchmarks})", flush=True)
             started = time.time()
-            distributed = subprocess.run(
-                repro_cmd(*report_args),
-                env=env, capture_output=True, text=True, timeout=args.timeout,
-            )
-            if distributed.returncode != 0:
-                print(distributed.stderr, file=sys.stderr)
+            # Files, not pipes: nobody drains the report's output while the
+            # smoke waits for worker 1, and a full pipe would stall it.
+            out_path, err_path = Path(tmp) / "distributed.out", Path(tmp) / "distributed.err"
+            with out_path.open("w") as out_file, err_path.open("w") as err_file:
+                distributed = subprocess.Popen(
+                    repro_cmd(*report_args), env=env, stdout=out_file, stderr=err_file
+                )
+            processes.append(distributed)
+
+            if not args.no_crash:
+                while first.poll() is None and distributed.poll() is None:
+                    if time.time() - started > args.timeout:
+                        break
+                    time.sleep(0.1)
+                crashed = first.poll()
+                if crashed != 17:
+                    print(
+                        f"smoke: FAIL — crash-injected worker exited {crashed}, expected 17 "
+                        "(self-destruct never fired, so reassignment went unexercised)",
+                        file=sys.stderr,
+                    )
+                    return 1
+                print("smoke: worker 1 crashed as injected; starting worker 2", flush=True)
+                start_worker(2)
+
+            try:
+                returncode = distributed.wait(
+                    timeout=max(1.0, args.timeout - (time.time() - started))
+                )
+            except subprocess.TimeoutExpired:
+                print("smoke: FAIL — distributed report timed out", file=sys.stderr)
+                return 1
+            distributed_stdout = out_path.read_text(encoding="utf-8")
+            if returncode != 0:
+                print(err_path.read_text(encoding="utf-8"), file=sys.stderr)
                 print("smoke: FAIL — distributed report exited non-zero", file=sys.stderr)
                 return 1
             print(f"smoke: distributed report done in {time.time() - started:.1f}s", flush=True)
@@ -151,26 +187,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print("smoke: FAIL — serial report exited non-zero", file=sys.stderr)
                 return 1
 
-            if distributed.stdout != serial.stdout:
+            if distributed_stdout != serial.stdout:
                 print("smoke: FAIL — distributed output differs from serial output", file=sys.stderr)
                 for line_d, line_s in zip(
-                    distributed.stdout.splitlines(), serial.stdout.splitlines()
+                    distributed_stdout.splitlines(), serial.stdout.splitlines()
                 ):
                     if line_d != line_s:
                         print(f"  distributed: {line_d}\n  serial     : {line_s}", file=sys.stderr)
                         break
                 return 1
-            json.loads(distributed.stdout)  # well-formed, not just equal
-
+            json.loads(distributed_stdout)  # well-formed, not just equal
             if not args.no_crash:
-                crashed = workers[0].wait(timeout=30)
-                if crashed != 17:
-                    print(
-                        f"smoke: FAIL — crash-injected worker exited {crashed}, expected 17 "
-                        "(self-destruct never fired, so reassignment went unexercised)",
-                        file=sys.stderr,
-                    )
-                    return 1
                 print("smoke: worker 1 crashed as injected; run completed via reassignment")
 
             print("smoke: OK — distributed output is byte-identical to the serial run")

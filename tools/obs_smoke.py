@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Observability smoke: /metrics scrape + cluster status + traced report.
+"""Observability smoke: /metrics scrape + /status read + traced report.
 
 The end-to-end acceptance check of the telemetry subsystem (see
 docs/OBSERVABILITY.md), in three acts:
 
 1. **Services.** Starts one cache service and one coordinator on
-   127.0.0.1, drives a little real traffic through both (register a
-   worker, lease and complete a task, heartbeat, cache miss + put + hit),
-   then scrapes ``GET /metrics`` from each and validates the Prometheus
-   text exposition: parseable format, correct content type, and the
-   minimum metric set a dashboard needs (task throughput, queue depth,
-   worker liveness, lease latency, cache hits/misses/puts).
-2. **Cluster status.** Runs ``repro cluster status`` against the live
-   services and checks the summary reflects the traffic just driven.
+   127.0.0.1, both requiring a service token, drives a little real
+   traffic through both (register a worker, lease and complete a task,
+   heartbeat, cache miss + put + hit), then scrapes ``GET /metrics`` from
+   each and validates the Prometheus text exposition: parseable format,
+   correct content type, and the minimum metric set a dashboard needs
+   (task throughput, queue depth, worker liveness, lease latency, cache
+   hits/misses/puts).
+2. **Worker liveness.** Reads the coordinator's ``GET /status``: refused
+   without the token, and with it the registered worker appears in
+   ``worker_detail`` with a heartbeat age and the trace id it reported.
 3. **Tracing + profiling + history.** Runs one ``repro report`` with
    ``$REPRO_TRACE``, ``$REPRO_PROFILE`` and ``$REPRO_HISTORY`` set and
    one without, asserts the two stdout payloads are byte-identical
@@ -54,7 +56,12 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.eval.remote import protocol  # noqa: E402
 from repro.eval.remote.cache_http import HTTPCacheBackend, make_cache_server  # noqa: E402
 from repro.eval.remote.coordinator import Coordinator, start_coordinator_server  # noqa: E402
-from repro.obs.cluster import metric_value, parse_prometheus  # noqa: E402
+from repro.errors import RemoteError  # noqa: E402
+from repro.obs.metrics import metric_value, parse_prometheus  # noqa: E402
+
+#: Shared secret both services require for everything but /healthz and
+#: /metrics.
+SMOKE_TOKEN = "obs-smoke-token"
 
 #: Every name a dashboard needs; the scrape must expose all of them.
 REQUIRED_COORDINATOR_METRICS = (
@@ -125,8 +132,9 @@ def scrape(url: str) -> str:
     return body
 
 
-def drive_traffic(coordinator: Coordinator, coordinator_url: str, cache_url: str) -> None:
-    """Exercise each instrumented path once so every counter has moved."""
+def drive_traffic(coordinator: Coordinator, coordinator_url: str, cache_url: str) -> str:
+    """Exercise each instrumented path once so every counter has moved;
+    returns the registered worker's id."""
     registration = protocol.http_post_json(
         f"{coordinator_url}/workers/register", {"name": "obs-smoke"}, timeout=10.0
     )
@@ -159,6 +167,7 @@ def drive_traffic(coordinator: Coordinator, coordinator_url: str, cache_url: str
     stored = backend.get_blob(key)
     if stored is None or stored[1] != b'"payload"':
         raise AssertionError("cache round trip lost the payload")
+    return worker_id
 
 
 def check_metrics(coordinator_url: str, cache_url: str) -> None:
@@ -190,24 +199,27 @@ def check_metrics(coordinator_url: str, cache_url: str) -> None:
     print("obs-smoke: /metrics OK on both services", flush=True)
 
 
-def check_cluster_status(coordinator_url: str, cache_url: str) -> None:
-    result = subprocess.run(
-        repro_cmd(
-            "cluster", "status",
-            "--coordinator", coordinator_url, "--cache", cache_url, "--json",
-        ),
-        env=repro_env(), capture_output=True, text=True, timeout=60.0,
-    )
-    if result.returncode != 0:
-        raise AssertionError(f"repro cluster status exited {result.returncode}: {result.stderr}")
-    summary = json.loads(result.stdout)
-    if not summary.get("coordinator", {}).get("ok"):
-        raise AssertionError(f"cluster status reports coordinator unhealthy: {summary}")
-    if len(summary["coordinator"].get("workers") or []) < 1:
-        raise AssertionError(f"cluster status lost the registered worker: {summary}")
-    if not summary.get("cache", {}).get("ok"):
-        raise AssertionError(f"cluster status reports cache unhealthy: {summary}")
-    print("obs-smoke: repro cluster status OK", flush=True)
+def check_status(coordinator_url: str, worker_id: str) -> None:
+    """Worker liveness from the token-auth'd ``GET /status``."""
+    previous = protocol.set_process_service_token(None)
+    try:
+        protocol.http_get_json(f"{coordinator_url}/status", timeout=10.0)
+    except RemoteError:
+        pass
+    else:
+        raise AssertionError("coordinator /status answered a request without the token")
+    finally:
+        protocol.set_process_service_token(previous)
+    status = protocol.http_get_json(f"{coordinator_url}/status", timeout=10.0)
+    detail = status.get("worker_detail", {}).get(worker_id)
+    if detail is None:
+        raise AssertionError(f"/status worker_detail lacks {worker_id}: {status}")
+    age = detail.get("heartbeat_age_seconds")
+    if not isinstance(age, (int, float)) or age < 0:
+        raise AssertionError(f"/status heartbeat age of {worker_id} is {age!r}")
+    if detail.get("trace_id") != "f" * 32:
+        raise AssertionError(f"/status lost the trace id {worker_id} reported: {detail}")
+    print("obs-smoke: /status worker liveness OK", flush=True)
 
 
 #: Observed (trace + profile + history) cold runs may cost at most this
@@ -415,21 +427,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="repro-obs-services-") as tmp:
-        cache_server = make_cache_server(Path(tmp) / "store", port=0)
+        cache_server = make_cache_server(Path(tmp) / "store", port=0, token=SMOKE_TOKEN)
         threading.Thread(target=cache_server.serve_forever, daemon=True).start()
         coordinator = Coordinator(lease_timeout=30.0)
-        coordinator_server = start_coordinator_server(coordinator, port=0)
+        coordinator_server = start_coordinator_server(coordinator, port=0, token=SMOKE_TOKEN)
         cache_url = cache_server.url
         coordinator_url = coordinator_server.url
         print(f"obs-smoke: services up (cache {cache_url}, coordinator {coordinator_url})",
               flush=True)
+        previous = protocol.set_process_service_token(SMOKE_TOKEN)
         try:
-            drive_traffic(coordinator, coordinator_url, cache_url)
+            worker_id = drive_traffic(coordinator, coordinator_url, cache_url)
             check_metrics(coordinator_url, cache_url)
-            check_cluster_status(coordinator_url, cache_url)
+            check_status(coordinator_url, worker_id)
         except AssertionError as exc:
             return fail(str(exc))
         finally:
+            protocol.set_process_service_token(previous)
             coordinator_server.shutdown()
             cache_server.shutdown()
 
