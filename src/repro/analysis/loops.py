@@ -24,7 +24,7 @@ class Loop:
     def __init__(self, header: BasicBlock):
         self.header = header
         self.blocks: List[BasicBlock] = [header]
-        self._block_ids: Set[int] = {id(header)}
+        self._block_set: Set[BasicBlock] = {header}
         self.parent: Optional["Loop"] = None
         self.subloops: List["Loop"] = []
         self.latches: List[BasicBlock] = []
@@ -32,7 +32,7 @@ class Loop:
     # -- membership -------------------------------------------------------------
 
     def contains(self, block: BasicBlock) -> bool:
-        return id(block) in self._block_ids
+        return block in self._block_set
 
     def contains_instruction(self, inst: Instruction) -> bool:
         return inst.parent is not None and self.contains(inst.parent)
@@ -40,7 +40,7 @@ class Loop:
     def add_block(self, block: BasicBlock) -> None:
         if not self.contains(block):
             self.blocks.append(block)
-            self._block_ids.add(id(block))
+            self._block_set.add(block)
 
     # -- structure ---------------------------------------------------------------
 
@@ -86,7 +86,7 @@ class LoopInfo:
         self.function = fn
         self.domtree = domtree or DominatorTree(fn)
         self.top_level: List[Loop] = []
-        self._loop_of_block: Dict[int, Loop] = {}
+        self._loop_of_block: Dict[BasicBlock, Loop] = {}
         self._compute()
 
     # -- construction --------------------------------------------------------------
@@ -112,8 +112,7 @@ class LoopInfo:
         # strictly contains its header (other than itself).
         for loop in sorted(order, key=lambda l: len(l.blocks)):
             for block in loop.blocks:
-                if id(block) not in self._loop_of_block:
-                    self._loop_of_block[id(block)] = loop
+                self._loop_of_block.setdefault(block, loop)
         for loop in order:
             candidates = [
                 other
@@ -154,7 +153,7 @@ class LoopInfo:
         return out
 
     def innermost_loop_of(self, block: BasicBlock) -> Optional[Loop]:
-        return self._loop_of_block.get(id(block))
+        return self._loop_of_block.get(block)
 
     def loop_of_instruction(self, inst: Instruction) -> Optional[Loop]:
         if inst.parent is None:

@@ -65,9 +65,9 @@ class Partition:
         )
 
 
-def _assignment_of(partitions: Sequence[Partition]) -> Dict[int, int]:
-    """id(instruction) -> partition index, the inverse of the instruction lists."""
-    return {id(inst): partition.index for partition in partitions for inst in partition.instructions}
+def _assignment_of(partitions: Sequence[Partition]) -> Dict[Instruction, int]:
+    """Instruction -> partition index, the inverse of the instruction lists."""
+    return {inst: partition.index for partition in partitions for inst in partition.instructions}
 
 
 @dataclass
@@ -81,7 +81,7 @@ class FunctionPartitioning:
 
     function: Function
     partitions: List[Partition]
-    assignment: Dict[int, int]                 # id(instruction) -> partition index
+    assignment: Dict[Instruction, int]         # instruction -> partition index
     components: List[StronglyConnectedComponent]
     pdg: ProgramDependenceGraph
     sw_fraction: float
@@ -120,27 +120,6 @@ class FunctionPartitioning:
         weight_model.annotate_sccs(self.components)
         del self._weight_model
         return self.__dict__[attr]
-
-    # -- pickling ---------------------------------------------------------------------
-    #
-    # ``assignment`` is keyed by id(inst), and object ids do not survive a
-    # pickle round trip (a compile result a ``--no-cache -j N`` pool worker
-    # sends back arrives with its instructions at new addresses, so every
-    # lookup — e.g. ThreadAssignment.from_partitioning — would silently miss
-    # and the hybrid would degenerate to pure software).  The map is exactly
-    # the inverse of the partitions' instruction lists (see DSWPPartitioner:
-    # both are materialised in one loop), so drop it on pickle and rebuild it
-    # from the unpickled instruction objects.
-
-    def __getstate__(self) -> Dict:
-        state = self.__dict__.copy()
-        state["assignment"] = None
-        return state
-
-    def __setstate__(self, state: Dict) -> None:
-        self.__dict__.update(state)
-        if self.assignment is None:
-            self.assignment = _assignment_of(self.partitions)
 
     def software_partitions(self) -> List[Partition]:
         return [p for p in self.partitions if p.is_software()]
@@ -298,11 +277,11 @@ class DSWPPartitioner:
 
         # Materialise instruction lists and the instruction -> partition map.
         scc_of_inst = component_of_map(components)
-        assignment: Dict[int, int] = {}
+        assignment: Dict[Instruction, int] = {}
         for fn_inst in fn.instructions():
-            scc_index = scc_of_inst[id(fn_inst)]
+            scc_index = scc_of_inst[fn_inst]
             partition_index = assignment_of_scc[scc_index]
-            assignment[id(fn_inst)] = partition_index
+            assignment[fn_inst] = partition_index
             partitions[partition_index].instructions.append(fn_inst)
 
         self._validate_acyclic(components, assignment_of_scc)

@@ -76,8 +76,8 @@ def find_cross_partition_deps(
     deps: List[CrossPartitionDep] = []
     seen: Set[Tuple[int, int, int]] = set()
     for edge in partitioning.pdg.edges:
-        src = partitioning.assignment.get(id(edge.tail))
-        dst = partitioning.assignment.get(id(edge.head))
+        src = partitioning.assignment.get(edge.tail)
+        dst = partitioning.assignment.get(edge.head)
         if src is None or dst is None or src == dst:
             continue
         if edge.kind is DependenceKind.DATA:
@@ -101,7 +101,7 @@ def find_cross_partition_deps(
             CrossPartitionDep(
                 value=value,
                 consumer=consumer,
-                producer_partition=partitioning.assignment.get(id(value), src),
+                producer_partition=partitioning.assignment.get(value, src),
                 consumer_partition=dst,
                 kind=edge.kind,
                 loop_case=classify_loop_match(value, consumer, loop_info),

@@ -66,7 +66,7 @@ class ExtractionResult:
     source_function: str
     threads: List[ExtractedThread]
     queue_count: int
-    queue_map: Dict[Tuple[int, int], int]   # (id(value), consumer partition) -> queue id
+    queue_map: Dict[Tuple[Instruction, int], int]   # (value, consumer partition) -> queue id
 
     def thread_for_partition(self, index: int) -> ExtractedThread:
         for thread in self.threads:
@@ -85,19 +85,19 @@ class ThreadExtractor:
     def extract(self, partitioning: FunctionPartitioning) -> ExtractionResult:
         fn = partitioning.function
         threads: List[ExtractedThread] = []
-        queue_map: Dict[Tuple[int, int], int] = {}
+        queue_map: Dict[Tuple[Instruction, int], int] = {}
 
         # Which foreign partitions consume each value?  (value, consumer partition)
-        consumers: Dict[int, List[int]] = {}
+        consumers: Dict[Instruction, List[int]] = {}
         for inst in fn.instructions():
-            inst_partition = partitioning.assignment[id(inst)]
+            inst_partition = partitioning.assignment[inst]
             for op in inst.operands:
                 if isinstance(op, Instruction):
-                    op_partition = partitioning.assignment.get(id(op))
+                    op_partition = partitioning.assignment.get(op)
                     if op_partition is not None and op_partition != inst_partition:
-                        consumers.setdefault(id(op), [])
-                        if inst_partition not in consumers[id(op)]:
-                            consumers[id(op)].append(inst_partition)
+                        consumers.setdefault(op, [])
+                        if inst_partition not in consumers[op]:
+                            consumers[op].append(inst_partition)
         # Branch conditions: every partition replicates every branch, so a
         # partition that does not own a branch's condition consumes it.
         all_partitions = [p.index for p in partitioning.partitions if p.instructions]
@@ -106,15 +106,15 @@ class ThreadExtractor:
             if isinstance(term, (CondBranch, Switch)) and term.num_operands():
                 cond = term.get_operand(0)
                 if isinstance(cond, Instruction):
-                    cond_partition = partitioning.assignment.get(id(cond))
+                    cond_partition = partitioning.assignment.get(cond)
                     for p in all_partitions:
                         if p != cond_partition:
-                            consumers.setdefault(id(cond), [])
-                            if p not in consumers[id(cond)]:
-                                consumers[id(cond)].append(p)
+                            consumers.setdefault(cond, [])
+                            if p not in consumers[cond]:
+                                consumers[cond].append(p)
 
         def queue_for(value: Instruction, consumer_partition: int) -> int:
-            key = (id(value), consumer_partition)
+            key = (value, consumer_partition)
             if key not in queue_map:
                 queue_map[key] = self.next_queue_id
                 self.next_queue_id += 1
@@ -140,7 +140,7 @@ class ThreadExtractor:
         fn: Function,
         partitioning: FunctionPartitioning,
         partition: Partition,
-        consumers: Dict[int, List[int]],
+        consumers: Dict[Instruction, List[int]],
         queue_for,
     ) -> ExtractedThread:
         name = f"{fn.name}_dswp_{partition.index}"
@@ -174,12 +174,12 @@ class ThreadExtractor:
             phi_queue_ops: List[Instruction] = []
             for inst in old_block.instructions:
                 emit = phi_queue_ops.append if isinstance(inst, Phi) else new_block.append
-                owned = keep.get(id(inst)) == my_index
+                owned = keep.get(inst) == my_index
                 is_term = inst.is_terminator()
                 if not owned and not is_term:
                     # Foreign instruction: if this partition consumes its value,
                     # a consume takes its place (same block, same position).
-                    if id(inst) in consumers and my_index in consumers[id(inst)]:
+                    if inst in consumers and my_index in consumers[inst]:
                         queue_id = queue_for(inst, my_index)
                         width_type = (
                             inst.type
@@ -197,8 +197,8 @@ class ThreadExtractor:
                 if isinstance(inst, Phi):
                     phi_fixups.append((inst, cloned))  # type: ignore[arg-type]
                 # If another partition consumes this value, produce it here.
-                if owned and id(inst) in consumers:
-                    for consumer_partition in consumers[id(inst)]:
+                if owned and inst in consumers:
+                    for consumer_partition in consumers[inst]:
                         if consumer_partition == my_index:
                             continue
                         queue_id = queue_for(inst, consumer_partition)

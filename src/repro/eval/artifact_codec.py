@@ -56,10 +56,11 @@ The encoding strategy mirrors how the IR itself names things:
 * extracted thread functions (``f_dswp_<k>``) are functions of the module,
   so an :class:`~repro.dswp.thread_extraction.ExtractedThread` is stored
   by its function's name;
-* ``id()``-keyed maps (``FunctionPartitioning.assignment``,
+* instruction-keyed maps (``FunctionPartitioning.assignment``,
   ``ExtractionResult.queue_map``, ``BlockSchedule.start_cycle``,
-  ``Profile._counts``) are never stored keyed — they are re-derived or
-  re-keyed against the decoded instructions;
+  ``Profile._counts``) are stored as lists of (instruction number,
+  value) pairs, or not at all where the decoder re-derives them (the
+  assignment is the inverse of the partitions' instruction lists);
 * purely derived analysis state (the PDG and its SCC condensation inside
   each :class:`FunctionPartitioning`) is not stored: it is a deterministic
   function of the decoded function and profile, rebuilt on first read
@@ -116,14 +117,9 @@ class ArtifactCodecError(ReproError):
 # ---------------------------------------------------------------------------
 
 
-def _instruction_index(module: Module) -> Dict[int, int]:
-    """id(inst) -> global index, in module/block/instruction order."""
-    index: Dict[int, int] = {}
-    for fn in module.functions.values():
-        for block in fn.blocks:
-            for inst in block.instructions:
-                index[id(inst)] = len(index)
-    return index
+def _instruction_index(module: Module) -> Dict[Instruction, int]:
+    """Instruction -> global index, in module/block/instruction order."""
+    return {inst: number for number, inst in enumerate(_instruction_list(module))}
 
 
 def _instruction_list(module: Module) -> List[Instruction]:
@@ -186,11 +182,11 @@ _TRACE_COLUMNS = (
 )
 
 
-def _enc_trace(trace, index: Dict[int, int]) -> Dict:
+def _enc_trace(trace, index: Dict[Instruction, int]) -> Dict:
     """The trace as one compressed block of little-endian column bytes."""
     fn_ids: Dict[str, int] = {}
     columns = {
-        "static": array("i", [index[id(inst)] for inst in trace.instructions]),
+        "static": array("i", [index[inst] for inst in trace.instructions]),
         "static_fn": array("i", [fn_ids.setdefault(f, len(fn_ids)) for f in trace.functions]),
     }
     lengths = []
@@ -290,7 +286,7 @@ def _check_trace(columns: Dict[str, array], n_functions: int, n_insts: int) -> N
         raise bad("block starts not strictly increasing from event 0")
 
 
-def _enc_execution(execution, index: Dict[int, int]) -> Dict:
+def _enc_execution(execution, index: Dict[Instruction, int]) -> Dict:
     """Everything of the execution but its outputs, which the summary holds."""
     return {
         "return_value": execution.return_value,
@@ -317,12 +313,12 @@ def _dec_execution(data: Dict, outputs: List[int], instructions: List[Instructio
 # ---------------------------------------------------------------------------
 
 
-def _enc_profile(profile, index: Dict[int, int], instructions: List[Instruction]) -> Dict:
+def _enc_profile(profile, index: Dict[Instruction, int], instructions: List[Instruction]) -> Dict:
     counts = []
     for inst in instructions:
-        c = profile._counts.get(id(inst))
+        c = profile._counts.get(inst)
         if c is not None:
-            counts.append([index[id(inst)], c])
+            counts.append([index[inst], c])
     return {"counts": counts}
 
 
@@ -330,7 +326,7 @@ def _dec_profile(data: Dict, module: Module, instructions: List[Instruction]):
     from repro.interp.profile import Profile
 
     profile = Profile(module)
-    profile._counts = {id(instructions[i]): c for i, c in data["counts"]}
+    profile._counts = {instructions[i]: c for i, c in data["counts"]}
     return profile
 
 
@@ -339,7 +335,7 @@ def _dec_profile(data: Dict, module: Module, instructions: List[Instruction]):
 # ---------------------------------------------------------------------------
 
 
-def _enc_dswp(dswp, index: Dict[int, int]) -> Dict:
+def _enc_dswp(dswp, index: Dict[Instruction, int]) -> Dict:
     import dataclasses
 
     partitioning = dswp.partitioning
@@ -352,7 +348,7 @@ def _enc_dswp(dswp, index: Dict[int, int]) -> Dict:
                     "index": p.index,
                     "kind": p.kind.value,
                     "sccs": list(p.scc_indices),
-                    "insts": [index[id(i)] for i in p.instructions],
+                    "insts": [index[i] for i in p.instructions],
                     "sw_weight": p.sw_weight,
                     "hw_weight": p.hw_weight,
                     "target_weight": p.target_weight,
@@ -365,8 +361,8 @@ def _enc_dswp(dswp, index: Dict[int, int]) -> Dict:
     for fn_name, allocation in partitioning.queues.items():
         deps = [
             {
-                "value": index[id(d.value)],
-                "consumer": index[id(d.consumer)],
+                "value": index[d.value],
+                "consumer": index[d.consumer],
                 "pp": d.producer_partition,
                 "cp": d.consumer_partition,
                 "kind": d.kind.value,
@@ -381,7 +377,7 @@ def _enc_dswp(dswp, index: Dict[int, int]) -> Dict:
             "queues": [
                 {
                     "queue_id": q.queue_id,
-                    "value": index[id(q.value)],
+                    "value": index[q.value],
                     "pp": q.producer_partition,
                     "cp": q.consumer_partition,
                     "width_bits": q.width_bits,
@@ -403,9 +399,9 @@ def _enc_dswp(dswp, index: Dict[int, int]) -> Dict:
     }
 
 
-def _enc_extraction(extraction, module: Module, index: Dict[int, int]) -> Dict:
+def _enc_extraction(extraction, module: Module, index: Dict[Instruction, int]) -> Dict:
     """One function's extracted threads: each by its function's name, and
-    the queue map keyed by instruction number instead of ``id()``."""
+    the queue map keyed by instruction number."""
     for thread in extraction.threads:
         if module.functions.get(thread.function.name) is not thread.function:
             raise ArtifactCodecError(
@@ -440,7 +436,7 @@ def _check_cover(fn_name: str, fp) -> None:
     instructions exactly once."""
     assignment = fp.assignment
     if len(assignment) != sum(len(p.instructions) for p in fp.partitions) or (
-        assignment.keys() != {id(i) for i in fp.function.instructions()}
+        assignment.keys() != set(fp.function.instructions())
     ):
         raise ArtifactCodecError(f"partitions of {fn_name} do not hold its instructions once each")
 
@@ -450,7 +446,7 @@ def _check_queue_ends(fn_name: str, fp, allocation) -> None:
     ends = [(d.value, d.producer_partition) for d in allocation.deps]
     ends += [(d.consumer, d.consumer_partition) for d in allocation.deps]
     ends += [(q.value, q.producer_partition) for q in allocation.queues]
-    if any(fp.assignment.get(id(inst)) != partition for inst, partition in ends):
+    if any(fp.assignment.get(inst) != partition for inst, partition in ends):
         raise ArtifactCodecError(f"queues of {fn_name} disagree with its partitions")
 
 
@@ -549,7 +545,7 @@ def _dec_extraction(fn_name: str, data: Dict, module: Module, instructions: List
             for t in data["threads"]
         ],
         queue_count=data["queue_count"],
-        queue_map={(id(_at(instructions, v)), p): q for v, p, q in data["queue_map"]},
+        queue_map={(_at(instructions, v), p): q for v, p, q in data["queue_map"]},
     )
 
 
@@ -568,18 +564,18 @@ def _dec_area(data: Dict):
     )
 
 
-def _enc_legup(legup, index: Dict[int, int]) -> Dict:
+def _enc_legup(legup, index: Dict[Instruction, int]) -> Dict:
     schedules = {}
     for fn_name, schedule in legup.schedules.items():
         blocks = {}
         for block_name, bs in schedule.blocks.items():
             blocks[block_name] = {
-                "states": [[index[id(i)] for i in state.operations] for state in bs.states],
+                "states": [[index[i] for i in state.operations] for state in bs.states],
                 "state_indices": [state.index for state in bs.states],
                 "start": [
-                    [index[id(inst)], bs.start_cycle[id(inst)]]
+                    [index[inst], bs.start_cycle[inst]]
                     for inst in bs.block.instructions
-                    if id(inst) in bs.start_cycle
+                    if inst in bs.start_cycle
                 ],
                 "latency": bs.latency,
             }
@@ -617,7 +613,7 @@ def _dec_legup(data: Dict, module: Module, instructions: List[Instruction]):
                     ScheduledState(index=idx, operations=[instructions[i] for i in ops])
                     for idx, ops in zip(b["state_indices"], b["states"])
                 ],
-                start_cycle={id(instructions[i]): c for i, c in b["start"]},
+                start_cycle={instructions[i]: c for i, c in b["start"]},
                 latency=b["latency"],
             )
             schedule.blocks[block_name] = bs

@@ -100,13 +100,13 @@ def _dec_type(data: Any) -> Type:
 class _ValueCodec:
     """Encodes/decodes operand references against one module's index."""
 
-    def __init__(self, module: Module, index: Dict[int, int]):
+    def __init__(self, module: Module, index: Dict[Instruction, int]):
         self.module = module
         self.index = index
 
     def encode(self, value: Value) -> Any:
         if isinstance(value, Instruction):
-            return ["i", self.index[id(value)]]
+            return ["i", self.index[value]]
         if isinstance(value, Constant):
             return ["c", _enc_type(value.type), value.value]
         if isinstance(value, Argument):

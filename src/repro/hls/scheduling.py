@@ -45,32 +45,12 @@ class BlockSchedule:
 
     block: BasicBlock
     states: List[ScheduledState] = field(default_factory=list)
-    start_cycle: Dict[int, int] = field(default_factory=dict)   # id(inst) -> relative cycle
-    latency: int = 0                                            # cycles for one pass
+    start_cycle: Dict[Instruction, int] = field(default_factory=dict)   # inst -> relative cycle
+    latency: int = 0                                                    # cycles for one pass
 
     @property
     def state_count(self) -> int:
         return len(self.states)
-
-    # -- pickling ---------------------------------------------------------------------
-    #
-    # ``start_cycle`` is keyed by id(inst), and object ids do not survive a
-    # pickle round trip (a compile result a ``--no-cache -j N`` pool worker
-    # sends back): store (instruction, cycle) pairs in block order and re-key
-    # them against the unpickled instructions.
-
-    def __getstate__(self) -> Dict:
-        state = self.__dict__.copy()
-        state["start_cycle"] = [
-            (inst, self.start_cycle[id(inst)])
-            for inst in self.block.instructions
-            if id(inst) in self.start_cycle
-        ]
-        return state
-
-    def __setstate__(self, state: Dict) -> None:
-        self.__dict__.update(state)
-        self.start_cycle = {id(inst): cycle for inst, cycle in state["start_cycle"]}
 
 
 @dataclass
@@ -170,7 +150,7 @@ class HLSScheduler:
                 # The terminator evaluates in the last state of the block.
                 start = max(start, current_cycle)
             finish[id(inst)] = start + max(latency, 1 if not self._is_free(inst) else 0)
-            result.start_cycle[id(inst)] = start
+            result.start_cycle[inst] = start
             current_cycle = max(current_cycle, start)
 
         latency = max(finish.values()) if finish else 1
@@ -178,7 +158,7 @@ class HLSScheduler:
         # Materialise states for the area model (one per occupied start cycle).
         by_cycle: Dict[int, List[Instruction]] = {}
         for inst in instructions:
-            by_cycle.setdefault(result.start_cycle[id(inst)], []).append(inst)
+            by_cycle.setdefault(result.start_cycle[inst], []).append(inst)
         for index, cycle in enumerate(sorted(by_cycle)):
             result.states.append(ScheduledState(index=index, operations=by_cycle[cycle]))
         return result

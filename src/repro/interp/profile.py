@@ -27,7 +27,7 @@ class Profile:
 
     def __init__(self, module: Module):
         self.module = module
-        self._counts: Dict[int, float] = {}
+        self._counts: Dict[Instruction, float] = {}
 
     # -- construction ---------------------------------------------------------------
 
@@ -38,7 +38,7 @@ class Profile:
         counts = trace.instruction_counts()
         for fn in module.defined_functions():
             for inst in fn.instructions():
-                profile._counts[id(inst)] = float(counts.get(inst, 0))
+                profile._counts[inst] = float(counts.get(inst, 0))
         return profile
 
     @classmethod
@@ -50,50 +50,14 @@ class Profile:
             for block in fn.blocks:
                 weight = float(STATIC_LOOP_WEIGHT ** loop_info.loop_depth(block))
                 for inst in block.instructions:
-                    profile._counts[id(inst)] = weight
+                    profile._counts[inst] = weight
         return profile
-
-    # -- pickling ---------------------------------------------------------------------
-    #
-    # _counts is keyed by id(inst), and object ids do not survive a pickle
-    # round trip: a compile result a ``--no-cache -j N`` pool worker sends
-    # back arrives with its instructions at new addresses, so every count()
-    # would silently fall back to 1.0 and a re-partition of the unpickled
-    # module would degenerate.  Pickle therefore re-keys the
-    # counts by structural path — (function name, block index, instruction
-    # index) is stable because the module pickles alongside the profile —
-    # and unpickling maps them back onto the restored instruction objects.
-
-    def _instructions_by_path(self) -> Dict[tuple, Instruction]:
-        paths: Dict[tuple, Instruction] = {}
-        for fn in self.module.defined_functions():
-            for block_index, block in enumerate(fn.blocks):
-                for inst_index, inst in enumerate(block.instructions):
-                    paths[(fn.name, block_index, inst_index)] = inst
-        return paths
-
-    def __getstate__(self) -> Dict:
-        counts_by_path = {
-            path: self._counts[id(inst)]
-            for path, inst in self._instructions_by_path().items()
-            if id(inst) in self._counts
-        }
-        return {"module": self.module, "counts_by_path": counts_by_path}
-
-    def __setstate__(self, state: Dict) -> None:
-        self.module = state["module"]
-        paths = self._instructions_by_path()
-        self._counts = {
-            id(paths[path]): count
-            for path, count in state["counts_by_path"].items()
-            if path in paths
-        }
 
     # -- queries ---------------------------------------------------------------------
 
     def count(self, inst: Instruction) -> float:
         """Expected dynamic execution count of ``inst`` (1.0 when unknown)."""
-        return self._counts.get(id(inst), 1.0)
+        return self._counts.get(inst, 1.0)
 
     def function_total(self, fn: Function) -> float:
         return sum(self.count(inst) for inst in fn.instructions())

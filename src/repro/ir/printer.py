@@ -39,7 +39,7 @@ class IRPrinter:
     """Prints IR entities.  A fresh printer should be used per module/function."""
 
     def __init__(self) -> None:
-        self._names: Dict[int, str] = {}
+        self._names: Dict[Value, str] = {}
         self._counter = 0
 
     # -- value naming ----------------------------------------------------------
@@ -55,11 +55,9 @@ class IRPrinter:
             return f"@{value.name}"
         if isinstance(value, Argument):
             return f"%{value.name}"
-        key = id(value)
-        if key not in self._names:
-            base = value.name or "t"
-            self._names[key] = f"%{base}"
-        return self._names[key]
+        if value not in self._names:
+            self._names[value] = f"%{value.name or 't'}"
+        return self._names[value]
 
     def _typed(self, value: Value) -> str:
         return f"{value.type!r} {self._value_name(value)}"

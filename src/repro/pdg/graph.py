@@ -44,35 +44,34 @@ class ProgramDependenceGraph:
     def __init__(self, function: Function):
         self.function = function
         self.nodes: List[Instruction] = list(function.instructions())
-        self._node_ids: Set[int] = {id(n) for n in self.nodes}
-        self._succ: Dict[int, List[PDGEdge]] = {id(n): [] for n in self.nodes}
-        self._pred: Dict[int, List[PDGEdge]] = {id(n): [] for n in self.nodes}
+        self._succ: Dict[Instruction, List[PDGEdge]] = {n: [] for n in self.nodes}
+        self._pred: Dict[Instruction, List[PDGEdge]] = {n: [] for n in self.nodes}
         self.edges: List[PDGEdge] = []
 
     # -- construction ----------------------------------------------------------------
 
     def add_edge(self, tail: Instruction, head: Instruction, kind: DependenceKind) -> Optional[PDGEdge]:
         """Add a dependence edge (ignoring duplicates and foreign instructions)."""
-        if id(tail) not in self._node_ids or id(head) not in self._node_ids:
+        if tail not in self._succ or head not in self._succ:
             return None
         if tail is head:
             return None
-        for existing in self._succ[id(tail)]:
+        for existing in self._succ[tail]:
             if existing.head is head and existing.kind is kind:
                 return existing
         edge = PDGEdge(tail, head, kind)
         self.edges.append(edge)
-        self._succ[id(tail)].append(edge)
-        self._pred[id(head)].append(edge)
+        self._succ[tail].append(edge)
+        self._pred[head].append(edge)
         return edge
 
     # -- queries ------------------------------------------------------------------------
 
     def successors(self, node: Instruction) -> List[PDGEdge]:
-        return list(self._succ.get(id(node), []))
+        return list(self._succ.get(node, []))
 
     def predecessors(self, node: Instruction) -> List[PDGEdge]:
-        return list(self._pred.get(id(node), []))
+        return list(self._pred.get(node, []))
 
     def edge_count(self, kind: Optional[DependenceKind] = None) -> int:
         if kind is None:
@@ -81,7 +80,7 @@ class ProgramDependenceGraph:
 
     def depends_on(self, head: Instruction, tail: Instruction) -> bool:
         """Direct dependence query: does ``head`` depend on ``tail``?"""
-        return any(e.tail is tail for e in self._pred.get(id(head), []))
+        return any(e.tail is tail for e in self._pred.get(head, []))
 
     # -- strongly connected components -----------------------------------------------------
 
@@ -112,7 +111,7 @@ class ProgramDependenceGraph:
                     stack.append(node)
                     on_stack.add(id(node))
                 recurse = False
-                succ_edges = self._succ[id(node)]
+                succ_edges = self._succ[node]
                 while edge_index < len(succ_edges):
                     successor = succ_edges[edge_index].head
                     edge_index += 1

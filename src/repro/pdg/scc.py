@@ -45,17 +45,14 @@ class StronglyConnectedComponent:
 
 def condense(pdg: ProgramDependenceGraph) -> List[StronglyConnectedComponent]:
     """Collapse the PDG into its SCC DAG (in topological order)."""
-    raw = pdg.strongly_connected_components()
-    components: List[StronglyConnectedComponent] = []
-    component_of: Dict[int, int] = {}
-    for idx, instructions in enumerate(raw):
-        components.append(StronglyConnectedComponent(index=idx, instructions=list(instructions)))
-        for inst in instructions:
-            component_of[id(inst)] = idx
-
+    components = [
+        StronglyConnectedComponent(index=idx, instructions=list(instructions))
+        for idx, instructions in enumerate(pdg.strongly_connected_components())
+    ]
+    component_of = component_of_map(components)
     for edge in pdg.edges:
-        tail_scc = component_of[id(edge.tail)]
-        head_scc = component_of[id(edge.head)]
+        tail_scc = component_of[edge.tail]
+        head_scc = component_of[edge.head]
         if tail_scc == head_scc:
             continue
         components[tail_scc].successors.add(head_scc)
@@ -63,13 +60,9 @@ def condense(pdg: ProgramDependenceGraph) -> List[StronglyConnectedComponent]:
     return components
 
 
-def component_of_map(components: List[StronglyConnectedComponent]) -> Dict[int, int]:
-    """Map id(instruction) -> SCC index."""
-    out: Dict[int, int] = {}
-    for scc in components:
-        for inst in scc.instructions:
-            out[id(inst)] = scc.index
-    return out
+def component_of_map(components: List[StronglyConnectedComponent]) -> Dict[Instruction, int]:
+    """Map instruction -> SCC index."""
+    return {inst: scc.index for scc in components for inst in scc.instructions}
 
 
 def topological_order(components: List[StronglyConnectedComponent]) -> List[int]:

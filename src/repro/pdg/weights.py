@@ -54,10 +54,10 @@ class WeightModel:
         self.profile = profile
         self.software = software or SoftwareCostModel()
         self.hardware = hardware or HardwareCostModel()
-        self._cache: Dict[int, InstructionWeights] = {}
+        self._cache: Dict[Instruction, InstructionWeights] = {}
 
     def weights(self, inst: Instruction) -> InstructionWeights:
-        cached = self._cache.get(id(inst))
+        cached = self._cache.get(inst)
         if cached is not None:
             return cached
         count = self.profile.count(inst) if self.profile is not None else 1.0
@@ -68,7 +68,7 @@ class WeightModel:
             hw_dsps=self.hardware.dsps(inst),
             dynamic_count=max(count, 1.0),
         )
-        self._cache[id(inst)] = w
+        self._cache[inst] = w
         return w
 
     # -- aggregate helpers --------------------------------------------------------------

@@ -17,6 +17,7 @@ from typing import Dict, List, Tuple
 
 from repro.dswp.pipeline import ModulePartitioning
 from repro.dswp.partitioner import PartitionKind
+from repro.ir.instructions import Instruction
 from repro.ir.module import Module
 from repro.results import ExecutionDomain, ThreadSpec
 
@@ -28,12 +29,12 @@ class ThreadAssignment:
         self.threads = list(threads)
         self.by_id = {t.thread_id: t for t in self.threads}
         self.default_thread = default_thread
-        self._map: Dict[int, int] = {}          # id(static inst) -> thread id
+        self._map: Dict[Instruction, int] = {}  # static inst -> thread id
 
     # -- construction -----------------------------------------------------------------
 
-    def assign_instruction(self, inst, thread_id: int) -> None:
-        self._map[id(inst)] = thread_id
+    def assign_instruction(self, inst: Instruction, thread_id: int) -> None:
+        self._map[inst] = thread_id
 
     # -- queries -----------------------------------------------------------------------
 
@@ -93,7 +94,7 @@ class ThreadAssignment:
         for fn_name, fp in partitioning.functions.items():
             fn = fp.function
             for inst in fn.instructions():
-                partition_index = fp.assignment.get(id(inst))
+                partition_index = fp.assignment.get(inst)
                 if partition_index is None:
                     assignment.assign_instruction(inst, 0)
                     continue

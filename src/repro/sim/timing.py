@@ -92,8 +92,9 @@ class _TraceIndex:
     A report replays the same trace many times — three baseline assignments,
     every split-sweep fraction, every explore candidate.  The trace's own
     columns serve every replay as they are (``inst_no`` is the trace's
-    static-number column); this index adds only what the replay loops want
-    in another shape, derived once with C-level passes over the columns:
+    static-number column, ``instructions`` its static instruction table);
+    this index adds only what the replay loops want in another shape,
+    derived once with C-level passes over the columns:
 
     * ``deps_seq`` — each event's operands as one tuple, register deps
       first and the memory dep last, with ``mem_tail`` flagging a memory
@@ -119,7 +120,7 @@ class _TraceIndex:
     __slots__ = (
         "n",
         "inst_no",
-        "static_ids",
+        "instructions",
         "static_opcodes",
         "deps_seq",
         "mem_tail",
@@ -133,8 +134,7 @@ class _TraceIndex:
     def __init__(self, trace: Trace):
         n = self.n = len(trace)
         inst_no = self.inst_no = trace.inst
-        statics = trace.instructions
-        self.static_ids = [id(inst) for inst in statics]
+        statics = self.instructions = trace.instructions
         self.static_opcodes = [inst.opcode for inst in statics]
         self.cost_arrays: Dict[Tuple, List[float]] = {}
         self.setups: Dict[Tuple, _ReplaySetup] = {}
@@ -186,7 +186,7 @@ class _TraceIndex:
         """
         amap_get = assignment._map.get
         default_thread = assignment.default_thread
-        thread_map = [amap_get(iid, default_thread) for iid in self.static_ids]
+        thread_map = [amap_get(inst, default_thread) for inst in self.instructions]
         key = (array("i", thread_map).tobytes(), tuple(assignment.threads))
         setups = self.setups
         setup = setups.pop(key, None)

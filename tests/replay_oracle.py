@@ -38,7 +38,7 @@ class _Replay:
         self.thread_of: List[int] = [0] * n
         self.per_thread: Dict[int, List[int]] = {t.thread_id: [] for t in assignment.threads}
         for i, event in enumerate(self.events):
-            tid = assignment._map.get(id(event.inst), assignment.default_thread)
+            tid = assignment._map.get(event.inst, assignment.default_thread)
             self.thread_of[i] = tid
             self.per_thread[tid].append(i)
         consumer_sets: List[Set[int]] = [set() for _ in range(n)]
@@ -54,7 +54,7 @@ class _Replay:
         self.block_occurrence = block_occurrences(self.events)
 
     def queue_for(self, inst, consumer_thread: int) -> TimedQueue:
-        key = (id(inst), consumer_thread)
+        key = (inst, consumer_thread)
         q = self.queues.get(key)
         if q is None:
             q = TimedQueue(

@@ -46,6 +46,7 @@ from repro.dswp.thread_extraction import ExtractedThread, ExtractionResult
 from repro.ir import verify_module
 from repro.ir.function import Function
 from repro.ir.printer import print_module
+from repro.pdg.scc import condense
 from repro.sim import ThreadAssignment, TimingSimulator
 from repro.sim.system import repartition
 from repro.workloads import all_workloads, get_workload
@@ -197,7 +198,7 @@ def test_thread_extraction_compile_round_trips_through_the_cache(name, tmp_path)
         for thread in extraction.threads:
             assert thread.function is lazy.module.get_function(thread.function.name)
             assert thread.source_function == fn_name
-        source = {id(i) for i in lazy.module.get_function(fn_name).instructions()}
+        source = set(lazy.module.get_function(fn_name).instructions())
         assert extraction.queue_map and all(v in source for v, _ in extraction.queue_map)
     # The decoded threads verify exactly as the extracted ones do.  (Some
     # extractions place a consume before a phi, which the verifier reports.)
@@ -658,12 +659,44 @@ def eager_payloads():
     return out
 
 
+def _pdg_shapes(result):
+    """Per partitioned function, by instruction number: the PDG's edges as
+    read through its adjacency, and the SCCs recomputed from them."""
+    module = result.module
+    number = {
+        inst: no
+        for no, inst in enumerate(i for fn in module.functions.values() for i in fn.instructions())
+    }
+    shapes = {}
+    for fn_name, fp in result.dswp.partitioning.functions.items():
+        pdg = fp.pdg
+        edges = {
+            (number[e.tail], number[e.head], e.kind)
+            for node in pdg.nodes
+            for e in pdg.successors(node)
+        }
+        sccs = [
+            (sorted(number[i] for i in scc.instructions), sorted(scc.successors))
+            for scc in condense(pdg)
+        ]
+        shapes[fn_name] = edges, sccs
+    return shapes
+
+
 @pytest.mark.parametrize("name", [n for n, _ in _sources()])
 def test_pickle_eq_and_replace_of_a_lazy_result_equal_the_eager_result(eager_payloads, name):
     """Re-encoding is the equality oracle: module, trace, profile, partitions,
-    queues, schedules and system byte for byte."""
+    queues, schedules and system byte for byte.  A pickled eager result also
+    keeps every function's PDG adjacency and SCC shape."""
     eager, data = eager_payloads[name]
     assert encode_compilation_result(decode_compilation_result(data)) == data
+
+    pickled_eager = pickle.loads(pickle.dumps(eager))
+    assert encode_compilation_result(pickled_eager) == data
+    shapes = _pdg_shapes(eager)
+    for fn_name, (edges, _) in shapes.items():
+        assert len(edges) == len(eager.dswp.partitioning.functions[fn_name].pdg.edges)
+    assert _pdg_shapes(pickled_eager) == shapes
 
     pickled = pickle.loads(pickle.dumps(decode_compilation_result(data)))
     assert "_load" not in vars(pickled)

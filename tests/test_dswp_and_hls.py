@@ -51,7 +51,7 @@ class TestPartitioner:
         pdg = build_pdg(fn)
         fp = partitioner.partition_function(fn, pdg, num_partitions=3, sw_fraction=0.25)
         for scc in fp.components:
-            partitions = {fp.assignment[id(i)] for i in scc.instructions}
+            partitions = {fp.assignment[i] for i in scc.instructions}
             assert len(partitions) == 1, "an SCC was split across partitions"
 
     def test_cross_partition_edges_are_forward(self, pipeline_module):
@@ -66,8 +66,8 @@ class TestPartitioner:
         for edge in pdg.edges:
             if edge.kind is not DependenceKind.DATA:
                 continue
-            src = fp.assignment[id(edge.tail)]
-            dst = fp.assignment[id(edge.head)]
+            src = fp.assignment[edge.tail]
+            dst = fp.assignment[edge.head]
             assert src <= dst, "data must only flow forwards along the pipeline"
 
     def test_partition_zero_is_software_master(self, pipeline_module):
@@ -104,7 +104,7 @@ class TestQueuesAndExtraction:
         fn = pipeline_module.get_function("main")
         fp = partitioner.partition_function(fn, build_pdg(fn), num_partitions=3, sw_fraction=0.25)
         allocation = allocate_queues(fp)
-        keys = {(id(q.value), q.consumer_partition) for q in allocation.queues}
+        keys = {(q.value, q.consumer_partition) for q in allocation.queues}
         assert len(keys) == len(allocation.queues), "one queue per (value, consumer)"
         for dep in allocation.deps:
             assert dep.producer_partition != dep.consumer_partition
@@ -182,11 +182,11 @@ class TestHLS:
         schedule = scheduler.schedule_function(fn)
         for block in fn.blocks:
             sched = schedule.blocks[block.name]
-            in_block = {id(i) for i in block.instructions}
+            in_block = set(block.instructions)
             for inst in block.instructions:
                 for op in inst.operands:
-                    if id(op) in in_block and not op.is_phi():
-                        assert sched.start_cycle[id(op)] <= sched.start_cycle[id(inst)]
+                    if op in in_block and not op.is_phi():
+                        assert sched.start_cycle[op] <= sched.start_cycle[inst]
 
     def test_issue_width_limits_parallelism(self):
         module = compile_c(

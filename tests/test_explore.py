@@ -446,13 +446,13 @@ def test_dswp_stage_read_back_binds_to_the_compile_results_own_instructions(
         ]
 
     def assert_bound(dswp, module):
-        instructions = {id(i) for fn in module.functions.values() for i in fn.instructions()}
+        instructions = {i for fn in module.functions.values() for i in fn.instructions()}
         assert dswp.partitioning.module is module
         for fn_name, fp in dswp.partitioning.functions.items():
             assert fp.function is module.get_function(fn_name)
             for partition in fp.partitions:
-                assert all(id(i) in instructions for i in partition.instructions)
-                assert all(fp.assignment[id(i)] == partition.index for i in partition.instructions)
+                assert all(i in instructions for i in partition.instructions)
+                assert all(fp.assignment[i] == partition.index for i in partition.instructions)
 
     evaluate._DSWP_MEMO.clear()
     fresh = points()

@@ -174,7 +174,7 @@ def test_assignment_memo_is_keyed_by_content():
     # ... while moving an executed instruction to another thread misses it.
     moved = ThreadAssignment.from_partitioning(module, dswp.partitioning)
     executed = trace.events[0].inst
-    moved.assign_instruction(executed, 1 if moved._map[id(executed)] == 0 else 0)
+    moved.assign_instruction(executed, 1 if moved._map[executed] == 0 else 0)
     assert index.setup(moved) is not setup
     relabelled = ThreadAssignment.from_partitioning(module, dswp.partitioning)
     relabelled.threads[0] = ThreadSpec(0, ExecutionDomain.HARDWARE, "fabric")

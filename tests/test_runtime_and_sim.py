@@ -173,7 +173,7 @@ class TestTimingSimulator:
         # Every instruction of every defined function maps to a known thread.
         for fn in module.defined_functions():
             for inst in fn.instructions():
-                spec = assignment.by_id[assignment._map.get(id(inst), 0)]
+                spec = assignment.by_id[assignment._map.get(inst, 0)]
                 assert spec.domain in (ExecutionDomain.SOFTWARE, ExecutionDomain.HARDWARE)
 
     def test_empty_trace(self):

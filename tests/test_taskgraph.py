@@ -129,13 +129,23 @@ def test_report_warm_run_matches_cold_run(tmp_path):
     )
 
 
+def test_no_cache_parallel_report_matches_serial():
+    """Without a cache, ``report -j 2`` pickles each compile result back
+    through the pool pipe; the report must equal the serial one."""
+    serial = run_report(harness=EvaluationHarness(benchmarks=FAST, use_cache=False))
+    parallel = run_report(harness=EvaluationHarness(benchmarks=FAST, use_cache=False), parallel=2)
+    assert json.dumps(parallel, sort_keys=True, default=repr) == json.dumps(
+        serial, sort_keys=True, default=repr
+    )
+
+
 def test_sweeps_from_unpickled_artifact_match_fresh(tmp_path):
     """Re-simulating a disk-loaded compile artifact must equal the fresh run.
 
-    Guards the re-keying of the id()-keyed structures (Profile,
-    FunctionPartitioning.assignment) onto the decoded instructions: a
-    re-partition of a module whose keys miss silently degenerates to the
-    pure-software configuration.
+    Guards the decoded instruction-keyed maps (the profile counts and
+    FunctionPartitioning.assignment): if their keys were not the decoded
+    module's own instructions, a re-partition would miss them all and
+    silently degenerate to the pure-software configuration.
     """
     h1 = make_harness(tmp_path)
     fresh_split = h1.twill_cycles_with_split("blowfish", 0.4)

@@ -127,10 +127,10 @@ def test_profile_counts_come_from_the_instruction_column():
     profile = Profile.from_trace(module, trace)
     expected = {}
     for event in trace.events:
-        expected[id(event.inst)] = expected.get(id(event.inst), 0) + 1
+        expected[event.inst] = expected.get(event.inst, 0) + 1
     for fn in module.defined_functions():
         for inst in fn.instructions():
-            assert profile.count(inst) == float(expected.get(id(inst), 0))
+            assert profile.count(inst) == float(expected.get(inst, 0))
 
 
 def _counting(monkeypatch, cls, counter, key):
