@@ -9,7 +9,7 @@ signatures match.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Dict, List, Set
 
 from repro.errors import VerificationError
 from repro.ir.basicblock import BasicBlock
@@ -73,21 +73,23 @@ def _verify_block(fn: Function, block: BasicBlock, report: VerifierReport) -> No
             seen_non_phi = True
 
 
-def _verify_phis(fn: Function, block: BasicBlock, report: VerifierReport) -> None:
+def _verify_phis(
+    fn: Function, block: BasicBlock, preds: List[BasicBlock], report: VerifierReport
+) -> None:
     ctx = f"{fn.name}/{block.name}"
-    preds = block.predecessors()
-    pred_set = set(id(p) for p in preds)
+    pred_set = set(preds)
     for phi in block.phis():
-        incoming_ids = [id(b) for b in phi.incoming_blocks]
-        if len(set(incoming_ids)) != len(incoming_ids):
+        incoming = phi.incoming_blocks
+        incoming_set = set(incoming)
+        if len(incoming_set) != len(incoming):
             report.fail(f"{ctx}: phi '{print_instruction(phi)}' has duplicate incoming blocks")
-        for b in phi.incoming_blocks:
-            if id(b) not in pred_set:
+        for b in incoming:
+            if b not in pred_set:
                 report.fail(
                     f"{ctx}: phi '{print_instruction(phi)}' references non-predecessor {b.name}"
                 )
         for p in preds:
-            if id(p) not in set(incoming_ids):
+            if p not in incoming_set:
                 report.fail(
                     f"{ctx}: phi '{print_instruction(phi)}' missing incoming value for "
                     f"predecessor {p.name}"
@@ -153,9 +155,16 @@ def verify_function(fn: Function, report: VerifierReport | None = None) -> Verif
     if fn.is_declaration():
         return report
     known_blocks = {id(b) for b in fn.blocks}
+    # Each block's predecessors in block order, each listed once (as
+    # BasicBlock.predecessors() gives them), from one pass over the edges.
+    preds: Dict[BasicBlock, List[BasicBlock]] = {b: [] for b in fn.blocks}
+    for block in fn.blocks:
+        for succ in dict.fromkeys(block.successors()):
+            if succ in preds:
+                preds[succ].append(block)
     for block in fn.blocks:
         _verify_block(fn, block, report)
-        _verify_phis(fn, block, report)
+        _verify_phis(fn, block, preds[block], report)
         for inst in block.instructions:
             _verify_operands(fn, inst, known_blocks, report)
             if isinstance(inst, Call):

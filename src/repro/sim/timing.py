@@ -43,8 +43,23 @@ recording is memoised per queue depth, so every later replay of the same
 trace under an assignment of the same content and the same depth — each
 latency, bus, cost-model and HLS point of a sweep — runs the second pass
 only.  The float operations run in the poll loop's order with its int/float
-tie rules, so the bytes match.  Both memos (the assignment-dependent setup
-and the schedules) live on the trace's process-local :class:`_TraceIndex`.
+tie rules, so the bytes match.
+
+The outcome of a replay is memoised as well, keyed by exactly what the
+replay reads of the configuration: the queue depth and latency, bus
+latency, coherency delay, memory read cycles and processor-op cycles (each
+with its type: ``2`` and ``2.0`` can give different bytes), the HLS issue
+width and loop pipelining, and the content of both domains' opcode-cost
+tables, which folds in the memory write cycles and any custom cost model.
+Host-policy fields (the cache bound, the service token) are never part of
+it.  A repeated (trace, assignment content, config key) — a sweep point at
+the compile's own config, an explore or split point equal to an earlier
+one, each re-run of a baseline — runs neither pass: the memo holds plain
+values, and every hit builds a fresh result from the caller's own thread
+specs, so no caller shares a mutable object.  The setup, its schedules and
+its multi-thread results live on the per-assignment setup, bounded by the
+LRU of :data:`_SETUP_MEMO_LIMIT` setups; the setups and the single-thread
+results live on the trace's process-local :class:`_TraceIndex`.
 
 Both passes read the trace's columns (see :mod:`repro.interp.trace`): the
 static-number column maps events to threads, and the index adds only the
@@ -81,9 +96,14 @@ _QUEUED = 0      # in the heap, will be visited
 _BLOCKED = 1     # parked on a wake list (an operand or a queue dequeue)
 _DONE = 2        # all events executed
 
-#: Distinct assignments whose setup (and schedules) one trace keeps; the
-#: least recently used is dropped beyond this.
+#: Distinct assignments whose setup (with its schedules and results) one
+#: trace keeps; the least recently used is dropped beyond this.
 _SETUP_MEMO_LIMIT = 8
+
+#: A memoised replay outcome, plain values only: (total cycles, (queue
+#: count, queue transfers, producer stall, consumer stall, bus transfers,
+#: forced events), each timeline's fields after its spec, in thread order).
+_Snapshot = Tuple[float, Tuple, Tuple[Tuple, ...]]
 
 
 class _TraceIndex:
@@ -110,11 +130,13 @@ class _TraceIndex:
     trace leaves it behind.
 
     ``cost_arrays`` memoises per-event cost vectors keyed by the *content*
-    of the opcode-cost table (domain + each opcode's resolved cost), so
-    sweeps that vary queue geometry — which never changes execution costs —
-    reuse one vector, while a sweep that does change a cost (say memory
-    read cycles) gets its own.  ``setups`` memoises, per assignment content,
-    the :class:`_ReplaySetup` that carries the recorded schedules.
+    of the opcode-cost table (each opcode's resolved cost, in
+    ``opcode_counts`` order), so sweeps that vary queue geometry — which
+    never changes execution costs — reuse one vector, while a sweep that
+    does change a cost (say memory read cycles) gets its own.  ``setups``
+    memoises, per assignment content, the :class:`_ReplaySetup` that carries
+    the recorded schedules and multi-thread results; ``results`` memoises
+    the single-thread replays, keyed by (thread specs, config key).
     """
 
     __slots__ = (
@@ -129,6 +151,7 @@ class _TraceIndex:
         "prints",
         "cost_arrays",
         "setups",
+        "results",
     )
 
     def __init__(self, trace: Trace):
@@ -136,8 +159,9 @@ class _TraceIndex:
         inst_no = self.inst_no = trace.inst
         statics = self.instructions = trace.instructions
         self.static_opcodes = [inst.opcode for inst in statics]
-        self.cost_arrays: Dict[Tuple, List[float]] = {}
+        self.cost_arrays: Dict[Tuple[float, ...], List[float]] = {}
         self.setups: Dict[Tuple, _ReplaySetup] = {}
+        self.results: Dict[Tuple, _Snapshot] = {}
 
         offsets = trace.dep_offsets
         deps_seq = list(
@@ -210,11 +234,12 @@ class _ReplaySetup:
     queues or the bus; ``stops`` lists, per thread, the positions of its
     other events — the only ones the scheduler has to look at.
     ``schedules`` holds the recorded visit order per queue depth (see
-    :class:`_Schedule`).
+    :class:`_Schedule`), ``results`` the replay's outcome per config key.
     """
 
     __slots__ = (
         "thread_of", "per_thread", "dyn_consumers", "local", "stops", "populated", "schedules",
+        "results",
     )
 
     def __init__(self, index: _TraceIndex, threads: List[ThreadSpec], thread_map: List[int]):
@@ -261,6 +286,7 @@ class _ReplaySetup:
         self.stops: Dict[int, array] = {tid: array("i", stop) for tid, stop in stops.items()}
         self.populated = [tid for tid, indices in buckets.items() if indices]
         self.schedules: Dict[int, _Schedule] = {}
+        self.results: Dict[Tuple, _Snapshot] = {}
 
 
 class _Schedule:
@@ -317,82 +343,115 @@ class TimingSimulator:
             return TimingResult(0.0, {}, 0, 0, 0.0, 0.0, 0, 0, 0)
 
         index = _trace_index(trace)
-        timelines: Dict[int, ThreadTimeline] = {
-            t.thread_id: ThreadTimeline(spec=t) for t in assignment.threads
+        specs = {t.thread_id: t for t in assignment.threads}
+        costs = {domain: self._costs(index, domain) for domain in ExecutionDomain}
+        key = self._config_key(costs)
+        if len(specs) == 1:
+            setup = None
+            memo = index.results
+            key = (tuple(assignment.threads), key)
+        else:
+            setup = index.setup(assignment)
+            memo = setup.results
+        snapshot = memo.get(key)
+        if snapshot is None:
+            snapshot = memo[key] = self._replay(index, setup, specs, costs)
+        total_cycles, stats, fields = snapshot
+        timelines = {
+            tid: ThreadTimeline(spec, *values) for (tid, spec), values in zip(specs.items(), fields)
         }
+        return TimingResult(total_cycles, timelines, *stats, n, index.prints)
 
-        if len(timelines) == 1:
-            # Single-thread assignment (the pure-SW / pure-HW baselines):
-            # every event lands on the one thread, so skip the per-event
-            # assignment/consumer setup entirely — no queues, no bus.
-            timeline = next(iter(timelines.values()))
-            self._replay_single(index, timeline)
-            return TimingResult(
-                total_cycles=timeline.finish_time,
-                threads=timelines,
-                queue_count=0,
-                queue_transfers=0,
-                producer_stall_cycles=0.0,
-                consumer_stall_cycles=0.0,
-                bus_transfers=0,
-                forced_events=0,
-                events=n,
-                replay_outputs=index.prints,
-            )
+    def _config_key(self, costs: Dict[ExecutionDomain, Tuple[float, ...]]) -> Tuple:
+        """What a replay reads of this simulator's configuration, as a memo key.
 
-        setup = index.setup(assignment)
-        forced_events = 0
-        if len(setup.populated) == 1:
-            self._replay_single(index, timelines[setup.populated[0]])
-            stats = (0, 0, 0, 0, 0)
+        Each scalar keeps its type (``2`` and ``2.0`` can give different
+        result bytes); the cost tables go in by content.
+        """
+        runtime, hls = self.runtime, self.hls
+        scalars = (
+            runtime.queue_depth,
+            runtime.queue_latency,
+            runtime.bus_latency,
+            runtime.coherency_delay,
+            runtime.memory_read_cycles,
+            runtime.processor_op_cycles,
+            hls.issue_width,
+            hls.loop_pipelining,
+        )
+        return (scalars, tuple(map(type, scalars)), *costs.values())
+
+    def _replay(
+        self,
+        index: _TraceIndex,
+        setup: Optional[_ReplaySetup],
+        specs: Dict[int, ThreadSpec],
+        costs: Dict[ExecutionDomain, Tuple[float, ...]],
+    ) -> _Snapshot:
+        """Replay the trace (a memo miss) and snapshot the outcome.
+
+        *setup* is ``None`` for a single-thread assignment (the pure-SW /
+        pure-HW baselines): every event lands on the one thread, so the
+        per-event assignment/consumer setup is skipped entirely — no queues,
+        no bus.
+        """
+        timelines = {tid: ThreadTimeline(spec=spec) for tid, spec in specs.items()}
+        # The two single-thread cases report their zero stalls with different
+        # types (0.0 and 0); both are kept, since a result's JSON shows them.
+        if setup is None:
+            self._replay_single(index, next(iter(timelines.values())), costs)
+            stats: Tuple = (0, 0, 0.0, 0.0, 0, 0)
+        elif len(setup.populated) == 1:
+            self._replay_single(index, timelines[setup.populated[0]], costs)
+            stats = (0, 0, 0, 0, 0, 0)
         else:
             depth = self.runtime.queue_depth
             schedule = setup.schedules.get(depth)
             if schedule is None:
                 schedule = setup.schedules[depth] = self._schedule(index, setup)
-            forced_events = schedule.forced_events
-            stats = self._retime(index, setup, schedule, timelines)
-
-        queue_count, queue_transfers, producer_stall, consumer_stall, bus_transfers = stats
-        return TimingResult(
-            total_cycles=max((t.finish_time for t in timelines.values()), default=0.0),
-            threads=timelines,
-            queue_count=queue_count,
-            queue_transfers=queue_transfers,
-            producer_stall_cycles=producer_stall,
-            consumer_stall_cycles=consumer_stall,
-            bus_transfers=bus_transfers,
-            forced_events=forced_events,
-            events=n,
-            replay_outputs=index.prints,
+            stats = self._retime(index, setup, schedule, timelines, costs)
+            stats += (schedule.forced_events,)
+        return (
+            max((t.finish_time for t in timelines.values()), default=0.0),
+            stats,
+            tuple(
+                (t.next_free, t.busy_cycles, t.events_executed, t.finish_time,
+                 t.current_block, t.block_max_done)
+                for t in timelines.values()
+            ),
         )
 
     # -- shared per-event precomputation ----------------------------------------------
 
-    def _cost_table(self, index: _TraceIndex, domain: ExecutionDomain) -> Dict[Opcode, float]:
-        """Opcode → cost for the trace's opcodes."""
-        return {opcode: self._execution_cost(opcode, domain) for opcode in index.opcode_counts}
+    def _costs(self, index: _TraceIndex, domain: ExecutionDomain) -> Tuple[float, ...]:
+        """Each traced opcode's cost in *domain*, in ``index.opcode_counts`` order."""
+        return tuple(self._execution_cost(opcode, domain) for opcode in index.opcode_counts)
 
-    def _cost_array(self, index: _TraceIndex, domain: ExecutionDomain) -> List[float]:
+    def _cost_array(self, index: _TraceIndex, costs: Tuple[float, ...]) -> List[float]:
         """Per-event cost vector, memoized on the trace by cost-table *content*."""
-        table = self._cost_table(index, domain)
-        key = (domain, tuple(sorted((op.value, cost) for op, cost in table.items())))
-        array_ = index.cost_arrays.get(key)
+        array_ = index.cost_arrays.get(costs)
         if array_ is None:
+            table = dict(zip(index.opcode_counts, costs))
             static_costs = [table[op] for op in index.static_opcodes]
-            array_ = list(map(static_costs.__getitem__, index.inst_no))
-            index.cost_arrays[key] = array_
+            array_ = index.cost_arrays[costs] = list(map(static_costs.__getitem__, index.inst_no))
         return array_
 
     # -- single-thread fast paths ------------------------------------------------------
 
-    def _replay_single(self, index: _TraceIndex, timeline: ThreadTimeline) -> None:
+    def _replay_single(
+        self,
+        index: _TraceIndex,
+        timeline: ThreadTimeline,
+        costs: Dict[ExecutionDomain, Tuple[float, ...]],
+    ) -> None:
         if timeline.spec.domain is ExecutionDomain.SOFTWARE:
-            self._replay_single_software(index, timeline)
+            self._replay_single_software(index, timeline, costs[ExecutionDomain.SOFTWARE])
         else:
-            self._replay_single_hardware(index, timeline)
+            self._replay_single_hardware(index, timeline, costs[ExecutionDomain.HARDWARE])
 
-    def _replay_single_software(self, index: _TraceIndex, timeline: ThreadTimeline) -> None:
+    def _replay_single_software(
+        self, index: _TraceIndex, timeline: ThreadTimeline, costs: Tuple[float, ...]
+    ) -> None:
         """Pure-software replay: strict in-order issue on one thread.
 
         With every event on one software thread, each operand's producing
@@ -404,26 +463,27 @@ class TimingSimulator:
         cost model introduce fractional costs, the sequential loop preserves
         the reference engine's exact ordering.
         """
-        table = self._cost_table(index, ExecutionDomain.SOFTWARE)
-        if all(cost.is_integer() for cost in table.values()):
+        if all(cost.is_integer() for cost in costs):
             total = float(
-                sum(int(table[op]) * count for op, count in index.opcode_counts.items())
+                sum(int(cost) * count for cost, count in zip(costs, index.opcode_counts.values()))
             )
         else:
             total = 0.0
-            for cost in self._cost_array(index, ExecutionDomain.SOFTWARE):
+            for cost in self._cost_array(index, costs):
                 total += cost
         timeline.next_free = total
         timeline.busy_cycles = total
         timeline.events_executed = index.n
         timeline.finish_time = total
 
-    def _replay_single_hardware(self, index: _TraceIndex, timeline: ThreadTimeline) -> None:
+    def _replay_single_hardware(
+        self, index: _TraceIndex, timeline: ThreadTimeline, costs: Tuple[float, ...]
+    ) -> None:
         """Pure-hardware replay: one FSM thread, no queues, no bus."""
         n = index.n
         deps_seq = index.deps_seq
         block_occurrence = index.block_occurrence
-        cost_arr = self._cost_array(index, ExecutionDomain.HARDWARE)
+        cost_arr = self._cost_array(index, costs)
         loop_pipe = self.hls.loop_pipelining
         slot = 1.0 / max(1, self.hls.issue_width)
         finish = [0.0] * n
@@ -672,6 +732,7 @@ class TimingSimulator:
         setup: _ReplaySetup,
         schedule: _Schedule,
         timelines: Dict[int, ThreadTimeline],
+        costs: Dict[ExecutionDomain, Tuple[float, ...]],
     ) -> Tuple:
         """Time a recorded visit order under this simulator's configuration.
 
@@ -686,7 +747,8 @@ class TimingSimulator:
         enqueue into a full queue waits for no slot.
 
         Returns (queues, transfers, producer stall, consumer stall, bus
-        transfers), the statistics :meth:`simulate` reports.
+        transfers), the statistics :meth:`simulate` reports; *costs* holds
+        each domain's opcode costs (see :meth:`_costs`).
         """
         thread_of = setup.thread_of
         per_thread = setup.per_thread
@@ -706,10 +768,7 @@ class TimingSimulator:
         queue_latency = runtime.queue_latency
         loop_pipe = self.hls.loop_pipelining
         slot = 1.0 / max(1, self.hls.issue_width)
-        cost_arrays = {
-            domain: self._cost_array(index, domain)
-            for domain in (ExecutionDomain.SOFTWARE, ExecutionDomain.HARDWARE)
-        }
+        cost_arrays = {domain: self._cost_array(index, c) for domain, c in costs.items()}
         thread_domain = {tid: t.spec.domain for tid, t in timelines.items()}
 
         queue_of = {key: k for k, key in enumerate(schedule.queue_keys)}

@@ -21,10 +21,13 @@ from repro.ir import (
     Module,
     Opcode,
     Return,
+    VerifierReport,
     evaluate_binary,
     evaluate_icmp,
+    verify_function,
     verify_module,
 )
+from repro.ir.printer import print_instruction
 from repro.transforms import (
     ConstantPropagation,
     DeadCodeElimination,
@@ -100,6 +103,73 @@ class TestIRBasics:
         assert u8.wrap(-1) == 255
         i16 = IntType(16, signed=True)
         assert i16.wrap(0x8000) == -0x8000
+
+
+class TestPhiVerification:
+    """The verifier's three phi diagnostics, each once and in report order."""
+
+    def _function(self):
+        module = Module("t")
+        fn = module.create_function("f", FunctionType(I32, (I32,)), ["x"])
+        return fn, IRBuilder(fn.create_block("entry"))
+
+    @staticmethod
+    def _phi(builder, *incoming):
+        phi = builder.phi(I32)
+        for block in incoming:
+            phi.add_incoming(Constant(I32, 1), block)
+        return phi
+
+    def test_diamond_reports_each_phi_fault(self):
+        fn, builder = self._function()
+        entry = fn.blocks[0]
+        # Block order (right before left) differs from the branch's target
+        # order, so the missing-incoming messages show which one is kept.
+        right = fn.create_block("right")
+        left = fn.create_block("left")
+        join = fn.create_block("join")
+        builder.cond_br(fn.args[0], left, right)
+        for block in (left, right):
+            IRBuilder(block).br(join)
+        builder = IRBuilder(join)
+        duplicate = self._phi(builder, left, left, right)
+        stray = self._phi(builder, left, right, entry)
+        one_missing = self._phi(builder, right)
+        both_missing = self._phi(builder)
+        good = self._phi(builder, left, right)
+        builder.ret(good)
+
+        report = verify_function(fn, VerifierReport())
+        ctx = f"f/{join.name}"
+        assert report.errors == [
+            f"{ctx}: phi '{print_instruction(duplicate)}' has duplicate incoming blocks",
+            f"{ctx}: phi '{print_instruction(stray)}' references non-predecessor {entry.name}",
+            f"{ctx}: phi '{print_instruction(one_missing)}' missing incoming value for "
+            f"predecessor {left.name}",
+            f"{ctx}: phi '{print_instruction(both_missing)}' missing incoming value for "
+            f"predecessor {right.name}",
+            f"{ctx}: phi '{print_instruction(both_missing)}' missing incoming value for "
+            f"predecessor {left.name}",
+        ]
+
+    def test_branch_with_both_targets_equal_is_one_predecessor(self):
+        fn, builder = self._function()
+        entry = fn.blocks[0]
+        join = fn.create_block("join")
+        builder.cond_br(fn.args[0], join, join)
+        builder = IRBuilder(join)
+        good = self._phi(builder, entry)
+        twice = self._phi(builder, entry, entry)
+        missing = self._phi(builder)
+        builder.ret(good)
+
+        report = verify_function(fn, VerifierReport())
+        ctx = f"f/{join.name}"
+        assert report.errors == [
+            f"{ctx}: phi '{print_instruction(twice)}' has duplicate incoming blocks",
+            f"{ctx}: phi '{print_instruction(missing)}' missing incoming value for "
+            f"predecessor {entry.name}",
+        ]
 
 
 class TestFoldingSemantics:

@@ -2,13 +2,15 @@
 
 A multi-thread replay records the scheduler's visit order per (trace,
 assignment content, queue depth) and re-times every later replay of that
-group from the recording.  These tests hold every replay — first or
-re-timed — equal field for field to the poll engine in
-``tests/replay_oracle.py``, and type for type to a replay with the memos
-dropped, over a grid of runtime and HLS configurations in both call
-orders.  They also pin the memo keys: a schedule recorded at one
-queue depth never serves another, and an assignment of different content
-never reuses a setup.  Every replay also passes the timing-model
+group from the recording; a replay whose config key was seen before is
+served from the result memo without re-timing.  These tests hold every
+replay — first, re-timed or served — equal field for field to the poll
+engine in ``tests/replay_oracle.py``, and type for type to a replay with
+the memos dropped, over a grid of runtime and HLS configurations in both
+call orders.  They also pin the memo keys: a schedule recorded at one
+queue depth never serves another, an assignment of different content
+never reuses a setup, and a config that differs in any field the replay
+reads never reuses a result.  Every replay also passes the timing-model
 invariants: no forced events, and every event timed exactly once.
 """
 
@@ -18,6 +20,9 @@ import os
 import pytest
 
 from repro.config import HLSConfig, RuntimeConfig
+from repro.costmodel.hardware import HardwareCostModel
+from repro.costmodel.software import SoftwareCostModel
+from repro.ir.instructions import Opcode
 from repro.sim import ThreadAssignment, TimingSimulator
 from repro.sim.assignment import ExecutionDomain, ThreadSpec
 from repro.sim.timing import _trace_index
@@ -76,6 +81,44 @@ def _forget_memos(trace):
     trace._replay_index = None
 
 
+def _scribble(result):
+    """Overwrite everything mutable in *result*: no later replay may see it."""
+    for timeline in result.threads.values():
+        for field in dataclasses.fields(timeline):
+            if field.name != "spec":
+                setattr(timeline, field.name, -1)
+    result.threads.clear()
+
+
+def _replay_twice(trace, assignment, grid, expected):
+    """Replay each config of *grid* twice, each time from a new simulator.
+
+    The second replay of a config is a memo hit; both must equal the oracle
+    and, type for type, the cold replay in *expected*, although the first
+    result is scribbled over before the second is made.
+    """
+    for config in grid:
+        oracle, cold = expected[config]
+        for _ in range(2):
+            result = _simulator(config).simulate(trace, assignment)
+            _check_invariants(result)
+            assert _fields(result) == oracle, config
+            assert _typed(result) == cold, config
+            _scribble(result)
+
+
+def _expected(trace, assignment):
+    """{grid point: (oracle fields, cold typed fields)} for *assignment*."""
+    expected = {}
+    for config in GRID:
+        sim = _simulator(config)
+        _forget_memos(trace)
+        cold = sim.simulate(trace, assignment)
+        _check_invariants(cold)
+        expected[config] = (_fields(poll_replay(sim, trace, assignment)), _typed(cold))
+    return expected
+
+
 def _programs():
     programs = [("pipeline", PIPELINE_PROGRAM)]
     programs += [(name, get_workload(name).source) for name in ("blowfish", "mips")]
@@ -96,30 +139,153 @@ def case(request):
     module, execution, dswp = _compiled(dict(PROGRAMS)[name], name)
     trace = execution.trace
     assignment = ThreadAssignment.from_partitioning(module, dswp.partitioning)
-    expected = {}
-    for config in GRID:
-        sim = _simulator(config)
-        _forget_memos(trace)
-        cold = sim.simulate(trace, assignment)
-        _check_invariants(cold)
-        expected[config] = (_fields(poll_replay(sim, trace, assignment)), _typed(cold))
-    return trace, assignment, expected
+    return trace, assignment, _expected(trace, assignment)
 
 
 @pytest.mark.parametrize("order", ["forward", "reverse"])
 def test_memoised_replays_match_oracle(case, order):
     trace, assignment, expected = case
     _forget_memos(trace)
-    grid = GRID if order == "forward" else GRID[::-1]
-    for config in grid:
-        result = _simulator(config).simulate(trace, assignment)
-        _check_invariants(result)
-        oracle, cold = expected[config]
-        assert _fields(result) == oracle, config
-        assert _typed(result) == cold, config
+    _replay_twice(trace, assignment, GRID if order == "forward" else GRID[::-1], expected)
     setup = _trace_index(trace).setup(assignment)
     if len(setup.populated) > 1:
         assert sorted(setup.schedules) == sorted(DEPTHS)
+        assert len(setup.results) == len(GRID)
+
+
+def test_single_thread_memo_matches_oracle():
+    """Both baselines interleaved on one trace: each is served only its own."""
+    module, execution, _ = _compiled(PIPELINE_PROGRAM, "pipeline")
+    trace = execution.trace
+    baselines = [
+        (assignment, _expected(trace, assignment))
+        for assignment in (
+            ThreadAssignment.pure_software(module),
+            ThreadAssignment.pure_hardware(module),
+        )
+    ]
+    for grid in (GRID, GRID[::-1]):
+        _forget_memos(trace)
+        for config in grid:
+            for assignment, expected in baselines:
+                _replay_twice(trace, assignment, [config], expected)
+        assert len(_trace_index(trace).results) == 2 * len(GRID)
+
+
+@pytest.mark.parametrize(
+    "kind, replay",
+    [
+        ("twill", "_retime"),
+        ("pure_software", "_replay_single_software"),
+        ("pure_hardware", "_replay_single_hardware"),
+    ],
+)
+def test_each_distinct_config_replays_once(kind, replay, monkeypatch):
+    """Equal content served from the memo: a rebuilt assignment, new simulators."""
+    module, execution, dswp = _compiled(PIPELINE_PROGRAM, "pipeline")
+    trace = execution.trace
+    calls = []
+    real = getattr(TimingSimulator, replay)
+
+    def spy(self, *args):
+        calls.append(repr((self.runtime, self.hls)))
+        return real(self, *args)
+
+    monkeypatch.setattr(TimingSimulator, replay, spy)
+    _forget_memos(trace)
+    for config in GRID + GRID[::-1] + GRID:
+        if kind == "twill":
+            assignment = ThreadAssignment.from_partitioning(module, dswp.partitioning)
+        else:
+            assignment = getattr(ThreadAssignment, kind)(module)
+        _simulator(config).simulate(trace, assignment)
+    assert len(calls) == len(set(calls)) == len(GRID)
+
+
+#: A grid point at which, between them, the pipeline and blowfish Twill
+#: replays change with every field of the memo key.
+KEY_BASE = (8, 7, 3, 5, 2, False)
+
+
+def _key_variants(sim):
+    """{key field: a simulator with only that field of *sim*'s config changed}."""
+    runtime, hls = sim.runtime, sim.hls
+    variants = {
+        field: TimingSimulator(dataclasses.replace(runtime, **{field: value}), hls)
+        for field, value in (
+            ("queue_depth", runtime.queue_depth + 1),
+            ("queue_latency", runtime.queue_latency + 3),
+            # The bus latency cancels out of the bus-slot arithmetic: only
+            # its type can reach a result (an int slot floor or a float one).
+            ("bus_latency", float(runtime.bus_latency)),
+            ("coherency_delay", runtime.coherency_delay + 3),
+            ("memory_read_cycles", runtime.memory_read_cycles + 3),
+            ("processor_op_cycles", runtime.processor_op_cycles + 3),
+            ("memory_write_cycles", runtime.memory_write_cycles + 3),
+        )
+    }
+    variants["issue_width"] = TimingSimulator(runtime, dataclasses.replace(hls, issue_width=2))
+    variants["loop_pipelining"] = TimingSimulator(
+        runtime, dataclasses.replace(hls, loop_pipelining=not hls.loop_pipelining)
+    )
+    variants["software"] = TimingSimulator(
+        runtime, hls, software=SoftwareCostModel(cycles={Opcode.ADD: 9})
+    )
+    variants["hardware"] = TimingSimulator(
+        runtime, hls, hardware=HardwareCostModel(latency={Opcode.ADD: 3})
+    )
+    return variants
+
+
+def _fields_that_matter(trace, assignment):
+    """The key fields whose change alters *assignment*'s replay at KEY_BASE.
+
+    For every field, a replay under the changed config made after a warm
+    memo (the base config replayed) must equal one on a forgotten index,
+    and the base config must still be served its own result.
+    """
+    base = _simulator(KEY_BASE)
+    _forget_memos(trace)
+    cold = _typed(base.simulate(trace, assignment))
+    changed = set()
+    for field, sim in _key_variants(base).items():
+        _forget_memos(trace)
+        fresh = _typed(sim.simulate(trace, assignment))
+        _forget_memos(trace)
+        base.simulate(trace, assignment)
+        assert _typed(sim.simulate(trace, assignment)) == fresh, field
+        assert _typed(base.simulate(trace, assignment)) == cold, field
+        if fresh != cold:
+            changed.add(field)
+    return changed
+
+
+def test_result_memo_key_covers_every_field_the_replay_reads():
+    changed = set()
+    for name in ("pipeline", "blowfish"):
+        module, execution, dswp = _compiled(dict(PROGRAMS)[name], name)
+        assignment = ThreadAssignment.from_partitioning(module, dswp.partitioning)
+        changed |= _fields_that_matter(execution.trace, assignment)
+    # Every field moves one of the two replays, so a field left out of the
+    # key would have served a stale result above.
+    assert changed == set(_key_variants(_simulator(KEY_BASE)))
+
+
+@pytest.mark.parametrize(
+    "kind, reads",
+    [
+        ("pure_software", {"software"}),
+        (
+            "pure_hardware",
+            {"memory_read_cycles", "memory_write_cycles", "issue_width", "loop_pipelining",
+             "hardware"},
+        ),
+    ],
+)
+def test_single_thread_memo_key_covers_what_the_replay_reads(kind, reads):
+    module, execution, _ = _compiled(PIPELINE_PROGRAM, "pipeline")
+    assignment = getattr(ThreadAssignment, kind)(module)
+    assert _fields_that_matter(execution.trace, assignment) == reads
 
 
 def test_schedule_never_serves_another_depth(monkeypatch):
@@ -131,9 +297,9 @@ def test_schedule_never_serves_another_depth(monkeypatch):
     real_retime = TimingSimulator._retime
     real_schedule = TimingSimulator._schedule
 
-    def retime_spy(self, index, setup, schedule, timelines):
+    def retime_spy(self, index, setup, schedule, timelines, costs):
         served.append((self.runtime.queue_depth, schedule, setup.schedules))
-        return real_retime(self, index, setup, schedule, timelines)
+        return real_retime(self, index, setup, schedule, timelines, costs)
 
     def schedule_spy(self, index, setup):
         recorded.append(self.runtime.queue_depth)
@@ -141,9 +307,12 @@ def test_schedule_never_serves_another_depth(monkeypatch):
 
     monkeypatch.setattr(TimingSimulator, "_retime", retime_spy)
     monkeypatch.setattr(TimingSimulator, "_schedule", schedule_spy)
-    depths = (1, 8, 1, 8, 2)
-    for depth in depths:
-        sim = TimingSimulator(RuntimeConfig(queue_depth=depth, queue_latency=5))
+    # A repeated depth comes back at another latency: an equal config would
+    # be served by the result memo without re-timing at all.
+    points = ((1, 5), (8, 5), (1, 6), (8, 6), (2, 5))
+    depths = tuple(depth for depth, _ in points)
+    for depth, latency in points:
+        sim = TimingSimulator(RuntimeConfig(queue_depth=depth, queue_latency=latency))
         result = sim.simulate(trace, assignment)
         assert _fields(result) == _fields(poll_replay(sim, trace, assignment))
     assert recorded == [1, 8, 2]

@@ -13,7 +13,9 @@ output before reporting a single number:
   re-time pass) vs the cooperative poll engine kept as the differential
   oracle (``tests/replay_oracle.py``), replaying each workload's trace
   under its pure-SW, pure-HW and DSWP-partitioned assignments.  The replay
-  memos are dropped before every replay, so none is served a recording.
+  memos are dropped before every timed replay, so none is served a
+  recording or a result; the identity check also holds a second replay of
+  each job, served by the result memo, equal to the oracle.
 * **sweep** — one workload's six Figure 6.5/6.6 runtime points replayed
   the way a report does (the first replay of each queue depth schedules,
   the rest re-time its recording) vs the same points with the memos
@@ -126,10 +128,12 @@ def _compiled(name: str):
 
 
 def _drop_replay_memos(trace) -> None:
-    """Forget the trace's memoised setups and schedules (keeps its index)."""
+    """Forget the trace's memoised setups, schedules and results (keeps its index)."""
     from repro.sim.timing import _trace_index
 
-    _trace_index(trace).setups.clear()
+    index = _trace_index(trace)
+    index.setups.clear()
+    index.results.clear()
 
 
 def bench_replay(repeats: int) -> dict:
@@ -168,9 +172,14 @@ def bench_replay(repeats: int) -> dict:
 
     ready_seconds, ready_results = _timed(ready)
     poll_seconds, poll_results = _timed(oracle)
+    hits = []
+    for trace, assignment in jobs:
+        _drop_replay_memos(trace)
+        sim.simulate(trace, assignment)
+        hits.append(sim.simulate(trace, assignment))
     identical = all(
         dataclasses.asdict(a) == dataclasses.asdict(b)
-        for a, b in zip(ready_results, poll_results)
+        for a, b in zip(ready_results + hits, poll_results + poll_results[: len(jobs)])
     )
     return {
         "after_seconds": round(ready_seconds, 4),
