@@ -18,10 +18,8 @@ suite use, so numbers never diverge between entry points:
   graph; ``--html DIR`` writes a single self-contained ``report.html`` with
   every figure as inline SVG (see docs/REPORTING.md); ``--compare
   BASELINE.json`` diffs the run figure-by-figure against a saved ``--json``
-  payload; ``--workers HOST:PORT`` runs it distributed (an embedded
-  coordinator that ``repro worker serve`` daemons poll) and ``--trace
-  trace.json`` records a chrome://tracing timeline (embedded in the HTML
-  report when combined with ``--html``);
+  payload; ``--trace trace.json`` records a chrome://tracing timeline
+  (embedded in the HTML report when combined with ``--html``);
 * ``repro explore <workload|all> --strategy S --budget N --seed K`` — the
   full design-space exploration engine: budgeted search (exhaustive,
   random, greedy, annealing) over split/pipeline/queue/HLS candidates with
@@ -39,11 +37,6 @@ suite use, so numbers never diverge between entry points:
   aggregate node with its dependencies) without executing it;
 * ``repro cache {stats,clear,prune}`` — inspect, empty, or LRU-bound the
   on-disk artifact cache (``prune --max-bytes``);
-* ``repro cache serve`` — share one artifact store over HTTP so workers on
-  other hosts publish through it;
-* ``repro worker serve`` — a worker daemon: long-polls a coordinator for
-  ready tasks and executes them; ``--pool N`` drives N executor processes
-  from one daemon (see ``docs/DISTRIBUTED.md``);
 * ``repro trace TRACE.jsonl`` — render the structured span trace captured
   by running any command with ``REPRO_TRACE=TRACE.jsonl`` set: a
   parent/child span tree per trace id, ``--gantt`` for a per-worker
@@ -54,27 +47,19 @@ suite use, so numbers never diverge between entry points:
   ``--flame FILE.svg`` / ``--collapsed FILE.txt`` also attaches a sampling
   profiler and renders the call stacks; ``repro profile --from
   PROFILE.jsonl`` analyses profiles captured from any command via
-  ``REPRO_PROFILE=PROFILE.jsonl`` (pool and remote workers write one
-  record per process, merged on load);
+  ``REPRO_PROFILE=PROFILE.jsonl`` (pool workers write one record per
+  process, merged on load);
 * ``repro history {show,trend,check}`` — the persistent run ledger
   (``.repro_history/runs.jsonl``, appended by report/explore/bench runs):
   recent records, per-metric trends (``--svg-dir`` renders line charts),
   and rolling-median regression detection (``check`` exits non-zero when
   the latest run is slower than ``--threshold`` times baseline).
 
-The cache service and the coordinator optionally require a shared secret on
-every request (set ``REPRO_SERVICE_TOKEN`` or ``RuntimeConfig.service_token``
-on both ends) and optionally serve TLS
-(``REPRO_SERVICE_TLS_CERT``/``REPRO_SERVICE_TLS_KEY``, clients trusting a
-private CA via ``REPRO_SERVICE_TLS_CA``) — see docs/DISTRIBUTED.md
-"Trust model".
-
 All experiment commands accept ``--benchmarks`` (restrict the workload set),
 ``--parallel N`` / ``--jobs N`` (execute ready task-graph nodes over N
-worker processes), ``--cache-dir`` (a directory, or the ``http://`` URL of a
-``repro cache serve`` service) and ``--no-cache``.  Results are disk-cached
-under ``.repro_cache/`` (see ``docs/CACHING.md``), so a second invocation of
-any command is near-instant.
+worker processes), ``--cache-dir`` (a directory) and ``--no-cache``.
+Results are disk-cached under ``.repro_cache/`` (see ``docs/CACHING.md``),
+so a second invocation of any command is near-instant.
 
 Installed as a ``console_scripts`` entry point by ``setup.py``; also runnable
 as ``python -m repro.cli``.
@@ -88,7 +73,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.obs import history as obs_history
@@ -144,65 +129,6 @@ def _parse_size(text: str) -> int:
     if value < 0:
         raise ReproError(f"size must be non-negative, got '{text}'")
     return value
-
-
-def _parse_bind(address: str) -> Tuple[str, int]:
-    """Parse a coordinator bind address: ``PORT``, ``:PORT``, ``HOST:PORT``
-    or ``http://HOST:PORT``; the host defaults to 127.0.0.1."""
-    raw = address.strip()
-    for prefix in ("http://", "https://"):
-        if raw.startswith(prefix):
-            raw = raw[len(prefix):]
-    raw = raw.rstrip("/")
-    host, sep, port_text = raw.rpartition(":")
-    if not sep:
-        host, port_text = "", raw
-    host = host or "127.0.0.1"
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ReproError(
-            f"invalid --workers address '{address}' (expected PORT, HOST:PORT or http://HOST:PORT)"
-        ) from None
-    if not 0 <= port <= 65535:
-        raise ReproError(f"invalid port {port} in --workers address '{address}'")
-    return host, port
-
-
-def _apply_service_token(harness: EvaluationHarness) -> None:
-    """Honour a library-style ``RuntimeConfig.service_token`` (the CLI itself
-    sources the shared secret from ``$REPRO_SERVICE_TOKEN``)."""
-    if harness.config.runtime.service_token:
-        from repro.eval.remote import protocol
-
-        protocol.set_process_service_token(harness.config.runtime.service_token)
-
-
-def _make_remote_executor(args: argparse.Namespace, persistent: bool = False):
-    """Build the embedded coordinator behind ``--workers`` (shared by
-    ``repro report`` and ``repro explore``)."""
-    from repro.eval.remote.executor import RemoteExecutor
-
-    host, port = _parse_bind(args.workers)
-    try:
-        executor = RemoteExecutor(
-            host=host,
-            port=port,
-            lease_timeout=args.lease_timeout,
-            worker_timeout=args.worker_timeout,
-            persistent=persistent,
-        )
-    except OSError as exc:
-        # Port in use / unresolvable host: an operational mistake, not a bug.
-        raise ReproError(f"cannot bind coordinator at {host}:{port}: {exc}") from exc
-    # Status on stderr so --json/--markdown stdout stays byte-identical
-    # to the serial run.
-    print(
-        f"coordinator listening at {executor.url}; waiting for "
-        f"'repro worker serve --coordinator {executor.url}' daemons",
-        file=sys.stderr,
-    )
-    return executor
 
 
 def _requested_benchmarks(args: argparse.Namespace) -> Optional[List[str]]:
@@ -648,36 +574,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 "'repro report --json > baseline.json')"
             ) from None
     harness = _make_harness(args)
-    _apply_service_token(harness)
-    executor = None
-    if args.workers:
-        if args.no_cache:
-            raise ReproError(
-                "--workers requires the shared artifact cache "
-                "(workers hand results back through it); drop --no-cache"
-            )
-        if args.parallel:
-            print(
-                "note: --parallel is ignored with --workers; concurrency is "
-                "the number of registered worker daemons",
-                file=sys.stderr,
-            )
-        executor = _make_remote_executor(args)
     trace = TraceRecorder() if args.trace else None
     # One merged task graph: every compile, every (workload, sweep-point)
     # node and (with --html) every figure render schedules as an independent
-    # job under --parallel/--jobs (or on the registered remote workers under
-    # --workers).
+    # job under --parallel/--jobs.
     run_started = time.perf_counter()
     with perf.collect() as stage_timings:
         if args.html:
             artefacts, figures = experiments.run_report_figures(
-                harness, parallel=args.parallel, executor=executor, trace=trace
+                harness, parallel=args.parallel, trace=trace
             )
         else:
-            artefacts = experiments.run_report(
-                harness, parallel=args.parallel, executor=executor, trace=trace
-            )
+            artefacts = experiments.run_report(harness, parallel=args.parallel, trace=trace)
     _record_run_history(
         "report",
         args,
@@ -775,46 +683,30 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             )
         names = [args.workload]
     harness = _make_harness(args, benchmarks=names)
-    _apply_service_token(harness)
-    executor = None
-    if args.workers:
-        if args.no_cache:
-            raise ReproError(
-                "--workers requires the shared artifact cache "
-                "(workers hand results back through it); drop --no-cache"
-            )
-        # One persistent coordinator serves every generation of every
-        # workload's search; finalized when the whole command is done.
-        executor = _make_remote_executor(args, persistent=True)
     results = {}
     totals = {"evaluated": 0, "executed": 0, "cache_hits": 0, "replayed": 0}
     run_started = time.perf_counter()
-    try:
-        for name in names:
-            driver = ExplorationDriver(
-                harness,
-                name,
-                strategy=args.strategy,
-                budget=args.budget,
-                seed=args.seed,
-                jobs=args.parallel,
-                executor=executor,
-            )
-            results[name] = driver.run()
-            stats = driver.stats
-            for key in totals:
-                totals[key] += int(stats.get(key, 0))
-            # Effort goes to stderr: stdout stays byte-identical cold vs warm.
-            print(
-                f"explored {name}: {stats['evaluated']} candidates "
-                f"({stats['executed']} executed, {stats['cache_hits']} cache hits, "
-                f"{stats['replayed']} journal-replayed), "
-                f"frontier size {len(results[name].frontier)}",
-                file=sys.stderr,
-            )
-    finally:
-        if executor is not None:
-            executor.finalize()
+    for name in names:
+        driver = ExplorationDriver(
+            harness,
+            name,
+            strategy=args.strategy,
+            budget=args.budget,
+            seed=args.seed,
+            jobs=args.parallel,
+        )
+        results[name] = driver.run()
+        stats = driver.stats
+        for key in totals:
+            totals[key] += int(stats.get(key, 0))
+        # Effort goes to stderr: stdout stays byte-identical cold vs warm.
+        print(
+            f"explored {name}: {stats['evaluated']} candidates "
+            f"({stats['executed']} executed, {stats['cache_hits']} cache hits, "
+            f"{stats['replayed']} journal-replayed), "
+            f"frontier size {len(results[name].frontier)}",
+            file=sys.stderr,
+        )
     _record_run_history(
         "explore",
         args,
@@ -978,21 +870,9 @@ def _cmd_difftest(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.eval.cache import ArtifactCache, default_cache_dir
+    from repro.eval.cache import ArtifactCache
 
-    if args.action == "serve":
-        from repro.eval.remote.cache_http import serve_cache
-
-        spec = args.cache_dir or str(default_cache_dir())
-        if spec.startswith(("http://", "https://")):
-            raise ReproError("cache serve needs a local --cache-dir, not a URL")
-        try:
-            return serve_cache(
-                Path(spec), host=args.host, port=args.port, verbose=args.verbose
-            )
-        except OSError as exc:
-            raise ReproError(f"cannot bind cache service at {args.host}:{args.port}: {exc}") from exc
-    cache = ArtifactCache.from_spec(args.cache_dir) if args.cache_dir else ArtifactCache()
+    cache = ArtifactCache(args.cache_dir or None)
     if args.action == "stats":
         stats = cache.stats()
         if args.json:
@@ -1019,26 +899,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         removed = cache.clear()
         print(f"removed {removed} cache entries from {cache.root}")
     return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    """``repro worker serve``: execute tasks for a remote coordinator."""
-    from repro.eval.remote.worker import run_worker, run_worker_pool
-
-    options = dict(
-        coordinator_url=args.coordinator,
-        cache_spec=args.cache_dir,
-        name=args.name,
-        startup_timeout=args.startup_timeout,
-        poll_wait=args.poll_wait,
-        max_tasks=args.max_tasks,
-        verbose=not args.quiet,
-    )
-    if args.pool is not None and args.pool != 1:
-        if args.pool < 1:
-            raise ReproError(f"--pool must be >= 1, got {args.pool}")
-        return run_worker_pool(args.pool, **options)
-    return run_worker(**options)
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
@@ -1298,28 +1158,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_report.add_argument(
-        "--workers",
-        metavar="HOST:PORT",
-        help=(
-            "run distributed: bind the task coordinator at this address and "
-            "dispatch to registered 'repro worker serve' daemons"
-        ),
-    )
-    p_report.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="reassign a leased task after this long without a worker heartbeat (default: 60)",
-    )
-    p_report.add_argument(
-        "--worker-timeout",
-        type=float,
-        default=300.0,
-        metavar="SECONDS",
-        help="fail if no worker registers within this long (default: 300)",
-    )
-    p_report.add_argument(
         "--trace",
         metavar="FILE",
         help="write a chrome://tracing JSON timeline of per-task execution",
@@ -1362,28 +1200,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="K",
         help="RNG seed; same seed + budget reproduces the search exactly (default: 0)",
-    )
-    p_explore.add_argument(
-        "--workers",
-        metavar="HOST:PORT",
-        help=(
-            "run distributed: bind the task coordinator at this address and "
-            "dispatch candidate evaluations to 'repro worker serve' daemons"
-        ),
-    )
-    p_explore.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="reassign a leased task after this long without a worker heartbeat (default: 60)",
-    )
-    p_explore.add_argument(
-        "--worker-timeout",
-        type=float,
-        default=300.0,
-        metavar="SECONDS",
-        help="fail if no worker registers within this long (default: 300)",
     )
     p_explore.set_defaults(func=_cmd_explore)
 
@@ -1445,61 +1261,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache = sub.add_parser(
         "cache",
         parents=[common],
-        help="inspect, clear, LRU-prune, or serve the artifact cache over HTTP",
+        help="inspect, clear, or LRU-prune the artifact cache",
     )
-    p_cache.add_argument("action", choices=["stats", "clear", "prune", "serve"])
+    p_cache.add_argument("action", choices=["stats", "clear", "prune"])
     p_cache.add_argument(
         "--max-bytes",
         metavar="SIZE",
         help="prune target size for 'prune' (accepts K/M/G suffixes, e.g. 100M)",
     )
-    p_cache.add_argument(
-        "--host", default="127.0.0.1", help="bind address for 'serve' (default: 127.0.0.1)"
-    )
-    p_cache.add_argument(
-        "--port", type=int, default=8737, help="port for 'serve' (default: 8737)"
-    )
-    p_cache.add_argument(
-        "--verbose", action="store_true", help="log every request ('serve' only)"
-    )
     p_cache.set_defaults(func=_cmd_cache)
-
-    p_worker = sub.add_parser(
-        "worker", parents=[common], help="run a task-execution worker daemon"
-    )
-    p_worker.add_argument("action", choices=["serve"])
-    p_worker.add_argument(
-        "--coordinator",
-        required=True,
-        metavar="URL",
-        help="coordinator URL printed by 'repro report --workers' (e.g. http://host:8901)",
-    )
-    p_worker.add_argument("--name", help="stable worker name (default: assigned by coordinator)")
-    p_worker.add_argument(
-        "--pool",
-        type=int,
-        metavar="N",
-        help="drive N local executor processes from this one daemon",
-    )
-    p_worker.add_argument(
-        "--startup-timeout",
-        type=float,
-        default=120.0,
-        metavar="SECONDS",
-        help="how long to wait for the coordinator to come up (default: 120)",
-    )
-    p_worker.add_argument(
-        "--poll-wait",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="long-poll duration per lease request (default: 10)",
-    )
-    p_worker.add_argument(
-        "--max-tasks", type=int, metavar="N", help="exit after executing N tasks"
-    )
-    p_worker.add_argument("--quiet", action="store_true", help="suppress per-task log lines")
-    p_worker.set_defaults(func=_cmd_worker)
 
     p_trace = sub.add_parser(
         "trace",
@@ -1599,8 +1369,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        # The scheduler has already torn down its executor (pool terminated /
-        # leases revoked) and swept in-flight lock files; 130 = SIGINT.
+        # The scheduler has already terminated its pool and swept in-flight
+        # lock files; 130 = SIGINT.
         # Flush open spans so an interrupted $REPRO_TRACE file stays parseable.
         from repro.obs import tracing as obs_tracing
 

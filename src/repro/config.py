@@ -11,22 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Dict, Optional, Type, TypeVar
+from typing import Any, Dict, Optional
 
 from repro.errors import ConfigError
-
-_T = TypeVar("_T")
-
-
-def _from_flat_dict(cls: Type[_T], data: Dict[str, Any]) -> _T:
-    """Build a flat config dataclass from a plain dict.
-
-    Unknown keys are ignored (so a newer producer can talk to an older
-    consumer over the remote-execution wire), and missing keys fall back to
-    the dataclass defaults.
-    """
-    known = {f.name for f in fields(cls)}  # type: ignore[arg-type]
-    return cls(**{k: v for k, v in data.items() if k in known})
 
 
 @dataclass
@@ -59,7 +46,8 @@ class PartitionConfig:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "PartitionConfig":
         """Inverse of ``asdict`` (unknown keys ignored, defaults fill gaps)."""
-        return _from_flat_dict(cls, data)
+        known = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 @dataclass
@@ -91,13 +79,28 @@ class RuntimeConfig:
     # most this many bytes after each run.  Policy fields are excluded from
     # to_dict()/content_hash() so changing them never invalidates artefacts.
     cache_max_bytes: Optional[int] = None
-    # Host policy: shared secret required (constant-time checked) on every
-    # cache-service and coordinator request (docs/DISTRIBUTED.md "Trust
-    # model").  Falls back to the REPRO_SERVICE_TOKEN environment variable;
-    # never part of content hashes, never sent as a task argument.
-    service_token: Optional[str] = None
+
+    #: Cycle counts that may be fractional; ``queue_depth`` and
+    #: ``queue_latency`` index the replay's queue slots and must be integers.
+    _CYCLE_FIELDS = (
+        "bus_latency",
+        "memory_write_cycles",
+        "memory_read_cycles",
+        "coherency_delay",
+        "processor_op_cycles",
+        "semaphore_raise_cycles",
+        "semaphore_lower_cycles",
+    )
 
     def validate(self) -> None:
+        for name in ("queue_depth", "queue_latency"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in self._CYCLE_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if self.queue_depth < 1:
             raise ConfigError("queue_depth must be >= 1")
         if self.queue_width_bits not in (1, 8, 16, 32):
@@ -117,7 +120,7 @@ class RuntimeConfig:
 
     #: Fields that tune the evaluation host rather than the simulated
     #: architecture; kept out of the content hash so they never change keys.
-    _POLICY_FIELDS = ("cache_max_bytes", "service_token")
+    _POLICY_FIELDS = ("cache_max_bytes",)
 
     def to_dict(self) -> Dict:
         """Plain-dict form (stable field order) used for cache keys and reports.
@@ -131,10 +134,6 @@ class RuntimeConfig:
             data.pop(name, None)
         return data
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RuntimeConfig":
-        """Inverse of :meth:`to_dict` (policy fields stay at their defaults)."""
-        return _from_flat_dict(cls, data)
 
 
 @dataclass
@@ -154,10 +153,6 @@ class HLSConfig:
         if self.issue_width < 1:
             raise ConfigError("issue_width must be >= 1")
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "HLSConfig":
-        """Inverse of ``asdict`` (unknown keys ignored, defaults fill gaps)."""
-        return _from_flat_dict(cls, data)
 
 
 @dataclass
@@ -194,23 +189,6 @@ class CompilerConfig:
         data = asdict(self)
         data["runtime"] = self.runtime.to_dict()
         return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CompilerConfig":
-        """Inverse of :meth:`to_dict`: rebuild the nested configuration tree.
-
-        A round trip preserves :meth:`content_hash` exactly, which is what
-        lets a remote worker recompute the same cache keys as the parent that
-        serialised the config onto the wire.
-        """
-        nested = {
-            "partition": PartitionConfig.from_dict(data.get("partition", {})),
-            "runtime": RuntimeConfig.from_dict(data.get("runtime", {})),
-            "hls": HLSConfig.from_dict(data.get("hls", {})),
-        }
-        flat = {k: v for k, v in data.items() if k not in nested}
-        config = _from_flat_dict(cls, flat)
-        return replace(config, **nested)
 
     def content_hash(self) -> str:
         """Hex digest identifying this configuration's contents.

@@ -97,22 +97,6 @@ class UnknownWorkloadError(ReproError, KeyError):
         return self.args[0] if self.args else ""
 
 
-class RemoteError(ReproError):
-    """Base class for errors raised by the distributed execution subsystem
-    (:mod:`repro.eval.remote`): cache service, coordinator, and workers."""
-
-
-class RemoteProtocolError(RemoteError):
-    """Raised when a task cannot be encoded for (or decoded from) the wire —
-    an unregistered payload function, an unserialisable argument, or a
-    malformed message from a peer."""
-
-
-class RemoteTaskError(RemoteError):
-    """Raised when a distributed task definitively failed: a worker reported
-    an execution error, or every retry after worker crashes was exhausted."""
-
-
 class TaskGraphError(ReproError):
     """Raised for malformed evaluation task graphs (unknown dependencies,
     conflicting node definitions)."""

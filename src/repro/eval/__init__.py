@@ -2,22 +2,19 @@
 
 Experiments are declared as :mod:`repro.eval.taskgraph` DAGs — compile
 nodes, one node per (workload, sweep-point), and aggregate nodes — executed
-serially, over a shared process pool (``parallel=N``), or across remote
-worker daemons (:mod:`repro.eval.remote`, ``repro report --workers``) with
-byte-identical results, and memoised through :mod:`repro.eval.cache` —
-a local directory or a shared ``repro cache serve`` service — with
-single-flight per-key locks; ``repro.cli`` exposes the same generators (and
+serially or over a shared process pool (``parallel=N``) with
+byte-identical results, and memoised through the :mod:`repro.eval.cache`
+directory with single-flight per-key locks; ``repro.cli`` exposes the same generators (and
 ``repro graph``) on the command line.
 """
 
 from repro.lazy import export_names, lazy_exports
 
 _EXPORTS = {
-    "repro.eval.cache": ("ArtifactCache", "CacheBackend", "LocalFSBackend"),
+    "repro.eval.cache": ("ArtifactCache", "LocalFSBackend"),
     "repro.eval.harness": ("EvaluationHarness", "BenchmarkRun"),
     "repro.eval.taskgraph": (
         "Task",
-        "TaskExecutor",
         "TaskOutcome",
         "TaskGraph",
         "TaskScheduler",

@@ -19,17 +19,12 @@ near-instantly once its inputs have been computed once:
   keyed by the parent compile key plus the sweep kind and its parameters.
 
 No entry executes code on load: both formats are decoded by walking JSON,
-so a cache directory or a shared cache service never has to be trusted to
-hold safe bytes.
+so a cache directory never has to be trusted to hold safe bytes.
 
-Since PR 3 *where* the bytes live is pluggable: :class:`ArtifactCache` holds
-the key scheme, serialisation and single-flight logic, and delegates blob
-storage to a :class:`CacheBackend` — :class:`LocalFSBackend` (the historical
-``.repro_cache/`` directory layout) or the HTTP client in
-:mod:`repro.eval.remote.cache_http` talking to a ``repro cache serve``
-service, so several worker machines can share one artifact store.  A cache
-is addressed by a *spec* string — a filesystem path or an ``http(s)://``
-URL — resolved by :meth:`ArtifactCache.from_spec`.
+:class:`ArtifactCache` holds the key scheme, serialisation and single-flight
+logic; :class:`LocalFSBackend` moves the bytes in and out of the
+``.repro_cache/`` directory layout.  A cache is addressed by its directory
+path (its *spec*), which is what the task graph ships to pool workers.
 
 Keys are *content addresses*: they hash every input that can change the
 output, plus a schema version bumped whenever the stored layout changes.
@@ -62,21 +57,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from repro.config import CompilerConfig
 from repro.errors import ReproError
-from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
-
-#: Client-side store telemetry (every process embedding an ArtifactCache).
-#: The cache *service* keeps its own server-side hit/miss counters in
-#: repro.eval.remote.cache_http; these observe local lookups.
-_LOOKUPS = obs_metrics.counter(
-    "repro_cache_client_lookups_total", "ArtifactCache lookups in this process, by outcome."
-)
-_PUTS = obs_metrics.counter(
-    "repro_cache_client_puts_total", "ArtifactCache stores performed by this process."
-)
-_EVICTIONS = obs_metrics.counter(
-    "repro_cache_evictions_total", "Entries evicted by LRU pruning in this process."
-)
 
 # Bump whenever the stored artifact layout changes incompatibly (e.g. a field
 # is added to CompilationResult): old entries then miss instead of loading
@@ -104,11 +85,6 @@ _EXTENSIONS = {"artifact": ".art", "json": ".json"}
 #: the current formats plus ``.pkl``, which earlier versions wrote and which
 #: is never read.
 _ENTRY_SUFFIXES = (*_EXTENSIONS.values(), ".pkl")
-
-
-def default_cache_dir() -> Path:
-    """The cache directory: ``$REPRO_CACHE_DIR`` or ``./.repro_cache``."""
-    return Path(os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR))
 
 
 # -- content addresses ----------------------------------------------------------
@@ -184,60 +160,15 @@ def render_key(figure_id: str, dep_keys: "List[str]") -> str:
 
 
 # ---------------------------------------------------------------------------
-# storage backends
+# storage
 # ---------------------------------------------------------------------------
 
 
-class CacheBackend:
-    """Where cache blobs live.  Implementations move *bytes*, never objects.
+class LocalFSBackend:
+    """Where cache blobs live: ``<root>/objects/<key[:2]>/<key>{.art,.json}``.
 
-    :class:`ArtifactCache` owns serialisation (the artifact codec and JSON)
-    and single-flight orchestration; a backend only has to
-    store, retrieve and advisory-lock opaque blobs by content key.  ``spec``
-    is the string that reconstructs an equivalent backend in another process
-    (a directory path, or an ``http://`` URL) — it is what the task graph
-    ships to worker processes instead of the cache object itself.
-    """
-
-    #: Round-trippable address of this backend (path or URL).
-    spec: str = ""
-
-    def get_blob(self, key: str) -> Optional[Tuple[str, bytes]]:
-        """Return ``(serializer, payload)`` for *key*, or ``None`` on a miss."""
-        raise NotImplementedError
-
-    def put_blob(self, key: str, serializer: str, data: bytes) -> Optional[Path]:
-        """Store *data* under *key*; must be atomic w.r.t. concurrent readers.
-
-        Returns the stored entry's path where one exists (local backends)."""
-        raise NotImplementedError
-
-    def contains(self, key: str) -> bool:
-        raise NotImplementedError
-
-    def delete(self, key: str) -> None:
-        """Best-effort removal of a (corrupt) entry; may be a no-op remotely."""
-        raise NotImplementedError
-
-    @contextlib.contextmanager
-    def lock(self, key: str) -> Iterator[None]:
-        """Advisory per-key exclusive lock.  Purely an anti-duplication
-        measure: correctness never depends on it, so implementations may
-        degrade to a no-op."""
-        yield
-
-    def discard_lock_file(self, key: str) -> None:
-        """Drop any persistent artefact of :meth:`lock` for *key* (used by the
-        scheduler's interrupt cleanup); a no-op where locks are leases."""
-
-    def stats(self) -> Dict[str, Any]:
-        raise NotImplementedError
-
-
-class LocalFSBackend(CacheBackend):
-    """The on-disk layout: ``<root>/objects/<key[:2]>/<key>{.art,.json}``.
-
-    Git-style fan-out so a directory never accumulates thousands of files.
+    Moves *bytes*, never objects: :class:`ArtifactCache` owns serialisation
+    and single-flight orchestration.  Git-style fan-out so a directory never accumulates thousands of files.
     Safe to share between concurrent processes for *writes* (temp file +
     atomic rename); reads of a key only ever see a complete entry or a miss.
     Per-key ``flock`` files under ``<root>/locks/`` provide the advisory
@@ -249,7 +180,8 @@ class LocalFSBackend(CacheBackend):
         self.root = Path(root)
 
     @property
-    def spec(self) -> str:  # type: ignore[override]
+    def spec(self) -> str:
+        """The string that reconstructs this store in another process."""
         return str(self.root)
 
     # -- paths -----------------------------------------------------------------
@@ -274,6 +206,7 @@ class LocalFSBackend(CacheBackend):
     # -- blobs -----------------------------------------------------------------
 
     def get_blob(self, key: str) -> Optional[Tuple[str, bytes]]:
+        """Return ``(serializer, payload)`` for *key*, or ``None`` on a miss."""
         for serializer in SERIALIZERS:
             path = self._path(key, serializer)
             try:
@@ -288,6 +221,7 @@ class LocalFSBackend(CacheBackend):
         return None
 
     def put_blob(self, key: str, serializer: str, data: bytes) -> Path:
+        """Store *data* under *key*, atomically w.r.t. concurrent readers."""
         path = self._path(key, serializer)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
@@ -315,6 +249,7 @@ class LocalFSBackend(CacheBackend):
         return any(self._path(key, fmt).is_file() for fmt in SERIALIZERS)
 
     def delete(self, key: str) -> None:
+        """Best-effort removal of a (corrupt) entry."""
         for serializer in SERIALIZERS:
             try:
                 self._path(key, serializer).unlink()
@@ -347,6 +282,7 @@ class LocalFSBackend(CacheBackend):
         return self.locks_dir / key[:2] / f"{key}.lock"
 
     def discard_lock_file(self, key: str) -> None:
+        """Drop the lock file of *key* (the scheduler's interrupt cleanup)."""
         try:
             self.lock_path(key).unlink()
         except OSError:
@@ -427,7 +363,6 @@ class LocalFSBackend(CacheBackend):
             total -= size
             freed += size
             removed += 1
-            _EVICTIONS.inc()
             # Sweep the evicted key's lock file too, or a long-lived LRU-bounded
             # cache would still grow one permanent empty file per key ever seen.
             self.discard_lock_file(path.stem)
@@ -468,32 +403,19 @@ class LocalFSBackend(CacheBackend):
 
 
 class ArtifactCache:
-    """Key scheme + serialisation + single-flight over a :class:`CacheBackend`.
+    """Key scheme + serialisation + single-flight over a :class:`LocalFSBackend`.
 
-    ``ArtifactCache(root)`` keeps the historical local-directory behaviour;
-    ``ArtifactCache.from_spec(spec)`` also accepts an ``http(s)://`` URL and
-    builds the :mod:`repro.eval.remote.cache_http` client, so worker
-    processes on other machines can share one store.
+    *root* is the cache directory (default: ``$REPRO_CACHE_DIR`` or
+    ``./.repro_cache``).
     """
 
-    def __init__(
-        self,
-        root: Optional[Union[Path, str]] = None,
-        backend: Optional[CacheBackend] = None,
-    ):
-        if backend is not None:
-            self.backend = backend
-        else:
-            self.backend = LocalFSBackend(Path(root) if root is not None else default_cache_dir())
-
-    @classmethod
-    def from_spec(cls, spec: Optional[Union[Path, str]] = None) -> "ArtifactCache":
-        """Build a cache from its address string: a path, or an HTTP(S) URL."""
-        if spec is not None and str(spec).startswith(("http://", "https://")):
-            from repro.eval.remote.cache_http import HTTPCacheBackend
-
-            return cls(backend=HTTPCacheBackend(str(spec)))
-        return cls(root=spec)
+    def __init__(self, root: Optional[Union[Path, str]] = None):
+        spec = str(root) if root is not None else os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR)
+        if "://" in spec:
+            # Taken as a path, 'http://h:1' would quietly become a directory
+            # named 'http:'.
+            raise ReproError(f"the artifact cache takes a directory, not a URL: '{spec}'")
+        self.backend = LocalFSBackend(Path(spec))
 
     @property
     def spec(self) -> str:
@@ -503,28 +425,19 @@ class ArtifactCache:
     # -- local-backend passthroughs (maintenance, tests) ---------------------------
 
     @property
-    def _local(self) -> LocalFSBackend:
-        if not isinstance(self.backend, LocalFSBackend):
-            raise ReproError(
-                "this cache operation needs a local cache directory; "
-                f"'{self.spec}' is remote — run it on the cache server host"
-            )
-        return self.backend
-
-    @property
-    def root(self) -> Optional[Path]:
-        return self.backend.root if isinstance(self.backend, LocalFSBackend) else None
+    def root(self) -> Path:
+        return self.backend.root
 
     @property
     def objects_dir(self) -> Path:
-        return self._local.objects_dir
+        return self.backend.objects_dir
 
     @property
     def locks_dir(self) -> Path:
-        return self._local.locks_dir
+        return self.backend.locks_dir
 
     def _path(self, key: str, serializer: str) -> Path:
-        return self._local._path(key, serializer)
+        return self.backend._path(key, serializer)
 
     # -- serialisation ---------------------------------------------------------------
 
@@ -552,38 +465,33 @@ class ArtifactCache:
     def get(self, key: str) -> Optional[Any]:
         """Load the entry for *key*, or ``None`` on a miss.
 
-        A corrupt or unreadable entry is deleted (where the backend supports
-        it) so the recompute overwrites it.
+        A corrupt or unreadable entry is deleted so the recompute overwrites
+        it.
         """
         blob = self.backend.get_blob(key)
         if blob is None:
-            _LOOKUPS.inc(outcome="miss")
             return None
         serializer, data = blob
         try:
-            value = self._decode(data, serializer)
+            return self._decode(data, serializer)
         except Exception:
             self.backend.delete(key)
-            _LOOKUPS.inc(outcome="corrupt_miss")
             return None
-        _LOOKUPS.inc(outcome="hit")
-        return value
 
-    def put(self, key: str, value: Any, serializer: str) -> Optional[Path]:
-        """Atomically store *value* under *key*; returns its path when local."""
+    def put(self, key: str, value: Any, serializer: str) -> Path:
+        """Atomically store *value* under *key*; returns the entry's path."""
         if serializer not in SERIALIZERS:
             raise ValueError(f"unknown serializer '{serializer}' (expected one of {SERIALIZERS})")
         if value is None:
             # None is get()'s miss signal; storing it would make the entry
             # look permanently missing and silently recompute on every read.
             raise ValueError("refusing to cache None (indistinguishable from a miss)")
-        _PUTS.inc()
         return self.backend.put_blob(key, serializer, self._encode(value, serializer))
 
     # -- single-flight -------------------------------------------------------------
 
     def lock(self, key: str):
-        """Advisory per-key exclusive lock (see the backend for semantics)."""
+        """Advisory per-key exclusive lock (see :meth:`LocalFSBackend.lock`)."""
         return self.backend.lock(key)
 
     def discard_lock_file(self, key: str) -> None:
@@ -593,8 +501,7 @@ class ArtifactCache:
     def get_or_compute(self, key: str, compute: Callable[[], Any], serializer: str) -> Any:
         """Return the entry for *key*, computing and storing it on a miss.
 
-        Single-flight across processes (and, through the HTTP backend, across
-        machines): a miss takes the per-key lock before computing, so a
+        Single-flight across processes: a miss takes the per-key lock before computing, so a
         concurrent process missing on the same key blocks on the lock,
         re-checks, and reuses the freshly stored entry instead of recomputing
         it.
@@ -617,17 +524,13 @@ class ArtifactCache:
     # -- maintenance ---------------------------------------------------------------
 
     def clear(self) -> int:
-        """Delete every entry (local backends only)."""
-        return self._local.clear()
+        """Delete every entry."""
+        return self.backend.clear()
 
     def prune(self, max_bytes: int) -> Dict[str, Any]:
-        """LRU-evict entries until the cache fits *max_bytes* (local only)."""
-        return self._local.prune(max_bytes)
+        """LRU-evict entries until the cache fits *max_bytes*."""
+        return self.backend.prune(max_bytes)
 
     def stats(self) -> Dict[str, Any]:
-        """Entry count and total size, for ``repro cache stats``.
-
-        Works against both backends: the HTTP backend asks the cache service,
-        which reports its own local store.
-        """
+        """Entry count and total size, for ``repro cache stats``."""
         return self.backend.stats()

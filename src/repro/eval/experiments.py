@@ -28,7 +28,7 @@ from repro.errors import ReproError
 from repro.eval import taskgraph
 from repro.eval.cache import ArtifactCache
 from repro.eval.harness import EvaluationHarness
-from repro.eval.taskgraph import TaskExecutor, TaskGraph, aggregate_task
+from repro.eval.taskgraph import TaskGraph, aggregate_task
 from repro.eval.trace import TraceRecorder
 from repro.explore.evaluate import explore_task_id
 from repro.explore.frontier import Frontier, scalar_cost
@@ -660,9 +660,8 @@ def _agg_pareto(results: Dict, names: Tuple[str, ...]) -> Dict:
 
 
 #: Figure id → the pure aggregator producing that figure's input data dict.
-#: Render payloads running in pool/remote workers look the function up here
-#: by id (functions cannot cross the wire), so every entry must stay a
-#: module-level function.
+#: Render payloads running in pool workers look the function up here by id,
+#: so every entry must stay a module-level function.
 FIGURE_DATA_AGGREGATORS: Dict[str, Callable[..., Dict]] = {
     "6.1": _agg_figure_6_1,
     "6.2": _agg_figure_6_2,
@@ -696,7 +695,7 @@ def compute_figure_render(
     """Render one figure to SVG markup (the ``render`` task payload).
 
     Runs anywhere: the parent passes the in-memory dependency *values* when
-    executing inline, while pool and remote workers rebuild the mapping from
+    executing inline, while pool workers rebuild the mapping from
     the shared cache via the (task id, content key) pairs — the same
     "dependency edges guarantee cache presence" contract sweep points rely
     on.  The figure data is produced by the registered aggregator (the same
@@ -707,7 +706,7 @@ def compute_figure_render(
     from repro.viz.figures import render_figure
 
     if values is None:
-        cache = ArtifactCache.from_spec(cache_spec)
+        cache = ArtifactCache(cache_spec)
         values = {}
         for task_id, key in zip(dep_ids, dep_keys):
             value = cache.get(key)
@@ -795,14 +794,13 @@ def run_report_figures(
     harness: Optional[EvaluationHarness] = None,
     config: Optional[CompilerConfig] = None,
     parallel: Optional[int] = None,
-    executor: Optional["TaskExecutor"] = None,
     trace: Optional["TraceRecorder"] = None,
 ) -> Tuple[Dict[str, Dict], Dict[str, str]]:
     """The full report plus every rendered figure, as one merged task graph.
 
     Returns ``(artefacts, figures)``: the same artefact mapping
     :func:`run_report` produces, and ``figure id → SVG markup``.  Renders
-    share the graph with the artefacts they draw, so ``--parallel``/remote
+    share the graph with the artefacts they draw, so ``--parallel`` pool
     workers pipeline compiles, sweep points and figure renders together, and
     a warm ``repro report --html`` re-renders nothing (render tasks hit the
     artifact cache like every other node).
@@ -811,7 +809,7 @@ def run_report_figures(
     graph = TaskGraph()
     artefact_ids = declare_report(graph, harness)
     render_ids = declare_report_renders(graph, harness)
-    results = harness.execute(graph, parallel=parallel, executor=executor, trace=trace)
+    results = harness.execute(graph, parallel=parallel, trace=trace)
     artefacts = {artefact: results[task_id] for artefact, task_id in artefact_ids.items()}
     figures = {figure_id: results[task_id] for figure_id, task_id in render_ids.items()}
     return artefacts, figures
@@ -840,20 +838,17 @@ def run_report(
     harness: Optional[EvaluationHarness] = None,
     config: Optional[CompilerConfig] = None,
     parallel: Optional[int] = None,
-    executor: Optional["TaskExecutor"] = None,
     trace: Optional["TraceRecorder"] = None,
 ) -> Dict[str, Dict]:
     """Every table, figure and the §6.7 summary, computed as one task graph.
 
     With ``parallel=N`` all compile nodes and every (workload, sweep-point)
-    node across all artefacts schedule as independent jobs; an *executor*
-    (e.g. :class:`repro.eval.remote.executor.RemoteExecutor` behind
-    ``repro report --workers``) dispatches them to remote workers instead.
-    Output is byte-identical to the serial run either way.  *trace* collects
+    node across all artefacts schedule as independent jobs, and the output
+    is byte-identical to the serial run.  *trace* collects
     the per-task spans behind ``repro report --trace``.
     """
     harness = _harness(harness, config)
     graph = TaskGraph()
     mapping = declare_report(graph, harness)
-    results = harness.execute(graph, parallel=parallel, executor=executor, trace=trace)
+    results = harness.execute(graph, parallel=parallel, trace=trace)
     return {artefact: results[task_id] for artefact, task_id in mapping.items()}

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.config import CompilerConfig, RuntimeConfig
 from repro.eval import taskgraph
 from repro.eval.cache import ArtifactCache, compile_key, derived_key
-from repro.eval.taskgraph import TaskExecutor, TaskGraph, TaskScheduler
+from repro.eval.taskgraph import TaskGraph, TaskScheduler
 from repro.eval.trace import TraceRecorder
 from repro.obs import tracing as obs_tracing
 from repro.results import CompilationResult
@@ -66,10 +66,8 @@ class EvaluationHarness:
     cache:
         An explicit :class:`ArtifactCache` to use for on-disk artefacts.
     cache_dir:
-        Cache spec for a fresh :class:`ArtifactCache` (ignored when *cache*
-        is given): a directory path or an ``http(s)://`` URL of a
-        ``repro cache serve`` service; defaults to ``$REPRO_CACHE_DIR`` or
-        ``./.repro_cache``.
+        Directory of a fresh :class:`ArtifactCache` (ignored when *cache*
+        is given); defaults to ``$REPRO_CACHE_DIR`` or ``./.repro_cache``.
     use_cache:
         Set ``False`` to disable the disk cache entirely (in-memory caching
         always stays on; parallel graph execution then pools only the
@@ -94,9 +92,7 @@ class EvaluationHarness:
         elif cache is not None:
             self.cache = cache
         else:
-            # cache_dir is a cache *spec*: a directory path, or an
-            # ``http(s)://`` URL of a ``repro cache serve`` service.
-            self.cache = ArtifactCache.from_spec(cache_dir)
+            self.cache = ArtifactCache(cache_dir)
         self._runs: Dict[str, BenchmarkRun] = {}
         self._compile_keys: Dict[str, str] = {}
         self._derived: Dict[str, Any] = {}
@@ -150,8 +146,7 @@ class EvaluationHarness:
 
     @property
     def _cache_root(self) -> Optional[str]:
-        """The cache *spec* worker payloads reconstruct their cache from
-        (a directory path or a cache-service URL)."""
+        """The cache directory worker payloads reconstruct their cache from."""
         return self.cache.spec if self.cache is not None else None
 
     # -- graph declaration -------------------------------------------------------------
@@ -224,7 +219,6 @@ class EvaluationHarness:
         self,
         graph: TaskGraph,
         parallel: Optional[int] = None,
-        executor: Optional[TaskExecutor] = None,
         trace: Optional[TraceRecorder] = None,
     ) -> Dict[str, Any]:
         """Run every task of *graph*; returns ``{task_id: value}``.
@@ -234,10 +228,8 @@ class EvaluationHarness:
         new result flows back into them afterwards — including the
         functional-output check each compile artifact must pass before any
         experiment may use it.  With ``parallel=N`` (N > 1) cold worker tasks
-        fan out over a process pool; an explicit *executor* (e.g. a
-        :class:`repro.eval.remote.executor.RemoteExecutor`) replaces the pool
-        with remote workers.  Results are identical to the serial path either
-        way.  *trace* collects per-task execution spans for ``--trace``.
+        fan out over a process pool, with results identical to the serial
+        path.  *trace* collects per-task execution spans for ``--trace``.
         """
         seeds: Dict[str, Any] = {}
         for task in graph:
@@ -245,15 +237,9 @@ class EvaluationHarness:
                 seeds[task.task_id] = self._runs[task.workload].result
             elif task.key is not None and task.key in self._derived:
                 seeds[task.task_id] = self._derived[task.key]
-        scheduler = TaskScheduler(
-            graph, cache=self.cache, jobs=parallel, seeds=seeds, executor=executor, trace=trace
-        )
+        scheduler = TaskScheduler(graph, cache=self.cache, jobs=parallel, seeds=seeds, trace=trace)
         with obs_tracing.span(
-            "harness.execute",
-            kind="harness",
-            tasks=len(graph),
-            parallel=parallel or 1,
-            remote=executor is not None,
+            "harness.execute", kind="harness", tasks=len(graph), parallel=parallel or 1
         ):
             results = scheduler.run()
         self.last_stats = scheduler.stats

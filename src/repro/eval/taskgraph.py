@@ -236,9 +236,8 @@ def _sweep_input(
 ) -> CompilationResult:
     """The compile artifact a sweep point re-simulates: memo → cache → compute.
 
-    *cache_root* is a cache *spec* — a directory path or an ``http(s)://``
-    cache-service URL — so the same payload runs unchanged in the parent, in
-    a pool worker, and on a remote worker machine.  *key* is the artifact's
+    *cache_root* is the cache directory, so the same payload runs unchanged
+    in the parent and in a pool worker.  *key* is the artifact's
     :func:`~repro.eval.cache.compile_key`, computed once where the task was
     declared.
     """
@@ -247,7 +246,7 @@ def _sweep_input(
         _SWEEP_INPUT_MEMO.move_to_end(key)
         return hit
     if cache_root is not None:
-        result = ArtifactCache.from_spec(cache_root).get_or_compute(
+        result = ArtifactCache(cache_root).get_or_compute(
             key, lambda: compute_compile(name, config), serializer="artifact"
         )
     else:
@@ -341,7 +340,7 @@ def _execute_in_worker(
         ):
             in_cache = False
             if key is not None and cache_spec is not None:
-                cache = ArtifactCache.from_spec(cache_spec)
+                cache = ArtifactCache(cache_spec)
                 value = cache.get_or_compute(key, lambda: fn(*args), serializer=serializer)
                 if serializer == "artifact":
                     value, in_cache = None, True
@@ -454,8 +453,8 @@ def render_task(
     ids and content keys, aggregates it and returns the SVG markup.  The
     node is keyed by :func:`repro.eval.cache.render_key` over the dependency
     keys, so a warm run re-renders nothing and figures fan out across the
-    pool (or remote workers) on cold runs.  When the scheduler runs a render
-    *inline* it passes the in-memory dependency values instead (see
+    pool on cold runs.  When the scheduler runs a render *inline* it passes
+    the in-memory dependency values instead (see
     :meth:`TaskScheduler._run_task_inline`), so ``--no-cache`` runs render
     without re-reading anything.
     """
@@ -471,13 +470,13 @@ def render_task(
 
 
 # ---------------------------------------------------------------------------
-# executors
+# the process pool
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class TaskOutcome:
-    """One finished worker task as reported by an executor.
+    """One finished worker task as reported by the pool.
 
     ``in_cache=True`` means the worker published the (compile) value through
     the shared cache instead of shipping it back; the scheduler re-reads it.
@@ -492,47 +491,15 @@ class TaskOutcome:
     end: float = 0.0
 
 
-class TaskExecutor:
-    """Where worker tasks run: the pluggable seam under :class:`TaskScheduler`.
+class LocalProcessExecutor:
+    """Fan worker tasks over a local process pool (``--parallel N``).
 
     The scheduler owns graph order, seeds, cache pre-checks and aggregate
-    nodes; an executor only has to run keyed worker payloads somewhere else
-    and report :class:`TaskOutcome`\\ s back.  Two implementations exist:
-    :class:`LocalProcessExecutor` (a process pool on this machine — the
-    historical ``--parallel`` behaviour) and
-    :class:`repro.eval.remote.executor.RemoteExecutor` (an embedded
-    coordinator that ``repro worker serve`` daemons long-poll).
-    """
-
-    def can_execute(self, task: Task) -> bool:
-        """Whether this executor can run *task* (else the parent runs it inline)."""
-        return True
-
-    def submit(self, task: Task, cache: Optional[ArtifactCache]) -> None:
-        """Hand one ready worker task to the execution substrate."""
-        raise NotImplementedError
-
-    def wait(self) -> List[TaskOutcome]:
-        """Block until at least one submitted task finishes; return outcomes.
-
-        A task that failed definitively should raise here (the scheduler
-        treats executor errors as fatal for the run).
-        """
-        raise NotImplementedError
-
-    def close(self, interrupt: bool = False) -> None:
-        """Release resources; with ``interrupt=True``, abandon in-flight work
-        (terminate pool processes / revoke worker leases).  Idempotent."""
-        raise NotImplementedError
-
-
-class LocalProcessExecutor(TaskExecutor):
-    """The historical behaviour: fan worker tasks over a local process pool.
-
-    Workers exchange artefacts through the shared cache rather than over the
-    pipe (see :func:`_execute_in_worker`); the pool is created lazily on the
-    first submit so cache-warm runs never fork at all, and never import the
-    stages either.
+    nodes; the pool only runs keyed worker payloads and reports
+    :class:`TaskOutcome`\\ s back.  Workers exchange artefacts through the
+    shared cache rather than over the pipe (see :func:`_execute_in_worker`);
+    the pool is created lazily on the first submit so cache-warm runs never
+    fork at all, and never import the stages either.
     """
 
     def __init__(self, jobs: int):
@@ -544,6 +511,7 @@ class LocalProcessExecutor(TaskExecutor):
         self._futures: Dict[Any, Task] = {}
 
     def submit(self, task: Task, cache: Optional[ArtifactCache]) -> None:
+        """Hand one ready worker task to the pool."""
         if self._pool is None:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -567,6 +535,10 @@ class LocalProcessExecutor(TaskExecutor):
         self._futures[future] = task
 
     def wait(self) -> List[TaskOutcome]:
+        """Block until at least one submitted task finishes; return outcomes.
+
+        A task that raised re-raises here (fatal for the run).
+        """
         finished, _ = wait(list(self._futures), return_when=FIRST_COMPLETED)
         outcomes: List[TaskOutcome] = []
         for future in finished:
@@ -585,6 +557,8 @@ class LocalProcessExecutor(TaskExecutor):
         return outcomes
 
     def close(self, interrupt: bool = False) -> None:
+        """Shut the pool down; with ``interrupt=True``, abandon in-flight work
+        and terminate the worker processes.  Idempotent."""
         pool, self._pool = self._pool, None
         self._futures.clear()
         if pool is None:
@@ -612,17 +586,14 @@ class LocalProcessExecutor(TaskExecutor):
 class TaskScheduler:
     """Executes a :class:`TaskGraph`, honouring dependencies.
 
-    * ``jobs <= 1`` (or ``None``) and no *executor*: every task runs in the
-      parent, in topological (declaration-stable) order.
+    * ``jobs <= 1`` (or ``None``): every task runs in the parent, in
+      topological (declaration-stable) order.
     * ``jobs > 1``: ready worker tasks are fanned out over a
       :class:`LocalProcessExecutor`; aggregates always run in the parent as
       soon as their dependencies finish.  Workers exchange artefacts through
       *cache* rather than over the pipe; without a cache only
       dependency-free tasks (compiles) are pooled and dependent sweep points
       run in the parent.
-    * an explicit *executor* (e.g. :class:`~repro.eval.remote.executor.
-      RemoteExecutor`) replaces the pool entirely; tasks the executor cannot
-      run (``can_execute`` false) fall back to the parent.
 
     Keyed tasks are memoised through *cache* (parent-side pre-check, then
     worker-side ``get_or_compute`` under the per-key lock).  *seeds* maps
@@ -630,9 +601,8 @@ class TaskScheduler:
     count as completed without running anything.  *trace* is an optional
     :class:`repro.eval.trace.TraceRecorder` collecting per-task spans.
 
-    A :class:`KeyboardInterrupt` shuts down gracefully: the executor is
-    closed in interrupt mode (pool processes terminated, worker leases
-    revoked) and the per-key lock files of in-flight tasks are removed, so
+    A :class:`KeyboardInterrupt` shuts down gracefully: the pool is closed
+    in interrupt mode (its processes terminated) and the per-key lock files of in-flight tasks are removed, so
     an aborted run leaves no stale single-flight state behind.
     """
 
@@ -642,14 +612,12 @@ class TaskScheduler:
         cache: Optional[ArtifactCache] = None,
         jobs: Optional[int] = None,
         seeds: Optional[Mapping[str, Any]] = None,
-        executor: Optional[TaskExecutor] = None,
         trace: Optional[TraceRecorder] = None,
     ):
         self.graph = graph
         self.cache = cache
         self.jobs = jobs
         self.seeds = dict(seeds or {})
-        self.executor = executor
         self.trace = trace
         #: Execution statistics of the last :meth:`run` — how each task was
         #: satisfied.  Purely observational (the HTML report's "cache hit
@@ -684,13 +652,10 @@ class TaskScheduler:
 
     def _run(self) -> Dict[str, Any]:
         order = self.graph.topological_order()
-        executor = self.executor
-        if executor is None:
-            jobs = self.jobs or 1
-            if jobs <= 1:
-                return self._run_serial(order)
-            executor = LocalProcessExecutor(jobs)
-        return self._run_with_executor(order, executor)
+        jobs = self.jobs or 1
+        if jobs <= 1:
+            return self._run_serial(order)
+        return self._run_pooled(order, LocalProcessExecutor(jobs))
 
     def _cached_or_none(self, task: Task) -> Optional[Any]:
         if task.key is not None and self.cache is not None:
@@ -766,7 +731,7 @@ class TaskScheduler:
             self._record(task, value, results)
         return results
 
-    def _run_with_executor(self, order: List[Task], executor: TaskExecutor) -> Dict[str, Any]:
+    def _run_pooled(self, order: List[Task], pool: LocalProcessExecutor) -> Dict[str, Any]:
         results: Dict[str, Any] = {}
         dependents: Dict[str, List[Task]] = {t.task_id: [] for t in order}
         for task in order:
@@ -837,25 +802,24 @@ class TaskScheduler:
                             self._obs_mark(task, cache_hit=True)
                             complete(task, hit)
                             continue
-                        if (self.cache is None and task.deps) or not executor.can_execute(task):
+                        if self.cache is None and task.deps:
                             # Without the shared cache a worker cannot see its
-                            # dependencies' artefacts (and some executors only
-                            # speak the registered payload protocol), so such
-                            # tasks run in the parent off the in-memory memo;
-                            # everything else fans out.
+                            # dependencies' artefacts, so such tasks run in the
+                            # parent off the in-memory memo; everything else
+                            # fans out.
                             run_inline(task)
                             continue
                         if task.key is not None and task.key in in_flight_keys:
                             parked.setdefault(task.key, []).append(task)
                             continue
-                        executor.submit(task, self.cache)
+                        pool.submit(task, self.cache)
                         self._count_executed(task)
                         in_flight[task.task_id] = task
                         if task.key is not None:
                             in_flight_keys[task.key] = task.task_id
                     current = None
                     if in_flight:
-                        for outcome in executor.wait():
+                        for outcome in pool.wait():
                             task = outcome.task
                             in_flight.pop(task.task_id, None)
                             value = outcome.value
@@ -866,12 +830,12 @@ class TaskScheduler:
                             self._trace_span(task, outcome.worker, outcome.start, outcome.end)
                             complete_with_twins(task, value)
             except KeyboardInterrupt:
-                executor.close(interrupt=True)
+                pool.close(interrupt=True)
                 abandoned = list(in_flight.values())
                 if current is not None and current.task_id not in in_flight:
                     abandoned.append(current)
                 self._sweep_locks(abandoned)
                 raise
         finally:
-            executor.close()
+            pool.close()
         return results

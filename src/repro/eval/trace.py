@@ -2,13 +2,13 @@
 
 ``repro report --trace trace.json`` records one complete event per executed
 task — start/stop wall time plus the lane that ran it (the parent, a
-``pid:<n>`` pool worker, or a named remote worker) — and writes the Chrome
+``pid:<n>`` pool worker) — and writes the Chrome
 Trace Event Format document that ``chrome://tracing`` / Perfetto render as a
 per-worker utilisation timeline.  Cache hits and seeded tasks run nothing
 and therefore produce no event; gaps in a lane are genuine idle time.
 
-The recorder is deliberately tiny and thread-safe (remote completions arrive
-on HTTP handler threads): :class:`TraceRecorder.record` appends one event,
+The recorder is deliberately tiny and thread-safe:
+:class:`TraceRecorder.record` appends one event,
 :meth:`TraceRecorder.write` emits the JSON file.
 """
 

@@ -5,9 +5,8 @@ generation the strategy proposes becomes ordinary task-graph nodes — one
 ``explore`` node per fresh candidate, hanging off the workload's compile
 node — executed through :meth:`repro.eval.harness.EvaluationHarness.execute`,
 so candidate evaluation inherits everything the evaluation stack already
-does: process-pool parallelism (``--jobs``), remote workers (``--workers``),
-content-addressed disk caching, and single-flight across concurrent
-processes.
+does: process-pool parallelism (``--jobs``), content-addressed disk caching,
+and single-flight across concurrent processes.
 
 **Resumability.**  After every generation the search state is journaled as a
 structured-JSON derived artifact: the journal key hashes the workload's
@@ -30,7 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import ReproError
 from repro.eval.cache import derived_key
 from repro.eval.harness import EvaluationHarness
-from repro.eval.taskgraph import TaskExecutor, TaskGraph
+from repro.eval.taskgraph import TaskGraph
 from repro.explore.evaluate import explore_task, explore_task_id
 from repro.explore.frontier import OBJECTIVES, Frontier, scalar_cost
 from repro.explore.space import Candidate, SearchSpace, default_space
@@ -145,7 +144,6 @@ class ExplorationDriver:
         seed: int = 0,
         space: Optional[SearchSpace] = None,
         jobs: Optional[int] = None,
-        executor: Optional[TaskExecutor] = None,
         max_generations: Optional[int] = None,
     ):
         if workload not in harness.benchmark_names:
@@ -160,7 +158,6 @@ class ExplorationDriver:
         self.seed = seed
         self.space = space or default_space()
         self.jobs = jobs
-        self.executor = executor
         #: Test/interrupt hook: stop (journaled) after this many generations.
         self.max_generations = max_generations
         #: Aggregated effort over the whole search (all generations).
@@ -225,7 +222,7 @@ class ExplorationDriver:
                     self.harness._compile_key(self.workload),
                 )
             )
-        results = self.harness.execute(graph, parallel=self.jobs, executor=self.executor)
+        results = self.harness.execute(graph, parallel=self.jobs)
         stats = self.harness.last_stats
         self.stats["executed"] += stats.get("executed", {}).get("explore", 0)
         self.stats["cache_hits"] += stats.get("cache_hit_kinds", {}).get("explore", 0)

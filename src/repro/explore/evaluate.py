@@ -13,10 +13,6 @@ already folds in the workload source, the full baseline configuration and
 the code digest) plus the candidate's canonical parameters — so a second
 search, a resumed search, or a report that happens to touch the same
 candidate hits the cache instead of re-evaluating.
-
-:func:`compute_explore_point` is a registered remote payload
-(``repro.eval.remote.protocol``), so ``repro explore --workers``
-distributes candidates over ``repro worker serve`` daemons unchanged.
 """
 
 from __future__ import annotations
@@ -110,7 +106,7 @@ def _candidate_dswp(
             return encode_dswp_result(fresh[0])
 
         if cache_root is not None:
-            document = ArtifactCache.from_spec(cache_root).get_or_compute(
+            document = ArtifactCache(cache_root).get_or_compute(
                 key, compute, serializer="json"
             )
         else:
@@ -134,10 +130,9 @@ def compute_explore_point(
 ) -> Dict[str, Any]:
     """Evaluate one candidate: re-partition + re-simulate, return objectives.
 
-    Pure and picklable (pool workers) and wire-encodable (remote workers):
-    *params* is the candidate's plain parameter dict and *space_dict* the
-    space's ``to_dict()`` form, rebuilt here so validation travels with the
-    task.  The result is a small structured-JSON document carrying the
+    Pure and picklable (pool workers): *params* is the candidate's plain
+    parameter dict and *space_dict* the space's ``to_dict()`` form, rebuilt
+    here so validation travels with the task.  The result is a small structured-JSON document carrying the
     objective values, the echo of the parameters (so aggregators and
     journals never have to reverse-engineer task ids) and the headline
     speedup for the report figures.

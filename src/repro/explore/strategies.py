@@ -11,7 +11,7 @@ Proposing whole generations (instead of one candidate at a time) is what
 lets the driver evaluate a batch as parallel task-graph nodes — and it is
 also the determinism mechanism: a generation's composition depends only on
 the seed and on previously *observed* results, never on evaluation timing,
-so serial, ``-j N`` and distributed runs walk exactly the same search
+so serial and ``-j N`` runs walk exactly the same search
 trajectory (see ``tests/test_explore.py``).
 
 All randomness flows from one ``random.Random(seed)`` instance consumed in

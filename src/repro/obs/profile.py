@@ -11,7 +11,7 @@ common periodic work to avoid lockstep aliasing.
 
 Like tracing, profiling is **off by default** and strictly observational.
 The switch is ``$REPRO_PROFILE`` naming a JSONL sink: every process that
-inherits it — the CLI, pool children, worker daemons — starts its own
+inherits it — the CLI and its pool children — starts its own
 sampler via :func:`maybe_start` and appends **one JSON record at exit**
 (``O_APPEND``, safe across processes), so a parallel run yields per-worker
 profiles that :func:`merge_stacks` folds into one flamegraph.
@@ -193,8 +193,7 @@ def enabled() -> bool:
 def maybe_start(service: str = "cli") -> Optional[SamplingProfiler]:
     """Start the process profiler from ``$REPRO_PROFILE`` (idempotent).
 
-    Called once per process entry point (CLI main, pool child, worker
-    daemon).  When the variable is unset this is one dict lookup; when set
+    Called once per process entry point (CLI main, pool child).  When the variable is unset this is one dict lookup; when set
     it starts the sampler and registers an atexit hook appending the
     profile record to the sink, so even pool children that exit through
     the executor's normal shutdown path leave their samples behind.

@@ -1,8 +1,8 @@
 """Text renderers for JSONL trace files: span tree and per-worker Gantt.
 
 ``repro trace RUN.jsonl`` loads the span records a traced run streamed to
-``$REPRO_TRACE`` (possibly appended by several processes — CLI, pool
-children, worker daemons, the cache service) and reassembles them:
+``$REPRO_TRACE`` (possibly appended by several processes — the CLI and its
+pool children) and reassembles them:
 
 * :func:`render_tree` — the default view: one indented tree per trace,
   children ordered by start time, each line showing name, kind, duration,
@@ -12,7 +12,7 @@ children, worker daemons, the cache service) and reassembles them:
   dropped.
 * :func:`render_gantt` — ``--gantt``: one lane per service/worker, spans
   drawn as bars over a shared time axis, for eyeballing parallelism and
-  stragglers across a distributed run.
+  stragglers across a ``-j N`` run.
 
 Pure functions over plain dicts — the loader tolerates and skips malformed
 lines so a trace truncated by a crash still renders.

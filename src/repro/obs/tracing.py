@@ -1,28 +1,26 @@
-"""Span-based structured tracing with cross-process / cross-host propagation.
+"""Span-based structured tracing with cross-process propagation.
 
 A *span* is one timed unit of work: a task-graph node execution, a cache
-lookup, a harness run, an explore generation, or one HTTP request handled
-by a remote service.  Spans carry a ``trace_id`` shared by everything in
-one logical run, their own ``span_id``, and the ``parent_id`` of the
-enclosing span, so a renderer can reassemble the tree of a distributed run
-from whatever order the records landed in.
+lookup, a harness run, or an explore generation.  Spans carry a
+``trace_id`` shared by everything in one logical run, their own
+``span_id``, and the ``parent_id`` of the enclosing span, so a renderer can
+reassemble the tree of a ``-j N`` run from whatever order the records
+landed in.
 
 Tracing is **off by default** and strictly observational: enabling it must
 never change any computed output (the byte-identity tests pin this).  The
 switch is the ``$REPRO_TRACE`` environment variable naming a JSONL sink
-file; every process that inherits it — the CLI, pool children, worker
-daemons, the cache service — appends one JSON object per finished span
-(single ``O_APPEND`` writes, safe across processes).  Timestamps pair a
-wall-clock ``start`` (``time.time``, comparable across hosts) with a
+file; every process that inherits it — the CLI and its pool children —
+appends one JSON object per finished span (single ``O_APPEND`` writes,
+safe across processes).  Timestamps pair a
+wall-clock ``start`` (``time.time``, comparable across processes) with a
 duration measured on the monotonic clock, so ``end - start`` is immune to
 clock steps.
 
 Context lives in a per-thread stack: :func:`span` opens a child of the
 innermost active span (or starts a new trace), and :func:`activate` adopts
-a ``(trace_id, parent_id)`` pair that arrived from another process — via
-the ``trace`` field of a task spec (coordinator → worker and local pool
-hops) or via the ``X-Repro-Trace-Id`` / ``X-Repro-Parent-Span`` HTTP
-headers (client → cache service hops, injected by the protocol helpers).
+a ``(trace_id, parent_id)`` pair that arrived from another process — the
+:func:`wire_context` a pool task carries from the scheduler to its worker.
 """
 
 from __future__ import annotations
@@ -36,14 +34,10 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Environment variable naming the JSONL sink; set = tracing on.
 TRACE_ENV = "REPRO_TRACE"
-
-#: HTTP headers carrying trace context across service hops.
-TRACE_ID_HEADER = "X-Repro-Trace-Id"
-PARENT_SPAN_HEADER = "X-Repro-Parent-Span"
 
 #: In-memory span buffer cap per process (the JSONL sink is unbounded).
 _BUFFER_LIMIT = 100_000
@@ -160,7 +154,6 @@ class Tracer:
 # The process tracer: _UNSET until first use, then a Tracer or None.
 _UNSET = object()
 _tracer: Any = _UNSET
-_service_name = "cli"
 _atexit_registered = False
 _last_trace_id: Optional[str] = None
 
@@ -261,7 +254,7 @@ def tracer() -> Optional[Tracer]:
             )
             _tracer = None
         else:
-            _tracer = Tracer(Path(spec), service=_service_name)
+            _tracer = Tracer(Path(spec))
         if _tracer is not None:
             _ensure_atexit()
     return _tracer
@@ -278,12 +271,12 @@ def enabled() -> bool:
     return tracer() is not None
 
 
-def enable(sink: Optional[Path] = None, service: Optional[str] = None) -> Tracer:
+def enable(sink: Optional[Path] = None, service: str = "cli") -> Tracer:
     """Programmatically switch tracing on (tests; env-free embedding)."""
     global _tracer
     if isinstance(_tracer, Tracer):
         _tracer.close()
-    _tracer = Tracer(sink, service=service or _service_name)
+    _tracer = Tracer(sink, service=service)
     if _tracer.sink is not None:
         _ensure_atexit()
     return _tracer
@@ -301,15 +294,6 @@ def reset() -> None:
         _live_spans.clear()
 
 
-def set_service(name: str) -> None:
-    """Name this process's role (``cli``, ``worker``, ``cache``, ``pool``)."""
-    global _service_name
-    _service_name = name
-    active = tracer()
-    if active is not None:
-        active.service = name
-
-
 def current() -> Optional[Tuple[str, Optional[str]]]:
     """The innermost ``(trace_id, span_id)`` on this thread, if any."""
     stack = _context.stack
@@ -317,7 +301,7 @@ def current() -> Optional[Tuple[str, Optional[str]]]:
 
 
 def wire_context() -> Optional[Dict[str, Optional[str]]]:
-    """The active context as a JSON-able dict for task specs (or ``None``)."""
+    """The active context as a picklable dict for pool tasks (or ``None``)."""
     if tracer() is None:
         return None
     active = current()
@@ -326,30 +310,11 @@ def wire_context() -> Optional[Dict[str, Optional[str]]]:
     return {"trace_id": active[0], "parent_id": active[1]}
 
 
-def trace_headers() -> Dict[str, str]:
-    """HTTP headers carrying the active context (empty when off or idle)."""
-    context = wire_context()
-    if context is None or not context.get("trace_id"):
-        return {}
-    headers = {TRACE_ID_HEADER: str(context["trace_id"])}
-    if context.get("parent_id"):
-        headers[PARENT_SPAN_HEADER] = str(context["parent_id"])
-    return headers
-
-
-def context_from_headers(headers: Mapping[str, str]) -> Optional[Tuple[str, Optional[str]]]:
-    """Extract ``(trace_id, parent_id)`` from request *headers*, if present."""
-    trace_id = headers.get(TRACE_ID_HEADER)
-    if not trace_id:
-        return None
-    return str(trace_id), headers.get(PARENT_SPAN_HEADER) or None
-
-
 @contextmanager
 def activate(trace_id: Optional[str], parent_id: Optional[str] = None) -> Iterator[None]:
     """Adopt a propagated context for the block: spans opened inside become
     children of *parent_id* within *trace_id*.  No-op when *trace_id* is
-    falsy, so callers can pass whatever the wire carried."""
+    falsy, so callers can pass whatever the task carried."""
     if not trace_id:
         yield
         return
@@ -414,39 +379,10 @@ def span(
             )
 
 
-@contextmanager
-def server_span(
-    name: str,
-    headers: Mapping[str, str],
-    kind: str = "http",
-    **attrs: Any,
-) -> Iterator[Any]:
-    """A service-side span for one handled request, parented to the client's
-    span via the trace headers.  Records nothing for untraced requests
-    (no headers) or when tracing is off in the server process, so health
-    probes and unrelated traffic never produce orphan spans."""
-    if tracer() is None:
-        yield NULL_SPAN
-        return
-    context = context_from_headers(headers)
-    if context is None:
-        yield NULL_SPAN
-        return
-    with activate(context[0], context[1]):
-        with span(name, kind=kind, **attrs) as live:
-            yield live
-
-
-def current_trace_id() -> Optional[str]:
-    """The active trace id on this thread (heartbeat attribution), if any."""
-    active = current()
-    return active[0] if active else None
-
-
 def last_trace_id() -> Optional[str]:
     """The most recent trace id this process opened a span under, if any.
 
-    Unlike :func:`current_trace_id` this survives the end of the run — the
+    Unlike :func:`current` this survives the end of the run — the
     run-history recorder reads it *after* the harness span closed, so a
     ledger row can link a flagged regression to its trace.
     """

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional
 
 #: Canonical stage names, in pipeline order (used for stable table output).
 #: ``ingest`` covers raw-C workload ingestion (repro.ingest.evaluate) and
@@ -73,20 +73,6 @@ class StageTimings:
 
 _active: Optional[StageTimings] = None
 
-#: Optional ``(stage_name, elapsed_seconds)`` callback fed on every timed
-#: stage regardless of any :func:`collect` block.  The metrics bridge
-#: (:func:`repro.obs.metrics.install_stage_observer`) is the one consumer.
-_observer: Optional[Callable[[str, float], None]] = None
-
-
-def set_stage_observer(observer: Optional[Callable[[str, float], None]]) -> Optional[Callable[[str, float], None]]:
-    """Install (or clear, with ``None``) the stage observer; returns the
-    previous one so scoped callers can restore it."""
-    global _observer
-    previous = _observer
-    _observer = observer
-    return previous
-
 
 @contextmanager
 def collect() -> Iterator[StageTimings]:
@@ -109,19 +95,13 @@ def collect() -> Iterator[StageTimings]:
 def stage(name: str) -> Iterator[None]:
     """Time one stage execution; free (one ``None`` check) when not collecting."""
     recorder = _active
-    observer = _observer
-    if recorder is None and observer is None:
+    if recorder is None:
         yield
         return
-    if recorder is not None:
-        recorder.open_stages += 1
+    recorder.open_stages += 1
     start = time.perf_counter()
     try:
         yield
     finally:
-        elapsed = time.perf_counter() - start
-        if recorder is not None:
-            recorder.open_stages -= 1
-            recorder.add(name, elapsed, outermost=recorder.open_stages == 0)
-        if observer is not None:
-            observer(name, elapsed)
+        recorder.open_stages -= 1
+        recorder.add(name, time.perf_counter() - start, outermost=recorder.open_stages == 0)

@@ -39,7 +39,7 @@ from repro.eval.artifact_codec import (
     encode_dswp_result,
 )
 from repro.eval import taskgraph
-from repro.eval.cache import _LOOKUPS, ArtifactCache, compile_key
+from repro.eval.cache import ArtifactCache, compile_key
 from repro.eval.harness import EvaluationHarness
 from repro.dswp.partitioner import PartitionKind
 from repro.dswp.thread_extraction import ExtractedThread, ExtractionResult
@@ -418,7 +418,9 @@ def test_a_flipped_byte_in_the_cache_is_a_corrupt_miss_and_recomputed(compiled, 
     at = data.index(b'"steps":') + len(b'"steps":')  # a digit inside the heavy part
     data[at] ^= 0x01
     path.write_bytes(bytes(data))
-    before = _LOOKUPS.value(outcome="corrupt_miss")
+    assert cache.get(key) is None  # a corrupt entry reads as a miss...
+    assert not path.exists()  # ...and is deleted so the recompute replaces it
+    path.write_bytes(bytes(data))
     computed = []
 
     def compute():
@@ -427,7 +429,6 @@ def test_a_flipped_byte_in_the_cache_is_a_corrupt_miss_and_recomputed(compiled, 
 
     assert cache.get_or_compute(key, compute, serializer="artifact") is result
     assert computed == [1]
-    assert _LOOKUPS.value(outcome="corrupt_miss") == before + 1
     assert cache.get(key).summary_dict() == result.summary_dict()
 
 

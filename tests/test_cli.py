@@ -209,18 +209,20 @@ def test_report_trace_writes_chrome_tracing_json(tmp_path, capsys):
     assert "Table 6.1" in out and "trace" not in out
 
 
-def test_report_workers_rejects_no_cache(tmp_path, capsys):
-    code, _, err = run_cli(
-        ["report", "--workers", "127.0.0.1:0", "--no-cache"], tmp_path, capsys
-    )
+@pytest.mark.parametrize("url", ["http://h:1", "https://cache.example/store"])
+def test_cache_dir_rejects_a_url(tmp_path, capsys, monkeypatch, url):
+    """The cache takes a directory: a URL must not become a directory 'http:'."""
+    monkeypatch.chdir(tmp_path)
+    code = main(["run", "blowfish", "--cache-dir", url])
+    _, err = capsys.readouterr()
     assert code == 2
-    assert "--workers" in err and "cache" in err
-
-
-def test_report_workers_rejects_malformed_address(tmp_path, capsys):
-    code, _, err = run_cli(["report", "--workers", "nonsense"], tmp_path, capsys)
+    assert "takes a directory, not a URL" in err and "Traceback" not in err
+    monkeypatch.setenv("REPRO_CACHE_DIR", url)
+    code = main(["cache", "stats"])
+    _, err = capsys.readouterr()
     assert code == 2
-    assert "invalid --workers address" in err
+    assert "takes a directory, not a URL" in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_explore_json_is_deterministic_and_warm(tmp_path, capsys):
@@ -323,15 +325,7 @@ def test_parser_covers_all_documented_subcommands():
     actions = [a for a in parser._actions if hasattr(a, "choices") and a.choices]
     subcommands = set(actions[0].choices)
     assert {"list", "run", "sweep", "table", "figure", "report", "graph", "cache",
-            "worker", "explore"} <= subcommands
-
-
-def test_cache_and_worker_serve_actions_are_wired():
-    parser = build_parser()
-    args = parser.parse_args(["cache", "serve", "--port", "0"])
-    assert args.action == "serve" and args.port == 0
-    args = parser.parse_args(["worker", "serve", "--coordinator", "http://h:1", "--max-tasks", "3"])
-    assert args.action == "serve" and args.coordinator == "http://h:1" and args.max_tasks == 3
+            "explore"} <= subcommands
 
 
 def test_cli_and_report_artefact_registries_stay_in_sync():

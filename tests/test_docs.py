@@ -59,22 +59,6 @@ def test_caching_doc_matches_the_implementation():
     assert f"schema version: {CACHE_SCHEMA_VERSION}" in doc.lower() or str(CACHE_SCHEMA_VERSION) in doc
 
 
-def test_distributed_doc_covers_the_cli_surface():
-    doc = _read("docs", "DISTRIBUTED.md")
-    for needle in (
-        "repro cache serve",
-        "repro worker serve",
-        "--workers",
-        "--pool",
-        "lease",
-        "heartbeat",
-        "Trust model",
-        "REPRO_SERVICE_TOKEN",
-        "byte-identical",
-    ):
-        assert needle in doc, f"DISTRIBUTED.md does not mention {needle!r}"
-
-
 def test_exploration_doc_covers_the_engine_surface():
     doc = _read("docs", "EXPLORATION.md")
     from repro.explore.strategies import STRATEGIES
@@ -120,27 +104,15 @@ def test_reporting_doc_covers_the_viz_surface():
 
 def test_observability_doc_covers_the_surface():
     doc = _read("docs", "OBSERVABILITY.md")
-    from repro.obs.tracing import PARENT_SPAN_HEADER, TRACE_ENV, TRACE_ID_HEADER
-    from repro.obs.logs import LOG_LEVEL_ENV
+    from repro.obs.tracing import TRACE_ENV
 
     for needle in (
         TRACE_ENV,
-        TRACE_ID_HEADER,
-        PARENT_SPAN_HEADER,
-        LOG_LEVEL_ENV,
         "repro trace",
         "--gantt",
-        "/status",
-        "GET /metrics",
-        "/healthz",
         "byte-identical",
-        "repro_tasks_submitted_total",
-        "repro_lease_latency_seconds",
-        "repro_cache_hits_total",
-        "repro_workers_live",
-        "repro_stage_seconds_total",
     ):
         assert needle in doc, f"OBSERVABILITY.md does not mention {needle!r}"
     # The cross-reference web: each sibling doc points at the telemetry doc.
-    for sibling in ("ARCHITECTURE.md", "DISTRIBUTED.md"):
+    for sibling in ("ARCHITECTURE.md",):
         assert "OBSERVABILITY.md" in _read("docs", sibling), f"{sibling} does not link OBSERVABILITY.md"

@@ -1,16 +1,13 @@
 """Tests of the telemetry subsystem (:mod:`repro.obs`).
 
-Four layers, cheapest first:
+Three layers, cheapest first:
 
-* unit tests of the metrics registry (Prometheus exposition format,
-  cumulative histogram semantics, idempotent declaration) and of the span
-  tracer (context nesting, wire propagation, JSONL sink, off-by-default);
+* unit tests of the stage timers and of the span tracer (context nesting,
+  cross-process context adoption, JSONL sink, off-by-default);
 * scheduler integration: a traced serial run covers every task-graph node
-  (executed, cache-hit and seeded alike) with valid parent links, and a
-  traced run returns exactly what an untraced run returns;
-* live-socket checks: a real worker + RemoteExecutor round trip yields one
-  coherent trace across the coordinator hop, and both services answer
-  ``/healthz`` (enriched) and ``/metrics`` (auth-exempt) correctly;
+  (executed, cache-hit and seeded alike) with valid parent links, a traced
+  run returns exactly what an untraced run returns, and a ``jobs=2`` pool
+  run yields one coherent trace across the process hop;
 * CLI: ``repro trace`` renders tree and Gantt views, a traced ``repro
   ingest`` is byte-identical to an untraced one, and a URL in
   ``$REPRO_TRACE`` leaves tracing off with one stderr line (the full-report byte-identity runs in
@@ -19,24 +16,14 @@ Four layers, cheapest first:
 
 import json
 import os
-import threading
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.eval.cache import ArtifactCache
-from repro.eval.remote import protocol
-from repro.eval.remote.cache_http import make_cache_server
-from repro.eval.remote.coordinator import Coordinator, start_coordinator_server
-from repro.eval.remote.executor import RemoteExecutor
-from repro.eval.remote.worker import run_worker
 from repro.eval.taskgraph import Task, TaskGraph, TaskScheduler, aggregate_task
-from repro.obs import metrics as obs_metrics
-from repro.obs.metrics import metric_value, parse_prometheus
 from repro.obs import tracing as obs_tracing
-from repro.obs.logs import get_logger
 from repro.obs.render import load_spans, render_gantt, render_tree
 
 
@@ -47,7 +34,6 @@ def traced(tmp_path):
     tracer = obs_tracing.enable(sink, service="test")
     yield tracer, sink
     obs_tracing.reset()
-    obs_tracing.set_service("cli")
 
 
 @pytest.fixture
@@ -56,103 +42,11 @@ def untraced():
     obs_tracing.reset()
     yield
     obs_tracing.reset()
-    obs_tracing.set_service("cli")
 
 
 # ---------------------------------------------------------------------------
-# metrics registry
+# stage timers
 # ---------------------------------------------------------------------------
-
-
-def test_registry_declaration_is_idempotent_and_type_checked():
-    registry = obs_metrics.MetricsRegistry()
-    counter = registry.counter("demo_total", "A demo counter.")
-    assert registry.counter("demo_total", "ignored") is counter
-    with pytest.raises(ValueError, match="already declared"):
-        registry.gauge("demo_total", "wrong type")
-
-
-def test_counter_is_monotonic_and_labelled():
-    registry = obs_metrics.MetricsRegistry()
-    counter = registry.counter("events_total", "Events.")
-    counter.inc(outcome="ok")
-    counter.inc(2.0, outcome="ok")
-    counter.inc(outcome="error")
-    assert counter.value(outcome="ok") == 3.0
-    assert counter.value(outcome="error") == 1.0
-    with pytest.raises(ValueError):
-        counter.inc(-1.0)
-
-
-def test_render_produces_prometheus_exposition_format():
-    registry = obs_metrics.MetricsRegistry()
-    registry.counter("jobs_total", "Jobs.").inc(3, queue="high")
-    registry.gauge("depth", "Depth.").set(7)
-    text = registry.render()
-    assert "# HELP jobs_total Jobs.\n# TYPE jobs_total counter" in text
-    assert 'jobs_total{queue="high"} 3' in text
-    assert "# TYPE depth gauge" in text
-    assert "depth 7" in text
-
-
-def test_label_values_are_escaped():
-    registry = obs_metrics.MetricsRegistry()
-    registry.counter("odd_total", "Odd.").inc(path='a"b\\c\nd')
-    line = [l for l in registry.render().splitlines() if l.startswith("odd_total{")][0]
-    assert '\\"' in line and "\\\\" in line and "\\n" in line
-    # ...and the exposition parser reverses the escaping exactly.
-    ((labels, value),) = parse_prometheus(line)["odd_total"]
-    assert labels == {"path": 'a"b\\c\nd'} and value == 1.0
-
-
-def test_histogram_buckets_are_cumulative():
-    registry = obs_metrics.MetricsRegistry()
-    histogram = registry.histogram("lat_seconds", "Latency.", buckets=(0.1, 1.0, 10.0))
-    for value in (0.05, 0.5, 0.5, 5.0, 50.0):
-        histogram.observe(value)
-    samples = parse_prometheus(registry.render())
-    buckets = {labels["le"]: v for labels, v in samples["lat_seconds_bucket"]}
-    assert buckets == {"0.1": 1.0, "1": 3.0, "10": 4.0, "+Inf": 5.0}
-    assert metric_value(samples, "lat_seconds_count") == 5.0
-    assert metric_value(samples, "lat_seconds_sum") == pytest.approx(56.05)
-
-
-def test_instruments_expose_zero_before_first_use():
-    """A scrape right after startup must include every declared name, so
-    dashboards can compute rates from process start."""
-    registry = obs_metrics.MetricsRegistry()
-    registry.counter("cold_total", "Cold.")
-    registry.gauge("cold_depth", "Cold.")
-    registry.histogram("cold_seconds", "Cold.", buckets=(1.0,))
-    samples = parse_prometheus(registry.render())
-    assert metric_value(samples, "cold_total") == 0.0
-    assert metric_value(samples, "cold_depth") == 0.0
-    assert metric_value(samples, "cold_seconds_count") == 0.0
-    assert metric_value(samples, "cold_seconds_bucket", le="+Inf") == 0.0
-
-
-def test_collectors_run_before_render_and_failures_are_contained():
-    registry = obs_metrics.MetricsRegistry()
-    gauge = registry.gauge("fresh", "Refreshed at scrape.")
-    registry.register_collector(lambda: gauge.set(42))
-    registry.register_collector(lambda: 1 / 0)  # must not break the scrape
-    assert "fresh 42" in registry.render()
-
-
-def test_stage_observer_folds_perf_stages_into_counters():
-    from repro import perf
-
-    obs_metrics.install_stage_observer()
-    try:
-        seconds = obs_metrics.counter("repro_stage_seconds_total", "")
-        calls = obs_metrics.counter("repro_stage_calls_total", "")
-        calls_before = calls.value(stage="ingest")
-        with perf.stage("ingest"):
-            pass
-        assert calls.value(stage="ingest") == calls_before + 1
-        assert seconds.value(stage="ingest") >= 0.0
-    finally:
-        perf.set_stage_observer(None)
 
 
 def test_perf_stages_cover_ingest_and_explore():
@@ -193,7 +87,6 @@ def test_tracing_is_off_by_default(untraced, monkeypatch):
     with obs_tracing.span("noop") as span:
         assert span is obs_tracing.NULL_SPAN
     assert obs_tracing.wire_context() is None
-    assert obs_tracing.trace_headers() == {}
 
 
 def test_nested_spans_share_a_trace_and_link_parents(traced):
@@ -222,18 +115,9 @@ def test_activate_adopts_wire_context(traced):
     with obs_tracing.activate("a" * 32, "b" * 16):
         with obs_tracing.span("adopted"):
             pass
-        assert obs_tracing.current_trace_id() == "a" * 32
+        assert obs_tracing.current() == ("a" * 32, "b" * 16)
     [record] = tracer.spans()
     assert record["trace_id"] == "a" * 32 and record["parent_id"] == "b" * 16
-
-
-def test_trace_headers_round_trip(traced):
-    with obs_tracing.span("client") as span:
-        headers = obs_tracing.trace_headers()
-        assert headers[obs_tracing.TRACE_ID_HEADER] == span.trace_id
-        assert headers[obs_tracing.PARENT_SPAN_HEADER] == span.span_id
-        assert obs_tracing.context_from_headers(headers) == (span.trace_id, span.span_id)
-    assert obs_tracing.context_from_headers({}) is None
 
 
 def test_jsonl_sink_matches_the_buffer(traced):
@@ -243,17 +127,6 @@ def test_jsonl_sink_matches_the_buffer(traced):
     lines = [json.loads(l) for l in sink.read_text().splitlines()]
     assert lines == tracer.spans()
     assert lines[0]["service"] == "test" and lines[0]["attrs"] == {"detail": 1}
-
-
-def test_server_span_ignores_untraced_requests(traced):
-    tracer, _ = traced
-    with obs_tracing.server_span("cache.get", {}):  # no trace headers
-        pass
-    assert tracer.spans() == []
-    with obs_tracing.server_span("cache.get", {obs_tracing.TRACE_ID_HEADER: "c" * 32}):
-        pass
-    [record] = tracer.spans()
-    assert record["trace_id"] == "c" * 32
 
 
 # ---------------------------------------------------------------------------
@@ -312,135 +185,25 @@ def test_untraced_run_equals_traced_run(tmp_path):
         assert cold == hot
     finally:
         obs_tracing.reset()
-        obs_tracing.set_service("cli")
 
 
-# ---------------------------------------------------------------------------
-# distributed: one coherent trace across the coordinator hop
-# ---------------------------------------------------------------------------
-
-
-def remote_payload(base):
-    return {"value": base * 3}
-
-
-protocol.register_payload_function("_obs_test_payload", remote_payload)
-
-
-def test_remote_round_trip_yields_one_coherent_trace(traced, tmp_path):
-    tracer, _ = traced
+def test_pool_round_trip_yields_one_coherent_trace(traced, tmp_path):
+    """A task run in a pool worker re-parents under the scheduler's span."""
+    tracer, sink = traced
     graph = TaskGraph()
-    graph.add(Task(task_id="sweep:remote", kind="runtime", fn=remote_payload,
+    graph.add(Task(task_id="sweep:pooled", kind="runtime", fn=_fake_fn,
                    args=(7,), key="d" * 64, serializer="json"))
-    cache = ArtifactCache(tmp_path / "cache")
-    executor = RemoteExecutor(port=0, lease_timeout=10.0, worker_timeout=60.0)
-    worker = threading.Thread(
-        target=run_worker,
-        kwargs=dict(coordinator_url=executor.url, cache_spec=str(tmp_path / "cache"),
-                    poll_wait=0.5, verbose=False),
-        daemon=True,
-    )
-    worker.start()
-    try:
-        results = TaskScheduler(graph, cache=cache, executor=executor).run()
-        assert results["sweep:remote"] == {"value": 21}
-        worker.join(timeout=15)
-    finally:
-        executor.stop_server()
+    results = TaskScheduler(graph, cache=ArtifactCache(tmp_path / "cache"), jobs=2).run()
+    assert results["sweep:pooled"] == {"value": 14}
 
-    spans = tracer.spans()
+    # The worker's span reaches the parent only through the shared sink.
+    spans = load_spans(sink)
     assert len({record["trace_id"] for record in spans}) == 1
     scheduler_span = next(r for r in spans if r["name"] == "scheduler.run")
-    task_span = next(r for r in spans if r["name"] == "task:sweep:remote")
-    # The worker-side span re-parented under the submitting scheduler's span.
+    task_span = next(r for r in spans if r["name"] == "task:sweep:pooled")
     assert task_span["parent_id"] == scheduler_span["span_id"]
-    assert task_span["worker"]  # attributed to a worker identity
-
-
-def test_worker_heartbeat_carries_the_current_trace_id():
-    coordinator = Coordinator(lease_timeout=5.0)
-    worker = coordinator.register(name="w1")["worker_id"]
-    coordinator.heartbeat(worker, tasks=[], trace_id="e" * 32)
-    assert coordinator.status()["worker_detail"]["w1"]["trace_id"] == "e" * 32
-    coordinator.heartbeat(worker, tasks=[])  # idle again: attribution clears
-    assert coordinator.status()["worker_detail"]["w1"]["trace_id"] is None
-
-
-# ---------------------------------------------------------------------------
-# services: enriched /healthz, auth-exempt /metrics
-# ---------------------------------------------------------------------------
-
-
-def _fetch(url):
-    import urllib.request
-
-    with urllib.request.urlopen(url, timeout=10.0) as response:
-        return response.headers, response.read().decode("utf-8")
-
-
-def test_services_expose_enriched_healthz_and_metrics(tmp_path):
-    from repro import __version__
-
-    cache_server = make_cache_server(tmp_path / "store", port=0, token="s3cret")
-    threading.Thread(target=cache_server.serve_forever, daemon=True).start()
-    coordinator_server = start_coordinator_server(Coordinator(), port=0, token="s3cret")
-    try:
-        for url, role in ((cache_server.url, "cache"), (coordinator_server.url, "coordinator")):
-            # Both endpoints answer without the shared secret.
-            _, health_body = _fetch(f"{url}/healthz")
-            health = json.loads(health_body)
-            assert health["ok"] is True
-            assert health["role"] == role
-            assert health["version"] == __version__
-            assert health["uptime_seconds"] >= 0.0
-            headers, metrics_body = _fetch(f"{url}/metrics")
-            assert headers.get("Content-Type", "").startswith("text/plain")
-            assert "# TYPE" in metrics_body
-        samples = parse_prometheus(_fetch(f"{coordinator_server.url}/metrics")[1])
-        assert metric_value(samples, "repro_workers_live") == 0.0
-        samples = parse_prometheus(_fetch(f"{cache_server.url}/metrics")[1])
-        assert metric_value(samples, "repro_cache_entries") == 0.0
-    finally:
-        coordinator_server.shutdown()
-        cache_server.shutdown()
-
-
-def test_services_expose_build_info_and_request_histograms(tmp_path):
-    from repro import __version__
-
-    cache_server = make_cache_server(tmp_path / "store", port=0)
-    threading.Thread(target=cache_server.serve_forever, daemon=True).start()
-    coordinator_server = start_coordinator_server(Coordinator(), port=0)
-    try:
-        for url, histogram in (
-            (cache_server.url, "repro_cache_request_seconds"),
-            (coordinator_server.url, "repro_coordinator_request_seconds"),
-        ):
-            _fetch(f"{url}/healthz")  # drive one GET through the timer
-            # The handler observes the duration *after* writing the response,
-            # so the sample can land a beat after the client returns: poll.
-            deadline = time.time() + 5.0
-            while True:
-                body = _fetch(f"{url}/metrics")[1]
-                samples = parse_prometheus(body)
-                count = metric_value(samples, f"{histogram}_count", method="GET")
-                if count is not None and count >= 1.0:
-                    break
-                assert time.time() < deadline, f"no GET sample in {histogram}"
-                time.sleep(0.05)
-            assert metric_value(samples, "repro_build_info", version=__version__) == 1.0
-            build_line = next(
-                line for line in body.splitlines()
-                if line.startswith("repro_build_info{")
-            )
-            assert 'python="' in build_line and build_line.endswith(" 1")
-            # Explicit buckets: the exposition must carry the fine-grained
-            # low end (1ms) and the +Inf catch-all, cumulatively ordered.
-            assert f'{histogram}_bucket{{method="GET",le="0.001"}}' in body
-            assert f'{histogram}_bucket{{method="GET",le="+Inf"}}' in body
-    finally:
-        coordinator_server.shutdown()
-        cache_server.shutdown()
+    assert task_span["worker"].startswith("pid:")
+    assert task_span["worker"] != f"pid:{os.getpid()}"
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +353,6 @@ def test_traced_ingest_is_byte_identical_and_captures_spans(tmp_path, capsys, mo
     finally:
         monkeypatch.delenv(obs_tracing.TRACE_ENV, raising=False)
         obs_tracing.reset()
-        obs_tracing.set_service("cli")
 
 
 def test_url_trace_value_warns_once_and_leaves_report_unchanged(tmp_path, capsys, monkeypatch):
@@ -616,34 +378,3 @@ def test_url_trace_value_warns_once_and_leaves_report_unchanged(tmp_path, capsys
     finally:
         monkeypatch.delenv(obs_tracing.TRACE_ENV, raising=False)
         obs_tracing.reset()
-        obs_tracing.set_service("cli")
-
-
-# ---------------------------------------------------------------------------
-# structured logging
-# ---------------------------------------------------------------------------
-
-
-def test_get_logger_is_idempotent_and_level_filtered(monkeypatch):
-    import logging
-
-    monkeypatch.setenv("REPRO_LOG_LEVEL", "WARNING")
-    logger = get_logger("testsvc")
-    assert logger is get_logger("testsvc")  # one handler, not one per call
-    assert len(logger.handlers) == 1
-    assert logger.level == logging.WARNING
-    verbose = get_logger("testsvc", verbose=True)
-    assert verbose.level == logging.DEBUG  # --verbose forces DEBUG
-
-
-def test_env_level_defaults_to_info(monkeypatch):
-    import logging
-
-    from repro.obs.logs import env_level
-
-    monkeypatch.delenv("REPRO_LOG_LEVEL", raising=False)
-    assert env_level() == logging.INFO
-    monkeypatch.setenv("REPRO_LOG_LEVEL", "debug")
-    assert env_level() == logging.DEBUG
-    monkeypatch.setenv("REPRO_LOG_LEVEL", "nonsense")
-    assert env_level() == logging.INFO

@@ -235,3 +235,27 @@ class TestHybridSystemAndCompiler:
         cfg.partition.sw_fraction = 2.0
         with pytest.raises(ConfigError):
             cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("queue_depth", 8.0), ("queue_depth", True), ("queue_latency", 2.5)],
+)
+def test_config_validation_requires_integer_queue_geometry(field, value):
+    """A float depth passed ``validate()`` and then crashed the replay's
+    queue-slot indexing with a ``TypeError``."""
+    from repro.errors import ConfigError
+
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        RuntimeConfig(**{field: value}).validate()
+
+
+def test_config_validation_requires_numeric_latencies():
+    from repro.errors import ConfigError
+
+    RuntimeConfig(bus_latency=3.0, memory_read_cycles=2.5).validate()  # fractional is fine
+    for field in ("bus_latency", "memory_read_cycles", "coherency_delay", "processor_op_cycles"):
+        with pytest.raises(ConfigError, match=f"{field} must be a number"):
+            RuntimeConfig(**{field: "2"}).validate()
+        with pytest.raises(ConfigError, match=f"{field} must be a number"):
+            RuntimeConfig(**{field: False}).validate()

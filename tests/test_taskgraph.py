@@ -273,3 +273,51 @@ def test_derived_artifacts_stored_as_json(tmp_path):
     # The JSON is plain data, loadable without unpickling anything.
     payloads = [json.loads(p.read_text()) for p in objects.rglob("*.json")]
     assert any(isinstance(p, dict) and "cycles" in p for p in payloads)
+
+
+# ---------------------------------------------------------------------------
+# graceful interrupt
+# ---------------------------------------------------------------------------
+
+
+def test_keyboard_interrupt_sweeps_lock_files_serial(tmp_path):
+    cache = ArtifactCache(tmp_path)
+
+    def interrupted():
+        raise KeyboardInterrupt
+
+    graph = TaskGraph()
+    graph.add(Task(task_id="sweep:interrupted", kind="runtime", fn=interrupted,
+                   key="a" * 64, serializer="json"))
+    with pytest.raises(KeyboardInterrupt):
+        TaskScheduler(graph, cache=cache).run()
+    # get_or_compute created the per-key lock file; the graceful-shutdown
+    # path must not leave it behind.
+    assert not cache.backend.lock_path("a" * 64).exists()
+    assert list((tmp_path / "locks").rglob("*.lock")) == []
+
+
+def _interrupted_in_worker():
+    raise KeyboardInterrupt
+
+
+def test_keyboard_interrupt_in_pool_closes_it_and_sweeps_lock_files(tmp_path, monkeypatch):
+    from repro.eval.taskgraph import LocalProcessExecutor
+
+    closed = []
+    close = LocalProcessExecutor.close
+
+    def recording_close(self, interrupt=False):
+        closed.append(interrupt)
+        close(self, interrupt=interrupt)
+
+    monkeypatch.setattr(LocalProcessExecutor, "close", recording_close)
+    graph = TaskGraph()
+    graph.add(Task(task_id="sweep:interrupted", kind="runtime", fn=_interrupted_in_worker,
+                   key="d" * 64, serializer="json"))
+    cache = ArtifactCache(tmp_path)
+    with pytest.raises(KeyboardInterrupt):
+        TaskScheduler(graph, cache=cache, jobs=2).run()
+    assert True in closed  # interrupt-mode close happened
+    assert not cache.backend.lock_path("d" * 64).exists()
+    assert list((tmp_path / "locks").rglob("*.lock")) == []

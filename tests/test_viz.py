@@ -369,20 +369,6 @@ def test_report_html_rejects_stdout_format_flags(tmp_path, capsys):
     assert code == 2 and "--html" in err and "Traceback" not in err
 
 
-def test_worker_pool_surfaces_signal_deaths():
-    """A pool member killed by a signal (exitcode -N) must not read as 0."""
-    from unittest import mock
-
-    from repro.eval.remote import worker as worker_mod
-
-    killed = mock.Mock(exitcode=-9)
-    clean = mock.Mock(exitcode=0)
-    with mock.patch.object(worker_mod.multiprocessing, "Process") as process_cls:
-        process_cls.side_effect = [killed, clean]
-        code = worker_mod.run_worker_pool(2, coordinator_url="http://h:1")
-    assert code == 128 + 9
-
-
 def test_figure_order_is_the_spec_registry():
     from repro.viz.report_html import FIGURE_ORDER
 
@@ -396,5 +382,3 @@ def test_parser_wires_new_flags():
     assert args.svg == "out.svg"
     args = parser.parse_args(["report", "--html", "out"])
     assert args.html == "out"
-    args = parser.parse_args(["worker", "serve", "--coordinator", "http://h:1", "--pool", "3"])
-    assert args.pool == 3

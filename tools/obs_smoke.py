@@ -1,33 +1,23 @@
 #!/usr/bin/env python3
-"""Observability smoke: /metrics scrape + /status read + traced report.
+"""Observability smoke: a traced, profiled report against a plain one.
 
 The end-to-end acceptance check of the telemetry subsystem (see
-docs/OBSERVABILITY.md), in three acts:
+docs/OBSERVABILITY.md).  Runs one ``repro report -j 2`` with
+``$REPRO_TRACE``, ``$REPRO_PROFILE`` and ``$REPRO_HISTORY`` set and one
+without, then asserts that:
 
-1. **Services.** Starts one cache service and one coordinator on
-   127.0.0.1, both requiring a service token, drives a little real
-   traffic through both (register a worker, lease and complete a task,
-   heartbeat, cache miss + put + hit), then scrapes ``GET /metrics`` from
-   each and validates the Prometheus text exposition: parseable format,
-   correct content type, and the minimum metric set a dashboard needs
-   (task throughput, queue depth, worker liveness, lease latency, cache
-   hits/misses/puts).
-2. **Worker liveness.** Reads the coordinator's ``GET /status``: refused
-   without the token, and with it the registered worker appears in
-   ``worker_detail`` with a heartbeat age and the trace id it reported.
-3. **Tracing + profiling + history.** Runs one ``repro report`` with
-   ``$REPRO_TRACE``, ``$REPRO_PROFILE`` and ``$REPRO_HISTORY`` set and
-   one without, asserts the two stdout payloads are byte-identical
-   (telemetry must be observe-only) and that the observed run is at most
-   10% slower than the plain one (one retry soaks timing flakes), asserts
-   the captured JSONL trace covers >= 95% of the executed task-graph
-   nodes with valid parent links, and renders it through ``repro trace``
-   (tree, Gantt, ``--summary`` and ``--critical-path`` — the critical
-   path must cover >= 50% of the trace window).  The sampled profile must
-   parse and render as a flamegraph (``repro profile --from``, written to
-   ``--flame-out`` for CI artifacts), the history ledger must hold the
-   run's record, and ``repro report --html`` under the same telemetry
-   must emit the profile / trace-analytics / trends cards.
+* the two stdout payloads are byte-identical (telemetry must be
+  observe-only) and the observed run is at most 10% slower than the plain
+  one (one retry soaks timing flakes);
+* the captured JSONL trace covers >= 95% of the executed task-graph nodes
+  with valid parent links, and renders through ``repro trace`` (tree,
+  Gantt, ``--summary`` and ``--critical-path`` — the critical path must
+  cover >= 50% of the trace window);
+* the sampled profile parses and renders as a flamegraph (``repro profile
+  --from``, written to ``--flame-out`` for CI artifacts), and the history
+  ledger holds the run's record;
+* ``repro report --html`` under the same telemetry emits the profile /
+  trace-analytics / trends cards.
 
 Used by the ``obs-smoke`` CI job; handy manually:
 
@@ -44,44 +34,11 @@ import os
 import subprocess
 import sys
 import tempfile
-import threading
 import time
-import urllib.request
 from pathlib import Path
 from typing import Dict, List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.eval.remote import protocol  # noqa: E402
-from repro.eval.remote.cache_http import HTTPCacheBackend, make_cache_server  # noqa: E402
-from repro.eval.remote.coordinator import Coordinator, start_coordinator_server  # noqa: E402
-from repro.errors import RemoteError  # noqa: E402
-from repro.obs.metrics import metric_value, parse_prometheus  # noqa: E402
-
-#: Shared secret both services require for everything but /healthz and
-#: /metrics.
-SMOKE_TOKEN = "obs-smoke-token"
-
-#: Every name a dashboard needs; the scrape must expose all of them.
-REQUIRED_COORDINATOR_METRICS = (
-    "repro_tasks_submitted_total",
-    "repro_tasks_leased_total",
-    "repro_tasks_completed_total",
-    "repro_tasks_requeued_total",
-    "repro_lease_latency_seconds_bucket",
-    "repro_lease_latency_seconds_count",
-    "repro_queue_depth",
-    "repro_tasks_inflight",
-    "repro_workers_live",
-)
-REQUIRED_CACHE_METRICS = (
-    "repro_cache_hits_total",
-    "repro_cache_misses_total",
-    "repro_cache_puts_total",
-    "repro_cache_entries",
-    "repro_cache_bytes",
-)
 
 
 def fail(message: str) -> int:
@@ -92,134 +49,13 @@ def fail(message: str) -> int:
 def repro_env(**extra: str) -> Dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("REPRO_TRACE", None)  # each act opts in explicitly
+    env.pop("REPRO_TRACE", None)  # each run opts in explicitly
     env.update(extra)
     return env
 
 
 def repro_cmd(*args: str) -> List[str]:
     return [sys.executable, "-m", "repro.cli", *args]
-
-
-def scrape(url: str) -> str:
-    """GET *url* and validate the exposition headers + line format."""
-    with urllib.request.urlopen(url, timeout=10.0) as response:
-        content_type = response.headers.get("Content-Type", "")
-        body = response.read().decode("utf-8")
-    if not content_type.startswith("text/plain"):
-        raise AssertionError(f"{url}: content type {content_type!r} is not text/plain")
-    seen_help: set = set()
-    for line in body.splitlines():
-        if not line or line.startswith("# HELP "):
-            if line.startswith("# HELP "):
-                seen_help.add(line.split()[2])
-            continue
-        if line.startswith("# TYPE "):
-            name = line.split()[2]
-            if name not in seen_help:
-                raise AssertionError(f"{url}: TYPE for {name} before its HELP line")
-            continue
-        name = line.split("{")[0].split()[0]
-        base = name
-        for suffix in ("_bucket", "_sum", "_count"):
-            if base.endswith(suffix):
-                base = base[: -len(suffix)]
-        if base not in seen_help:
-            raise AssertionError(f"{url}: sample {name} has no preceding HELP/TYPE")
-        value = line.rsplit(None, 1)[-1]
-        if value != "+Inf":
-            float(value)  # every sample value must be a number
-    return body
-
-
-def drive_traffic(coordinator: Coordinator, coordinator_url: str, cache_url: str) -> str:
-    """Exercise each instrumented path once so every counter has moved;
-    returns the registered worker's id."""
-    registration = protocol.http_post_json(
-        f"{coordinator_url}/workers/register", {"name": "obs-smoke"}, timeout=10.0
-    )
-    worker_id = registration["worker_id"]
-    coordinator.submit({"task_id": "obs:demo", "kind": "runtime", "workload": "blowfish"})
-    lease = protocol.http_post_json(
-        f"{coordinator_url}/tasks/lease", {"worker_id": worker_id, "wait": 5.0}, timeout=20.0
-    )
-    task = lease.get("task") or {}
-    if task.get("task_id") != "obs:demo":
-        raise AssertionError(f"lease returned {task!r}, expected obs:demo")
-    protocol.http_post_json(
-        f"{coordinator_url}/workers/heartbeat",
-        {"worker_id": worker_id, "tasks": ["obs:demo"], "trace_id": "f" * 32},
-        timeout=10.0,
-    )
-    protocol.http_post_json(
-        f"{coordinator_url}/tasks/complete",
-        {
-            "worker_id": worker_id, "task_id": "obs:demo", "ok": True,
-            "value": 1, "in_cache": False, "start": time.time(), "end": time.time(),
-        },
-        timeout=10.0,
-    )
-    backend = HTTPCacheBackend(cache_url)
-    key = "ab" * 32  # keys are 64 hex chars
-    if backend.get_blob(key) is not None:
-        raise AssertionError("fresh cache served a blob for an unknown key")
-    backend.put_blob(key, "json", b'"payload"')
-    stored = backend.get_blob(key)
-    if stored is None or stored[1] != b'"payload"':
-        raise AssertionError("cache round trip lost the payload")
-    return worker_id
-
-
-def check_metrics(coordinator_url: str, cache_url: str) -> None:
-    coordinator_text = scrape(f"{coordinator_url}/metrics")
-    samples = parse_prometheus(coordinator_text)
-    for name in REQUIRED_COORDINATOR_METRICS:
-        if name not in samples:
-            raise AssertionError(f"coordinator /metrics lacks {name}")
-    if metric_value(samples, "repro_tasks_submitted_total") < 1:
-        raise AssertionError("repro_tasks_submitted_total did not count the demo task")
-    if metric_value(samples, "repro_tasks_completed_total", outcome="ok") < 1:
-        raise AssertionError("repro_tasks_completed_total{outcome=ok} did not move")
-    if metric_value(samples, "repro_workers_live") < 1:
-        raise AssertionError("repro_workers_live does not reflect the registered worker")
-    if metric_value(samples, "repro_lease_latency_seconds_count") < 1:
-        raise AssertionError("lease latency histogram observed nothing")
-
-    cache_text = scrape(f"{cache_url}/metrics")
-    samples = parse_prometheus(cache_text)
-    for name in REQUIRED_CACHE_METRICS:
-        if name not in samples:
-            raise AssertionError(f"cache /metrics lacks {name}")
-    if metric_value(samples, "repro_cache_misses_total") < 1:
-        raise AssertionError("repro_cache_misses_total did not count the probe miss")
-    if metric_value(samples, "repro_cache_hits_total") < 1:
-        raise AssertionError("repro_cache_hits_total did not count the round-trip hit")
-    if metric_value(samples, "repro_cache_entries") < 1:
-        raise AssertionError("repro_cache_entries gauge ignores the stored blob")
-    print("obs-smoke: /metrics OK on both services", flush=True)
-
-
-def check_status(coordinator_url: str, worker_id: str) -> None:
-    """Worker liveness from the token-auth'd ``GET /status``."""
-    previous = protocol.set_process_service_token(None)
-    try:
-        protocol.http_get_json(f"{coordinator_url}/status", timeout=10.0)
-    except RemoteError:
-        pass
-    else:
-        raise AssertionError("coordinator /status answered a request without the token")
-    finally:
-        protocol.set_process_service_token(previous)
-    status = protocol.http_get_json(f"{coordinator_url}/status", timeout=10.0)
-    detail = status.get("worker_detail", {}).get(worker_id)
-    if detail is None:
-        raise AssertionError(f"/status worker_detail lacks {worker_id}: {status}")
-    age = detail.get("heartbeat_age_seconds")
-    if not isinstance(age, (int, float)) or age < 0:
-        raise AssertionError(f"/status heartbeat age of {worker_id} is {age!r}")
-    if detail.get("trace_id") != "f" * 32:
-        raise AssertionError(f"/status lost the trace id {worker_id} reported: {detail}")
-    print("obs-smoke: /status worker liveness OK", flush=True)
 
 
 #: Observed (trace + profile + history) cold runs may cost at most this
@@ -425,27 +261,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also keep the rendered flamegraph here (CI artifact upload)",
     )
     args = parser.parse_args(argv)
-
-    with tempfile.TemporaryDirectory(prefix="repro-obs-services-") as tmp:
-        cache_server = make_cache_server(Path(tmp) / "store", port=0, token=SMOKE_TOKEN)
-        threading.Thread(target=cache_server.serve_forever, daemon=True).start()
-        coordinator = Coordinator(lease_timeout=30.0)
-        coordinator_server = start_coordinator_server(coordinator, port=0, token=SMOKE_TOKEN)
-        cache_url = cache_server.url
-        coordinator_url = coordinator_server.url
-        print(f"obs-smoke: services up (cache {cache_url}, coordinator {coordinator_url})",
-              flush=True)
-        previous = protocol.set_process_service_token(SMOKE_TOKEN)
-        try:
-            worker_id = drive_traffic(coordinator, coordinator_url, cache_url)
-            check_metrics(coordinator_url, cache_url)
-            check_status(coordinator_url, worker_id)
-        except AssertionError as exc:
-            return fail(str(exc))
-        finally:
-            protocol.set_process_service_token(previous)
-            coordinator_server.shutdown()
-            cache_server.shutdown()
 
     try:
         check_traced_report(args.benchmarks, args.timeout, flame_out=args.flame_out)
