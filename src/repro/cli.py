@@ -18,8 +18,7 @@ suite use, so numbers never diverge between entry points:
   graph; ``--html DIR`` writes a single self-contained ``report.html`` with
   every figure as inline SVG (see docs/REPORTING.md); ``--compare
   BASELINE.json`` diffs the run figure-by-figure against a saved ``--json``
-  payload; ``--trace trace.json`` records a chrome://tracing timeline
-  (embedded in the HTML report when combined with ``--html``);
+  payload;
 * ``repro explore <workload|all> --strategy S --budget N --seed K`` — the
   full design-space exploration engine: budgeted search (exhaustive,
   random, greedy, annealing) over split/pipeline/queue/HLS candidates with
@@ -39,10 +38,12 @@ suite use, so numbers never diverge between entry points:
   on-disk artifact cache (``prune --max-bytes``);
 * ``repro trace TRACE.jsonl`` — render the structured span trace captured
   by running any command with ``REPRO_TRACE=TRACE.jsonl`` set: a
-  parent/child span tree per trace id, ``--gantt`` for a per-worker
-  timeline, ``--summary`` for per-kind statistics with scheduler-overhead
-  accounting, or ``--critical-path`` for the longest dependency chain
-  (see ``docs/OBSERVABILITY.md``);
+  parent/child span tree per trace id (task, cache and pipeline-stage
+  spans), ``--gantt`` for a per-worker timeline, ``--summary`` for per-kind
+  statistics with scheduler-overhead accounting, ``--critical-path`` for
+  the longest dependency chain, or ``--chrome OUT.json`` to export the
+  spans as a chrome://tracing / Perfetto document (see
+  ``docs/OBSERVABILITY.md``);
 * ``repro profile <workload>`` — per-stage wall-clock times; with
   ``--flame FILE.svg`` / ``--collapsed FILE.txt`` also attaches a sampling
   profiler and renders the call stacks; ``repro profile --from
@@ -436,7 +437,7 @@ def _record_run_history(
 
 
 def _write_report_html(
-    args: argparse.Namespace, harness, artefacts, figures, trace, stage_timings=None
+    args: argparse.Namespace, harness, artefacts, figures, stage_timings=None
 ) -> int:
     """Assemble and write the self-contained ``report.html``."""
     from repro.obs import tracing as obs_tracing
@@ -453,7 +454,6 @@ def _write_report_html(
         # Wall-clock per pipeline stage, as observed in this process (pool
         # workers time their own stages; cache hits time nothing).
         metadata["stage_timings"] = stage_timings.as_dict()
-    spans = [Span(**span) for span in trace.spans] if trace is not None else None
     obs_spans = None
     analytics = None
     if obs_tracing.enabled():
@@ -523,7 +523,6 @@ def _write_report_html(
         artefacts,
         figures,
         metadata,
-        trace_spans=spans,
         obs_spans=obs_spans,
         analytics=analytics,
         profile=profile_card,
@@ -548,7 +547,6 @@ def _write_report_html(
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro import perf
     from repro.eval import experiments
-    from repro.eval.trace import TraceRecorder
 
     if args.html and (args.json or args.markdown):
         # One output contract per invocation: --html writes a document and
@@ -574,18 +572,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 "'repro report --json > baseline.json')"
             ) from None
     harness = _make_harness(args)
-    trace = TraceRecorder() if args.trace else None
     # One merged task graph: every compile, every (workload, sweep-point)
     # node and (with --html) every figure render schedules as an independent
     # job under --parallel/--jobs.
     run_started = time.perf_counter()
     with perf.collect() as stage_timings:
         if args.html:
-            artefacts, figures = experiments.run_report_figures(
-                harness, parallel=args.parallel, trace=trace
-            )
+            artefacts, figures = experiments.run_report_figures(harness, parallel=args.parallel)
         else:
-            artefacts = experiments.run_report(harness, parallel=args.parallel, trace=trace)
+            artefacts = experiments.run_report(harness, parallel=args.parallel)
     _record_run_history(
         "report",
         args,
@@ -594,11 +589,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         stage_timings,
         extra_attrs={"html": bool(args.html)},
     )
-    if trace is not None:
-        trace.write(args.trace)
-        print(f"wrote task trace to {args.trace} (open in chrome://tracing)", file=sys.stderr)
     if args.html:
-        return _write_report_html(args, harness, artefacts, figures, trace, stage_timings)
+        return _write_report_html(args, harness, artefacts, figures, stage_timings)
 
     if baseline is not None:
         current = {
@@ -953,7 +945,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """``repro trace``: render a JSONL span file as a tree or Gantt view."""
+    """``repro trace``: render a JSONL span file as a tree or Gantt view,
+    analyse it, or export it as a chrome://tracing document."""
     from repro.obs import render as obs_render
 
     try:
@@ -965,6 +958,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"'{args.file}' contains no spans — capture one with "
             "REPRO_TRACE=trace.jsonl repro report ..."
         )
+    if args.chrome:
+        document = obs_render.render_chrome(spans, trace_id=args.trace_id)
+        try:
+            Path(args.chrome).write_text(json.dumps(document, indent=1), encoding="utf-8")
+        except OSError as exc:
+            raise ReproError(f"cannot write '{args.chrome}': {exc}") from exc
+        print(f"wrote {args.chrome} (open in chrome://tracing or Perfetto)", file=sys.stderr)
+        return 0
     if args.summary or args.critical_path:
         from repro.obs import analyze as obs_analyze
 
@@ -1158,11 +1159,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_report.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="write a chrome://tracing JSON timeline of per-task execution",
-    )
-    p_report.add_argument(
         "--compare",
         metavar="BASELINE.json",
         help=(
@@ -1296,6 +1292,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--critical-path",
         action="store_true",
         help="longest dependency chain through the trace with per-hop attribution",
+    )
+    p_trace.add_argument(
+        "--chrome",
+        metavar="OUT.json",
+        help="export the spans as Chrome Trace Event JSON (one lane per worker)",
     )
     p_trace.set_defaults(func=_cmd_trace)
 

@@ -20,7 +20,6 @@ _EXPORTS = {
         "TaskScheduler",
         "LocalProcessExecutor",
     ),
-    "repro.eval.trace": ("TraceRecorder",),
     "repro.eval.experiments": (
         "table_6_1",
         "table_6_2",

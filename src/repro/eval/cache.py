@@ -486,7 +486,8 @@ class ArtifactCache:
             # None is get()'s miss signal; storing it would make the entry
             # look permanently missing and silently recompute on every read.
             raise ValueError("refusing to cache None (indistinguishable from a miss)")
-        return self.backend.put_blob(key, serializer, self._encode(value, serializer))
+        with obs_tracing.span("cache.put", kind="cache.put"):
+            return self.backend.put_blob(key, serializer, self._encode(value, serializer))
 
     # -- single-flight -------------------------------------------------------------
 

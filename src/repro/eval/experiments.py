@@ -29,7 +29,6 @@ from repro.eval import taskgraph
 from repro.eval.cache import ArtifactCache
 from repro.eval.harness import EvaluationHarness
 from repro.eval.taskgraph import TaskGraph, aggregate_task
-from repro.eval.trace import TraceRecorder
 from repro.explore.evaluate import explore_task_id
 from repro.explore.frontier import Frontier, scalar_cost
 from repro.explore.space import report_space
@@ -794,7 +793,6 @@ def run_report_figures(
     harness: Optional[EvaluationHarness] = None,
     config: Optional[CompilerConfig] = None,
     parallel: Optional[int] = None,
-    trace: Optional["TraceRecorder"] = None,
 ) -> Tuple[Dict[str, Dict], Dict[str, str]]:
     """The full report plus every rendered figure, as one merged task graph.
 
@@ -809,7 +807,7 @@ def run_report_figures(
     graph = TaskGraph()
     artefact_ids = declare_report(graph, harness)
     render_ids = declare_report_renders(graph, harness)
-    results = harness.execute(graph, parallel=parallel, trace=trace)
+    results = harness.execute(graph, parallel=parallel)
     artefacts = {artefact: results[task_id] for artefact, task_id in artefact_ids.items()}
     figures = {figure_id: results[task_id] for figure_id, task_id in render_ids.items()}
     return artefacts, figures
@@ -838,17 +836,15 @@ def run_report(
     harness: Optional[EvaluationHarness] = None,
     config: Optional[CompilerConfig] = None,
     parallel: Optional[int] = None,
-    trace: Optional["TraceRecorder"] = None,
 ) -> Dict[str, Dict]:
     """Every table, figure and the §6.7 summary, computed as one task graph.
 
     With ``parallel=N`` all compile nodes and every (workload, sweep-point)
     node across all artefacts schedule as independent jobs, and the output
-    is byte-identical to the serial run.  *trace* collects
-    the per-task spans behind ``repro report --trace``.
+    is byte-identical to the serial run.
     """
     harness = _harness(harness, config)
     graph = TaskGraph()
     mapping = declare_report(graph, harness)
-    results = harness.execute(graph, parallel=parallel, trace=trace)
+    results = harness.execute(graph, parallel=parallel)
     return {artefact: results[task_id] for artefact, task_id in mapping.items()}

@@ -32,7 +32,6 @@ from repro.config import CompilerConfig, RuntimeConfig
 from repro.eval import taskgraph
 from repro.eval.cache import ArtifactCache, compile_key, derived_key
 from repro.eval.taskgraph import TaskGraph, TaskScheduler
-from repro.eval.trace import TraceRecorder
 from repro.obs import tracing as obs_tracing
 from repro.results import CompilationResult
 from repro.workloads import all_workloads, get_workload
@@ -215,12 +214,7 @@ class EvaluationHarness:
 
     # -- graph execution ---------------------------------------------------------------
 
-    def execute(
-        self,
-        graph: TaskGraph,
-        parallel: Optional[int] = None,
-        trace: Optional[TraceRecorder] = None,
-    ) -> Dict[str, Any]:
+    def execute(self, graph: TaskGraph, parallel: Optional[int] = None) -> Dict[str, Any]:
         """Run every task of *graph*; returns ``{task_id: value}``.
 
         The harness's in-memory layers seed the scheduler (already-compiled
@@ -229,7 +223,7 @@ class EvaluationHarness:
         functional-output check each compile artifact must pass before any
         experiment may use it.  With ``parallel=N`` (N > 1) cold worker tasks
         fan out over a process pool, with results identical to the serial
-        path.  *trace* collects per-task execution spans for ``--trace``.
+        path.
         """
         seeds: Dict[str, Any] = {}
         for task in graph:
@@ -237,7 +231,7 @@ class EvaluationHarness:
                 seeds[task.task_id] = self._runs[task.workload].result
             elif task.key is not None and task.key in self._derived:
                 seeds[task.task_id] = self._derived[task.key]
-        scheduler = TaskScheduler(graph, cache=self.cache, jobs=parallel, seeds=seeds, trace=trace)
+        scheduler = TaskScheduler(graph, cache=self.cache, jobs=parallel, seeds=seeds)
         with obs_tracing.span(
             "harness.execute", kind="harness", tasks=len(graph), parallel=parallel or 1
         ):

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import importlib
 import os
-import time
 from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass
@@ -47,7 +46,6 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Seque
 from repro.config import CompilerConfig, RuntimeConfig
 from repro.errors import TaskGraphCycleError, TaskGraphError
 from repro.eval.cache import ArtifactCache, derived_key, render_key
-from repro.eval.trace import TraceRecorder
 from repro.obs import tracing as obs_tracing
 from repro.results import CompilationResult
 from repro.workloads import get_workload
@@ -315,8 +313,7 @@ def _execute_in_worker(
     envelope dict: compile artifacts come back with ``in_cache=True`` (the
     parent re-reads them from the cache, decoding only their summary,
     instead of paying a multi-megabyte pipe serialisation) while small JSON
-    values ride in ``value`` directly; ``pid``/``start``/``end`` feed the
-    ``--trace`` timeline.
+    values ride in ``value`` directly.
 
     *trace_ctx* carries the parent's span context (plus task id/kind) across
     the process boundary: thread-local trace state does not survive a fork,
@@ -325,7 +322,6 @@ def _execute_in_worker(
     """
     from repro.obs import profile as obs_profile
 
-    start = time.time()
     # Pool children inherit $REPRO_PROFILE: start this child's sampler on
     # its first task (idempotent, one dict lookup afterwards) and count the
     # execution exactly — the deterministic complement to the samples.
@@ -346,13 +342,7 @@ def _execute_in_worker(
                     value, in_cache = None, True
             else:
                 value = fn(*args)
-    return {
-        "value": value,
-        "in_cache": in_cache,
-        "pid": os.getpid(),
-        "start": start,
-        "end": time.time(),
-    }
+    return {"value": value, "in_cache": in_cache}
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +470,11 @@ class TaskOutcome:
 
     ``in_cache=True`` means the worker published the (compile) value through
     the shared cache instead of shipping it back; the scheduler re-reads it.
-    ``worker``/``start``/``end`` feed the ``--trace`` utilisation timeline.
     """
 
     task: Task
     value: Any = None
     in_cache: bool = False
-    worker: str = "pool"
-    start: float = 0.0
-    end: float = 0.0
 
 
 class LocalProcessExecutor:
@@ -545,14 +531,7 @@ class LocalProcessExecutor:
             task = self._futures.pop(future)
             envelope = future.result()  # re-raises worker exceptions
             outcomes.append(
-                TaskOutcome(
-                    task=task,
-                    value=envelope["value"],
-                    in_cache=envelope["in_cache"],
-                    worker=f"pid:{envelope['pid']}",
-                    start=envelope["start"],
-                    end=envelope["end"],
-                )
+                TaskOutcome(task=task, value=envelope["value"], in_cache=envelope["in_cache"])
             )
         return outcomes
 
@@ -598,8 +577,7 @@ class TaskScheduler:
     Keyed tasks are memoised through *cache* (parent-side pre-check, then
     worker-side ``get_or_compute`` under the per-key lock).  *seeds* maps
     task ids to already-known values (the harness's in-memory layer), which
-    count as completed without running anything.  *trace* is an optional
-    :class:`repro.eval.trace.TraceRecorder` collecting per-task spans.
+    count as completed without running anything.
 
     A :class:`KeyboardInterrupt` shuts down gracefully: the pool is closed
     in interrupt mode (its processes terminated) and the per-key lock files of in-flight tasks are removed, so
@@ -612,13 +590,11 @@ class TaskScheduler:
         cache: Optional[ArtifactCache] = None,
         jobs: Optional[int] = None,
         seeds: Optional[Mapping[str, Any]] = None,
-        trace: Optional[TraceRecorder] = None,
     ):
         self.graph = graph
         self.cache = cache
         self.jobs = jobs
         self.seeds = dict(seeds or {})
-        self.trace = trace
         #: Execution statistics of the last :meth:`run` — how each task was
         #: satisfied.  Purely observational (the HTML report's "cache hit
         #: stats" and the warm-run re-render assertions read it); only
@@ -684,10 +660,6 @@ class TaskScheduler:
             # workers) reuse the in-memory artifact instead of re-reading it.
             seed_sweep_input(task.key, value)
 
-    def _trace_span(self, task: Task, worker: str, start: float, end: float) -> None:
-        if self.trace is not None:
-            self.trace.record(task.task_id, task.kind, worker, start, end)
-
     def _obs_mark(self, task: Task, **attrs: Any) -> None:
         """Record a zero-duration span for a node satisfied without running
         (seed / parent-side cache hit / parked twin), so a trace covers every
@@ -717,7 +689,6 @@ class TaskScheduler:
                 self._obs_mark(task, cache_hit=True)
                 self._record(task, hit, results)
                 continue
-            start = time.time()
             try:
                 with obs_tracing.span(
                     f"task:{task.task_id}", kind=task.kind, worker="parent", cache_hit=False
@@ -727,7 +698,6 @@ class TaskScheduler:
                 self._sweep_locks([task])
                 raise
             self._count_executed(task)
-            self._trace_span(task, "parent", start, time.time())
             self._record(task, value, results)
         return results
 
@@ -765,13 +735,11 @@ class TaskScheduler:
                     complete(twin, value)
 
         def run_inline(task: Task) -> None:
-            start = time.time()
             with obs_tracing.span(
                 f"task:{task.task_id}", kind=task.kind, worker="parent", cache_hit=False
             ):
                 value = self._run_task_inline(task, results)
             self._count_executed(task)
-            self._trace_span(task, "parent", start, time.time())
             complete(task, value)
 
         current: Optional[Task] = None
@@ -787,13 +755,11 @@ class TaskScheduler:
                             complete(task, self.seeds[task.task_id])
                             continue
                         if not task.runs_in_worker():
-                            start = time.time()
                             with obs_tracing.span(
                                 f"task:{task.task_id}", kind=task.kind, worker="parent"
                             ):
                                 value = task.fn(results, *task.args)
                             self._count_executed(task)
-                            self._trace_span(task, "parent", start, time.time())
                             complete(task, value)
                             continue
                         hit = self._cached_or_none(task)
@@ -827,7 +793,6 @@ class TaskScheduler:
                                 value = self._cached_or_none(task)
                                 if value is None:  # pruned/corrupted between write and read
                                     value = self._run_task_inline(task, results)
-                            self._trace_span(task, outcome.worker, outcome.start, outcome.end)
                             complete_with_twins(task, value)
             except KeyboardInterrupt:
                 pool.close(interrupt=True)

@@ -5,7 +5,8 @@ byte-identity invariant — serial vs ``-j N`` vs warm vs traced report all
 identical — is the design constraint, enforced by tests/test_obs.py):
 
 * :mod:`repro.obs.tracing` — span-based structured tracing.  Every executed
-  task-graph node, cache lookup, harness run and explore generation opens a
+  task-graph node, cache lookup and write, pipeline stage (through
+  :func:`repro.perf.stage`), harness run and explore generation opens a
   span (trace id / span id / parent id, wall-clock start + monotonic
   duration, task-kind and cache-hit attributes).  Context propagates into
   pool workers with each task, so one ``-j N`` report run yields one
@@ -15,7 +16,8 @@ identical — is the design constraint, enforced by tests/test_obs.py):
   :mod:`repro.obs.analyze` (trace summary / critical path) and
   :mod:`repro.obs.history` (the run ledger + regression gate) are the
   post-hoc side, and :mod:`repro.obs.render` supplies the text tree /
-  per-worker Gantt views behind ``repro trace``.
+  per-worker Gantt views and the Chrome Trace Event export behind
+  ``repro trace``.
 
 docs/OBSERVABILITY.md is the user-facing guide.
 """

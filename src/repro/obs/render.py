@@ -1,4 +1,4 @@
-"""Text renderers for JSONL trace files: span tree and per-worker Gantt.
+"""Renderers for JSONL trace files: span tree, per-worker Gantt, Chrome JSON.
 
 ``repro trace RUN.jsonl`` loads the span records a traced run streamed to
 ``$REPRO_TRACE`` (possibly appended by several processes — the CLI and its
@@ -13,6 +13,9 @@ pool children) and reassembles them:
 * :func:`render_gantt` — ``--gantt``: one lane per service/worker, spans
   drawn as bars over a shared time axis, for eyeballing parallelism and
   stragglers across a ``-j N`` run.
+* :func:`render_chrome` — ``--chrome OUT.json``: the same lanes as a Chrome
+  Trace Event document (one ``tid`` per worker, named by ``thread_name``
+  metadata) for ``chrome://tracing`` or Perfetto.
 
 Pure functions over plain dicts — the loader tolerates and skips malformed
 lines so a trace truncated by a crash still renders.
@@ -163,3 +166,37 @@ def render_gantt(spans: List[Span], trace_id: Optional[str] = None) -> str:
     if not blocks:
         return "no spans"
     return "\n\n".join(blocks)
+
+
+def render_chrome(spans: List[Span], trace_id: Optional[str] = None) -> Dict[str, Any]:
+    """*spans* (optionally one trace) as a Chrome Trace Event document.
+
+    Each span becomes one complete (``"ph": "X"``) event in microseconds;
+    lanes get integer ``tid`` values in sorted order, each named by a
+    ``thread_name`` metadata event, so the viewer shows one row per worker.
+    """
+    if trace_id is not None:
+        spans = [span for span in spans if str(span.get("trace_id")) == trace_id]
+    tids = {lane: tid for tid, lane in enumerate(sorted({_span_lane(s) for s in spans}))}
+    events: List[Dict[str, Any]] = [
+        {"name": "process_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "repro"}}
+    ]
+    events += [
+        {"name": "thread_name", "ph": "M", "pid": 1, "tid": tid, "args": {"name": lane}}
+        for lane, tid in tids.items()
+    ]
+    timed = sorted(spans, key=lambda s: (float(s.get("start", 0.0)), str(s.get("span_id"))))
+    events += [
+        {
+            "name": str(span.get("name", "?")),
+            "cat": str(span.get("kind", "span")),
+            "ph": "X",
+            "pid": 1,
+            "tid": tids[_span_lane(span)],
+            "ts": int(float(span.get("start", 0.0)) * 1_000_000),
+            "dur": int(_duration(span) * 1_000_000),
+            "args": {"trace_id": span.get("trace_id"), **(span.get("attrs") or {})},
+        }
+        for span in timed
+    ]
+    return {"traceEvents": events, "displayTimeUnit": "ms"}

@@ -21,6 +21,8 @@ Context lives in a per-thread stack: :func:`span` opens a child of the
 innermost active span (or starts a new trace), and :func:`activate` adopts
 a ``(trace_id, parent_id)`` pair that arrived from another process — the
 :func:`wire_context` a pool task carries from the scheduler to its worker.
+A span opened without a ``worker`` inherits the enclosing span's, so the
+cache and stage spans under a pool worker's task span share its lane.
 """
 
 from __future__ import annotations
@@ -229,7 +231,8 @@ def shutdown() -> None:
 
 class _Context(threading.local):
     def __init__(self) -> None:
-        self.stack: List[Tuple[str, Optional[str]]] = []
+        #: ``(trace_id, span_id, worker)`` of each open span, innermost last.
+        self.stack: List[Tuple[str, Optional[str], Optional[str]]] = []
 
 
 _context = _Context()
@@ -297,7 +300,7 @@ def reset() -> None:
 def current() -> Optional[Tuple[str, Optional[str]]]:
     """The innermost ``(trace_id, span_id)`` on this thread, if any."""
     stack = _context.stack
-    return stack[-1] if stack else None
+    return stack[-1][:2] if stack else None
 
 
 def wire_context() -> Optional[Dict[str, Optional[str]]]:
@@ -319,7 +322,7 @@ def activate(trace_id: Optional[str], parent_id: Optional[str] = None) -> Iterat
         yield
         return
     stack = _context.stack
-    stack.append((str(trace_id), parent_id))
+    stack.append((str(trace_id), parent_id, None))
     try:
         yield
     finally:
@@ -336,21 +339,24 @@ def span(
     """Open one span for the block; free (one ``None`` check) when off.
 
     The yielded object exposes ``trace_id`` / ``span_id`` and ``set(key,
-    value)`` for late attributes (e.g. ``cache_hit`` once known).  The span
-    is recorded when the block exits, with an ``error`` attribute when it
-    exits by exception (which still propagates)."""
+    value)`` for late attributes (e.g. ``cache_hit`` once known).  Without a
+    *worker* the span takes the enclosing span's.  The span is recorded
+    when the block exits, with an ``error`` attribute when it exits by
+    exception (which still propagates)."""
     active = tracer()
     if active is None:
         yield NULL_SPAN
         return
-    parent = current()
-    trace_id = parent[0] if parent else new_trace_id()
-    parent_id = parent[1] if parent else None
+    stack = _context.stack
+    if stack:
+        trace_id, parent_id, inherited = stack[-1]
+        worker = worker or inherited
+    else:
+        trace_id, parent_id = new_trace_id(), None
     global _last_trace_id
     _last_trace_id = trace_id
     live = _LiveSpan(trace_id, new_span_id(), parent_id, name, kind, worker, dict(attrs))
-    stack = _context.stack
-    stack.append((trace_id, live.span_id))
+    stack.append((trace_id, live.span_id, worker))
     start_wall = time.time()
     start_mono = time.perf_counter()
     token = _register_live(live, start_wall, start_mono)

@@ -1,17 +1,21 @@
-"""Lightweight wall-clock stage timers for the compiler/simulator hot paths.
+"""Wall-clock stage timers and stage spans for the compiler/simulator hot paths.
 
 The pipeline's coarse stages (``lex``, ``parse``, ``lower``, ``ssa``,
-``dswp``, ``hls``, ``interp``, ``replay``) are wrapped in :func:`stage`
-context managers at their call sites.  Timing is off by default and costs
-one ``None`` check per stage entry; inside a :func:`collect` block every
+``dswp``, ``hls``, ``interp``, ``replay``, ``ingest``, ``explore``) are
+wrapped in :func:`stage` context managers at their call sites, the one
+instrumentation point of a stage.  Inside a :func:`collect` block every
 stage accumulates wall-clock seconds and a call count into the active
-:class:`StageTimings`.
+:class:`StageTimings`; with ``$REPRO_TRACE`` set every stage also opens a
+:func:`repro.obs.tracing.span` of kind ``stage:<name>``, nested under the
+task span that runs it (in the parent and in pool workers alike).  With
+neither on, a stage entry costs two ``None`` checks.
 
 Timers observe but never influence the pipeline: they read the monotonic
-clock around a stage and touch no simulation state, so collected runs stay
-byte-identical to uncollected ones.  ``repro profile`` and the report's
-run-metadata section are the two consumers; ``tools/bench_hotpath.py``
-uses the same collector for the before/after stage tables.
+clock around a stage and touch no simulation state, so collected and traced
+runs stay byte-identical to plain ones.  ``repro profile``, the run history
+and the report's run-metadata section read the timings;
+``tools/bench_hotpath.py`` uses the same collector for the before/after
+stage tables, and ``repro trace`` renders the spans.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
+
+from repro.obs import tracing as obs_tracing
 
 #: Canonical stage names, in pipeline order (used for stable table output).
 #: ``ingest`` covers raw-C workload ingestion (repro.ingest.evaluate) and
@@ -93,15 +99,20 @@ def collect() -> Iterator[StageTimings]:
 
 @contextmanager
 def stage(name: str) -> Iterator[None]:
-    """Time one stage execution; free (one ``None`` check) when not collecting."""
+    """Time one stage execution and open its span; free when neither
+    collecting nor tracing."""
     recorder = _active
-    if recorder is None:
+    if recorder is None and obs_tracing.tracer() is None:
         yield
         return
-    recorder.open_stages += 1
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        recorder.open_stages -= 1
-        recorder.add(name, time.perf_counter() - start, outermost=recorder.open_stages == 0)
+    with obs_tracing.span(name, kind=f"stage:{name}"):
+        if recorder is None:
+            yield
+            return
+        recorder.open_stages += 1
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            recorder.open_stages -= 1
+            recorder.add(name, time.perf_counter() - start, outermost=recorder.open_stages == 0)

@@ -1,25 +1,20 @@
 """Twill runtime-architecture models (thesis Chapter 4).
 
-These classes model the timing and occupancy behaviour of the runtime
-primitives that the generated threads communicate through: the message bus
-and its arbiter, the hardware FIFO queues, the counting semaphores, the
-round-robin hardware scheduler and the processor stream interface.  The
-hybrid timing simulator (``repro.sim``) instantiates them with the
-parameters from :class:`repro.config.RuntimeConfig`.
+Event-at-a-time timing models of two runtime primitives the generated
+threads communicate through: the hardware FIFO queues
+(:class:`TimedQueue`) and the message bus with its arbiter
+(:class:`MessageBus`).  The hybrid timing simulator (``repro.sim.timing``)
+does not instantiate them: its replay inlines the same queue and bus
+arithmetic over flat arrays.  The classes are the readable statement of
+that arithmetic, and the reference replay in ``tests/replay_oracle.py``
+runs on them to hold the fast replay equal to it.
 """
 
 from repro.runtime.queue import TimedQueue
-from repro.runtime.semaphore import TimedSemaphore
 from repro.runtime.bus import MessageBus, BusStatistics
-from repro.runtime.scheduler import RoundRobinScheduler
-from repro.runtime.interface import ProcessorInterface, HWThreadInterface
 
 __all__ = [
     "TimedQueue",
-    "TimedSemaphore",
     "MessageBus",
     "BusStatistics",
-    "RoundRobinScheduler",
-    "ProcessorInterface",
-    "HWThreadInterface",
 ]

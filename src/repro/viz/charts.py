@@ -45,7 +45,7 @@ class ScatterPoint:
 
 @dataclass(frozen=True)
 class Span:
-    """One executed task on the timeline: a half-open interval on a lane."""
+    """One span on the timeline: a half-open interval on a lane."""
 
     name: str
     kind: str
@@ -54,7 +54,8 @@ class Span:
     end: float
 
 
-#: Task kind → palette slot for the execution timeline.
+#: Task kind → palette slot for the execution timeline; every other kind
+#: (harness, scheduler, cache, stage spans) shares slot 7, labelled "other".
 TIMELINE_KIND_SLOTS: Dict[str, int] = {
     "compile": 0,
     "runtime": 1,
@@ -472,9 +473,9 @@ def timeline_chart(
     title: str = "Task execution timeline",
     width: int = 900,
 ) -> str:
-    """Per-worker execution timeline (one lane per worker, bars per task).
+    """Per-worker execution timeline (one lane per worker, bars per span).
 
-    Built from ``--trace`` spans, so — unlike every other chart — its
+    Built from ``$REPRO_TRACE`` spans, so — unlike every other chart — its
     contents depend on wall-clock measurements and the chart is only
     embedded when a trace was explicitly captured.
     """
@@ -490,7 +491,10 @@ def timeline_chart(
     root = svg_root(width, height, theme.stylesheet(), title)
     root.elem("rect", {"class": "vz-surface", "x": 0, "y": 0, "width": width, "height": height})
     root.elem("text", {"class": "vz-title", "x": 14, "y": 20}, text=title)
-    kinds = sorted({span.kind for span in spans}, key=lambda k: TIMELINE_KIND_SLOTS.get(k, 7))
+    kinds = sorted(
+        {span.kind if span.kind in TIMELINE_KIND_SLOTS else "other" for span in spans},
+        key=lambda k: TIMELINE_KIND_SLOTS.get(k, 7),
+    )
     x = 14.0
     for kind in kinds:
         slot = TIMELINE_KIND_SLOTS.get(kind, 7)

@@ -13,12 +13,11 @@ the viewer's system stack.  The document carries:
 * Tables 6.1 and 6.2 plus the summary as real HTML tables;
 * run metadata — configuration hash, benchmark set, and the scheduler's
   cache-hit statistics (a warm run shows zero executed render tasks);
-* optionally, when a ``--trace`` was captured, the per-worker execution
-  timeline;
 * optionally, when the run was observed (``$REPRO_TRACE`` /
-  ``$REPRO_PROFILE`` / ``$REPRO_HISTORY``), a trace-analytics card
-  (per-kind statistics + critical path + scheduler overhead), a sampled
-  CPU-profile flamegraph, and run-history trend charts;
+  ``$REPRO_PROFILE`` / ``$REPRO_HISTORY``), the per-worker span timeline,
+  a trace-analytics card (per-kind statistics + critical path + scheduler
+  overhead), a sampled CPU-profile flamegraph, and run-history trend
+  charts;
 * the raw artefact data as an embedded JSON island (``<script
   type="application/json">`` — data, never executed), so scripted
   consumers parse the numbers without scraping table markup;
@@ -393,7 +392,6 @@ def build_report_html(
     artefacts: Dict[str, Dict],
     figures: Dict[str, str],
     metadata: Dict[str, Any],
-    trace_spans: Optional[Sequence[Span]] = None,
     obs_spans: Optional[Sequence[Span]] = None,
     analytics: Optional[Dict[str, Any]] = None,
     profile: Optional[Dict[str, Any]] = None,
@@ -491,23 +489,13 @@ def build_report_html(
             parts.append(html_table(rows))
         parts.append("</section>")
 
-    if trace_spans:
-        parts.append('<section class="card" id="timeline">')
-        parts.append("<h2>Execution timeline</h2>")
-        parts.append(
-            '<p class="caption">Per-worker task execution recorded by '
-            "<code>--trace</code>; gaps are genuine idle time.</p>"
-        )
-        parts.append(timeline_chart(list(trace_spans)).rstrip("\n"))
-        parts.append("</section>")
-
     if obs_spans:
         parts.append('<section class="card" id="obs-timeline">')
         parts.append("<h2>Telemetry span timeline</h2>")
         parts.append(
             '<p class="caption">Structured spans recorded by '
             "<code>$REPRO_TRACE</code> (see docs/OBSERVABILITY.md); one lane "
-            "per worker or service, scheduler and harness spans included.</p>"
+            "per worker or service, with harness, scheduler, cache and stage spans.</p>"
         )
         parts.append(timeline_chart(list(obs_spans)).rstrip("\n"))
         parts.append("</section>")

@@ -194,21 +194,6 @@ def test_jobs_alias_for_parallel(tmp_path, capsys):
     assert "Table 6.1" in out
 
 
-def test_report_trace_writes_chrome_tracing_json(tmp_path, capsys):
-    trace_path = tmp_path / "trace.json"
-    code, out, _ = run_cli(
-        ["report", "--benchmarks", "blowfish", "--trace", str(trace_path)], tmp_path, capsys
-    )
-    assert code == 0
-    document = json.loads(trace_path.read_text())
-    names = [e["name"] for e in document["traceEvents"] if e.get("ph") == "X"]
-    assert "compile:blowfish" in names
-    assert "summary:6.7" in names  # aggregates are traced too
-    assert any("sweep:" in n for n in names)
-    # Stdout stayed pure report output (trace status goes to stderr).
-    assert "Table 6.1" in out and "trace" not in out
-
-
 @pytest.mark.parametrize("url", ["http://h:1", "https://cache.example/store"])
 def test_cache_dir_rejects_a_url(tmp_path, capsys, monkeypatch, url):
     """The cache takes a directory: a URL must not become a directory 'http:'."""
@@ -326,6 +311,17 @@ def test_parser_covers_all_documented_subcommands():
     subcommands = set(actions[0].choices)
     assert {"list", "run", "sweep", "table", "figure", "report", "graph", "cache",
             "explore"} <= subcommands
+
+
+def test_chrome_export_moved_from_report_to_trace(capsys):
+    """The chrome://tracing document comes from the span file
+    (``repro trace SPANS.jsonl --chrome OUT.json``), not from ``report``."""
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--trace", "t.json"])
+    assert exc.value.code == 2
+    assert "--trace" in capsys.readouterr().err
+    args = build_parser().parse_args(["trace", "spans.jsonl", "--chrome", "out.json"])
+    assert args.chrome == "out.json"
 
 
 def test_cli_and_report_artefact_registries_stay_in_sync():

@@ -110,9 +110,17 @@ def test_observability_doc_covers_the_surface():
         TRACE_ENV,
         "repro trace",
         "--gantt",
+        "--chrome",
+        "`stage:<name>`",
+        "`cache.put`",
         "byte-identical",
     ):
         assert needle in doc, f"OBSERVABILITY.md does not mention {needle!r}"
+    # The chrome://tracing document is exported from the span file now.
+    for path in (("README.md",), ("docs", "REPORTING.md"), ("docs", "ARCHITECTURE.md")):
+        text = _read(*path)
+        assert "--chrome" in text, f"{path[-1]} does not mention repro trace --chrome"
+        assert "report --trace" not in text, f"{path[-1]} still documents report --trace"
     # The cross-reference web: each sibling doc points at the telemetry doc.
     for sibling in ("ARCHITECTURE.md",):
         assert "OBSERVABILITY.md" in _read("docs", sibling), f"{sibling} does not link OBSERVABILITY.md"

@@ -6,10 +6,13 @@ Three layers, cheapest first:
   cross-process context adoption, JSONL sink, off-by-default);
 * scheduler integration: a traced serial run covers every task-graph node
   (executed, cache-hit and seeded alike) with valid parent links, a traced
-  run returns exactly what an untraced run returns, and a ``jobs=2`` pool
-  run yields one coherent trace across the process hop;
-* CLI: ``repro trace`` renders tree and Gantt views, a traced ``repro
-  ingest`` is byte-identical to an untraced one, and a URL in
+  run returns exactly what an untraced run returns, stage and
+  ``cache.put`` spans nest under their task span serially and in a pool
+  worker's lane, an untraced run opens no span, and a ``jobs=2`` pool run
+  yields one coherent trace across the process hop;
+* CLI: ``repro trace`` renders tree and Gantt views and exports Chrome
+  Trace Event JSON, a traced ``repro ingest`` is byte-identical to an
+  untraced one, and a URL in
   ``$REPRO_TRACE`` leaves tracing off with one stderr line (the full-report byte-identity runs in
   ``tools/obs_smoke.py`` / the ``obs-smoke`` CI job).
 """
@@ -138,6 +141,13 @@ def _fake_fn(base):
     return {"value": base * 2}
 
 
+def _staged_fn(base):
+    from repro import perf
+
+    with perf.stage("replay"):
+        return {"value": base * 2}
+
+
 def _make_graph():
     graph = TaskGraph()
     graph.add(Task(task_id="sweep:a", kind="runtime", fn=_fake_fn, args=(1,),
@@ -188,10 +198,11 @@ def test_untraced_run_equals_traced_run(tmp_path):
 
 
 def test_pool_round_trip_yields_one_coherent_trace(traced, tmp_path):
-    """A task run in a pool worker re-parents under the scheduler's span."""
+    """A task run in a pool worker re-parents under the scheduler's span,
+    and the spans it opens inside draw in that worker's lane."""
     tracer, sink = traced
     graph = TaskGraph()
-    graph.add(Task(task_id="sweep:pooled", kind="runtime", fn=_fake_fn,
+    graph.add(Task(task_id="sweep:pooled", kind="runtime", fn=_staged_fn,
                    args=(7,), key="d" * 64, serializer="json"))
     results = TaskScheduler(graph, cache=ArtifactCache(tmp_path / "cache"), jobs=2).run()
     assert results["sweep:pooled"] == {"value": 14}
@@ -204,6 +215,58 @@ def test_pool_round_trip_yields_one_coherent_trace(traced, tmp_path):
     assert task_span["parent_id"] == scheduler_span["span_id"]
     assert task_span["worker"].startswith("pid:")
     assert task_span["worker"] != f"pid:{os.getpid()}"
+    inner = [r for r in spans if r["kind"] in ("cache", "cache.put", "stage:replay")]
+    assert sorted(r["kind"] for r in inner) == ["cache", "cache.put", "stage:replay"]
+    assert {r["worker"] for r in inner} == {task_span["worker"]}
+    assert scheduler_span["worker"] is None  # the parent's own spans keep its lane
+
+
+def _ancestors(record, by_id):
+    names = []
+    while record["parent_id"] is not None:
+        record = by_id[record["parent_id"]]
+        names.append(record["name"])
+    return names
+
+
+@pytest.mark.parametrize("jobs", [None, 2], ids=["serial", "pool"])
+def test_stage_spans_nest_under_their_task_span(traced, tmp_path, jobs):
+    tracer, sink = traced
+    graph = TaskGraph()
+    graph.add(Task(task_id="sweep:staged", kind="runtime", fn=_staged_fn,
+                   args=(3,), key="e" * 64, serializer="json"))
+    with obs_tracing.span("harness.execute", kind="harness"):
+        TaskScheduler(graph, cache=ArtifactCache(tmp_path / "cache"), jobs=jobs).run()
+
+    spans = load_spans(sink)
+    assert len({record["trace_id"] for record in spans}) == 1
+    by_id = {record["span_id"]: record for record in spans}
+    stage = next(r for r in spans if r["kind"] == "stage:replay")
+    assert stage["name"] == "replay"
+    assert _ancestors(stage, by_id) == [
+        "cache.get_or_compute", "task:sweep:staged", "scheduler.run", "harness.execute",
+    ]
+    put = next(r for r in spans if r["kind"] == "cache.put")
+    assert _ancestors(put, by_id)[:2] == ["cache.get_or_compute", "task:sweep:staged"]
+    task = next(r for r in spans if r["name"] == "task:sweep:staged")
+    assert stage["worker"] == put["worker"] == task["worker"]
+    assert task["start"] <= stage["start"] <= stage["end"] <= task["end"]
+
+
+def test_untraced_run_opens_no_span(untraced, monkeypatch, tmp_path):
+    from repro import perf
+
+    monkeypatch.delenv(obs_tracing.TRACE_ENV, raising=False)
+    obs_tracing.reset()
+    graph = TaskGraph()
+    graph.add(Task(task_id="sweep:staged", kind="runtime", fn=_staged_fn,
+                   args=(3,), key="e" * 64, serializer="json"))
+    with perf.collect() as timings:
+        results = TaskScheduler(graph, cache=ArtifactCache(tmp_path / "cache")).run()
+    assert results["sweep:staged"] == {"value": 6}
+    assert timings.calls == {"replay": 1}  # the stage timer still runs
+    assert obs_tracing.tracer() is None
+    assert obs_tracing.last_trace_id() is None  # set by every span opened
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +342,41 @@ def test_repro_trace_renders_orphans_and_multiple_traces(tmp_path, capsys):
     assert main(["trace", str(trace_file), "--trace-id", "e" * 32]) == 0
     only, _ = capsys.readouterr()
     assert f"trace {'e' * 32}" in only and f"trace {'f' * 32}" not in only
+
+
+def test_repro_trace_chrome_export_round_trip(tmp_path, capsys):
+    other = _span("task:sweep:z", "0c", None, 0.5, 0.75, worker="pid:2")
+    other["trace_id"] = "e" * 32
+    records = [
+        _span("scheduler.run", "0a", None, 0.0, 2.0),
+        _span("task:sweep:x", "02", "0a", 0.1, 1.0, worker="pid:1"),
+        _span("task:sweep:y", "03", "0a", 1.0, 1.5, worker="parent", cache_hit=True),
+        other,
+    ]
+    trace_file = tmp_path / "trace.jsonl"
+    trace_file.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+
+    out = tmp_path / "chrome.json"
+    assert main(["trace", str(trace_file), "--chrome", str(out)]) == 0
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and str(out) in err
+    document = json.loads(out.read_text())
+    events = document["traceEvents"]
+    complete = [e for e in events if e["ph"] == "X"]
+    assert [e["name"] for e in complete] == [
+        "scheduler.run", "task:sweep:x", "task:sweep:z", "task:sweep:y",
+    ]
+    assert all(isinstance(e["ts"], int) and e["dur"] >= 0 for e in complete)
+    assert complete[1]["ts"] == 100_000 and complete[1]["dur"] == 900_000
+    lanes = {e["args"]["name"]: e["tid"] for e in events if e["name"] == "thread_name"}
+    assert sorted(lanes) == ["cli", "parent", "pid:1", "pid:2"]
+    assert len(set(lanes.values())) == 4  # one tid per worker
+    assert {lanes["pid:1"]} == {e["tid"] for e in complete if e["name"] == "task:sweep:x"}
+
+    assert main(["trace", str(trace_file), "--trace-id", "e" * 32, "--chrome", str(out)]) == 0
+    only = json.loads(out.read_text())["traceEvents"]
+    assert [e["name"] for e in only if e["ph"] == "X"] == ["task:sweep:z"]
+    assert [e["args"]["name"] for e in only if e["name"] == "thread_name"] == ["pid:2"]
 
 
 def test_interrupted_run_still_leaves_a_valid_trace(tmp_path):

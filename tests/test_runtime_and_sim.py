@@ -8,9 +8,7 @@ from repro.core.compiler import TwillCompiler
 from repro.dswp import run_dswp
 from repro.frontend import compile_c
 from repro.interp import Profile, run_module
-from repro.runtime import MessageBus, RoundRobinScheduler, TimedQueue, TimedSemaphore
-from repro.runtime.interface import HWThreadInterface, ProcessorInterface
-from repro.ir import Opcode
+from repro.runtime import MessageBus, TimedQueue
 from repro.sim import ExecutionDomain, HybridSystem, ThreadAssignment, TimingSimulator
 from repro.transforms import GlobalsToArguments, default_pipeline
 from tests.conftest import PIPELINE_PROGRAM
@@ -73,17 +71,6 @@ class TestTimedQueue:
 
 
 class TestSemaphoreBusScheduler:
-    def test_semaphore_blocks_until_raise(self):
-        sem = TimedSemaphore(0, initial=0)
-        release = sem.raise_(100.0)
-        done = sem.lower(0.0)
-        assert done >= release
-
-    def test_semaphore_costs(self):
-        sem = TimedSemaphore(0, initial=1)
-        assert sem.lower(0.0) == 2.0     # lower = 2 cycles minimum
-        assert sem.raise_(10.0) == 11.0  # raise = 1 cycle
-
     def test_bus_serialises_contention(self):
         bus = MessageBus(latency=1)
         first = bus.request(5.0)
@@ -96,23 +83,6 @@ class TestSemaphoreBusScheduler:
         bus.request(3.0)
         done = bus.request(3.0, processor=True)
         assert done == 4.0
-
-    def test_round_robin_scheduler_charges_one_switch(self):
-        sched = RoundRobinScheduler(switch_cost=60)
-        assert sched.activate(1, 0.0) == 0.0          # first activation is free
-        assert sched.activate(1, 10.0) == 0.0         # same thread: no switch
-        assert sched.activate(2, 20.0) == 60.0        # real switch
-        assert sched.switch_count == 1
-
-    def test_interface_costs(self):
-        config = RuntimeConfig()
-        cpu = ProcessorInterface(config)
-        hw = HWThreadInterface(config)
-        assert cpu.operation_cycles(Opcode.PRODUCE) == 5
-        assert cpu.worst_case_latency() == 5
-        assert hw.operation_cycles(Opcode.CONSUME) == 2
-        assert hw.operation_cycles(Opcode.LOAD) == 2
-        assert hw.memory_visibility_delay() == 2
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +205,13 @@ class TestHybridSystemAndCompiler:
         cfg.partition.sw_fraction = 2.0
         with pytest.raises(ConfigError):
             cfg.validate()
+        # The runtime costs the replay reads: five cycles per processor-side
+        # runtime operation (§4.5), two-cycle reads, one-cycle writes and a
+        # two-cycle cross-domain visibility delay (§4.1).
+        runtime = RuntimeConfig()
+        assert runtime.processor_op_cycles == 5
+        assert (runtime.memory_read_cycles, runtime.memory_write_cycles) == (2, 1)
+        assert runtime.coherency_delay == 2
 
 
 @pytest.mark.parametrize(

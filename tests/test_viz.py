@@ -236,11 +236,15 @@ def test_report_html_is_self_contained():
 
 def test_report_html_embeds_timeline_only_when_traced():
     figures = {"6.1": render_figure("6.1", _figure_6_1_data())}
-    spans = [Span("compile:a", "compile", "pid:9", 0.0, 1.0)]
-    with_trace = build_report_html({}, figures, {}, trace_spans=spans)
+    spans = [
+        Span("compile:a", "compile", "pid:9", 0.0, 1.0),
+        Span("replay", "stage:replay", "pid:9", 0.5, 0.9),
+    ]
+    with_trace = build_report_html({}, figures, {}, obs_spans=spans)
     without = build_report_html({}, figures, {})
-    assert 'id="timeline"' in with_trace and "pid:9" in with_trace
-    assert 'id="timeline"' not in without
+    assert 'id="obs-timeline"' in with_trace and "pid:9" in with_trace
+    assert ">other<" in with_trace  # stage spans share one legend entry
+    assert 'id="obs-timeline"' not in without
 
 
 def test_series_palette_has_eight_validated_slots():
@@ -349,17 +353,24 @@ def test_cli_report_html_end_to_end(tmp_path, capsys, monkeypatch):
     assert warm_one.count("<svg") == report.count("<svg")
 
 
-def test_cli_report_html_with_trace_embeds_timeline(tmp_path, capsys):
-    trace_path = tmp_path / "trace.json"
-    code, _, _ = run_cli(
-        ["report", "--benchmarks", "blowfish", "--html", str(tmp_path / "out"),
-         "--trace", str(trace_path)],
-        tmp_path, capsys,
-    )
+def test_cli_report_html_with_trace_embeds_timeline(tmp_path, capsys, monkeypatch):
+    from repro.obs import tracing as obs_tracing
+
+    trace_path = tmp_path / "trace.jsonl"
+    monkeypatch.setenv(obs_tracing.TRACE_ENV, str(trace_path))
+    obs_tracing.reset()
+    try:
+        code, _, _ = run_cli(
+            ["report", "--benchmarks", "blowfish", "--html", str(tmp_path / "out")],
+            tmp_path, capsys,
+        )
+    finally:
+        monkeypatch.delenv(obs_tracing.TRACE_ENV)
+        obs_tracing.reset()
     assert code == 0
     report = (tmp_path / "out" / "report.html").read_text(encoding="utf-8")
-    assert 'id="timeline"' in report
-    assert json.loads(trace_path.read_text())["traceEvents"]  # trace file still written
+    assert 'id="obs-timeline"' in report and 'id="trace-analytics"' in report
+    assert "stage:replay" in report  # the analytics card names the stage spans
 
 
 def test_report_html_rejects_stdout_format_flags(tmp_path, capsys):

@@ -12,12 +12,17 @@ without, then asserts that:
 * the captured JSONL trace covers >= 95% of the executed task-graph nodes
   with valid parent links, and renders through ``repro trace`` (tree,
   Gantt, ``--summary`` and ``--critical-path`` — the critical path must
-  cover >= 50% of the trace window);
+  cover >= 50% of the trace window); ``repro trace --chrome`` exports it
+  as a loadable Chrome Trace Event document with a lane per pool worker;
 * the sampled profile parses and renders as a flamegraph (``repro profile
   --from``, written to ``--flame-out`` for CI artifacts), and the history
   ledger holds the run's record;
 * ``repro report --html`` under the same telemetry emits the profile /
-  trace-analytics / trends cards.
+  trace-analytics / trends cards;
+* on a cold serial traced ``repro report --json`` of every benchmark, the
+  stage spans and ``cache.put`` hold >= 90% of the ``harness`` span as
+  self time and bare ``cache`` self time stays <= 10%: the trace names the
+  layer that spent the time.
 
 Used by the ``obs-smoke`` CI job; handy manually:
 
@@ -61,6 +66,11 @@ def repro_cmd(*args: str) -> List[str]:
 #: Observed (trace + profile + history) cold runs may cost at most this
 #: much relative to a plain cold run; one retry soaks scheduler noise.
 MAX_OVERHEAD_RATIO = 1.10
+
+#: Least share of the ``harness`` span held as self time by ``stage:*`` and
+#: ``cache.put`` spans, and most share left as bare ``cache`` self time.
+MIN_NAMED_SHARE = 0.90
+MAX_CACHE_SELF_SHARE = 0.10
 
 
 def _timed_report(benchmarks: str, cache_dir: Path, timeout: float,
@@ -195,6 +205,26 @@ def check_traced_report(benchmarks: str, timeout: float,
             f"{path['coverage']:.0%} coverage)", flush=True,
         )
 
+        chrome_file = Path(tmp) / "chrome.json"
+        chrome = subprocess.run(
+            repro_cmd("trace", str(trace_file), "--chrome", str(chrome_file)),
+            env=repro_env(), capture_output=True, text=True, timeout=60.0,
+        )
+        if chrome.returncode != 0:
+            raise AssertionError(f"repro trace --chrome failed: {chrome.stderr}")
+        events = json.loads(chrome_file.read_text(encoding="utf-8"))["traceEvents"]
+        lanes = {e["tid"]: e["args"]["name"] for e in events if e.get("name") == "thread_name"}
+        complete = [e for e in events if e.get("ph") == "X"]
+        if len(complete) != len(spans) or any(e["tid"] not in lanes for e in complete):
+            raise AssertionError(
+                f"chrome export has {len(complete)} events for {len(spans)} spans "
+                f"over lanes {sorted(lanes.values())}"
+            )
+        if not any(lane.startswith("pid:") for lane in lanes.values()):
+            raise AssertionError(f"chrome export has no pool-worker lane: {sorted(lanes.values())}")
+        print(f"obs-smoke: repro trace --chrome OK ({len(complete)} events, "
+              f"{len(lanes)} lanes)", flush=True)
+
         records = [
             json.loads(line)
             for line in profile_file.read_text(encoding="utf-8").splitlines()
@@ -251,6 +281,47 @@ def check_traced_report(benchmarks: str, timeout: float,
         print("obs-smoke: observed report.html renders all telemetry cards", flush=True)
 
 
+def check_layer_attribution(timeout: float) -> None:
+    """A cold serial traced report of every benchmark: the stage spans and
+    ``cache.put`` must account for the ``harness`` span."""
+    with tempfile.TemporaryDirectory(prefix="repro-obs-layers-") as tmp:
+        trace_file = Path(tmp) / "trace.jsonl"
+        report = subprocess.run(
+            repro_cmd("report", "--json", "--cache-dir", str(Path(tmp) / "cache")),
+            env=repro_env(REPRO_TRACE=str(trace_file), REPRO_HISTORY="0"),
+            capture_output=True, text=True, timeout=timeout,
+        )
+        if report.returncode != 0:
+            raise AssertionError(f"serial traced report exited {report.returncode}: "
+                                 f"{report.stderr}")
+        summary = subprocess.run(
+            repro_cmd("trace", str(trace_file), "--summary", "--json"),
+            env=repro_env(), capture_output=True, text=True, timeout=60.0,
+        )
+        if summary.returncode != 0:
+            raise AssertionError(f"repro trace --summary failed: {summary.stderr}")
+        rows = {row["kind"]: row for row in json.loads(summary.stdout)["summary"]}
+        if "harness" not in rows:
+            raise AssertionError(f"serial trace has no harness span (kinds: {sorted(rows)})")
+        harness = rows["harness"]["total_seconds"]
+        named = sum(
+            row["self_seconds"] for kind, row in rows.items()
+            if kind.startswith("stage:") or kind == "cache.put"
+        )
+        cache_self = rows.get("cache", {}).get("self_seconds", 0.0)
+        named_share, cache_share = named / harness, cache_self / harness
+        if named_share < MIN_NAMED_SHARE or cache_share > MAX_CACHE_SELF_SHARE:
+            raise AssertionError(
+                f"stage:* + cache.put self time is {named_share:.1%} of the harness span "
+                f"(>= {MIN_NAMED_SHARE:.0%} wanted), bare cache self time {cache_share:.1%} "
+                f"(<= {MAX_CACHE_SELF_SHARE:.0%} wanted)"
+            )
+        print(
+            f"obs-smoke: stage:* + cache.put hold {named_share:.1%} of the {harness:.2f}s "
+            f"harness span, bare cache self time {cache_share:.1%}", flush=True,
+        )
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--benchmarks", default="blowfish")
@@ -264,6 +335,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         check_traced_report(args.benchmarks, args.timeout, flame_out=args.flame_out)
+        check_layer_attribution(args.timeout)
     except AssertionError as exc:
         return fail(str(exc))
     print("obs-smoke: OK")
