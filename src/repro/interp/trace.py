@@ -66,6 +66,11 @@ class TraceEvent:
 class Trace:
     """The columns of one dynamic trace (see the module docstring)."""
 
+    #: Set by :meth:`append`.  A hand-built trace need not follow the static
+    #: code: one of its block occurrences may repeat or skip instructions,
+    #: and its operands are whatever the events name.
+    hand_built = False
+
     def __init__(self) -> None:
         self.instructions: List[Instruction] = []
         self.functions: List[str] = []
@@ -144,6 +149,7 @@ class Trace:
         """
         if event.seq != len(self.inst):
             raise ValueError(f"event #{event.seq} appended at position {len(self.inst)}")
+        self.hand_built = True
         self.enter_block(event.inst.parent)
         self.deps.extend(event.deps)
         self.record(

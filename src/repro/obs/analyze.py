@@ -18,9 +18,10 @@ Three instruments:
   by the next hop.  The chain's coverage of the trace window tells you how
   much of the wall time a single dependency chain pins down — the
   shortest possible run time under infinite parallelism.
-* :func:`scheduler_overhead` — wall time of each ``scheduler.run`` root
-  minus the union of its descendants' intervals: time the engine spent
-  *between* tasks (topo sorting, result plumbing, cache bookkeeping).
+* :func:`scheduler_overhead` — wall time of each ``scheduler.run`` span
+  minus the union of its children's intervals (its self time): time the
+  engine spent *between* tasks (topo sorting, result plumbing, cache
+  bookkeeping).
 
 Percentiles use the deterministic nearest-rank method so the same trace
 always yields the same report.
@@ -205,36 +206,28 @@ def critical_path(spans: List[Span], trace_id: Optional[str] = None) -> Dict[str
 
 
 def scheduler_overhead(spans: List[Span]) -> Dict[str, Any]:
-    """Engine overhead: scheduler wall time not covered by any descendant.
+    """Engine overhead: scheduler wall time not covered by its child spans.
 
-    For every ``scheduler.run`` span, subtract the union of *all* other
-    spans' intervals clipped to its window (descendants may be recorded by
-    other processes and re-parented oddly, so the union over the trace is
-    the robust measure).  Returns ``{runs, total_seconds,
-    covered_seconds, overhead_seconds, overhead_fraction}``.
+    For every ``scheduler.run`` span this is its self time: its duration
+    minus the union of its children's intervals.  A pool worker's task
+    spans are re-parented under the scheduler's span, so they count; spans
+    that are not its descendants — the ``harness.execute`` span around it,
+    say — cover nothing.  Returns ``{runs, total_seconds, covered_seconds,
+    overhead_seconds, overhead_fraction}``.
     """
     from repro.obs.render import group_by_trace
 
     runs = 0
     total = 0.0
-    covered = 0.0
+    overhead = 0.0
     for members in group_by_trace(spans).values():
+        children = _children_index(members)
         for span in members:
-            if str(span.get("name")) != "scheduler.run":
-                continue
-            runs += 1
-            start = float(span.get("start", 0.0))
-            end = float(span.get("end", 0.0))
-            total += _duration(span)
-            intervals = [
-                (max(float(s.get("start", 0.0)), start), min(float(s.get("end", 0.0)), end))
-                for s in members
-                if s is not span
-                and float(s.get("end", 0.0)) > start
-                and float(s.get("start", 0.0)) < end
-            ]
-            covered += min(_duration(span), _interval_union(intervals))
-    overhead = max(0.0, total - covered)
+            if str(span.get("name")) == "scheduler.run":
+                runs += 1
+                total += _duration(span)
+                overhead += self_seconds(span, children)
+    covered = total - overhead
     return {
         "runs": runs,
         "total_seconds": round(total, 6),

@@ -3,8 +3,9 @@
 The simulator replays the dynamic instruction trace under a thread
 assignment.  Each thread consumes its own slice of the trace in order;
 cross-thread value flow goes through FIFO queues (one per produced static
-value and consuming thread — exactly the DSWP queue granularity, modelled
-by :class:`~repro.runtime.queue.TimedQueue`), which is where queue latency,
+value and consuming thread — exactly the DSWP queue granularity; the
+reference ``TimedQueue`` in ``tests/reference_runtime.py`` states the
+model event by event), which is where queue latency,
 queue-depth back-pressure and the processor stream-interface overhead enter
 the model.
 
@@ -63,13 +64,22 @@ results live on the trace's process-local :class:`_TraceIndex`.
 Both passes read the trace's columns (see :mod:`repro.interp.trace`): the
 static-number column maps events to threads, and the index adds only the
 per-event operand tuples, block occurrence ids and printed values,
-derived once per trace.  No replay builds a per-event object.
+derived once per trace.  No replay builds a per-event object, nor a tuple
+per operand: queue state is kept per consumer thread, keyed by integers
+(the producing event, or the producer's static number).  Each thread's
+finish time is taken once per visit, not per event: its ``next_free``
+only grows, and an FSM thread's every result is done by its
+``next_free`` after a block boundary or by the open block's maximum.
 
 Replays whose events all land on a single thread (the pure-software and
 pure-hardware baselines) take straight-line fast paths with no queue/bus
-machinery at all.  Should a cyclic wait ever leave the scheduler with no
-runnable thread, it forces the oldest blocked event through, as the poll
-loop did, and counts it in ``forced_events``.
+machinery at all.  The pure-hardware one is block-granular: its FSM opens a
+block occurrence only once the previous one has drained, so an occurrence
+is its start time plus offsets its signature fixes, and each signature is
+timed once (see :meth:`TimingSimulator._replay_single_hardware`).  Should a
+cyclic wait ever leave the scheduler with no runnable thread, it forces the
+oldest blocked event through, as the poll loop did, and counts it in
+``forced_events``.
 """
 
 from __future__ import annotations
@@ -118,9 +128,12 @@ class _TraceIndex:
     * ``deps_seq`` — each event's operands as one tuple, register deps
       first and the memory dep last, with ``mem_tail`` flagging a memory
       dep that takes the coherency path (one that is not also a register
-      dep);
+      dep), and ``loads`` listing the events that have a memory dep;
     * ``block_occurrence`` — each event's dynamic block occurrence id
       (1, 2, ...), expanded from the trace's ``block_starts``;
+    * ``signatures`` — each block occurrence's signature id and each
+      signature's first occurrence, built by :meth:`block_signatures` on the
+      first block-granular pure-hardware replay;
     * ``static_opcodes``/``opcode_counts`` and ``prints`` — the opcode of
       each static instruction, dynamic counts per opcode, and the printed
       values in program order.
@@ -145,7 +158,12 @@ class _TraceIndex:
         "static_opcodes",
         "deps_seq",
         "mem_tail",
+        "mem_dep",
+        "loads",
+        "block_starts",
         "block_occurrence",
+        "signatures",
+        "hand_built",
         "opcode_counts",
         "prints",
         "cost_arrays",
@@ -166,9 +184,10 @@ class _TraceIndex:
         deps_seq = list(
             map(tuple, map(trace.deps.__getitem__, map(slice, offsets, islice(offsets, 1, None))))
         )
-        mem_dep = trace.mem_dep
+        mem_dep = self.mem_dep = trace.mem_dep
         mem_tail = bytearray(n)
-        for i in compress(range(n), map((-1).__lt__, mem_dep)):
+        loads = self.loads = array("i", compress(range(n), map((-1).__lt__, mem_dep)))
+        for i in loads:
             deps = deps_seq[i]
             dep = mem_dep[i]
             deps_seq[i] = deps + (dep,)
@@ -176,9 +195,11 @@ class _TraceIndex:
         self.deps_seq = deps_seq
         self.mem_tail = mem_tail
 
-        starts = trace.block_starts
+        starts = self.block_starts = trace.block_starts
         lengths = map(sub, chain(islice(starts, 1, None), (n,)), starts)
         self.block_occurrence = array("i", chain.from_iterable(map(repeat, count(1), lengths)))
+        self.signatures: Optional[Tuple[array, array]] = None
+        self.hand_built = trace.hand_built
 
         counts: Dict[Opcode, int] = {}
         for no, k in Counter(inst_no).items():
@@ -198,6 +219,45 @@ class _TraceIndex:
             for i in compress(range(n), map(is_print.__getitem__, inst_no))
             if present[i] & HAS_VALUE
         )
+
+    def block_signatures(self) -> Tuple[array, array]:
+        """Each block occurrence's signature id, and each signature's first occurrence.
+
+        A signature is (first static number, length, the occurrence's memory
+        deps on its own events as (offset, dep offset) pairs).  An occurrence
+        is a straight-line run of one block from the point the interpreter
+        entered it (see :meth:`~repro.interp.trace.Trace.enter_block`), so its
+        first static number and length fix its instructions, and the static
+        code fixes which register operands come from inside it; only the
+        store a load reads can differ between two runs of the same code.
+        Occurrences with one signature therefore have one in-occurrence
+        structure: the same costs and the same dependences on each other.
+        A hand-built trace (:meth:`~repro.interp.trace.Trace.append`) keeps
+        no such promise, so its replays never ask for signatures.
+        """
+        if self.signatures is None:
+            starts = self.block_starts
+            lengths = map(sub, chain(islice(starts, 1, None), (self.n,)), starts)
+            keys = list(zip(map(self.inst_no.__getitem__, starts), lengths))
+            occurrence = self.block_occurrence
+            mem_dep = self.mem_dep
+            for i in self.loads:
+                k = occurrence[i] - 1
+                start = starts[k]
+                dep = mem_dep[i]
+                if dep >= start:
+                    keys[k] += (i - start, dep - start)
+            ids: Dict[Tuple[int, ...], int] = {}
+            signature_of = array("i")
+            first_seen = array("i")
+            for k, key in enumerate(keys):
+                sid = ids.get(key)
+                if sid is None:
+                    sid = ids[key] = len(first_seen)
+                    first_seen.append(k)
+                signature_of.append(sid)
+            self.signatures = (signature_of, first_seen)
+        return self.signatures
 
     def setup(self, assignment: ThreadAssignment) -> "_ReplaySetup":
         """The memoised :class:`_ReplaySetup` for *assignment*'s content.
@@ -478,7 +538,93 @@ class TimingSimulator:
     def _replay_single_hardware(
         self, index: _TraceIndex, timeline: ThreadTimeline, costs: Tuple[float, ...]
     ) -> None:
-        """Pure-hardware replay: one FSM thread, no queues, no bus."""
+        """Pure-hardware replay: one FSM thread, no queues, no bus.
+
+        The FSM opens a block occurrence only once the previous one has
+        drained, so every operand from an earlier occurrence is done by the
+        occurrence's start ``S``.  What the occurrence does is then ``S``
+        plus offsets its signature fixes (see
+        :meth:`_TraceIndex.block_signatures`): the ``next_free`` it leaves,
+        the busy cycles it adds and its latest completion.  Each signature
+        is timed once from its first occurrence, and each occurrence costs
+        two additions and a ``max``.  That is exact only when no sum rounds:
+        the issue width must be a power of two, every cost a multiple of its
+        slot, and no time may reach 2**50 slots.  Otherwise, under loop
+        pipelining (no block boundaries) and for a hand-built trace, the
+        per-event loop runs.
+        """
+        width = max(1, self.hls.issue_width)
+        units = [cost * width for cost in costs]
+        if (
+            self.hls.loop_pipelining
+            or index.hand_built
+            or width != int(width)
+            or int(width) & (int(width) - 1)
+            or not all(unit.is_integer() for unit in units)
+            or index.n * max(units + [1.0]) >= 2 ** 50
+        ):
+            self._replay_hardware_events(index, timeline, costs)
+            return
+
+        deps_seq = index.deps_seq
+        inst_no = index.inst_no
+        starts = index.block_starts
+        table = dict(zip(index.opcode_counts, costs))
+        static_costs = [table[op] for op in index.static_opcodes]
+        slot = 1.0 / width
+        signature_of, first_seen = index.block_signatures()
+        effects: List[Tuple[float, float, float]] = []
+        for k in first_seen:
+            # The occurrence timed from S = 0: only its own events' finishes
+            # can hold an issue past its start.
+            start = starts[k]
+            end = starts[k + 1] if k + 1 < len(starts) else index.n
+            finish: List[float] = []
+            next_free = 0.0
+            busy = 0.0
+            peak = 0.0
+            for i in range(start, end):
+                ready = 0.0
+                for dep in deps_seq[i]:
+                    if dep >= start:
+                        f = finish[dep - start]
+                        if f > ready:
+                            ready = f
+                issue = ready if ready >= next_free else next_free
+                cost = static_costs[inst_no[i]]
+                done = issue + cost
+                if cost > 1.0:
+                    next_free = done
+                    busy += cost
+                else:
+                    next_free = issue + slot
+                    busy += slot
+                if done > peak:
+                    peak = done
+                finish.append(done)
+            effects.append((next_free, busy, peak))
+
+        next_free = timeline.next_free
+        busy = timeline.busy_cycles
+        block_max = timeline.block_max_done
+        for sid in signature_of:
+            if block_max > next_free:
+                next_free = block_max
+            end, spent, peak = effects[sid]
+            block_max = next_free + peak
+            next_free += end
+            busy += spent
+        timeline.next_free = next_free
+        timeline.busy_cycles = busy
+        timeline.events_executed = index.n
+        timeline.finish_time = block_max if block_max > next_free else next_free
+        timeline.current_block = len(starts)
+        timeline.block_max_done = block_max
+
+    def _replay_hardware_events(
+        self, index: _TraceIndex, timeline: ThreadTimeline, costs: Tuple[float, ...]
+    ) -> None:
+        """:meth:`_replay_single_hardware` event by event, for any configuration."""
         n = index.n
         deps_seq = index.deps_seq
         block_occurrence = index.block_occurrence
@@ -515,13 +661,19 @@ class TimingSimulator:
             else:
                 next_free = issue + slot
                 busy += slot
-            if not loop_pipe and done > block_max:
-                block_max = done
-            finish[i] = done
-            if next_free > finish_time:
-                finish_time = next_free
-            if done > finish_time:
+            if not loop_pipe:
+                if done > block_max:
+                    block_max = done
+            elif done > finish_time:
                 finish_time = done
+            finish[i] = done
+        # next_free only grows, and an FSM's every earlier ``done`` is at most
+        # its next_free or the open block's maximum: the finish time is the
+        # larger of the two, taken once.
+        if next_free > finish_time:
+            finish_time = next_free
+        if not loop_pipe and block_max > finish_time:
+            finish_time = block_max
         timeline.next_free = next_free
         timeline.busy_cycles = busy
         timeline.events_executed = n
@@ -578,11 +730,13 @@ class TimingSimulator:
         # Already heap-ordered (ascending position, one pass), no heapify needed.
         dep_waiters: Dict[int, List[int]] = {}
         waited_in: Dict[int, Set[int]] = {tid: set() for tid in order}
-        queue_waiters: Dict[Tuple[int, int], List[int]] = {}
-        # (producer static number, consumer thread) -> [enqueued, dequeued],
-        # in the order the queues come into being.
-        counts: Dict[Tuple[int, int], List[int]] = {}
-        received: Set[Tuple[int, int]] = set()
+        # Per consumer thread: producer static number -> [enqueued, dequeued,
+        # threads waiting for a slot]; queue_keys lists the queues in the
+        # order they come into being.
+        counts: Dict[int, Dict[int, List]] = {tid: {} for tid in order}
+        queue_keys: List[Tuple[int, int]] = []
+        # Per consumer thread: the events whose values it has dequeued.
+        received: Dict[int, Set[int]] = {tid: set() for tid in order}
         visits = array("i")
         record = visits.extend
         remaining = len(deps_seq)
@@ -598,24 +752,25 @@ class TimingSimulator:
                         heappush(heap, (cur_pass + 1, wpos, w))
                     state[w] = _QUEUED
 
+        def queue(producer: int, consumer_thread: int) -> List:
+            """The count of queue (*producer*, *consumer_thread*), made on first use."""
+            count = counts[consumer_thread].get(producer)
+            if count is None:
+                count = counts[consumer_thread][producer] = [0, 0, None]
+                queue_keys.append((producer, consumer_thread))
+            return count
+
         def force(i: int, tid: int) -> None:
             """Count forced event *i*'s queue traffic, dequeues first."""
             dseq = deps_seq[i]
-            tail = len(dseq) - 1 if mem_tail[i] else -1
-            for k, dep in enumerate(dseq):
-                if k != tail and thread_of[dep] != tid and (dep, tid) not in received:
-                    received.add((dep, tid))
-                    key = (inst_no[dep], tid)
-                    count = counts.get(key)
-                    if count is None:
-                        count = counts[key] = [0, 0]
-                    count[1] += 1
+            tail = dseq[-1] if mem_tail[i] else -1
+            got = received[tid]
+            for dep in dseq:
+                if dep != tail and thread_of[dep] != tid and dep not in got:
+                    got.add(dep)
+                    queue(inst_no[dep], tid)[1] += 1
             for consumer_thread in dyn_consumers[i]:
-                key = (inst_no[i], consumer_thread)
-                count = counts.get(key)
-                if count is None:
-                    count = counts[key] = [0, 0]
-                count[0] += 1
+                queue(inst_no[i], consumer_thread)[0] += 1
 
         last_pass = 0
         while remaining > 0:
@@ -652,7 +807,9 @@ class TimingSimulator:
             n_stops = len(stop)
             first = pointer[tid]
             c = cursor[tid]
-            drained: List[Tuple[int, int]] = []
+            got = received[tid]
+            my_queues = counts[tid]
+            drained: List[List] = []
             blocked = False
             while c < n_stops:
                 ptr = stop[c]
@@ -673,32 +830,33 @@ class TimingSimulator:
                     break
                 # 2. Back-pressure: every queue this event feeds needs a slot.
                 fed = []
-                full_key = None
+                full = None
+                producer = inst_no[i]
                 for consumer_thread in dyn_consumers[i]:
-                    key = (inst_no[i], consumer_thread)
-                    count = counts.get(key)
+                    count = counts[consumer_thread].get(producer)
                     if count is None:
-                        count = counts[key] = [0, 0]
+                        count = queue(producer, consumer_thread)
                     if count[0] >= queue_depth and count[0] - queue_depth >= count[1]:
-                        full_key = key
+                        full = count
                         break
                     fed.append(count)
-                if full_key is not None:
-                    queue_waiters.setdefault(full_key, []).append(tid)
+                if full is not None:
+                    if full[2] is None:
+                        full[2] = []
+                    full[2].append(tid)
                     blocked = True
                     break
                 # 3. Run it: the first read of another thread's value takes
                 # it from that value's queue; then the event feeds its own.
-                tail = len(dseq) - 1 if mem_tail[i] else -1
-                for k, dep in enumerate(dseq):
-                    if k != tail and thread_of[dep] != tid and (dep, tid) not in received:
-                        received.add((dep, tid))
-                        key = (inst_no[dep], tid)
-                        count = counts.get(key)
+                tail = dseq[-1] if mem_tail[i] else -1
+                for dep in dseq:
+                    if dep != tail and thread_of[dep] != tid and dep not in got:
+                        got.add(dep)
+                        count = my_queues.get(inst_no[dep])
                         if count is None:
-                            count = counts[key] = [0, 0]
+                            count = queue(inst_no[dep], tid)
                         count[1] += 1
-                        drained.append(key)
+                        drained.append(count)
                 for count in fed:
                     count[0] += 1
                 c += 1
@@ -713,15 +871,16 @@ class TimingSimulator:
                 for event_index in [e for e in waited if e <= last]:
                     waited.discard(event_index)
                     wake(dep_waiters.pop(event_index), cur_pass, cur_pos)
-            for key in drained:
-                waiters = queue_waiters.pop(key, None)
+            for count in drained:
+                waiters = count[2]
                 if waiters:
+                    count[2] = None
                     wake(waiters, cur_pass, cur_pos)
             pointer[tid] = ptr
             cursor[tid] = c
             state[tid] = _BLOCKED if blocked else _DONE
 
-        return _Schedule(visits, tuple(counts), forced_events)
+        return _Schedule(visits, tuple(queue_keys), forced_events)
 
     # -- re-timing a recorded schedule ----------------------------------------------------
 
@@ -739,8 +898,8 @@ class TimingSimulator:
         (trace, assignment, queue depth), with the issue/dequeue/enqueue
         arithmetic of the poll loop step for step: each queue is a pair of
         completion-time lists plus two stall accumulators (the state of a
-        :class:`~repro.runtime.queue.TimedQueue`), the module bus a set of
-        booked cycle slots (a :class:`~repro.runtime.bus.MessageBus`).  No
+        ``TimedQueue`` in ``tests/reference_runtime.py``), the module bus a
+        set of booked cycle slots (its ``MessageBus``).  No
         probe is needed: the recording only runs an event whose operands are
         timed and whose queues have room — except a forced event, whose
         enqueue into a full queue waits for no slot.
@@ -770,8 +929,11 @@ class TimingSimulator:
         cost_arrays = {domain: self._cost_array(index, c) for domain, c in costs.items()}
         thread_domain = {tid: t.spec.domain for tid, t in timelines.items()}
 
-        queue_of = {key: k for k, key in enumerate(schedule.queue_keys)}
-        n_queues = len(queue_of)
+        # Per consumer thread: producer static number -> queue number.
+        queue_of: Dict[int, Dict[int, int]] = {tid: {} for tid in timelines}
+        for q, (producer, consumer_thread) in enumerate(schedule.queue_keys):
+            queue_of[consumer_thread][producer] = q
+        n_queues = len(schedule.queue_keys)
         enq_done: List[List[float]] = [[] for _ in range(n_queues)]
         deq_done: List[List[float]] = [[] for _ in range(n_queues)]
         producer_stall = [0.0] * n_queues
@@ -779,7 +941,8 @@ class TimingSimulator:
         bus_slots: Set[int] = set()
         bus_transfers = 0
         finish: List[Optional[float]] = [None] * len(deps_seq)
-        received: Dict[Tuple[int, int], float] = {}
+        # Per consumer thread: producing event -> when its value was dequeued.
+        received_by: Dict[int, Dict[int, float]] = {tid: {} for tid in timelines}
 
         visits = schedule.visits
         for v in range(0, len(visits), 3):
@@ -797,6 +960,8 @@ class TimingSimulator:
             finish_time = timeline.finish_time
             cur_block = timeline.current_block
             block_max = timeline.block_max_done
+            my_queues = queue_of[tid]
+            received = received_by[tid]
 
             for i in per_thread[tid][first:end]:
                 ready = 0.0
@@ -809,15 +974,17 @@ class TimingSimulator:
                 else:
                     consumer_threads = dyn_consumers[i]
                     dseq = deps_seq[i]
-                    tail = len(dseq) - 1 if mem_tail[i] else -1
-                    for k, dep in enumerate(dseq):
+                    # A coherency-path memory dep (the tail) is never also a
+                    # register dep, so its value alone identifies it.
+                    tail = dseq[-1] if mem_tail[i] else -1
+                    for dep in dseq:
                         dep_finish = finish[dep]
                         dep_thread = thread_of[dep]
                         if dep_thread == tid:
                             if dep_finish > ready:
                                 ready = dep_finish
                             continue
-                        if k == tail:
+                        if dep == tail:
                             # Cross-thread memory flow: shared memory + coherency.
                             delay = coherency_delay
                             if thread_domain[dep_thread] != domain:
@@ -826,11 +993,10 @@ class TimingSimulator:
                             if arrival > ready:
                                 ready = arrival
                             continue
-                        key = (dep, tid)
-                        got = received.get(key)
+                        got = received.get(dep)
                         if got is None:
                             # TimedQueue.dequeue(next_free or 0.0).
-                            q = queue_of[(inst_no[dep], tid)]
+                            q = my_queues[inst_no[dep]]
                             dq = deq_done[q]
                             eq = enq_done[q]
                             at = len(dq)
@@ -844,7 +1010,7 @@ class TimingSimulator:
                             if dq and dq[-1] > got:
                                 got = dq[-1]
                             dq.append(got)
-                            received[key] = got
+                            received[dep] = got
                             busy += op_cost
                             if got > next_free:
                                 next_free = got
@@ -879,7 +1045,7 @@ class TimingSimulator:
                         floor = bus_slot + bus_latency - bus_latency
                         # TimedQueue.enqueue(max(done, floor)).
                         start = done if done >= floor else floor
-                        q = queue_of[(producer, consumer_thread)]
+                        q = queue_of[consumer_thread][producer]
                         eq = enq_done[q]
                         at = len(eq)
                         if at >= queue_depth:
@@ -896,14 +1062,18 @@ class TimingSimulator:
                         busy += op_cost
                         if enqueue_done > next_free:
                             next_free = enqueue_done
-                if fsm and done > block_max:
-                    block_max = done
-                finish[i] = done
-                if next_free > finish_time:
-                    finish_time = next_free
-                if done > finish_time:
+                if fsm:
+                    if done > block_max:
+                        block_max = done
+                elif done > finish_time:
                     finish_time = done
+                finish[i] = done
 
+            # As in _replay_hardware_events: the finish time, once per visit.
+            if next_free > finish_time:
+                finish_time = next_free
+            if fsm and block_max > finish_time:
+                finish_time = block_max
             timeline.next_free = next_free
             timeline.busy_cycles = busy
             timeline.finish_time = finish_time

@@ -1,17 +1,18 @@
-"""Hardware FIFO queue timing model (thesis §4.3).
+"""Reference models of the Twill runtime primitives (thesis Chapter 4).
 
-The real queue is a circular buffer with one extra slot; enqueue and dequeue
-each take a minimum of two cycles over the module bus, the producer stalls
-when the queue is full, and the consumer stalls when it is empty.  This
-class reproduces those semantics on a virtual-time axis: callers pass the
-cycle at which the producer/consumer is ready and get back the cycle at
-which the operation completes.
+Event-at-a-time timing models of the two primitives the generated threads
+communicate through: the hardware FIFO queues (:class:`TimedQueue`, §4.3)
+and the module bus with its arbiter (:class:`MessageBus`, §4.1).  The
+timing replay (``repro.sim.timing``) does not instantiate them: it inlines
+the same queue and bus arithmetic over flat arrays.  These classes are the
+readable statement of that arithmetic, and the poll engine in
+``tests/replay_oracle.py`` runs on them to hold the fast replay equal to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 
 @dataclass
@@ -26,7 +27,14 @@ class QueueStatistics:
 
 
 class TimedQueue:
-    """FIFO with bounded capacity, transfer latency and per-op cost, in virtual time."""
+    """FIFO with bounded capacity, transfer latency and per-op cost, in virtual time.
+
+    The real queue is a circular buffer with one extra slot; enqueue and
+    dequeue each take a minimum of two cycles over the module bus, the
+    producer stalls when the queue is full, and the consumer stalls when it
+    is empty.  Callers pass the cycle at which the producer/consumer is
+    ready and get back the cycle at which the operation completes.
+    """
 
     def __init__(
         self,
@@ -128,3 +136,63 @@ class TimedQueue:
 
     def total_transfers(self) -> int:
         return self.stats.enqueues
+
+
+@dataclass
+class BusStatistics:
+    """Utilisation accounting for one bus."""
+
+    transfers: int = 0
+    contention_cycles: float = 0.0
+    last_busy_cycle: float = 0.0
+
+    def utilisation(self, total_cycles: float) -> float:
+        if total_cycles <= 0:
+            return 0.0
+        return min(1.0, self.transfers / total_cycles)
+
+
+class MessageBus:
+    """Single-slot-per-cycle bus with priority-free FCFS contention modelling.
+
+    The bus carries one message per cycle.  The arbiter gives priority to
+    the processor, then to messages destined for the processor, then to the
+    longest-waiting primitive.  Contention is modelled by booking one-cycle
+    slots on a virtual timeline: a transfer requested at cycle *t*
+    completes at the first free slot at or after *t*, plus the bus latency.
+    The arbiter's priority rules only change *which* of several
+    simultaneously-waiting primitives goes first; the aggregate delay (every
+    waiter is eventually served, one per cycle) is the same under FCFS, so
+    the simpler policy is used here.
+    """
+
+    def __init__(self, name: str = "module-bus", latency: int = 1):
+        self.name = name
+        self.latency = latency
+        # Occupied cycle slots, sparse.  Keyed by integer cycle.
+        self._busy: Dict[int, int] = {}
+        self.stats = BusStatistics()
+
+    def request(self, ready: float, processor: bool = False) -> float:
+        """Book a bus slot at or after ``ready``; returns message-delivered time.
+
+        ``processor`` marks transfers originating from the CPU, which the real
+        arbiter prioritises; here it simply skips the contention search (the
+        CPU is never made to wait more than one slot, matching §4.1's design
+        goal that the processor pipeline should not stall on the bus).
+        """
+        slot = int(ready)
+        if not processor:
+            while self._busy.get(slot, 0) >= 1:
+                slot += 1
+        self._busy[slot] = self._busy.get(slot, 0) + 1
+        delay = slot - ready if slot > ready else 0.0
+        self.stats.transfers += 1
+        self.stats.contention_cycles += max(0.0, delay)
+        done = slot + self.latency
+        self.stats.last_busy_cycle = max(self.stats.last_busy_cycle, done)
+        return done
+
+    def reset(self) -> None:
+        self._busy.clear()
+        self.stats = BusStatistics()

@@ -5,9 +5,10 @@ started from.  Every pass it rescans every thread and executes events for
 as long as each thread's head event is ready (operands timed, a free slot in
 every queue it feeds); when a pass makes no progress it force-processes the
 oldest blocked event.  It shares nothing with ``repro.sim.timing``'s engines
-but the result types, the queue/bus models and the opcode cost function,
-and it recomputes the assignment setup from scratch — so it can disagree
-with the scheduler, the re-time pass and their memos.  It reads the trace
+but the result types and the opcode cost function; its queues and bus are
+the reference models in ``tests/reference_runtime.py``, and it recomputes
+the assignment setup from scratch — so it can disagree with the
+scheduler, the re-time pass and their memos.  It reads the trace
 through its :class:`~repro.interp.trace.TraceEvent` view and derives block
 occurrences and printed values from the events itself, so it also checks
 the columns the replay index derives them from.
@@ -19,10 +20,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.interp.trace import Trace
 from repro.ir.instructions import Opcode
-from repro.runtime.bus import MessageBus
-from repro.runtime.queue import TimedQueue
 from repro.sim.assignment import ExecutionDomain, ThreadAssignment
 from repro.sim.timing import ThreadTimeline, TimingResult, TimingSimulator
+from tests.reference_runtime import MessageBus, TimedQueue
 
 
 class _Replay:

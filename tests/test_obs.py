@@ -11,8 +11,9 @@ Three layers, cheapest first:
   worker's lane, an untraced run opens no span, and a ``jobs=2`` pool run
   yields one coherent trace across the process hop;
 * CLI: ``repro trace`` renders tree and Gantt views and exports Chrome
-  Trace Event JSON, a traced ``repro ingest`` is byte-identical to an
-  untraced one, and a URL in
+  Trace Event JSON, its summary of a cold run in a fresh process lists the
+  pipeline import as a layer, a traced ``repro ingest`` is byte-identical
+  to an untraced one, and a URL in
   ``$REPRO_TRACE`` leaves tracing off with one stderr line (the full-report byte-identity runs in
   ``tools/obs_smoke.py`` / the ``obs-smoke`` CI job).
 """
@@ -304,6 +305,34 @@ def test_repro_trace_renders_tree_and_gantt(tmp_path, capsys):
     assert len(spans) == 3  # the torn line was dropped
     assert "task:sweep:y" in render_tree(spans)
     assert "pid:2" in render_gantt(spans)
+
+
+def test_trace_summary_of_a_cold_run_lists_the_pipeline_import(tmp_path, capsys):
+    """A fresh process imports the pipeline inside its first compile: that
+    import is a span of kind ``import``, not self time of the cache span."""
+    import subprocess
+    import sys as _sys
+
+    import repro
+
+    trace_file = tmp_path / "cold.jsonl"
+    env = dict(os.environ)
+    src_dir = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    env[obs_tracing.TRACE_ENV] = str(trace_file)
+    proc = subprocess.run(
+        [_sys.executable, "-m", "repro.cli", "run", "blowfish", "--json",
+         "--cache-dir", str(tmp_path / "cache")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(["trace", str(trace_file), "--summary"]) == 0
+    summary, _ = capsys.readouterr()
+    kinds = [line.split()[0] for line in summary.splitlines()[2:] if line.strip()]
+    assert "import" in kinds
+    (imported,) = [s for s in load_spans(trace_file) if s["kind"] == "import"]
+    (cache,) = [s for s in load_spans(trace_file) if s["kind"] == "cache"]
+    assert imported["parent_id"] == cache["span_id"]
 
 
 def test_repro_trace_on_missing_or_empty_file_fails_cleanly(tmp_path, capsys):

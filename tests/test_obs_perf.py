@@ -204,6 +204,26 @@ def test_scheduler_overhead_accounts_uncovered_time(synthetic_trace):
     assert "scheduler overhead" in summary_text
 
 
+def test_scheduler_overhead_counts_only_the_schedulers_descendants():
+    """An enclosing harness span covers the scheduler but is not its work."""
+    spans = [
+        _span("harness.execute", "harness", "10", None, 0.0, 12.0),
+        _span("scheduler.run", "scheduler", "11", "10", 1.0, 11.0),
+        _span("task:compile:a", "compile", "12", "11", 1.0, 4.0, worker="parent"),
+        _span("stage:interp", "stage:interp", "13", "12", 2.0, 3.0, worker="parent"),
+        # 1.5 s gap between the tasks, and 1 s after the last one.
+        _span("task:sweep:b", "runtime", "14", "11", 5.5, 10.0, worker="pid:2"),
+        # A sibling of the scheduler, overlapping its gap: not its work.
+        _span("cache.put", "cache.put", "15", "10", 4.0, 5.5),
+    ]
+    overhead = obs_analyze.scheduler_overhead(spans)
+    assert overhead["runs"] == 1
+    assert overhead["total_seconds"] == pytest.approx(10.0)
+    assert overhead["covered_seconds"] == pytest.approx(7.5)
+    assert overhead["overhead_seconds"] == pytest.approx(2.5)
+    assert "scheduler overhead: 2.50s" in obs_analyze.render_summary(spans)
+
+
 def test_critical_path_picks_the_widest_trace():
     spans = [
         _span("small.root", "harness", "0a", None, 0.0, 1.0, trace="a" * 32),

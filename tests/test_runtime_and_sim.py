@@ -8,10 +8,10 @@ from repro.core.compiler import TwillCompiler
 from repro.dswp import run_dswp
 from repro.frontend import compile_c
 from repro.interp import Profile, run_module
-from repro.runtime import MessageBus, TimedQueue
 from repro.sim import ExecutionDomain, HybridSystem, ThreadAssignment, TimingSimulator
 from repro.transforms import GlobalsToArguments, default_pipeline
 from tests.conftest import PIPELINE_PROGRAM
+from tests.reference_runtime import MessageBus, TimedQueue
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ without, then asserts that:
   trace-analytics / trends cards;
 * on a cold serial traced ``repro report --json`` of every benchmark, the
   stage spans and ``cache.put`` hold >= 90% of the ``harness`` span as
-  self time and bare ``cache`` self time stays <= 10%: the trace names the
-  layer that spent the time.
+  self time and bare ``cache`` self time stays <= 5% (the first compile's
+  pipeline import is a span of kind ``import``): the trace names the layer
+  that spent the time.
 
 Used by the ``obs-smoke`` CI job; handy manually:
 
@@ -68,9 +69,10 @@ def repro_cmd(*args: str) -> List[str]:
 MAX_OVERHEAD_RATIO = 1.10
 
 #: Least share of the ``harness`` span held as self time by ``stage:*`` and
-#: ``cache.put`` spans, and most share left as bare ``cache`` self time.
+#: ``cache.put`` spans, and most share left as bare ``cache`` self time
+#: (measured 2.0-2.3 % on a cold serial report of all eight benchmarks).
 MIN_NAMED_SHARE = 0.90
-MAX_CACHE_SELF_SHARE = 0.10
+MAX_CACHE_SELF_SHARE = 0.05
 
 
 def _timed_report(benchmarks: str, cache_dir: Path, timeout: float,
