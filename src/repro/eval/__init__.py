@@ -2,7 +2,7 @@
 
 Experiments are declared as :mod:`repro.eval.taskgraph` DAGs — compile
 nodes, one node per (workload, sweep-point), and aggregate nodes — executed
-serially or over a shared process pool (``parallel=N``) with
+serially or on N workload-affine pool workers (``parallel=N``) with
 byte-identical results, and memoised through the :mod:`repro.eval.cache`
 directory with single-flight per-key locks; ``repro.cli`` exposes the same generators (and
 ``repro graph``) on the command line.

@@ -17,10 +17,10 @@ caches at three levels:
 
 Work is expressed as :mod:`repro.eval.taskgraph` DAGs: the ``declare_*``
 methods add compile and sweep-point nodes, and :meth:`execute` runs a whole
-graph — serially, or fanned out over a :class:`concurrent.futures.
-ProcessPoolExecutor` with ``parallel=N`` — while keeping results
-deterministic: the parallel path produces exactly the same rows (and table
-bytes) as the serial path.
+graph — serially, or with ``parallel=N`` on N one-process pool slots, where
+a workload's sweep points follow its compile to the worker that holds its
+artifact — while keeping results deterministic: the parallel path produces
+exactly the same rows (and table bytes) as the serial path.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ class EvaluationHarness:
         new result flows back into them afterwards — including the
         functional-output check each compile artifact must pass before any
         experiment may use it.  With ``parallel=N`` (N > 1) cold worker tasks
-        fan out over a process pool, with results identical to the serial
+        run on N pool worker processes, with results identical to the serial
         path.
         """
         seeds: Dict[str, Any] = {}

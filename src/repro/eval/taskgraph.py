@@ -19,8 +19,9 @@ Every thesis artefact is a small DAG over four node kinds:
   dependencies (a table, a figure, the §6.7 summary).
 
 ``repro.eval.experiments`` *declares* these graphs instead of looping
-inline; :class:`TaskScheduler` then executes ready tasks — serially, or over
-a shared :class:`~concurrent.futures.ProcessPoolExecutor` — while honouring
+inline; :class:`TaskScheduler` then executes ready tasks — serially, or on
+the one-process slots of a :class:`LocalProcessExecutor`, each task on the
+slot that already holds its workload — while honouring
 dependencies.  Worker tasks never ship artefacts over the pipe: dependency
 edges only guarantee that a task's inputs are present in the shared
 content-addressed :class:`repro.eval.cache.ArtifactCache` before it starts,
@@ -42,7 +43,9 @@ import sys
 from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet, Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.config import CompilerConfig, RuntimeConfig
 from repro.errors import TaskGraphCycleError, TaskGraphError
@@ -93,7 +96,9 @@ class Task:
     parent and are called as ``fn(results, *args)`` with the mapping of every
     finished task's value.  ``key`` is the content address under which the
     scheduler memoises the output (``None`` = never disk-cached), stored in
-    the ``serializer`` format (``artifact`` or ``json``).
+    the ``serializer`` format (``artifact`` or ``json``).  ``workload`` names
+    the compile artifact the task produces or reads; the process pool places
+    a task on the slot that already ran that workload (see :func:`place`).
     """
 
     task_id: str
@@ -222,7 +227,8 @@ def compute_compile(name: str, config: CompilerConfig) -> CompilationResult:
 
 # Per-process memo of compile artifacts consumed by sweep-point payloads, so
 # a worker that executes many sweep points for one workload decodes (or
-# recompiles, when caching is off) that workload's artifact only once.  Keyed
+# recompiles, when caching is off) that workload's artifact only once, or
+# not at all when it compiled the workload itself.  Keyed
 # by content address, so a stale value is impossible by construction; bounded
 # so long test sessions cannot accumulate every artifact they ever touched.
 _SWEEP_INPUT_MEMO: "OrderedDict[str, CompilationResult]" = OrderedDict()
@@ -230,8 +236,9 @@ _SWEEP_INPUT_MEMO_LIMIT = 16
 
 
 def seed_sweep_input(key: str, result: CompilationResult) -> None:
-    """Pre-populate the sweep-input memo (the parent already holds the
-    artifact in memory, so in-parent sweep points skip the disk round trip)."""
+    """Pre-populate the sweep-input memo with an artifact this process
+    already holds (one it compiled or read), so its sweep points skip the
+    disk round trip and replay on the same trace."""
     _SWEEP_INPUT_MEMO[key] = result
     _SWEEP_INPUT_MEMO.move_to_end(key)
     while len(_SWEEP_INPUT_MEMO) > _SWEEP_INPUT_MEMO_LIMIT:
@@ -324,10 +331,15 @@ def _execute_in_worker(
     instead of paying a multi-megabyte pipe serialisation) while small JSON
     values ride in ``value`` directly.
 
-    *trace_ctx* carries the parent's span context (plus task id/kind) across
-    the process boundary: thread-local trace state does not survive a fork,
-    so when ``$REPRO_TRACE`` is active in this child the task span recorded
-    here is re-parented under the scheduler's span explicitly.
+    A compile artifact also goes into this process's sweep-input memo, so
+    the sweep, split and explore points the pool places here next reuse the
+    same ``Trace`` object with its replay index, setups and schedules.
+
+    *trace_ctx* carries the parent's span context (plus task id, kind and
+    placement) across the process boundary: thread-local trace state does
+    not survive a fork, so when ``$REPRO_TRACE`` is active in this child the
+    task span recorded here is re-parented under the scheduler's span
+    explicitly.
     """
     from repro.obs import profile as obs_profile
 
@@ -342,12 +354,15 @@ def _execute_in_worker(
             f"task:{ctx.get('task_id', getattr(fn, '__name__', 'task'))}",
             kind=str(ctx.get("kind", "task")),
             worker=f"pid:{os.getpid()}",
+            resident=ctx.get("resident"),
+            stolen=ctx.get("stolen"),
         ):
             in_cache = False
             if key is not None and cache_spec is not None:
                 cache = ArtifactCache(cache_spec)
                 value = cache.get_or_compute(key, lambda: fn(*args), serializer=serializer)
                 if serializer == "artifact":
+                    seed_sweep_input(key, value)
                     value, in_cache = None, True
             else:
                 value = fn(*args)
@@ -486,15 +501,62 @@ class TaskOutcome:
     in_cache: bool = False
 
 
+#: How :func:`place` chose a task for a slot: the slot already ran its
+#: workload, no busy slot holds it, or every pending workload is held
+#: elsewhere and the slot takes the oldest task anyway.
+PLACED_RESIDENT = "resident"
+PLACED_FREE = "free"
+PLACED_STOLEN = "stolen"
+
+
+def place(
+    pending: Sequence[Task], resident: Sequence[AbstractSet[str]], idle: Sequence[int]
+) -> Tuple[int, int, str]:
+    """Pick the next (slot, index into *pending*, placement) for the pool.
+
+    *resident[s]* holds the workloads slot *s* has run (its process keeps
+    their artifacts); *idle* lists the idle slots, lowest first.  The rule,
+    oldest task first at each step:
+
+    1. a task whose workload an idle slot already ran goes to that slot;
+    2. else a task whose workload no busy slot holds (a compile, a render)
+       goes to the first idle slot;
+    3. else the first idle slot steals the oldest task and rebuilds its
+       workload's state.
+
+    Both lists must be non-empty; some task is always placed, so no slot
+    idles while a task is pending.
+    """
+    for index, task in enumerate(pending):
+        for slot in idle:
+            if task.workload in resident[slot]:
+                return slot, index, PLACED_RESIDENT
+    # No idle slot holds a pending workload, so of those workloads only
+    # busy slots hold any.
+    held: Set[str] = set().union(*resident)
+    for index, task in enumerate(pending):
+        if task.workload not in held:
+            return idle[0], index, PLACED_FREE
+    return idle[0], 0, PLACED_STOLEN
+
+
 class LocalProcessExecutor:
-    """Fan worker tasks over a local process pool (``--parallel N``).
+    """Run worker tasks on N one-process slots (``--parallel N``).
+
+    Each slot is a ``ProcessPoolExecutor(max_workers=1)``, so a slot is one
+    long-lived worker process.  Its sweep-input memo keeps the compile
+    artifacts it produced or read, and with them each trace's replay index,
+    setups and schedules.  :meth:`submit` therefore takes a task off the
+    scheduler's pending list only for an idle slot, picked by :func:`place`
+    so that a workload's sweep points follow its compile.
 
     The scheduler owns graph order, seeds, cache pre-checks and aggregate
-    nodes; the pool only runs keyed worker payloads and reports
+    nodes; the slots only run keyed worker payloads and report
     :class:`TaskOutcome`\\ s back.  Workers exchange artefacts through the
     shared cache rather than over the pipe (see :func:`_execute_in_worker`);
-    the pool is created lazily on the first submit so cache-warm runs never
-    fork at all, and never import the stages either.
+    each slot is created on its first task, after the parent has imported
+    :data:`WORKER_MODULES`, so cache-warm runs never fork at all, and never
+    import the stages either.
     """
 
     def __init__(self, jobs: int):
@@ -502,23 +564,44 @@ class LocalProcessExecutor:
         # in cgroup-limited containers the reported count is often wrong, and
         # an explicit --parallel N is an informed opt-in.
         self.max_workers = max(1, min(jobs, 32))
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._futures: Dict[Any, Task] = {}
+        self._slots: List[Optional[ProcessPoolExecutor]] = [None] * self.max_workers
+        self._resident: List[Set[str]] = [set() for _ in range(self.max_workers)]
+        self._futures: Dict[Any, Tuple[int, Task]] = {}
 
-    def submit(self, task: Task, cache: Optional[ArtifactCache]) -> None:
-        """Hand one ready worker task to the pool."""
-        if self._pool is None:
+    def idle_slots(self) -> List[int]:
+        """The slots running no task, lowest first."""
+        busy = {slot for slot, _ in self._futures.values()}
+        return [slot for slot in range(self.max_workers) if slot not in busy]
+
+    def submit(self, pending: List[Task], cache: Optional[ArtifactCache]) -> Task:
+        """Take the task :func:`place` picks off *pending*, start it on its
+        idle slot and return it.  Call only while :meth:`idle_slots` is
+        non-empty."""
+        slot, index, placement = place(pending, self._resident, self.idle_slots())
+        task = pending.pop(index)
+        pool = self._slots[slot]
+        if pool is None:
             from concurrent.futures import ProcessPoolExecutor
 
             # A forked worker starts with what the parent has imported:
             # import the stages here, once, so that no worker imports them.
-            for module in WORKER_MODULES:
-                importlib.import_module(module)
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            if not all(module in sys.modules for module in WORKER_MODULES):
+                with obs_tracing.span("import worker modules", kind="import"):
+                    for module in WORKER_MODULES:
+                        importlib.import_module(module)
+            pool = self._slots[slot] = ProcessPoolExecutor(max_workers=1)
+        if task.workload is not None:
+            self._resident[slot].add(task.workload)
         trace_ctx = obs_tracing.wire_context()
         if trace_ctx is not None:
-            trace_ctx = {**trace_ctx, "task_id": task.task_id, "kind": task.kind}
-        future = self._pool.submit(
+            trace_ctx = {
+                **trace_ctx,
+                "task_id": task.task_id,
+                "kind": task.kind,
+                "resident": placement == PLACED_RESIDENT,
+                "stolen": placement == PLACED_STOLEN,
+            }
+        future = pool.submit(
             _execute_in_worker,
             task.fn,
             task.args,
@@ -527,7 +610,8 @@ class LocalProcessExecutor:
             task.serializer,
             trace_ctx,
         )
-        self._futures[future] = task
+        self._futures[future] = (slot, task)
+        return task
 
     def wait(self) -> List[TaskOutcome]:
         """Block until at least one submitted task finishes; return outcomes.
@@ -537,7 +621,7 @@ class LocalProcessExecutor:
         finished, _ = wait(list(self._futures), return_when=FIRST_COMPLETED)
         outcomes: List[TaskOutcome] = []
         for future in finished:
-            task = self._futures.pop(future)
+            _, task = self._futures.pop(future)
             envelope = future.result()  # re-raises worker exceptions
             outcomes.append(
                 TaskOutcome(task=task, value=envelope["value"], in_cache=envelope["in_cache"])
@@ -545,25 +629,27 @@ class LocalProcessExecutor:
         return outcomes
 
     def close(self, interrupt: bool = False) -> None:
-        """Shut the pool down; with ``interrupt=True``, abandon in-flight work
-        and terminate the worker processes.  Idempotent."""
-        pool, self._pool = self._pool, None
+        """Shut every slot down; with ``interrupt=True``, abandon in-flight
+        work and terminate the worker processes.  Idempotent."""
+        slots, self._slots = self._slots, [None] * self.max_workers
         self._futures.clear()
-        if pool is None:
-            return
-        if interrupt:
-            # Abandon queued work and put the worker processes down now: a
-            # Ctrl-C should not wait out a multi-second compile.  _processes
-            # is a private detail, so degrade to a plain shutdown without it.
-            pool.shutdown(wait=False, cancel_futures=True)
-            processes = getattr(pool, "_processes", None) or {}
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except Exception:
-                    pass
-        else:
-            pool.shutdown()
+        for pool in slots:
+            if pool is None:
+                continue
+            if interrupt:
+                # Abandon queued work and put the worker process down now: a
+                # Ctrl-C should not wait out a multi-second compile.
+                # _processes is a private detail, so degrade to a plain
+                # shutdown without it.
+                pool.shutdown(wait=False, cancel_futures=True)
+                processes = getattr(pool, "_processes", None) or {}
+                for process in list(processes.values()):
+                    try:
+                        process.terminate()
+                    except Exception:
+                        pass
+            else:
+                pool.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -576,21 +662,23 @@ class TaskScheduler:
 
     * ``jobs <= 1`` (or ``None``): every task runs in the parent, in
       topological (declaration-stable) order.
-    * ``jobs > 1``: ready worker tasks are fanned out over a
-      :class:`LocalProcessExecutor`; aggregates always run in the parent as
-      soon as their dependencies finish.  Workers exchange artefacts through
-      *cache* rather than over the pipe; without a cache only
-      dependency-free tasks (compiles) are pooled and dependent sweep points
-      run in the parent.
+    * ``jobs > 1``: ready worker tasks wait in a pending list and start on
+      the idle slots of a :class:`LocalProcessExecutor` (a workload's
+      tasks follow it to the slot that ran it); aggregates always run in
+      the parent as soon as their dependencies finish.  Workers exchange
+      artefacts through *cache* rather than over the pipe; without a cache
+      only dependency-free tasks (compiles) are pooled and dependent sweep
+      points run in the parent.
 
     Keyed tasks are memoised through *cache* (parent-side pre-check, then
     worker-side ``get_or_compute`` under the per-key lock).  *seeds* maps
     task ids to already-known values (the harness's in-memory layer), which
     count as completed without running anything.
 
-    A :class:`KeyboardInterrupt` shuts down gracefully: the pool is closed
-    in interrupt mode (its processes terminated) and the per-key lock files of in-flight tasks are removed, so
-    an aborted run leaves no stale single-flight state behind.
+    A :class:`KeyboardInterrupt` shuts down gracefully: every slot is closed
+    in interrupt mode (its process terminated) and the per-key lock files of
+    in-flight and pending tasks are removed, so an aborted run leaves no
+    stale single-flight state behind.
     """
 
     def __init__(
@@ -718,13 +806,17 @@ class TaskScheduler:
                 dependents[dep].append(task)
         waiting: Dict[str, int] = {t.task_id: len(t.deps) for t in order}
         ready: deque = deque(t for t in order if not t.deps)
+        # Worker tasks wait here, oldest first, until the pool has an idle
+        # slot for them (see LocalProcessExecutor.submit).
+        pending: List[Task] = []
         in_flight: Dict[str, Task] = {}
         # Distinct task ids can share one content key (e.g. the latency-2 and
         # depth-8 sweep points are both the default runtime config).  Only
-        # one such task is submitted; the twins park here and complete as
-        # cache hits off the owner's value — exactly how the serial path
-        # resolves them, so the run statistics stay scheduling-invariant.
-        in_flight_keys: Dict[str, str] = {}
+        # one such task is pending or in flight; the twins park here and
+        # complete as cache hits off the owner's value — exactly how the
+        # serial path resolves them, so the run statistics stay
+        # scheduling-invariant.
+        owned_keys: Set[str] = set()
         parked: Dict[str, List[Task]] = {}
 
         def complete(task: Task, value: Any) -> None:
@@ -737,7 +829,7 @@ class TaskScheduler:
         def complete_with_twins(task: Task, value: Any) -> None:
             complete(task, value)
             if task.key is not None:
-                in_flight_keys.pop(task.key, None)
+                owned_keys.discard(task.key)
                 for twin in parked.pop(task.key, ()):  # noqa: B905 - list default
                     self._count_hit(twin)
                     self._obs_mark(twin, cache_hit=True)
@@ -754,7 +846,7 @@ class TaskScheduler:
         current: Optional[Task] = None
         try:
             try:
-                while ready or in_flight:
+                while ready or pending or in_flight:
                     while ready:
                         task = ready.popleft()
                         current = task
@@ -781,18 +873,20 @@ class TaskScheduler:
                             # Without the shared cache a worker cannot see its
                             # dependencies' artefacts, so such tasks run in the
                             # parent off the in-memory memo; everything else
-                            # fans out.
+                            # goes to the pool.
                             run_inline(task)
                             continue
-                        if task.key is not None and task.key in in_flight_keys:
+                        if task.key is not None and task.key in owned_keys:
                             parked.setdefault(task.key, []).append(task)
                             continue
-                        pool.submit(task, self.cache)
+                        pending.append(task)
+                        if task.key is not None:
+                            owned_keys.add(task.key)
+                    current = None
+                    while pending and pool.idle_slots():
+                        task = pool.submit(pending, self.cache)
                         self._count_executed(task)
                         in_flight[task.task_id] = task
-                        if task.key is not None:
-                            in_flight_keys[task.key] = task.task_id
-                    current = None
                     if in_flight:
                         for outcome in pool.wait():
                             task = outcome.task
@@ -805,7 +899,7 @@ class TaskScheduler:
                             complete_with_twins(task, value)
             except KeyboardInterrupt:
                 pool.close(interrupt=True)
-                abandoned = list(in_flight.values())
+                abandoned = list(in_flight.values()) + pending
                 if current is not None and current.task_id not in in_flight:
                     abandoned.append(current)
                 self._sweep_locks(abandoned)

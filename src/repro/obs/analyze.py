@@ -5,7 +5,7 @@ functions are pure over the plain span dicts :func:`repro.obs.render.load_spans`
 returns, so they work equally on a file captured via ``$REPRO_TRACE``, the
 in-process buffer of a live tracer, or synthetic spans in tests.
 
-Three instruments:
+Four instruments:
 
 * :func:`summarize` — per-kind aggregates: span count, total time, *self*
   time (duration minus the time covered by child spans, clamped at zero),
@@ -22,6 +22,9 @@ Three instruments:
   minus the union of its children's intervals (its self time): time the
   engine spent *between* tasks (topo sorting, result plumbing, cache
   bookkeeping).
+* :func:`pool_placements` — how the ``-j N`` pool placed its tasks: on the
+  worker that already held the task's workload, or stolen by one that did
+  not.
 
 Percentiles use the deterministic nearest-rank method so the same trace
 always yields the same report.
@@ -237,6 +240,20 @@ def scheduler_overhead(spans: List[Span]) -> Dict[str, Any]:
     }
 
 
+def pool_placements(spans: List[Span]) -> Dict[str, int]:
+    """Count the pool's task placements from the ``resident`` and ``stolen``
+    attributes of its task spans (spans without them ran in the parent).
+    Returns ``{tasks, resident, stolen}``."""
+    placed = [
+        span["attrs"] for span in spans if span.get("attrs", {}).get("resident") is not None
+    ]
+    return {
+        "tasks": len(placed),
+        "resident": sum(1 for attrs in placed if attrs["resident"]),
+        "stolen": sum(1 for attrs in placed if attrs.get("stolen")),
+    }
+
+
 # ---------------------------------------------------------------------------
 # text renderers (the `repro trace --summary/--critical-path` output)
 # ---------------------------------------------------------------------------
@@ -249,7 +266,8 @@ def _fmt(seconds: float) -> str:
 
 
 def render_summary(spans: List[Span]) -> str:
-    """The ``--summary`` table plus the scheduler-overhead footer."""
+    """The ``--summary`` table plus the scheduler-overhead and pool-placement
+    footers."""
     rows = summarize(spans)
     if not rows:
         return "no spans"
@@ -283,6 +301,12 @@ def render_summary(spans: List[Span]) -> str:
             f"scheduler overhead: {_fmt(overhead['overhead_seconds'])} of "
             f"{_fmt(overhead['total_seconds'])} scheduler wall time "
             f"({overhead['overhead_fraction'] * 100.0:.1f}%) not covered by spans"
+        )
+    placements = pool_placements(spans)
+    if placements["tasks"]:
+        lines.append(
+            f"pool placements: {placements['resident']} resident, "
+            f"{placements['stolen']} stolen of {placements['tasks']}"
         )
     return "\n".join(lines)
 

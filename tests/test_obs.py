@@ -11,8 +11,10 @@ Three layers, cheapest first:
   worker's lane, an untraced run opens no span, and a ``jobs=2`` pool run
   yields one coherent trace across the process hop;
 * CLI: ``repro trace`` renders tree and Gantt views and exports Chrome
-  Trace Event JSON, its summary of a cold run in a fresh process lists the
-  pipeline import as a layer, a traced ``repro ingest`` is byte-identical
+  Trace Event JSON, its summary counts the pool's resident and stolen
+  placements and, for a cold run in a fresh process, lists the
+  pipeline import as a layer (under the cache span serially, under the
+  scheduler before a pool forks), a traced ``repro ingest`` is byte-identical
   to an untraced one, and a URL in
   ``$REPRO_TRACE`` leaves tracing off with one stderr line (the full-report byte-identity runs in
   ``tools/obs_smoke.py`` / the ``obs-smoke`` CI job).
@@ -307,6 +309,31 @@ def test_repro_trace_renders_tree_and_gantt(tmp_path, capsys):
     assert "pid:2" in render_gantt(spans)
 
 
+def test_trace_summary_counts_the_pool_placements(tmp_path, capsys):
+    trace_file = tmp_path / "trace.jsonl"
+    records = [
+        _span("scheduler.run", "01", None, 0.0, 4.0),
+        _span("task:compile:x", "02", "01", 0.0, 1.0, worker="pid:1",
+              resident=False, stolen=False),
+        _span("task:sweep:x:1", "03", "01", 1.0, 2.0, worker="pid:1",
+              resident=True, stolen=False),
+        _span("task:sweep:x:2", "04", "01", 1.0, 2.0, worker="pid:2",
+              resident=False, stolen=True),
+        _span("task:sweep:x:3", "05", "01", 2.0, 3.0, worker="pid:1",
+              resident=True, stolen=False),
+        _span("task:agg", "06", "01", 3.0, 4.0, worker="parent"),
+    ]
+    trace_file.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    assert main(["trace", str(trace_file), "--summary"]) == 0
+    summary, _ = capsys.readouterr()
+    assert "pool placements: 2 resident, 1 stolen of 4" in summary.splitlines()
+
+    # A serial trace has no pool task spans and prints no placement line.
+    trace_file.write_text("\n".join(json.dumps(r) for r in records[:1]) + "\n")
+    assert main(["trace", str(trace_file), "--summary"]) == 0
+    assert "pool placements" not in capsys.readouterr()[0]
+
+
 def test_trace_summary_of_a_cold_run_lists_the_pipeline_import(tmp_path, capsys):
     """A fresh process imports the pipeline inside its first compile: that
     import is a span of kind ``import``, not self time of the cache span."""
@@ -333,6 +360,32 @@ def test_trace_summary_of_a_cold_run_lists_the_pipeline_import(tmp_path, capsys)
     (imported,) = [s for s in load_spans(trace_file) if s["kind"] == "import"]
     (cache,) = [s for s in load_spans(trace_file) if s["kind"] == "cache"]
     assert imported["parent_id"] == cache["span_id"]
+
+
+def test_pool_start_imports_the_stages_inside_an_import_span(tmp_path):
+    """Before it forks its first slot, a cold ``-j 2`` run imports the
+    stages in the parent: that is a span of kind ``import`` under the
+    scheduler, not scheduler self time."""
+    import subprocess
+    import sys as _sys
+
+    import repro
+
+    trace_file = tmp_path / "pool.jsonl"
+    env = dict(os.environ)
+    src_dir = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    env[obs_tracing.TRACE_ENV] = str(trace_file)
+    proc = subprocess.run(
+        [_sys.executable, "-m", "repro.cli", "report", "--json", "-j", "2",
+         "--benchmarks", "blowfish", "--cache-dir", str(tmp_path / "cache")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = load_spans(trace_file)
+    (scheduler,) = [s for s in spans if s["kind"] == "scheduler"]
+    imports = [s for s in spans if s["kind"] == "import" and s["worker"] is None]
+    assert [s["parent_id"] for s in imports] == [scheduler["span_id"]]
 
 
 def test_repro_trace_on_missing_or_empty_file_fails_cleanly(tmp_path, capsys):

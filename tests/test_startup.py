@@ -131,7 +131,7 @@ def stage_loaded():
 before = STAGE in sys.modules
 executor = LocalProcessExecutor(1)
 try:
-    executor.submit(Task("probe", "compile", stage_loaded), None)
+    executor.submit([Task("probe", "compile", stage_loaded)], None)
     (outcome,) = executor.wait()
 finally:
     executor.close()

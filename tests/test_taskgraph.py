@@ -2,7 +2,10 @@
 
 Graph-shape tests use cheap dummy nodes; end-to-end tests use the two
 cheapest workloads (blowfish, mips) against pytest-managed temp cache
-directories, mirroring ``tests/test_eval_cache.py``.
+directories, mirroring ``tests/test_eval_cache.py``.  The pool's placement
+rule is tested as a pure function, and its effect (a worker keeps the
+artifact it compiled, and a sweep point follows its compile to that worker)
+end to end.
 """
 
 import json
@@ -321,3 +324,113 @@ def test_keyboard_interrupt_in_pool_closes_it_and_sweeps_lock_files(tmp_path, mo
     assert True in closed  # interrupt-mode close happened
     assert not cache.backend.lock_path("d" * 64).exists()
     assert list((tmp_path / "locks").rglob("*.lock")) == []
+
+
+# ---------------------------------------------------------------------------
+# workload-affine pool placement
+# ---------------------------------------------------------------------------
+
+
+def _pooled(task_id, workload):
+    return Task(task_id=task_id, kind="runtime", fn=len, workload=workload)
+
+
+def test_place_prefers_resident_then_unheld_then_steals():
+    from repro.eval.taskgraph import PLACED_FREE, PLACED_RESIDENT, PLACED_STOLEN, place
+
+    pending = [_pooled("compile:c", "c"), _pooled("sweep:b", "b"), _pooled("sweep:a", "a")]
+    # Slot 1 ran workload a: its oldest a task goes there first, ahead of
+    # older tasks of other workloads.
+    assert place(pending, [{"b"}, {"a"}], idle=[1]) == (1, 2, PLACED_RESIDENT)
+    # With no a task pending, idle slot 1 leaves the b task to busy slot 0,
+    # which holds b, and takes the unheld compile.
+    assert place(pending[:2], [{"b"}, {"a"}], idle=[1]) == (1, 0, PLACED_FREE)
+    # Among several idle slots, the resident one gets its task.
+    assert place(pending[1:], [set(), {"b"}], idle=[0, 1]) == (1, 0, PLACED_RESIDENT)
+    # A render (no workload) is never held by anyone.
+    render = Task(task_id="render:6.3", kind="render", fn=len)
+    assert place([_pooled("sweep:b", "b"), render], [{"b"}, set()], idle=[1]) == (
+        1, 1, PLACED_FREE,
+    )
+    # Every pending workload is held by a busy slot: the idle slot steals
+    # the oldest task rather than idling.
+    assert place(pending[1:], [{"a", "b"}, set()], idle=[1]) == (1, 0, PLACED_STOLEN)
+
+
+def test_place_never_leaves_a_slot_idle_while_a_task_is_pending():
+    from itertools import product
+
+    from repro.eval.taskgraph import place
+
+    workloads = ("a", "b", None)
+    for kinds in product(workloads, repeat=3):
+        pending = [_pooled(f"t{i}", w) for i, w in enumerate(kinds)]
+        for resident in product([set(), {"a"}, {"b"}, {"a", "b"}], repeat=2):
+            for idle in ([0], [1], [0, 1]):
+                slot, index, _ = place(pending, list(resident), idle)
+                assert slot in idle and 0 <= index < len(pending)
+
+
+def test_worker_keeps_its_compile_artifact_for_later_sweep_points(tmp_path, monkeypatch):
+    """A compile run in a pool worker leaves the artifact in that process's
+    sweep-input memo, so a sweep point at the compile's own runtime config
+    replays from the same trace and builds no new trace index."""
+    from collections import OrderedDict
+
+    from repro.eval import taskgraph
+    from repro.eval.cache import compile_key
+    from repro.sim import timing
+    from repro.workloads import get_workload
+
+    monkeypatch.setattr(taskgraph, "_SWEEP_INPUT_MEMO", OrderedDict())
+    config = CompilerConfig()
+    key = compile_key(get_workload("blowfish").source, config)
+    cache_root = str(tmp_path / "cache")
+    envelope = taskgraph._execute_in_worker(
+        taskgraph.compute_compile, ("blowfish", config), key, cache_root, "artifact"
+    )
+    assert envelope == {"value": None, "in_cache": True}
+    artifact = taskgraph._SWEEP_INPUT_MEMO[key]
+    assert artifact.name == "blowfish"
+
+    built = []
+    init = timing._TraceIndex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(timing._TraceIndex, "__init__", counting_init)
+    cycles = taskgraph.compute_runtime_point("blowfish", config, cache_root, config.runtime, key)
+    assert built == []
+    assert cycles == artifact.system.twill.cycles
+
+
+def test_pool_runs_a_sweep_point_in_its_compiles_lane(tmp_path):
+    from repro.eval.cache import compile_key
+    from repro.eval.taskgraph import compile_task, runtime_task
+    from repro.obs import tracing as obs_tracing
+    from repro.obs.render import load_spans
+    from repro.workloads import get_workload
+
+    config = CompilerConfig()
+    key = compile_key(get_workload("blowfish").source, config)
+    cache_root = str(tmp_path / "cache")
+    graph = TaskGraph()
+    graph.add(compile_task("blowfish", config, key))
+    graph.add(runtime_task("blowfish", config, cache_root, RuntimeConfig(queue_latency=8),
+                           "latency:blowfish:8", key))
+    sink = tmp_path / "spans.jsonl"
+    obs_tracing.enable(sink, service="test")
+    try:
+        TaskScheduler(graph, cache=ArtifactCache(cache_root), jobs=2).run()
+    finally:
+        obs_tracing.reset()
+    spans = {s["name"]: s for s in load_spans(sink)}
+    compile_span = spans["task:compile:blowfish"]
+    sweep_span = spans["task:sweep:latency:blowfish:8"]
+    assert compile_span["worker"].startswith("pid:")
+    assert sweep_span["worker"] == compile_span["worker"]
+    assert compile_span["attrs"]["resident"] is False
+    assert sweep_span["attrs"]["resident"] is True
+    assert sweep_span["attrs"]["stolen"] is False

@@ -20,10 +20,9 @@ without, then asserts that:
 * ``repro report --html`` under the same telemetry emits the profile /
   trace-analytics / trends cards;
 * on a cold serial traced ``repro report --json`` of every benchmark, the
-  stage spans and ``cache.put`` hold >= 90% of the ``harness`` span as
-  self time and bare ``cache`` self time stays <= 5% (the first compile's
-  pipeline import is a span of kind ``import``): the trace names the layer
-  that spent the time.
+  stage spans, ``cache.put`` and the first compile's pipeline ``import``
+  span hold >= 90% of the ``harness`` span as self time and bare ``cache``
+  self time stays <= 5%: the trace names the layer that spent the time.
 
 Used by the ``obs-smoke`` CI job; handy manually:
 
@@ -68,9 +67,10 @@ def repro_cmd(*args: str) -> List[str]:
 #: much relative to a plain cold run; one retry soaks scheduler noise.
 MAX_OVERHEAD_RATIO = 1.10
 
-#: Least share of the ``harness`` span held as self time by ``stage:*`` and
-#: ``cache.put`` spans, and most share left as bare ``cache`` self time
-#: (measured 2.0-2.3 % on a cold serial report of all eight benchmarks).
+#: Least share of the ``harness`` span held as self time by the named layers
+#: (``stage:*``, ``cache.put`` and ``import`` spans; measured 97.2-97.5 %),
+#: and most share left as bare ``cache`` self time (measured 2.0-2.2 %), on
+#: a cold serial report of all eight benchmarks.
 MIN_NAMED_SHARE = 0.90
 MAX_CACHE_SELF_SHARE = 0.05
 
@@ -284,8 +284,9 @@ def check_traced_report(benchmarks: str, timeout: float,
 
 
 def check_layer_attribution(timeout: float) -> None:
-    """A cold serial traced report of every benchmark: the stage spans and
-    ``cache.put`` must account for the ``harness`` span."""
+    """A cold serial traced report of every benchmark: the stage spans,
+    ``cache.put`` and the pipeline import must account for the ``harness``
+    span."""
     with tempfile.TemporaryDirectory(prefix="repro-obs-layers-") as tmp:
         trace_file = Path(tmp) / "trace.jsonl"
         report = subprocess.run(
@@ -308,19 +309,19 @@ def check_layer_attribution(timeout: float) -> None:
         harness = rows["harness"]["total_seconds"]
         named = sum(
             row["self_seconds"] for kind, row in rows.items()
-            if kind.startswith("stage:") or kind == "cache.put"
+            if kind.startswith("stage:") or kind in ("cache.put", "import")
         )
         cache_self = rows.get("cache", {}).get("self_seconds", 0.0)
         named_share, cache_share = named / harness, cache_self / harness
         if named_share < MIN_NAMED_SHARE or cache_share > MAX_CACHE_SELF_SHARE:
             raise AssertionError(
-                f"stage:* + cache.put self time is {named_share:.1%} of the harness span "
-                f"(>= {MIN_NAMED_SHARE:.0%} wanted), bare cache self time {cache_share:.1%} "
-                f"(<= {MAX_CACHE_SELF_SHARE:.0%} wanted)"
+                f"stage:* + cache.put + import self time is {named_share:.1%} of the "
+                f"harness span (>= {MIN_NAMED_SHARE:.0%} wanted), bare cache self time "
+                f"{cache_share:.1%} (<= {MAX_CACHE_SELF_SHARE:.0%} wanted)"
             )
         print(
-            f"obs-smoke: stage:* + cache.put hold {named_share:.1%} of the {harness:.2f}s "
-            f"harness span, bare cache self time {cache_share:.1%}", flush=True,
+            f"obs-smoke: stage:* + cache.put + import hold {named_share:.1%} of the "
+            f"{harness:.2f}s harness span, bare cache self time {cache_share:.1%}", flush=True,
         )
 
 
