@@ -22,7 +22,7 @@ suite use, so numbers never diverge between entry points:
 * ``repro explore <workload|all> --strategy S --budget N --seed K`` — the
   full design-space exploration engine: budgeted search (exhaustive,
   random, greedy, annealing) over split/pipeline/queue/HLS candidates with
-  exact Pareto frontiers, journaled and resumable (docs/EXPLORATION.md);
+  exact Pareto frontiers, cached and resumable (docs/EXPLORATION.md);
 * ``repro ingest FILE.c [--run|--sweep|--explore]`` — register a raw C file
   as a first-class workload: preprocess, parse with error recovery
   (``file:line:col`` diagnostics), capture reference outputs, register —
@@ -125,7 +125,7 @@ def _parse_size(text: str) -> int:
         raw = raw[:-1]
     try:
         value = int(float(raw) * factor)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ReproError(f"invalid size '{text}' (expected e.g. 104857600, 100M, 1.5G)") from None
     if value < 0:
         raise ReproError(f"size must be non-negative, got '{text}'")
@@ -676,7 +676,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         names = [args.workload]
     harness = _make_harness(args, benchmarks=names)
     results = {}
-    totals = {"evaluated": 0, "executed": 0, "cache_hits": 0, "replayed": 0}
+    totals = {"evaluated": 0, "executed": 0, "cache_hits": 0}
     run_started = time.perf_counter()
     for name in names:
         driver = ExplorationDriver(
@@ -694,8 +694,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         # Effort goes to stderr: stdout stays byte-identical cold vs warm.
         print(
             f"explored {name}: {stats['evaluated']} candidates "
-            f"({stats['executed']} executed, {stats['cache_hits']} cache hits, "
-            f"{stats['replayed']} journal-replayed), "
+            f"({stats['executed']} executed, {stats['cache_hits']} cache hits), "
             f"frontier size {len(results[name].frontier)}",
             file=sys.stderr,
         )

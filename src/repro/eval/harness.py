@@ -2,8 +2,9 @@
 
 Compiling a workload (front end, passes, functional trace, DSWP, HLS, three
 timing replays) is the expensive part of every experiment, and most
-tables/figures need the same compiled artefacts.  The harness therefore
-caches at three levels:
+tables/figures need the same compiled artefacts.  Every request, a whole
+report or a single ``repro run``, is a task graph run by :meth:`execute`,
+which caches at three levels:
 
 1. **in memory** — one :class:`BenchmarkRun` per workload (plus one value per
    derived sweep key) for the lifetime of the harness, so the experiment
@@ -30,7 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import CompilerConfig, RuntimeConfig
 from repro.eval import taskgraph
-from repro.eval.cache import ArtifactCache, compile_key, derived_key
+from repro.eval.cache import ArtifactCache, compile_key
 from repro.eval.taskgraph import TaskGraph, TaskScheduler
 from repro.obs import tracing as obs_tracing
 from repro.results import CompilationResult
@@ -268,16 +269,10 @@ class EvaluationHarness:
         cached = self._runs.get(name)
         if cached is not None:
             return cached
-        key = self._compile_key(name)
-        if self.cache is not None:
-            result = self.cache.get_or_compute(
-                key,
-                lambda: taskgraph.compute_compile(name, self.config),
-                serializer="artifact",
-            )
-        else:
-            result = taskgraph.compute_compile(name, self.config)
-        return self._admit(name, result)
+        graph = TaskGraph()
+        self.declare_compile(graph, name)
+        self.execute(graph)
+        return self._runs[name]
 
     def run_all(self, parallel: Optional[int] = None) -> List[BenchmarkRun]:
         """Compile and simulate every workload of this harness.
@@ -295,46 +290,21 @@ class EvaluationHarness:
 
     # -- sweeps -----------------------------------------------------------------------------
 
-    def _derived_cached(self, key: str, compute, serializer: str = "json"):
-        """Memoise a derived artefact in memory and (when enabled) on disk."""
-        hit = self._derived.get(key)
-        if hit is not None:
-            return hit
-        if self.cache is not None:
-            value = self.cache.get_or_compute(key, compute, serializer=serializer)
-        else:
-            value = compute()
-        self._derived[key] = value
-        return value
-
     def twill_cycles_with_runtime(self, name: str, runtime: RuntimeConfig) -> float:
         """Twill cycle count for one workload under a modified runtime configuration.
 
-        Single-point counterpart of a ``runtime`` task node — it runs the
-        same payload function, so CLI one-offs and graph runs cannot diverge.
+        Declares the ``runtime`` node (and its compile) and executes that
+        graph, so CLI one-offs and report graphs cannot diverge.
         """
-        parent = self._compile_key(name)
-        key = derived_key(parent, "runtime", runtime.to_dict())
-
-        def compute() -> float:
-            taskgraph.seed_sweep_input(parent, self.run(name).result)
-            return taskgraph.compute_runtime_point(
-                name, self.config, self._cache_root, runtime, parent
-            )
-
-        return self._derived_cached(key, compute)
+        graph = TaskGraph()
+        task_id = self.declare_runtime_point(graph, name, runtime, f"runtime:{name}")
+        return self.execute(graph)[task_id]
 
     def twill_cycles_with_split(self, name: str, sw_fraction: float) -> Dict[str, float]:
         """Re-partition with a different targeted SW share and report cycles + queues.
 
-        Single-point counterpart of a ``split`` task node (same payload)."""
-        parent = self._compile_key(name)
-        key = derived_key(parent, "split", {"sw_fraction": sw_fraction})
-
-        def compute() -> Dict[str, float]:
-            taskgraph.seed_sweep_input(parent, self.run(name).result)
-            return taskgraph.compute_split_point(
-                name, self.config, self._cache_root, sw_fraction, parent
-            )
-
-        return self._derived_cached(key, compute)
+        Declares and executes the ``split`` node, like
+        :meth:`twill_cycles_with_runtime`."""
+        graph = TaskGraph()
+        task_id = self.declare_split_point(graph, name, sw_fraction)
+        return self.execute(graph)[task_id]

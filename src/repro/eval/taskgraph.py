@@ -40,11 +40,12 @@ from __future__ import annotations
 import importlib
 import os
 import sys
+import traceback
 from collections import OrderedDict, deque
-from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass
 from typing import (
-    AbstractSet, Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+    TYPE_CHECKING, AbstractSet, Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence,
+    Set, Tuple,
 )
 
 from repro.config import CompilerConfig, RuntimeConfig
@@ -53,6 +54,9 @@ from repro.eval.cache import ArtifactCache, derived_key, render_key
 from repro.obs import tracing as obs_tracing
 from repro.results import CompilationResult
 from repro.workloads import get_workload
+
+if TYPE_CHECKING:  # multiprocessing loads only when a pool slot forks
+    from multiprocessing.connection import Connection
 
 #: Node kinds, also used by ``repro graph`` for display and by the harness
 #: to route results back into its in-memory memo layers.
@@ -540,21 +544,53 @@ def place(
     return idle[0], 0, PLACED_STOLEN
 
 
+class _RemoteTraceback(Exception):
+    """A pool worker's traceback, chained under the exception it raised."""
+
+
+def _slot_main(conn: Connection, parent_end: Connection) -> None:
+    """A pool slot's process: run each task the parent sends and reply
+    ``(True, envelope)`` or ``(False, (exception, traceback))``.
+
+    It returns when the parent sends ``None`` or goes away, through
+    multiprocessing's normal exit path, so finalisers such as the
+    ``$REPRO_PROFILE`` dump still run.
+    """
+    parent_end.close()  # the fork's copy: without it a dead parent is never seen
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
+        if message is None:
+            return
+        try:
+            reply: Tuple[bool, Any] = (True, _execute_in_worker(*message))
+        except BaseException as exc:  # KeyboardInterrupt too: the parent re-raises it
+            reply = (False, (exc, traceback.format_exc()))
+        try:
+            conn.send(reply)
+        except Exception as exc:  # an unpicklable value or exception
+            conn.send((False, (TaskGraphError(repr(exc)), traceback.format_exc())))
+
+
 class LocalProcessExecutor:
     """Run worker tasks on N one-process slots (``--parallel N``).
 
-    Each slot is a ``ProcessPoolExecutor(max_workers=1)``, so a slot is one
-    long-lived worker process.  Its sweep-input memo keeps the compile
-    artifacts it produced or read, and with them each trace's replay index,
-    setups and schedules.  :meth:`submit` therefore takes a task off the
-    scheduler's pending list only for an idle slot, picked by :func:`place`
-    so that a workload's sweep points follow its compile.
+    Each slot is one long-lived ``fork``-context process fed over one
+    ``multiprocessing.Pipe``; the parent waits on the pipes with
+    ``multiprocessing.connection.wait`` and starts no thread, so every slot
+    forks a single-threaded process.  A slot's sweep-input memo keeps the
+    compile artifacts it produced or read, and with them each trace's
+    replay index, setups and schedules.  :meth:`submit` therefore takes a
+    task off the scheduler's pending list only for an idle slot, picked by
+    :func:`place` so that a workload's sweep points follow its compile.
 
     The scheduler owns graph order, seeds, cache pre-checks and aggregate
     nodes; the slots only run keyed worker payloads and report
     :class:`TaskOutcome`\\ s back.  Workers exchange artefacts through the
     shared cache rather than over the pipe (see :func:`_execute_in_worker`);
-    each slot is created on its first task, after the parent has imported
+    each slot is forked on its first task, after the parent has imported
     :data:`WORKER_MODULES`, so cache-warm runs never fork at all, and never
     import the stages either.
     """
@@ -564,14 +600,29 @@ class LocalProcessExecutor:
         # in cgroup-limited containers the reported count is often wrong, and
         # an explicit --parallel N is an informed opt-in.
         self.max_workers = max(1, min(jobs, 32))
-        self._slots: List[Optional[ProcessPoolExecutor]] = [None] * self.max_workers
+        self._slots: List[Optional[Tuple[Any, Connection]]] = [None] * self.max_workers
         self._resident: List[Set[str]] = [set() for _ in range(self.max_workers)]
-        self._futures: Dict[Any, Tuple[int, Task]] = {}
+        self._running: Dict[int, Task] = {}
 
     def idle_slots(self) -> List[int]:
         """The slots running no task, lowest first."""
-        busy = {slot for slot, _ in self._futures.values()}
-        return [slot for slot in range(self.max_workers) if slot not in busy]
+        return [slot for slot in range(self.max_workers) if slot not in self._running]
+
+    def _fork_slot(self) -> Tuple[Any, Connection]:
+        # A forked worker starts with what the parent has imported: import
+        # the stages here, once, so that no worker imports them.
+        if not all(module in sys.modules for module in WORKER_MODULES):
+            with obs_tracing.span("import worker modules", kind="import"):
+                for module in WORKER_MODULES:
+                    importlib.import_module(module)
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        conn, child_conn = context.Pipe()
+        process = context.Process(target=_slot_main, args=(child_conn, conn), daemon=True)
+        process.start()
+        child_conn.close()
+        return process, conn
 
     def submit(self, pending: List[Task], cache: Optional[ArtifactCache]) -> Task:
         """Take the task :func:`place` picks off *pending*, start it on its
@@ -579,17 +630,8 @@ class LocalProcessExecutor:
         non-empty."""
         slot, index, placement = place(pending, self._resident, self.idle_slots())
         task = pending.pop(index)
-        pool = self._slots[slot]
-        if pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            # A forked worker starts with what the parent has imported:
-            # import the stages here, once, so that no worker imports them.
-            if not all(module in sys.modules for module in WORKER_MODULES):
-                with obs_tracing.span("import worker modules", kind="import"):
-                    for module in WORKER_MODULES:
-                        importlib.import_module(module)
-            pool = self._slots[slot] = ProcessPoolExecutor(max_workers=1)
+        if self._slots[slot] is None:
+            self._slots[slot] = self._fork_slot()
         if task.workload is not None:
             self._resident[slot].add(task.workload)
         trace_ctx = obs_tracing.wire_context()
@@ -601,30 +643,47 @@ class LocalProcessExecutor:
                 "resident": placement == PLACED_RESIDENT,
                 "stolen": placement == PLACED_STOLEN,
             }
-        future = pool.submit(
-            _execute_in_worker,
-            task.fn,
-            task.args,
-            task.key,
-            cache.spec if cache is not None else None,
-            task.serializer,
-            trace_ctx,
+        self._slots[slot][1].send(
+            (
+                task.fn,
+                task.args,
+                task.key,
+                cache.spec if cache is not None else None,
+                task.serializer,
+                trace_ctx,
+            )
         )
-        self._futures[future] = (slot, task)
+        self._running[slot] = task
         return task
 
     def wait(self) -> List[TaskOutcome]:
         """Block until at least one submitted task finishes; return outcomes.
 
-        A task that raised re-raises here (fatal for the run).
+        A task that raised re-raises here with the worker's traceback as its
+        cause, and a worker that died raises :class:`TaskGraphError` naming
+        its task (both fatal for the run).
         """
-        finished, _ = wait(list(self._futures), return_when=FIRST_COMPLETED)
+        from multiprocessing.connection import wait as wait_ready
+
+        slots = {self._slots[slot][1]: slot for slot in self._running}
         outcomes: List[TaskOutcome] = []
-        for future in finished:
-            _, task = self._futures.pop(future)
-            envelope = future.result()  # re-raises worker exceptions
+        for conn in wait_ready(list(slots)):
+            slot = slots[conn]
+            task = self._running.pop(slot)
+            try:
+                ok, payload = conn.recv()
+            except EOFError:
+                process = self._slots[slot][0]
+                process.join()
+                raise TaskGraphError(
+                    f"pool worker running task '{task.task_id}' died "
+                    f"(exit code {process.exitcode})"
+                ) from None
+            if not ok:
+                exc, remote = payload
+                raise exc from _RemoteTraceback(remote)
             outcomes.append(
-                TaskOutcome(task=task, value=envelope["value"], in_cache=envelope["in_cache"])
+                TaskOutcome(task=task, value=payload["value"], in_cache=payload["in_cache"])
             )
         return outcomes
 
@@ -632,24 +691,21 @@ class LocalProcessExecutor:
         """Shut every slot down; with ``interrupt=True``, abandon in-flight
         work and terminate the worker processes.  Idempotent."""
         slots, self._slots = self._slots, [None] * self.max_workers
-        self._futures.clear()
-        for pool in slots:
-            if pool is None:
+        self._running.clear()
+        for entry in slots:
+            if entry is None:
                 continue
+            process, conn = entry
             if interrupt:
-                # Abandon queued work and put the worker process down now: a
-                # Ctrl-C should not wait out a multi-second compile.
-                # _processes is a private detail, so degrade to a plain
-                # shutdown without it.
-                pool.shutdown(wait=False, cancel_futures=True)
-                processes = getattr(pool, "_processes", None) or {}
-                for process in list(processes.values()):
-                    try:
-                        process.terminate()
-                    except Exception:
-                        pass
+                # A Ctrl-C should not wait out a multi-second compile.
+                process.terminate()
             else:
-                pool.shutdown()
+                try:
+                    conn.send(None)
+                except OSError:  # the worker is already gone
+                    pass
+            process.join()
+            conn.close()
 
 
 # ---------------------------------------------------------------------------
@@ -660,25 +716,30 @@ class LocalProcessExecutor:
 class TaskScheduler:
     """Executes a :class:`TaskGraph`, honouring dependencies.
 
-    * ``jobs <= 1`` (or ``None``): every task runs in the parent, in
-      topological (declaration-stable) order.
-    * ``jobs > 1``: ready worker tasks wait in a pending list and start on
-      the idle slots of a :class:`LocalProcessExecutor` (a workload's
-      tasks follow it to the slot that ran it); aggregates always run in
-      the parent as soon as their dependencies finish.  Workers exchange
-      artefacts through *cache* rather than over the pipe; without a cache
-      only dependency-free tasks (compiles) are pooled and dependent sweep
-      points run in the parent.
+    One ready-queue loop runs every graph.  A task becomes ready when its
+    last dependency completes, and dependents are listed in declaration
+    order.  Seeded, cached and aggregate tasks complete in the parent at
+    once.  Worker tasks then go one of two ways:
+
+    * ``jobs <= 1`` (or ``None``): they too run in the parent as soon as
+      they are ready, so the run order is exactly
+      :meth:`TaskGraph.topological_order`;
+    * ``jobs > 1``: they wait in a pending list and start on the idle slots
+      of a :class:`LocalProcessExecutor` (a workload's tasks follow it to
+      the slot that ran it).  Workers exchange artefacts through *cache*
+      rather than over the pipe; without a cache only dependency-free tasks
+      (compiles) are pooled and dependent sweep points run in the parent.
 
     Keyed tasks are memoised through *cache* (parent-side pre-check, then
-    worker-side ``get_or_compute`` under the per-key lock).  *seeds* maps
-    task ids to already-known values (the harness's in-memory layer), which
-    count as completed without running anything.
+    ``get_or_compute`` under the per-key lock).  *seeds* maps task ids to
+    already-known values (the harness's in-memory layer), which count as
+    completed without running anything.
 
-    A :class:`KeyboardInterrupt` shuts down gracefully: every slot is closed
-    in interrupt mode (its process terminated) and the per-key lock files of
-    in-flight and pending tasks are removed, so an aborted run leaves no
-    stale single-flight state behind.
+    A run that fails, or is interrupted (:class:`KeyboardInterrupt`), shuts
+    down at once: every slot is closed in interrupt mode (its process
+    terminated) and the per-key lock files of in-flight and pending tasks
+    are removed, so an aborted run leaves no stale single-flight state
+    behind.
     """
 
     def __init__(
@@ -721,14 +782,9 @@ class TaskScheduler:
     def run(self) -> Dict[str, Any]:
         """Execute every task; returns ``{task_id: value}`` for the whole graph."""
         with obs_tracing.span("scheduler.run", kind="scheduler", tasks=len(self.graph)):
-            return self._run()
-
-    def _run(self) -> Dict[str, Any]:
-        order = self.graph.topological_order()
-        jobs = self.jobs or 1
-        if jobs <= 1:
-            return self._run_serial(order)
-        return self._run_pooled(order, LocalProcessExecutor(jobs))
+            self.graph.topological_order()  # rejects cycles and dangling deps
+            jobs = self.jobs or 1
+            return self._run(LocalProcessExecutor(jobs) if jobs > 1 else None)
 
     def _cached_or_none(self, task: Task) -> Optional[Any]:
         if task.key is not None and self.cache is not None:
@@ -765,47 +821,21 @@ class TaskScheduler:
             pass
 
     def _sweep_locks(self, tasks: Sequence[Task]) -> None:
-        """Interrupt cleanup: drop the per-key lock files of abandoned tasks."""
+        """Abort cleanup: drop the per-key lock files of abandoned tasks."""
         if self.cache is None:
             return
         for task in tasks:
             if task.key is not None:
                 self.cache.discard_lock_file(task.key)
 
-    def _run_serial(self, order: List[Task]) -> Dict[str, Any]:
+    def _run(self, pool: Optional[LocalProcessExecutor]) -> Dict[str, Any]:
         results: Dict[str, Any] = {}
-        for task in order:
-            if task.task_id in self.seeds:
-                self._count_seeded(task)
-                self._obs_mark(task, seeded=True)
-                self._record(task, self.seeds[task.task_id], results)
-                continue
-            hit = self._cached_or_none(task)
-            if hit is not None:
-                self._count_hit(task)
-                self._obs_mark(task, cache_hit=True)
-                self._record(task, hit, results)
-                continue
-            try:
-                with obs_tracing.span(
-                    f"task:{task.task_id}", kind=task.kind, worker="parent", cache_hit=False
-                ):
-                    value = self._run_task_inline(task, results)
-            except KeyboardInterrupt:
-                self._sweep_locks([task])
-                raise
-            self._count_executed(task)
-            self._record(task, value, results)
-        return results
-
-    def _run_pooled(self, order: List[Task], pool: LocalProcessExecutor) -> Dict[str, Any]:
-        results: Dict[str, Any] = {}
-        dependents: Dict[str, List[Task]] = {t.task_id: [] for t in order}
-        for task in order:
+        dependents: Dict[str, List[Task]] = {t.task_id: [] for t in self.graph}
+        for task in self.graph:
             for dep in task.deps:
                 dependents[dep].append(task)
-        waiting: Dict[str, int] = {t.task_id: len(t.deps) for t in order}
-        ready: deque = deque(t for t in order if not t.deps)
+        waiting: Dict[str, int] = {t.task_id: len(t.deps) for t in self.graph}
+        ready: deque = deque(t for t in self.graph if not t.deps)
         # Worker tasks wait here, oldest first, until the pool has an idle
         # slot for them (see LocalProcessExecutor.submit).
         pending: List[Task] = []
@@ -813,8 +843,8 @@ class TaskScheduler:
         # Distinct task ids can share one content key (e.g. the latency-2 and
         # depth-8 sweep points are both the default runtime config).  Only
         # one such task is pending or in flight; the twins park here and
-        # complete as cache hits off the owner's value — exactly how the
-        # serial path resolves them, so the run statistics stay
+        # complete as cache hits off the owner's value — exactly how an
+        # inline run resolves them, so the run statistics stay
         # scheduling-invariant.
         owned_keys: Set[str] = set()
         parked: Dict[str, List[Task]] = {}
@@ -835,75 +865,68 @@ class TaskScheduler:
                     self._obs_mark(twin, cache_hit=True)
                     complete(twin, value)
 
-        def run_inline(task: Task) -> None:
-            with obs_tracing.span(
-                f"task:{task.task_id}", kind=task.kind, worker="parent", cache_hit=False
-            ):
-                value = self._run_task_inline(task, results)
-            self._count_executed(task)
-            complete(task, value)
-
         current: Optional[Task] = None
         try:
-            try:
-                while ready or pending or in_flight:
-                    while ready:
-                        task = ready.popleft()
-                        current = task
-                        if task.task_id in self.seeds:
-                            self._count_seeded(task)
-                            self._obs_mark(task, seeded=True)
-                            complete(task, self.seeds[task.task_id])
-                            continue
-                        if not task.runs_in_worker():
-                            with obs_tracing.span(
-                                f"task:{task.task_id}", kind=task.kind, worker="parent"
-                            ):
-                                value = task.fn(results, *task.args)
-                            self._count_executed(task)
-                            complete(task, value)
-                            continue
-                        hit = self._cached_or_none(task)
-                        if hit is not None:
-                            self._count_hit(task)
-                            self._obs_mark(task, cache_hit=True)
-                            complete(task, hit)
-                            continue
-                        if self.cache is None and task.deps:
-                            # Without the shared cache a worker cannot see its
-                            # dependencies' artefacts, so such tasks run in the
-                            # parent off the in-memory memo; everything else
-                            # goes to the pool.
-                            run_inline(task)
-                            continue
-                        if task.key is not None and task.key in owned_keys:
-                            parked.setdefault(task.key, []).append(task)
-                            continue
-                        pending.append(task)
-                        if task.key is not None:
-                            owned_keys.add(task.key)
-                    current = None
-                    while pending and pool.idle_slots():
-                        task = pool.submit(pending, self.cache)
+            while ready or pending or in_flight:
+                while ready:
+                    task = current = ready.popleft()
+                    if task.task_id in self.seeds:
+                        self._count_seeded(task)
+                        self._obs_mark(task, seeded=True)
+                        complete(task, self.seeds[task.task_id])
+                        continue
+                    hit = self._cached_or_none(task)
+                    if hit is not None:
+                        self._count_hit(task)
+                        self._obs_mark(task, cache_hit=True)
+                        complete(task, hit)
+                        continue
+                    if (
+                        pool is None
+                        or not task.runs_in_worker()
+                        # Without the shared cache a worker cannot see its
+                        # dependencies' artefacts, so such tasks run in the
+                        # parent off the in-memory memo.
+                        or (self.cache is None and task.deps)
+                    ):
+                        with obs_tracing.span(
+                            f"task:{task.task_id}", kind=task.kind, worker="parent",
+                            cache_hit=False,
+                        ):
+                            value = self._run_task_inline(task, results)
                         self._count_executed(task)
-                        in_flight[task.task_id] = task
-                    if in_flight:
-                        for outcome in pool.wait():
-                            task = outcome.task
-                            in_flight.pop(task.task_id, None)
-                            value = outcome.value
-                            if outcome.in_cache:
-                                value = self._cached_or_none(task)
-                                if value is None:  # pruned/corrupted between write and read
-                                    value = self._run_task_inline(task, results)
-                            complete_with_twins(task, value)
-            except KeyboardInterrupt:
+                        complete(task, value)
+                        continue
+                    if task.key is not None and task.key in owned_keys:
+                        parked.setdefault(task.key, []).append(task)
+                        continue
+                    pending.append(task)
+                    if task.key is not None:
+                        owned_keys.add(task.key)
+                current = None
+                while pending and pool.idle_slots():
+                    task = pool.submit(pending, self.cache)
+                    self._count_executed(task)
+                    in_flight[task.task_id] = task
+                if in_flight:
+                    for outcome in pool.wait():
+                        task = outcome.task
+                        in_flight.pop(task.task_id, None)
+                        value = outcome.value
+                        if outcome.in_cache:
+                            value = self._cached_or_none(task)
+                            if value is None:  # pruned/corrupted between write and read
+                                value = self._run_task_inline(task, results)
+                        complete_with_twins(task, value)
+        except BaseException:
+            if pool is not None:
                 pool.close(interrupt=True)
-                abandoned = list(in_flight.values()) + pending
-                if current is not None and current.task_id not in in_flight:
-                    abandoned.append(current)
-                self._sweep_locks(abandoned)
-                raise
+            abandoned = list(in_flight.values()) + pending
+            if current is not None and current.task_id not in in_flight:
+                abandoned.append(current)
+            self._sweep_locks(abandoned)
+            raise
         finally:
-            pool.close()
+            if pool is not None:
+                pool.close()
         return results

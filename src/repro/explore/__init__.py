@@ -21,9 +21,8 @@ The pieces (one module each):
   (``exhaustive``, ``random``, ``greedy``, ``annealing``) behind one
   generation-oriented :class:`Strategy` interface;
 * :mod:`repro.explore.driver` — the :class:`ExplorationDriver` that submits
-  each generation as ordinary task-graph nodes (parallel, disk-cached) and
-  journals search state as a structured-JSON derived artifact so a killed
-  search resumes mid-way.
+  each generation as ordinary task-graph nodes (parallel, disk-cached), so
+  a killed search re-run with the same seed resumes from the cache.
 
 ``repro explore <workload> --strategy S --budget N --seed K`` is the CLI
 entry point; see ``docs/EXPLORATION.md``.

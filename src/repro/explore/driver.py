@@ -8,18 +8,16 @@ so candidate evaluation inherits everything the evaluation stack already
 does: process-pool parallelism (``--jobs``), content-addressed disk caching,
 and single-flight across concurrent processes.
 
-**Resumability.**  After every generation the search state is journaled as a
-structured-JSON derived artifact: the journal key hashes the workload's
-compile key, the strategy, budget, seed and the space digest, so a journal
-can only ever resume *the same* search.  On start the driver replays the
-journal through the strategy (propose → match → observe), which restores
-both the evaluated set and the strategy's RNG position; a search killed
-mid-way fast-forwards through its completed generations without executing
-anything, then continues live — and because candidate evaluations are
-content-addressed, even the un-journaled tail of a killed generation is
-recovered from the cache rather than recomputed.  Determinism of the whole
-construction (same seed + budget ⇒ byte-identical frontier, serial vs
-parallel vs resumed) is asserted by ``tests/test_explore.py``.
+**Resumability.**  The search keeps no state of its own beside the cache.
+A strategy's proposals are a deterministic function of its seed and of the
+results it observed, and every candidate evaluation is a content-addressed
+task-graph node.  So a search killed mid-way, re-run with the same inputs,
+re-proposes the same generations, and every candidate the killed run
+evaluated (even in an unfinished generation) comes back as a cache hit;
+the search executes only what the killed run never reached, and a warm
+re-run executes nothing.  Determinism of the whole construction (same
+seed + budget ⇒ byte-identical frontier, serial vs parallel vs resumed) is
+asserted by ``tests/test_explore.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.eval.cache import derived_key
 from repro.eval.harness import EvaluationHarness
 from repro.eval.taskgraph import TaskGraph
 from repro.explore.evaluate import explore_task, explore_task_id
@@ -36,29 +33,6 @@ from repro.explore.space import Candidate, SearchSpace, default_space
 from repro.explore.strategies import make_strategy
 from repro.obs import tracing as obs_tracing
 
-#: Journal document schema version (bump on incompatible layout changes;
-#: old journals are then discarded and the search replays from the cache).
-JOURNAL_SCHEMA = 1
-
-
-def journal_key(
-    compile_key: str, strategy: str, budget: int, seed: int, space_digest: str
-) -> str:
-    """The content address of one search's journal.
-
-    Unlike ordinary derived artifacts the journal *evolves* under this key
-    (each generation overwrites it with a longer prefix); that is sound
-    because the full trajectory is a deterministic function of exactly the
-    inputs hashed here, so any stored prefix is a prefix of the one true
-    search.
-    """
-    return derived_key(
-        compile_key,
-        "explore-journal",
-        {"strategy": strategy, "budget": budget, "seed": seed, "space": space_digest},
-    )
-
-
 class ExplorationResult:
     """Everything one search produced, separated into *content* and *effort*.
 
@@ -66,9 +40,8 @@ class ExplorationResult:
     evaluations in evaluation order, the Pareto frontier, per-objective
     bests, search progress) — two runs of the same search emit identical
     bytes.  ``stats`` is the effort (how many candidates actually executed
-    vs hit the cache vs were replayed from the journal) and is deliberately
-    *not* part of the JSON document, because it legitimately differs
-    between cold, warm and resumed runs.
+    vs hit the cache) and is deliberately *not* part of the JSON document,
+    because it legitimately differs between cold, warm and resumed runs.
     """
 
     def __init__(
@@ -158,52 +131,12 @@ class ExplorationDriver:
         self.seed = seed
         self.space = space or default_space()
         self.jobs = jobs
-        #: Test/interrupt hook: stop (journaled) after this many generations.
+        #: Test/interrupt hook: stop after this many generations.
         self.max_generations = max_generations
         #: Aggregated effort over the whole search (all generations).
         self.stats: Dict[str, int] = {
-            "evaluated": 0, "executed": 0, "cache_hits": 0, "seeded": 0, "replayed": 0,
+            "evaluated": 0, "executed": 0, "cache_hits": 0, "seeded": 0,
         }
-
-    # -- journal ---------------------------------------------------------------
-
-    def _journal_key(self) -> str:
-        return journal_key(
-            self.harness._compile_key(self.workload),
-            self.strategy_name,
-            self.budget,
-            self.seed,
-            self.space.digest(),
-        )
-
-    def _load_journal(self) -> List[List[Dict[str, Any]]]:
-        """The journaled generations (``[]`` when absent or unusable)."""
-        if self.harness.cache is None:
-            return []
-        doc = self.harness.cache.get(self._journal_key())
-        if not isinstance(doc, dict) or doc.get("schema") != JOURNAL_SCHEMA:
-            return []
-        generations = doc.get("generations")
-        if not isinstance(generations, list):
-            return []
-        return generations
-
-    def _write_journal(self, generations: List[List[Dict[str, Any]]]) -> None:
-        if self.harness.cache is None:
-            return
-        self.harness.cache.put(
-            self._journal_key(),
-            {
-                "schema": JOURNAL_SCHEMA,
-                "workload": self.workload,
-                "strategy": self.strategy_name,
-                "budget": self.budget,
-                "seed": self.seed,
-                "space": self.space.to_dict(),
-                "generations": generations,
-            },
-            serializer="json",
-        )
 
     # -- evaluation ------------------------------------------------------------
 
@@ -250,7 +183,6 @@ class ExplorationDriver:
             self.strategy_name, self.space, self.budget, self.seed,
             config=self.harness.config,
         )
-        journal = self._load_journal()
         evaluations: List[Tuple[Candidate, Dict[str, Any]]] = []
         known: Dict[Candidate, Dict[str, Any]] = {}
         generation = 0
@@ -260,41 +192,18 @@ class ExplorationDriver:
             batch = strategy.propose()
             if not batch:
                 break
-            journalled = journal[generation] if generation < len(journal) else None
-            if journalled is not None and [e.get("params") for e in journalled] == [
-                c.params() for c in batch
-            ]:
-                # Fast-forward: this generation already ran in a previous
-                # (killed or completed) search with identical inputs.
-                batch_results = {
-                    self.space.candidate(entry["params"]): entry["result"]
-                    for entry in journalled
-                }
-                self.stats["replayed"] += len(batch_results)
+            fresh = [c for c in batch if c not in known]
+            if fresh:
+                with obs_tracing.span(
+                    f"explore.generation:{generation}",
+                    kind="explore",
+                    generation=generation,
+                    candidates=len(fresh),
+                ):
+                    computed = self._evaluate(fresh)
             else:
-                if journalled is not None:
-                    # The stored trajectory diverged (schema/space drift):
-                    # discard the stale suffix rather than replaying it.
-                    journal = journal[:generation]
-                fresh = [c for c in batch if c not in known]
-                if fresh:
-                    with obs_tracing.span(
-                        f"explore.generation:{generation}",
-                        kind="explore",
-                        generation=generation,
-                        candidates=len(fresh),
-                    ):
-                        computed = self._evaluate(fresh)
-                else:
-                    computed = {}
-                batch_results = {c: known.get(c, computed.get(c)) for c in batch}
-                journal = journal[:generation] + [
-                    [
-                        {"params": c.params(), "result": batch_results[c]}
-                        for c in batch
-                    ]
-                ]
-                self._write_journal(journal)
+                computed = {}
+            batch_results = {c: known.get(c, computed.get(c)) for c in batch}
             for candidate in batch:
                 if candidate not in known:
                     known[candidate] = batch_results[candidate]

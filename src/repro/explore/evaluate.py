@@ -38,7 +38,7 @@ def apply_params(
 
 
 def space_from_dict(space_dict: Dict[str, Any]) -> SearchSpace:
-    """Inverse of :meth:`SearchSpace.to_dict` (the wire/journal form)."""
+    """Inverse of :meth:`SearchSpace.to_dict` (the wire form)."""
     return SearchSpace(
         dimensions=tuple(
             Dimension(d["name"], d["section"], d["field"], tuple(d["values"]))
@@ -133,8 +133,8 @@ def compute_explore_point(
     Pure and picklable (pool workers): *params* is the candidate's plain
     parameter dict and *space_dict* the space's ``to_dict()`` form, rebuilt
     here so validation travels with the task.  The result is a small structured-JSON document carrying the
-    objective values, the echo of the parameters (so aggregators and
-    journals never have to reverse-engineer task ids) and the headline
+    objective values, the echo of the parameters (so aggregators never
+    have to reverse-engineer task ids) and the headline
     speedup for the report figures.
 
     Evaluation is incremental: the re-partition stage is content-addressed

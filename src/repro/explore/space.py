@@ -8,7 +8,7 @@ point of their cartesian product — frozen and hashable, so strategies can
 use candidates as dictionary keys, and canonically serialisable
 (``params()``), so every candidate maps onto exactly one cache content key
 (:func:`repro.eval.cache.derived_key` over the parent compile key and the
-params) and onto one journal entry.
+params).
 
 Dimensions are *validated against the config dataclasses* at construction:
 an unknown section/field, an empty value list, or a value the corresponding
@@ -37,7 +37,7 @@ _SECTIONS = ("partition", "runtime", "hls")
 class Dimension:
     """One searchable knob: a config field plus its enumerable values.
 
-    ``name`` is the short identifier used in params/journals/reports
+    ``name`` is the short identifier used in params and reports
     (unique within a space); ``section``/``field`` address the knob on the
     configuration tree; ``values`` is the ordered list a step-based strategy
     walks (so neighbouring values should be adjacent trade-offs).
@@ -86,7 +86,7 @@ class Candidate:
     ``assignment`` is sorted by dimension name, which makes equal candidates
     compare (and hash) equal regardless of how they were constructed, and
     makes :meth:`key` a canonical serialisation usable for content
-    addresses, task ids and journal matching.
+    addresses and task ids.
     """
 
     assignment: Tuple[Tuple[str, Any], ...]
@@ -203,7 +203,7 @@ class SearchSpace:
         return out
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON form (journals, ``repro explore --json`` metadata)."""
+        """JSON form (task payloads, ``repro explore --json`` metadata)."""
         return {
             "dimensions": [
                 {
@@ -215,12 +215,6 @@ class SearchSpace:
                 for dim in self.dimensions
             ]
         }
-
-    def digest(self) -> str:
-        """Content digest folded into journal keys: a different space must
-        never resume another space's journal."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def default_space() -> SearchSpace:

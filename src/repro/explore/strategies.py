@@ -37,7 +37,7 @@ from repro.explore.frontier import scalar_cost
 from repro.explore.space import Candidate, SearchSpace
 
 #: Candidates per generation for the enumerative strategies — the unit of
-#: journaling granularity and of parallel fan-out.
+#: parallel fan-out.
 GENERATION_SIZE = 8
 
 #: Parallel proposals per generation for the walk strategies.

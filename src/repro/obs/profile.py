@@ -196,7 +196,7 @@ def maybe_start(service: str = "cli") -> Optional[SamplingProfiler]:
     Called once per process entry point (CLI main, pool child).  When the variable is unset this is one dict lookup; when set
     it starts the sampler and registers an atexit hook appending the
     profile record to the sink, so even pool children that exit through
-    the executor's normal shutdown path leave their samples behind.
+    their slot's normal shutdown path leave their samples behind.
     """
     global _profiler, _sink, _owner_pid
     if _profiler is not _UNSET and _owner_pid == os.getpid():

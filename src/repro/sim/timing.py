@@ -1110,7 +1110,7 @@ def simulate_partitioned(
     """Pure sweep-point re-simulation: replay *trace* under *partitioning*.
 
     A module-level function of (compile artifact pieces, config) with no
-    other state, so a :class:`~concurrent.futures.ProcessPoolExecutor` worker
+    other state, so a ``-j N`` pool worker (:mod:`repro.eval.taskgraph`)
     can pickle it and re-run just the timing tail of the pipeline for one
     (workload, sweep-point) task — the Figure 6.5/6.6 queue sweeps.
     """

@@ -186,6 +186,13 @@ def test_cache_prune(tmp_path, capsys):
     assert "invalid size" in err
 
 
+@pytest.mark.parametrize("size", ["inf", "1e400", "1e400G"])
+def test_cache_prune_rejects_an_unbounded_size(size, tmp_path, capsys):
+    code, _, err = run_cli(["cache", "prune", "--max-bytes", size], tmp_path, capsys)
+    assert code == 2
+    assert f"error: invalid size '{size}'" in err
+
+
 def test_jobs_alias_for_parallel(tmp_path, capsys):
     code, out, _ = run_cli(
         ["table", "6.1", "--benchmarks", "blowfish", "--jobs", "2"], tmp_path, capsys

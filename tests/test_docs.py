@@ -70,7 +70,7 @@ def test_exploration_doc_covers_the_engine_surface():
         "--budget",
         "--seed",
         "Pareto",
-        "journal",
+        "resum",
         "byte-identical",
         "explore-smoke",
     ):

@@ -246,18 +246,24 @@ def test_same_seed_serial_vs_parallel_vs_resumed_identical(tmp_path):
     parallel = run_search(make_harness(tmp_path / "parallel"), jobs=2).run().to_json_dict()
     assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
 
-    # "Kill" a third search after its first generation (the journal persists),
-    # then resume with a fresh driver: identical frontier, and the completed
-    # generation is replayed from the journal, not re-executed.
+    # "Kill" a third search after its first generation (its candidates stay
+    # in the cache), then resume with a fresh driver: identical frontier,
+    # the completed generation comes back as cache hits, and only the rest
+    # of the search executes.
     killed = run_search(make_harness(tmp_path / "resumed"), max_generations=1)
     killed.run()
+    assert killed.stats["executed"] == killed.stats["evaluated"] >= 1
     resumed_driver = run_search(make_harness(tmp_path / "resumed"))
     resumed = resumed_driver.run()
     assert json.dumps(resumed.to_json_dict(), sort_keys=True) == json.dumps(
         serial, sort_keys=True
     )
-    assert resumed_driver.stats["replayed"] >= 1
+    assert resumed_driver.stats["cache_hits"] == killed.stats["executed"]
     assert resumed_driver.stats["executed"] < serial_driver.stats["executed"]
+    assert (
+        resumed_driver.stats["executed"]
+        == serial_driver.stats["executed"] - killed.stats["executed"]
+    )
 
 
 def test_warm_rerun_evaluates_nothing_and_is_byte_identical(tmp_path):
@@ -266,7 +272,7 @@ def test_warm_rerun_evaluates_nothing_and_is_byte_identical(tmp_path):
     assert cold_driver.stats["executed"] > 0
     warm_driver = run_search(make_harness(tmp_path))
     warm = warm_driver.run().to_json_dict()
-    assert warm_driver.stats["executed"] == 0  # journal + cache satisfy everything
+    assert warm_driver.stats["executed"] == 0  # the cache satisfies everything
     assert json.dumps(cold, sort_keys=True) == json.dumps(warm, sort_keys=True)
 
 

@@ -5,7 +5,8 @@ cheapest workloads (blowfish, mips) against pytest-managed temp cache
 directories, mirroring ``tests/test_eval_cache.py``.  The pool's placement
 rule is tested as a pure function, and its effect (a worker keeps the
 artifact it compiled, and a sweep point follows its compile to that worker)
-end to end.
+end to end; so are the slots themselves (no thread in the parent, a dead
+worker's error, a worker's traceback).
 """
 
 import json
@@ -105,6 +106,57 @@ def test_scheduler_seeds_short_circuit_execution():
     graph.add(node("double", deps=("one",)))
     results = TaskScheduler(graph, seeds={"one": 41}).run()
     assert results["double"] == (41,)
+
+
+def test_serial_run_order_is_the_topological_order():
+    """With ``jobs=1`` every task of the full report graph runs in the
+    parent the moment it is ready, which is exactly Kahn's order."""
+    from dataclasses import replace
+
+    from repro.eval.experiments import declare_report, declare_report_renders
+
+    harness = EvaluationHarness(use_cache=False)
+    report = TaskGraph()
+    declare_report(report, harness)
+    declare_report_renders(report, harness)
+    ran = []
+
+    def record(*args, **kwargs):
+        ran.append(args[-1])
+
+    graph = TaskGraph()
+    for task in report:
+        graph.add(replace(task, fn=record, args=(task.task_id,), key=None))
+    TaskScheduler(graph, jobs=1).run()
+    expected = [t.task_id for t in report.topological_order()]
+    assert expected != [t.task_id for t in report]  # not merely declaration order
+    assert ran == expected
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_no_cache_twins_both_execute(jobs):
+    """The latency-2 and depth-8 points share one content key.  Without a
+    cache nothing can serve the second as a hit, so both execute, serial or
+    pooled, and the statistics say so."""
+    harness = EvaluationHarness(benchmarks=["blowfish"], use_cache=False)
+    graph = TaskGraph()
+    latency = harness.declare_runtime_point(
+        graph, "blowfish", RuntimeConfig(queue_latency=2), "latency:blowfish:2"
+    )
+    depth = harness.declare_runtime_point(
+        graph, "blowfish", RuntimeConfig(queue_depth=8), "depth:blowfish:8"
+    )
+    assert graph.task(latency).key == graph.task(depth).key
+    scheduler = TaskScheduler(graph, jobs=jobs)
+    results = scheduler.run()
+    assert results[latency] == results[depth]
+    assert scheduler.stats == {
+        "total": 3,
+        "seeded": 0,
+        "cache_hits": 0,
+        "executed": {"compile": 1, "runtime": 2},
+        "cache_hit_kinds": {},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +381,67 @@ def test_keyboard_interrupt_in_pool_closes_it_and_sweeps_lock_files(tmp_path, mo
 # ---------------------------------------------------------------------------
 # workload-affine pool placement
 # ---------------------------------------------------------------------------
+
+
+def _square(x):
+    return x * x
+
+
+def test_pool_starts_no_thread_in_the_parent(tmp_path):
+    """The slots are plain forked processes fed over pipes: while they run
+    and after they close, the parent has exactly the threads it had."""
+    import threading
+
+    before = threading.active_count()
+    graph = TaskGraph()
+    for i in range(4):
+        graph.add(Task(task_id=f"sweep:{i}", kind="runtime", fn=_square, args=(i,)))
+    graph.add(aggregate_task(
+        "during", lambda results: threading.active_count(), [f"sweep:{i}" for i in range(4)]
+    ))
+    results = TaskScheduler(graph, cache=ArtifactCache(tmp_path), jobs=2).run()
+    assert [results[f"sweep:{i}"] for i in range(4)] == [0, 1, 4, 9]
+    assert results["during"] == before
+    assert threading.active_count() == before
+
+
+def _dies_in_worker():
+    os._exit(1)
+
+
+def test_a_dead_worker_fails_the_run_naming_its_task(tmp_path):
+    import signal
+
+    def hung(signum, frame):
+        raise AssertionError("the run hung on a dead worker")
+
+    cache = ArtifactCache(tmp_path)
+    graph = TaskGraph()
+    graph.add(Task(task_id="sweep:dies", kind="runtime", fn=_dies_in_worker,
+                   key="e" * 64, serializer="json"))
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(TaskGraphError, match="sweep:dies"):
+            TaskScheduler(graph, cache=cache, jobs=2).run()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not cache.backend.lock_path("e" * 64).exists()
+    assert list((tmp_path / "locks").rglob("*.lock")) == []
+
+
+def _raises_in_worker():
+    raise ValueError("bad payload")
+
+
+def test_a_worker_exception_reraises_with_the_remote_traceback(tmp_path):
+    graph = TaskGraph()
+    graph.add(Task(task_id="sweep:raises", kind="runtime", fn=_raises_in_worker,
+                   key="f" * 64, serializer="json"))
+    with pytest.raises(ValueError, match="bad payload") as info:
+        TaskScheduler(graph, cache=ArtifactCache(tmp_path), jobs=2).run()
+    assert "_raises_in_worker" in str(info.value.__cause__)
 
 
 def _pooled(task_id, workload):

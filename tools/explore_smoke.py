@@ -6,8 +6,8 @@ the subsystem's two headline guarantees:
 
 1. the cold search terminates within budget and finds a **non-empty Pareto
    frontier** whose points are all evaluated candidates;
-2. the warm re-run **evaluates nothing** (journal replay + content-addressed
-   candidate cache) and emits **byte-identical** frontier JSON.
+2. the warm re-run **evaluates nothing** (every candidate is a
+   content-addressed cache hit) and emits **byte-identical** frontier JSON.
 
 Usage::
 
@@ -83,7 +83,7 @@ def main(argv=None) -> int:
     warm_json = json.dumps(warm.to_json_dict(), indent=2, sort_keys=True)
     print(
         f"warm: {warm_stats['evaluated']} candidates "
-        f"({warm_stats['executed']} executed, {warm_stats['replayed']} replayed) "
+        f"({warm_stats['executed']} executed, {warm_stats['cache_hits']} cache hits) "
         f"in {warm_s:.1f}s"
     )
     if warm_stats["executed"] != 0:
