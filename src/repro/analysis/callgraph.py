@@ -52,14 +52,6 @@ class CallGraph:
     def call_site_count(self, caller: str, callee: str) -> int:
         return self.call_counts.get((caller, callee), 0)
 
-    def is_leaf(self, name: str) -> bool:
-        """A leaf calls nothing except (possibly) intrinsic declarations."""
-        for callee in self.callees.get(name, []):
-            fn = self.module.functions.get(callee)
-            if fn is not None and not fn.is_declaration():
-                return False
-        return True
-
     def find_recursion(self) -> List[List[str]]:
         """Return all cycles among defined functions (empty if none)."""
         cycles: List[List[str]] = []

@@ -105,20 +105,8 @@ class DominatorTree:
                 return True
         return False
 
-    def strictly_dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
-        return a is not b and self.dominates(a, b)
-
     def depth(self, block: BasicBlock) -> int:
         return self._level.get(block, 0)
-
-    def nearest_common_dominator(self, a: BasicBlock, b: BasicBlock) -> BasicBlock:
-        """The lowest block dominating both ``a`` and ``b``."""
-        while a is not b:
-            if self.depth(a) < self.depth(b):
-                b = self.idom.get(b) or b
-            else:
-                a = self.idom.get(a) or a
-        return a
 
     def dominance_frontier(self) -> Dict[BasicBlock, Set[BasicBlock]]:
         """Cytron et al. dominance frontiers (used by mem2reg for phi placement)."""
@@ -241,30 +229,3 @@ class PostDominatorTree:
 
     def immediate_post_dominator(self, block: BasicBlock) -> Optional[BasicBlock]:
         return self.ipdom.get(block)
-
-    def post_dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
-        """True when ``a`` post-dominates ``b``."""
-        if a is b:
-            return True
-        runner: Optional[BasicBlock] = b
-        visited: Set[int] = set()
-        while runner is not None and id(runner) not in visited:
-            visited.add(id(runner))
-            runner = self.ipdom.get(runner)
-            if runner is a:
-                return True
-        return False
-
-    def nearest_common_post_dominator(self, a: BasicBlock, b: BasicBlock) -> Optional[BasicBlock]:
-        """Lowest block post-dominating both, or None if only the virtual exit does."""
-        ancestors: Set[int] = set()
-        runner: Optional[BasicBlock] = a
-        while runner is not None:
-            ancestors.add(id(runner))
-            runner = self.ipdom.get(runner)
-        runner = b
-        while runner is not None:
-            if id(runner) in ancestors:
-                return runner
-            runner = self.ipdom.get(runner)
-        return None

@@ -75,18 +75,3 @@ class LivenessInfo:
                     changed = True
 
     # -- queries ------------------------------------------------------------------
-
-    def live_across(self, value: Value) -> bool:
-        """Is ``value`` live on entry to any block other than its defining block?"""
-        if not isinstance(value, Instruction) or value.parent is None:
-            return True
-        for block, live in self.live_in.items():
-            if block is not value.parent and value in live:
-                return True
-        return False
-
-    def max_live_values(self) -> int:
-        """Peak number of simultaneously live values across block boundaries."""
-        if not self.live_in:
-            return 0
-        return max(len(v) for v in self.live_in.values())

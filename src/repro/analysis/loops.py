@@ -155,11 +155,6 @@ class LoopInfo:
     def innermost_loop_of(self, block: BasicBlock) -> Optional[Loop]:
         return self._loop_of_block.get(block)
 
-    def loop_of_instruction(self, inst: Instruction) -> Optional[Loop]:
-        if inst.parent is None:
-            return None
-        return self.innermost_loop_of(inst.parent)
-
     def loop_depth(self, block: BasicBlock) -> int:
         loop = self.innermost_loop_of(block)
         return loop.depth if loop else 0

@@ -10,10 +10,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional
 
 from repro.errors import ConfigError
+
+
+def _fields_dict(config: Any) -> Dict[str, Any]:
+    """A flat config dataclass as a plain dict, in field order.
+
+    What :func:`dataclasses.asdict` gives for these scalar-only sections,
+    without its recursive deep copy (task keys build one per sweep point).
+    """
+    return {f.name: getattr(config, f.name) for f in fields(config)}
 
 
 @dataclass
@@ -45,7 +54,7 @@ class PartitionConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "PartitionConfig":
-        """Inverse of ``asdict`` (unknown keys ignored, defaults fill gaps)."""
+        """Inverse of ``dataclasses.asdict`` (unknown keys ignored, defaults fill gaps)."""
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})
 
@@ -112,12 +121,6 @@ class RuntimeConfig:
         if self.cache_max_bytes is not None and self.cache_max_bytes < 0:
             raise ConfigError("cache_max_bytes must be non-negative when set")
 
-    def with_queue_latency(self, latency: int) -> "RuntimeConfig":
-        return replace(self, queue_latency=latency)
-
-    def with_queue_depth(self, depth: int) -> "RuntimeConfig":
-        return replace(self, queue_depth=depth)
-
     #: Fields that tune the evaluation host rather than the simulated
     #: architecture; kept out of the content hash so they never change keys.
     _POLICY_FIELDS = ("cache_max_bytes",)
@@ -129,7 +132,7 @@ class RuntimeConfig:
         that simulate identically must hash identically, whatever cache
         policy the evaluation harness runs under.
         """
-        data = asdict(self)
+        data = _fields_dict(self)
         for name in self._POLICY_FIELDS:
             data.pop(name, None)
         return data
@@ -186,8 +189,10 @@ class CompilerConfig:
         The runtime section goes through :meth:`RuntimeConfig.to_dict` so
         host-side policy fields stay out of cache keys and ``shared()`` keys.
         """
-        data = asdict(self)
+        data = _fields_dict(self)
+        data["partition"] = _fields_dict(self.partition)
         data["runtime"] = self.runtime.to_dict()
+        data["hls"] = _fields_dict(self.hls)
         return data
 
     def content_hash(self) -> str:

@@ -170,10 +170,6 @@ class HardwareCostModel:
     def dsps(self, inst: Instruction) -> int:
         return self.area_dsp.get(inst.opcode, 0)
 
-    def area_product(self, inst: Instruction) -> float:
-        """cycle * area product used by the partitioner's hardware weight (§5.2)."""
-        return float(max(1, self.cost(inst)) * max(1, self.luts(inst)))
-
     def is_chainable(self, opcode: Opcode) -> bool:
         """Can several of these be chained combinationally within one FSM state?"""
         return opcode in (

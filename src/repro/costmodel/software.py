@@ -86,9 +86,5 @@ class SoftwareCostModel:
             return base
         return base + self.expansion_overhead
 
-    def block_cost(self, instructions) -> int:
-        """Total cycles of a straight-line sequence."""
-        return sum(self.cost(i) for i in instructions)
-
     def cycles_to_seconds(self, cycles: float) -> float:
         return cycles / (self.clock_mhz * 1e6)

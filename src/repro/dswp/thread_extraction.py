@@ -68,12 +68,6 @@ class ExtractionResult:
     queue_count: int
     queue_map: Dict[Tuple[Instruction, int], int]   # (value, consumer partition) -> queue id
 
-    def thread_for_partition(self, index: int) -> ExtractedThread:
-        for thread in self.threads:
-            if thread.partition_index == index:
-                return thread
-        raise KeyError(index)
-
 
 class ThreadExtractor:
     """Generates the per-partition thread functions."""

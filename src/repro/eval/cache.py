@@ -15,7 +15,7 @@ near-instantly once its inputs have been computed once:
 * **derived artifacts** — small structured-JSON documents produced by
   re-simulating an existing compile artifact under different parameters
   (queue latency, queue depth, partition split, an explore candidate, and
-  explore's DSWP stage, :func:`repro.eval.artifact_codec.encode_dswp_result`),
+  explore's DSWP stage, :func:`repro.eval.heavy_codec.encode_dswp_result`),
   keyed by the parent compile key plus the sweep kind and its parameters.
 
 No entry executes code on load: both formats are decoded by walking JSON,
@@ -178,6 +178,9 @@ class LocalFSBackend:
 
     def __init__(self, root: Path):
         self.root = Path(root)
+        # Entry paths are joined as strings: a warm report looks up about a
+        # hundred keys, and a pathlib join costs several times an os.path one.
+        self._objects = os.path.join(str(self.root), "objects")
 
     @property
     def spec(self) -> str:
@@ -194,8 +197,11 @@ class LocalFSBackend:
     def locks_dir(self) -> Path:
         return self.root / "locks"
 
+    def _file(self, key: str, serializer: str) -> str:
+        return os.path.join(self._objects, key[:2], key + _EXTENSIONS[serializer])
+
     def _path(self, key: str, serializer: str) -> Path:
-        return self.objects_dir / key[:2] / f"{key}{_EXTENSIONS[serializer]}"
+        return Path(self._file(key, serializer))
 
     def _entry_paths(self) -> List[Path]:
         """Every stored entry, in a stable order (stale ``.pkl`` files too)."""
@@ -208,10 +214,11 @@ class LocalFSBackend:
     def get_blob(self, key: str) -> Optional[Tuple[str, bytes]]:
         """Return ``(serializer, payload)`` for *key*, or ``None`` on a miss."""
         for serializer in SERIALIZERS:
-            path = self._path(key, serializer)
+            path = self._file(key, serializer)
             try:
-                data = path.read_bytes()
-            except (FileNotFoundError, OSError):
+                with open(path, "rb") as fh:
+                    data = fh.read()
+            except OSError:
                 continue
             try:  # LRU bookkeeping only; never worth failing a hit over.
                 os.utime(path)
@@ -240,19 +247,19 @@ class LocalFSBackend:
         for other in SERIALIZERS:
             if other != serializer:
                 try:
-                    self._path(key, other).unlink()
+                    os.unlink(self._file(key, other))
                 except OSError:
                     pass
         return path
 
     def contains(self, key: str) -> bool:
-        return any(self._path(key, fmt).is_file() for fmt in SERIALIZERS)
+        return any(os.path.isfile(self._file(key, fmt)) for fmt in SERIALIZERS)
 
     def delete(self, key: str) -> None:
         """Best-effort removal of a (corrupt) entry."""
         for serializer in SERIALIZERS:
             try:
-                self._path(key, serializer).unlink()
+                os.unlink(self._file(key, serializer))
             except OSError:
                 pass
 
@@ -444,7 +451,7 @@ class ArtifactCache:
     @staticmethod
     def _encode(value: Any, serializer: str) -> bytes:
         if serializer == "artifact":
-            from repro.eval.artifact_codec import encode_compilation_result
+            from repro.eval.heavy_codec import encode_compilation_result
 
             return encode_compilation_result(value)
         return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")

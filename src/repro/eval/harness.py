@@ -178,15 +178,11 @@ class EvaluationHarness:
     def declare_explore_point(self, graph: TaskGraph, name: str, space, candidate) -> str:
         """Add one design-space-exploration candidate node (and its compile dep).
 
-        *space* / *candidate* come from :mod:`repro.explore.space`; imported
-        lazily so the harness stays importable without the explore package
-        loaded (and to keep the module dependency graph acyclic).
+        *space* / *candidate* come from :mod:`repro.explore.space`.
         """
-        from repro.explore.evaluate import explore_task
-
         self.declare_compile(graph, name)
         return graph.add(
-            explore_task(
+            taskgraph.explore_task(
                 name, self.config, self._cache_root, space, candidate, self._compile_key(name)
             )
         )

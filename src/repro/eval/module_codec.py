@@ -2,9 +2,9 @@
 
 :func:`encode_module` writes a module's globals and functions, naming every
 instruction operand by its global index (see
-:mod:`repro.eval.artifact_codec`); :func:`decode_module` rebuilds the
-module from that form through a fixed table of IR classes.  The heavy
-encode and decode of :mod:`repro.eval.artifact_codec` import this module
+:mod:`repro.eval.heavy_codec`); :func:`decode_module` rebuilds the
+module from that form through a fixed table of IR classes.  The encode
+and heavy decode of :mod:`repro.eval.heavy_codec` import this module
 when they run, so a warm report, which decodes only artifact summaries,
 never loads the IR.
 
@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from repro.eval.artifact_codec import ArtifactCodecError, _instruction_index
+from repro.eval.artifact_codec import ArtifactCodecError
+from repro.eval.heavy_codec import _instruction_index
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import (

@@ -38,9 +38,7 @@ is.  ``repro graph`` prints these DAGs without executing them.
 from __future__ import annotations
 
 import importlib
-import os
 import sys
-import traceback
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import (
@@ -53,7 +51,6 @@ from repro.errors import TaskGraphCycleError, TaskGraphError
 from repro.eval.cache import ArtifactCache, derived_key, render_key
 from repro.obs import tracing as obs_tracing
 from repro.results import CompilationResult
-from repro.workloads import get_workload
 
 if TYPE_CHECKING:  # multiprocessing loads only when a pool slot forks
     from multiprocessing.connection import Connection
@@ -71,19 +68,26 @@ KIND_AGGREGATE = "aggregate"
 #: Kinds whose payload is picklable and may run in a worker process.
 WORKER_KINDS = (KIND_COMPILE, KIND_RUNTIME, KIND_SPLIT, KIND_EXPLORE, KIND_INGEST, KIND_RENDER)
 
-#: The modules pool workers run: the compiler stages, the figure renderer,
-#: the IR half of the artifact codec and the profiler hook of
-#: :func:`_execute_in_worker`.  A cache hit needs none of them, so the code
-#: that runs each imports it, and :meth:`LocalProcessExecutor.submit`
-#: imports all of them before its pool forks.
+#: The modules pool workers run: the slot loop and payloads, the compiler
+#: stages, the heavy half of the artifact codec and the profiler hook of
+#: :func:`repro.eval.worker._execute_in_worker`.  A cache hit needs none of
+#: them, so the code that runs each imports it, and
+#: :meth:`LocalProcessExecutor.submit` imports all of them before a slot
+#: forks.
 WORKER_MODULES = (
+    "repro.eval.worker",
     "repro.core.compiler",
     "repro.sim.system",
     "repro.explore.evaluate",
-    "repro.viz.figures",
+    "repro.eval.heavy_codec",
     "repro.eval.module_codec",
     "repro.obs.profile",
 )
+
+#: What a render task runs on top of :data:`WORKER_MODULES`.  A slot forked
+#: while a render is pending inherits them; a slot that gets a render later
+#: imports them itself.
+RENDER_MODULES = ("repro.eval.renders", "repro.viz.figures")
 
 #: Kinds whose value is a derived (JSON) artifact of a compile node — the
 #: harness memoises them in its in-memory derived layer after a run.
@@ -96,9 +100,11 @@ class Task:
 
     Worker tasks (``kind`` in :data:`WORKER_KINDS`) carry a module-level
     ``fn`` called as ``fn(*args)`` — fully self-describing and picklable, so
-    the scheduler may run it in any process.  Aggregate tasks run in the
-    parent and are called as ``fn(results, *args)`` with the mapping of every
-    finished task's value.  ``key`` is the content address under which the
+    the scheduler may run it in any process.  It is the function itself or
+    a ``"module:function"`` reference to it (:func:`resolve`), which keeps
+    the payload's module unloaded until the task runs.  Aggregate tasks run
+    in the parent and are called as ``fn(results, *args)`` with the mapping
+    of every finished task's value.  ``key`` is the content address under which the
     scheduler memoises the output (``None`` = never disk-cached), stored in
     the ``serializer`` format (``artifact`` or ``json``).  ``workload`` names
     the compile artifact the task produces or reads; the process pool places
@@ -107,7 +113,7 @@ class Task:
 
     task_id: str
     kind: str
-    fn: Callable[..., Any]
+    fn: Any
     args: Tuple[Any, ...] = ()
     deps: Tuple[str, ...] = ()
     key: Optional[str] = None
@@ -137,7 +143,7 @@ class TaskGraph:
                 raise TaskGraphError(
                     f"task '{task.task_id}' re-declared with a different content key"
                 )
-            if existing.key is None and (existing.fn is not task.fn or existing.args != task.args):
+            if existing.key is None and (existing.fn != task.fn or existing.args != task.args):
                 # Key-less (aggregate) nodes have no content address to
                 # compare, so conflicting re-declarations must be caught on
                 # the computation itself or the second one is silently lost.
@@ -209,24 +215,23 @@ class TaskGraph:
 
 
 # ---------------------------------------------------------------------------
-# picklable task payloads
+# payload references and the sweep-input memo
 # ---------------------------------------------------------------------------
 
 
-def compute_compile(name: str, config: CompilerConfig) -> CompilationResult:
-    """Pure compile payload: run the whole pipeline for one workload.
+def resolve(fn: Any) -> Callable[..., Any]:
+    """The callable a task runs.
 
-    The first call in a process imports the pipeline.  That import gets a
-    span of kind ``import``, so a trace shows it as a layer of its own
-    rather than as self time of the cache lookup around it.
+    A worker task's ``fn`` is either a callable or a ``"module:function"``
+    reference to one.  A reference is looked up when the task runs, so a
+    graph can be declared, and run on cache hits alone, without importing
+    the modules its payloads live in (:mod:`repro.eval.worker`,
+    :mod:`repro.explore.evaluate`, ...).
     """
-    if "repro.core.compiler" not in sys.modules:
-        with obs_tracing.span("import repro.core.compiler", kind="import"):
-            import repro.core.compiler  # noqa: F401
-    from repro.core.compiler import TwillCompiler
-
-    workload = get_workload(name)
-    return TwillCompiler(config).compile_and_simulate(workload.source, name=name)
+    if not isinstance(fn, str):
+        return fn
+    module, _, name = fn.partition(":")
+    return getattr(importlib.import_module(module), name)
 
 
 # Per-process memo of compile artifacts consumed by sweep-point payloads, so
@@ -235,6 +240,7 @@ def compute_compile(name: str, config: CompilerConfig) -> CompilationResult:
 # not at all when it compiled the workload itself.  Keyed
 # by content address, so a stale value is impossible by construction; bounded
 # so long test sessions cannot accumulate every artifact they ever touched.
+# :func:`repro.eval.worker.sweep_input` reads it.
 _SWEEP_INPUT_MEMO: "OrderedDict[str, CompilationResult]" = OrderedDict()
 _SWEEP_INPUT_MEMO_LIMIT = 16
 
@@ -247,130 +253,6 @@ def seed_sweep_input(key: str, result: CompilationResult) -> None:
     _SWEEP_INPUT_MEMO.move_to_end(key)
     while len(_SWEEP_INPUT_MEMO) > _SWEEP_INPUT_MEMO_LIMIT:
         _SWEEP_INPUT_MEMO.popitem(last=False)
-
-
-def _sweep_input(
-    name: str, config: CompilerConfig, cache_root: Optional[str], key: str
-) -> CompilationResult:
-    """The compile artifact a sweep point re-simulates: memo → cache → compute.
-
-    *cache_root* is the cache directory, so the same payload runs unchanged
-    in the parent and in a pool worker.  *key* is the artifact's
-    :func:`~repro.eval.cache.compile_key`, computed once where the task was
-    declared.
-    """
-    hit = _SWEEP_INPUT_MEMO.get(key)
-    if hit is not None:
-        _SWEEP_INPUT_MEMO.move_to_end(key)
-        return hit
-    if cache_root is not None:
-        result = ArtifactCache(cache_root).get_or_compute(
-            key, lambda: compute_compile(name, config), serializer="artifact"
-        )
-    else:
-        result = compute_compile(name, config)
-    seed_sweep_input(key, result)
-    return result
-
-
-def compute_runtime_point(
-    name: str,
-    config: CompilerConfig,
-    cache_root: Optional[str],
-    runtime: RuntimeConfig,
-    compile_key: str,
-) -> float:
-    """One Figure 6.5/6.6 sweep point: Twill cycles under a modified runtime."""
-    from repro.sim.timing import simulate_partitioned
-
-    result = _sweep_input(name, config, cache_root, compile_key)
-    timing = simulate_partitioned(
-        result.module, result.execution.trace, result.dswp.partitioning, runtime, config.hls
-    )
-    return timing.total_cycles
-
-
-def compute_split_point(
-    name: str,
-    config: CompilerConfig,
-    cache_root: Optional[str],
-    sw_fraction: float,
-    compile_key: str,
-) -> Dict[str, float]:
-    """One Figure 6.3/6.4 sweep point: re-partition at *sw_fraction*."""
-    from repro.sim.system import resimulate_with_split
-
-    result = _sweep_input(name, config, cache_root, compile_key)
-    dswp, system = resimulate_with_split(
-        result.name,
-        result.module,
-        result.execution.trace,
-        result.profile,
-        result.legup,
-        config,
-        sw_fraction,
-    )
-    return {
-        "cycles": system.twill.cycles,
-        "queues": float(dswp.partitioning.total_queues),
-        "speedup_vs_sw": system.speedup_vs_software,
-    }
-
-
-def _execute_in_worker(
-    fn: Callable[..., Any],
-    args: Tuple[Any, ...],
-    key: Optional[str],
-    cache_spec: Optional[str],
-    serializer: str,
-    trace_ctx: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Pool-worker entry: run one task payload through the shared cache.
-
-    ``get_or_compute`` gives single-flight semantics per key, so two workers
-    (or two independent ``repro`` processes) racing on the same content
-    address do the work once and share the stored entry.  Returns a small
-    envelope dict: compile artifacts come back with ``in_cache=True`` (the
-    parent re-reads them from the cache, decoding only their summary,
-    instead of paying a multi-megabyte pipe serialisation) while small JSON
-    values ride in ``value`` directly.
-
-    A compile artifact also goes into this process's sweep-input memo, so
-    the sweep, split and explore points the pool places here next reuse the
-    same ``Trace`` object with its replay index, setups and schedules.
-
-    *trace_ctx* carries the parent's span context (plus task id, kind and
-    placement) across the process boundary: thread-local trace state does
-    not survive a fork, so when ``$REPRO_TRACE`` is active in this child the
-    task span recorded here is re-parented under the scheduler's span
-    explicitly.
-    """
-    from repro.obs import profile as obs_profile
-
-    # Pool children inherit $REPRO_PROFILE: start this child's sampler on
-    # its first task (idempotent, one dict lookup afterwards) and count the
-    # execution exactly — the deterministic complement to the samples.
-    obs_profile.maybe_start(service="pool")
-    ctx = trace_ctx or {}
-    obs_profile.count(f"task.{ctx.get('kind', 'task')}")
-    with obs_tracing.activate(ctx.get("trace_id"), ctx.get("parent_id")):
-        with obs_tracing.span(
-            f"task:{ctx.get('task_id', getattr(fn, '__name__', 'task'))}",
-            kind=str(ctx.get("kind", "task")),
-            worker=f"pid:{os.getpid()}",
-            resident=ctx.get("resident"),
-            stolen=ctx.get("stolen"),
-        ):
-            in_cache = False
-            if key is not None and cache_spec is not None:
-                cache = ArtifactCache(cache_spec)
-                value = cache.get_or_compute(key, lambda: fn(*args), serializer=serializer)
-                if serializer == "artifact":
-                    seed_sweep_input(key, value)
-                    value, in_cache = None, True
-            else:
-                value = fn(*args)
-    return {"value": value, "in_cache": in_cache}
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +269,7 @@ def compile_task(name: str, config: CompilerConfig, key: str) -> Task:
     return Task(
         task_id=f"compile:{name}",
         kind=KIND_COMPILE,
-        fn=compute_compile,
+        fn="repro.eval.worker:compute_compile",
         args=(name, config),
         key=key,
         serializer="artifact",
@@ -408,7 +290,7 @@ def runtime_task(
     return Task(
         task_id=f"sweep:{label}",
         kind=KIND_RUNTIME,
-        fn=compute_runtime_point,
+        fn="repro.eval.worker:compute_runtime_point",
         args=(name, config, cache_root, runtime, parent),
         deps=(f"compile:{name}",),
         key=derived_key(parent, "runtime", runtime.to_dict()),
@@ -429,10 +311,42 @@ def split_task(
     return Task(
         task_id=f"sweep:split:{name}:{sw_fraction}",
         kind=KIND_SPLIT,
-        fn=compute_split_point,
+        fn="repro.eval.worker:compute_split_point",
         args=(name, config, cache_root, sw_fraction, parent),
         deps=(f"compile:{name}",),
         key=derived_key(parent, "split", {"sw_fraction": sw_fraction}),
+        serializer="json",
+        workload=name,
+    )
+
+
+def explore_task_id(name: str, candidate: Any) -> str:
+    """The deterministic task id of one (workload, candidate) node."""
+    return f"explore:{name}:{candidate.short_id()}"
+
+
+def explore_task(
+    name: str,
+    config: CompilerConfig,
+    cache_root: Optional[str],
+    space: Any,
+    candidate: Any,
+    parent: str,
+) -> Task:
+    """One design-space-exploration candidate node depending on its
+    workload's compile node (whose key is *parent*).
+
+    *space* and *candidate* are a :class:`repro.explore.space.SearchSpace`
+    and one of its candidates; the payload is
+    :func:`repro.explore.evaluate.compute_explore_point`.
+    """
+    return Task(
+        task_id=explore_task_id(name, candidate),
+        kind=KIND_EXPLORE,
+        fn="repro.explore.evaluate:compute_explore_point",
+        args=(name, config, cache_root, candidate.params(), space.to_dict()),
+        deps=(f"compile:{name}",),
+        key=derived_key(parent, "explore", candidate.params()),
         serializer="json",
         workload=name,
     )
@@ -457,7 +371,7 @@ def aggregate_task(
 
 def render_task(
     figure_id: str,
-    fn: Callable[..., Any],
+    fn: Any,
     deps: Sequence[str],
     dep_keys: Sequence[str],
     agg_arg: Any,
@@ -465,8 +379,9 @@ def render_task(
 ) -> Task:
     """One figure-render node (id ``render:<figure_id>``).
 
-    A render is a worker task like any sweep point: *fn* (a registered
-    payload such as ``experiments.compute_figure_render``) rebuilds the
+    A render is a worker task like any sweep point: *fn* (a payload such as
+    :func:`repro.eval.renders.compute_figure_render`, or a reference to
+    one) rebuilds the
     figure's input mapping from the shared cache using the dependency task
     ids and content keys, aggregates it and returns the SVG markup.  The
     node is keyed by :func:`repro.eval.cache.render_key` over the dependency
@@ -548,32 +463,6 @@ class _RemoteTraceback(Exception):
     """A pool worker's traceback, chained under the exception it raised."""
 
 
-def _slot_main(conn: Connection, parent_end: Connection) -> None:
-    """A pool slot's process: run each task the parent sends and reply
-    ``(True, envelope)`` or ``(False, (exception, traceback))``.
-
-    It returns when the parent sends ``None`` or goes away, through
-    multiprocessing's normal exit path, so finalisers such as the
-    ``$REPRO_PROFILE`` dump still run.
-    """
-    parent_end.close()  # the fork's copy: without it a dead parent is never seen
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:
-            return
-        if message is None:
-            return
-        try:
-            reply: Tuple[bool, Any] = (True, _execute_in_worker(*message))
-        except BaseException as exc:  # KeyboardInterrupt too: the parent re-raises it
-            reply = (False, (exc, traceback.format_exc()))
-        try:
-            conn.send(reply)
-        except Exception as exc:  # an unpicklable value or exception
-            conn.send((False, (TaskGraphError(repr(exc)), traceback.format_exc())))
-
-
 class LocalProcessExecutor:
     """Run worker tasks on N one-process slots (``--parallel N``).
 
@@ -589,7 +478,8 @@ class LocalProcessExecutor:
     The scheduler owns graph order, seeds, cache pre-checks and aggregate
     nodes; the slots only run keyed worker payloads and report
     :class:`TaskOutcome`\\ s back.  Workers exchange artefacts through the
-    shared cache rather than over the pipe (see :func:`_execute_in_worker`);
+    shared cache rather than over the pipe (see
+    :func:`repro.eval.worker._execute_in_worker`);
     each slot is forked on its first task, after the parent has imported
     :data:`WORKER_MODULES`, so cache-warm runs never fork at all, and never
     import the stages either.
@@ -608,14 +498,20 @@ class LocalProcessExecutor:
         """The slots running no task, lowest first."""
         return [slot for slot in range(self.max_workers) if slot not in self._running]
 
-    def _fork_slot(self) -> Tuple[Any, Connection]:
+    def _fork_slot(self, tasks: Sequence[Task]) -> Tuple[Any, Connection]:
         # A forked worker starts with what the parent has imported: import
-        # the stages here, once, so that no worker imports them.
-        if not all(module in sys.modules for module in WORKER_MODULES):
+        # the stages here, once, so that no worker imports them.  The figure
+        # renderer comes too only if one of *tasks* is a render.
+        modules = WORKER_MODULES
+        if any(task.kind == KIND_RENDER for task in tasks):
+            modules += RENDER_MODULES
+        if not all(module in sys.modules for module in modules):
             with obs_tracing.span("import worker modules", kind="import"):
-                for module in WORKER_MODULES:
+                for module in modules:
                     importlib.import_module(module)
         import multiprocessing
+
+        from repro.eval.worker import _slot_main
 
         context = multiprocessing.get_context("fork")
         conn, child_conn = context.Pipe()
@@ -631,7 +527,7 @@ class LocalProcessExecutor:
         slot, index, placement = place(pending, self._resident, self.idle_slots())
         task = pending.pop(index)
         if self._slots[slot] is None:
-            self._slots[slot] = self._fork_slot()
+            self._slots[slot] = self._fork_slot([task, *pending])
         if task.workload is not None:
             self._resident[slot].add(task.workload)
         trace_ctx = obs_tracing.wire_context()
@@ -794,6 +690,7 @@ class TaskScheduler:
     def _run_task_inline(self, task: Task, results: Dict[str, Any]) -> Any:
         if not task.runs_in_worker():
             return task.fn(results, *task.args)
+        fn = resolve(task.fn)
         kwargs: Dict[str, Any] = {}
         if task.kind == KIND_RENDER:
             # Inline renders aggregate straight from the in-memory dependency
@@ -802,9 +699,9 @@ class TaskScheduler:
             kwargs["values"] = {dep: results[dep] for dep in task.deps}
         if task.key is not None and self.cache is not None:
             return self.cache.get_or_compute(
-                task.key, lambda: task.fn(*task.args, **kwargs), serializer=task.serializer
+                task.key, lambda: fn(*task.args, **kwargs), serializer=task.serializer
             )
-        return task.fn(*task.args, **kwargs)
+        return fn(*task.args, **kwargs)
 
     def _record(self, task: Task, value: Any, results: Dict[str, Any]) -> None:
         results[task.task_id] = value

@@ -14,7 +14,8 @@ The pieces (one module each):
   key, so search never re-evaluates a configuration any run has seen;
 * :mod:`repro.explore.evaluate` — the pure ``explore`` task payload
   (re-partition + re-simulate one candidate from the workload's compile
-  artifact) and its task-graph node constructor;
+  artifact); its node constructor is
+  :func:`repro.eval.taskgraph.explore_task`;
 * :mod:`repro.explore.frontier` — exact multi-objective Pareto sets over
   the evaluated candidates, with deterministic tie-breaking;
 * :mod:`repro.explore.strategies` — pluggable search strategies

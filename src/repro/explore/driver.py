@@ -26,8 +26,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.eval.harness import EvaluationHarness
-from repro.eval.taskgraph import TaskGraph
-from repro.explore.evaluate import explore_task, explore_task_id
+from repro.eval.taskgraph import TaskGraph, explore_task, explore_task_id
 from repro.explore.frontier import OBJECTIVES, Frontier, scalar_cost
 from repro.explore.space import Candidate, SearchSpace, default_space
 from repro.explore.strategies import make_strategy
@@ -64,15 +63,6 @@ class ExplorationResult:
         self.generations = generations
         self.stats = stats
         self.frontier = Frontier([(c.params(), r) for c, r in evaluations])
-
-    def progress_rows(self) -> List[Dict[str, Any]]:
-        """Best-so-far scalar cost after each evaluation (the search curve)."""
-        rows = []
-        best = float("inf")
-        for index, (_, result) in enumerate(self.evaluations, start=1):
-            best = min(best, scalar_cost(result))
-            rows.append({"evaluation": index, "best_cost": best})
-        return rows
 
     def best_row(self) -> Dict[str, Any]:
         """The scalar-best evaluated candidate (params + objective values)."""

@@ -1,5 +1,10 @@
 """The ``explore`` task payload: evaluate one candidate from a compile artifact.
 
+The node that runs it, with its id and content key, is declared by
+:func:`repro.eval.taskgraph.explore_task`, which names this payload by
+reference, so a graph whose explore nodes all hit the cache never loads
+this module.
+
 Evaluating a candidate does **not** recompile the workload: every knob the
 search space exposes (partitioning, queue geometry, HLS scheduling) acts
 after the front end, so a candidate is a *derived* artifact of the
@@ -23,10 +28,10 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro import perf
 from repro.config import CompilerConfig
-from repro.eval import taskgraph
-from repro.eval.artifact_codec import decode_dswp_result, encode_dswp_result
 from repro.eval.cache import ArtifactCache, compile_key, derived_key
-from repro.explore.space import Candidate, Dimension, SearchSpace
+from repro.eval.heavy_codec import decode_dswp_result, encode_dswp_result
+from repro.eval.worker import sweep_input
+from repro.explore.space import Dimension, SearchSpace
 from repro.workloads import get_workload
 
 
@@ -78,7 +83,7 @@ def _candidate_dswp(
     """Re-partition for one candidate, memoized per process and cached on disk.
 
     The stage is stored as a JSON document
-    (:func:`~repro.eval.artifact_codec.encode_dswp_result`) that names
+    (:func:`~repro.eval.heavy_codec.encode_dswp_result`) that names
     instructions by their number in the compile artifact's module, and is
     decoded onto ``compile_result.module`` itself, so the partition points
     at the instructions the artifact's trace replays.  A memo hit computed
@@ -147,7 +152,7 @@ def compute_explore_point(
 
     with perf.stage("explore"):
         parent = compile_key(get_workload(name).source, config)
-        result = taskgraph._sweep_input(name, config, cache_root, parent)
+        result = sweep_input(name, config, cache_root, parent)
         candidate_config = apply_params(space_from_dict(space_dict), config, params)
         dswp = _candidate_dswp(parent, result, candidate_config, cache_root)
         system = evaluate_with_partition(
@@ -167,35 +172,3 @@ def compute_explore_point(
             "speedup_vs_sw": system.speedup_vs_software,
             "queues": float(dswp.partitioning.total_queues),
         }
-
-
-def explore_task_id(name: str, candidate: Candidate) -> str:
-    """The deterministic task id of one (workload, candidate) node."""
-    return f"explore:{name}:{candidate.short_id()}"
-
-
-def explore_key(parent_compile_key: str, candidate: Candidate) -> str:
-    """The content address of one candidate's evaluation."""
-    return derived_key(parent_compile_key, "explore", candidate.params())
-
-
-def explore_task(
-    name: str,
-    config: CompilerConfig,
-    cache_root: Optional[str],
-    space: SearchSpace,
-    candidate: Candidate,
-    parent: str,
-) -> "taskgraph.Task":
-    """One candidate-evaluation node depending on its workload's compile node
-    (whose key is *parent*)."""
-    return taskgraph.Task(
-        task_id=explore_task_id(name, candidate),
-        kind=taskgraph.KIND_EXPLORE,
-        fn=compute_explore_point,
-        args=(name, config, cache_root, candidate.params(), space.to_dict()),
-        deps=(f"compile:{name}",),
-        key=explore_key(parent, candidate),
-        serializer="json",
-        workload=name,
-    )

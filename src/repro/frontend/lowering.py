@@ -144,12 +144,6 @@ class FunctionLowering:
         if self.builder.block is not None and self.builder.block.has_terminator():
             self.builder.set_insert_block(self._new_block("dead"))
 
-    def _int_type(self, ctype: CType) -> IntType:
-        ty = ctype_to_ir(ctype)
-        if not isinstance(ty, IntType):
-            raise SemanticError(f"expected an integer type, got {ctype}")
-        return ty
-
     # -- entry ------------------------------------------------------------------
 
     def lower(self) -> None:

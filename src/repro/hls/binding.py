@@ -40,12 +40,6 @@ class BindingResult:
     total_operations: Dict[Opcode, int] = field(default_factory=dict)
     mux_luts: int = 0
 
-    def unit_count(self, opcode: Opcode) -> int:
-        return self.units.get(opcode, 0)
-
-    def operation_count(self, opcode: Opcode) -> int:
-        return self.total_operations.get(opcode, 0)
-
 
 def bind_function(schedule: FSMSchedule, share_resources: bool = True) -> BindingResult:
     """Compute functional-unit requirements from an FSM schedule.

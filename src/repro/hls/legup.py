@@ -40,10 +40,6 @@ class LegUpResult:
     def total_luts(self) -> int:
         return self.total_area.luts
 
-    @property
-    def total_brams(self) -> int:
-        return self.total_area.brams
-
     def state_count(self) -> int:
         return sum(s.state_count for s in self.schedules.values())
 

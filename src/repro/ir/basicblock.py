@@ -41,16 +41,6 @@ class BasicBlock:
         idx = self.instructions.index(existing)
         return self.insert(idx, inst)
 
-    def insert_after(self, existing: Instruction, inst: Instruction) -> Instruction:
-        idx = self.instructions.index(existing)
-        return self.insert(idx + 1, inst)
-
-    def insert_before_terminator(self, inst: Instruction) -> Instruction:
-        term = self.terminator
-        if term is None:
-            return self.append(inst)
-        return self.insert_before(term, inst)
-
     def remove_instruction(self, inst: Instruction) -> None:
         self.instructions.remove(inst)
         inst.parent = None
@@ -88,9 +78,6 @@ class BasicBlock:
             else:
                 break
         return out
-
-    def non_phi_instructions(self) -> List[Instruction]:
-        return [i for i in self.instructions if not isinstance(i, Phi)]
 
     def first_non_phi_index(self) -> int:
         for i, inst in enumerate(self.instructions):

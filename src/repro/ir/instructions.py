@@ -212,9 +212,6 @@ class Instruction(Value):
     def may_read_memory(self) -> bool:
         return self.opcode in (Opcode.LOAD, Opcode.CALL, Opcode.CONSUME)
 
-    def may_write_memory(self) -> bool:
-        return self.opcode in (Opcode.STORE, Opcode.CALL, Opcode.PRODUCE)
-
     def function(self) -> Optional["Function"]:
         return self.parent.parent if self.parent is not None else None
 
@@ -459,13 +456,6 @@ class Phi(Instruction):
             if pred is block:
                 return value
         raise IRError(f"phi {self.short_name()} has no incoming value for block {block.name}")
-
-    def set_incoming_value_for(self, block: "BasicBlock", value: Value) -> None:
-        for i, pred in enumerate(self.incoming_blocks):
-            if pred is block:
-                self.set_operand(i, value)
-                return
-        raise IRError(f"phi {self.short_name()} has no incoming edge from {block.name}")
 
     def remove_incoming(self, block: "BasicBlock") -> None:
         for i, pred in enumerate(self.incoming_blocks):

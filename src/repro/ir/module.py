@@ -48,13 +48,6 @@ class Module:
     def has_function(self, name: str) -> bool:
         return name in self.functions
 
-    def remove_function(self, name: str) -> None:
-        fn = self.get_function(name)
-        if fn.is_used():
-            raise IRError(f"cannot remove function {name}: it still has uses")
-        del self.functions[name]
-        fn.parent = None
-
     def defined_functions(self) -> List[Function]:
         return [f for f in self.functions.values() if not f.is_declaration()]
 
@@ -83,12 +76,6 @@ class Module:
 
     def has_global(self, name: str) -> bool:
         return name in self.globals
-
-    def remove_global(self, name: str) -> None:
-        g = self.get_global(name)
-        if g.is_used():
-            raise IRError(f"cannot remove global {name}: it still has uses")
-        del self.globals[name]
 
     # -- traversal ---------------------------------------------------------------
 

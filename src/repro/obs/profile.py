@@ -1,21 +1,27 @@
 """Low-overhead sampling profiler + deterministic per-task counters.
 
-Answers "where does the wall time go?" without touching the measured code:
-a daemon thread wakes ``hz`` times a second, walks every *other* thread's
-current frame via :func:`sys._current_frames`, and counts one sample per
-collapsed stack (``module:function;module:function;...``, root first — the
-format flamegraph tooling expects).  Between wakeups the profiled code
-runs at full speed, so overhead is bounded by ``hz`` × stack depth, not by
-how hot the code is; the default 97 Hz is deliberately co-prime with
-common periodic work to avoid lockstep aliasing.
+Answers "where does the wall time go?" without touching the measured code
+and without a thread: ``signal.setitimer(ITIMER_PROF)`` raises ``SIGPROF``
+``hz`` times per second of the process's CPU time, and the handler counts
+one sample for the interrupted frame's collapsed stack
+(``module:function;module:function;...``, root first — the format
+flamegraph tooling expects).  All compute runs on the main thread of each
+process, which is where Python runs signal handlers, so the interrupted
+frame is the one doing the work.  Between signals the profiled code runs
+at full speed, so overhead is bounded by ``hz`` × stack depth, not by how
+hot the code is; the default 97 Hz is deliberately co-prime with common
+periodic work to avoid lockstep aliasing.  A process blocked on a pipe
+uses no CPU and takes no samples.
 
 Like tracing, profiling is **off by default** and strictly observational.
 The switch is ``$REPRO_PROFILE`` naming a JSONL sink: every process that
 inherits it — the CLI and its pool children — starts its own
-sampler via :func:`maybe_start` and appends **one JSON record at exit**
+sampler via :func:`maybe_start` (an interval timer is not inherited across
+``fork``) and appends **one JSON record at exit**
 (``O_APPEND``, safe across processes), so a parallel run yields per-worker
 profiles that :func:`merge_stacks` folds into one flamegraph.
-``$REPRO_PROFILE_HZ`` overrides the rate.
+``$REPRO_PROFILE_HZ`` overrides the rate.  Starting no thread keeps every
+``-j N`` slot forking from a single-threaded parent.
 
 Sampling answers "where"; the *deterministic counters* answer "how many".
 :func:`count` is a near-free hook (one ``None`` check when off) the task
@@ -31,8 +37,7 @@ from __future__ import annotations
 import atexit
 import json
 import os
-import sys
-import threading
+import signal
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional
@@ -70,17 +75,21 @@ def _collapse(frame: Any) -> str:
 
 
 class SamplingProfiler:
-    """Samples all threads of this process from a background daemon thread."""
+    """Samples the main thread of this process on ``SIGPROF``.
+
+    Only one profiler can own the process's ``ITIMER_PROF`` timer and
+    ``SIGPROF`` handler at a time; :meth:`start` takes both and
+    :meth:`stop` gives them back.  Outside the main thread, where Python
+    cannot install a signal handler, :meth:`start` leaves it stopped.
+    """
 
     def __init__(self, hz: int = DEFAULT_HZ, service: str = "cli"):
         self.hz = max(1, int(hz))
         self.service = service
-        self._lock = threading.Lock()
         self._stacks: Dict[str, int] = {}
         self._counters: Dict[str, float] = {}
         self._samples = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._previous_handler: Any = None
         self._started_mono: Optional[float] = None
         self._duration = 0.0
 
@@ -88,55 +97,38 @@ class SamplingProfiler:
 
     @property
     def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
+        return self._started_mono is not None
 
     def start(self) -> None:
         if self.running:
             return
-        self._stop.clear()
+        try:
+            self._previous_handler = signal.signal(signal.SIGPROF, self._on_signal)
+        except (AttributeError, ValueError):  # no SIGPROF here, or not the main thread
+            return
         self._started_mono = time.perf_counter()
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-profile-sampler", daemon=True
-        )
-        self._thread.start()
+        interval = 1.0 / self.hz
+        signal.setitimer(signal.ITIMER_PROF, interval, interval)
 
     def stop(self) -> None:
-        if self._thread is None:
+        if not self.running:
             return
-        self._stop.set()
-        self._thread.join(timeout=2.0)
-        self._thread = None
-        if self._started_mono is not None:
-            self._duration += time.perf_counter() - self._started_mono
-            self._started_mono = None
+        signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
+        signal.signal(signal.SIGPROF, self._previous_handler or signal.SIG_DFL)
+        self._duration += time.perf_counter() - self._started_mono
+        self._started_mono = None
 
-    def _loop(self) -> None:
-        interval = 1.0 / self.hz
-        me = threading.get_ident()
-        while not self._stop.wait(interval):
-            self._sample(me)
-
-    def _sample(self, own_ident: int) -> None:
-        try:
-            frames = sys._current_frames()
-        except Exception:  # pragma: no cover - interpreter shutdown
-            return
-        with self._lock:
-            for ident, frame in frames.items():
-                if ident == own_ident:
-                    continue
-                stack = _collapse(frame)
-                if not stack:
-                    continue
-                self._stacks[stack] = self._stacks.get(stack, 0) + 1
-                self._samples += 1
+    def _on_signal(self, signum: int, frame: Any) -> None:
+        stack = _collapse(frame)
+        if stack:
+            self._stacks[stack] = self._stacks.get(stack, 0) + 1
+            self._samples += 1
 
     # -- deterministic counters --------------------------------------------
 
     def count(self, name: str, amount: float = 1.0) -> None:
         """Bump an exact (non-sampled) counter attached to this profile."""
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0.0) + amount
+        self._counters[name] = self._counters.get(name, 0.0) + amount
 
     # -- output -------------------------------------------------------------
 
@@ -145,17 +137,16 @@ class SamplingProfiler:
         duration = self._duration
         if self._started_mono is not None:
             duration += time.perf_counter() - self._started_mono
-        with self._lock:
-            return {
-                "kind": "profile",
-                "service": self.service,
-                "pid": os.getpid(),
-                "hz": self.hz,
-                "samples": self._samples,
-                "duration_seconds": round(duration, 6),
-                "stacks": dict(sorted(self._stacks.items())),
-                "counters": dict(sorted(self._counters.items())),
-            }
+        return {
+            "kind": "profile",
+            "service": self.service,
+            "pid": os.getpid(),
+            "hz": self.hz,
+            "samples": self._samples,
+            "duration_seconds": round(duration, 6),
+            "stacks": dict(sorted(self._stacks.items())),
+            "counters": dict(sorted(self._counters.items())),
+        }
 
     def dump(self, sink: Path) -> None:
         """Append this profile as one JSONL record (never raises)."""
@@ -176,7 +167,7 @@ _UNSET = object()
 _profiler: Any = _UNSET
 _sink: Optional[Path] = None
 # Pid that initialised _profiler: a forked pool child inherits the global
-# but not the sampler thread, so a pid mismatch means "start fresh here".
+# but not the interval timer, so a pid mismatch means "start fresh here".
 _owner_pid: Optional[int] = None
 
 
@@ -247,8 +238,8 @@ def reset() -> None:
     """Forget the process profiler (tests); next maybe_start re-reads env."""
     global _profiler, _sink, _owner_pid
     active = profiler()
-    if active is not None and _owner_pid == os.getpid():
-        active.stop()
+    if active is not None:
+        active.stop()  # disarms this process's timer, whoever started the profiler
     _profiler = _UNSET
     _sink = None
     _owner_pid = None

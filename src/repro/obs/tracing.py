@@ -23,26 +23,27 @@ a ``(trace_id, parent_id)`` pair that arrived from another process — the
 :func:`wire_context` a pool task carries from the scheduler to its worker.
 A span opened without a ``worker`` inherits the enclosing span's, so the
 cache and stage spans under a pool worker's task span share its lane.
+
+The recording side — the :class:`~repro.obs.trace_sink.Tracer`, its open
+spans and the sink file — is :mod:`repro.obs.trace_sink`, loaded only
+when tracing is on; off, a span costs one ``None`` check.
 """
 
 from __future__ import annotations
 
 import atexit
-import itertools
-import json
 import os
 import sys
 import threading
-import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.obs.trace_sink import Tracer
 
 #: Environment variable naming the JSONL sink; set = tracing on.
 TRACE_ENV = "REPRO_TRACE"
-
-#: In-memory span buffer cap per process (the JSONL sink is unbounded).
-_BUFFER_LIMIT = 100_000
 
 
 def new_trace_id() -> str:
@@ -53,34 +54,6 @@ def new_trace_id() -> str:
 def new_span_id() -> str:
     """A fresh 64-bit span id (hex)."""
     return os.urandom(8).hex()
-
-
-class _LiveSpan:
-    """The object a ``with span(...)`` block receives: ids + attr setter."""
-
-    __slots__ = ("trace_id", "span_id", "parent_id", "name", "kind", "worker", "attrs")
-
-    def __init__(
-        self,
-        trace_id: str,
-        span_id: str,
-        parent_id: Optional[str],
-        name: str,
-        kind: str,
-        worker: Optional[str],
-        attrs: Dict[str, Any],
-    ):
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.kind = kind
-        self.worker = worker
-        self.attrs = attrs
-
-    def set(self, key: str, value: Any) -> None:
-        """Attach one attribute (JSON-serialisable) to the span."""
-        self.attrs[key] = value
 
 
 class _NullSpan:
@@ -98,89 +71,11 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class Tracer:
-    """Records finished spans to an in-memory buffer and a JSONL file.
-
-    The file handle is opened once in append mode and **flushed after every
-    record**, so a process killed mid-run (KeyboardInterrupt, OOM, SIGTERM)
-    leaves a valid JSONL prefix — every line that was written is complete
-    and parseable.  :func:`shutdown` (registered ``atexit``) additionally
-    records any still-open spans as ``interrupted`` and closes the file.
-    """
-
-    def __init__(self, sink: Optional[Path] = None, service: str = "cli"):
-        self.sink = Path(sink) if sink else None
-        #: The sink path this tracer writes to — recorded into the
-        #: run-history ledger so a flagged regression links back to its trace.
-        self.sink_spec: Optional[str] = str(sink) if sink else None
-        self.service = service
-        self._lock = threading.Lock()
-        self._spans: List[Dict[str, Any]] = []
-        self._handle: Any = None
-        self._sink_broken = False
-
-    def record(self, record: Dict[str, Any]) -> None:
-        with self._lock:
-            if len(self._spans) < _BUFFER_LIMIT:
-                self._spans.append(record)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with self._lock:
-            if self.sink is None or self._sink_broken:
-                return
-            try:
-                if self._handle is None:
-                    self._handle = open(self.sink, "a", encoding="utf-8")
-                # One write + flush per line keeps cross-process appends
-                # whole-line atomic, exactly like the old open/close cycle.
-                self._handle.write(line + "\n")
-                self._handle.flush()
-            except (OSError, ValueError):
-                self._sink_broken = True  # observe-only: never fail work
-
-    def close(self) -> None:
-        """Flush and close the sink (a file handle reopens on next record)."""
-        with self._lock:
-            if self._handle is not None:
-                try:
-                    self._handle.close()
-                except OSError:
-                    pass
-                self._handle = None
-
-    def spans(self) -> List[Dict[str, Any]]:
-        """This process's finished spans (the report's timeline source)."""
-        with self._lock:
-            return list(self._spans)
-
-
 # The process tracer: _UNSET until first use, then a Tracer or None.
 _UNSET = object()
 _tracer: Any = _UNSET
 _atexit_registered = False
 _last_trace_id: Optional[str] = None
-
-# Spans currently open anywhere in this process, so an interrupt can flush
-# them to the sink instead of silently dropping whatever was in flight.
-_live_lock = threading.Lock()
-_live_spans: Dict[int, Dict[str, Any]] = {}
-_live_tokens = itertools.count()
-
-
-def _register_live(live: "_LiveSpan", start_wall: float, start_mono: float) -> int:
-    token = next(_live_tokens)
-    with _live_lock:
-        _live_spans[token] = {
-            "live": live,
-            "start_wall": start_wall,
-            "start_mono": start_mono,
-        }
-    return token
-
-
-def _finish_live(token: int) -> Optional[Dict[str, Any]]:
-    """Claim a live span for recording; ``None`` if shutdown already did."""
-    with _live_lock:
-        return _live_spans.pop(token, None)
 
 
 def _ensure_atexit() -> None:
@@ -191,42 +86,14 @@ def _ensure_atexit() -> None:
 
 
 def shutdown() -> None:
-    """Flush the tracer: record still-open spans, close the sink handle.
+    """Flush the process tracer: record still-open spans, close the sink.
 
     Registered ``atexit`` whenever a sink-backed tracer exists, and safe
-    to call eagerly (e.g. from the CLI's KeyboardInterrupt handler).
-    Spans that are still open — blocked worker threads, an interrupted
-    scheduler — are recorded with an ``interrupted`` attribute and the
-    current time as their end, so a partial trace still accounts for all
-    the wall time it observed.  Idempotent per span: whichever of this
-    function and the span's own ``finally`` runs first claims the record.
+    to call eagerly (e.g. from the CLI's KeyboardInterrupt handler); see
+    :meth:`repro.obs.trace_sink.Tracer.shutdown`.
     """
-    active = _tracer if isinstance(_tracer, Tracer) else None
-    with _live_lock:
-        pending = sorted(_live_spans.items())
-        _live_spans.clear()
-    if active is None:
-        return
-    for _, entry in pending:
-        live = entry["live"]
-        attrs = dict(live.attrs)
-        attrs["interrupted"] = True
-        duration = time.perf_counter() - entry["start_mono"]
-        active.record(
-            {
-                "trace_id": live.trace_id,
-                "span_id": live.span_id,
-                "parent_id": live.parent_id,
-                "name": live.name,
-                "kind": live.kind,
-                "service": active.service,
-                "worker": live.worker,
-                "start": entry["start_wall"],
-                "end": entry["start_wall"] + duration,
-                "attrs": attrs,
-            }
-        )
-    active.close()
+    if _tracer is not _UNSET and _tracer is not None:
+        _tracer.shutdown()
 
 
 class _Context(threading.local):
@@ -257,8 +124,9 @@ def tracer() -> Optional[Tracer]:
             )
             _tracer = None
         else:
+            from repro.obs.trace_sink import Tracer
+
             _tracer = Tracer(Path(spec))
-        if _tracer is not None:
             _ensure_atexit()
     return _tracer
 
@@ -276,8 +144,10 @@ def enabled() -> bool:
 
 def enable(sink: Optional[Path] = None, service: str = "cli") -> Tracer:
     """Programmatically switch tracing on (tests; env-free embedding)."""
+    from repro.obs.trace_sink import Tracer
+
     global _tracer
-    if isinstance(_tracer, Tracer):
+    if _tracer is not _UNSET and _tracer is not None:
         _tracer.close()
     _tracer = Tracer(sink, service=service)
     if _tracer.sink is not None:
@@ -288,13 +158,11 @@ def enable(sink: Optional[Path] = None, service: str = "cli") -> Tracer:
 def reset() -> None:
     """Forget the process tracer so the next use re-reads ``$REPRO_TRACE``."""
     global _tracer, _last_trace_id
-    if isinstance(_tracer, Tracer):
+    if _tracer is not _UNSET and _tracer is not None:
         _tracer.close()
     _tracer = _UNSET
     _last_trace_id = None
     _context.stack = []
-    with _live_lock:
-        _live_spans.clear()
 
 
 def current() -> Optional[Tuple[str, Optional[str]]]:
@@ -355,11 +223,8 @@ def span(
         trace_id, parent_id = new_trace_id(), None
     global _last_trace_id
     _last_trace_id = trace_id
-    live = _LiveSpan(trace_id, new_span_id(), parent_id, name, kind, worker, dict(attrs))
+    live = active.open(trace_id, parent_id, name, kind, worker, dict(attrs))
     stack.append((trace_id, live.span_id, worker))
-    start_wall = time.time()
-    start_mono = time.perf_counter()
-    token = _register_live(live, start_wall, start_mono)
     try:
         yield live
     except BaseException as exc:
@@ -367,22 +232,7 @@ def span(
         raise
     finally:
         stack.pop()
-        duration = time.perf_counter() - start_mono
-        if _finish_live(token) is not None:
-            active.record(
-                {
-                    "trace_id": live.trace_id,
-                    "span_id": live.span_id,
-                    "parent_id": live.parent_id,
-                    "name": live.name,
-                    "kind": live.kind,
-                    "service": active.service,
-                    "worker": live.worker,
-                    "start": start_wall,
-                    "end": start_wall + duration,
-                    "attrs": live.attrs,
-                }
-            )
+        active.finish(live)
 
 
 def last_trace_id() -> Optional[str]:

@@ -78,10 +78,6 @@ class ProgramDependenceGraph:
             return len(self.edges)
         return sum(1 for e in self.edges if e.kind is kind)
 
-    def depends_on(self, head: Instruction, tail: Instruction) -> bool:
-        """Direct dependence query: does ``head`` depend on ``tail``?"""
-        return any(e.tail is tail for e in self._pred.get(head, []))
-
     # -- strongly connected components -----------------------------------------------------
 
     def strongly_connected_components(self) -> List[List[Instruction]]:

@@ -84,7 +84,3 @@ class WeightModel:
 
     def function_hw_cycles(self, fn: Function) -> float:
         return sum(self.weights(i).hw_cycles * self.weights(i).dynamic_count for i in fn.instructions())
-
-    def function_luts(self, fn: Function) -> int:
-        """Static LUT estimate of implementing the whole function in hardware."""
-        return sum(self.weights(i).hw_luts for i in fn.instructions())

@@ -97,11 +97,6 @@ class TimingResult:
     def software_busy_cycles(self) -> float:
         return sum(t.busy_cycles for t in self.threads.values() if t.spec.is_software())
 
-    def speedup_over(self, baseline: "TimingResult") -> float:
-        if self.total_cycles <= 0:
-            return float("inf")
-        return baseline.total_cycles / self.total_cycles
-
 
 @dataclass
 class PowerEstimate:

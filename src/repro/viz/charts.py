@@ -83,10 +83,6 @@ class _Frame:
     bottom: float
     extra: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def plot_width(self) -> float:
-        return self.right - self.left
-
 
 def _tick_label(value: float) -> str:
     """Clean tick text: thousands-comma'd integers, trimmed short floats."""

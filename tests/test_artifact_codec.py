@@ -1,6 +1,6 @@
 """Round-trip tests for the structured compile-artifact codec.
 
-``repro.eval.artifact_codec`` serialises a full :class:`CompilationResult`
+``repro.eval.heavy_codec`` serialises a full :class:`CompilationResult`
 into a checksummed summary line and one canonical heavy JSON document
 (behind a magic header) instead of a pickle — loading it executes no code.
 The contract is stronger than "fields survive": a *decoded* result must
@@ -24,21 +24,19 @@ import pytest
 from repro.config import CompilerConfig
 from repro.core.compiler import TwillCompiler
 from repro.errors import ReproError
-from repro.eval import artifact_codec
-from repro.eval.artifact_codec import (
+from repro.eval import heavy_codec
+from repro.eval.artifact_codec import ARTIFACT_MAGIC, ArtifactCodecError, decode_compilation_result
+from repro.eval.heavy_codec import (
     _TRACE_COLUMNS,
-    ARTIFACT_MAGIC,
-    ArtifactCodecError,
     _dec_trace,
     _enc_trace,
     _instruction_index,
     _instruction_list,
-    decode_compilation_result,
     decode_dswp_result,
     encode_compilation_result,
     encode_dswp_result,
 )
-from repro.eval import taskgraph
+from repro.eval import worker
 from repro.eval.cache import ArtifactCache, compile_key
 from repro.eval.harness import EvaluationHarness
 from repro.dswp.partitioner import PartitionKind
@@ -185,7 +183,7 @@ def test_thread_extraction_compile_round_trips_through_the_cache(name, tmp_path)
     cache = ArtifactCache(tmp_path)
     key = compile_key(get_workload(name).source, EXTRACTING)
     eager = cache.get_or_compute(
-        key, lambda: taskgraph.compute_compile(name, EXTRACTING), serializer="artifact"
+        key, lambda: worker.compute_compile(name, EXTRACTING), serializer="artifact"
     )
     assert cache._path(key, "artifact").is_file()
     lazy = cache.get(key)
@@ -339,13 +337,13 @@ def test_harness_run_stores_the_compile_artifact_with_the_codec(tmp_path):
 
 def _count_heavy_decodes(monkeypatch):
     calls = []
-    original = artifact_codec._decode_heavy
+    original = heavy_codec.decode_heavy
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(artifact_codec, "_decode_heavy", counting)
+    monkeypatch.setattr(heavy_codec, "decode_heavy", counting)
     return calls
 
 

@@ -96,7 +96,7 @@ def test_reporting_doc_covers_the_viz_surface():
     ):
         assert needle in doc, f"REPORTING.md does not mention {needle!r}"
     # Every renderable figure id is documented.
-    from repro.eval.experiments import RENDER_FIGURE_IDS
+    from repro.eval.renders import RENDER_FIGURE_IDS
 
     for figure_id in RENDER_FIGURE_IDS:
         assert f"`{figure_id}`" in doc, f"REPORTING.md does not document figure {figure_id}"

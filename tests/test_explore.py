@@ -430,8 +430,9 @@ def test_dswp_stage_read_back_binds_to_the_compile_results_own_instructions(
     and gives the fresh-compute objectives.  A memo hit bound to another
     copy of the module is decoded again onto the caller's copy."""
     from repro.config import CompilerConfig
-    from repro.eval import taskgraph
-    from repro.eval.artifact_codec import decode_compilation_result, encode_compilation_result
+    from repro.eval.artifact_codec import decode_compilation_result
+    from repro.eval.heavy_codec import encode_compilation_result
+    from repro.eval.worker import sweep_input
     from repro.eval.cache import compile_key
     from repro.explore import evaluate
     from repro.sim import system
@@ -440,7 +441,7 @@ def test_dswp_stage_read_back_binds_to_the_compile_results_own_instructions(
     config = CompilerConfig()
     cache_root = str(tmp_path / "cache")
     parent = compile_key(get_workload("blowfish").source, config)
-    result = taskgraph._sweep_input("blowfish", config, cache_root, parent)
+    result = sweep_input("blowfish", config, cache_root, parent)
     candidates = list(SMALL_SPACE.candidates())
 
     def points():

@@ -22,6 +22,7 @@ from repro.eval.cache import ArtifactCache
 from repro.eval.taskgraph import Task, TaskGraph, TaskScheduler, aggregate_task
 from repro.obs import analyze as obs_analyze
 from repro.obs import history as obs_history
+from repro.obs import history_query
 from repro.obs import profile as obs_profile
 from repro.viz.flame import flamegraph, top_frames_rows
 from repro.viz.trend import sparkline_svg, trend_chart
@@ -148,6 +149,35 @@ def test_profiled_run_computes_identical_results(tmp_path, monkeypatch):
     assert plain == profiled
 
 
+def test_profiled_pool_forks_from_a_single_thread(tmp_path, monkeypatch):
+    """The sampler starts no thread, so under $REPRO_PROFILE each -j N slot
+    still forks from a process running only the threads it had before."""
+    import os
+    import threading
+
+    before = threading.active_count()
+    at_fork = []
+    real_fork = os.fork
+
+    def counting_fork():
+        at_fork.append(threading.active_count())
+        return real_fork()
+
+    sink = tmp_path / "p.jsonl"
+    monkeypatch.setenv(obs_profile.PROFILE_ENV, str(sink))
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert obs_profile.maybe_start(service="cli").running
+    graph = TaskGraph()
+    for i in range(4):
+        graph.add(Task(task_id=f"t:{i}", kind="runtime", fn=_payload, args=(i,)))
+    results = TaskScheduler(graph, cache=ArtifactCache(tmp_path / "c"), jobs=2).run()
+    obs_profile.shutdown()
+    assert [results[f"t:{i}"] for i in range(4)] == [0, 2, 4, 6]
+    assert at_fork == [before, before]
+    # The parent and both slots each left one profile record.
+    assert sorted(r["service"] for r in obs_profile.load_profiles(sink)) == ["cli", "pool", "pool"]
+
+
 # ---------------------------------------------------------------------------
 # trace analytics
 # ---------------------------------------------------------------------------
@@ -271,11 +301,11 @@ def test_record_run_appends_schema_stamped_jsonl(tmp_path):
     record = _seed(tmp_path, 1.25)
     assert record["schema"] == obs_history.SCHEMA
     assert record["env"]["python"] and record["env"]["cpu_count"]
-    runs = obs_history.load_runs(tmp_path / obs_history.HISTORY_FILE)
+    runs = history_query.load_runs(tmp_path / obs_history.HISTORY_FILE)
     assert len(runs) == 1 and runs[0]["metrics"]["wall_seconds"] == 1.25
-    series = obs_history.metric_series(runs, command="report")
+    series = history_query.metric_series(runs, command="report")
     assert series["wall_seconds"] == [1.25]
-    assert obs_history.metric_series(runs, command="explore") == {}
+    assert history_query.metric_series(runs, command="explore") == {}
 
 
 def test_history_env_disables_and_redirects(tmp_path, monkeypatch):
@@ -292,29 +322,29 @@ def test_history_env_disables_and_redirects(tmp_path, monkeypatch):
 def test_regression_gate_fires_only_past_threshold_and_floor(tmp_path):
     for wall in (10.0, 10.2, 9.9, 10.1):
         _seed(tmp_path, wall)
-    runs = obs_history.load_runs(tmp_path / obs_history.HISTORY_FILE)
-    assert obs_history.check_regressions(runs) == []
+    runs = history_query.load_runs(tmp_path / obs_history.HISTORY_FILE)
+    assert history_query.check_regressions(runs) == []
 
     _seed(tmp_path, 20.0)
-    runs = obs_history.load_runs(tmp_path / obs_history.HISTORY_FILE)
-    [regression] = obs_history.check_regressions(runs)
+    runs = history_query.load_runs(tmp_path / obs_history.HISTORY_FILE)
+    [regression] = history_query.check_regressions(runs)
     assert regression["metric"] == "wall_seconds"
     assert regression["ratio"] == pytest.approx(20.0 / 10.05, rel=1e-3)
-    assert "REGRESSIONS" in obs_history.render_regressions([regression])
+    assert "REGRESSIONS" in history_query.render_regressions([regression])
 
     # Tiny absolute deltas stay under the jitter floor even at a high ratio.
     fast = tmp_path / "fast"
     for wall in (0.010, 0.010, 0.011, 0.010, 0.030):
         _seed(fast, wall)
-    runs = obs_history.load_runs(fast / obs_history.HISTORY_FILE)
-    assert obs_history.check_regressions(runs) == []
+    runs = history_query.load_runs(fast / obs_history.HISTORY_FILE)
+    assert history_query.check_regressions(runs) == []
 
 
 def test_regression_gate_needs_min_history(tmp_path):
     for wall in (1.0, 5.0):  # only one prior value: no baseline yet
         _seed(tmp_path, wall)
-    runs = obs_history.load_runs(tmp_path / obs_history.HISTORY_FILE)
-    assert obs_history.check_regressions(runs) == []
+    runs = history_query.load_runs(tmp_path / obs_history.HISTORY_FILE)
+    assert history_query.check_regressions(runs) == []
 
 
 def test_history_cli_show_trend_check(tmp_path, capsys):
@@ -358,10 +388,10 @@ def test_history_cli_empty_ledger_is_a_clean_error(tmp_path, capsys):
 
 
 def test_sparkline_shape():
-    assert obs_history.sparkline([]) == ""
-    line = obs_history.sparkline([1.0, 2.0, 3.0])
+    assert history_query.sparkline([]) == ""
+    line = history_query.sparkline([1.0, 2.0, 3.0])
     assert len(line) == 3 and line[0] == "▁" and line[-1] == "█"
-    assert obs_history.sparkline([2.0, 2.0]) == "▁▁"  # flat series stays low
+    assert history_query.sparkline([2.0, 2.0]) == "▁▁"  # flat series stays low
 
 
 # ---------------------------------------------------------------------------

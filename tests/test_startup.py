@@ -2,8 +2,11 @@
 
 A warm ``repro report`` decodes artifact summaries and ``repro list`` prints
 the workload registry; neither runs a compiler stage, so neither may import
-one (docs/PERFORMANCE.md, "Start-up").  Each check runs the CLI in a fresh
-interpreter and reads ``sys.modules`` when the command returns.
+one (docs/PERFORMANCE.md, "Start-up").  Nor may they compile code of their
+own modules that they never call: other commands' bodies, the heavy codec,
+the pool slot, the history queries.  Each check runs the CLI in a fresh
+interpreter and reads ``sys.modules``, and the names the loaded ``repro``
+modules define, when the command returns.
 
 The pool test pins the other half of the rule: the stages a cold ``-j N``
 run needs are imported once in the parent before its pool forks, so the
@@ -41,10 +44,23 @@ STAGES = (
     "multiprocessing",
 )
 
+#: Functions a warm ``repro report --json`` never calls: the heavy codec's
+#: encode and trace decode, a pool slot's loop, two other commands' bodies
+#: and the history regression check.
+UNRUN_BY_WARM_REPORT = (
+    "encode_compilation_result",
+    "_dec_trace",
+    "_slot_main",
+    "_cmd_explore",
+    "_cmd_trace",
+    "check_regressions",
+)
+
 REPORT_ARGS = ["report", "--json", "--benchmarks", "blowfish,mips"]
 
 # Runs repro.cli.main in this interpreter, then writes the names of every
-# loaded module to the file named by the first argument.
+# loaded module to the file named by the first argument, and the names the
+# loaded repro modules define (not import) to that name plus ".names".
 _PROBE = """
 import json, sys
 from repro.cli import main
@@ -52,6 +68,15 @@ code = main(sys.argv[2:])
 sys.stdout.flush()
 with open(sys.argv[1], "w") as out:
     json.dump(sorted(sys.modules), out)
+defined = {
+    name
+    for module_name, module in list(sys.modules.items())
+    if module_name == "repro" or module_name.startswith("repro.")
+    for name, value in vars(module).items()
+    if getattr(value, "__module__", None) == module_name
+}
+with open(sys.argv[1] + ".names", "w") as out:
+    json.dump(sorted(defined), out)
 sys.exit(code)
 """
 
@@ -63,8 +88,9 @@ def _env():
     return env
 
 
-def _run(args, tmp_path):
-    """(stdout, loaded module names) of one CLI invocation."""
+def _run_defining(args, tmp_path):
+    """(stdout, loaded module names, names the loaded repro modules define)
+    of one CLI invocation."""
     modules = tmp_path / "modules.json"
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, str(modules), *args],
@@ -73,7 +99,13 @@ def _run(args, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    return proc.stdout, json.loads(modules.read_text())
+    names = Path(str(modules) + ".names")
+    return proc.stdout, json.loads(modules.read_text()), set(json.loads(names.read_text()))
+
+
+def _run(args, tmp_path):
+    """(stdout, loaded module names) of one CLI invocation."""
+    return _run_defining(args, tmp_path)[:2]
 
 
 def _loaded(modules, prefixes):
@@ -96,6 +128,23 @@ def test_warm_report_loads_no_stage(cold_report, extra, tmp_path):
     stdout, modules = _run(REPORT_ARGS + extra + ["--cache-dir", str(cache)], tmp_path)
     assert stdout == cold_stdout
     assert _loaded(modules, STAGES) == []
+
+
+@pytest.mark.parametrize("extra", [[], ["-j", "2"]], ids=["serial", "j2"])
+def test_warm_report_loads_none_of_the_code_it_does_not_run(cold_report, extra, tmp_path):
+    """Not only no stage: no encode, no slot loop, no other command's body
+    and no history query is compiled for a run that calls none of them."""
+    cache, cold_stdout = cold_report
+    stdout, _, defined = _run_defining(REPORT_ARGS + extra + ["--cache-dir", str(cache)], tmp_path)
+    assert stdout == cold_stdout
+    assert sorted(defined.intersection(UNRUN_BY_WARM_REPORT)) == []
+
+
+def test_list_loads_no_command_body_but_its_own(tmp_path):
+    stdout, _, defined = _run_defining(["list"], tmp_path)
+    assert b"blowfish" in stdout
+    assert sorted(name for name in defined if name.startswith("_cmd_")) == ["_cmd_list"]
+    assert "_write_report_html" not in defined
 
 
 def test_list_loads_no_stage_and_no_evaluation(tmp_path):

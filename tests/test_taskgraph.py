@@ -113,7 +113,8 @@ def test_serial_run_order_is_the_topological_order():
     parent the moment it is ready, which is exactly Kahn's order."""
     from dataclasses import replace
 
-    from repro.eval.experiments import declare_report, declare_report_renders
+    from repro.eval.experiments import declare_report
+    from repro.eval.renders import declare_report_renders
 
     harness = EvaluationHarness(use_cache=False)
     report = TaskGraph()
@@ -490,7 +491,7 @@ def test_worker_keeps_its_compile_artifact_for_later_sweep_points(tmp_path, monk
     replays from the same trace and builds no new trace index."""
     from collections import OrderedDict
 
-    from repro.eval import taskgraph
+    from repro.eval import taskgraph, worker
     from repro.eval.cache import compile_key
     from repro.sim import timing
     from repro.workloads import get_workload
@@ -499,8 +500,8 @@ def test_worker_keeps_its_compile_artifact_for_later_sweep_points(tmp_path, monk
     config = CompilerConfig()
     key = compile_key(get_workload("blowfish").source, config)
     cache_root = str(tmp_path / "cache")
-    envelope = taskgraph._execute_in_worker(
-        taskgraph.compute_compile, ("blowfish", config), key, cache_root, "artifact"
+    envelope = worker._execute_in_worker(
+        worker.compute_compile, ("blowfish", config), key, cache_root, "artifact"
     )
     assert envelope == {"value": None, "in_cache": True}
     artifact = taskgraph._SWEEP_INPUT_MEMO[key]
@@ -514,7 +515,7 @@ def test_worker_keeps_its_compile_artifact_for_later_sweep_points(tmp_path, monk
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(timing._TraceIndex, "__init__", counting_init)
-    cycles = taskgraph.compute_runtime_point("blowfish", config, cache_root, config.runtime, key)
+    cycles = worker.compute_runtime_point("blowfish", config, cache_root, config.runtime, key)
     assert built == []
     assert cycles == artifact.system.twill.cycles
 

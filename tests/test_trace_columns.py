@@ -18,7 +18,7 @@ import pytest
 
 from repro.config import CompilerConfig
 from repro.core.compiler import TwillCompiler
-from repro.eval import artifact_codec, experiments
+from repro.eval import experiments, heavy_codec
 from repro.eval import harness as harness_module
 from repro.eval.harness import EvaluationHarness
 from repro.frontend import compile_c
@@ -182,7 +182,7 @@ def _counting_calls(monkeypatch, owner, name, counter, key):
 
 def _count_decodes_and_pdgs(monkeypatch):
     built = {"heavy": 0, "pdgs": 0, "keys": 0}
-    _counting_calls(monkeypatch, artifact_codec, "_decode_heavy", built, "heavy")
+    _counting_calls(monkeypatch, heavy_codec, "decode_heavy", built, "heavy")
     _counting(monkeypatch, ProgramDependenceGraph, built, "pdgs")
     _counting_calls(monkeypatch, harness_module, "compile_key", built, "keys")
     return built

@@ -21,7 +21,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.errors import ReproError
-from repro.eval import experiments
+from repro.eval import renders
 from repro.eval.harness import EvaluationHarness
 from repro.viz import theme
 from repro.viz.charts import ScatterPoint, Series, Span, grouped_bars, line_chart, scatter_chart, stacked_bars, timeline_chart
@@ -187,8 +187,8 @@ def test_render_figure_unknown_id_fails_cleanly():
 
 
 def test_figure_specs_cover_the_render_registry():
-    assert set(FIGURE_SPECS) == set(experiments.RENDER_FIGURE_IDS)
-    assert set(experiments.FIGURE_DATA_AGGREGATORS) == set(experiments.RENDER_FIGURE_IDS)
+    assert set(FIGURE_SPECS) == set(renders.RENDER_FIGURE_IDS)
+    assert set(renders.FIGURE_DATA_AGGREGATORS) == set(renders.RENDER_FIGURE_IDS)
 
 
 def test_html_table_formats_and_aligns():
@@ -261,21 +261,21 @@ def test_series_palette_has_eight_validated_slots():
 def test_figure_svg_renders_through_the_cache(tmp_path):
     cache_dir = str(tmp_path / "cache")
     cold = EvaluationHarness(benchmarks=["blowfish"], cache_dir=cache_dir)
-    markup = experiments.figure_svg("6.4", cold)
+    markup = renders.figure_svg("6.4", cold)
     assert markup.startswith("<svg") and "blowfish" in markup
     assert cold.last_stats["executed"].get("render") == 1
     # Fresh harness, same cache: byte-identical and zero re-renders.
     warm = EvaluationHarness(benchmarks=["blowfish"], cache_dir=cache_dir)
-    assert experiments.figure_svg("6.4", warm) == markup
+    assert renders.figure_svg("6.4", warm) == markup
     assert warm.last_stats["executed"].get("render", 0) == 0
     assert warm.last_stats["cache_hit_kinds"].get("render") == 1
 
 
 def test_report_figures_serial_vs_parallel_byte_identical(tmp_path):
     serial = EvaluationHarness(benchmarks=["blowfish"], cache_dir=str(tmp_path / "c1"))
-    artefacts_serial, figures_serial = experiments.run_report_figures(serial)
+    artefacts_serial, figures_serial = renders.run_report_figures(serial)
     parallel = EvaluationHarness(benchmarks=["blowfish"], cache_dir=str(tmp_path / "c2"))
-    artefacts_parallel, figures_parallel = experiments.run_report_figures(parallel, parallel=2)
+    artefacts_parallel, figures_parallel = renders.run_report_figures(parallel, parallel=2)
     assert figures_serial == figures_parallel
     assert artefacts_serial == artefacts_parallel
     assert serial.last_stats == parallel.last_stats  # scheduling-invariant
@@ -288,7 +288,7 @@ def test_report_figures_serial_vs_parallel_byte_identical(tmp_path):
 
 def test_no_cache_runs_still_render(tmp_path):
     harness = EvaluationHarness(benchmarks=["blowfish"], use_cache=False)
-    markup = experiments.figure_svg("6.4", harness)
+    markup = renders.figure_svg("6.4", harness)
     assert markup.startswith("<svg") and "blowfish" in markup
 
 
@@ -384,7 +384,7 @@ def test_figure_order_is_the_spec_registry():
     from repro.viz.report_html import FIGURE_ORDER
 
     assert FIGURE_ORDER == tuple(FIGURE_SPECS)
-    assert FIGURE_ORDER == experiments.RENDER_FIGURE_IDS
+    assert FIGURE_ORDER == renders.RENDER_FIGURE_IDS
 
 
 def test_parser_wires_new_flags():

@@ -367,7 +367,7 @@ def bench_trace(repeats: int) -> dict:
     the trace section and decode its JSON load, as in the artifact cache.
     """
     from repro.core.compiler import TwillCompiler
-    from repro.eval.artifact_codec import (
+    from repro.eval.heavy_codec import (
         _dec_trace,
         _enc_trace,
         _instruction_index,
@@ -413,7 +413,8 @@ def bench_artifact(repeats: int) -> dict:
     payload.
     """
     from repro.core.compiler import TwillCompiler
-    from repro.eval.artifact_codec import decode_compilation_result, encode_compilation_result
+    from repro.eval.artifact_codec import decode_compilation_result
+    from repro.eval.heavy_codec import encode_compilation_result
 
     def first_access(payload):
         result = decode_compilation_result(payload)
