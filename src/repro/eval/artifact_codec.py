@@ -7,23 +7,26 @@ format only depends on the documented IR/result classes, so entries are
 inspectable with ``python -m json.tool`` and survive Python version bumps.
 
 A cached :class:`repro.core.compiler.CompilationResult` is the largest
-artifact the evaluation harness stores.  Its payload (``repro-artifact-v3``)
-is four parts, in order:
+artifact the evaluation harness stores.  Its payload (``repro-artifact-v4``)
+is five parts, in order:
 
-1. the magic line ``repro-artifact-v3``;
+1. the magic line ``repro-artifact-v4``;
 2. a line holding the ``crc32`` of the rest of the payload, as 8 lowercase
    hex digits;
 3. one summary JSON line: ``name``, ``outputs``, ``system`` (the three
    timing replays with area and power) and the DSWP summary — everything
    a report reads;
-4. the heavy JSON document: ``module``, the rest of ``execution``,
-   ``profile``, ``dswp`` and ``legup``.
+4. the heavy JSON line: ``module``, the rest of ``execution``,
+   ``profile``, ``dswp`` and ``legup``;
+5. the binary tail, to the end of the payload: one zlib stream holding
+   every array of the artifact — the dynamic trace's columns and the
+   memory image — whose lengths the heavy line records.
 
 Both JSON parts are canonical (sorted keys, no spaces), so ``python -m
 json.tool`` inspects either line of any cached compile.  Decoding checks
 the magic and the checksum and decodes the summary; it returns a *lazy*
-result (:meth:`CompilationResult.lazy`) that parses and decodes the heavy
-document on the first read of a heavy field.  So:
+result (:meth:`CompilationResult.lazy`) that parses the heavy line and
+inflates the tail on the first read of a heavy field.  So:
 
 * any damaged byte fails the checksum, and the cache reads the entry as a
   corrupt miss and recomputes it;
@@ -31,13 +34,12 @@ document on the first read of a heavy field.  So:
   raises :class:`ArtifactCodecError` on first access;
 * a warm report, which reads only the summary, decodes no heavy part.
 
-Inside the heavy document, the dynamic trace — most of an artifact — is
-one binary block: its columns' little-endian array bytes, concatenated,
-zlib-compressed (level 1) and base64-encoded (see
-:data:`repro.eval.heavy_codec._TRACE_COLUMNS`).
-Encode and decode are ``tobytes``/``frombytes`` with no per-event Python
-loop, and decode validates the columns with C-level passes before it
-builds a trace.
+The tail stores each column's little-endian bytes split into byte planes
+and deflated at level 1, one column after another, with no base64 (see
+:mod:`repro.eval.heavy_codec`).  Encode and decode are
+``tobytes``/``frombytes`` plus byte-plane slicing, with no per-event
+Python loop, and decode validates the columns with C-level passes before
+it builds a trace.
 
 A :class:`~repro.dswp.pipeline.DSWPResult` on its own (the explore
 engine's DSWP-stage entry) is one JSON document,
@@ -96,7 +98,7 @@ from repro.results import (
     TimingResult,
 )
 
-ARTIFACT_MAGIC = b"repro-artifact-v3\n"
+ARTIFACT_MAGIC = b"repro-artifact-v4\n"
 
 
 class ArtifactCodecError(ReproError):
@@ -216,7 +218,7 @@ def _dec_summary(data: bytes) -> Tuple[str, List[int], Any, Dict[str, float]]:
 
 
 def decode_compilation_result(data: bytes):
-    """Decode a v3 payload into a lazy :class:`CompilationResult`.
+    """Decode a v4 payload into a lazy :class:`CompilationResult`.
 
     Checks the magic and the checksum and decodes the summary now; the
     heavy part is decoded (and validated) on the first read of a heavy

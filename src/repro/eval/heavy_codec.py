@@ -1,9 +1,10 @@
 """The heavy half of the compile-artifact codec (format: :mod:`repro.eval.artifact_codec`).
 
 Encoding a :class:`~repro.results.CompilationResult`, decoding the heavy
-document of its payload (the IR module, the rest of the execution with its
-trace block, the profile, DSWP and LegUp results), and the explore engine's
-DSWP documents.  A warm report reads only artifact summaries, which
+part of its payload (the IR module, the rest of the execution, the
+profile, DSWP and LegUp results in the heavy JSON line; the trace's columns
+and the memory image in the binary tail after it), and the explore
+engine's DSWP documents.  A warm report reads only artifact summaries, which
 :mod:`repro.eval.artifact_codec` decodes, so this module loads on the first
 encode or the first read of a heavy field.
 
@@ -14,19 +15,28 @@ thread extractions and HLS schedules all refer to instructions by that
 index (see the format notes in :mod:`repro.eval.artifact_codec`).  The
 module itself is encoded by :mod:`repro.eval.module_codec`, the only part
 that needs the IR classes.
+
+The binary tail is every array of the artifact through one zlib stream
+(level 1, :func:`_deflate`): the ten :data:`_TRACE_COLUMNS`, then the
+memory image as the gaps between its sorted addresses and its byte
+values.  Each column enters as its byte planes — byte ``j`` of every
+item, then byte ``j + 1`` — because the high bytes of event numbers,
+addresses and values barely change from item to item, and only split out
+do they form runs zlib can find (the shuffle filter of HDF5 and Blosc).  The
+heavy JSON holds only the columns' lengths; :func:`_inflate` inflates one
+column at a time, never past its length, and refuses a tail that ends
+early or runs on.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
 import sys
 import zlib
 from array import array
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import ge, gt, sub
-from typing import TYPE_CHECKING, Any, Dict, List
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Tuple
 
 from repro.eval.artifact_codec import (
     ARTIFACT_MAGIC,
@@ -62,15 +72,80 @@ def _instruction_list(module: Module) -> List[Instruction]:
 
 
 # ---------------------------------------------------------------------------
+# the binary tail
+# ---------------------------------------------------------------------------
+
+
+def _deflate(columns: List[array]) -> bytes:
+    """The binary tail: each column's little-endian bytes split into byte
+    planes (plane ``j`` holds byte ``j`` of every item), all through one
+    zlib stream at level 1."""
+    deflater = zlib.compressobj(1)
+    chunks = []
+    for column in columns:
+        if _BIG_ENDIAN:
+            column = array(column.typecode, column)
+            column.byteswap()
+        raw = column.tobytes()
+        k = column.itemsize
+        chunks.extend(deflater.compress(raw[j::k]) for j in range(k))
+    chunks.append(deflater.flush())
+    return b"".join(chunks)
+
+
+def _inflate(tail: bytes, shapes: List[Tuple[str, int]]) -> List[array]:
+    """The tail's columns, one per (typecode, length) of *shapes*, each
+    inflated no further than its length; the stream must end with the last."""
+    inflater = zlib.decompressobj()
+    columns = []
+    try:
+        for typecode, length in shapes:
+            column = array(typecode)
+            k = column.itemsize
+            size = length * k
+            planes = b""
+            if size:
+                planes = inflater.decompress(tail, size)
+                tail = inflater.unconsumed_tail
+            if len(planes) != size:
+                raise ArtifactCodecError("artifact tail is shorter than its lengths say")
+            if k > 1:
+                raw = bytearray(size)
+                view = memoryview(planes)
+                for j in range(k):
+                    raw[j::k] = view[j * length:(j + 1) * length]
+                planes = raw
+            column.frombytes(planes)
+            if _BIG_ENDIAN:
+                column.byteswap()
+            columns.append(column)
+        extra = inflater.decompress(tail, 1)
+    except (OverflowError, ValueError, zlib.error) as exc:
+        raise ArtifactCodecError(f"artifact tail: {exc}") from exc
+    if extra or not inflater.eof or inflater.unused_data:
+        raise ArtifactCodecError("artifact tail holds more than its lengths say")
+    return columns
+
+
+def _length(value: Any) -> int:
+    if type(value) is not int or value < 0:
+        raise ArtifactCodecError(f"artifact tail: bad column length {value!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # execution (outputs + memory + trace)
 # ---------------------------------------------------------------------------
 
 
-def _enc_memory(memory) -> Dict:
+def _enc_memory(memory, tail: List[array]) -> Dict:
+    """The memory's scalars; its image goes to *tail* as the sorted
+    addresses' gaps (``q``) and the byte values (``B``)."""
     addrs = sorted(memory._bytes)
+    tail.append(array("q", map(sub, addrs, chain((0,), addrs))))
+    tail.append(array("B", map(memory._bytes.__getitem__, addrs)))
     return {
-        "addrs": addrs,
-        "bytes": [memory._bytes[a] for a in addrs],
+        "length": len(addrs),
         "global_addresses": memory.global_addresses,
         "global_sizes": memory.global_sizes,
         "global_top": memory._global_top,
@@ -80,11 +155,14 @@ def _enc_memory(memory) -> Dict:
     }
 
 
-def _dec_memory(data: Dict):
+def _dec_memory(data: Dict, columns: Iterator[array]):
     from repro.interp.memory import SimulatedMemory
 
+    gaps, values = next(columns), next(columns)
+    if len(gaps) > 1 and min(islice(gaps, 1, None)) < 1:
+        raise ArtifactCodecError("memory image: addresses not increasing")
     memory = SimulatedMemory()
-    memory._bytes = dict(zip(data["addrs"], data["bytes"]))
+    memory._bytes = dict(zip(accumulate(gaps), values))
     memory.global_addresses = dict(data["global_addresses"])
     memory.global_sizes = dict(data["global_sizes"])
     memory._global_top = data["global_top"]
@@ -94,9 +172,9 @@ def _dec_memory(data: Dict):
     return memory
 
 
-#: The trace block's arrays, in block order: (name, typecode).  ``static``
+#: The trace's columns in the tail, in order: (name, typecode).  ``static``
 #: maps the trace's static numbers to global instruction indices and
-#: ``static_fn`` to entries of the document's function-name table; the rest
+#: ``static_fn`` to entries of the section's function-name table; the rest
 #: are the :class:`~repro.interp.trace.Trace` columns of the same name.
 _TRACE_COLUMNS = (
     ("static", "i"),
@@ -112,69 +190,46 @@ _TRACE_COLUMNS = (
 )
 
 
-def _enc_trace(trace, index: Dict[Instruction, int]) -> Dict:
-    """The trace as one compressed block of little-endian column bytes."""
+def _enc_trace(trace, index: Dict[Instruction, int], tail: List[array]) -> Dict:
+    """The trace's section; its columns go to *tail*."""
     fn_ids: Dict[str, int] = {}
     columns = {
         "static": array("i", [index[inst] for inst in trace.instructions]),
         "static_fn": array("i", [fn_ids.setdefault(f, len(fn_ids)) for f in trace.functions]),
     }
-    lengths = []
-    chunks = []
-    for name, typecode in _TRACE_COLUMNS:
-        column = columns[name] if name in columns else getattr(trace, name)
-        if _BIG_ENDIAN:
-            column = array(typecode, column)
-            column.byteswap()
-        lengths.append(len(column))
-        chunks.append(column.tobytes())
-    block = zlib.compress(b"".join(chunks), 1)
+    ordered = [
+        columns[name] if name in columns else getattr(trace, name) for name, _ in _TRACE_COLUMNS
+    ]
+    tail.extend(ordered)
     return {
         "functions": list(fn_ids),
-        "lengths": lengths,
-        "block": base64.b64encode(block).decode("ascii"),
+        "lengths": [len(column) for column in ordered],
         "truncated": trace.truncated,
     }
 
 
-def _dec_trace(data: Dict, instructions: List[Instruction]):
-    """Rebuild the trace columns, validating them with C-level passes only."""
+def _trace_shapes(data: Dict) -> List[Tuple[str, int]]:
+    lengths = data["lengths"]
+    if len(lengths) != len(_TRACE_COLUMNS):
+        raise ArtifactCodecError("trace block: bad column lengths")
+    return [(typecode, _length(k)) for (_, typecode), k in zip(_TRACE_COLUMNS, lengths)]
+
+
+def _dec_trace(data: Dict, columns: Iterator[array], instructions: List[Instruction]):
+    """Rebuild the trace from its section and its tail columns, validating
+    them with C-level passes only."""
     from repro.interp.trace import Trace
 
-    lengths = data["lengths"]
-    if len(lengths) != len(_TRACE_COLUMNS) or not all(
-        isinstance(k, int) and k >= 0 for k in lengths
-    ):
-        raise ArtifactCodecError("trace block: bad column lengths")
-    sizes = [k * array(t).itemsize for k, (_, t) in zip(lengths, _TRACE_COLUMNS)]
-    expected = sum(sizes)
-    try:
-        # One byte of headroom: a block that inflates past its lengths is
-        # caught without inflating all of it.
-        inflater = zlib.decompressobj()
-        raw = inflater.decompress(base64.b64decode(data["block"], validate=True), expected + 1)
-    except (binascii.Error, TypeError, ValueError, zlib.error) as exc:
-        raise ArtifactCodecError(f"trace block: {exc}") from exc
-    if len(raw) != expected or not inflater.eof or inflater.unused_data:
-        raise ArtifactCodecError(f"trace block does not hold the {expected} bytes its lengths say")
-    columns = {}
-    at = 0
-    for (name, typecode), size in zip(_TRACE_COLUMNS, sizes):
-        column = array(typecode)
-        column.frombytes(raw[at:at + size])
-        if _BIG_ENDIAN:
-            column.byteswap()
-        columns[name] = column
-        at += size
+    named = {name: next(columns) for name, _ in _TRACE_COLUMNS}
     functions = data["functions"]
-    _check_trace(columns, len(functions), len(instructions))
-    static = columns.pop("static")
-    static_fn = columns.pop("static_fn")
+    _check_trace(named, len(functions), len(instructions))
+    static = named.pop("static")
+    static_fn = named.pop("static_fn")
     return Trace.from_columns(
         [instructions[i] for i in static],
         [functions[i] for i in static_fn],
         truncated=bool(data["truncated"]),
-        **columns,
+        **named,
     )
 
 
@@ -216,25 +271,35 @@ def _check_trace(columns: Dict[str, array], n_functions: int, n_insts: int) -> N
         raise bad("block starts not strictly increasing from event 0")
 
 
-def _enc_execution(execution, index: Dict[Instruction, int]) -> Dict:
-    """Everything of the execution but its outputs, which the summary holds."""
+def _enc_execution(execution, index: Dict[Instruction, int], tail: List[array]) -> Dict:
+    """Everything of the execution but its outputs, which the summary holds;
+    the trace's columns and the memory image go to *tail*."""
     return {
         "return_value": execution.return_value,
         "steps": execution.steps,
-        "trace": None if execution.trace is None else _enc_trace(execution.trace, index),
-        "memory": _enc_memory(execution.memory),
+        "trace": None if execution.trace is None else _enc_trace(execution.trace, index, tail),
+        "memory": _enc_memory(execution.memory, tail),
     }
 
 
-def _dec_execution(data: Dict, outputs: List[int], instructions: List[Instruction]):
+def _execution_shapes(data: Dict) -> List[Tuple[str, int]]:
+    """(typecode, length) of each tail column, in tail order."""
+    shapes = [] if data["trace"] is None else _trace_shapes(data["trace"])
+    length = _length(data["memory"]["length"])
+    return shapes + [("q", length), ("B", length)]
+
+
+def _dec_execution(
+    data: Dict, outputs: List[int], instructions: List[Instruction], columns: Iterator[array]
+):
     from repro.interp.interpreter import ExecutionResult
 
     return ExecutionResult(
         return_value=data["return_value"],
         outputs=outputs,
         steps=data["steps"],
-        trace=None if data["trace"] is None else _dec_trace(data["trace"], instructions),
-        memory=_dec_memory(data["memory"]),
+        trace=None if data["trace"] is None else _dec_trace(data["trace"], columns, instructions),
+        memory=_dec_memory(data["memory"], columns),
     )
 
 
@@ -625,7 +690,7 @@ def _dumps(document: Dict) -> bytes:
 
 
 def encode_compilation_result(result) -> bytes:
-    """Encode a :class:`CompilationResult` into the v3 payload (see the module doc)."""
+    """Encode a :class:`CompilationResult` into the v4 payload (see the module doc)."""
     from repro.eval.module_codec import encode_module
 
     index = _instruction_index(result.module)
@@ -636,33 +701,40 @@ def encode_compilation_result(result) -> bytes:
         "system": _enc_system(result.system),
         "dswp": result.dswp_summary(),
     }
+    tail: List[array] = []
     heavy = {
         "module": encode_module(result.module),
-        "execution": _enc_execution(result.execution, index),
+        "execution": _enc_execution(result.execution, index, tail),
         "profile": _enc_profile(result.profile, index, instructions),
         "dswp": _enc_dswp(result.dswp, index),
         "legup": _enc_legup(result.legup, index),
     }
-    body = _dumps(summary) + b"\n" + _dumps(heavy)
+    body = b"\n".join((_dumps(summary), _dumps(heavy), _deflate(tail)))
     return ARTIFACT_MAGIC + b"%08x\n" % zlib.crc32(body) + body
 
 
 def decode_heavy(data: bytes, outputs: List[int]) -> Dict[str, Any]:
     """The five heavy fields of a result, rebuilt with every check above.
 
-    *data* is the payload's heavy JSON line; the lazy result
+    *data* is the payload after its summary line: the heavy JSON line and
+    the binary tail.  The lazy result
     :func:`repro.eval.artifact_codec.decode_compilation_result` returns
     calls this on the first read of a heavy field.
     """
     from repro.eval.module_codec import decode_module
 
+    line, newline, tail = data.partition(b"\n")
     with _malformed("artifact heavy part"):
-        document = json.loads(data)
+        if not newline:
+            raise ArtifactCodecError("artifact has no binary tail")
+        document = json.loads(line)
+        execution = document["execution"]
+        columns = iter(_inflate(tail, _execution_shapes(execution)))
         module, instructions = decode_module(document["module"])
         profile = _dec_profile(document["profile"], module, instructions)
         return {
             "module": module,
-            "execution": _dec_execution(document["execution"], outputs, instructions),
+            "execution": _dec_execution(execution, outputs, instructions, columns),
             "profile": profile,
             "dswp": _dec_dswp(document["dswp"], module, instructions, profile),
             "legup": _dec_legup(document["legup"], module, instructions),

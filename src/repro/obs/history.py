@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import subprocess
 import time
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
@@ -51,6 +50,8 @@ DEFAULT_WINDOW = 8
 DEFAULT_THRESHOLD = 1.5
 
 _git_rev_cache: Any = False  # False = not yet resolved (None is a valid result)
+
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 def history_path(directory: Optional[os.PathLike] = None) -> Optional[Path]:
@@ -85,17 +86,64 @@ def git_revision() -> Optional[str]:
     """The working tree's short git revision, resolved once per process."""
     global _git_rev_cache
     if _git_rev_cache is False:
-        try:
-            proc = subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                capture_output=True,
-                text=True,
-                timeout=2.0,
-            )
-            _git_rev_cache = proc.stdout.strip() or None if proc.returncode == 0 else None
-        except (OSError, subprocess.SubprocessError):
-            _git_rev_cache = None
+        _git_rev_cache = read_git_head(os.getcwd())
     return _git_rev_cache
+
+
+def read_git_head(start: str) -> Optional[str]:
+    """The first 7 hex digits of ``HEAD``'s commit, read from the files of
+    the repository holding *start*, or ``None`` if it cannot be resolved.
+
+    Walks up from *start* to ``.git`` (a directory, or a file naming one),
+    follows ``ref:`` lines through ``refs/`` and ``packed-refs``, and spawns
+    no ``git``.
+    """
+    directory = os.path.abspath(start)
+    while not os.path.exists(os.path.join(directory, ".git")):
+        parent = os.path.dirname(directory)
+        if parent == directory:
+            return None
+        directory = parent
+    git = os.path.join(directory, ".git")
+    try:
+        if os.path.isfile(git):
+            pointer = _read_line(git)
+            if not pointer.startswith("gitdir:"):
+                return None
+            git = os.path.join(directory, pointer[len("gitdir:"):].strip())
+        # A linked worktree keeps its HEAD here and its refs in the common dir.
+        common = git
+        if os.path.isfile(os.path.join(git, "commondir")):
+            common = os.path.join(git, _read_line(os.path.join(git, "commondir")))
+        head = _read_line(os.path.join(git, "HEAD"))
+        if head.startswith("ref:"):
+            head = _read_ref(common, head[len("ref:"):].strip())
+    except (OSError, ValueError):  # unreadable, or not text
+        return None
+    if len(head) < 40 or not set(head) <= _HEX_DIGITS:
+        return None
+    return head[:7]
+
+
+def _read_line(path: str) -> str:
+    with open(path, encoding="utf-8") as handle:
+        return handle.readline().strip()
+
+
+def _read_ref(git: str, name: str) -> str:
+    """The content of ref *name*: its loose file, else its ``packed-refs``
+    line, else an empty string."""
+    loose = os.path.join(git, *name.split("/"))
+    if os.path.isfile(loose):
+        return _read_line(loose)
+    packed = os.path.join(git, "packed-refs")
+    if os.path.isfile(packed):
+        with open(packed, encoding="utf-8") as handle:
+            for line in handle:
+                commit, _, ref = line.strip().partition(" ")
+                if ref == name:
+                    return commit
+    return ""
 
 
 def environment() -> Dict[str, Any]:

@@ -1,8 +1,9 @@
 """Round-trip tests for the structured compile-artifact codec.
 
 ``repro.eval.heavy_codec`` serialises a full :class:`CompilationResult`
-into a checksummed summary line and one canonical heavy JSON document
-(behind a magic header) instead of a pickle — loading it executes no code.
+into a checksummed summary line, one canonical heavy JSON line and a
+binary tail of byte-shuffled, deflated arrays (behind a magic header)
+instead of a pickle — loading it executes no code.
 The contract is stronger than "fields survive": a *decoded* result must
 drive every downstream consumer (split re-simulation, partitioned timing
 replay, report rows) to **byte-identical** output, because the cache
@@ -11,13 +12,13 @@ decoded result is lazy: its heavy part is decoded on first access, and a
 malformed one raises then.
 """
 
-import base64
 import dataclasses
 import json
 import os
 import pickle
 import zlib
 from array import array
+from itertools import accumulate
 
 import pytest
 
@@ -29,9 +30,12 @@ from repro.eval.artifact_codec import ARTIFACT_MAGIC, ArtifactCodecError, decode
 from repro.eval.heavy_codec import (
     _TRACE_COLUMNS,
     _dec_trace,
+    _deflate,
     _enc_trace,
+    _inflate,
     _instruction_index,
     _instruction_list,
+    _trace_shapes,
     decode_dswp_result,
     encode_compilation_result,
     encode_dswp_result,
@@ -70,14 +74,14 @@ def _canonical(document) -> bytes:
 
 
 def _parts(data: bytes):
-    """(summary line, heavy document) of a payload."""
-    summary, heavy = data[len(ARTIFACT_MAGIC) + 9:].split(b"\n", 1)
-    return summary, json.loads(heavy)
+    """(summary line, heavy document, binary tail) of a payload."""
+    summary, heavy, tail = data[len(ARTIFACT_MAGIC) + 9:].split(b"\n", 2)
+    return summary, json.loads(heavy), tail
 
 
-def _payload(summary: bytes, heavy) -> bytes:
-    """A payload with a valid checksum over *summary* and *heavy*."""
-    body = summary + b"\n" + _canonical(heavy)
+def _payload(summary: bytes, heavy, tail: bytes) -> bytes:
+    """A payload with a valid checksum over *summary*, *heavy* and *tail*."""
+    body = summary + b"\n" + _canonical(heavy) + b"\n" + tail
     return ARTIFACT_MAGIC + b"%08x\n" % zlib.crc32(body) + body
 
 
@@ -89,10 +93,10 @@ def _materialise(data: bytes):
 def test_artifact_is_magic_checksum_summary_and_heavy_json(compiled):
     _, result = compiled
     data = encode_compilation_result(result)
-    assert data.startswith(ARTIFACT_MAGIC)
+    assert data.startswith(ARTIFACT_MAGIC) and ARTIFACT_MAGIC == b"repro-artifact-v4\n"
     crc, body = data[len(ARTIFACT_MAGIC):].split(b"\n", 1)
     assert crc == b"%08x" % zlib.crc32(body)
-    summary_line, heavy_line = body.split(b"\n")
+    summary_line, heavy_line, tail = body.split(b"\n", 2)
     summary, heavy = json.loads(summary_line), json.loads(heavy_line)
     assert sorted(summary) == ["dswp", "name", "outputs", "system"]
     assert sorted(heavy) == ["dswp", "execution", "legup", "module", "profile"]
@@ -102,7 +106,15 @@ def test_artifact_is_magic_checksum_summary_and_heavy_json(compiled):
     assert summary["dswp"] == result.dswp.summary()
     # Canonical form: re-dumping with sorted keys reproduces both lines.
     assert summary_line == _canonical(summary) and heavy_line == _canonical(heavy)
-    assert _payload(summary_line, heavy) == data
+    # The arrays are in the tail, one zlib stream; the heavy line keeps
+    # only their lengths and the scalars.
+    assert zlib.decompress(tail)
+    assert sorted(heavy["execution"]["trace"]) == ["functions", "lengths", "truncated"]
+    assert sorted(heavy["execution"]["memory"]) == [
+        "global_addresses", "global_sizes", "global_top", "length", "loads", "stack_top", "stores"
+    ]
+    assert heavy["execution"]["memory"]["length"] == len(result.execution.memory._bytes)
+    assert _payload(summary_line, heavy, tail) == data
 
 
 def test_module_text_roundtrips(compiled, roundtripped):
@@ -400,6 +412,7 @@ def small_payload():
 @pytest.mark.parametrize("mask", [0x01, 0xFF])
 def test_every_flipped_byte_fails_the_checksum(small_payload, mask):
     assert decode_compilation_result(small_payload).outputs
+    assert _parts(small_payload)[2]  # the flips cover the binary tail too
     for at in range(len(small_payload)):
         flipped = bytearray(small_payload)
         flipped[at] ^= mask
@@ -428,6 +441,48 @@ def test_a_flipped_byte_in_the_cache_is_a_corrupt_miss_and_recomputed(compiled, 
     assert cache.get_or_compute(key, compute, serializer="artifact") is result
     assert computed == [1]
     assert cache.get(key).summary_dict() == result.summary_dict()
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_a_flipped_byte_in_the_tail_is_a_checksum_miss_and_recomputed_once(
+    compiled, tmp_path, where
+):
+    _, result = compiled
+    cache = ArtifactCache(tmp_path)
+    key = "c" * 64
+    path = cache.put(key, result, serializer="artifact")
+    data = bytearray(path.read_bytes())
+    tail = len(data) - len(_parts(bytes(data))[2])
+    at = {"first": tail, "middle": (tail + len(data)) // 2, "last": len(data) - 1}[where]
+    data[at] ^= 0x01
+    with pytest.raises(ArtifactCodecError, match="checksum"):
+        decode_compilation_result(bytes(data))
+    path.write_bytes(bytes(data))
+    computed = []
+
+    def compute():
+        computed.append(1)
+        return result
+
+    assert cache.get_or_compute(key, compute, serializer="artifact") is result
+    assert cache.get_or_compute(key, compute, serializer="artifact").name == result.name
+    assert computed == [1]  # recomputed once, then a hit
+    assert encode_compilation_result(cache.get(key)) == encode_compilation_result(result)
+
+
+def test_a_v3_payload_is_a_bad_magic_miss(compiled, tmp_path):
+    """v3 stored the arrays base64-encoded inside the heavy JSON; such an
+    entry is never decoded, even with a valid checksum."""
+    _, result = compiled
+    summary, heavy, _ = _parts(encode_compilation_result(result))
+    body = summary + b"\n" + _canonical(heavy)
+    v3 = b"repro-artifact-v3\n" + b"%08x\n" % zlib.crc32(body) + body
+    with pytest.raises(ArtifactCodecError, match="bad magic"):
+        decode_compilation_result(v3)
+    cache = ArtifactCache(tmp_path)
+    cache.backend.put_blob("e" * 64, "artifact", v3)
+    assert cache.get("e" * 64) is None
+    assert not cache._path("e" * 64, "artifact").exists()
 
 
 def _first(module, predicate):
@@ -505,8 +560,10 @@ def test_trace_block_roundtrips_event_for_event(name, source):
 
     module = TwillCompiler(CompilerConfig()).compile_module(source, name)
     trace = run_module(module, record_trace=True).trace
-    document = json.loads(json.dumps(_enc_trace(trace, _instruction_index(module))))
-    decoded = _dec_trace(document, _instruction_list(module))
+    arrays = []
+    document = json.loads(json.dumps(_enc_trace(trace, _instruction_index(module), arrays)))
+    columns = _inflate(_deflate(arrays), _trace_shapes(document))
+    decoded = _dec_trace(document, iter(columns), _instruction_list(module))
     assert len(decoded) == len(trace) > 0
     assert decoded.events == trace.events
     assert decoded.block_starts == trace.block_starts
@@ -514,71 +571,124 @@ def test_trace_block_roundtrips_event_for_event(name, source):
     assert decoded.instruction_counts() == trace.instruction_counts()
 
 
+def test_tail_round_trips_empty_and_one_byte_arrays():
+    """Empty arrays take no bytes of the stream, wherever they stand."""
+    arrays = [array("q"), array("B", b"xyz"), array("i"), array("q", [1, 2**40, -3]), array("B")]
+    tail = _deflate(arrays)
+    assert _inflate(tail, [(a.typecode, len(a)) for a in arrays]) == arrays
+    assert _inflate(_deflate([array("q"), array("B")]), [("q", 0), ("B", 0)]) == [
+        array("q"), array("B")
+    ]
+
+
 def _trace_document(compiled):
     """The heavy document of the blowfish artifact, plus its summary line
-    under ``"summary"`` for :func:`_encode_document`."""
+    under ``"summary"`` and its binary tail under ``"tail"`` for
+    :func:`_encode_document`."""
     _, result = compiled
-    summary, heavy = _parts(encode_compilation_result(result))
-    return {"summary": summary, **heavy}
+    summary, heavy, tail = _parts(encode_compilation_result(result))
+    return {"summary": summary, "tail": tail, **heavy}
 
 
 def _encode_document(document) -> bytes:
     heavy = dict(document)
-    return _payload(heavy.pop("summary"), heavy)
+    return _payload(heavy.pop("summary"), heavy, heavy.pop("tail"))
+
+
+def _tail_layout(document):
+    """(name, typecode, length) of each array in the tail, in tail order."""
+    execution = document["execution"]
+    memory = execution["memory"]["length"]
+    layout = [
+        (name, typecode, length)
+        for (name, typecode), length in zip(_TRACE_COLUMNS, execution["trace"]["lengths"])
+    ]
+    return layout + [("memory gaps", "q", memory), ("memory bytes", "B", memory)]
+
+
+def _unpack_tail(document):
+    """The tail's arrays by name: inflate it, then put each column's byte
+    planes back together."""
+    raw = zlib.decompress(document["tail"])
+    arrays = {}
+    at = 0
+    for name, typecode, length in _tail_layout(document):
+        column = array(typecode)
+        k = column.itemsize
+        whole = bytearray(length * k)
+        for j in range(k):
+            whole[j::k] = raw[at + j * length:at + (j + 1) * length]
+        column.frombytes(bytes(whole))
+        arrays[name] = column
+        at += length * k
+    assert at == len(raw)
+    return arrays
+
+
+def _pack_tail(document, arrays):
+    """Store *arrays* as the tail, byte plane by byte plane, and their
+    lengths in the heavy document."""
+    execution = document["execution"]
+    execution["trace"]["lengths"] = [len(arrays[name]) for name, _ in _TRACE_COLUMNS]
+    execution["memory"]["length"] = len(arrays["memory bytes"])
+    planes = []
+    for name, _, _ in _tail_layout(document):
+        data = arrays[name].tobytes()
+        k = arrays[name].itemsize
+        planes.extend(data[j::k] for j in range(k))
+    document["tail"] = zlib.compress(b"".join(planes), 1)
 
 
 def _rewrite_columns(document, mutate):
-    """Decode the trace block's columns, let *mutate* edit them, re-encode."""
-    trace = document["execution"]["trace"]
-    raw = zlib.decompress(base64.b64decode(trace["block"]))
-    columns = {}
-    at = 0
-    for (name, typecode), length in zip(_TRACE_COLUMNS, trace["lengths"]):
-        column = array(typecode)
-        size = length * column.itemsize
-        column.frombytes(raw[at:at + size])
-        columns[name] = column
-        at += size
-    mutate(columns)
-    trace["lengths"] = [len(columns[name]) for name, _ in _TRACE_COLUMNS]
-    raw = b"".join(columns[name].tobytes() for name, _ in _TRACE_COLUMNS)
-    trace["block"] = base64.b64encode(zlib.compress(raw, 1)).decode("ascii")
+    """Unpack the tail's arrays, let *mutate* edit them, re-pack them."""
+    arrays = _unpack_tail(document)
+    mutate(arrays)
+    _pack_tail(document, arrays)
     return _encode_document(document)
 
 
-def _set_block(document, block: bytes):
-    document["execution"]["trace"]["block"] = base64.b64encode(block).decode("ascii")
+def _set_tail(document, tail: bytes):
+    document["tail"] = tail
     return _encode_document(document)
-
-
-def _compressed_block(document) -> bytes:
-    return base64.b64decode(document["execution"]["trace"]["block"])
 
 
 def test_trace_block_is_compressed_array_bytes(compiled):
+    """The tail is one zlib stream of byte planes: byte 0 of every item of a
+    column, then byte 1, and so on, column after column."""
+    _, result = compiled
     document = _trace_document(compiled)
     trace = document["execution"]["trace"]
-    assert sorted(trace) == ["block", "functions", "lengths", "truncated"]
-    raw = zlib.decompress(_compressed_block(document))
-    itemsizes = [array(typecode).itemsize for _, typecode in _TRACE_COLUMNS]
-    assert len(raw) == sum(k * size for k, size in zip(trace["lengths"], itemsizes))
-    # And an untouched re-encode decodes to the same trace.
-    _, result = compiled
-    decoded = decode_compilation_result(_rewrite_columns(document, lambda columns: None))
-    assert len(decoded.execution.trace) == len(result.execution.trace)
+    assert sorted(trace) == ["functions", "lengths", "truncated"]
+    raw = zlib.decompress(document["tail"])
+    assert len(raw) == sum(length * array(t).itemsize for _, t, length in _tail_layout(document))
+    recorded = result.execution.trace
+    at = 4 * (trace["lengths"][0] + trace["lengths"][1])  # after static and static_fn
+    inst = recorded.inst
+    assert raw[at:at + len(inst)] == bytes(i & 0xFF for i in inst)
+    assert raw[at + len(inst):at + 2 * len(inst)] == bytes((i >> 8) & 0xFF for i in inst)
+    arrays = _unpack_tail(document)
+    for name, _ in _TRACE_COLUMNS[2:]:
+        assert arrays[name] == getattr(recorded, name)
+    memory = result.execution.memory._bytes
+    addresses = list(accumulate(arrays["memory gaps"]))
+    assert addresses == sorted(memory)
+    assert list(arrays["memory bytes"]) == [memory[a] for a in addresses]
+    # And an untouched re-pack decodes to the same trace.
+    decoded = decode_compilation_result(_rewrite_columns(document, lambda arrays: None))
+    assert len(decoded.execution.trace) == len(recorded)
 
 
-def _bad_blocks(document):
-    block = _compressed_block(document)
-    raw = zlib.decompress(block)
-    flipped = bytearray(block)
+def _bad_tails(document):
+    tail = document["tail"]
+    raw = zlib.decompress(tail)
+    flipped = bytearray(tail)
     flipped[len(flipped) // 2] ^= 0xFF
     return {
-        "truncated": block[: len(block) // 2],
+        "truncated": tail[: len(tail) // 2],
         "corrupted": bytes(flipped),
         "oversized": zlib.compress(raw + b"\0" * 8, 1),
         "undersized": zlib.compress(raw[:-4], 1),
-        "trailing bytes": block + b"\0",
+        "trailing bytes": tail + b"\0",
         "empty": b"",
     }
 
@@ -587,17 +697,37 @@ def _bad_blocks(document):
     "kind", ["truncated", "corrupted", "oversized", "undersized", "trailing bytes", "empty"]
 )
 def test_damaged_trace_block_raises_codec_error(compiled, kind):
+    """Under a valid checksum, a tail that ends early, inflates past its
+    recorded lengths, runs on after its stream or is damaged raises on the
+    first heavy read; the summary still decodes."""
     document = _trace_document(compiled)
-    data = _set_block(document, _bad_blocks(document)[kind])
-    with pytest.raises(ArtifactCodecError, match="trace block"):
+    lazy = decode_compilation_result(_set_tail(document, _bad_tails(document)[kind]))
+    assert lazy.outputs == compiled[1].outputs
+    with pytest.raises(ArtifactCodecError, match="artifact tail"):
+        lazy.module
+
+
+def test_tail_that_is_not_a_zlib_stream_raises_codec_error(compiled):
+    document = _trace_document(compiled)
+    with pytest.raises(ArtifactCodecError, match="artifact tail"):
+        _materialise(_set_tail(document, b"not*zlib!"))
+
+
+def test_heavy_part_without_a_tail_raises_codec_error(compiled):
+    summary, heavy, _ = _parts(encode_compilation_result(compiled[1]))
+    body = summary + b"\n" + _canonical(heavy)
+    data = ARTIFACT_MAGIC + b"%08x\n" % zlib.crc32(body) + body
+    with pytest.raises(ArtifactCodecError, match="no binary tail"):
         _materialise(data)
 
 
-def test_trace_block_that_is_not_base64_raises_codec_error(compiled):
+def test_memory_image_with_a_repeated_address_raises_codec_error(compiled):
+    def repeat_an_address(arrays):
+        arrays["memory gaps"][1] = 0
+
     document = _trace_document(compiled)
-    document["execution"]["trace"]["block"] = "not*base64!"
-    with pytest.raises(ArtifactCodecError, match="trace block"):
-        _materialise(_encode_document(document))
+    with pytest.raises(ArtifactCodecError, match="memory image"):
+        _materialise(_rewrite_columns(document, repeat_an_address))
 
 
 def _dep_at(distance):
@@ -680,6 +810,29 @@ def _pdg_shapes(result):
         ]
         shapes[fn_name] = edges, sccs
     return shapes
+
+
+@pytest.mark.parametrize("name", [n for n, _ in _sources()])
+def test_v4_round_trip_keeps_trace_columns_and_memory_image(eager_payloads, name):
+    """Every decoded trace column and the memory image equal the recorded
+    ones, and re-encoding gives the payload back byte for byte."""
+    eager, data = eager_payloads[name]
+    lazy = decode_compilation_result(data)
+    recorded, decoded = eager.execution.trace, lazy.execution.trace
+    for column, _ in _TRACE_COLUMNS[2:]:
+        assert getattr(decoded, column) == getattr(recorded, column), column
+    numbers, decoded_numbers = _instruction_index(eager.module), _instruction_index(lazy.module)
+    assert [decoded_numbers[i] for i in decoded.instructions] == [
+        numbers[i] for i in recorded.instructions
+    ]
+    assert decoded.functions == recorded.functions
+    assert decoded.truncated == recorded.truncated
+    memory, image = eager.execution.memory, lazy.execution.memory
+    assert image._bytes == memory._bytes
+    for field in ("global_addresses", "global_sizes", "_global_top", "_stack_top",
+                  "load_count", "store_count"):
+        assert getattr(image, field) == getattr(memory, field), field
+    assert encode_compilation_result(lazy) == data
 
 
 @pytest.mark.parametrize("name", [n for n, _ in _sources()])

@@ -319,6 +319,68 @@ def test_history_env_disables_and_redirects(tmp_path, monkeypatch):
     assert obs_history.explicit_path() is None  # default-on ≠ explicit opt-in
 
 
+LOOSE_COMMIT = "1234567" + "a" * 33
+PACKED_COMMIT = "abcdef0" + "b" * 33
+DETACHED_COMMIT = "fedcba9" + "c" * 33
+
+
+def _fake_git(root, head, refs=(), packed=()):
+    """A ``.git`` directory under *root* with *head* as its HEAD, loose
+    refs (name, commit) and a packed-refs file of (name, commit)."""
+    git = root / ".git"
+    git.mkdir(parents=True)
+    (git / "HEAD").write_text(head + "\n")
+    for name, commit in refs:
+        (git / name).parent.mkdir(parents=True, exist_ok=True)
+        (git / name).write_text(commit + "\n")
+    if packed:
+        lines = ["# pack-refs with: peeled fully-peeled sorted"]
+        for name, commit in packed:
+            lines += [f"{commit} {name}", "^" + "d" * 40]
+        (git / "packed-refs").write_text("\n".join(lines) + "\n")
+    return root
+
+
+def test_git_revision_reads_head_from_the_files(tmp_path, monkeypatch):
+    loose = _fake_git(
+        tmp_path / "loose", "ref: refs/heads/main", refs=[("refs/heads/main", LOOSE_COMMIT)]
+    )
+    packed = _fake_git(
+        tmp_path / "packed",
+        "ref: refs/heads/main",
+        packed=[("refs/heads/feature", DETACHED_COMMIT), ("refs/heads/main", PACKED_COMMIT)],
+    )
+    detached = _fake_git(tmp_path / "detached", DETACHED_COMMIT)
+    nested = loose / "src" / "deep"
+    nested.mkdir(parents=True)
+    assert obs_history.read_git_head(str(nested)) == "1234567"  # walks up to .git
+    assert obs_history.read_git_head(str(packed)) == "abcdef0"
+    assert obs_history.read_git_head(str(detached)) == "fedcba9"
+    # A ref in neither place, or a HEAD that is not a commit, resolves to None.
+    missing = _fake_git(tmp_path / "missing", "ref: refs/heads/gone")
+    assert obs_history.read_git_head(str(missing)) is None
+    garbage = _fake_git(tmp_path / "garbage", "not a commit")
+    assert obs_history.read_git_head(str(garbage)) is None
+    # A linked worktree: .git is a file naming its git dir, whose refs are
+    # in the common dir.
+    worktree = loose / ".git" / "worktrees" / "topic"
+    worktree.mkdir(parents=True)
+    (worktree / "HEAD").write_text("ref: refs/heads/topic\n")
+    (worktree / "commondir").write_text("../..\n")
+    (loose / ".git" / "refs" / "heads" / "topic").write_text(PACKED_COMMIT + "\n")
+    checkout = tmp_path / "topic"
+    checkout.mkdir()
+    (checkout / ".git").write_text(f"gitdir: {worktree}\n")
+    assert obs_history.read_git_head(str(checkout)) == "abcdef0"
+    # git_revision resolves the working directory's HEAD once per process.
+    monkeypatch.chdir(nested)
+    monkeypatch.setattr(obs_history, "_git_rev_cache", False)
+    assert obs_history.git_revision() == "1234567"
+    monkeypatch.chdir(packed)
+    assert obs_history.git_revision() == "1234567"
+    assert obs_history.environment()["git_rev"] == "1234567"
+
+
 def test_regression_gate_fires_only_past_threshold_and_floor(tmp_path):
     for wall in (10.0, 10.2, 9.9, 10.1):
         _seed(tmp_path, wall)

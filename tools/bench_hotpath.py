@@ -30,9 +30,10 @@ output before reporting a single number:
   step counts must agree.
 * **trace** — per workload, the seconds to record the columnar trace (an
   interpreter run with tracing, next to one without), to encode it into
-  the compile artifact's trace section and to decode it back, plus the
-  section's bytes.  Not an A/B leg: its check is that every decoded trace
-  equals the recorded one event for event.
+  the compile artifact's trace section and its columns in the binary tail
+  and to decode it back, plus the bytes of both.  Not an A/B leg: its
+  check is that every decoded trace equals the recorded one event for
+  event.
 * **artifact** — per workload, the seconds to decode its compile artifact
   the way a cache hit does (magic, checksum, summary), to build the heavy
   part on first access, and to decode it eagerly (both, plus every
@@ -364,16 +365,30 @@ def bench_trace(repeats: int) -> dict:
     """Leg (f): record, encode and decode every workload's trace.
 
     Each time is the best of *repeats*; encode includes the JSON dump of
-    the trace section and decode its JSON load, as in the artifact cache.
+    the trace section and the deflate of its columns into a binary tail,
+    decode the JSON load and the inflate, as in the artifact cache.
     """
     from repro.core.compiler import TwillCompiler
     from repro.eval.heavy_codec import (
         _dec_trace,
+        _deflate,
         _enc_trace,
+        _inflate,
         _instruction_index,
         _instruction_list,
+        _trace_shapes,
     )
     from repro.interp import run_module
+
+    def encode(trace, index):
+        columns = []
+        section = json.dumps(_enc_trace(trace, index, columns))
+        return section, _deflate(columns)
+
+    def decode(section, tail, instructions):
+        document = json.loads(section)
+        columns = _inflate(tail, _trace_shapes(document))
+        return _dec_trace(document, iter(columns), instructions)
 
     per_workload = {}
     identical = True
@@ -388,14 +403,14 @@ def bench_trace(repeats: int) -> dict:
             seconds, execution = _timed(lambda: run_module(module, record_trace=True))
             best["record"].append(seconds)
             trace = execution.trace
-            seconds, payload = _timed(lambda: json.dumps(_enc_trace(trace, index)))
+            seconds, (section, tail) = _timed(lambda: encode(trace, index))
             best["encode"].append(seconds)
-            seconds, decoded = _timed(lambda: _dec_trace(json.loads(payload), instructions))
+            seconds, decoded = _timed(lambda: decode(section, tail, instructions))
             best["decode"].append(seconds)
         identical = identical and decoded.events == trace.events
         per_workload[workload.name] = {
             "events": len(trace),
-            "encoded_bytes": len(payload),
+            "encoded_bytes": len(section) + len(tail),
             **{f"{step}_seconds": round(min(times), 4) for step, times in best.items()},
         }
     totals = {
