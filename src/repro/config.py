@@ -25,6 +25,12 @@ def _fields_dict(config: Any) -> Dict[str, Any]:
     return {f.name: getattr(config, f.name) for f in fields(config)}
 
 
+def _from_fields(cls: Any, data: Dict[str, Any]) -> Any:
+    """Inverse of :func:`_fields_dict` (unknown keys ignored, defaults fill gaps)."""
+    known = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in data.items() if k in known})
+
+
 @dataclass
 class PartitionConfig:
     """DSWP partitioner knobs (thesis §5.2)."""
@@ -55,8 +61,7 @@ class PartitionConfig:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "PartitionConfig":
         """Inverse of ``dataclasses.asdict`` (unknown keys ignored, defaults fill gaps)."""
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return _from_fields(cls, data)
 
 
 @dataclass
@@ -194,6 +199,15 @@ class CompilerConfig:
         data["runtime"] = self.runtime.to_dict()
         data["hls"] = _fields_dict(self.hls)
         return data
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "CompilerConfig":
+        """Inverse of :meth:`to_dict`."""
+        config = _from_fields(cls, data)
+        config.partition = PartitionConfig.from_dict(data["partition"])
+        config.runtime = _from_fields(RuntimeConfig, data["runtime"])
+        config.hls = _from_fields(HLSConfig, data["hls"])
+        return config
 
     def content_hash(self) -> str:
         """Hex digest identifying this configuration's contents.

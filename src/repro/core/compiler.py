@@ -26,6 +26,7 @@ from repro.frontend.lowering import compile_c
 from repro.hls.legup import LegUpFlow
 from repro.interp.interpreter import ExecutionResult, Interpreter
 from repro.interp.profile import Profile
+from repro.interp.trace import Trace
 from repro.ir.module import Module
 from repro.ir.verifier import verify_module
 from repro.results import CompilationResult
@@ -82,11 +83,7 @@ class TwillCompiler:
         module = self.compile_module(source, name)
         execution = self.execute(module, args)
         assert execution.trace is not None
-        profile = (
-            Profile.from_trace(module, execution.trace)
-            if self.config.partition.use_profile_weights
-            else Profile.static_estimate(module)
-        )
+        profile = self.profile(module, execution.trace)
         with perf.stage("dswp"):
             dswp = run_dswp(
                 module,
@@ -107,7 +104,16 @@ class TwillCompiler:
             dswp=dswp,
             legup=legup,
             system=system,
+            source=source,
+            config=self.config,
         )
+
+    def profile(self, module: Module, trace: Trace) -> Profile:
+        """The DSWP weights' profile: the trace's counts, or the static
+        loop-depth estimate when the config asks for it."""
+        if self.config.partition.use_profile_weights:
+            return Profile.from_trace(module, trace)
+        return Profile.static_estimate(module)
 
     # -- parameter sweeps used by the evaluation ---------------------------------------------------
 
@@ -152,4 +158,6 @@ class TwillCompiler:
             dswp=dswp,
             legup=result.legup,
             system=system,
+            source=result.source,
+            config=self.config,
         )

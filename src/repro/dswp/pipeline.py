@@ -137,7 +137,6 @@ def run_dswp(
     target_sw = config.sw_fraction if sw_fraction is None else sw_fraction
 
     result = ModulePartitioning(module=module)
-    extractor = ThreadExtractor(module) if extract_threads else None
     queue_id_base = 0
 
     for fn in callgraph.top_down_order():
@@ -166,8 +165,23 @@ def run_dswp(
         queue_id_base += allocation.queue_count
         result.functions[fn.name] = partitioning
         result.queues[fn.name] = allocation
-        if extractor is not None and count > 1:
-            result.extractions[fn.name] = extractor.extract(partitioning)
 
+    if extract_threads:
+        extract_partition_threads(result)
     result.semaphores = allocate_semaphores(module, list(result.functions.keys()))
     return DSWPResult(partitioning=result, weight_model=weight_model, config=config)
+
+
+def extract_partition_threads(partitioning: ModulePartitioning) -> None:
+    """Materialise the threads of every function with more than one
+    partition, callers first, as ``f_dswp_<k>`` functions of the module.
+
+    Extraction only appends functions, so the module's other instructions
+    keep their places; the artifact codec re-runs this on a rebuilt module.
+    """
+    module = partitioning.module
+    extractor = ThreadExtractor(module)
+    for fn in CallGraph(module).top_down_order():
+        fp = partitioning.functions.get(fn.name)
+        if fp is not None and len(fp.partitions) > 1:
+            partitioning.extractions[fn.name] = extractor.extract(fp)

@@ -2,36 +2,49 @@
 
 Everything the artifact cache stores is either plain JSON or this codec's
 output, so loading an entry never executes stored code: decoding walks JSON
-and rebuilds the object graph through a fixed table of IR classes.  The
+and arrays, and rebuilds the IR by compiling the stored C source.  The
 format only depends on the documented IR/result classes, so entries are
 inspectable with ``python -m json.tool`` and survive Python version bumps.
 
 A cached :class:`repro.core.compiler.CompilationResult` is the largest
-artifact the evaluation harness stores.  Its payload (``repro-artifact-v4``)
+artifact the evaluation harness stores.  Its payload (``repro-artifact-v5``)
 is five parts, in order:
 
-1. the magic line ``repro-artifact-v4``;
+1. the magic line ``repro-artifact-v5``;
 2. a line holding the ``crc32`` of the rest of the payload, as 8 lowercase
    hex digits;
 3. one summary JSON line: ``name``, ``outputs``, ``system`` (the three
    timing replays with area and power) and the DSWP summary — everything
    a report reads;
-4. the heavy JSON line: ``module``, the rest of ``execution``,
-   ``profile``, ``dswp`` and ``legup``;
+4. the heavy JSON line: the C ``source``, the ``config``
+   (:meth:`~repro.config.CompilerConfig.to_dict`), the module's
+   ``structure`` digest, the rest of ``execution`` and the ``dswp``
+   partitions and queues;
 5. the binary tail, to the end of the payload: one zlib stream holding
    every array of the artifact — the dynamic trace's columns and the
    memory image — whose lengths the heavy line records.
 
+The module, the profile, the extracted threads and the LegUp result are
+not stored: the cache key pins the source, the config and the code, and
+each is deterministic in them, so the first heavy read rebuilds them
+(:func:`repro.eval.heavy_codec.decode_heavy`).  The ``structure`` digest
+(each function's instruction count and the ``crc32`` of the printed module)
+guards that rebuild.
+
 Both JSON parts are canonical (sorted keys, no spaces), so ``python -m
 json.tool`` inspects either line of any cached compile.  Decoding checks
 the magic and the checksum and decodes the summary; it returns a *lazy*
-result (:meth:`CompilationResult.lazy`) that parses the heavy line and
-inflates the tail on the first read of a heavy field.  So:
+result (:meth:`CompilationResult.lazy`) that parses the heavy line,
+inflates the tail and rebuilds the module on the first read of a heavy
+field.  So:
 
 * any damaged byte fails the checksum, and the cache reads the entry as a
   corrupt miss and recomputes it;
-* a heavy part that is malformed under a valid checksum (a writer bug)
-  raises :class:`ArtifactCodecError` on first access;
+* a heavy part that is malformed under a valid checksum (a writer bug), or
+  a rebuilt module that differs from the stored digest, raises
+  :class:`ArtifactCodecError` on first access; a result that
+  :meth:`~repro.eval.cache.ArtifactCache.get_or_compute` served then
+  drops the entry and recomputes it;
 * a warm report, which reads only the summary, decodes no heavy part.
 
 The tail stores each column's little-endian bytes split into byte planes
@@ -52,18 +65,12 @@ so the partition points at the instructions the caller's trace replays.
 The encoding strategy mirrors how the IR itself names things:
 
 * every instruction of every defined function gets a **global index**
-  (module function order → block order → instruction order); operands,
-  the trace's static instruction table, profile counts, partitions,
-  queues, thread extractions and HLS schedules all refer to instructions
-  by that index instead of by object identity;
-* extracted thread functions (``f_dswp_<k>``) are functions of the module,
-  so an :class:`~repro.dswp.thread_extraction.ExtractedThread` is stored
-  by its function's name;
-* instruction-keyed maps (``FunctionPartitioning.assignment``,
-  ``ExtractionResult.queue_map``, ``BlockSchedule.start_cycle``,
-  ``Profile._counts``) are stored as lists of (instruction number,
-  value) pairs, or not at all where the decoder re-derives them (the
-  assignment is the inverse of the partitions' instruction lists);
+  (module function order → block order → instruction order); the trace's
+  static instruction table, partitions and queues all refer to
+  instructions by that index instead of by object identity;
+* instruction-keyed maps (``FunctionPartitioning.assignment``) are not
+  stored where the decoder re-derives them (the assignment is the inverse
+  of the partitions' instruction lists);
 * purely derived analysis state (the PDG and its SCC condensation inside
   each :class:`FunctionPartitioning`) is not stored: it is a deterministic
   function of the decoded function and profile, rebuilt on first read
@@ -71,11 +78,9 @@ The encoding strategy mirrors how the IR itself names things:
 
 This module decodes the summary.  Encoding, the heavy decode and the DSWP
 documents are in :mod:`repro.eval.heavy_codec`, which loads on the first
-encode or heavy read; the module itself is encoded by
-:mod:`repro.eval.module_codec`, the only part of the codec that needs the
-IR classes.  Both import the DSWP, HLS and interpreter classes when they
-run, so decoding a summary (all a warm report does) loads no compiler
-stage and none of the heavy codec.
+encode or heavy read and imports the compiler stages when it runs, so
+decoding a summary (all a warm report does) loads no compiler stage and
+none of the heavy codec.
 """
 
 from __future__ import annotations
@@ -98,7 +103,7 @@ from repro.results import (
     TimingResult,
 )
 
-ARTIFACT_MAGIC = b"repro-artifact-v4\n"
+ARTIFACT_MAGIC = b"repro-artifact-v5\n"
 
 
 class ArtifactCodecError(ReproError):
@@ -218,7 +223,7 @@ def _dec_summary(data: bytes) -> Tuple[str, List[int], Any, Dict[str, float]]:
 
 
 def decode_compilation_result(data: bytes):
-    """Decode a v4 payload into a lazy :class:`CompilationResult`.
+    """Decode a v5 payload into a lazy :class:`CompilationResult`.
 
     Checks the magic and the checksum and decodes the summary now; the
     heavy part is decoded (and validated) on the first read of a heavy
@@ -234,6 +239,6 @@ def decode_compilation_result(data: bytes):
     def load() -> Dict[str, Any]:
         from repro.eval.heavy_codec import decode_heavy
 
-        return decode_heavy(heavy, outputs)
+        return decode_heavy(heavy, name, outputs)
 
     return CompilationResult.lazy(name, system, outputs, dswp_summary, load)

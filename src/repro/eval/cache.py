@@ -469,21 +469,40 @@ class ArtifactCache:
     def contains(self, key: str) -> bool:
         return self.backend.contains(key)
 
-    def get(self, key: str) -> Optional[Any]:
+    def get(self, key: str, recompute: Optional[Callable[[], Any]] = None) -> Optional[Any]:
         """Load the entry for *key*, or ``None`` on a miss.
 
         A corrupt or unreadable entry is deleted so the recompute overwrites
-        it.
+        it.  A compile artifact decodes its heavy part on first read; with
+        *recompute*, one that fails then is a miss found late: the entry is
+        deleted, recomputed once through :meth:`get_or_compute`, and the
+        result takes the recomputed heavy fields.
         """
         blob = self.backend.get_blob(key)
         if blob is None:
             return None
         serializer, data = blob
         try:
-            return self._decode(data, serializer)
+            value = self._decode(data, serializer)
         except Exception:
             self.backend.delete(key)
             return None
+        if recompute is not None and serializer == "artifact" and "_load" in vars(value):
+            load = value._load
+
+            def load_or_recompute() -> Dict[str, Any]:
+                from repro.eval.artifact_codec import ArtifactCodecError
+                from repro.results import HEAVY_FIELDS
+
+                try:
+                    return load()
+                except ArtifactCodecError:
+                    self.backend.delete(key)
+                    fresh = self.get_or_compute(key, recompute, serializer="artifact")
+                    return {name: getattr(fresh, name) for name in HEAVY_FIELDS}
+
+            value._load = load_or_recompute
+        return value
 
     def put(self, key: str, value: Any, serializer: str) -> Path:
         """Atomically store *value* under *key*; returns the entry's path."""
@@ -515,12 +534,12 @@ class ArtifactCache:
         it.
         """
         with obs_tracing.span("cache.get_or_compute", kind="cache", key=key[:16]) as span:
-            hit = self.get(key)
+            hit = self.get(key, compute)
             if hit is not None:
                 span.set("cache_hit", True)
                 return hit
             with self.lock(key):
-                hit = self.get(key)  # someone else may have computed it meanwhile
+                hit = self.get(key, compute)  # someone else may have computed it meanwhile
                 if hit is not None:
                     span.set("cache_hit", True)
                     return hit

@@ -1,20 +1,26 @@
 """The heavy half of the compile-artifact codec (format: :mod:`repro.eval.artifact_codec`).
 
 Encoding a :class:`~repro.results.CompilationResult`, decoding the heavy
-part of its payload (the IR module, the rest of the execution, the
-profile, DSWP and LegUp results in the heavy JSON line; the trace's columns
-and the memory image in the binary tail after it), and the explore
-engine's DSWP documents.  A warm report reads only artifact summaries, which
-:mod:`repro.eval.artifact_codec` decodes, so this module loads on the first
-encode or the first read of a heavy field.
+part of its payload, and the explore engine's DSWP documents.  A warm
+report reads only artifact summaries, which :mod:`repro.eval.artifact_codec`
+decodes, so this module loads on the first encode or the first read of a
+heavy field.
+
+The heavy part stores what a rerun cannot give back cheaply: the compile's
+inputs (the C source and the :class:`~repro.config.CompilerConfig`), the
+interpreter's execution and the DSWP partitions and queues.  Everything
+else is deterministic in the inputs, so :func:`decode_heavy` rebuilds it:
+the IR module (front end and SSA passes), the profile, the threads
+extracted from the partitions and the LegUp result.  A structural digest
+of the module, taken when the artifact was written, guards the rebuild.
 
 Every instruction of every defined function gets a **global index**
-(module function order → block order → instruction order); operands, the
-trace's static instruction table, profile counts, partitions, queues,
-thread extractions and HLS schedules all refer to instructions by that
-index (see the format notes in :mod:`repro.eval.artifact_codec`).  The
-module itself is encoded by :mod:`repro.eval.module_codec`, the only part
-that needs the IR classes.
+(module function order → block order → instruction order); the trace's
+static instruction table, partitions and queues refer to instructions by
+that index (see the format notes in :mod:`repro.eval.artifact_codec`).
+Extracted threads are appended to the module after its source functions,
+so the indices the trace and the partitions use are the same before and
+after extraction.
 
 The binary tail is every array of the artifact through one zlib stream
 (level 1, :func:`_deflate`): the ten :data:`_TRACE_COLUMNS`, then the
@@ -38,12 +44,7 @@ from itertools import accumulate, chain, islice, repeat
 from operator import ge, gt, sub
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Tuple
 
-from repro.eval.artifact_codec import (
-    ARTIFACT_MAGIC,
-    ArtifactCodecError,
-    _dec_area,
-    _malformed,
-)
+from repro.eval.artifact_codec import ARTIFACT_MAGIC, ArtifactCodecError, _malformed
 
 if TYPE_CHECKING:
     from repro.ir.instructions import Instruction
@@ -304,28 +305,6 @@ def _dec_execution(
 
 
 # ---------------------------------------------------------------------------
-# profile
-# ---------------------------------------------------------------------------
-
-
-def _enc_profile(profile, index: Dict[Instruction, int], instructions: List[Instruction]) -> Dict:
-    counts = []
-    for inst in instructions:
-        c = profile._counts.get(inst)
-        if c is not None:
-            counts.append([index[inst], c])
-    return {"counts": counts}
-
-
-def _dec_profile(data: Dict, module: Module, instructions: List[Instruction]):
-    from repro.interp.profile import Profile
-
-    profile = Profile(module)
-    profile._counts = {instructions[i]: c for i, c in data["counts"]}
-    return profile
-
-
-# ---------------------------------------------------------------------------
 # DSWP
 # ---------------------------------------------------------------------------
 
@@ -387,35 +366,6 @@ def _enc_dswp(dswp, index: Dict[Instruction, int]) -> Dict:
         "functions": functions,
         "queues": queues,
         "semaphores": dict(partitioning.semaphores),
-        "extractions": {
-            fn_name: _enc_extraction(extraction, partitioning.module, index)
-            for fn_name, extraction in partitioning.extractions.items()
-        },
-    }
-
-
-def _enc_extraction(extraction, module: Module, index: Dict[Instruction, int]) -> Dict:
-    """One function's extracted threads: each by its function's name, and
-    the queue map keyed by instruction number."""
-    for thread in extraction.threads:
-        if module.functions.get(thread.function.name) is not thread.function:
-            raise ArtifactCodecError(
-                f"extracted thread {thread.function.name} is not a function of the module"
-            )
-    return {
-        "threads": [
-            {
-                "function": t.function.name,
-                "partition": t.partition_index,
-                "kind": t.kind.value,
-                "is_master": t.is_master,
-                "reads": list(t.queue_reads),
-                "writes": list(t.queue_writes),
-            }
-            for t in extraction.threads
-        ],
-        "queue_count": extraction.queue_count,
-        "queue_map": [[index[v], p, q] for (v, p), q in extraction.queue_map.items()],
     }
 
 
@@ -516,111 +466,16 @@ def _dec_dswp(data: Dict, module: Module, instructions: List[Instruction], profi
         _check_queue_ends(fn_name, partitioning.functions[fn_name], allocation)
         partitioning.queues[fn_name] = allocation
     partitioning.semaphores = dict(data["semaphores"])
-    for fn_name, e in data["extractions"].items():
-        partitioning.extractions[fn_name] = _dec_extraction(fn_name, e, module, instructions)
     return DSWPResult(partitioning=partitioning, weight_model=weight_model, config=config)
-
-
-def _dec_extraction(fn_name: str, data: Dict, module: Module, instructions: List[Instruction]):
-    from repro.dswp.partitioner import PartitionKind
-    from repro.dswp.thread_extraction import ExtractedThread, ExtractionResult
-
-    return ExtractionResult(
-        source_function=fn_name,
-        threads=[
-            ExtractedThread(
-                function=module.get_function(t["function"]),
-                source_function=fn_name,
-                partition_index=t["partition"],
-                kind=PartitionKind(t["kind"]),
-                is_master=t["is_master"],
-                queue_reads=list(t["reads"]),
-                queue_writes=list(t["writes"]),
-            )
-            for t in data["threads"]
-        ],
-        queue_count=data["queue_count"],
-        queue_map={(_at(instructions, v), p): q for v, p, q in data["queue_map"]},
-    )
-
-
-# ---------------------------------------------------------------------------
-# HLS (LegUp baseline)
-# ---------------------------------------------------------------------------
-
-
-def _enc_area(area) -> Dict:
-    return {"luts": area.luts, "dsps": area.dsps, "brams": area.brams, "detail": dict(area.detail)}
-
-
-def _enc_legup(legup, index: Dict[Instruction, int]) -> Dict:
-    schedules = {}
-    for fn_name, schedule in legup.schedules.items():
-        blocks = {}
-        for block_name, bs in schedule.blocks.items():
-            blocks[block_name] = {
-                "states": [[index[i] for i in state.operations] for state in bs.states],
-                "state_indices": [state.index for state in bs.states],
-                "start": [
-                    [index[inst], bs.start_cycle[inst]]
-                    for inst in bs.block.instructions
-                    if inst in bs.start_cycle
-                ],
-                "latency": bs.latency,
-            }
-        schedules[fn_name] = blocks
-    bindings = {
-        fn_name: {
-            "units": [[op.value, n] for op, n in binding.units.items()],
-            "total": [[op.value, n] for op, n in binding.total_operations.items()],
-            "mux_luts": binding.mux_luts,
-        }
-        for fn_name, binding in legup.bindings.items()
-    }
-    return {
-        "schedules": schedules,
-        "bindings": bindings,
-        "function_areas": {n: _enc_area(a) for n, a in legup.function_areas.items()},
-        "memory_area": _enc_area(legup.memory_area),
-    }
-
-
-def _dec_legup(data: Dict, module: Module, instructions: List[Instruction]):
-    from repro.hls.binding import BindingResult
-    from repro.hls.legup import LegUpResult
-    from repro.hls.scheduling import BlockSchedule, FSMSchedule, ScheduledState
-    from repro.ir.instructions import Opcode
-
-    legup = LegUpResult()
-    for fn_name, blocks in data["schedules"].items():
-        fn = module.get_function(fn_name)
-        schedule = FSMSchedule(function=fn)
-        for block_name, b in blocks.items():
-            bs = BlockSchedule(
-                block=fn.get_block(block_name),
-                states=[
-                    ScheduledState(index=idx, operations=[instructions[i] for i in ops])
-                    for idx, ops in zip(b["state_indices"], b["states"])
-                ],
-                start_cycle={instructions[i]: c for i, c in b["start"]},
-                latency=b["latency"],
-            )
-            schedule.blocks[block_name] = bs
-        legup.schedules[fn_name] = schedule
-    for fn_name, b in data["bindings"].items():
-        legup.bindings[fn_name] = BindingResult(
-            units={Opcode(op): n for op, n in b["units"]},
-            total_operations={Opcode(op): n for op, n in b["total"]},
-            mux_luts=b["mux_luts"],
-        )
-    legup.function_areas = {n: _dec_area(a) for n, a in data["function_areas"].items()}
-    legup.memory_area = _dec_area(data["memory_area"])
-    return legup
 
 
 # ---------------------------------------------------------------------------
 # system (timing + area + power)
 # ---------------------------------------------------------------------------
+
+
+def _enc_area(area) -> Dict:
+    return {"luts": area.luts, "dsps": area.dsps, "brams": area.brams, "detail": dict(area.detail)}
 
 
 def _enc_timing(timing) -> Dict:
@@ -689,12 +544,24 @@ def _dumps(document: Dict) -> bytes:
     return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def encode_compilation_result(result) -> bytes:
-    """Encode a :class:`CompilationResult` into the v4 payload (see the module doc)."""
-    from repro.eval.module_codec import encode_module
+def _structure(module: Module) -> Dict[str, Any]:
+    """The module's structural digest: each function's instruction count,
+    and the ``crc32`` of the printed module, which names every opcode,
+    operand, constant and global initialiser."""
+    from repro.ir.printer import print_module
 
+    return {
+        "instructions": {
+            name: sum(len(block.instructions) for block in fn.blocks)
+            for name, fn in module.functions.items()
+        },
+        "crc": zlib.crc32(print_module(module).encode("utf-8")),
+    }
+
+
+def encode_compilation_result(result) -> bytes:
+    """Encode a :class:`CompilationResult` into the v5 payload (see the module doc)."""
     index = _instruction_index(result.module)
-    instructions = _instruction_list(result.module)
     summary = {
         "name": result.name,
         "outputs": list(result.outputs),
@@ -703,25 +570,35 @@ def encode_compilation_result(result) -> bytes:
     }
     tail: List[array] = []
     heavy = {
-        "module": encode_module(result.module),
+        "source": result.source,
+        "config": result.config.to_dict(),
+        "structure": _structure(result.module),
         "execution": _enc_execution(result.execution, index, tail),
-        "profile": _enc_profile(result.profile, index, instructions),
         "dswp": _enc_dswp(result.dswp, index),
-        "legup": _enc_legup(result.legup, index),
     }
     body = b"\n".join((_dumps(summary), _dumps(heavy), _deflate(tail)))
     return ARTIFACT_MAGIC + b"%08x\n" % zlib.crc32(body) + body
 
 
-def decode_heavy(data: bytes, outputs: List[int]) -> Dict[str, Any]:
-    """The five heavy fields of a result, rebuilt with every check above.
+def decode_heavy(data: bytes, name: str, outputs: List[int]) -> Dict[str, Any]:
+    """The heavy fields of result *name*: the stored ones decoded, the rest
+    rebuilt from its source and config, with every check above.
+
+    The rebuild runs the front end and SSA passes, decodes the execution
+    and the partitions onto that module, picks the profile as the compile
+    did, re-extracts the threads when the config asks for them and re-runs
+    LegUp.  A module whose structural digest differs from the stored one
+    raises :class:`ArtifactCodecError`.
 
     *data* is the payload after its summary line: the heavy JSON line and
     the binary tail.  The lazy result
     :func:`repro.eval.artifact_codec.decode_compilation_result` returns
     calls this on the first read of a heavy field.
     """
-    from repro.eval.module_codec import decode_module
+    from repro.config import CompilerConfig
+    from repro.core.compiler import TwillCompiler
+    from repro.dswp.pipeline import extract_partition_threads
+    from repro.hls.legup import LegUpFlow
 
     line, newline, tail = data.partition(b"\n")
     with _malformed("artifact heavy part"):
@@ -730,14 +607,25 @@ def decode_heavy(data: bytes, outputs: List[int]) -> Dict[str, Any]:
         document = json.loads(line)
         execution = document["execution"]
         columns = iter(_inflate(tail, _execution_shapes(execution)))
-        module, instructions = decode_module(document["module"])
-        profile = _dec_profile(document["profile"], module, instructions)
+        source, config = document["source"], CompilerConfig.from_dict(document["config"])
+        compiler = TwillCompiler(config)
+        module = compiler.compile_module(source, name)
+        instructions = _instruction_list(module)
+        decoded = _dec_execution(execution, outputs, instructions, columns)
+        profile = compiler.profile(module, decoded.trace)
+        dswp = _dec_dswp(document["dswp"], module, instructions, profile)
+        if config.extract_threads:
+            extract_partition_threads(dswp.partitioning)
+        if _structure(module) != document["structure"]:
+            raise ArtifactCodecError("the rebuilt module differs from the stored structure")
         return {
             "module": module,
-            "execution": _dec_execution(execution, outputs, instructions, columns),
+            "execution": decoded,
             "profile": profile,
-            "dswp": _dec_dswp(document["dswp"], module, instructions, profile),
-            "legup": _dec_legup(document["legup"], module, instructions),
+            "dswp": dswp,
+            "legup": LegUpFlow(config.hls).run(module),
+            "source": source,
+            "config": config,
         }
 
 

@@ -80,7 +80,6 @@ WORKER_MODULES = (
     "repro.sim.system",
     "repro.explore.evaluate",
     "repro.eval.heavy_codec",
-    "repro.eval.module_codec",
     "repro.obs.profile",
 )
 
@@ -684,7 +683,10 @@ class TaskScheduler:
 
     def _cached_or_none(self, task: Task) -> Optional[Any]:
         if task.key is not None and self.cache is not None:
-            return self.cache.get(task.key)
+            recompute = None
+            if task.serializer == "artifact":
+                recompute = lambda: resolve(task.fn)(*task.args)  # noqa: E731
+            return self.cache.get(task.key, recompute)
         return None
 
     def _run_task_inline(self, task: Task, results: Dict[str, Any]) -> Any:

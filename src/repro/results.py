@@ -24,6 +24,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
+    from repro.config import CompilerConfig
     from repro.dswp.pipeline import DSWPResult
     from repro.hls.legup import LegUpResult
     from repro.interp.interpreter import ExecutionResult
@@ -199,18 +200,21 @@ class SystemResult:
 
 
 #: The fields a lazy :class:`CompilationResult` builds on their first read.
-_HEAVY_FIELDS = frozenset(("module", "execution", "profile", "dswp", "legup"))
+HEAVY_FIELDS = ("module", "execution", "profile", "dswp", "legup", "source", "config")
 
 
 @dataclass
 class CompilationResult:
     """Everything produced by one compile-and-simulate run.
 
-    A result decoded from the artifact cache is *lazy* (:meth:`lazy`): it
-    holds ``name``, ``system``, the functional outputs and the DSWP summary,
-    and builds the five heavy fields on the first read of any of them.
-    ``==``, pickling and :func:`dataclasses.replace` read every field, so
-    they materialise it first; a report reads none of them.
+    ``source`` and ``config`` are the compile's inputs: the artifact codec
+    stores them in place of the module, profile and LegUp result, which it
+    rebuilds from them.  A result decoded from the artifact cache is *lazy*
+    (:meth:`lazy`): it holds ``name``, ``system``, the functional outputs
+    and the DSWP summary, and builds the heavy fields on the first read of
+    any of them.  ``==`` and :func:`dataclasses.replace` read every field,
+    so they materialise it first; a report reads none of them.  A pickle is
+    the artifact payload, so unpickling gives a lazy result.
     """
 
     name: str
@@ -220,6 +224,8 @@ class CompilationResult:
     dswp: DSWPResult
     legup: LegUpResult
     system: SystemResult
+    source: str
+    config: CompilerConfig
 
     @classmethod
     def lazy(
@@ -232,7 +238,7 @@ class CompilationResult:
     ) -> "CompilationResult":
         """A result whose heavy fields are ``load()``'s, built on first read.
 
-        *load* returns the five heavy fields by name and runs at most once
+        *load* returns the :data:`HEAVY_FIELDS` by name and runs at most once
         successfully; ``execution.outputs`` must be *outputs*.
         """
         result = cls.__new__(cls)
@@ -246,20 +252,19 @@ class CompilationResult:
     def __getattr__(self, attr: str) -> Any:
         # Only reached for attributes the instance lacks: the heavy fields
         # of a lazy result before their first read.
-        if "_load" not in self.__dict__ or attr not in _HEAVY_FIELDS:
+        if "_load" not in self.__dict__ or attr not in HEAVY_FIELDS:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
-        self._materialise()
+        self.__dict__.update(self._load())
+        del self._load, self._outputs, self._dswp_summary
         return self.__dict__[attr]
 
-    def _materialise(self) -> None:
-        load = self.__dict__.get("_load")
-        if load is not None:
-            self.__dict__.update(load())
-            del self._load, self._outputs, self._dswp_summary
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # The flat payload, not the IR graph: pickle walks def-use lists
+        # recursively and runs out of stack on the larger extracted modules.
+        from repro.eval.artifact_codec import decode_compilation_result
+        from repro.eval.heavy_codec import encode_compilation_result
 
-    def __getstate__(self) -> Dict[str, Any]:
-        self._materialise()  # the loader is not picklable
-        return self.__dict__
+        return decode_compilation_result, (encode_compilation_result(self),)
 
     # -- convenience accessors --------------------------------------------------------
 

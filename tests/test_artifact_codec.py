@@ -1,21 +1,27 @@
 """Round-trip tests for the structured compile-artifact codec.
 
-``repro.eval.heavy_codec`` serialises a full :class:`CompilationResult`
-into a checksummed summary line, one canonical heavy JSON line and a
-binary tail of byte-shuffled, deflated arrays (behind a magic header)
-instead of a pickle — loading it executes no code.
+``repro.eval.heavy_codec`` serialises a :class:`CompilationResult` into a
+checksummed summary line, one canonical heavy JSON line and a binary tail
+of byte-shuffled, deflated arrays (behind a magic header) instead of a
+pickle — loading it executes no code.  The heavy line keeps the compile's
+source and config, a structural digest of the module, the execution and
+the DSWP partitions; the module, profile, extracted threads and LegUp
+result are rebuilt from the source on the first heavy read.
 The contract is stronger than "fields survive": a *decoded* result must
 drive every downstream consumer (split re-simulation, partitioned timing
 replay, report rows) to **byte-identical** output, because the cache
-serves decoded artifacts interchangeably with freshly-computed ones.  A
-decoded result is lazy: its heavy part is decoded on first access, and a
-malformed one raises then.
+serves decoded artifacts interchangeably with freshly-computed ones.  The
+rebuild oracle is the printed IR: a rebuilt module prints exactly as the
+compiled one.  A decoded result is lazy: its heavy part is decoded on
+first access, and a malformed one, or a rebuild that does not match the
+stored digest, raises then.
 """
 
 import dataclasses
 import json
 import os
 import pickle
+import sys
 import zlib
 from array import array
 from itertools import accumulate
@@ -43,10 +49,7 @@ from repro.eval.heavy_codec import (
 from repro.eval import worker
 from repro.eval.cache import ArtifactCache, compile_key
 from repro.eval.harness import EvaluationHarness
-from repro.dswp.partitioner import PartitionKind
-from repro.dswp.thread_extraction import ExtractedThread, ExtractionResult
 from repro.ir import verify_module
-from repro.ir.function import Function
 from repro.ir.printer import print_module
 from repro.pdg.scc import condense
 from repro.sim import ThreadAssignment, TimingSimulator
@@ -93,13 +96,19 @@ def _materialise(data: bytes):
 def test_artifact_is_magic_checksum_summary_and_heavy_json(compiled):
     _, result = compiled
     data = encode_compilation_result(result)
-    assert data.startswith(ARTIFACT_MAGIC) and ARTIFACT_MAGIC == b"repro-artifact-v4\n"
+    assert data.startswith(ARTIFACT_MAGIC) and ARTIFACT_MAGIC == b"repro-artifact-v5\n"
     crc, body = data[len(ARTIFACT_MAGIC):].split(b"\n", 1)
     assert crc == b"%08x" % zlib.crc32(body)
     summary_line, heavy_line, tail = body.split(b"\n", 2)
     summary, heavy = json.loads(summary_line), json.loads(heavy_line)
     assert sorted(summary) == ["dswp", "name", "outputs", "system"]
-    assert sorted(heavy) == ["dswp", "execution", "legup", "module", "profile"]
+    assert sorted(heavy) == ["config", "dswp", "execution", "source", "structure"]
+    # The inputs the module, profile and LegUp result are rebuilt from.
+    assert heavy["source"] == result.source == get_workload("blowfish").source
+    assert CompilerConfig.from_dict(heavy["config"]) == result.config == CompilerConfig()
+    assert heavy["structure"]["crc"] == zlib.crc32(print_module(result.module).encode("utf-8"))
+    assert sorted(heavy["structure"]["instructions"]) == sorted(result.module.functions)
+    assert "extractions" not in heavy["dswp"]
     # outputs and system live in the summary only.
     assert "outputs" not in heavy["execution"]
     assert summary["outputs"] == result.outputs
@@ -214,29 +223,6 @@ def test_thread_extraction_compile_round_trips_through_the_cache(name, tmp_path)
     # extractions place a consume before a phi, which the verifier reports.)
     verdict = verify_module(eager.module, raise_on_error=False).errors
     assert verify_module(lazy.module, raise_on_error=False).errors == verdict
-
-
-def test_refuses_a_thread_extraction_outside_the_module(compiled):
-    """An extracted thread is stored by its function's name, so a thread
-    whose function the module does not hold cannot be encoded."""
-    _, result = compiled
-    module = result.dswp.partitioning.module
-    main = module.get_function("main")
-    detached = Function("main_dswp_0", main.function_type, [a.name for a in main.args])
-    thread = ExtractedThread(detached, "main", 0, PartitionKind.SOFTWARE, True)
-    with_extraction = dataclasses.replace(
-        result,
-        dswp=dataclasses.replace(
-            result.dswp,
-            partitioning=dataclasses.replace(
-                result.dswp.partitioning,
-                extractions={"main": ExtractionResult("main", [thread], 0, {})},
-            ),
-        ),
-    )
-    with pytest.raises(ArtifactCodecError, match="not a function of the module"):
-        encode_compilation_result(with_extraction)
-    assert issubclass(ArtifactCodecError, ReproError)
 
 
 def _stage_document(result, sw_fraction=0.3):
@@ -485,44 +471,118 @@ def test_a_v3_payload_is_a_bad_magic_miss(compiled, tmp_path):
     assert not cache._path("e" * 64, "artifact").exists()
 
 
-def _first(module, predicate):
-    for fn in module["functions"]:
-        for block in fn["blocks"]:
-            for inst in block["insts"]:
-                if predicate(inst):
-                    return inst
-    raise AssertionError("no such instruction")
+def test_a_v4_payload_is_a_bad_magic_miss_and_recomputed_once(compiled, tmp_path):
+    """v4 stored the module, profile and LegUp result; such an entry is
+    never decoded, even with a valid checksum, and is recomputed once."""
+    _, result = compiled
+    summary, heavy, tail = _parts(encode_compilation_result(result))
+    for field in ("source", "config", "structure"):
+        heavy.pop(field)
+    heavy.update(module={"functions": []}, profile={"counts": []}, legup={"schedules": {}})
+    body = summary + b"\n" + _canonical(heavy) + b"\n" + tail
+    v4 = b"repro-artifact-v4\n" + b"%08x\n" % zlib.crc32(body) + body
+    with pytest.raises(ArtifactCodecError, match="bad magic"):
+        decode_compilation_result(v4)
+    cache = ArtifactCache(tmp_path)
+    key = "e" * 64
+    cache.backend.put_blob(key, "artifact", v4)
+    computed = []
+
+    def compute():
+        computed.append(1)
+        return result
+
+    assert cache.get_or_compute(key, compute, serializer="artifact") is result
+    assert cache.get_or_compute(key, compute, serializer="artifact").name == result.name
+    assert computed == [1]
+    assert encode_compilation_result(cache.get(key)) == encode_compilation_result(result)
 
 
-def _set_first_operand(value):
-    def mutate(module):
-        inst = _first(module, lambda i: any(ref[0] == "i" for ref in i["x"]))
-        ref = next(ref for ref in inst["x"] if ref[0] == "i")
-        ref[1] = value
-
-    return mutate
+def _edit_last_digit(source: str) -> str:
+    """*source* with its last digit raised by one (mod 10): one character."""
+    at = max(i for i, c in enumerate(source) if c.isdigit())
+    return source[:at] + str((int(source[at]) + 1) % 10) + source[at + 1:]
 
 
-MODULE_MUTATIONS = {
-    "unknown opcode": lambda m: _first(m, lambda i: True).__setitem__("op", "frobnicate"),
-    "operand past the instructions": _set_first_operand(10**6),
-    "negative operand": _set_first_operand(-1),
-    "unknown callee": lambda m: _first(m, lambda i: "callee" in i).__setitem__("callee", "nowhere"),
-    "unknown operand tag": lambda m: _first(m, lambda i: i["x"])["x"].__setitem__(0, ["?", 0]),
-    "missing field": lambda m: m["functions"][0].pop("blocks"),
+def _tamper_digest(heavy):
+    heavy["structure"]["crc"] ^= 1
+
+
+def _first_function_count(heavy):
+    counts = heavy["structure"]["instructions"]
+    counts[min(counts)] += 1
+
+
+#: Edits of the stored inputs and digest, under a valid checksum, that the
+#: rebuild must refuse: a one-character source edit (``digit edit``), a
+#: source that does not compile, and a config that builds another module.
+INPUT_MUTATIONS = {
+    "tampered digest": _tamper_digest,
+    "instruction count": _first_function_count,
+    "digit edit": lambda h: h.update(source=_edit_last_digit(h["source"])),
+    "bad source": lambda h: h.update(source=h["source"].replace("{", "(", 1)),
+    "inline config": lambda h: h["config"].update(inline_threshold=0),
+    "missing field": lambda h: h.pop("structure"),
 }
 
 
-@pytest.mark.parametrize("mutation", sorted(MODULE_MUTATIONS))
-def test_checksum_valid_bad_module_raises_on_first_access(compiled, mutation):
-    document = _trace_document(compiled)
-    MODULE_MUTATIONS[mutation](document["module"])
-    lazy = decode_compilation_result(_encode_document(document))  # the checksum holds
+def _mutated(result, mutate) -> bytes:
+    summary, heavy, tail = _parts(encode_compilation_result(result))
+    mutate(heavy)
+    return _payload(summary, heavy, tail)
+
+
+@pytest.mark.parametrize("mutation", sorted(INPUT_MUTATIONS))
+def test_checksum_valid_bad_inputs_raise_on_first_access(compiled, mutation):
+    data = _mutated(compiled[1], INPUT_MUTATIONS[mutation])
+    lazy = decode_compilation_result(data)  # the checksum holds
     assert lazy.outputs == compiled[1].outputs
     for _ in range(2):  # and every later access raises too: no object ever
         with pytest.raises(ArtifactCodecError):
             lazy.module
     assert "_load" in vars(lazy)
+    assert issubclass(ArtifactCodecError, ReproError)
+
+
+def test_every_one_digit_source_edit_is_refused(small_payload):
+    """Each digit of the small program is a loop bound, a constant or an
+    array size, so each one-digit edit of the stored source compiles to
+    another module (or none), and the printed-module digest refuses it."""
+    summary, heavy, tail = _parts(small_payload)
+    edits = [i for i, c in enumerate(SMALL_PROGRAM) if c.isdigit()]
+    assert len(edits) > 10
+    for at in edits:
+        source = SMALL_PROGRAM[:at] + str((int(SMALL_PROGRAM[at]) + 1) % 10) + SMALL_PROGRAM[at + 1:]
+        lazy = decode_compilation_result(_payload(summary, dict(heavy, source=source), tail))
+        with pytest.raises(ArtifactCodecError):
+            lazy.module
+
+
+@pytest.mark.parametrize("mutation", ["tampered digest", "digit edit"])
+def test_a_checksum_valid_bad_rebuild_is_a_late_miss_and_recomputed_once(
+    compiled, tmp_path, mutation
+):
+    """The rebuild fails only on the first heavy read, after the cache has
+    served the entry: the entry is then dropped and recomputed once, and
+    the result takes the recomputed heavy fields."""
+    _, result = compiled
+    cache = ArtifactCache(tmp_path)
+    key = "f" * 64
+    cache.backend.put_blob(key, "artifact", _mutated(result, INPUT_MUTATIONS[mutation]))
+    computed = []
+
+    def compute():
+        computed.append(1)
+        return result
+
+    lazy = cache.get_or_compute(key, compute, serializer="artifact")
+    assert lazy is not result and computed == []  # a hit: only the summary was decoded
+    assert lazy.module is result.module  # the failed rebuild recomputed it
+    assert lazy.execution is result.execution and "_load" not in vars(lazy)
+    assert computed == [1]
+    assert cache.get_or_compute(key, compute, serializer="artifact").module is not None
+    assert computed == [1]  # the recomputed entry is a hit that rebuilds
+    assert encode_compilation_result(cache.get(key)) == encode_compilation_result(result)
 
 
 def test_checksum_valid_bad_trace_in_the_cache_raises_on_first_access(compiled, tmp_path):
@@ -777,15 +837,29 @@ def test_inconsistent_trace_columns_raise_codec_error(compiled, mutation):
 # ---------------------------------------------------------------------------
 
 
+CONFIGS = {"default": CompilerConfig(), "extracting": EXTRACTING}
+
+
 @pytest.fixture(scope="module")
-def eager_payloads():
+def compiled_payload():
+    """(eager result, its payload) of a builtin workload or corpus file
+    under one of :data:`CONFIGS`, each compiled once per module."""
+    sources = dict(_sources())
+    memo = {}
+
+    def get(config: str, name: str):
+        if (config, name) not in memo:
+            result = TwillCompiler(CONFIGS[config]).compile_and_simulate(sources[name], name=name)
+            memo[config, name] = result, encode_compilation_result(result)
+        return memo[config, name]
+
+    return get
+
+
+@pytest.fixture(scope="module")
+def eager_payloads(compiled_payload):
     """(eager result, its payload) of every builtin workload and corpus file."""
-    compiler = TwillCompiler(CompilerConfig())
-    out = {}
-    for name, source in _sources():
-        result = compiler.compile_and_simulate(source, name=name)
-        out[name] = result, encode_compilation_result(result)
-    return out
+    return {name: compiled_payload("default", name) for name, _ in _sources()}
 
 
 def _pdg_shapes(result):
@@ -815,7 +889,8 @@ def _pdg_shapes(result):
 @pytest.mark.parametrize("name", [n for n, _ in _sources()])
 def test_v4_round_trip_keeps_trace_columns_and_memory_image(eager_payloads, name):
     """Every decoded trace column and the memory image equal the recorded
-    ones, and re-encoding gives the payload back byte for byte."""
+    ones, and re-encoding gives the payload back byte for byte.  (The tail
+    layout is v4's; v5 keeps it.)"""
     eager, data = eager_payloads[name]
     lazy = decode_compilation_result(data)
     recorded, decoded = eager.execution.trace, lazy.execution.trace
@@ -851,7 +926,7 @@ def test_pickle_eq_and_replace_of_a_lazy_result_equal_the_eager_result(eager_pay
     assert _pdg_shapes(pickled_eager) == shapes
 
     pickled = pickle.loads(pickle.dumps(decode_compilation_result(data)))
-    assert "_load" not in vars(pickled)
+    assert "_load" in vars(pickled)  # a pickle is the payload, decoded lazily
     assert encode_compilation_result(pickled) == data
 
     lazy = decode_compilation_result(data)
@@ -867,3 +942,27 @@ def test_pickle_eq_and_replace_of_a_lazy_result_equal_the_eager_result(eager_pay
     assert lazy.summary_dict() == eager.summary_dict()
     assert lazy.dswp_summary() == eager.dswp_summary()
     assert lazy.outputs == eager.outputs
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("name", [n for n, _ in _sources()])
+def test_rebuilt_module_prints_as_the_compiled_one(compiled_payload, config, name):
+    """The rebuild oracle: the module rebuilt from the stored source, with
+    its threads re-extracted when the config asks for them, prints exactly
+    as the compiled one, and the result re-encodes to the same bytes."""
+    eager, data = compiled_payload(config, name)
+    lazy = decode_compilation_result(data)
+    assert print_module(lazy.module) == print_module(eager.module)
+    assert lazy.dswp.partitioning.extractions.keys() == eager.dswp.partitioning.extractions.keys()
+    assert encode_compilation_result(lazy) == data
+
+
+@pytest.mark.parametrize("name", ["adpcm", "aes", "jpeg"])
+def test_extracted_results_pickle_at_the_default_recursion_limit(compiled_payload, name):
+    """A pickle holds the flat payload, not the IR graph, so the deepest
+    extracted modules pickle without raising the recursion limit."""
+    eager, data = compiled_payload("extracting", name)
+    assert sys.getrecursionlimit() == 1000
+    again = pickle.loads(pickle.dumps(eager))
+    assert encode_compilation_result(again) == data
+    assert print_module(again.module) == print_module(eager.module)

@@ -36,7 +36,8 @@ output before reporting a single number:
   event.
 * **artifact** — per workload, the seconds to decode its compile artifact
   the way a cache hit does (magic, checksum, summary), to build the heavy
-  part on first access, and to decode it eagerly (both, plus every
+  part on first access (which recompiles the module from the stored
+  source and re-runs LegUp), and to decode it eagerly (both, plus every
   partitioning's PDG — what the one-pass decode used to do), plus the
   payload's bytes.  Not an A/B leg: its check is that re-encoding every
   decoded result gives the payload back byte for byte.
@@ -424,8 +425,11 @@ def bench_trace(repeats: int) -> dict:
 def bench_artifact(repeats: int) -> dict:
     """Leg (g): decode every workload's compile artifact lazily and eagerly.
 
-    Each time is the best of *repeats*, each on a fresh decode of the
-    payload.
+    ``decode`` reads the summary only; ``first_access`` is the first heavy
+    read, which recompiles the module from the stored source, decodes the
+    trace and the partitions onto it and re-runs LegUp; ``eager`` adds
+    every partitioning's PDG.  Each time is the best of *repeats*, each on
+    a fresh decode of the payload.
     """
     from repro.core.compiler import TwillCompiler
     from repro.eval.artifact_codec import decode_compilation_result
