@@ -66,26 +66,27 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     results = {}
     totals = {"evaluated": 0, "executed": 0, "cache_hits": 0}
     run_started = time.perf_counter()
-    for name in names:
-        driver = ExplorationDriver(
-            harness,
-            name,
-            strategy=args.strategy,
-            budget=args.budget,
-            seed=args.seed,
-            jobs=args.parallel,
-        )
-        results[name] = driver.run()
-        stats = driver.stats
-        for key in totals:
-            totals[key] += int(stats.get(key, 0))
-        # Effort goes to stderr: stdout stays byte-identical cold vs warm.
-        print(
-            f"explored {name}: {stats['evaluated']} candidates "
-            f"({stats['executed']} executed, {stats['cache_hits']} cache hits), "
-            f"frontier size {len(results[name].frontier)}",
-            file=sys.stderr,
-        )
+    with harness.pool(args.parallel):  # one pool for every workload's search
+        for name in names:
+            driver = ExplorationDriver(
+                harness,
+                name,
+                strategy=args.strategy,
+                budget=args.budget,
+                seed=args.seed,
+                jobs=args.parallel,
+            )
+            results[name] = driver.run()
+            stats = driver.stats
+            for key in totals:
+                totals[key] += int(stats.get(key, 0))
+            # Effort goes to stderr: stdout stays byte-identical cold vs warm.
+            print(
+                f"explored {name}: {stats['evaluated']} candidates "
+                f"({stats['executed']} executed, {stats['cache_hits']} cache hits), "
+                f"frontier size {len(results[name].frontier)}",
+                file=sys.stderr,
+            )
     record_run_history(
         "explore",
         args,

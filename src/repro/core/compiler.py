@@ -16,7 +16,7 @@ the thesis describes (Figure 5.1):
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro import perf
 from repro.analysis.callgraph import CallGraph
@@ -72,14 +72,20 @@ class TwillCompiler:
 
     # -- stage 5-7: partition, schedule, simulate ----------------------------------------------
 
-    def compile_and_simulate(
+    def build(
         self,
         source: str,
         name: str = "program",
         args: Sequence[int] = (),
         sw_fraction: Optional[float] = None,
-    ) -> CompilationResult:
-        """Run the entire pipeline on a C source string."""
+    ) -> Dict[str, Any]:
+        """Every stage up to the timing replays: front end, execution,
+        profile, DSWP (with thread extraction when the config asks) and
+        LegUp.  Returns the :data:`~repro.results.HEAVY_FIELDS` by name.
+
+        Deterministic in its arguments, so a cached compile artifact stores
+        only the source and config and re-runs this on its first heavy read.
+        """
         module = self.compile_module(source, name)
         execution = self.execute(module, args)
         assert execution.trace is not None
@@ -94,19 +100,35 @@ class TwillCompiler:
             )
         with perf.stage("hls"):
             legup = LegUpFlow(self.config.hls).run(module)
+        return {
+            "module": module,
+            "execution": execution,
+            "profile": profile,
+            "dswp": dswp,
+            "legup": legup,
+            "source": source,
+            "config": self.config,
+        }
+
+    def compile_and_simulate(
+        self,
+        source: str,
+        name: str = "program",
+        args: Sequence[int] = (),
+        sw_fraction: Optional[float] = None,
+    ) -> CompilationResult:
+        """Run the entire pipeline on a C source string: :meth:`build`, then
+        the three timing replays."""
+        fields = self.build(source, name, args, sw_fraction)
         with perf.stage("replay"):
-            system = HybridSystem(self.config).evaluate(name, module, execution.trace, dswp, legup)
-        return CompilationResult(
-            name=name,
-            module=module,
-            execution=execution,
-            profile=profile,
-            dswp=dswp,
-            legup=legup,
-            system=system,
-            source=source,
-            config=self.config,
-        )
+            system = HybridSystem(self.config).evaluate(
+                name,
+                fields["module"],
+                fields["execution"].trace,
+                fields["dswp"],
+                fields["legup"],
+            )
+        return CompilationResult(name=name, system=system, **fields)
 
     def profile(self, module: Module, trace: Trace) -> Profile:
         """The DSWP weights' profile: the trace's counts, or the static

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import PartitionError
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
-from repro.pdg.builder import build_pdg
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.scc import StronglyConnectedComponent, component_of_map, condense
 from repro.pdg.weights import WeightModel
@@ -65,19 +64,9 @@ class Partition:
         )
 
 
-def _assignment_of(partitions: Sequence[Partition]) -> Dict[Instruction, int]:
-    """Instruction -> partition index, the inverse of the instruction lists."""
-    return {inst: partition.index for partition in partitions for inst in partition.instructions}
-
-
 @dataclass
 class FunctionPartitioning:
-    """The partitioning decision for one function.
-
-    ``pdg`` and its weight-annotated SCC condensation ``components`` are
-    derived from ``function`` and the weight model.  A partitioning decoded
-    from a compile artifact (:meth:`decoded`) rebuilds them on first read.
-    """
+    """The partitioning decision for one function."""
 
     function: Function
     partitions: List[Partition]
@@ -85,41 +74,6 @@ class FunctionPartitioning:
     components: List[StronglyConnectedComponent]
     pdg: ProgramDependenceGraph
     sw_fraction: float
-
-    @classmethod
-    def decoded(
-        cls,
-        function: Function,
-        partitions: List[Partition],
-        sw_fraction: float,
-        weight_model: WeightModel,
-    ) -> "FunctionPartitioning":
-        """A partitioning whose ``pdg``/``components`` are built on first read.
-
-        They are rebuilt exactly as :meth:`DSWPPartitioner.partition_function`
-        built them (deterministic for the function and *weight_model*).  Only
-        queue allocation in a fresh DSWP run reads them, so a cached compile
-        artifact usually never builds them.
-        """
-        partitioning = cls.__new__(cls)
-        partitioning.function = function
-        partitioning.partitions = partitions
-        partitioning.assignment = _assignment_of(partitions)
-        partitioning.sw_fraction = sw_fraction
-        partitioning._weight_model = weight_model
-        return partitioning
-
-    def __getattr__(self, attr: str):
-        # Only reached for attributes the instance lacks: the PDG and SCCs of
-        # a decoded partitioning before their first read.
-        weight_model = self.__dict__.get("_weight_model")
-        if weight_model is None or attr not in ("pdg", "components"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
-        self.pdg = build_pdg(self.function)
-        self.components = condense(self.pdg)
-        weight_model.annotate_sccs(self.components)
-        del self._weight_model
-        return self.__dict__[attr]
 
     def software_partitions(self) -> List[Partition]:
         return [p for p in self.partitions if p.is_software()]

@@ -1,86 +1,54 @@
-"""Structured serialisation of compile artifacts and DSWP results.
+"""Structured serialisation of compile artifacts.
 
 Everything the artifact cache stores is either plain JSON or this codec's
-output, so loading an entry never executes stored code: decoding walks JSON
-and arrays, and rebuilds the IR by compiling the stored C source.  The
-format only depends on the documented IR/result classes, so entries are
-inspectable with ``python -m json.tool`` and survive Python version bumps.
+output, so loading an entry never executes stored code: decoding walks
+JSON, and rebuilds the heavy fields by re-running the compile on the
+stored C source.  Entries are inspectable with ``python -m json.tool`` and
+survive Python version bumps.
 
 A cached :class:`repro.core.compiler.CompilationResult` is the largest
-artifact the evaluation harness stores.  Its payload (``repro-artifact-v5``)
-is five parts, in order:
+artifact the evaluation harness stores.  Its payload (``repro-artifact-v6``)
+is four lines, in order:
 
-1. the magic line ``repro-artifact-v5``;
+1. the magic line ``repro-artifact-v6``;
 2. a line holding the ``crc32`` of the rest of the payload, as 8 lowercase
    hex digits;
 3. one summary JSON line: ``name``, ``outputs``, ``system`` (the three
    timing replays with area and power) and the DSWP summary — everything
    a report reads;
-4. the heavy JSON line: the C ``source``, the ``config``
-   (:meth:`~repro.config.CompilerConfig.to_dict`), the module's
-   ``structure`` digest, the rest of ``execution`` and the ``dswp``
-   partitions and queues;
-5. the binary tail, to the end of the payload: one zlib stream holding
-   every array of the artifact — the dynamic trace's columns and the
-   memory image — whose lengths the heavy line records.
+4. the inputs JSON line, the last of the payload: the C ``source``, the
+   ``config`` (:meth:`~repro.config.CompilerConfig.to_dict`) and the
+   module's ``structure`` digest.
 
-The module, the profile, the extracted threads and the LegUp result are
-not stored: the cache key pins the source, the config and the code, and
-each is deterministic in them, so the first heavy read rebuilds them
-(:func:`repro.eval.heavy_codec.decode_heavy`).  The ``structure`` digest
-(each function's instruction count and the ``crc32`` of the printed module)
-guards that rebuild.
+No heavy field is stored: the cache key pins the source, the config and
+the code, and the flow is deterministic up to the timing replays, so the
+first heavy read re-runs it
+(:meth:`~repro.core.compiler.TwillCompiler.build`, through
+:func:`repro.eval.heavy_codec.decode_heavy`).  The re-run must reproduce
+the ``structure`` digest (each function's instruction count and the
+``crc32`` of the printed module) and the summary's ``outputs`` and DSWP
+summary.
 
-Both JSON parts are canonical (sorted keys, no spaces), so ``python -m
-json.tool`` inspects either line of any cached compile.  Decoding checks
+Both JSON lines are canonical (sorted keys, no spaces).  Decoding checks
 the magic and the checksum and decodes the summary; it returns a *lazy*
-result (:meth:`CompilationResult.lazy`) that parses the heavy line,
-inflates the tail and rebuilds the module on the first read of a heavy
-field.  So:
+result (:meth:`CompilationResult.lazy`) that re-runs the compile on the
+first read of a heavy field.  So:
 
 * any damaged byte fails the checksum, and the cache reads the entry as a
   corrupt miss and recomputes it;
-* a heavy part that is malformed under a valid checksum (a writer bug), or
-  a rebuilt module that differs from the stored digest, raises
+* inputs that are malformed under a valid checksum (a writer bug), or a
+  re-run that differs from the stored digest or summary, raise
   :class:`ArtifactCodecError` on first access; a result that
   :meth:`~repro.eval.cache.ArtifactCache.get_or_compute` served then
-  drops the entry and recomputes it;
-* a warm report, which reads only the summary, decodes no heavy part.
+  drops the entry and recomputes it.  A result the re-run cannot give
+  back (a split re-simulation, a run with ``args``) fails this way;
+* a warm report, which reads only the summary, re-runs nothing.
 
-The tail stores each column's little-endian bytes split into byte planes
-and deflated at level 1, one column after another, with no base64 (see
-:mod:`repro.eval.heavy_codec`).  Encode and decode are
-``tobytes``/``frombytes`` plus byte-plane slicing, with no per-event
-Python loop, and decode validates the columns with C-level passes before
-it builds a trace.
-
-A :class:`~repro.dswp.pipeline.DSWPResult` on its own (the explore
-engine's DSWP-stage entry) is one JSON document,
-:func:`repro.eval.heavy_codec.encode_dswp_result`: the same ``dswp``
-section the heavy document holds, plus the instruction count of the module
-it was computed on and a checksum of the section.  It is decoded onto the
-caller's own module (:func:`repro.eval.heavy_codec.decode_dswp_result`),
-so the partition points at the instructions the caller's trace replays.
-
-The encoding strategy mirrors how the IR itself names things:
-
-* every instruction of every defined function gets a **global index**
-  (module function order → block order → instruction order); the trace's
-  static instruction table, partitions and queues all refer to
-  instructions by that index instead of by object identity;
-* instruction-keyed maps (``FunctionPartitioning.assignment``) are not
-  stored where the decoder re-derives them (the assignment is the inverse
-  of the partitions' instruction lists);
-* purely derived analysis state (the PDG and its SCC condensation inside
-  each :class:`FunctionPartitioning`) is not stored: it is a deterministic
-  function of the decoded function and profile, rebuilt on first read
-  (:meth:`FunctionPartitioning.decoded`).
-
-This module decodes the summary.  Encoding, the heavy decode and the DSWP
-documents are in :mod:`repro.eval.heavy_codec`, which loads on the first
-encode or heavy read and imports the compiler stages when it runs, so
-decoding a summary (all a warm report does) loads no compiler stage and
-none of the heavy codec.
+This module decodes the summary.  Encoding and the heavy read are in
+:mod:`repro.eval.heavy_codec`, which loads on the first encode or heavy
+read and imports the compiler stages when it runs, so decoding a summary
+(all a warm report does) loads no compiler stage and none of the heavy
+codec.
 """
 
 from __future__ import annotations
@@ -103,7 +71,7 @@ from repro.results import (
     TimingResult,
 )
 
-ARTIFACT_MAGIC = b"repro-artifact-v5\n"
+ARTIFACT_MAGIC = b"repro-artifact-v6\n"
 
 
 class ArtifactCodecError(ReproError):
@@ -223,22 +191,22 @@ def _dec_summary(data: bytes) -> Tuple[str, List[int], Any, Dict[str, float]]:
 
 
 def decode_compilation_result(data: bytes):
-    """Decode a v5 payload into a lazy :class:`CompilationResult`.
+    """Decode a v6 payload into a lazy :class:`CompilationResult`.
 
     Checks the magic and the checksum and decodes the summary now; the
-    heavy part is decoded (and validated) on the first read of a heavy
-    field, raising :class:`ArtifactCodecError` then if it is malformed.
+    heavy fields are re-run (and checked) on the first read of one,
+    raising :class:`ArtifactCodecError` then if that fails.
     """
     body = _checked_body(data)
     end = body.find(b"\n")
     if end < 0:
         raise ArtifactCodecError("artifact has no summary line")
     name, outputs, system, dswp_summary = _dec_summary(body[:end])
-    heavy = body[end + 1:]
+    inputs = body[end + 1:]
 
     def load() -> Dict[str, Any]:
         from repro.eval.heavy_codec import decode_heavy
 
-        return decode_heavy(heavy, name, outputs)
+        return decode_heavy(inputs, name, outputs, dswp_summary)
 
     return CompilationResult.lazy(name, system, outputs, dswp_summary, load)

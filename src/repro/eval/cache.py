@@ -8,14 +8,14 @@ near-instantly once its inputs have been computed once:
 
 * **compile artifacts** — :class:`repro.core.compiler.CompilationResult`
   objects stored through the structured codec in
-  :mod:`repro.eval.artifact_codec` (magic line + one canonical JSON
-  document: inspectable, stable across Python versions, and loadable
-  without executing stored code), keyed by the SHA-256 of the workload's C
-  source plus the full :class:`repro.config.CompilerConfig` contents;
+  :mod:`repro.eval.artifact_codec` (magic line, checksum, then a summary
+  and the compile's inputs as canonical JSON: inspectable, stable across
+  Python versions, and loadable without executing stored code), keyed by
+  the SHA-256 of the workload's C source plus the full
+  :class:`repro.config.CompilerConfig` contents;
 * **derived artifacts** — small structured-JSON documents produced by
   re-simulating an existing compile artifact under different parameters
-  (queue latency, queue depth, partition split, an explore candidate, and
-  explore's DSWP stage, :func:`repro.eval.heavy_codec.encode_dswp_result`),
+  (queue latency, queue depth, partition split, an explore candidate),
   keyed by the parent compile key plus the sweep kind and its parameters.
 
 No entry executes code on load: both formats are decoded by walking JSON,
@@ -473,7 +473,7 @@ class ArtifactCache:
         """Load the entry for *key*, or ``None`` on a miss.
 
         A corrupt or unreadable entry is deleted so the recompute overwrites
-        it.  A compile artifact decodes its heavy part on first read; with
+        it.  A compile artifact re-runs its heavy fields on first read; with
         *recompute*, one that fails then is a miss found late: the entry is
         deleted, recomputed once through :meth:`get_or_compute`, and the
         result takes the recomputed heavy fields.

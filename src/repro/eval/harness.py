@@ -26,13 +26,14 @@ exactly the same rows (and table bytes) as the serial path.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.config import CompilerConfig, RuntimeConfig
 from repro.eval import taskgraph
 from repro.eval.cache import ArtifactCache, compile_key
-from repro.eval.taskgraph import TaskGraph, TaskScheduler
+from repro.eval.taskgraph import LocalProcessExecutor, TaskGraph, TaskScheduler
 from repro.obs import tracing as obs_tracing
 from repro.results import CompilationResult
 from repro.workloads import all_workloads, get_workload
@@ -70,9 +71,8 @@ class EvaluationHarness:
         is given); defaults to ``$REPRO_CACHE_DIR`` or ``./.repro_cache``.
     use_cache:
         Set ``False`` to disable the disk cache entirely (in-memory caching
-        always stays on; parallel graph execution then pools only the
-        dependency-free compile tasks, since pool workers hand artefacts to
-        their dependents through the disk cache).
+        always stays on; a pool slot then keeps each compile it ran for the
+        points placed after it, and rebuilds a workload it did not run).
     """
 
     _shared_instances: Dict[Tuple[str, Tuple[str, ...]], "EvaluationHarness"] = {}
@@ -96,6 +96,7 @@ class EvaluationHarness:
         self._runs: Dict[str, BenchmarkRun] = {}
         self._compile_keys: Dict[str, str] = {}
         self._derived: Dict[str, Any] = {}
+        self._pool: Optional[LocalProcessExecutor] = None
         #: Execution statistics of the most recent :meth:`execute` (cache
         #: hits, seeds, executed tasks by kind) — what ``repro report --html``
         #: publishes as the run's cache-hit stats.
@@ -211,6 +212,24 @@ class EvaluationHarness:
 
     # -- graph execution ---------------------------------------------------------------
 
+    @contextlib.contextmanager
+    def pool(self, parallel: Optional[int]) -> Iterator[None]:
+        """Keep one process pool of *parallel* slots for every parallel
+        :meth:`execute` inside the scope, so the slots, and the compile
+        artifacts, traces and partitions their memos hold, outlive one graph
+        (an explore search runs one graph per generation).  Every slot is
+        shut down when the scope ends.  A no-op for ``parallel <= 1`` or
+        inside an open scope."""
+        if self._pool is not None or (parallel or 1) <= 1:
+            yield
+            return
+        with LocalProcessExecutor(parallel) as pool:
+            self._pool = pool
+            try:
+                yield
+            finally:
+                self._pool = None
+
     def execute(self, graph: TaskGraph, parallel: Optional[int] = None) -> Dict[str, Any]:
         """Run every task of *graph*; returns ``{task_id: value}``.
 
@@ -228,7 +247,8 @@ class EvaluationHarness:
                 seeds[task.task_id] = self._runs[task.workload].result
             elif task.key is not None and task.key in self._derived:
                 seeds[task.task_id] = self._derived[task.key]
-        scheduler = TaskScheduler(graph, cache=self.cache, jobs=parallel, seeds=seeds)
+        pool = self._pool if (parallel or 1) > 1 else None
+        scheduler = TaskScheduler(graph, cache=self.cache, jobs=parallel, seeds=seeds, pool=pool)
         with obs_tracing.span(
             "harness.execute", kind="harness", tasks=len(graph), parallel=parallel or 1
         ):

@@ -46,6 +46,7 @@ from typing import (
     Set, Tuple,
 )
 
+from repro import perf
 from repro.config import CompilerConfig, RuntimeConfig
 from repro.errors import TaskGraphCycleError, TaskGraphError
 from repro.eval.cache import ArtifactCache, derived_key, render_key
@@ -234,8 +235,8 @@ def resolve(fn: Any) -> Callable[..., Any]:
 
 
 # Per-process memo of compile artifacts consumed by sweep-point payloads, so
-# a worker that executes many sweep points for one workload decodes (or
-# recompiles, when caching is off) that workload's artifact only once, or
+# a worker that executes many sweep points for one workload reads (or
+# rebuilds, when caching is off) that workload's artifact only once, or
 # not at all when it compiled the workload itself.  Keyed
 # by content address, so a stale value is impossible by construction; bounded
 # so long test sessions cannot accumulate every artifact they ever touched.
@@ -577,16 +578,26 @@ class LocalProcessExecutor:
             if not ok:
                 exc, remote = payload
                 raise exc from _RemoteTraceback(remote)
+            perf.merge(payload["stages"])
             outcomes.append(
                 TaskOutcome(task=task, value=payload["value"], in_cache=payload["in_cache"])
             )
         return outcomes
 
+    def __enter__(self) -> "LocalProcessExecutor":
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        self.close(interrupt=exc_type is not None)
+
     def close(self, interrupt: bool = False) -> None:
         """Shut every slot down; with ``interrupt=True``, abandon in-flight
-        work and terminate the worker processes.  Idempotent."""
+        work and terminate the worker processes.  Idempotent, and a later
+        :meth:`submit` forks fresh slots."""
         slots, self._slots = self._slots, [None] * self.max_workers
         self._running.clear()
+        for resident in self._resident:
+            resident.clear()
         for entry in slots:
             if entry is None:
                 continue
@@ -622,8 +633,11 @@ class TaskScheduler:
     * ``jobs > 1``: they wait in a pending list and start on the idle slots
       of a :class:`LocalProcessExecutor` (a workload's tasks follow it to
       the slot that ran it).  Workers exchange artefacts through *cache*
-      rather than over the pipe; without a cache only dependency-free tasks
-      (compiles) are pooled and dependent sweep points run in the parent.
+      rather than over the pipe; without one, a compile's result comes back
+      over the pipe and stays in its slot's memo for the points that follow
+      it there.  *pool* is a :class:`LocalProcessExecutor` the caller owns
+      and keeps across runs (its slots keep their memos); without it a run
+      with ``jobs > 1`` forks its own and shuts it down at the end.
 
     Keyed tasks are memoised through *cache* (parent-side pre-check, then
     ``get_or_compute`` under the per-key lock).  *seeds* maps task ids to
@@ -643,10 +657,12 @@ class TaskScheduler:
         cache: Optional[ArtifactCache] = None,
         jobs: Optional[int] = None,
         seeds: Optional[Mapping[str, Any]] = None,
+        pool: Optional[LocalProcessExecutor] = None,
     ):
         self.graph = graph
         self.cache = cache
         self.jobs = jobs
+        self.pool = pool
         self.seeds = dict(seeds or {})
         #: Execution statistics of the last :meth:`run` — how each task was
         #: satisfied.  Purely observational (the HTML report's "cache hit
@@ -678,8 +694,13 @@ class TaskScheduler:
         """Execute every task; returns ``{task_id: value}`` for the whole graph."""
         with obs_tracing.span("scheduler.run", kind="scheduler", tasks=len(self.graph)):
             self.graph.topological_order()  # rejects cycles and dangling deps
+            if self.pool is not None:
+                return self._run(self.pool)
             jobs = self.jobs or 1
-            return self._run(LocalProcessExecutor(jobs) if jobs > 1 else None)
+            if jobs <= 1:
+                return self._run(None)
+            with LocalProcessExecutor(jobs) as pool:
+                return self._run(pool)
 
     def _cached_or_none(self, task: Task) -> Optional[Any]:
         if task.key is not None and self.cache is not None:
@@ -740,11 +761,12 @@ class TaskScheduler:
         pending: List[Task] = []
         in_flight: Dict[str, Task] = {}
         # Distinct task ids can share one content key (e.g. the latency-2 and
-        # depth-8 sweep points are both the default runtime config).  Only
-        # one such task is pending or in flight; the twins park here and
-        # complete as cache hits off the owner's value — exactly how an
-        # inline run resolves them, so the run statistics stay
-        # scheduling-invariant.
+        # depth-8 sweep points are both the default runtime config).  With a
+        # cache, only one such task is pending or in flight; the twins park
+        # here and complete as cache hits off the owner's value — exactly how
+        # an inline run resolves them, so the run statistics stay
+        # scheduling-invariant.  Without one, an inline run executes every
+        # twin, and so does the pool.
         owned_keys: Set[str] = set()
         parked: Dict[str, List[Task]] = {}
 
@@ -780,14 +802,7 @@ class TaskScheduler:
                         self._obs_mark(task, cache_hit=True)
                         complete(task, hit)
                         continue
-                    if (
-                        pool is None
-                        or not task.runs_in_worker()
-                        # Without the shared cache a worker cannot see its
-                        # dependencies' artefacts, so such tasks run in the
-                        # parent off the in-memory memo.
-                        or (self.cache is None and task.deps)
-                    ):
+                    if pool is None or not task.runs_in_worker():
                         with obs_tracing.span(
                             f"task:{task.task_id}", kind=task.kind, worker="parent",
                             cache_hit=False,
@@ -800,7 +815,7 @@ class TaskScheduler:
                         parked.setdefault(task.key, []).append(task)
                         continue
                     pending.append(task)
-                    if task.key is not None:
+                    if task.key is not None and self.cache is not None:
                         owned_keys.add(task.key)
                 current = None
                 while pending and pool.idle_slots():
@@ -825,7 +840,4 @@ class TaskScheduler:
                 abandoned.append(current)
             self._sweep_locks(abandoned)
             raise
-        finally:
-            if pool is not None:
-                pool.close()
         return results

@@ -15,6 +15,7 @@ import sys
 import traceback
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
+from repro import perf
 from repro.config import CompilerConfig, RuntimeConfig
 from repro.errors import TaskGraphError
 from repro.eval import taskgraph
@@ -27,8 +28,8 @@ if TYPE_CHECKING:  # multiprocessing loads only when a pool slot forks
     from multiprocessing.connection import Connection
 
 
-def compute_compile(name: str, config: CompilerConfig) -> CompilationResult:
-    """Pure compile payload: run the whole pipeline for one workload.
+def _compiler(config: CompilerConfig) -> Any:
+    """A :class:`~repro.core.compiler.TwillCompiler` for *config*.
 
     The first call in a process imports the pipeline.  That import gets a
     span of kind ``import``, so a trace shows it as a layer of its own
@@ -39,20 +40,27 @@ def compute_compile(name: str, config: CompilerConfig) -> CompilationResult:
             import repro.core.compiler  # noqa: F401
     from repro.core.compiler import TwillCompiler
 
-    workload = get_workload(name)
-    return TwillCompiler(config).compile_and_simulate(workload.source, name=name)
+    return TwillCompiler(config)
+
+
+def compute_compile(name: str, config: CompilerConfig) -> CompilationResult:
+    """Pure compile payload: run the whole pipeline for one workload."""
+    return _compiler(config).compile_and_simulate(get_workload(name).source, name=name)
 
 
 def sweep_input(
     name: str, config: CompilerConfig, cache_root: Optional[str], key: str
 ) -> CompilationResult:
-    """The compile artifact a sweep point re-simulates: memo → cache → compute.
+    """The compile artifact a sweep point re-simulates: memo → cache → build.
 
     The memo is :data:`repro.eval.taskgraph._SWEEP_INPUT_MEMO`.
     *cache_root* is the cache directory, so the same payload runs unchanged
     in the parent and in a pool worker.  *key* is the artifact's
     :func:`~repro.eval.cache.compile_key`, computed once where the task was
-    declared.
+    declared.  Without a cache, a miss runs the pipeline up to DSWP and
+    LegUp (:meth:`~repro.core.compiler.TwillCompiler.build`) and none of
+    the replays; the result's ``system`` is then ``None``, which no sweep
+    point reads.
     """
     memo = taskgraph._SWEEP_INPUT_MEMO
     hit = memo.get(key)
@@ -64,7 +72,8 @@ def sweep_input(
             key, lambda: compute_compile(name, config), serializer="artifact"
         )
     else:
-        result = compute_compile(name, config)
+        fields = _compiler(config).build(get_workload(name).source, name)
+        result = CompilationResult(name=name, system=None, **fields)
     taskgraph.seed_sweep_input(key, result)
     return result
 
@@ -129,13 +138,15 @@ def _execute_in_worker(
     ``repro`` processes) racing on the same content address do the work
     once and share the stored entry.  Returns a small envelope dict:
     compile artifacts come back with ``in_cache=True`` (the parent re-reads
-    them from the cache, decoding only their summary, instead of paying a
-    multi-megabyte pipe serialisation) while small JSON values ride in
-    ``value`` directly.
+    them from the cache, decoding only their summary) while other values,
+    and a compile without a cache, ride in ``value`` directly.  ``stages``
+    holds the :class:`repro.perf.StageTimings` of the run, which the parent
+    adds to its own collector.
 
-    A compile artifact also goes into this process's sweep-input memo, so
-    the sweep, split and explore points the pool places here next reuse the
-    same ``Trace`` object with its replay index, setups and schedules.
+    A compile artifact also goes into this process's sweep-input memo,
+    cache or not, so the sweep, split and explore points the pool places
+    here next reuse the same ``Trace`` object with its replay index, setups
+    and schedules.
 
     *trace_ctx* carries the parent's span context (plus task id, kind and
     placement) across the process boundary: thread-local trace state does
@@ -152,7 +163,7 @@ def _execute_in_worker(
     ctx = trace_ctx or {}
     obs_profile.count(f"task.{ctx.get('kind', 'task')}")
     payload: Callable[..., Any] = taskgraph.resolve(fn)
-    with obs_tracing.activate(ctx.get("trace_id"), ctx.get("parent_id")):
+    with obs_tracing.activate(ctx.get("trace_id"), ctx.get("parent_id")), perf.collect() as stages:
         with obs_tracing.span(
             f"task:{ctx.get('task_id', getattr(payload, '__name__', 'task'))}",
             kind=str(ctx.get("kind", "task")),
@@ -160,16 +171,16 @@ def _execute_in_worker(
             resident=ctx.get("resident"),
             stolen=ctx.get("stolen"),
         ):
-            in_cache = False
-            if key is not None and cache_spec is not None:
+            cached = key is not None and cache_spec is not None
+            if cached:
                 cache = ArtifactCache(cache_spec)
                 value = cache.get_or_compute(key, lambda: payload(*args), serializer=serializer)
-                if serializer == "artifact":
-                    taskgraph.seed_sweep_input(key, value)
-                    value, in_cache = None, True
             else:
                 value = payload(*args)
-    return {"value": value, "in_cache": in_cache}
+            if serializer == "artifact" and key is not None:
+                taskgraph.seed_sweep_input(key, value)
+    in_cache = cached and serializer == "artifact"
+    return {"value": None if in_cache else value, "in_cache": in_cache, "stages": stages}
 
 
 def _slot_main(conn: Connection, parent_end: Connection) -> None:

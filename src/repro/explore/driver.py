@@ -5,8 +5,9 @@ generation the strategy proposes becomes ordinary task-graph nodes — one
 ``explore`` node per fresh candidate, hanging off the workload's compile
 node — executed through :meth:`repro.eval.harness.EvaluationHarness.execute`,
 so candidate evaluation inherits everything the evaluation stack already
-does: process-pool parallelism (``--jobs``), content-addressed disk caching,
-and single-flight across concurrent processes.
+does: process-pool parallelism (``--jobs``, one pool for the whole search),
+content-addressed disk caching, and single-flight across concurrent
+processes.
 
 **Resumability.**  The search keeps no state of its own beside the cache.
 A strategy's proposals are a deterministic function of its seed and of the
@@ -158,8 +159,10 @@ class ExplorationDriver:
     # -- the search loop -------------------------------------------------------
 
     def run(self) -> ExplorationResult:
-        """Execute the search; returns the deterministic exploration result."""
-        with obs_tracing.span(
+        """Execute the search; returns the deterministic exploration result.
+
+        Every generation runs on one process pool (:meth:`EvaluationHarness.pool`)."""
+        with self.harness.pool(self.jobs), obs_tracing.span(
             "explore.run",
             kind="explore",
             workload=self.workload,

@@ -28,8 +28,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro import perf
 from repro.config import CompilerConfig
-from repro.eval.cache import ArtifactCache, compile_key, derived_key
-from repro.eval.heavy_codec import decode_dswp_result, encode_dswp_result
+from repro.eval.cache import compile_key
 from repro.eval.worker import sweep_input
 from repro.explore.space import Dimension, SearchSpace
 from repro.workloads import get_workload
@@ -52,74 +51,38 @@ def space_from_dict(space_dict: Dict[str, Any]) -> SearchSpace:
     )
 
 
-# Per-process memo for candidate partitions, keyed by the DSWP stage key:
-# the stage's document and the DSWPResult last decoded from it.  A
-# 240-candidate search typically spans only a handful of distinct partition
-# parameter sets (the other dimensions act after partitioning), so candidates
-# evaluated in the same worker process share one in-memory DSWPResult instead
-# of re-running DSWP — and re-reading it from disk — per candidate.
-_DSWP_MEMO: "OrderedDict[str, Tuple[Dict[str, Any], Any]]" = OrderedDict()
+# Per-process memo of candidate partitions, keyed by the baseline compile
+# key and the candidate's partition parameters — the only inputs DSWP reads.
+# A 240-candidate search typically spans only a handful of distinct
+# partition parameter sets (the other dimensions act after partitioning), so
+# candidates evaluated in the same process share one DSWPResult instead of
+# re-running DSWP per candidate.
+_DSWP_MEMO: "OrderedDict[Tuple[str, Tuple[Any, ...]], Any]" = OrderedDict()
 _DSWP_MEMO_LIMIT = 16
 
 
-def dswp_stage_key(parent_compile_key: str, candidate_config: CompilerConfig) -> str:
-    """Content address of a candidate's re-partition stage.
-
-    Keyed by the baseline compile key (module + profile identity) and the
-    candidate's full partition-parameter set — the only inputs DSWP reads.
-    Candidates differing only in runtime/queue/HLS dimensions map to the
-    same key and therefore share one cached :class:`DSWPResult`.
-    """
-    params = dataclasses.asdict(candidate_config.partition)
-    return derived_key(parent_compile_key, "dswp", params)
-
-
 def _candidate_dswp(
-    parent_compile_key: str,
-    compile_result: Any,
-    candidate_config: CompilerConfig,
-    cache_root: Optional[str],
+    parent_compile_key: str, compile_result: Any, candidate_config: CompilerConfig
 ) -> Any:
-    """Re-partition for one candidate, memoized per process and cached on disk.
+    """Re-partition for one candidate, memoized per process.
 
-    The stage is stored as a JSON document
-    (:func:`~repro.eval.heavy_codec.encode_dswp_result`) that names
-    instructions by their number in the compile artifact's module, and is
-    decoded onto ``compile_result.module`` itself, so the partition points
-    at the instructions the artifact's trace replays.  A memo hit computed
-    on another copy of the module is decoded again from its document.
+    The partition points at the instructions of ``compile_result.module``
+    itself, which the result's trace replays, so a memo entry computed on
+    another copy of the module is recomputed.
     """
     from repro.sim.system import repartition
 
-    key = dswp_stage_key(parent_compile_key, candidate_config)
+    key = (parent_compile_key, dataclasses.astuple(candidate_config.partition))
     module = compile_result.module
-    hit = _DSWP_MEMO.get(key)
-    if hit is not None:
-        document, dswp = hit
-    else:
-        fresh = []
-
-        def compute() -> Dict[str, Any]:
-            fresh.append(
-                repartition(
-                    module,
-                    compile_result.profile,
-                    candidate_config,
-                    candidate_config.partition.sw_fraction,
-                )
-            )
-            return encode_dswp_result(fresh[0])
-
-        if cache_root is not None:
-            document = ArtifactCache(cache_root).get_or_compute(
-                key, compute, serializer="json"
-            )
-        else:
-            document = compute()
-        dswp = fresh[0] if fresh else None
+    dswp = _DSWP_MEMO.get(key)
     if dswp is None or dswp.partitioning.module is not module:
-        dswp = decode_dswp_result(document, module, compile_result.profile)
-    _DSWP_MEMO[key] = (document, dswp)
+        dswp = repartition(
+            module,
+            compile_result.profile,
+            candidate_config,
+            candidate_config.partition.sw_fraction,
+        )
+    _DSWP_MEMO[key] = dswp
     _DSWP_MEMO.move_to_end(key)
     while len(_DSWP_MEMO) > _DSWP_MEMO_LIMIT:
         _DSWP_MEMO.popitem(last=False)
@@ -142,11 +105,11 @@ def compute_explore_point(
     have to reverse-engineer task ids) and the headline
     speedup for the report figures.
 
-    Evaluation is incremental: the re-partition stage is content-addressed
-    by :func:`dswp_stage_key` and shared — via the on-disk cache and a
-    per-process memo — across every candidate whose partition parameters
+    Evaluation is incremental: the re-partition stage is shared through a
+    per-process memo across every candidate whose partition parameters
     match, so a search that varies only runtime/queue/HLS dimensions pays
-    for DSWP once per distinct partition, not once per candidate.
+    for DSWP once per distinct partition per process, not once per
+    candidate.
     """
     from repro.sim.system import evaluate_with_partition
 
@@ -154,7 +117,7 @@ def compute_explore_point(
         parent = compile_key(get_workload(name).source, config)
         result = sweep_input(name, config, cache_root, parent)
         candidate_config = apply_params(space_from_dict(space_dict), config, params)
-        dswp = _candidate_dswp(parent, result, candidate_config, cache_root)
+        dswp = _candidate_dswp(parent, result, candidate_config)
         system = evaluate_with_partition(
             result.name,
             result.module,

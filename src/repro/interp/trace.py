@@ -22,8 +22,7 @@ The hybrid timing simulator replays this trace, dispatching each event to
 the thread its static instruction was partitioned onto; the dependences are
 what create (or forbid) overlap between threads, and cross-thread
 dependences are the ones that pay queue costs.  The replay reads the
-columns directly, and the artifact codec stores them as array bytes, so no
-per-event object is ever built on those paths.  :class:`TraceEvent` is a
+columns directly, so no per-event object is ever built on that path.  :class:`TraceEvent` is a
 read view for tests, oracles and tools: iterating a trace, or its
 ``events`` list, builds the events on demand.
 """
@@ -159,19 +158,6 @@ class Trace:
             event.address,
             event.value,
         )
-
-    @classmethod
-    def from_columns(
-        cls, instructions: List[Instruction], functions: List[str], **columns
-    ) -> "Trace":
-        """A trace over existing columns (the codec's decode)."""
-        trace = cls()
-        trace.instructions = instructions
-        trace.functions = functions
-        for name, column in columns.items():
-            setattr(trace, name, column)
-        trace._numbers = {inst: no for no, inst in enumerate(instructions)}
-        return trace
 
     def __getstate__(self) -> Dict:
         # The replay index (see repro.sim.timing) is process-local derived

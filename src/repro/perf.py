@@ -37,8 +37,9 @@ class StageTimings:
 
     Stages nest (``explore`` wraps ``dswp`` and ``replay``), and each
     stage's ``seconds`` include its nested stages.  :meth:`total`
-    therefore counts only the time of outermost stages, so it never
-    exceeds the wall time covered.
+    therefore counts only the time of outermost stages, so in one process
+    it never exceeds the wall time covered.  A ``-j N`` run adds its pool
+    slots' timings (:func:`merge`), so there it sums over processes.
     """
 
     __slots__ = ("seconds", "calls", "outermost_seconds", "open_stages")
@@ -95,6 +96,16 @@ def collect() -> Iterator[StageTimings]:
         yield timings
     finally:
         _active = previous
+
+
+def merge(timings: StageTimings) -> None:
+    """Add a pool slot's stage timings to the active collector, if any."""
+    if _active is None:
+        return
+    for name, seconds in timings.seconds.items():
+        _active.seconds[name] = _active.seconds.get(name, 0.0) + seconds
+        _active.calls[name] = _active.calls.get(name, 0) + timings.calls[name]
+    _active.outermost_seconds += timings.outermost_seconds
 
 
 @contextmanager

@@ -266,6 +266,33 @@ def test_same_seed_serial_vs_parallel_vs_resumed_identical(tmp_path):
     )
 
 
+def test_parallel_search_keeps_one_pool_and_matches_serial(tmp_path, monkeypatch):
+    """A multi-generation ``-j 2`` search runs every generation on one pool:
+    each slot forks at most once, no slot outlives the search, and the
+    result is the serial one byte for byte."""
+    import multiprocessing
+
+    from repro.eval.taskgraph import LocalProcessExecutor
+
+    forks = []
+    fork_slot = LocalProcessExecutor._fork_slot
+
+    def counting(self, tasks):
+        forks.append(1)
+        return fork_slot(self, tasks)
+
+    monkeypatch.setattr(LocalProcessExecutor, "_fork_slot", counting)
+    serial = run_search(make_harness(tmp_path / "serial")).run()
+    assert forks == []
+    parallel = run_search(make_harness(tmp_path / "parallel"), jobs=2).run()
+    assert parallel.generations > 2
+    assert 1 <= len(forks) <= 2
+    assert multiprocessing.active_children() == []
+    assert json.dumps(parallel.to_json_dict(), sort_keys=True) == json.dumps(
+        serial.to_json_dict(), sort_keys=True
+    )
+
+
 def test_warm_rerun_evaluates_nothing_and_is_byte_identical(tmp_path):
     cold_driver = run_search(make_harness(tmp_path))
     cold = cold_driver.run().to_json_dict()
@@ -328,7 +355,7 @@ def test_report_and_explore_store_only_artifacts_and_json(tmp_path, monkeypatch)
     from repro.explore import evaluate
 
     monkeypatch.chdir(tmp_path)
-    evaluate._DSWP_MEMO.clear()  # every DSWP stage must reach the cache
+    evaluate._DSWP_MEMO.clear()
     cache_dir = str(tmp_path / "cache")
     harness = EvaluationHarness(benchmarks=["blowfish", "mips"], cache_dir=cache_dir)
     assert experiments.run_report(harness=harness)["exploration"]["rows"]
@@ -349,9 +376,8 @@ def test_repartition_runs_once_per_distinct_partition(tmp_path, monkeypatch):
 
     SMALL_SPACE is 3 split targets x 2 queue depths = 6 candidates; the
     re-partition stage is keyed by partition parameters alone, so a cold
-    sweep must invoke DSWP exactly 3 times — the memo and the on-disk stage
-    cache absorb the other 3 — and a second sweep in the same process must
-    invoke it 0 times.
+    sweep must invoke DSWP exactly 3 times — the memo absorbs the other 3 —
+    and a second sweep in the same process must invoke it 0 times.
     """
     from repro.config import CompilerConfig
     from repro.explore import evaluate
@@ -388,11 +414,11 @@ def test_repartition_runs_once_per_distinct_partition(tmp_path, monkeypatch):
 
 
 def test_memoized_points_byte_identical_to_fresh(tmp_path):
-    """Memo/stage-cache reuse must not perturb a single objective byte.
+    """Memo reuse must not perturb a single objective byte.
 
     The same candidate list is evaluated three ways: cold (fresh process
-    state, populating the caches), memo-warm (same process), and
-    stage-cache-warm (memo cleared, points served from disk).  All three
+    state, populating the cache and the memo), memo-warm (same process),
+    and memo-cleared (DSWP re-run on the same compile result).  All three
     must serialise identically.
     """
     from repro.config import CompilerConfig
@@ -416,19 +442,17 @@ def test_memoized_points_byte_identical_to_fresh(tmp_path):
     cold = sweep()
     memo_warm = sweep()
     evaluate._DSWP_MEMO.clear()
-    disk_warm = sweep()
+    recomputed = sweep()
     assert memo_warm == cold
-    assert disk_warm == cold
+    assert recomputed == cold
 
 
-def test_dswp_stage_read_back_binds_to_the_compile_results_own_instructions(
-    tmp_path, monkeypatch
-):
-    """A DSWP-stage entry is a JSON document over instruction numbers.  Read
-    back with the memo cleared, it decodes onto the compile result's own
-    module — every partitioned instruction *is* one of its instructions —
-    and gives the fresh-compute objectives.  A memo hit bound to another
-    copy of the module is decoded again onto the caller's copy."""
+def test_dswp_memo_binds_to_the_compile_results_own_instructions(tmp_path, monkeypatch):
+    """The DSWP stage lives in a per-process memo only: nothing of it
+    reaches the cache.  A memo entry is bound to the module it was computed
+    on — every partitioned instruction *is* one of its instructions — and
+    one computed on another copy of the module is recomputed for the
+    caller's copy."""
     from repro.config import CompilerConfig
     from repro.eval.artifact_codec import decode_compilation_result
     from repro.eval.heavy_codec import encode_compilation_result
@@ -463,19 +487,29 @@ def test_dswp_stage_read_back_binds_to_the_compile_results_own_instructions(
 
     evaluate._DSWP_MEMO.clear()
     fresh = points()
-    monkeypatch.setattr(system, "repartition", None)  # from here on, nothing recomputes
-    evaluate._DSWP_MEMO.clear()
-    assert points() == fresh
+    stored = [p.suffix for p in (tmp_path / "cache" / "objects").rglob("*") if p.is_file()]
+    assert set(stored) <= {".art"}  # at most the compile artifact: no DSWP-stage entry
+    calls = []
+    real_repartition = system.repartition
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_repartition(*args, **kwargs)
+
+    monkeypatch.setattr(system, "repartition", counting)
+    assert points() == fresh and calls == []  # memo hits
     for candidate in candidates:
         candidate_config = candidate.apply(SMALL_SPACE, config)
-        dswp = evaluate._candidate_dswp(parent, result, candidate_config, cache_root)
-        assert_bound(dswp, result.module)
-    stored = [p.suffix for p in (tmp_path / "cache" / "objects").rglob("*") if p.is_file()]
-    assert stored.count(".json") == 3 and set(stored) <= {".art", ".json"}  # one per split
+        assert_bound(evaluate._candidate_dswp(parent, result, candidate_config), result.module)
+    assert calls == []
 
     copy = decode_compilation_result(encode_compilation_result(result))
     candidate_config = candidates[0].apply(SMALL_SPACE, config)
-    rebound = evaluate._candidate_dswp(parent, copy, candidate_config, cache_root)
+    rebound = evaluate._candidate_dswp(parent, copy, candidate_config)
     assert_bound(rebound, copy.module)
-    again = evaluate._candidate_dswp(parent, result, candidate_config, cache_root)
+    assert calls == [1]
+    assert rebound.summary() == evaluate._candidate_dswp(parent, copy, candidate_config).summary()
+    assert calls == [1]  # bound to the copy now: a hit
+    again = evaluate._candidate_dswp(parent, result, candidate_config)
     assert_bound(again, result.module)
+    assert calls == [1, 1]

@@ -319,6 +319,26 @@ def test_history_env_disables_and_redirects(tmp_path, monkeypatch):
     assert obs_history.explicit_path() is None  # default-on ≠ explicit opt-in
 
 
+def test_serial_and_parallel_report_records_name_the_same_stages(tmp_path, monkeypatch, capsys):
+    """A ``-j 2`` report's stages run in pool slots, which send their stage
+    timings back with each result, so its history record names the stages
+    the serial record does."""
+    ledger = tmp_path / "ledger"
+    monkeypatch.setenv(obs_history.HISTORY_ENV, str(ledger))
+    for jobs, cache in (("1", "serial"), ("2", "parallel")):
+        argv = ["report", "--json", "--benchmarks", "blowfish", "-j", jobs]
+        assert main(argv + ["--cache-dir", str(tmp_path / cache)]) == 0
+    capsys.readouterr()
+    serial, parallel = history_query.load_runs(ledger / obs_history.HISTORY_FILE)
+    assert parallel["attrs"]["workers"] == 2
+
+    def stages(record):
+        return sorted(k for k in record["metrics"] if k.startswith("stage_"))
+
+    assert {"stage_interp_seconds", "stage_replay_seconds"} <= set(stages(serial))
+    assert stages(parallel) == stages(serial)
+
+
 LOOSE_COMMIT = "1234567" + "a" * 33
 PACKED_COMMIT = "abcdef0" + "b" * 33
 DETACHED_COMMIT = "fedcba9" + "c" * 33

@@ -503,7 +503,9 @@ def test_worker_keeps_its_compile_artifact_for_later_sweep_points(tmp_path, monk
     envelope = worker._execute_in_worker(
         worker.compute_compile, ("blowfish", config), key, cache_root, "artifact"
     )
-    assert envelope == {"value": None, "in_cache": True}
+    assert sorted(envelope) == ["in_cache", "stages", "value"]
+    assert envelope["value"] is None and envelope["in_cache"] is True
+    assert {"interp", "dswp", "replay"} <= set(envelope["stages"].seconds)
     artifact = taskgraph._SWEEP_INPUT_MEMO[key]
     assert artifact.name == "blowfish"
 
@@ -548,3 +550,38 @@ def test_pool_runs_a_sweep_point_in_its_compiles_lane(tmp_path):
     assert compile_span["attrs"]["resident"] is False
     assert sweep_span["attrs"]["resident"] is True
     assert sweep_span["attrs"]["stolen"] is False
+
+
+
+def test_without_a_cache_the_pool_runs_sweep_points_in_their_compiles_lane(tmp_path):
+    """With no cache a compile's result comes back over the pipe, but it also
+    stays in its slot's memo: the sweep point runs there, not in the
+    parent, and no process rebuilds the workload."""
+    from repro.eval.cache import compile_key
+    from repro.eval.taskgraph import compile_task, runtime_task
+    from repro.obs import tracing as obs_tracing
+    from repro.obs.render import load_spans
+    from repro.workloads import get_workload
+
+    config = CompilerConfig()
+    key = compile_key(get_workload("blowfish").source, config)
+    graph = TaskGraph()
+    graph.add(compile_task("blowfish", config, key))
+    graph.add(runtime_task("blowfish", config, None, RuntimeConfig(queue_latency=8),
+                           "latency:blowfish:8", key))
+    sink = tmp_path / "spans.jsonl"
+    obs_tracing.enable(sink, service="test")
+    try:
+        results = TaskScheduler(graph, jobs=2).run()
+    finally:
+        obs_tracing.reset()
+    spans = load_spans(sink)
+    by_name = {s["name"]: s for s in spans}
+    compile_span = by_name["task:compile:blowfish"]
+    sweep_span = by_name["task:sweep:latency:blowfish:8"]
+    assert compile_span["worker"].startswith("pid:")
+    assert sweep_span["worker"] == compile_span["worker"]
+    assert [s["kind"] for s in spans].count("stage:interp") == 1
+    assert "_load" in vars(results["compile:blowfish"])  # the parent holds the summary only
+    serial = TaskScheduler(graph, jobs=1).run()
+    assert results["sweep:latency:blowfish:8"] == serial["sweep:latency:blowfish:8"]

@@ -1,13 +1,13 @@
 """The columnar trace: what the interpreter records, and who reads it how.
 
 The interpreter records each event straight into the trace's columns and
-marks block occurrences as it enters blocks; the replay index and the
-artifact codec read the columns.  These tests hold the columns to the
-event-level definitions the replay oracle uses, check the
-:class:`TraceEvent` read view, and pin that no report path — cold or warm —
-builds a single event object, and a warm one no replay index either.  A
-warm report, and the parent of a cold parallel one, does not even decode
-the heavy part (module, trace, partitioning) of a cached compile artifact.
+marks block occurrences as it enters blocks; the replay index reads the
+columns.  These tests hold the columns to the event-level definitions the
+replay oracle uses, check the :class:`TraceEvent` read view, and pin that
+no report path — cold or warm — builds a single event object, and a warm
+one no replay index either.  A warm report, and the parent of a cold
+parallel one, does not even re-run the heavy fields (module, trace,
+partitioning) of a cached compile artifact.
 """
 
 import json

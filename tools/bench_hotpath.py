@@ -29,18 +29,15 @@ output before reporting a single number:
   modules; every trace column, the instruction table, the outputs and the
   step counts must agree.
 * **trace** — per workload, the seconds to record the columnar trace (an
-  interpreter run with tracing, next to one without), to encode it into
-  the compile artifact's trace section and its columns in the binary tail
-  and to decode it back, plus the bytes of both.  Not an A/B leg: its
-  check is that every decoded trace equals the recorded one event for
-  event.
-* **artifact** — per workload, the seconds to decode its compile artifact
-  the way a cache hit does (magic, checksum, summary), to build the heavy
-  part on first access (which recompiles the module from the stored
-  source and re-runs LegUp), and to decode it eagerly (both, plus every
-  partitioning's PDG — what the one-pass decode used to do), plus the
-  payload's bytes.  Not an A/B leg: its check is that re-encoding every
-  decoded result gives the payload back byte for byte.
+  interpreter run with tracing, next to one without).  Not an A/B leg:
+  its check is that two traced runs record the same columns, which the
+  compile artifact's heavy read relies on.
+* **artifact** — per workload, the seconds to encode its compile artifact,
+  to decode it the way a cache hit does (magic, checksum, summary) and to
+  build the heavy fields on first access (which re-runs the flow up to
+  DSWP and LegUp on the stored source), plus the payload's bytes.  Not an
+  A/B leg: its check is that every re-run reproduces the compile's trace
+  columns and re-encodes to the payload byte for byte.
 * **startup** — the wall time of a fresh interpreter running
   ``import repro.cli``, ``repro list`` and a warm ``repro report --json``
   (median of :data:`STARTUP_RUNS`, pinned to one CPU), with the number of
@@ -254,8 +251,8 @@ def bench_explore() -> dict:
     """Leg (d): evaluate the report's 9-candidate space both ways.
 
     The "before" path re-runs DSWP per candidate (memo cleared around every
-    point, no stage cache) — exactly what evaluation did before the
-    re-partition stage became content-addressed and shared.
+    point) — exactly what evaluation did before the re-partition stage
+    became shared.
     """
     from repro.config import CompilerConfig
     from repro.explore import evaluate
@@ -318,7 +315,7 @@ def bench_explore() -> dict:
     }
 
 
-#: The trace columns the interp leg compares.
+#: The trace columns the interp, trace and artifact legs compare.
 TRACE_COLUMNS = ("inst", "deps", "dep_offsets", "mem_dep", "address", "value", "present",
                  "block_starts")
 
@@ -363,73 +360,50 @@ def bench_interp(repeats: int) -> dict:
 
 
 def bench_trace(repeats: int) -> dict:
-    """Leg (f): record, encode and decode every workload's trace.
+    """Leg (f): record every workload's trace, and run it untraced.
 
-    Each time is the best of *repeats*; encode includes the JSON dump of
-    the trace section and the deflate of its columns into a binary tail,
-    decode the JSON load and the inflate, as in the artifact cache.
+    Each time is the best of *repeats*.
     """
     from repro.core.compiler import TwillCompiler
-    from repro.eval.heavy_codec import (
-        _dec_trace,
-        _deflate,
-        _enc_trace,
-        _inflate,
-        _instruction_index,
-        _instruction_list,
-        _trace_shapes,
-    )
     from repro.interp import run_module
-
-    def encode(trace, index):
-        columns = []
-        section = json.dumps(_enc_trace(trace, index, columns))
-        return section, _deflate(columns)
-
-    def decode(section, tail, instructions):
-        document = json.loads(section)
-        columns = _inflate(tail, _trace_shapes(document))
-        return _dec_trace(document, iter(columns), instructions)
 
     per_workload = {}
     identical = True
     for workload in all_workloads():
         module = TwillCompiler().compile_module(workload.source, workload.name)
-        index = _instruction_index(module)
-        instructions = _instruction_list(module)
-        best = {"untraced": [], "record": [], "encode": [], "decode": []}
+        best = {"untraced": [], "record": []}
+        traces = []
         for _ in range(repeats):
             seconds, _ = _timed(lambda: run_module(module))
             best["untraced"].append(seconds)
             seconds, execution = _timed(lambda: run_module(module, record_trace=True))
             best["record"].append(seconds)
-            trace = execution.trace
-            seconds, (section, tail) = _timed(lambda: encode(trace, index))
-            best["encode"].append(seconds)
-            seconds, decoded = _timed(lambda: decode(section, tail, instructions))
-            best["decode"].append(seconds)
-        identical = identical and decoded.events == trace.events
+            traces.append(execution.trace)
+        first = traces[0]
+        identical = identical and all(
+            trace.instructions == first.instructions
+            and all(getattr(trace, c) == getattr(first, c) for c in TRACE_COLUMNS)
+            for trace in traces
+        )
         per_workload[workload.name] = {
-            "events": len(trace),
-            "encoded_bytes": len(section) + len(tail),
+            "events": len(first),
             **{f"{step}_seconds": round(min(times), 4) for step, times in best.items()},
         }
     totals = {
         key: round(sum(w[key] for w in per_workload.values()), 4)
-        for key in ("untraced_seconds", "record_seconds", "encode_seconds", "decode_seconds",
-                    "encoded_bytes", "events")
+        for key in ("untraced_seconds", "record_seconds", "events")
     }
     return {**totals, "identical": identical, "workloads": per_workload, "repeats": repeats}
 
 
 def bench_artifact(repeats: int) -> dict:
-    """Leg (g): decode every workload's compile artifact lazily and eagerly.
+    """Leg (g): encode every workload's compile artifact and read it back.
 
-    ``decode`` reads the summary only; ``first_access`` is the first heavy
-    read, which recompiles the module from the stored source, decodes the
-    trace and the partitions onto it and re-runs LegUp; ``eager`` adds
-    every partitioning's PDG.  Each time is the best of *repeats*, each on
-    a fresh decode of the payload.
+    ``encode`` writes the payload; ``decode`` reads the summary only;
+    ``first_access`` is the first heavy read, which re-runs the front end,
+    the traced interpreter, DSWP and LegUp on the stored source and checks
+    the result against the stored digest and summary.  Each time is the
+    best of *repeats*, each read on a fresh decode of the payload.
     """
     from repro.core.compiler import TwillCompiler
     from repro.eval.artifact_codec import decode_compilation_result
@@ -437,32 +411,32 @@ def bench_artifact(repeats: int) -> dict:
 
     def first_access(payload):
         result = decode_compilation_result(payload)
-        return _timed(lambda: result.module)[0]
-
-    def eager(payload):
-        result = decode_compilation_result(payload)
-        pdgs = [p.pdg for p in result.dswp.partitioning.functions.values()]
-        return result, pdgs
+        return _timed(lambda: result.module)[0], result
 
     per_workload = {}
     identical = True
     for workload in all_workloads():
         result = TwillCompiler().compile_and_simulate(workload.source, name=workload.name)
-        payload = encode_compilation_result(result)
-        best = {"decode": [], "first_access": [], "eager": []}
+        best = {"encode": [], "decode": [], "first_access": []}
         for _ in range(repeats):
+            seconds, payload = _timed(lambda: encode_compilation_result(result))
+            best["encode"].append(seconds)
             best["decode"].append(_timed(lambda: decode_compilation_result(payload))[0])
-            best["first_access"].append(first_access(payload))
-            seconds, (decoded, _) = _timed(lambda: eager(payload))
-            best["eager"].append(seconds)
-        identical = identical and encode_compilation_result(decoded) == payload
+            seconds, decoded = first_access(payload)
+            best["first_access"].append(seconds)
+        recorded, rerun = result.execution.trace, decoded.execution.trace
+        identical = (
+            identical
+            and encode_compilation_result(decoded) == payload
+            and all(getattr(rerun, c) == getattr(recorded, c) for c in TRACE_COLUMNS)
+        )
         per_workload[workload.name] = {
             "bytes": len(payload),
             **{f"{step}_seconds": round(min(times), 4) for step, times in best.items()},
         }
     totals = {
         key: round(sum(w[key] for w in per_workload.values()), 4)
-        for key in ("decode_seconds", "first_access_seconds", "eager_seconds", "bytes")
+        for key in ("encode_seconds", "decode_seconds", "first_access_seconds", "bytes")
     }
     return {**totals, "identical": identical, "workloads": per_workload, "repeats": repeats}
 
@@ -603,11 +577,11 @@ def main(argv: list[str] | None = None) -> int:
             },
             **{
                 f"trace_{step}_seconds": record["trace"][f"{step}_seconds"]
-                for step in ("record", "encode", "decode")
+                for step in ("untraced", "record")
             },
             **{
                 f"artifact_{step}_seconds": record["artifact"][f"{step}_seconds"]
-                for step in ("decode", "first_access", "eager")
+                for step in ("encode", "decode", "first_access")
             },
             **{
                 f"startup_{command}_seconds": record["startup"][command]["seconds"]
@@ -619,9 +593,9 @@ def main(argv: list[str] | None = None) -> int:
 
     failures = []
     if not record["trace"]["identical"]:
-        failures.append("trace: a decoded trace differs from the recorded one")
+        failures.append("trace: two traced runs of a workload recorded different columns")
     if not record["artifact"]["identical"]:
-        failures.append("artifact: a decoded result does not re-encode to its payload")
+        failures.append("artifact: a re-run differs from the compile or its payload")
     if not record["startup"]["identical"]:
         failures.append("startup: the warm report's stdout differs from the cold report's")
     for leg in LEGS:
@@ -638,10 +612,10 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"ok: frontend {record['frontend']['seconds']} s, "
         + ", ".join(f"{leg} {record[leg]['speedup']}x" for leg in LEGS)
-        + f", trace record/encode/decode {record['trace']['record_seconds']}/"
-        f"{record['trace']['encode_seconds']}/{record['trace']['decode_seconds']} s"
-        + f", artifact decode/first access/eager {record['artifact']['decode_seconds']}/"
-        f"{record['artifact']['first_access_seconds']}/{record['artifact']['eager_seconds']} s"
+        + f", trace untraced/record {record['trace']['untraced_seconds']}/"
+        f"{record['trace']['record_seconds']} s"
+        + f", artifact encode/decode/first access {record['artifact']['encode_seconds']}/"
+        f"{record['artifact']['decode_seconds']}/{record['artifact']['first_access_seconds']} s"
         + ", startup import/list/warm report "
         + "/".join(str(record["startup"][c]["seconds"]) for c in ("import", "list", "warm_report"))
         + " s"
