@@ -22,7 +22,7 @@ __version__ = "1.0.0"
 # whole compiler/simulator stack.
 _EXPORTS = {
     "repro.core.compiler": ("TwillCompiler",),
-    "repro.results": ("CompilationResult",),
+    "repro.results": ("CompilationResult", "CompileSummary"),
     "repro.config": ("CompilerConfig", "RuntimeConfig", "PartitionConfig"),
 }
 

@@ -4,7 +4,7 @@ from repro.lazy import export_names, lazy_exports
 
 _EXPORTS = {
     "repro.config": ("CompilerConfig", "HLSConfig", "PartitionConfig", "RuntimeConfig"),
-    "repro.results": ("CompilationResult",),
+    "repro.results": ("CompilationResult", "CompileSummary"),
     "repro.core.compiler": ("TwillCompiler",),
     "repro.core.report": ("format_result_table",),
 }

@@ -81,10 +81,12 @@ class TwillCompiler:
     ) -> Dict[str, Any]:
         """Every stage up to the timing replays: front end, execution,
         profile, DSWP (with thread extraction when the config asks) and
-        LegUp.  Returns the :data:`~repro.results.HEAVY_FIELDS` by name.
+        LegUp.  Returns the heavy fields of a
+        :class:`~repro.results.CompilationResult` by name.
 
-        Deterministic in its arguments, so a cached compile artifact stores
-        only the source and config and re-runs this on its first heavy read.
+        Deterministic in its arguments, so a cached compile stores only its
+        summary, and a re-simulation runs this again
+        (:func:`repro.eval.worker.sweep_input`).
         """
         module = self.compile_module(source, name)
         execution = self.execute(module, args)
@@ -106,8 +108,6 @@ class TwillCompiler:
             "profile": profile,
             "dswp": dswp,
             "legup": legup,
-            "source": source,
-            "config": self.config,
         }
 
     def compile_and_simulate(
@@ -180,6 +180,4 @@ class TwillCompiler:
             dswp=dswp,
             legup=result.legup,
             system=system,
-            source=result.source,
-            config=self.config,
         )

@@ -123,7 +123,8 @@ def run_dswp(
     extract_threads: bool = False,
     sw_fraction: Optional[float] = None,
 ) -> DSWPResult:
-    """Run the DSWP partitioning over every defined function of ``module``."""
+    """Run the DSWP partitioning over every defined function of ``module``
+    but the threads an earlier extraction appended to it."""
     config = config or PartitionConfig()
     config.validate()
     if weight_model is None:
@@ -140,7 +141,7 @@ def run_dswp(
     queue_id_base = 0
 
     for fn in callgraph.top_down_order():
-        if fn.is_declaration():
+        if fn.is_declaration() or fn.extracted_from is not None:
             continue
         pdg = build_pdg(fn)
         loop_info = LoopInfo(fn)
@@ -177,7 +178,8 @@ def extract_partition_threads(partitioning: ModulePartitioning) -> None:
     partition, callers first, as ``f_dswp_<k>`` functions of the module.
 
     Extraction only appends functions, so the module's other instructions
-    keep their places; the artifact codec re-runs this on a rebuilt module.
+    keep their places, and a later :func:`run_dswp` on the module (a split
+    re-simulation) partitions them alone, not the appended threads.
     """
     module = partitioning.module
     extractor = ThreadExtractor(module)

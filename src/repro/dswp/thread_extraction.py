@@ -139,6 +139,7 @@ class ThreadExtractor:
     ) -> ExtractedThread:
         name = f"{fn.name}_dswp_{partition.index}"
         new_fn = Function(name, fn.function_type, [a.name for a in fn.args], parent=self.module)
+        new_fn.extracted_from = fn.name
         if self.module.has_function(name):
             # Re-extraction (e.g. with a different split): replace the old thread.
             del self.module.functions[name]

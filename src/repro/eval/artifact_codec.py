@@ -2,66 +2,46 @@
 
 Everything the artifact cache stores is either plain JSON or this codec's
 output, so loading an entry never executes stored code: decoding walks
-JSON, and rebuilds the heavy fields by re-running the compile on the
-stored C source.  Entries are inspectable with ``python -m json.tool`` and
-survive Python version bumps.
+JSON.  Entries are inspectable with ``python -m json.tool`` and survive
+Python version bumps.
 
-A cached :class:`repro.core.compiler.CompilationResult` is the largest
-artifact the evaluation harness stores.  Its payload (``repro-artifact-v6``)
-is four lines, in order:
+A cached compile is its :class:`~repro.results.CompileSummary`.  Its
+payload (``repro-artifact-v7``) is three lines, in order:
 
-1. the magic line ``repro-artifact-v6``;
+1. the magic line ``repro-artifact-v7``;
 2. a line holding the ``crc32`` of the rest of the payload, as 8 lowercase
    hex digits;
-3. one summary JSON line: ``name``, ``outputs``, ``system`` (the three
-   timing replays with area and power) and the DSWP summary — everything
-   a report reads;
-4. the inputs JSON line, the last of the payload: the C ``source``, the
-   ``config`` (:meth:`~repro.config.CompilerConfig.to_dict`) and the
-   module's ``structure`` digest.
+3. one canonical summary JSON line (sorted keys, no spaces): ``name``,
+   ``outputs``, ``system`` (the three timing replays with area and power)
+   and the DSWP summary ``dswp`` — everything a report reads.
 
-No heavy field is stored: the cache key pins the source, the config and
-the code, and the flow is deterministic up to the timing replays, so the
-first heavy read re-runs it
-(:meth:`~repro.core.compiler.TwillCompiler.build`, through
-:func:`repro.eval.heavy_codec.decode_heavy`).  The re-run must reproduce
-the ``structure`` digest (each function's instruction count and the
-``crc32`` of the printed module) and the summary's ``outputs`` and DSWP
-summary.
-
-Both JSON lines are canonical (sorted keys, no spaces).  Decoding checks
-the magic and the checksum and decodes the summary; it returns a *lazy*
-result (:meth:`CompilationResult.lazy`) that re-runs the compile on the
-first read of a heavy field.  So:
+No heavy field is stored.  The re-simulations build the module, trace,
+profile and LegUp result themselves
+(:func:`repro.eval.worker.sweep_input`), and check the build against this
+summary.  Decoding checks the magic and the checksum and decodes the
+summary, so:
 
 * any damaged byte fails the checksum, and the cache reads the entry as a
   corrupt miss and recomputes it;
-* inputs that are malformed under a valid checksum (a writer bug), or a
-  re-run that differs from the stored digest or summary, raise
-  :class:`ArtifactCodecError` on first access; a result that
-  :meth:`~repro.eval.cache.ArtifactCache.get_or_compute` served then
-  drops the entry and recomputes it.  A result the re-run cannot give
-  back (a split re-simulation, a run with ``args``) fails this way;
-* a warm report, which reads only the summary, re-runs nothing.
+* a summary that is malformed under a valid checksum (a writer bug) raises
+  :class:`ArtifactCodecError`, which the cache also reads as a corrupt miss;
+* a build whose outputs or DSWP summary differ from a valid summary makes
+  :func:`~repro.eval.worker.sweep_input` delete the entry and raise.
 
-This module decodes the summary.  Encoding and the heavy read are in
-:mod:`repro.eval.heavy_codec`, which loads on the first encode or heavy
-read and imports the compiler stages when it runs, so decoding a summary
-(all a warm report does) loads no compiler stage and none of the heavy
-codec.
+This module decodes.  Encoding is in :mod:`repro.eval.heavy_codec`, which
+a warm report never loads: it only decodes.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import zlib
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Dict
 
 from repro.errors import ReproError
 from repro.results import (
     AreaEstimate,
-    CompilationResult,
+    CompileSummary,
     ConfigurationResult,
     ExecutionDomain,
     PowerEstimate,
@@ -71,11 +51,12 @@ from repro.results import (
     TimingResult,
 )
 
-ARTIFACT_MAGIC = b"repro-artifact-v6\n"
+ARTIFACT_MAGIC = b"repro-artifact-v7\n"
 
 
 class ArtifactCodecError(ReproError):
-    """A compile artifact could not be encoded or decoded."""
+    """A compile artifact could not be decoded, or a build of its compile
+    does not reproduce it."""
 
 
 # ---------------------------------------------------------------------------
@@ -141,44 +122,29 @@ def _dec_system(data: Dict):
 
 
 # ---------------------------------------------------------------------------
-# decoding a payload
+# decoding the payload
 # ---------------------------------------------------------------------------
 
 
 #: The DSWP summary's keys (:meth:`repro.dswp.pipeline.DSWPResult.summary`).
 _DSWP_SUMMARY_KEYS = ("hw_threads", "queues", "semaphores", "sw_fraction", "sw_threads")
 
-#: What decoding a malformed part under a valid checksum can raise.
-_MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError, ReproError)
-
-
-def _checked_body(data: bytes) -> bytes:
-    """The payload after its checksum line, if magic and checksum hold."""
+def decode_compilation_result(data: bytes) -> CompileSummary:
+    """Decode a v7 payload into its :class:`CompileSummary`; raises
+    :class:`ArtifactCodecError` if the magic, the checksum or the summary
+    is bad."""
     if not data.startswith(ARTIFACT_MAGIC):
         raise ArtifactCodecError("not a repro artifact (bad magic)")
     start = len(ARTIFACT_MAGIC) + 9
     body = data[start:]
     if data[start - 9:start] != b"%08x\n" % zlib.crc32(body):
         raise ArtifactCodecError("artifact checksum mismatch")
-    return body
-
-
-@contextlib.contextmanager
-def _malformed(part: str) -> Iterator[None]:
-    """Turn what decoding a malformed *part* can raise into a codec error."""
     try:
-        yield
-    except ArtifactCodecError:
-        raise
-    except _MALFORMED as exc:
-        raise ArtifactCodecError(f"{part}: {exc!r}") from exc
-
-
-def _dec_summary(data: bytes) -> Tuple[str, List[int], Any, Dict[str, float]]:
-    with _malformed("artifact summary"):
-        summary = json.loads(data)
+        summary = json.loads(body)
         name, outputs, dswp = summary["name"], summary["outputs"], summary["dswp"]
         system = _dec_system(summary["system"])
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ArtifactCodecError(f"artifact summary: {exc!r}") from exc
     if (
         not isinstance(name, str)
         or not isinstance(outputs, list)
@@ -187,26 +153,4 @@ def _dec_summary(data: bytes) -> Tuple[str, List[int], Any, Dict[str, float]]:
         or sorted(dswp) != list(_DSWP_SUMMARY_KEYS)
     ):
         raise ArtifactCodecError("artifact summary: bad name, outputs or DSWP summary")
-    return name, outputs, system, dswp
-
-
-def decode_compilation_result(data: bytes):
-    """Decode a v6 payload into a lazy :class:`CompilationResult`.
-
-    Checks the magic and the checksum and decodes the summary now; the
-    heavy fields are re-run (and checked) on the first read of one,
-    raising :class:`ArtifactCodecError` then if that fails.
-    """
-    body = _checked_body(data)
-    end = body.find(b"\n")
-    if end < 0:
-        raise ArtifactCodecError("artifact has no summary line")
-    name, outputs, system, dswp_summary = _dec_summary(body[:end])
-    inputs = body[end + 1:]
-
-    def load() -> Dict[str, Any]:
-        from repro.eval.heavy_codec import decode_heavy
-
-        return decode_heavy(inputs, name, outputs, dswp_summary)
-
-    return CompilationResult.lazy(name, system, outputs, dswp_summary, load)
+    return CompileSummary(name, outputs, system, dswp)

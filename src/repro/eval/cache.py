@@ -6,11 +6,11 @@ the full dynamic trace dozens of times on top of that.  This module caches
 both kinds of artifact so any table or figure can be regenerated
 near-instantly once its inputs have been computed once:
 
-* **compile artifacts** — :class:`repro.core.compiler.CompilationResult`
-  objects stored through the structured codec in
-  :mod:`repro.eval.artifact_codec` (magic line, checksum, then a summary
-  and the compile's inputs as canonical JSON: inspectable, stable across
-  Python versions, and loadable without executing stored code), keyed by
+* **compile artifacts** — the :class:`repro.results.CompileSummary` of a
+  compile, stored through the structured codec in
+  :mod:`repro.eval.artifact_codec` (magic line, checksum, then the summary
+  as canonical JSON: inspectable, stable across Python versions, and
+  loadable without executing stored code), keyed by
   the SHA-256 of the workload's C source plus the full
   :class:`repro.config.CompilerConfig` contents;
 * **derived artifacts** — small structured-JSON documents produced by
@@ -60,7 +60,7 @@ from repro.errors import ReproError
 from repro.obs import tracing as obs_tracing
 
 # Bump whenever the stored artifact layout changes incompatibly (e.g. a field
-# is added to CompilationResult): old entries then miss instead of loading
+# is added to CompileSummary): old entries then miss instead of loading
 # into a stale shape.
 CACHE_SCHEMA_VERSION = 2
 
@@ -469,40 +469,21 @@ class ArtifactCache:
     def contains(self, key: str) -> bool:
         return self.backend.contains(key)
 
-    def get(self, key: str, recompute: Optional[Callable[[], Any]] = None) -> Optional[Any]:
+    def get(self, key: str) -> Optional[Any]:
         """Load the entry for *key*, or ``None`` on a miss.
 
         A corrupt or unreadable entry is deleted so the recompute overwrites
-        it.  A compile artifact re-runs its heavy fields on first read; with
-        *recompute*, one that fails then is a miss found late: the entry is
-        deleted, recomputed once through :meth:`get_or_compute`, and the
-        result takes the recomputed heavy fields.
+        it.
         """
         blob = self.backend.get_blob(key)
         if blob is None:
             return None
         serializer, data = blob
         try:
-            value = self._decode(data, serializer)
+            return self._decode(data, serializer)
         except Exception:
             self.backend.delete(key)
             return None
-        if recompute is not None and serializer == "artifact" and "_load" in vars(value):
-            load = value._load
-
-            def load_or_recompute() -> Dict[str, Any]:
-                from repro.eval.artifact_codec import ArtifactCodecError
-                from repro.results import HEAVY_FIELDS
-
-                try:
-                    return load()
-                except ArtifactCodecError:
-                    self.backend.delete(key)
-                    fresh = self.get_or_compute(key, recompute, serializer="artifact")
-                    return {name: getattr(fresh, name) for name in HEAVY_FIELDS}
-
-            value._load = load_or_recompute
-        return value
 
     def put(self, key: str, value: Any, serializer: str) -> Path:
         """Atomically store *value* under *key*; returns the entry's path."""
@@ -534,12 +515,12 @@ class ArtifactCache:
         it.
         """
         with obs_tracing.span("cache.get_or_compute", kind="cache", key=key[:16]) as span:
-            hit = self.get(key, compute)
+            hit = self.get(key)
             if hit is not None:
                 span.set("cache_hit", True)
                 return hit
             with self.lock(key):
-                hit = self.get(key, compute)  # someone else may have computed it meanwhile
+                hit = self.get(key)  # someone else may have computed it meanwhile
                 if hit is not None:
                     span.set("cache_hit", True)
                     return hit

@@ -35,17 +35,17 @@ from repro.eval import taskgraph
 from repro.eval.cache import ArtifactCache, compile_key
 from repro.eval.taskgraph import LocalProcessExecutor, TaskGraph, TaskScheduler
 from repro.obs import tracing as obs_tracing
-from repro.results import CompilationResult
+from repro.results import CompilationResult, CompileSummary
 from repro.workloads import all_workloads, get_workload
 from repro.workloads.base import Workload
 
 
 @dataclass
 class BenchmarkRun:
-    """One compiled-and-simulated workload."""
+    """One compiled-and-simulated workload, as a report reads it."""
 
     workload: Workload
-    result: CompilationResult
+    result: CompileSummary
 
     @property
     def name(self) -> str:
@@ -271,7 +271,7 @@ class EvaluationHarness:
 
     # -- runs ------------------------------------------------------------------------------
 
-    def _admit(self, name: str, result: CompilationResult) -> BenchmarkRun:
+    def _admit(self, name: str, result: CompileSummary) -> BenchmarkRun:
         run = BenchmarkRun(workload=get_workload(name), result=result)
         if not run.functional_outputs_match():
             raise AssertionError(
@@ -289,6 +289,14 @@ class EvaluationHarness:
         self.declare_compile(graph, name)
         self.execute(graph)
         return self._runs[name]
+
+    def compile_result(self, name: str) -> CompilationResult:
+        """The full compile result of *name*, module and trace included, as
+        a re-simulation in this process reads it
+        (:func:`repro.eval.worker.sweep_input`)."""
+        from repro.eval.worker import sweep_input
+
+        return sweep_input(name, self.config, self._cache_root, self._compile_key(name))
 
     def run_all(self, parallel: Optional[int] = None) -> List[BenchmarkRun]:
         """Compile and simulate every workload of this harness.

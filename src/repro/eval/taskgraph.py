@@ -3,8 +3,8 @@
 Every thesis artefact is a small DAG over four node kinds:
 
 * **compile** — the full pipeline for one workload (front end → passes →
-  functional trace → DSWP → HLS → three timing replays), producing a
-  :class:`repro.core.compiler.CompilationResult`;
+  functional trace → DSWP → HLS → three timing replays), whose value is
+  the run's :class:`repro.results.CompileSummary`;
 * **sweep points** (``runtime`` / ``split``) — cheap re-simulations of an
   existing compile artifact under one swept parameter (queue latency, queue
   depth, targeted partition split), one node per (workload, sweep-point);
@@ -22,12 +22,14 @@ Every thesis artefact is a small DAG over four node kinds:
 inline; :class:`TaskScheduler` then executes ready tasks — serially, or on
 the one-process slots of a :class:`LocalProcessExecutor`, each task on the
 slot that already holds its workload — while honouring
-dependencies.  Worker tasks never ship artefacts over the pipe: dependency
-edges only guarantee that a task's inputs are present in the shared
-content-addressed :class:`repro.eval.cache.ArtifactCache` before it starts,
-and the scheduler memoises every keyed task through that cache with per-key
-advisory locks, so concurrent missers (across worker processes *and* across
-independent ``repro`` invocations) compute each key exactly once.
+dependencies.  Only small values cross the pipe: a compile's summary, a
+sweep point's numbers.  The full compile result stays in the process that
+computed it, and a point run elsewhere builds its own
+(:func:`repro.eval.worker.sweep_input`).  The scheduler memoises every
+keyed task through the shared content-addressed
+:class:`repro.eval.cache.ArtifactCache` with per-key advisory locks, so
+concurrent missers (across worker processes *and* across independent
+``repro`` invocations) compute each key exactly once.
 
 Because node values are pure functions of their content address, a parallel
 run produces byte-identical rows and tables to a serial run — the
@@ -51,7 +53,6 @@ from repro.config import CompilerConfig, RuntimeConfig
 from repro.errors import TaskGraphCycleError, TaskGraphError
 from repro.eval.cache import ArtifactCache, derived_key, render_key
 from repro.obs import tracing as obs_tracing
-from repro.results import CompilationResult
 
 if TYPE_CHECKING:  # multiprocessing loads only when a pool slot forks
     from multiprocessing.connection import Connection
@@ -70,7 +71,7 @@ KIND_AGGREGATE = "aggregate"
 WORKER_KINDS = (KIND_COMPILE, KIND_RUNTIME, KIND_SPLIT, KIND_EXPLORE, KIND_INGEST, KIND_RENDER)
 
 #: The modules pool workers run: the slot loop and payloads, the compiler
-#: stages, the heavy half of the artifact codec and the profiler hook of
+#: stages, the artifact encoder and the profiler hook of
 #: :func:`repro.eval.worker._execute_in_worker`.  A cache hit needs none of
 #: them, so the code that runs each imports it, and
 #: :meth:`LocalProcessExecutor.submit` imports all of them before a slot
@@ -215,7 +216,7 @@ class TaskGraph:
 
 
 # ---------------------------------------------------------------------------
-# payload references and the sweep-input memo
+# payload references
 # ---------------------------------------------------------------------------
 
 
@@ -234,27 +235,6 @@ def resolve(fn: Any) -> Callable[..., Any]:
     return getattr(importlib.import_module(module), name)
 
 
-# Per-process memo of compile artifacts consumed by sweep-point payloads, so
-# a worker that executes many sweep points for one workload reads (or
-# rebuilds, when caching is off) that workload's artifact only once, or
-# not at all when it compiled the workload itself.  Keyed
-# by content address, so a stale value is impossible by construction; bounded
-# so long test sessions cannot accumulate every artifact they ever touched.
-# :func:`repro.eval.worker.sweep_input` reads it.
-_SWEEP_INPUT_MEMO: "OrderedDict[str, CompilationResult]" = OrderedDict()
-_SWEEP_INPUT_MEMO_LIMIT = 16
-
-
-def seed_sweep_input(key: str, result: CompilationResult) -> None:
-    """Pre-populate the sweep-input memo with an artifact this process
-    already holds (one it compiled or read), so its sweep points skip the
-    disk round trip and replay on the same trace."""
-    _SWEEP_INPUT_MEMO[key] = result
-    _SWEEP_INPUT_MEMO.move_to_end(key)
-    while len(_SWEEP_INPUT_MEMO) > _SWEEP_INPUT_MEMO_LIMIT:
-        _SWEEP_INPUT_MEMO.popitem(last=False)
-
-
 # ---------------------------------------------------------------------------
 # node constructors (used by EvaluationHarness.declare_*)
 # ---------------------------------------------------------------------------
@@ -270,7 +250,7 @@ def compile_task(name: str, config: CompilerConfig, key: str) -> Task:
         task_id=f"compile:{name}",
         kind=KIND_COMPILE,
         fn="repro.eval.worker:compute_compile",
-        args=(name, config),
+        args=(name, config, key),
         key=key,
         serializer="artifact",
         workload=name,
@@ -409,15 +389,10 @@ def render_task(
 
 @dataclass
 class TaskOutcome:
-    """One finished worker task as reported by the pool.
-
-    ``in_cache=True`` means the worker published the (compile) value through
-    the shared cache instead of shipping it back; the scheduler re-reads it.
-    """
+    """One finished worker task as reported by the pool."""
 
     task: Task
     value: Any = None
-    in_cache: bool = False
 
 
 #: How :func:`place` chose a task for a slot: the slot already ran its
@@ -470,15 +445,14 @@ class LocalProcessExecutor:
     ``multiprocessing.Pipe``; the parent waits on the pipes with
     ``multiprocessing.connection.wait`` and starts no thread, so every slot
     forks a single-threaded process.  A slot's sweep-input memo keeps the
-    compile artifacts it produced or read, and with them each trace's
+    full compile results it computed or built, and with them each trace's
     replay index, setups and schedules.  :meth:`submit` therefore takes a
     task off the scheduler's pending list only for an idle slot, picked by
     :func:`place` so that a workload's sweep points follow its compile.
 
     The scheduler owns graph order, seeds, cache pre-checks and aggregate
     nodes; the slots only run keyed worker payloads and report
-    :class:`TaskOutcome`\\ s back.  Workers exchange artefacts through the
-    shared cache rather than over the pipe (see
+    :class:`TaskOutcome`\\ s back, each value over the pipe (see
     :func:`repro.eval.worker._execute_in_worker`);
     each slot is forked on its first task, after the parent has imported
     :data:`WORKER_MODULES`, so cache-warm runs never fork at all, and never
@@ -579,9 +553,7 @@ class LocalProcessExecutor:
                 exc, remote = payload
                 raise exc from _RemoteTraceback(remote)
             perf.merge(payload["stages"])
-            outcomes.append(
-                TaskOutcome(task=task, value=payload["value"], in_cache=payload["in_cache"])
-            )
+            outcomes.append(TaskOutcome(task=task, value=payload["value"]))
         return outcomes
 
     def __enter__(self) -> "LocalProcessExecutor":
@@ -632,12 +604,12 @@ class TaskScheduler:
       :meth:`TaskGraph.topological_order`;
     * ``jobs > 1``: they wait in a pending list and start on the idle slots
       of a :class:`LocalProcessExecutor` (a workload's tasks follow it to
-      the slot that ran it).  Workers exchange artefacts through *cache*
-      rather than over the pipe; without one, a compile's result comes back
-      over the pipe and stays in its slot's memo for the points that follow
-      it there.  *pool* is a :class:`LocalProcessExecutor` the caller owns
-      and keeps across runs (its slots keep their memos); without it a run
-      with ``jobs > 1`` forks its own and shuts it down at the end.
+      the slot that ran it).  A compile's summary comes back over the
+      pipe, and its full result stays in its slot's memo for the points
+      that follow it there.  *pool* is a :class:`LocalProcessExecutor`
+      the caller owns and keeps across runs (its slots keep their memos);
+      without it a run with ``jobs > 1`` forks its own and shuts it down at
+      the end.
 
     Keyed tasks are memoised through *cache* (parent-side pre-check, then
     ``get_or_compute`` under the per-key lock).  *seeds* maps task ids to
@@ -704,10 +676,7 @@ class TaskScheduler:
 
     def _cached_or_none(self, task: Task) -> Optional[Any]:
         if task.key is not None and self.cache is not None:
-            recompute = None
-            if task.serializer == "artifact":
-                recompute = lambda: resolve(task.fn)(*task.args)  # noqa: E731
-            return self.cache.get(task.key, recompute)
+            return self.cache.get(task.key)
         return None
 
     def _run_task_inline(self, task: Task, results: Dict[str, Any]) -> Any:
@@ -725,13 +694,6 @@ class TaskScheduler:
                 task.key, lambda: fn(*task.args, **kwargs), serializer=task.serializer
             )
         return fn(*task.args, **kwargs)
-
-    def _record(self, task: Task, value: Any, results: Dict[str, Any]) -> None:
-        results[task.task_id] = value
-        if task.kind == KIND_COMPILE and task.key is not None:
-            # Sweep points of this workload (parent-side or freshly forked
-            # workers) reuse the in-memory artifact instead of re-reading it.
-            seed_sweep_input(task.key, value)
 
     def _obs_mark(self, task: Task, **attrs: Any) -> None:
         """Record a zero-duration span for a node satisfied without running
@@ -771,7 +733,7 @@ class TaskScheduler:
         parked: Dict[str, List[Task]] = {}
 
         def complete(task: Task, value: Any) -> None:
-            self._record(task, value, results)
+            results[task.task_id] = value
             for dependent in dependents[task.task_id]:
                 waiting[dependent.task_id] -= 1
                 if waiting[dependent.task_id] == 0:
@@ -826,12 +788,7 @@ class TaskScheduler:
                     for outcome in pool.wait():
                         task = outcome.task
                         in_flight.pop(task.task_id, None)
-                        value = outcome.value
-                        if outcome.in_cache:
-                            value = self._cached_or_none(task)
-                            if value is None:  # pruned/corrupted between write and read
-                                value = self._run_task_inline(task, results)
-                        complete_with_twins(task, value)
+                        complete_with_twins(task, outcome.value)
         except BaseException:
             if pool is not None:
                 pool.close(interrupt=True)

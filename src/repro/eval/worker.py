@@ -13,15 +13,17 @@ from __future__ import annotations
 import os
 import sys
 import traceback
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro import perf
 from repro.config import CompilerConfig, RuntimeConfig
 from repro.errors import TaskGraphError
 from repro.eval import taskgraph
+from repro.eval.artifact_codec import ArtifactCodecError
 from repro.eval.cache import ArtifactCache
 from repro.obs import tracing as obs_tracing
-from repro.results import CompilationResult
+from repro.results import CompilationResult, CompileSummary
 from repro.workloads import get_workload
 
 if TYPE_CHECKING:  # multiprocessing loads only when a pool slot forks
@@ -43,38 +45,68 @@ def _compiler(config: CompilerConfig) -> Any:
     return TwillCompiler(config)
 
 
-def compute_compile(name: str, config: CompilerConfig) -> CompilationResult:
-    """Pure compile payload: run the whole pipeline for one workload."""
-    return _compiler(config).compile_and_simulate(get_workload(name).source, name=name)
+# Per-process memo of the full compile results the sweep, split and explore
+# points re-simulate, so a process that runs many points of one workload
+# builds (or compiled) it once, and its points replay on one ``Trace`` with
+# its replay index, setups and schedules.  Keyed by content address, so a
+# stale value is impossible by construction; bounded so long test sessions
+# cannot accumulate every compile they ever ran.
+_SWEEP_INPUT_MEMO: "OrderedDict[str, CompilationResult]" = OrderedDict()
+_SWEEP_INPUT_MEMO_LIMIT = 16
+
+
+def _remember(key: str, result: CompilationResult) -> None:
+    _SWEEP_INPUT_MEMO[key] = result
+    _SWEEP_INPUT_MEMO.move_to_end(key)
+    while len(_SWEEP_INPUT_MEMO) > _SWEEP_INPUT_MEMO_LIMIT:
+        _SWEEP_INPUT_MEMO.popitem(last=False)
+
+
+def compute_compile(name: str, config: CompilerConfig, key: str) -> CompileSummary:
+    """Pure compile payload: run the whole pipeline for one workload.
+
+    The full result goes into this process's sweep-input memo under the
+    compile *key*, for the points of this workload that run here next; the
+    node's value, and all the cache stores, is its summary.
+    """
+    result = _compiler(config).compile_and_simulate(get_workload(name).source, name=name)
+    _remember(key, result)
+    return result.summary()
 
 
 def sweep_input(
     name: str, config: CompilerConfig, cache_root: Optional[str], key: str
 ) -> CompilationResult:
-    """The compile artifact a sweep point re-simulates: memo → cache → build.
+    """The full compile result a sweep point re-simulates: memo → build.
 
-    The memo is :data:`repro.eval.taskgraph._SWEEP_INPUT_MEMO`.
-    *cache_root* is the cache directory, so the same payload runs unchanged
-    in the parent and in a pool worker.  *key* is the artifact's
-    :func:`~repro.eval.cache.compile_key`, computed once where the task was
-    declared.  Without a cache, a miss runs the pipeline up to DSWP and
-    LegUp (:meth:`~repro.core.compiler.TwillCompiler.build`) and none of
-    the replays; the result's ``system`` is then ``None``, which no sweep
-    point reads.
+    *key* is the compile's :func:`~repro.eval.cache.compile_key`, computed
+    once where the task was declared.  A miss runs the pipeline up to DSWP
+    and LegUp (:meth:`~repro.core.compiler.TwillCompiler.build`) and none
+    of the replays; the result's ``system`` is then ``None``, which no sweep
+    point reads.  *cache_root* is the cache directory, so the same payload
+    runs unchanged in the parent and in a pool worker.  When it holds the
+    compile's summary, the build's outputs and DSWP summary must equal it:
+    otherwise the entry is deleted, so the next run recomputes it, and
+    :class:`~repro.eval.artifact_codec.ArtifactCodecError` is raised.
     """
-    memo = taskgraph._SWEEP_INPUT_MEMO
-    hit = memo.get(key)
+    hit = _SWEEP_INPUT_MEMO.get(key)
     if hit is not None:
-        memo.move_to_end(key)
+        _SWEEP_INPUT_MEMO.move_to_end(key)
         return hit
+    fields = _compiler(config).build(get_workload(name).source, name)
+    result = CompilationResult(name=name, system=None, **fields)
     if cache_root is not None:
-        result = ArtifactCache(cache_root).get_or_compute(
-            key, lambda: compute_compile(name, config), serializer="artifact"
-        )
-    else:
-        fields = _compiler(config).build(get_workload(name).source, name)
-        result = CompilationResult(name=name, system=None, **fields)
-    taskgraph.seed_sweep_input(key, result)
+        cache = ArtifactCache(cache_root)
+        stored = cache.get(key)
+        if stored is not None and (
+            result.outputs != stored.outputs or result.dswp.summary() != stored.dswp
+        ):
+            cache.backend.delete(key)
+            raise ArtifactCodecError(
+                f"compile artifact {key}: a rebuild differs from its stored outputs or DSWP "
+                "summary; the entry is deleted and the next run recomputes it"
+            )
+    _remember(key, result)
     return result
 
 
@@ -137,16 +169,9 @@ def _execute_in_worker(
     single-flight semantics per key, so two workers (or two independent
     ``repro`` processes) racing on the same content address do the work
     once and share the stored entry.  Returns a small envelope dict:
-    compile artifacts come back with ``in_cache=True`` (the parent re-reads
-    them from the cache, decoding only their summary) while other values,
-    and a compile without a cache, ride in ``value`` directly.  ``stages``
-    holds the :class:`repro.perf.StageTimings` of the run, which the parent
-    adds to its own collector.
-
-    A compile artifact also goes into this process's sweep-input memo,
-    cache or not, so the sweep, split and explore points the pool places
-    here next reuse the same ``Trace`` object with its replay index, setups
-    and schedules.
+    ``value`` is the task's value (a compile's is its summary) and
+    ``stages`` the :class:`repro.perf.StageTimings` of the run, which the
+    parent adds to its own collector.
 
     *trace_ctx* carries the parent's span context (plus task id, kind and
     placement) across the process boundary: thread-local trace state does
@@ -171,16 +196,12 @@ def _execute_in_worker(
             resident=ctx.get("resident"),
             stolen=ctx.get("stolen"),
         ):
-            cached = key is not None and cache_spec is not None
-            if cached:
+            if key is not None and cache_spec is not None:
                 cache = ArtifactCache(cache_spec)
                 value = cache.get_or_compute(key, lambda: payload(*args), serializer=serializer)
             else:
                 value = payload(*args)
-            if serializer == "artifact" and key is not None:
-                taskgraph.seed_sweep_input(key, value)
-    in_cache = cached and serializer == "artifact"
-    return {"value": None if in_cache else value, "in_cache": in_cache, "stages": stages}
+    return {"value": value, "stages": stages}
 
 
 def _slot_main(conn: Connection, parent_end: Connection) -> None:

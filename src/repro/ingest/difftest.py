@@ -62,11 +62,13 @@ class DiffTestOutcome:
 
 
 def difftest_workload(harness, name: str) -> DiffTestOutcome:
-    """Differentially test one workload through *harness* (cached compile)."""
+    """Differentially test one workload through *harness*: the outputs and
+    replays of its (cached) compile summary against the trace of its full
+    compile result (:meth:`~repro.eval.harness.EvaluationHarness.compile_result`)."""
     run = harness.run(name)
-    interp_outputs = [int(v) for v in run.result.execution.outputs]
+    interp_outputs = [int(v) for v in run.result.outputs]
     expected = run.workload.expected_outputs()
-    trace = run.result.execution.trace
+    trace = harness.compile_result(name).execution.trace
     trace_events = len(trace) if trace is not None else 0
 
     failures: List[str] = []

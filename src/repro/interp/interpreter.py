@@ -70,6 +70,7 @@ from repro.ir.instructions import (
 from repro.ir.module import Module
 from repro.ir.types import ArrayType, IntType, PointerType, VoidType
 from repro.ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
+from repro.results import output_checksum
 
 
 DEFAULT_MAX_STEPS = 20_000_000
@@ -88,11 +89,7 @@ class ExecutionResult:
     @property
     def output_checksum(self) -> int:
         """Order-sensitive checksum of the printed outputs (FNV-1a style)."""
-        h = 0x811C9DC5
-        for value in self.outputs:
-            h ^= value & 0xFFFFFFFF
-            h = (h * 0x01000193) & 0xFFFFFFFF
-        return h
+        return output_checksum(self.outputs)
 
 
 # Op kinds.  An op is ``[kind, trace number, instruction, dep slots, result

@@ -43,6 +43,9 @@ class Function(Value):
         ]
         self._name_counter = 0
         self._block_counter = 0
+        #: The function whose DSWP partition this one is, for a thread
+        #: :class:`repro.dswp.thread_extraction.ThreadExtractor` appended.
+        self.extracted_from: Optional[str] = None
 
     # -- basic properties -------------------------------------------------------
 

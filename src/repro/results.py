@@ -15,16 +15,18 @@ Each of those modules imports its classes back from here, so
 ``repro.sim.timing.TimingResult is repro.results.TimingResult``.  Importing
 this module loads no compiler stage; see "Start-up" in
 docs/PERFORMANCE.md for the layering rule.
+
+:class:`CompileSummary` is the part of a :class:`CompilationResult` a
+report reads, and what the artifact cache stores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
-    from repro.config import CompilerConfig
     from repro.dswp.pipeline import DSWPResult
     from repro.hls.legup import LegUpResult
     from repro.interp.interpreter import ExecutionResult
@@ -199,84 +201,31 @@ class SystemResult:
         }
 
 
-#: The fields a lazy :class:`CompilationResult` builds on their first read.
-HEAVY_FIELDS = ("module", "execution", "profile", "dswp", "legup", "source", "config")
+def output_checksum(outputs: Sequence[int]) -> int:
+    """Order-sensitive checksum of a run's printed outputs (FNV-1a style)."""
+    h = 0x811C9DC5
+    for value in outputs:
+        h ^= value & 0xFFFFFFFF
+        h = (h * 0x01000193) & 0xFFFFFFFF
+    return h
 
 
 @dataclass
-class CompilationResult:
-    """Everything produced by one compile-and-simulate run.
+class CompileSummary:
+    """What a report reads of one compile: its functional ``outputs``, its
+    ``system`` (the three timing replays with area and power) and its DSWP
+    summary ``dswp`` (:meth:`repro.dswp.pipeline.DSWPResult.summary`).
 
-    ``source`` and ``config`` are the compile's inputs: the artifact codec
-    stores them in place of the module, profile and LegUp result, which it
-    rebuilds from them.  A result decoded from the artifact cache is *lazy*
-    (:meth:`lazy`): it holds ``name``, ``system``, the functional outputs
-    and the DSWP summary, and builds the heavy fields on the first read of
-    any of them.  ``==`` and :func:`dataclasses.replace` read every field,
-    so they materialise it first; a report reads none of them.  A pickle is
-    the artifact payload, so unpickling gives a lazy result.
+    It is the value of a compile node in every run and all a cached compile
+    artifact holds.  The re-simulations, which need the module, trace,
+    profile and LegUp result, build those themselves
+    (:func:`repro.eval.worker.sweep_input`).
     """
 
     name: str
-    module: Module
-    execution: ExecutionResult
-    profile: Profile
-    dswp: DSWPResult
-    legup: LegUpResult
+    outputs: List[int]
     system: SystemResult
-    source: str
-    config: CompilerConfig
-
-    @classmethod
-    def lazy(
-        cls,
-        name: str,
-        system: SystemResult,
-        outputs: List[int],
-        dswp_summary: Dict[str, float],
-        load: Callable[[], Dict[str, Any]],
-    ) -> "CompilationResult":
-        """A result whose heavy fields are ``load()``'s, built on first read.
-
-        *load* returns the :data:`HEAVY_FIELDS` by name and runs at most once
-        successfully; ``execution.outputs`` must be *outputs*.
-        """
-        result = cls.__new__(cls)
-        result.name = name
-        result.system = system
-        result._outputs = outputs
-        result._dswp_summary = dswp_summary
-        result._load = load
-        return result
-
-    def __getattr__(self, attr: str) -> Any:
-        # Only reached for attributes the instance lacks: the heavy fields
-        # of a lazy result before their first read.
-        if "_load" not in self.__dict__ or attr not in HEAVY_FIELDS:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
-        self.__dict__.update(self._load())
-        del self._load, self._outputs, self._dswp_summary
-        return self.__dict__[attr]
-
-    def __reduce__(self) -> Tuple[Any, ...]:
-        # The flat payload, not the IR graph: pickle walks def-use lists
-        # recursively and runs out of stack on the larger extracted modules.
-        from repro.eval.artifact_codec import decode_compilation_result
-        from repro.eval.heavy_codec import encode_compilation_result
-
-        return decode_compilation_result, (encode_compilation_result(self),)
-
-    # -- convenience accessors --------------------------------------------------------
-
-    @property
-    def outputs(self) -> List[int]:
-        if "_load" in self.__dict__:
-            return self._outputs
-        return self.execution.outputs
-
-    @property
-    def return_value(self) -> Optional[int]:
-        return self.execution.return_value
+    dswp: Dict[str, float]
 
     @property
     def speedup_vs_software(self) -> float:
@@ -287,19 +236,16 @@ class CompilationResult:
         return self.system.speedup_vs_hardware
 
     def dswp_summary(self) -> Dict[str, float]:
-        if "_load" in self.__dict__:
-            return dict(self._dswp_summary)
-        return self.dswp.summary()
+        return dict(self.dswp)
 
     def summary_dict(self) -> Dict[str, object]:
         """Machine-readable counterpart of :meth:`report` (``repro run --json``)."""
         s = self.system
-        dswp = self.dswp_summary()
         return {
             "benchmark": self.name,
-            "queues": dswp["queues"],
-            "semaphores": dswp["semaphores"],
-            "hw_threads": dswp["hw_threads"],
+            "queues": self.dswp["queues"],
+            "semaphores": self.dswp["semaphores"],
+            "hw_threads": self.dswp["hw_threads"],
             "pure_sw_cycles": s.pure_software.cycles,
             "pure_hw_cycles": s.pure_hardware.cycles,
             "twill_cycles": s.twill.cycles,
@@ -310,14 +256,16 @@ class CompilationResult:
         }
 
     def report(self) -> str:
-        """Human-readable one-benchmark report."""
+        """Human-readable one-benchmark report.  The pure-software replay
+        times every trace event once, so its event count is the trace's
+        length."""
         s = self.system
         lines = [
             f"benchmark             : {self.name}",
-            f"functional outputs    : {len(self.outputs)} values, checksum 0x{self.execution.output_checksum:08x}",
-            f"dynamic instructions  : {len(self.execution.trace) if self.execution.trace else 0}",
-            f"queues / semaphores   : {self.dswp.partitioning.total_queues} / {self.dswp.partitioning.total_semaphores}",
-            f"hardware threads      : {self.dswp.partitioning.hardware_thread_count}",
+            f"functional outputs    : {len(self.outputs)} values, checksum 0x{output_checksum(self.outputs):08x}",
+            f"dynamic instructions  : {s.pure_software.timing.events}",
+            f"queues / semaphores   : {self.dswp['queues']} / {self.dswp['semaphores']}",
+            f"hardware threads      : {self.dswp['hw_threads']}",
             f"pure SW cycles        : {s.pure_software.cycles:,.0f}",
             f"pure HW cycles        : {s.pure_hardware.cycles:,.0f}",
             f"Twill cycles          : {s.twill.cycles:,.0f}",
@@ -325,7 +273,44 @@ class CompilationResult:
             f"speedup vs pure HW    : {s.speedup_vs_hardware:.2f}x",
             f"LegUp LUTs            : {s.pure_hardware.area.luts:,}",
             f"Twill HWThread LUTs   : {s.hw_thread_area.luts:,}",
-            f"Twill LUTs (+runtime) : {s.twill.area.luts - self.system.twill.area.detail.get('microblaze', 0):,}",
+            f"Twill LUTs (+runtime) : {s.twill.area.luts - s.twill.area.detail.get('microblaze', 0):,}",
             f"power (norm. to SW)   : HW {s.power_normalised()['pure_hw']:.2f}, Twill {s.power_normalised()['twill']:.2f}",
         ]
         return "\n".join(lines)
+
+
+@dataclass
+class CompilationResult:
+    """Everything one compile-and-simulate run produces: the heavy fields
+    the re-simulations read, and the ``system`` a report reads through
+    :meth:`summary`.  ``system`` is ``None`` for the result of
+    :meth:`~repro.core.compiler.TwillCompiler.build` alone, which runs no
+    replay.
+    """
+
+    name: str
+    module: Module
+    execution: ExecutionResult
+    profile: Profile
+    dswp: DSWPResult
+    legup: LegUpResult
+    system: Optional[SystemResult]
+
+    @property
+    def outputs(self) -> List[int]:
+        return self.execution.outputs
+
+    @property
+    def return_value(self) -> Optional[int]:
+        return self.execution.return_value
+
+    def summary(self) -> CompileSummary:
+        """What a report reads and the artifact cache stores of this run."""
+        assert self.system is not None
+        return CompileSummary(self.name, list(self.outputs), self.system, self.dswp.summary())
+
+    def summary_dict(self) -> Dict[str, object]:
+        return self.summary().summary_dict()
+
+    def report(self) -> str:
+        return self.summary().report()

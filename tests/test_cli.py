@@ -44,6 +44,22 @@ def test_run_text_report(tmp_path, capsys):
     assert "speedup vs pure SW" in out
 
 
+def test_warm_text_run_prints_the_cold_bytes_and_builds_nothing(tmp_path, capsys, monkeypatch):
+    """The text report's checksum, trace length and queue counts come from
+    the cached compile summary, so a warm run rebuilds nothing."""
+    from repro.core.compiler import TwillCompiler
+
+    code, cold, _ = run_cli(["run", "mpeg2"], tmp_path, capsys)
+    assert code == 0 and "dynamic instructions  : 100975" in cold
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm run built the compile")
+
+    monkeypatch.setattr(TwillCompiler, "build", refuse)
+    code, warm, _ = run_cli(["run", "mpeg2"], tmp_path, capsys)
+    assert (code, warm) == (0, cold)
+
+
 def test_run_json(tmp_path, capsys):
     code, out, _ = run_cli(["run", "blowfish", "--json"], tmp_path, capsys)
     assert code == 0

@@ -60,12 +60,13 @@ def test_outcome_dict_shape(outcomes):
 def test_replay_stream_matches_interpreter_exactly(harness):
     """Spot-check the raw invariant behind the difftest verdicts."""
     run = harness.run("sha")
-    interp = [int(v) for v in run.result.execution.outputs]
+    interp = [int(v) for v in run.result.outputs]
+    trace = harness.compile_result("sha").execution.trace
     for _, attr in CONFIGS:
         timing = getattr(run.result.system, attr).timing
         assert list(timing.replay_outputs) == interp
         assert timing.forced_events == 0
-        assert timing.events == len(run.result.execution.trace.events)
+        assert timing.events == len(trace.events)
 
 
 def test_corpus_programs_difftest_clean(harness):

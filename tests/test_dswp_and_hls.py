@@ -17,7 +17,7 @@ from repro.interp import Profile, run_module
 from repro.ir import Opcode, verify_module
 from repro.pdg import WeightModel, build_pdg
 from repro.transforms import GlobalsToArguments, default_pipeline
-from repro.workloads import all_workloads
+from repro.workloads import all_workloads, get_workload
 from tests.conftest import PIPELINE_PROGRAM
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
@@ -227,3 +227,17 @@ class TestHLS:
         defined = {f.name for f in pipeline_module.defined_functions()}
         assert set(result.schedules) == defined
         assert result.total_luts > 0
+
+
+@pytest.mark.parametrize("name", ["blowfish", "mips"])
+def test_a_split_of_an_extracting_compile_partitions_only_the_source_functions(name):
+    """Re-partitioning a module whose threads were extracted leaves the
+    ``f_dswp_<k>`` threads alone, so a split re-simulation gives the same
+    DSWP summary with extraction as without."""
+    source = get_workload(name).source
+    summaries = []
+    for extract in (False, True):
+        compiler = TwillCompiler(CompilerConfig(extract_threads=extract))
+        result = compiler.compile_and_simulate(source, name=name)
+        summaries.append(compiler.resimulate_with_split(result, 0.25).dswp.summary())
+    assert summaries[0] == summaries[1]

@@ -295,9 +295,9 @@ def test_cache_load_still_checks_functional_outputs(tmp_path):
     h1.run("blowfish")
     # Corrupt the cached artefact's outputs: the next load must refuse it.
     key = h1._compile_key("blowfish")
-    result = h1.cache.get(key)
-    result.execution.outputs[0] ^= 1
-    h1.cache.put(key, result, serializer="artifact")
+    summary = h1.cache.get(key)
+    summary.outputs[0] ^= 1
+    h1.cache.put(key, summary, serializer="artifact")
     h2 = make_harness(tmp_path)
     with pytest.raises(AssertionError, match="functional outputs"):
         h2.run("blowfish")

@@ -454,11 +454,11 @@ def test_dswp_memo_binds_to_the_compile_results_own_instructions(tmp_path, monke
     one computed on another copy of the module is recomputed for the
     caller's copy."""
     from repro.config import CompilerConfig
-    from repro.eval.artifact_codec import decode_compilation_result
-    from repro.eval.heavy_codec import encode_compilation_result
+    from repro.core.compiler import TwillCompiler
     from repro.eval.worker import sweep_input
     from repro.eval.cache import compile_key
     from repro.explore import evaluate
+    from repro.results import CompilationResult
     from repro.sim import system
     from repro.workloads import get_workload
 
@@ -503,7 +503,11 @@ def test_dswp_memo_binds_to_the_compile_results_own_instructions(tmp_path, monke
         assert_bound(evaluate._candidate_dswp(parent, result, candidate_config), result.module)
     assert calls == []
 
-    copy = decode_compilation_result(encode_compilation_result(result))
+    copy = CompilationResult(
+        name="blowfish",
+        system=None,
+        **TwillCompiler(config).build(get_workload("blowfish").source, "blowfish"),
+    )
     candidate_config = candidates[0].apply(SMALL_SPACE, config)
     rebound = evaluate._candidate_dswp(parent, copy, candidate_config)
     assert_bound(rebound, copy.module)

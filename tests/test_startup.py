@@ -3,7 +3,7 @@
 A warm ``repro report`` decodes artifact summaries and ``repro list`` prints
 the workload registry; neither runs a compiler stage, so neither may import
 one (docs/PERFORMANCE.md, "Start-up").  Nor may they compile code of their
-own modules that they never call: other commands' bodies, the heavy codec,
+own modules that they never call: other commands' bodies, the encoder,
 the pool slot, the history queries.  Each check runs the CLI in a fresh
 interpreter and reads ``sys.modules``, and the names the loaded ``repro``
 modules define, when the command returns.
@@ -44,12 +44,13 @@ STAGES = (
     "multiprocessing",
 )
 
-#: Functions a warm ``repro report --json`` never calls: the heavy codec's
-#: encode and trace decode, a pool slot's loop, two other commands' bodies
-#: and the history regression check.
+#: Functions a warm ``repro report --json`` never calls: the artifact
+#: encoder, the re-simulations' build of a compile (a warm report builds
+#: nothing), a pool slot's loop, two other commands' bodies and the history
+#: regression check.
 UNRUN_BY_WARM_REPORT = (
     "encode_compilation_result",
-    "_dec_trace",
+    "sweep_input",
     "_slot_main",
     "_cmd_explore",
     "_cmd_trace",

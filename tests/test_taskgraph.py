@@ -23,6 +23,7 @@ from repro.eval.cache import ArtifactCache
 from repro.eval.experiments import run_report
 from repro.eval.harness import EvaluationHarness
 from repro.eval.taskgraph import Task, TaskGraph, TaskScheduler, aggregate_task
+from repro.results import CompileSummary
 
 FAST = ["blowfish", "mips"]
 
@@ -486,28 +487,30 @@ def test_place_never_leaves_a_slot_idle_while_a_task_is_pending():
 
 
 def test_worker_keeps_its_compile_artifact_for_later_sweep_points(tmp_path, monkeypatch):
-    """A compile run in a pool worker leaves the artifact in that process's
-    sweep-input memo, so a sweep point at the compile's own runtime config
-    replays from the same trace and builds no new trace index."""
+    """A compile run in a pool worker leaves the full result in that
+    process's sweep-input memo and sends back only its summary, so a sweep
+    point at the compile's own runtime config replays from the same trace
+    and builds no new trace index."""
     from collections import OrderedDict
 
-    from repro.eval import taskgraph, worker
+    from repro.eval import worker
     from repro.eval.cache import compile_key
     from repro.sim import timing
     from repro.workloads import get_workload
 
-    monkeypatch.setattr(taskgraph, "_SWEEP_INPUT_MEMO", OrderedDict())
+    monkeypatch.setattr(worker, "_SWEEP_INPUT_MEMO", OrderedDict())
     config = CompilerConfig()
     key = compile_key(get_workload("blowfish").source, config)
     cache_root = str(tmp_path / "cache")
     envelope = worker._execute_in_worker(
-        worker.compute_compile, ("blowfish", config), key, cache_root, "artifact"
+        worker.compute_compile, ("blowfish", config, key), key, cache_root, "artifact"
     )
-    assert sorted(envelope) == ["in_cache", "stages", "value"]
-    assert envelope["value"] is None and envelope["in_cache"] is True
+    assert sorted(envelope) == ["stages", "value"]
+    assert type(envelope["value"]) is CompileSummary
     assert {"interp", "dswp", "replay"} <= set(envelope["stages"].seconds)
-    artifact = taskgraph._SWEEP_INPUT_MEMO[key]
+    artifact = worker._SWEEP_INPUT_MEMO[key]
     assert artifact.name == "blowfish"
+    assert artifact.summary() == envelope["value"]
 
     built = []
     init = timing._TraceIndex.__init__
@@ -539,9 +542,10 @@ def test_pool_runs_a_sweep_point_in_its_compiles_lane(tmp_path):
     sink = tmp_path / "spans.jsonl"
     obs_tracing.enable(sink, service="test")
     try:
-        TaskScheduler(graph, cache=ArtifactCache(cache_root), jobs=2).run()
+        results = TaskScheduler(graph, cache=ArtifactCache(cache_root), jobs=2).run()
     finally:
         obs_tracing.reset()
+    assert type(results["compile:blowfish"]) is CompileSummary  # the parent holds the summary only
     spans = {s["name"]: s for s in load_spans(sink)}
     compile_span = spans["task:compile:blowfish"]
     sweep_span = spans["task:sweep:latency:blowfish:8"]
@@ -582,6 +586,6 @@ def test_without_a_cache_the_pool_runs_sweep_points_in_their_compiles_lane(tmp_p
     assert compile_span["worker"].startswith("pid:")
     assert sweep_span["worker"] == compile_span["worker"]
     assert [s["kind"] for s in spans].count("stage:interp") == 1
-    assert "_load" in vars(results["compile:blowfish"])  # the parent holds the summary only
+    assert type(results["compile:blowfish"]) is CompileSummary  # the parent holds the summary only
     serial = TaskScheduler(graph, jobs=1).run()
     assert results["sweep:latency:blowfish:8"] == serial["sweep:latency:blowfish:8"]

@@ -6,8 +6,8 @@ columns.  These tests hold the columns to the event-level definitions the
 replay oracle uses, check the :class:`TraceEvent` read view, and pin that
 no report path — cold or warm — builds a single event object, and a warm
 one no replay index either.  A warm report, and the parent of a cold
-parallel one, does not even re-run the heavy fields (module, trace,
-partitioning) of a cached compile artifact.
+parallel one, does not even build the heavy fields (module, trace,
+partitioning) of a compile: it reads only compile summaries.
 """
 
 import json
@@ -18,7 +18,7 @@ import pytest
 
 from repro.config import CompilerConfig
 from repro.core.compiler import TwillCompiler
-from repro.eval import experiments, heavy_codec
+from repro.eval import experiments
 from repro.eval import harness as harness_module
 from repro.eval.harness import EvaluationHarness
 from repro.frontend import compile_c
@@ -182,7 +182,7 @@ def _counting_calls(monkeypatch, owner, name, counter, key):
 
 def _count_decodes_and_pdgs(monkeypatch):
     built = {"heavy": 0, "pdgs": 0, "keys": 0}
-    _counting_calls(monkeypatch, heavy_codec, "decode_heavy", built, "heavy")
+    _counting_calls(monkeypatch, TwillCompiler, "build", built, "heavy")
     _counting(monkeypatch, ProgramDependenceGraph, built, "pdgs")
     _counting_calls(monkeypatch, harness_module, "compile_key", built, "keys")
     return built
@@ -192,7 +192,7 @@ def test_warm_report_decodes_no_heavy_part_and_builds_no_pdg(tmp_path, monkeypat
     built = _count_decodes_and_pdgs(monkeypatch)
     cold = _report(tmp_path)
     assert built["pdgs"] > 0  # the counters see the cold DSWP runs
-    assert built["keys"] == 2  # one compile key per workload
+    assert built["heavy"] == 2 and built["keys"] == 2  # one build and key per workload
     built.update(heavy=0, pdgs=0, keys=0)
     warm = _report(tmp_path)
     assert built == {"heavy": 0, "pdgs": 0, "keys": 2}
@@ -202,7 +202,6 @@ def test_warm_report_decodes_no_heavy_part_and_builds_no_pdg(tmp_path, monkeypat
 def test_cold_parallel_report_parent_decodes_no_heavy_part(tmp_path, monkeypatch):
     built = _count_decodes_and_pdgs(monkeypatch)
     parallel = _report(tmp_path / "parallel", parallel=2)
-    # The workers compiled; the parent re-read each artifact they wrote but
-    # only ever used its summary.
+    # The workers compiled and sent back summaries; the parent built nothing.
     assert built["heavy"] == 0 and built["pdgs"] == 0
     assert parallel == _report(tmp_path / "serial")

@@ -30,14 +30,15 @@ output before reporting a single number:
   step counts must agree.
 * **trace** — per workload, the seconds to record the columnar trace (an
   interpreter run with tracing, next to one without).  Not an A/B leg:
-  its check is that two traced runs record the same columns, which the
-  compile artifact's heavy read relies on.
-* **artifact** — per workload, the seconds to encode its compile artifact,
+  its check is that two traced runs record the same columns, which a
+  re-simulation's build of a compile relies on.
+* **artifact** — per workload, the seconds to encode its compile summary,
   to decode it the way a cache hit does (magic, checksum, summary) and to
-  build the heavy fields on first access (which re-runs the flow up to
-  DSWP and LegUp on the stored source), plus the payload's bytes.  Not an
-  A/B leg: its check is that every re-run reproduces the compile's trace
-  columns and re-encodes to the payload byte for byte.
+  build the heavy fields the way a re-simulation does (one
+  ``TwillCompiler.build``: the flow up to DSWP and LegUp), plus the
+  payload's bytes.  Not an A/B leg: its check is that the payload decodes
+  to the summary and every build reproduces the compile's outputs, DSWP
+  summary and trace columns.
 * **startup** — the wall time of a fresh interpreter running
   ``import repro.cli``, ``repro list`` and a warm ``repro report --json``
   (median of :data:`STARTUP_RUNS`, pinned to one CPU), with the number of
@@ -397,38 +398,40 @@ def bench_trace(repeats: int) -> dict:
 
 
 def bench_artifact(repeats: int) -> dict:
-    """Leg (g): encode every workload's compile artifact and read it back.
+    """Leg (g): encode every workload's compile summary, read it back, and
+    build the compile's heavy fields.
 
-    ``encode`` writes the payload; ``decode`` reads the summary only;
-    ``first_access`` is the first heavy read, which re-runs the front end,
-    the traced interpreter, DSWP and LegUp on the stored source and checks
-    the result against the stored digest and summary.  Each time is the
-    best of *repeats*, each read on a fresh decode of the payload.
+    ``encode`` writes the payload; ``decode`` reads it the way a cache hit
+    does; ``build`` is one :meth:`~repro.core.compiler.TwillCompiler.build`
+    (front end, traced interpreter, DSWP and LegUp), which a sweep, split
+    or explore point runs for a compile its process does not hold.  Each
+    time is the best of *repeats*.
     """
     from repro.core.compiler import TwillCompiler
     from repro.eval.artifact_codec import decode_compilation_result
     from repro.eval.heavy_codec import encode_compilation_result
 
-    def first_access(payload):
-        result = decode_compilation_result(payload)
-        return _timed(lambda: result.module)[0], result
-
     per_workload = {}
     identical = True
     for workload in all_workloads():
-        result = TwillCompiler().compile_and_simulate(workload.source, name=workload.name)
-        best = {"encode": [], "decode": [], "first_access": []}
+        compiler = TwillCompiler()
+        result = compiler.compile_and_simulate(workload.source, name=workload.name)
+        summary = result.summary()
+        best = {"encode": [], "decode": [], "build": []}
         for _ in range(repeats):
-            seconds, payload = _timed(lambda: encode_compilation_result(result))
+            seconds, payload = _timed(lambda: encode_compilation_result(summary))
             best["encode"].append(seconds)
-            best["decode"].append(_timed(lambda: decode_compilation_result(payload))[0])
-            seconds, decoded = first_access(payload)
-            best["first_access"].append(seconds)
-        recorded, rerun = result.execution.trace, decoded.execution.trace
+            seconds, decoded = _timed(lambda: decode_compilation_result(payload))
+            best["decode"].append(seconds)
+            seconds, fields = _timed(lambda: compiler.build(workload.source, workload.name))
+            best["build"].append(seconds)
+        recorded, rebuilt = result.execution.trace, fields["execution"].trace
         identical = (
             identical
-            and encode_compilation_result(decoded) == payload
-            and all(getattr(rerun, c) == getattr(recorded, c) for c in TRACE_COLUMNS)
+            and decoded == summary
+            and fields["execution"].outputs == summary.outputs
+            and fields["dswp"].summary() == summary.dswp
+            and all(getattr(rebuilt, c) == getattr(recorded, c) for c in TRACE_COLUMNS)
         )
         per_workload[workload.name] = {
             "bytes": len(payload),
@@ -436,7 +439,7 @@ def bench_artifact(repeats: int) -> dict:
         }
     totals = {
         key: round(sum(w[key] for w in per_workload.values()), 4)
-        for key in ("encode_seconds", "decode_seconds", "first_access_seconds", "bytes")
+        for key in ("encode_seconds", "decode_seconds", "build_seconds", "bytes")
     }
     return {**totals, "identical": identical, "workloads": per_workload, "repeats": repeats}
 
@@ -581,7 +584,7 @@ def main(argv: list[str] | None = None) -> int:
             },
             **{
                 f"artifact_{step}_seconds": record["artifact"][f"{step}_seconds"]
-                for step in ("encode", "decode", "first_access")
+                for step in ("encode", "decode", "build")
             },
             **{
                 f"startup_{command}_seconds": record["startup"][command]["seconds"]
@@ -595,7 +598,7 @@ def main(argv: list[str] | None = None) -> int:
     if not record["trace"]["identical"]:
         failures.append("trace: two traced runs of a workload recorded different columns")
     if not record["artifact"]["identical"]:
-        failures.append("artifact: a re-run differs from the compile or its payload")
+        failures.append("artifact: a build or a decode differs from the compile's summary")
     if not record["startup"]["identical"]:
         failures.append("startup: the warm report's stdout differs from the cold report's")
     for leg in LEGS:
@@ -614,8 +617,8 @@ def main(argv: list[str] | None = None) -> int:
         + ", ".join(f"{leg} {record[leg]['speedup']}x" for leg in LEGS)
         + f", trace untraced/record {record['trace']['untraced_seconds']}/"
         f"{record['trace']['record_seconds']} s"
-        + f", artifact encode/decode/first access {record['artifact']['encode_seconds']}/"
-        f"{record['artifact']['decode_seconds']}/{record['artifact']['first_access_seconds']} s"
+        + f", artifact encode/decode/build {record['artifact']['encode_seconds']}/"
+        f"{record['artifact']['decode_seconds']}/{record['artifact']['build_seconds']} s"
         + ", startup import/list/warm report "
         + "/".join(str(record["startup"][c]["seconds"]) for c in ("import", "list", "warm_report"))
         + " s"
