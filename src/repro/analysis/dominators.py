@@ -91,9 +91,6 @@ class DominatorTree:
     def contains(self, block: BasicBlock) -> bool:
         return block in self.idom or block is self.root
 
-    def immediate_dominator(self, block: BasicBlock) -> Optional[BasicBlock]:
-        return self.idom.get(block)
-
     def dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         """True when ``a`` dominates ``b`` (every block dominates itself)."""
         if a is b:

@@ -15,7 +15,6 @@ from repro.analysis.cfg import predecessors_map, reachable_blocks
 from repro.analysis.dominators import DominatorTree
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
-from repro.ir.instructions import Instruction
 
 
 class Loop:
@@ -33,9 +32,6 @@ class Loop:
 
     def contains(self, block: BasicBlock) -> bool:
         return block in self._block_set
-
-    def contains_instruction(self, inst: Instruction) -> bool:
-        return inst.parent is not None and self.contains(inst.parent)
 
     def add_block(self, block: BasicBlock) -> None:
         if not self.contains(block):

@@ -129,10 +129,9 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         if task.kind == "compile":
             deps = f"src={get_workload(task.workload).source_digest()[:12]}"
         print(f"{task.kind:10s} {key:12s} {task.task_id}  <- {deps}")
-    sweep_points = counts.get("runtime", 0) + counts.get("split", 0)
     print(
-        f"\n{len(order)} tasks ({counts.get('compile', 0)} compile, {sweep_points} sweep points, "
-        f"{counts.get('explore', 0)} explore points, "
+        f"\n{len(order)} tasks ({counts.get('compile', 0)} compile, "
+        f"{counts.get('runtime', 0)} runtime points, {counts.get('explore', 0)} design points, "
         f"{counts.get('aggregate', 0)} aggregates), {graph.edge_count()} dependency edges"
     )
     return 0

@@ -20,7 +20,7 @@ from typing import Any, Dict, Optional, Sequence
 
 from repro import perf
 from repro.analysis.callgraph import CallGraph
-from repro.config import CompilerConfig, RuntimeConfig
+from repro.config import CompilerConfig
 from repro.dswp.pipeline import run_dswp
 from repro.frontend.lowering import compile_c
 from repro.hls.legup import LegUpFlow
@@ -31,8 +31,6 @@ from repro.ir.module import Module
 from repro.ir.verifier import verify_module
 from repro.results import CompilationResult
 from repro.sim.system import HybridSystem
-from repro.sim.system import resimulate_with_split as sim_resimulate_with_split
-from repro.sim.timing import TimingResult, simulate_partitioned
 from repro.transforms.globals_to_args import GlobalsToArguments
 from repro.transforms.pass_manager import default_pipeline
 
@@ -136,48 +134,3 @@ class TwillCompiler:
         if self.config.partition.use_profile_weights:
             return Profile.from_trace(module, trace)
         return Profile.static_estimate(module)
-
-    # -- parameter sweeps used by the evaluation ---------------------------------------------------
-
-    def simulate_with_runtime(
-        self, result: CompilationResult, runtime: RuntimeConfig
-    ) -> TimingResult:
-        """Re-run only the Twill timing simulation with a different runtime config
-        (used for the queue latency / queue size sweeps of Figures 6.5 and 6.6).
-
-        Delegates to the pure :func:`repro.sim.timing.simulate_partitioned`,
-        the same function the task-graph sweep workers execute.
-        """
-        assert result.execution.trace is not None
-        return simulate_partitioned(
-            result.module, result.execution.trace, result.dswp.partitioning, runtime, self.config.hls
-        )
-
-    def resimulate_with_split(
-        self, result: CompilationResult, sw_fraction: float
-    ) -> CompilationResult:
-        """Re-partition with a different targeted SW/HW split and re-simulate
-        (used for the partition-split sweeps of Figures 6.3 and 6.4).
-
-        Delegates to the pure :func:`repro.sim.system.resimulate_with_split`,
-        the same function the task-graph sweep workers execute.
-        """
-        assert result.execution.trace is not None
-        dswp, system = sim_resimulate_with_split(
-            result.name,
-            result.module,
-            result.execution.trace,
-            result.profile,
-            result.legup,
-            self.config,
-            sw_fraction,
-        )
-        return CompilationResult(
-            name=result.name,
-            module=result.module,
-            execution=result.execution,
-            profile=result.profile,
-            dswp=dswp,
-            legup=result.legup,
-            system=system,
-        )

@@ -85,6 +85,3 @@ class SoftwareCostModel:
         if opcode is Opcode.BITCAST:
             return base
         return base + self.expansion_overhead
-
-    def cycles_to_seconds(self, cycles: float) -> float:
-        return cycles / (self.clock_mhz * 1e6)

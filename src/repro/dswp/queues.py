@@ -90,8 +90,10 @@ def find_cross_partition_deps(
                 continue
             value, consumer = condition, edge.head
         else:
-            # Memory and fake edges do not move register values; the memory
-            # ordering is enforced by the single memory-owner rule.
+            # Memory and fake edges move no register value.  The timing
+            # replay orders a load after its store through the trace's
+            # ``mem_dep`` column; the extracted threads do not synchronise
+            # memory at all (ROADMAP item 1, defect B).
             continue
         key = (id(value), id(consumer), dst)
         if key in seen:

@@ -17,8 +17,8 @@ Full control replication is a simplification relative to the thesis (which
 prunes blocks a partition does not need and then patches branch targets to
 post-dominators); it trades some redundant branch work for a guarantee that
 produce/consume counts match on every control path, which makes the
-loop-matching cases of Figure 5.3 fall out automatically.  The trade-off is
-documented in DESIGN.md.
+loop-matching cases of Figure 5.3 fall out automatically.  Its cost, more
+queues built than Table 6.1 counts, is ROADMAP item 4.
 """
 
 from __future__ import annotations

@@ -79,10 +79,6 @@ class SchedulingError(ReproError):
     """Raised when the HLS scheduler cannot schedule a function."""
 
 
-class SimulationError(ReproError):
-    """Raised when the timing simulator reaches an inconsistent state."""
-
-
 class ConfigError(ReproError):
     """Raised for invalid configuration values."""
 

@@ -2,8 +2,9 @@
 
 Everything the artifact cache stores is either plain JSON or this codec's
 output, so loading an entry never executes stored code: decoding walks
-JSON.  Entries are inspectable with ``python -m json.tool`` and survive
-Python version bumps.
+JSON.  Entries survive Python version bumps, and every one starts its
+payload with the ``crc32`` line of :func:`seal`, which :func:`unseal`
+checks on every read.
 
 A cached compile is its :class:`~repro.results.CompileSummary`.  Its
 payload (``repro-artifact-v7``) is three lines, in order:
@@ -129,16 +130,29 @@ def _dec_system(data: Dict):
 #: The DSWP summary's keys (:meth:`repro.dswp.pipeline.DSWPResult.summary`).
 _DSWP_SUMMARY_KEYS = ("hw_threads", "queues", "semaphores", "sw_fraction", "sw_threads")
 
+
+def seal(body: bytes) -> bytes:
+    """*body* behind a line holding its ``crc32`` as 8 lowercase hex digits:
+    how every cache entry stores its payload."""
+    return b"%08x\n" % zlib.crc32(body) + body
+
+
+def unseal(data: bytes) -> bytes:
+    """The body of a payload framed by :func:`seal`; raises
+    :class:`ArtifactCodecError` if the checksum does not match it."""
+    body = data[9:]
+    if data[:9] != b"%08x\n" % zlib.crc32(body):
+        raise ArtifactCodecError("entry checksum mismatch")
+    return body
+
+
 def decode_compilation_result(data: bytes) -> CompileSummary:
     """Decode a v7 payload into its :class:`CompileSummary`; raises
     :class:`ArtifactCodecError` if the magic, the checksum or the summary
     is bad."""
     if not data.startswith(ARTIFACT_MAGIC):
         raise ArtifactCodecError("not a repro artifact (bad magic)")
-    start = len(ARTIFACT_MAGIC) + 9
-    body = data[start:]
-    if data[start - 9:start] != b"%08x\n" % zlib.crc32(body):
-        raise ArtifactCodecError("artifact checksum mismatch")
+    body = unseal(data[len(ARTIFACT_MAGIC):])
     try:
         summary = json.loads(body)
         name, outputs, dswp = summary["name"], summary["outputs"], summary["dswp"]

@@ -15,8 +15,10 @@ near-instantly once its inputs have been computed once:
   :class:`repro.config.CompilerConfig` contents;
 * **derived artifacts** — small structured-JSON documents produced by
   re-simulating an existing compile artifact under different parameters
-  (queue latency, queue depth, partition split, an explore candidate),
-  keyed by the parent compile key plus the sweep kind and its parameters.
+  (a runtime config for queue latency or depth, or a whole design-point
+  config for a partition split or an explore candidate), keyed by the
+  parent compile key plus the kind and its parameters, and stored behind
+  the same ``crc32`` line as a compile artifact.
 
 No entry executes code on load: both formats are decoded by walking JSON,
 so a cache directory never has to be trusted to hold safe bytes.
@@ -62,7 +64,7 @@ from repro.obs import tracing as obs_tracing
 # Bump whenever the stored artifact layout changes incompatibly (e.g. a field
 # is added to CompileSummary): old entries then miss instead of loading
 # into a stale shape.
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -132,8 +134,9 @@ def derived_key(parent_key: str, kind: str, params: Dict[str, Any]) -> str:
     """Content address of a derived (re-simulated) artifact.
 
     *parent_key* is the compile key of the artifact being re-simulated, *kind*
-    names the sweep (``"runtime"`` or ``"split"``) and *params* are its
-    JSON-serialisable parameters.
+    names the re-simulation (``"runtime"``: a runtime config; ``"explore"``:
+    a whole design-point config) and *params* are its JSON-serialisable
+    parameters.
     """
     canonical = json.dumps(params, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256()
@@ -454,7 +457,9 @@ class ArtifactCache:
             from repro.eval.heavy_codec import encode_compilation_result
 
             return encode_compilation_result(value)
-        return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        from repro.eval.artifact_codec import seal
+
+        return seal(json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8"))
 
     @staticmethod
     def _decode(data: bytes, serializer: str) -> Any:
@@ -462,7 +467,9 @@ class ArtifactCache:
             from repro.eval.artifact_codec import decode_compilation_result
 
             return decode_compilation_result(data)
-        return json.loads(data.decode("utf-8"))
+        from repro.eval.artifact_codec import unseal
+
+        return json.loads(unseal(data))
 
     # -- store ---------------------------------------------------------------------
 

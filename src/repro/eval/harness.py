@@ -27,7 +27,7 @@ exactly the same rows (and table bytes) as the serial path.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.config import CompilerConfig, RuntimeConfig
@@ -167,13 +167,26 @@ class EvaluationHarness:
             )
         )
 
-    def declare_split_point(self, graph: TaskGraph, name: str, sw_fraction: float) -> str:
-        """Add one partition-split sweep-point node (and its compile dep)."""
+    def _declare_design_point(
+        self, graph: TaskGraph, name: str, point_config: CompilerConfig, task_id: str
+    ) -> str:
+        """Add one design-point node (and its compile dep): *name*
+        re-partitioned and re-simulated under *point_config*."""
         self.declare_compile(graph, name)
         return graph.add(
-            taskgraph.split_task(
-                name, self.config, self._cache_root, sw_fraction, self._compile_key(name)
+            taskgraph.explore_task(
+                task_id, name, self.config, self._cache_root, point_config,
+                self._compile_key(name),
             )
+        )
+
+    def declare_split_point(self, graph: TaskGraph, name: str, sw_fraction: float) -> str:
+        """Add one partition-split sweep point: the design point of this
+        harness's config with ``partition.sw_fraction`` = *sw_fraction*."""
+        partition = replace(self.config.partition, sw_fraction=sw_fraction)
+        return self._declare_design_point(
+            graph, name, replace(self.config, partition=partition),
+            f"sweep:split:{name}:{sw_fraction}",
         )
 
     def declare_explore_point(self, graph: TaskGraph, name: str, space, candidate) -> str:
@@ -181,11 +194,9 @@ class EvaluationHarness:
 
         *space* / *candidate* come from :mod:`repro.explore.space`.
         """
-        self.declare_compile(graph, name)
-        return graph.add(
-            taskgraph.explore_task(
-                name, self.config, self._cache_root, space, candidate, self._compile_key(name)
-            )
+        return self._declare_design_point(
+            graph, name, candidate.apply(space, self.config),
+            taskgraph.explore_task_id(name, candidate),
         )
 
     def declare_ingest(
@@ -327,8 +338,9 @@ class EvaluationHarness:
     def twill_cycles_with_split(self, name: str, sw_fraction: float) -> Dict[str, float]:
         """Re-partition with a different targeted SW share and report cycles + queues.
 
-        Declares and executes the ``split`` node, like
+        Declares and executes the split point's design node, like
         :meth:`twill_cycles_with_runtime`."""
         graph = TaskGraph()
         task_id = self.declare_split_point(graph, name, sw_fraction)
-        return self.execute(graph)[task_id]
+        point = self.execute(graph)[task_id]
+        return {key: point[key] for key in ("cycles", "queues", "speedup_vs_sw")}

@@ -8,10 +8,9 @@ does, so this module loads on the first encode: in a run that compiles.
 from __future__ import annotations
 
 import json
-import zlib
 from typing import Dict
 
-from repro.eval.artifact_codec import ARTIFACT_MAGIC
+from repro.eval.artifact_codec import ARTIFACT_MAGIC, seal
 
 
 # ---------------------------------------------------------------------------
@@ -98,4 +97,4 @@ def encode_compilation_result(summary) -> bytes:
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    return ARTIFACT_MAGIC + b"%08x\n" % zlib.crc32(body) + body
+    return ARTIFACT_MAGIC + seal(body)

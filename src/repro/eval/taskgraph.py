@@ -5,13 +5,15 @@ Every thesis artefact is a small DAG over four node kinds:
 * **compile** — the full pipeline for one workload (front end → passes →
   functional trace → DSWP → HLS → three timing replays), whose value is
   the run's :class:`repro.results.CompileSummary`;
-* **sweep points** (``runtime`` / ``split``) — cheap re-simulations of an
-  existing compile artifact under one swept parameter (queue latency, queue
-  depth, targeted partition split), one node per (workload, sweep-point);
-* **explore points** (``explore``) — design-space-exploration candidate
-  evaluations (:mod:`repro.explore`): a full configuration candidate
-  re-partitioned and re-simulated from the baseline compile artifact,
-  keyed by the candidate's canonical parameters;
+* **runtime points** (``runtime``) — cheap re-simulations of an existing
+  compile artifact under one swept runtime (queue latency, queue depth),
+  one node per (workload, sweep-point);
+* **design points** (``explore``) — one configuration re-partitioned and
+  re-simulated from the baseline compile artifact, keyed by the
+  :class:`~repro.config.CompilerConfig` it simulates: a
+  design-space-exploration candidate (:mod:`repro.explore`) or a
+  Figure 6.3/6.4 split point, which is the harness config with another
+  ``partition.sw_fraction``;
 * **render** — one figure's SVG markup (``repro.viz``), keyed by the content
   addresses of the artefacts it draws, so warm reports re-render nothing and
   cold figures fan out like any other derived artefact;
@@ -61,14 +63,13 @@ if TYPE_CHECKING:  # multiprocessing loads only when a pool slot forks
 #: to route results back into its in-memory memo layers.
 KIND_COMPILE = "compile"
 KIND_RUNTIME = "runtime"
-KIND_SPLIT = "split"
 KIND_EXPLORE = "explore"
 KIND_INGEST = "ingest"
 KIND_RENDER = "render"
 KIND_AGGREGATE = "aggregate"
 
 #: Kinds whose payload is picklable and may run in a worker process.
-WORKER_KINDS = (KIND_COMPILE, KIND_RUNTIME, KIND_SPLIT, KIND_EXPLORE, KIND_INGEST, KIND_RENDER)
+WORKER_KINDS = (KIND_COMPILE, KIND_RUNTIME, KIND_EXPLORE, KIND_INGEST, KIND_RENDER)
 
 #: The modules pool workers run: the slot loop and payloads, the compiler
 #: stages, the artifact encoder and the profiler hook of
@@ -92,7 +93,7 @@ RENDER_MODULES = ("repro.eval.renders", "repro.viz.figures")
 
 #: Kinds whose value is a derived (JSON) artifact of a compile node — the
 #: harness memoises them in its in-memory derived layer after a run.
-DERIVED_KINDS = (KIND_RUNTIME, KIND_SPLIT, KIND_EXPLORE, KIND_INGEST, KIND_RENDER)
+DERIVED_KINDS = (KIND_RUNTIME, KIND_EXPLORE, KIND_INGEST, KIND_RENDER)
 
 
 @dataclass(frozen=True)
@@ -279,54 +280,34 @@ def runtime_task(
     )
 
 
-def split_task(
-    name: str,
-    config: CompilerConfig,
-    cache_root: Optional[str],
-    sw_fraction: float,
-    parent: str,
-) -> Task:
-    """One partition-split sweep-point node depending on its compile node
-    (whose key is *parent*)."""
-    return Task(
-        task_id=f"sweep:split:{name}:{sw_fraction}",
-        kind=KIND_SPLIT,
-        fn="repro.eval.worker:compute_split_point",
-        args=(name, config, cache_root, sw_fraction, parent),
-        deps=(f"compile:{name}",),
-        key=derived_key(parent, "split", {"sw_fraction": sw_fraction}),
-        serializer="json",
-        workload=name,
-    )
-
-
 def explore_task_id(name: str, candidate: Any) -> str:
     """The deterministic task id of one (workload, candidate) node."""
     return f"explore:{name}:{candidate.short_id()}"
 
 
 def explore_task(
+    task_id: str,
     name: str,
     config: CompilerConfig,
     cache_root: Optional[str],
-    space: Any,
-    candidate: Any,
+    point_config: CompilerConfig,
     parent: str,
 ) -> Task:
-    """One design-space-exploration candidate node depending on its
-    workload's compile node (whose key is *parent*).
+    """One design-point node: *name*'s compile (config *config*, key
+    *parent*) re-partitioned and re-simulated under *point_config*.
 
-    *space* and *candidate* are a :class:`repro.explore.space.SearchSpace`
-    and one of its candidates; the payload is
+    The key hashes *point_config* whole, so two declarations of one
+    configuration (a split point and the exploration candidate it equals)
+    are twins that compute once.  The payload is
     :func:`repro.explore.evaluate.compute_explore_point`.
     """
     return Task(
-        task_id=explore_task_id(name, candidate),
+        task_id=task_id,
         kind=KIND_EXPLORE,
         fn="repro.explore.evaluate:compute_explore_point",
-        args=(name, config, cache_root, candidate.params(), space.to_dict()),
+        args=(name, config, cache_root, point_config, parent),
         deps=(f"compile:{name}",),
-        key=derived_key(parent, "explore", candidate.params()),
+        key=derived_key(parent, "explore", point_config.to_dict()),
         serializer="json",
         workload=name,
     )
@@ -723,7 +704,8 @@ class TaskScheduler:
         pending: List[Task] = []
         in_flight: Dict[str, Task] = {}
         # Distinct task ids can share one content key (e.g. the latency-2 and
-        # depth-8 sweep points are both the default runtime config).  With a
+        # depth-8 sweep points are both the default runtime config, and a
+        # split point is the exploration candidate of its config).  With a
         # cache, only one such task is pending or in flight; the twins park
         # here and complete as cache hits off the owner's value — exactly how
         # an inline run resolves them, so the run statistics stay

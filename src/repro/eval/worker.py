@@ -45,8 +45,8 @@ def _compiler(config: CompilerConfig) -> Any:
     return TwillCompiler(config)
 
 
-# Per-process memo of the full compile results the sweep, split and explore
-# points re-simulate, so a process that runs many points of one workload
+# Per-process memo of the full compile results the runtime and design points
+# re-simulate, so a process that runs many points of one workload
 # builds (or compiled) it once, and its points replay on one ``Trace`` with
 # its replay index, setups and schedules.  Keyed by content address, so a
 # stale value is impossible by construction; bounded so long test sessions
@@ -125,33 +125,6 @@ def compute_runtime_point(
         result.module, result.execution.trace, result.dswp.partitioning, runtime, config.hls
     )
     return timing.total_cycles
-
-
-def compute_split_point(
-    name: str,
-    config: CompilerConfig,
-    cache_root: Optional[str],
-    sw_fraction: float,
-    compile_key: str,
-) -> Dict[str, float]:
-    """One Figure 6.3/6.4 sweep point: re-partition at *sw_fraction*."""
-    from repro.sim.system import resimulate_with_split
-
-    result = sweep_input(name, config, cache_root, compile_key)
-    dswp, system = resimulate_with_split(
-        result.name,
-        result.module,
-        result.execution.trace,
-        result.profile,
-        result.legup,
-        config,
-        sw_fraction,
-    )
-    return {
-        "cycles": system.twill.cycles,
-        "queues": float(dswp.partitioning.total_queues),
-        "speedup_vs_sw": system.speedup_vs_software,
-    }
 
 
 def _execute_in_worker(

@@ -13,8 +13,8 @@ The pieces (one module each):
   :class:`Candidate` is hashable and maps onto an existing cache content
   key, so search never re-evaluates a configuration any run has seen;
 * :mod:`repro.explore.evaluate` — the pure ``explore`` task payload
-  (re-partition + re-simulate one candidate from the workload's compile
-  artifact); its node constructor is
+  (re-partition + re-simulate one design point, a candidate or a split
+  point, from the workload's compile artifact); its node constructor is
   :func:`repro.eval.taskgraph.explore_task`;
 * :mod:`repro.explore.frontier` — exact multi-objective Pareto sets over
   the evaluated candidates, with deterministic tie-breaking;

@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.eval.harness import EvaluationHarness
-from repro.eval.taskgraph import TaskGraph, explore_task, explore_task_id
+from repro.eval.taskgraph import TaskGraph, explore_task_id
 from repro.explore.frontier import OBJECTIVES, Frontier, scalar_cost
 from repro.explore.space import Candidate, SearchSpace, default_space
 from repro.explore.strategies import make_strategy
@@ -88,7 +88,11 @@ class ExplorationResult:
             "space": self.space.to_dict(),
             "objectives": [o.name for o in OBJECTIVES],
             "evaluations": [
-                {"params": c.params(), "result": r} for c, r in self.evaluations
+                {
+                    "params": c.params(),
+                    "result": {"workload": self.workload, "params": c.params(), **r},
+                }
+                for c, r in self.evaluations
             ],
             "generations": self.generations,
             "frontier": self.frontier.to_rows(),
@@ -134,18 +138,8 @@ class ExplorationDriver:
     def _evaluate(self, candidates: List[Candidate]) -> Dict[Candidate, Dict[str, Any]]:
         """Evaluate fresh candidates as one task-graph generation."""
         graph = TaskGraph()
-        self.harness.declare_compile(graph, self.workload)
         for candidate in candidates:
-            graph.add(
-                explore_task(
-                    self.workload,
-                    self.harness.config,
-                    self.harness._cache_root,
-                    self.space,
-                    candidate,
-                    self.harness._compile_key(self.workload),
-                )
-            )
+            self.harness.declare_explore_point(graph, self.workload, self.space, candidate)
         results = self.harness.execute(graph, parallel=self.jobs)
         stats = self.harness.last_stats
         self.stats["executed"] += stats.get("executed", {}).get("explore", 0)

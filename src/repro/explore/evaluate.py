@@ -1,23 +1,23 @@
-"""The ``explore`` task payload: evaluate one candidate from a compile artifact.
+"""The design-point task payload: one configuration re-simulated from a compile.
 
 The node that runs it, with its id and content key, is declared by
 :func:`repro.eval.taskgraph.explore_task`, which names this payload by
-reference, so a graph whose explore nodes all hit the cache never loads
+reference, so a graph whose design points all hit the cache never loads
 this module.
 
-Evaluating a candidate does **not** recompile the workload: every knob the
-search space exposes (partitioning, queue geometry, HLS scheduling) acts
-after the front end, so a candidate is a *derived* artifact of the
-workload's baseline compile — re-run DSWP under the candidate's partition
-config, re-schedule/re-roll-up area, and re-simulate timing and power,
-exactly the generalisation of the Figure 6.3/6.4 split re-simulation.
+Evaluating a point does **not** recompile the workload: every knob it may
+vary (partitioning, queue geometry, HLS scheduling) acts after the front
+end, so a point is a *derived* artifact of the workload's baseline compile
+— re-run DSWP under the point's partition config, re-schedule/re-roll-up
+area, and re-simulate timing and power.  An exploration candidate is one
+such point, and so is a Figure 6.3/6.4 split point.
 
-That makes exploration cheap and perfectly cacheable: the content key is
+That makes points cheap and perfectly cacheable: the content key is
 :func:`repro.eval.cache.derived_key` over the baseline compile key (which
 already folds in the workload source, the full baseline configuration and
-the code digest) plus the candidate's canonical parameters — so a second
-search, a resumed search, or a report that happens to touch the same
-candidate hits the cache instead of re-evaluating.
+the code digest) plus the point's whole configuration — so a second
+search, a resumed search, or a report that reaches one configuration
+twice hits the cache instead of re-evaluating.
 """
 
 from __future__ import annotations
@@ -28,27 +28,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro import perf
 from repro.config import CompilerConfig
-from repro.eval.cache import compile_key
 from repro.eval.worker import sweep_input
-from repro.explore.space import Dimension, SearchSpace
-from repro.workloads import get_workload
-
-
-def apply_params(
-    space: SearchSpace, config: CompilerConfig, params: Dict[str, Any]
-) -> CompilerConfig:
-    """Validate *params* against *space* and apply them to *config*."""
-    return space.candidate(dict(params)).apply(space, config)
-
-
-def space_from_dict(space_dict: Dict[str, Any]) -> SearchSpace:
-    """Inverse of :meth:`SearchSpace.to_dict` (the wire form)."""
-    return SearchSpace(
-        dimensions=tuple(
-            Dimension(d["name"], d["section"], d["field"], tuple(d["values"]))
-            for d in space_dict["dimensions"]
-        )
-    )
 
 
 # Per-process memo of candidate partitions, keyed by the baseline compile
@@ -93,42 +73,36 @@ def compute_explore_point(
     name: str,
     config: CompilerConfig,
     cache_root: Optional[str],
-    params: Dict[str, Any],
-    space_dict: Dict[str, Any],
+    point_config: CompilerConfig,
+    compile_key: str,
 ) -> Dict[str, Any]:
-    """Evaluate one candidate: re-partition + re-simulate, return objectives.
+    """Evaluate one design point: re-partition + re-simulate, return objectives.
 
-    Pure and picklable (pool workers): *params* is the candidate's plain
-    parameter dict and *space_dict* the space's ``to_dict()`` form, rebuilt
-    here so validation travels with the task.  The result is a small structured-JSON document carrying the
-    objective values, the echo of the parameters (so aggregators never
-    have to reverse-engineer task ids) and the headline
-    speedup for the report figures.
+    *name*'s compile under *config* (key *compile_key*) is re-partitioned
+    and re-simulated under *point_config*, which the caller built and
+    validated.  The result holds the objective values, the queue count and
+    the headline speedup; it is a function of the node's key alone, so it
+    echoes nothing of the request.
 
     Evaluation is incremental: the re-partition stage is shared through a
-    per-process memo across every candidate whose partition parameters
-    match, so a search that varies only runtime/queue/HLS dimensions pays
-    for DSWP once per distinct partition per process, not once per
-    candidate.
+    per-process memo across every point whose partition parameters match,
+    so a search that varies only runtime/queue/HLS dimensions pays for DSWP
+    once per distinct partition per process, not once per point.
     """
     from repro.sim.system import evaluate_with_partition
 
     with perf.stage("explore"):
-        parent = compile_key(get_workload(name).source, config)
-        result = sweep_input(name, config, cache_root, parent)
-        candidate_config = apply_params(space_from_dict(space_dict), config, params)
-        dswp = _candidate_dswp(parent, result, candidate_config)
+        result = sweep_input(name, config, cache_root, compile_key)
+        dswp = _candidate_dswp(compile_key, result, point_config)
         system = evaluate_with_partition(
             result.name,
             result.module,
             result.execution.trace,
             dswp,
             result.legup,
-            candidate_config,
+            point_config,
         )
         return {
-            "workload": name,
-            "params": dict(sorted(params.items())),
             "cycles": system.twill.cycles,
             "area_luts": system.twill.area.luts,
             "power_mw": system.twill.power.total_mw,

@@ -65,9 +65,6 @@ class SimulatedMemory:
         self._stack_top = _align(self._stack_top + size)
         return address
 
-    def global_region_size(self) -> int:
-        return self._global_top - GLOBAL_BASE
-
     # -- raw byte access ------------------------------------------------------------
 
     def store_int(self, address: int, value: int, size: int) -> None:

@@ -37,10 +37,6 @@ class BasicBlock:
         self.instructions.insert(index, inst)
         return inst
 
-    def insert_before(self, existing: Instruction, inst: Instruction) -> Instruction:
-        idx = self.instructions.index(existing)
-        return self.insert(idx, inst)
-
     def remove_instruction(self, inst: Instruction) -> None:
         self.instructions.remove(inst)
         inst.parent = None
@@ -99,9 +95,6 @@ class BasicBlock:
             if self in block.successors():
                 preds.append(block)
         return preds
-
-    def is_entry(self) -> bool:
-        return self.parent is not None and self.parent.entry_block is self
 
     # -- edits ------------------------------------------------------------------
 

@@ -84,12 +84,6 @@ class Function(Value):
         self.blocks.remove(block)
         block.parent = None
 
-    def get_block(self, name: str) -> BasicBlock:
-        for block in self.blocks:
-            if block.name == name:
-                return block
-        raise IRError(f"function {self.name} has no block named {name}")
-
     def unique_block_name(self, hint: str = "bb") -> str:
         existing = {b.name for b in self.blocks}
         if hint not in existing:

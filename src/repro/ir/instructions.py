@@ -209,9 +209,6 @@ class Instruction(Value):
             Opcode.CONSUME,
         )
 
-    def may_read_memory(self) -> bool:
-        return self.opcode in (Opcode.LOAD, Opcode.CALL, Opcode.CONSUME)
-
     def function(self) -> Optional["Function"]:
         return self.parent.parent if self.parent is not None else None
 

@@ -90,10 +90,6 @@ def _writes_memory(inst: Instruction) -> bool:
     return isinstance(inst, (Store, Call, Produce))
 
 
-def _reads_memory(inst: Instruction) -> bool:
-    return isinstance(inst, (Load, Call, Consume))
-
-
 def _pointer_of(inst: Instruction):
     if isinstance(inst, Load):
         return inst.pointer

@@ -81,6 +81,3 @@ class WeightModel:
 
     def function_sw_cycles(self, fn: Function) -> float:
         return sum(self.weights(i).sw_weight for i in fn.instructions())
-
-    def function_hw_cycles(self, fn: Function) -> float:
-        return sum(self.weights(i).hw_cycles * self.weights(i).dynamic_count for i in fn.instructions())

@@ -66,29 +66,6 @@ def evaluate_with_partition(
         return HybridSystem(config).evaluate(benchmark, module, trace, dswp, legup)
 
 
-def resimulate_with_split(
-    benchmark: str,
-    module: Module,
-    trace: Trace,
-    profile,
-    legup: LegUpResult,
-    config: CompilerConfig,
-    sw_fraction: float,
-) -> "tuple[DSWPResult, SystemResult]":
-    """Pure split-point re-simulation: re-partition and re-evaluate one module.
-
-    Module-level and picklable so taskgraph workers can run one Figure
-    6.3/6.4 sweep point per process-pool task from the pieces of a compile
-    artifact; :meth:`repro.core.compiler.TwillCompiler.resimulate_with_split`
-    delegates here so the two entry points can never diverge.  Composes the
-    :func:`repartition` and :func:`evaluate_with_partition` stages that the
-    explore engine caches independently.
-    """
-    dswp = repartition(module, profile, config, sw_fraction)
-    system = evaluate_with_partition(benchmark, module, trace, dswp, legup, config)
-    return dswp, system
-
-
 class HybridSystem:
     """Evaluates one compiled module under the three standard configurations."""
 

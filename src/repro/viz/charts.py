@@ -59,7 +59,6 @@ class Span:
 TIMELINE_KIND_SLOTS: Dict[str, int] = {
     "compile": 0,
     "runtime": 1,
-    "split": 2,
     "explore": 3,
     "aggregate": 4,
     "render": 6,

@@ -2,8 +2,8 @@
 
 ``repro.eval.heavy_codec`` serialises a compile's :class:`CompileSummary`
 into one checksummed canonical JSON line behind a magic header, instead of
-a pickle — loading it executes no code.  No heavy field is stored: a sweep,
-split or explore point builds the module, trace, profile, DSWP result and
+a pickle — loading it executes no code.  No heavy field is stored: a
+runtime or design point builds the module, trace, profile, DSWP result and
 LegUp result itself (:func:`repro.eval.worker.sweep_input`), and checks the
 build's outputs and DSWP summary against the cached summary.
 The contract is stronger than "fields survive": the build must drive every
@@ -23,7 +23,7 @@ from collections import OrderedDict
 
 import pytest
 
-from repro.config import CompilerConfig
+from repro.config import CompilerConfig, PartitionConfig
 from repro.core.compiler import TwillCompiler
 from repro.errors import ReproError
 from repro.eval import worker
@@ -31,10 +31,12 @@ from repro.eval.artifact_codec import ARTIFACT_MAGIC, ArtifactCodecError, decode
 from repro.eval.cache import ArtifactCache, compile_key
 from repro.eval.harness import EvaluationHarness
 from repro.eval.heavy_codec import encode_compilation_result
+from repro.explore.evaluate import compute_explore_point
 from repro.ir import verify_module
 from repro.ir.printer import print_module
 from repro.results import CompilationResult, CompileSummary
 from repro.sim import ThreadAssignment, TimingSimulator
+from repro.sim.system import evaluate_with_partition, repartition
 from repro.workloads import all_workloads, get_workload
 from tests.conftest import SMALL_PROGRAM
 
@@ -140,12 +142,22 @@ def test_trace_and_profile_roundtrip(compiled, roundtripped):
     assert roundtripped.profile.hottest_function() == result.profile.hottest_function()
 
 
+def _split(result: CompilationResult, fraction: float) -> CompilationResult:
+    """*result* re-partitioned at *fraction* and re-simulated."""
+    config = CompilerConfig()
+    dswp = repartition(result.module, result.profile, config, fraction)
+    system = evaluate_with_partition(
+        result.name, result.module, result.execution.trace, dswp, result.legup, config
+    )
+    return dataclasses.replace(result, dswp=dswp, system=system)
+
+
 def test_decoded_result_drives_identical_resimulation(compiled, roundtripped):
     """The decisive test: downstream consumers can't tell the difference."""
-    compiler, result = compiled
+    _, result = compiled
     for fraction in (0.1, 0.5, 0.9):
-        fresh = compiler.resimulate_with_split(result, fraction)
-        decoded = compiler.resimulate_with_split(roundtripped, fraction)
+        fresh = _split(result, fraction)
+        decoded = _split(roundtripped, fraction)
         assert json.dumps(decoded.summary_dict(), sort_keys=True) == json.dumps(
             fresh.summary_dict(), sort_keys=True
         )
@@ -398,13 +410,14 @@ def test_a_split_resimulation_fails_its_first_heavy_read(compiled, tmp_path, emp
     """A split re-simulation partitions at another target than its config
     names, so a build cannot give its partitions back: its DSWP summary
     differs, and a point built against it says so."""
-    compiler, result = compiled
-    split = compiler.resimulate_with_split(result, 0.9)
+    _, result = compiled
+    split = _split(result, 0.9)
     assert split.summary().dswp != result.summary().dswp
     cache = ArtifactCache(tmp_path)
     cache.put(BLOWFISH_KEY, split.summary(), serializer="artifact")
+    point = CompilerConfig(partition=PartitionConfig(sw_fraction=0.5))
     with pytest.raises(ArtifactCodecError, match="differs from its stored outputs or DSWP"):
-        worker.compute_split_point("blowfish", CompilerConfig(), cache.spec, 0.5, BLOWFISH_KEY)
+        compute_explore_point("blowfish", CompilerConfig(), cache.spec, point, BLOWFISH_KEY)
     assert not cache.contains(BLOWFISH_KEY)
 
 

@@ -179,11 +179,13 @@ def test_graph_json_counts(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     counts = payload["counts"]
-    # One compile plus one node per sweep point (4 latencies, 3 depths,
-    # 6 split points for the blowfish split figure).
+    # One compile plus one node per sweep point: 4 latencies and 3 depths
+    # are runtime points; the 6 split points of the blowfish split figure
+    # are design points, like the report exploration's 9 candidates.
     assert counts["compile"] == 1
     assert counts["runtime"] == 7
-    assert counts["split"] == 6
+    assert counts["explore"] == 6 + 9
+    assert "split" not in counts
     assert all(t["deps"] == ["compile:blowfish"] for t in payload["tasks"] if t["kind"] != "compile" and t["kind"] != "aggregate")
 
 

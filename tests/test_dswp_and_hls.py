@@ -16,6 +16,7 @@ from repro.hls import AreaModel, HLSScheduler, LegUpFlow, bind_function
 from repro.interp import Profile, run_module
 from repro.ir import Opcode, verify_module
 from repro.pdg import WeightModel, build_pdg
+from repro.sim.system import repartition
 from repro.transforms import GlobalsToArguments, default_pipeline
 from repro.workloads import all_workloads, get_workload
 from tests.conftest import PIPELINE_PROGRAM
@@ -232,12 +233,12 @@ class TestHLS:
 @pytest.mark.parametrize("name", ["blowfish", "mips"])
 def test_a_split_of_an_extracting_compile_partitions_only_the_source_functions(name):
     """Re-partitioning a module whose threads were extracted leaves the
-    ``f_dswp_<k>`` threads alone, so a split re-simulation gives the same
+    ``f_dswp_<k>`` threads alone, so a split's re-partition gives the same
     DSWP summary with extraction as without."""
     source = get_workload(name).source
     summaries = []
     for extract in (False, True):
         compiler = TwillCompiler(CompilerConfig(extract_threads=extract))
         result = compiler.compile_and_simulate(source, name=name)
-        summaries.append(compiler.resimulate_with_split(result, 0.25).dswp.summary())
+        summaries.append(repartition(result.module, result.profile, compiler.config, 0.25).summary())
     assert summaries[0] == summaries[1]

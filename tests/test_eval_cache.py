@@ -213,6 +213,31 @@ def test_derived_sweep_results_are_cached(tmp_path, monkeypatch):
     assert h2.twill_cycles_with_split("blowfish", 0.4) == split
 
 
+
+def test_a_flipped_digit_in_a_runtime_entry_is_a_corrupt_miss_and_recomputed(tmp_path):
+    """A derived entry that still parses after a one-digit edit fails its
+    checksum: the read is a miss, the entry is deleted, and the next run
+    recomputes the point."""
+    runtime = RuntimeConfig(queue_latency=8)
+    cycles = make_harness(tmp_path).twill_cycles_with_runtime("blowfish", runtime)
+    key = derived_key(
+        compile_key(get_workload("blowfish").source, CompilerConfig()), "runtime", runtime.to_dict()
+    )
+    cache = ArtifactCache(tmp_path / "cache")
+    path = cache._path(key, "json")
+    data = bytearray(path.read_bytes())
+    at = data.rindex(repr(cycles).encode("ascii"))  # the stored value's first digit
+    data[at] = ord("9") if data[at] != ord("9") else ord("1")
+    path.write_bytes(bytes(data))
+
+    assert cache.get(key) is None
+    assert not path.exists()
+    path.write_bytes(bytes(data))
+    again = make_harness(tmp_path)
+    assert again.twill_cycles_with_runtime("blowfish", runtime) == cycles
+    assert again.last_stats["executed"].get("runtime") == 1
+    assert cache.get(key) == cycles
+
 # ---------------------------------------------------------------------------
 # parallel execution
 # ---------------------------------------------------------------------------

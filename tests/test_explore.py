@@ -16,12 +16,15 @@ import json
 
 import pytest
 
+from repro.config import CompilerConfig
 from repro.errors import ConfigError, ReproError
+from repro.eval.cache import compile_key
 from repro.eval.harness import EvaluationHarness
 from repro.explore.driver import ExplorationDriver
 from repro.explore.frontier import Frontier, Objective, dominates, pareto_indices, scalar_cost
 from repro.explore.space import Dimension, SearchSpace, default_space, report_space
 from repro.explore.strategies import STRATEGIES, make_strategy
+from repro.workloads import get_workload
 
 # A deliberately tiny space so end-to-end searches stay cheap: 6 candidates.
 SMALL_SPACE = SearchSpace(
@@ -30,6 +33,11 @@ SMALL_SPACE = SearchSpace(
         Dimension("queue_depth", "runtime", "queue_depth", (4, 8)),
     )
 )
+
+
+#: The compile key of blowfish under the default config, the parent of
+#: every explore point the payload tests evaluate.
+BLOWFISH_KEY = compile_key(get_workload("blowfish").source, CompilerConfig())
 
 
 def make_harness(tmp_path, **kwargs):
@@ -347,6 +355,62 @@ def test_report_exploration_artefact_serial_vs_parallel(tmp_path):
     assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
 
 
+def test_a_split_point_and_its_exploration_candidate_are_one_node(tmp_path):
+    """A split point is the design point of the harness config with another
+    ``sw_fraction``.  In one report graph, ``sweep:split:<w>:0.5`` and the
+    exploration candidate {sw_fraction: 0.5, queue_depth: 8} (the default
+    depth) have one key, so a cold serial report computes the 12 split and
+    18 exploration nodes of mips and blowfish as 24 design points."""
+    from repro.eval import experiments
+    from repro.eval.taskgraph import TaskGraph, explore_task_id
+
+    harness = EvaluationHarness(benchmarks=["blowfish", "mips"], cache_dir=str(tmp_path / "cache"))
+    graph = TaskGraph()
+    experiments.declare_report(graph, harness)
+    candidate = report_space().candidate({"sw_fraction": 0.5, "queue_depth": 8})
+    for name in ("mips", "blowfish"):
+        split = graph.task(f"sweep:split:{name}:0.5")
+        assert split.kind == "explore"
+        assert split.key == graph.task(explore_task_id(name, candidate)).key
+    design = [task for task in graph if task.kind == "explore"]
+    assert len(design) == 30 and len({task.key for task in design}) == 24
+
+    experiments.run_report(harness=harness)
+    assert harness.last_stats["executed"]["explore"] == 24
+    assert harness.last_stats["cache_hit_kinds"]["explore"] == 6
+    runtime_keys = {task.key for task in graph if task.kind == "runtime"}
+    assert len(list(harness.cache.objects_dir.rglob("*.json"))) == len(runtime_keys) + 24
+
+
+@pytest.mark.parametrize("name", ["blowfish", "mips"])
+def test_every_split_row_is_the_design_point_of_its_configuration(tmp_path, name):
+    """Each row of a split sweep is the explore payload's value for the
+    harness config with that ``sw_fraction``, computed here without a cache."""
+    from repro.eval import experiments
+    from repro.explore import evaluate
+
+    harness = EvaluationHarness(benchmarks=[name], cache_dir=str(tmp_path / "cache"))
+    rows = experiments.split_sweep(name, harness)["rows"]
+    assert [row["sw_fraction"] for row in rows] == experiments.SPLIT_POINTS
+    space = SearchSpace(
+        dimensions=(
+            Dimension("sw_fraction", "partition", "sw_fraction", tuple(experiments.SPLIT_POINTS)),
+        )
+    )
+    config = CompilerConfig()
+    parent = compile_key(get_workload(name).source, config)
+    for row in rows:
+        point = space.candidate({"sw_fraction": row["sw_fraction"]}).apply(space, config)
+        value = evaluate.compute_explore_point(name, config, None, point, parent)
+        assert row["cycles"] == value["cycles"]
+        assert row["queues"] == int(value["queues"])
+        assert row["speedup_vs_sw"] == value["speedup_vs_sw"]
+        assert harness.twill_cycles_with_split(name, row["sw_fraction"]) == {
+            "cycles": value["cycles"], "queues": value["queues"],
+            "speedup_vs_sw": value["speedup_vs_sw"],
+        }
+
+
 def test_report_and_explore_store_only_artifacts_and_json(tmp_path, monkeypatch):
     """A cold report with its explore figure, then ``repro explore all``,
     store every cache entry as a compile artifact or JSON: nothing pickled."""
@@ -399,7 +463,7 @@ def test_repartition_runs_once_per_distinct_partition(tmp_path, monkeypatch):
     def sweep():
         return [
             evaluate.compute_explore_point(
-                "blowfish", config, cache_root, c.params(), SMALL_SPACE.to_dict()
+                "blowfish", config, cache_root, c.apply(SMALL_SPACE, config), BLOWFISH_KEY
             )
             for c in SMALL_SPACE.candidates()
         ]
@@ -431,7 +495,7 @@ def test_memoized_points_byte_identical_to_fresh(tmp_path):
         return json.dumps(
             [
                 evaluate.compute_explore_point(
-                    "blowfish", config, cache_root, c.params(), SMALL_SPACE.to_dict()
+                    "blowfish", config, cache_root, c.apply(SMALL_SPACE, config), BLOWFISH_KEY
                 )
                 for c in SMALL_SPACE.candidates()
             ],
@@ -471,7 +535,7 @@ def test_dswp_memo_binds_to_the_compile_results_own_instructions(tmp_path, monke
     def points():
         return [
             evaluate.compute_explore_point(
-                "blowfish", config, cache_root, c.params(), SMALL_SPACE.to_dict()
+                "blowfish", config, cache_root, c.apply(SMALL_SPACE, config), BLOWFISH_KEY
             )
             for c in candidates
         ]

@@ -9,6 +9,8 @@ from repro.dswp import run_dswp
 from repro.frontend import compile_c
 from repro.interp import Profile, run_module
 from repro.sim import ExecutionDomain, HybridSystem, ThreadAssignment, TimingSimulator
+from repro.sim.system import evaluate_with_partition, repartition
+from repro.sim.timing import simulate_partitioned
 from repro.transforms import GlobalsToArguments, default_pipeline
 from tests.conftest import PIPELINE_PROGRAM
 from tests.reference_runtime import MessageBus, TimedQueue
@@ -182,15 +184,26 @@ class TestHybridSystemAndCompiler:
     def test_runtime_sweep_api(self):
         compiler = TwillCompiler()
         result = compiler.compile_and_simulate(PIPELINE_PROGRAM, name="pipeline")
-        slow = compiler.simulate_with_runtime(result, RuntimeConfig(queue_latency=128))
-        fast = compiler.simulate_with_runtime(result, RuntimeConfig(queue_latency=2))
+
+        def replay(runtime):
+            return simulate_partitioned(
+                result.module, result.execution.trace, result.dswp.partitioning,
+                runtime, compiler.config.hls,
+            )
+
+        slow = replay(RuntimeConfig(queue_latency=128))
+        fast = replay(RuntimeConfig(queue_latency=2))
         assert slow.total_cycles >= fast.total_cycles
 
     def test_split_sweep_api(self):
         compiler = TwillCompiler()
         result = compiler.compile_and_simulate(PIPELINE_PROGRAM, name="pipeline")
-        other = compiler.resimulate_with_split(result, sw_fraction=0.6)
-        assert other.system.twill.cycles > 0
+        dswp = repartition(result.module, result.profile, compiler.config, 0.6)
+        other = evaluate_with_partition(
+            result.name, result.module, result.execution.trace, dswp, result.legup,
+            compiler.config,
+        )
+        assert other.twill.cycles > 0
 
     def test_config_validation(self):
         from repro.errors import ConfigError

@@ -13,6 +13,7 @@ import json
 import multiprocessing
 import os
 import time
+import zlib
 from pathlib import Path
 
 import pytest
@@ -327,8 +328,13 @@ def test_derived_artifacts_stored_as_json(tmp_path):
     assert len(list(objects.rglob("*.json"))) == 2  # both sweep artifacts
     assert len(list(objects.rglob("*.art"))) == 1   # only the compile artifact
     assert not list(objects.rglob("*.pkl"))         # nothing is pickled
-    # The JSON is plain data, loadable without unpickling anything.
-    payloads = [json.loads(p.read_text()) for p in objects.rglob("*.json")]
+    # The JSON is plain data behind its crc32 line, loadable without
+    # unpickling anything.
+    payloads = []
+    for path in objects.rglob("*.json"):
+        crc, body = path.read_bytes().split(b"\n", 1)
+        assert crc == b"%08x" % zlib.crc32(body)
+        payloads.append(json.loads(body))
     assert any(isinstance(p, dict) and "cycles" in p for p in payloads)
 
 

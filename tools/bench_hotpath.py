@@ -256,12 +256,15 @@ def bench_explore() -> dict:
     became shared.
     """
     from repro.config import CompilerConfig
+    from repro.eval.cache import compile_key
     from repro.explore import evaluate
     from repro.explore.space import report_space
     from repro.sim import system
+    from repro.workloads import get_workload
 
     space = report_space()
     config = CompilerConfig()
+    parent = compile_key(get_workload("blowfish").source, config)
     candidates = list(space.candidates())
     dswp_runs = []
     real_repartition = system.repartition
@@ -283,8 +286,8 @@ def bench_explore() -> dict:
                     "blowfish",
                     config,
                     cache_root if incremental else None,
-                    candidate.params(),
-                    space.to_dict(),
+                    candidate.apply(space, config),
+                    parent,
                 )
 
             # Warm the compile artifact first so neither variant pays for it.
