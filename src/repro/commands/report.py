@@ -44,9 +44,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 "'repro report --json > baseline.json')"
             ) from None
     harness = make_harness(args)
-    # One merged task graph: every compile, every (workload, sweep-point)
-    # node and (with --html) every figure render schedules as an independent
-    # job under --parallel/--jobs.
+    # One merged task graph: every compile and every (workload, sweep-point)
+    # node schedules as an independent job under --parallel/--jobs, and
+    # (with --html) each figure is drawn in the parent once its inputs are.
     run_started = time.perf_counter()
     with perf.collect() as stage_timings:
         if args.html:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.errors import ConfigError
 
@@ -88,11 +88,6 @@ class RuntimeConfig:
     semaphore_lower_cycles: int = 2
     # System clock for both domains (§6).
     clock_mhz: float = 100.0
-    # Evaluation-host cache policy, not a simulated-architecture knob: when
-    # set, the evaluation harness LRU-prunes the on-disk artifact cache to at
-    # most this many bytes after each run.  Policy fields are excluded from
-    # to_dict()/content_hash() so changing them never invalidates artefacts.
-    cache_max_bytes: Optional[int] = None
 
     #: Cycle counts that may be fractional; ``queue_depth`` and
     #: ``queue_latency`` index the replay's queue slots and must be integers.
@@ -123,24 +118,10 @@ class RuntimeConfig:
             raise ConfigError("queue_latency must be >= 1")
         if self.num_processors < 1:
             raise ConfigError("num_processors must be >= 1")
-        if self.cache_max_bytes is not None and self.cache_max_bytes < 0:
-            raise ConfigError("cache_max_bytes must be non-negative when set")
-
-    #: Fields that tune the evaluation host rather than the simulated
-    #: architecture; kept out of the content hash so they never change keys.
-    _POLICY_FIELDS = ("cache_max_bytes",)
 
     def to_dict(self) -> Dict:
-        """Plain-dict form (stable field order) used for cache keys and reports.
-
-        Excludes host-side policy fields (`cache_max_bytes`): two runtimes
-        that simulate identically must hash identically, whatever cache
-        policy the evaluation harness runs under.
-        """
-        data = _fields_dict(self)
-        for name in self._POLICY_FIELDS:
-            data.pop(name, None)
-        return data
+        """Plain-dict form (stable field order) used for cache keys and reports."""
+        return _fields_dict(self)
 
 
 
@@ -189,14 +170,10 @@ class CompilerConfig:
             raise ConfigError("inline_threshold must be non-negative")
 
     def to_dict(self) -> Dict:
-        """Plain nested-dict form of the whole configuration tree.
-
-        The runtime section goes through :meth:`RuntimeConfig.to_dict` so
-        host-side policy fields stay out of cache keys and ``shared()`` keys.
-        """
+        """Plain nested-dict form of the whole configuration tree."""
         data = _fields_dict(self)
         data["partition"] = _fields_dict(self.partition)
-        data["runtime"] = self.runtime.to_dict()
+        data["runtime"] = _fields_dict(self.runtime)
         data["hls"] = _fields_dict(self.hls)
         return data
 

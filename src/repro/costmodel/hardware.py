@@ -145,7 +145,6 @@ class HardwareCostModel:
         self,
         latency: Dict[Opcode, int] | None = None,
         area_luts: Dict[Opcode, int] | None = None,
-        clock_mhz: float = 100.0,
     ):
         self.latency = dict(HW_LATENCY)
         self.area_luts = dict(HW_AREA_LUTS)
@@ -154,7 +153,6 @@ class HardwareCostModel:
             self.latency.update(latency)
         if area_luts:
             self.area_luts.update(area_luts)
-        self.clock_mhz = clock_mhz
         self.primitives = RUNTIME_PRIMITIVE_AREA
 
     def cost(self, inst: Instruction) -> int:

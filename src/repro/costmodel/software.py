@@ -67,13 +67,11 @@ class SoftwareCostModel:
     def __init__(
         self,
         cycles: Dict[Opcode, int] | None = None,
-        clock_mhz: float = 100.0,
         expansion_overhead: int = 4,
     ):
         self.cycles = dict(MICROBLAZE_CYCLES)
         if cycles:
             self.cycles.update(cycles)
-        self.clock_mhz = clock_mhz
         self.expansion_overhead = expansion_overhead
 
     def cost(self, inst: Instruction) -> int:

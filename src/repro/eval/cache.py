@@ -145,23 +145,6 @@ def derived_key(parent_key: str, kind: str, params: Dict[str, Any]) -> str:
     return digest.hexdigest()
 
 
-def render_key(figure_id: str, dep_keys: "List[str]") -> str:
-    """Content address of one rendered figure (its SVG markup).
-
-    A figure is a pure function of its input artefacts and of the rendering
-    code, so hashing the figure id plus the dependency content keys *is* a
-    content address: every dependency key chains back to the workload source,
-    the full configuration and :func:`code_digest` (which covers the
-    ``repro.viz`` modules), so editing any of them re-keys the render.
-    """
-    digest = hashlib.sha256()
-    digest.update(f"render:{figure_id}\n".encode("utf-8"))
-    for key in dep_keys:
-        digest.update(key.encode("utf-8"))
-        digest.update(b"\0")
-    return digest.hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # storage
 # ---------------------------------------------------------------------------

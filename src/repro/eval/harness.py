@@ -271,14 +271,7 @@ class EvaluationHarness:
                     self._admit(task.workload, results[task.task_id])
             elif task.kind in taskgraph.DERIVED_KINDS:
                 self._derived[task.key] = results[task.task_id]
-        self._auto_prune()
         return results
-
-    def _auto_prune(self) -> None:
-        """Enforce the optional ``RuntimeConfig.cache_max_bytes`` LRU bound."""
-        max_bytes = self.config.runtime.cache_max_bytes
-        if self.cache is not None and max_bytes is not None:
-            self.cache.prune(max_bytes)
 
     # -- runs ------------------------------------------------------------------------------
 

@@ -1,21 +1,20 @@
 """Figure renders as task-graph nodes: ``report --html`` and ``figure --svg``.
 
-Each renderable figure is one ``render`` node (:func:`declare_figure_render`)
-over the worker tasks its data comes from, keyed by
-:func:`repro.eval.cache.render_key` over their content keys, so a warm run
-re-renders nothing.  The figure data comes from the same aggregators as the
-printed tables (:data:`FIGURE_DATA_AGGREGATORS`), so a chart can never
-disagree with its table.  ``repro report --json`` declares no render, so it
-never loads this module or :mod:`repro.viz`.
+Each renderable figure is one ``render:<id>`` aggregate
+(:func:`declare_figure_render`) over the worker tasks its data comes from:
+the parent draws it from the values the run already holds, so a figure
+needs no cache entry and no pool slot.  The figure data comes from the same
+aggregators as the printed tables (:data:`FIGURE_DATA_AGGREGATORS`), so a
+chart can never disagree with its table.  ``repro report --json`` declares
+no render, so it never loads this module or :mod:`repro.viz`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.config import CompilerConfig
 from repro.errors import ReproError
-from repro.eval.cache import ArtifactCache
 from repro.eval.experiments import (
     ARTEFACT_DECLARERS,
     EXPLORE_FIGURE_IDS,
@@ -35,7 +34,7 @@ from repro.eval.experiments import (
     report_candidates,
 )
 from repro.eval.harness import EvaluationHarness
-from repro.eval.taskgraph import TaskGraph, render_task
+from repro.eval.taskgraph import TaskGraph, aggregate_task
 from repro.explore.space import report_space
 
 
@@ -58,8 +57,6 @@ def _agg_pareto(results: Dict, names: Tuple[str, ...]) -> Dict:
 
 
 #: Figure id → the pure aggregator producing that figure's input data dict.
-#: Render payloads running in pool workers look the function up here by id,
-#: so every entry must stay a module-level function.
 FIGURE_DATA_AGGREGATORS: Dict[str, Callable[..., Dict]] = {
     "6.1": _agg_figure_6_1,
     "6.2": _agg_figure_6_2,
@@ -82,51 +79,20 @@ FIGURE_DATA_AGGREGATORS: Dict[str, Callable[..., Dict]] = {
 RENDER_FIGURE_IDS: Tuple[str, ...] = tuple(FIGURE_DATA_AGGREGATORS)
 
 
-def compute_figure_render(
-    figure_id: str,
-    dep_ids: Sequence[str],
-    dep_keys: Sequence[str],
-    agg_arg,
-    cache_spec: Optional[str],
-    values: Optional[Dict] = None,
-) -> str:
-    """Render one figure to SVG markup (the ``render`` task payload).
-
-    Runs anywhere: the parent passes the in-memory dependency *values* when
-    executing inline, while pool workers rebuild the mapping from
-    the shared cache via the (task id, content key) pairs — the same
-    "dependency edges guarantee cache presence" contract sweep points rely
-    on.  The figure data is produced by the registered aggregator (the same
-    function behind the corresponding table/figure artefact, so charts can
-    never diverge from the printed numbers) and handed to
-    :func:`repro.viz.figures.render_figure`.
-    """
+def _render_figure(results: Dict, figure_id: str, agg_arg) -> str:
+    """One figure's SVG markup: its registered aggregator's data, drawn by
+    :func:`repro.viz.figures.render_figure` (the ``render:<id>`` aggregate)."""
     from repro.viz.figures import render_figure
 
-    if values is None:
-        cache = ArtifactCache(cache_spec)
-        values = {}
-        for task_id, key in zip(dep_ids, dep_keys):
-            value = cache.get(key)
-            if value is None:
-                raise ReproError(
-                    f"render:{figure_id} input '{task_id}' is missing from the cache at "
-                    f"'{cache_spec}' (evicted mid-run?); re-run to recompute it"
-                )
-            values[task_id] = value
-    aggregator = FIGURE_DATA_AGGREGATORS[figure_id]
-    arg = tuple(agg_arg) if isinstance(agg_arg, (list, tuple)) else agg_arg
-    return render_figure(figure_id, aggregator(values, arg))
+    return render_figure(figure_id, FIGURE_DATA_AGGREGATORS[figure_id](results, agg_arg))
 
 
 def declare_figure_render(graph: TaskGraph, harness: EvaluationHarness, figure_id: str) -> str:
-    """Declare the render node (and its input subgraph) for one figure.
+    """Declare the ``render:<id>`` aggregate (and its input subgraph) for one figure.
 
-    The render's dependencies are exactly the worker tasks the figure's
-    aggregator reads, so its content key —
-    :func:`repro.eval.cache.render_key` over the dependency keys — changes
-    iff any input artefact (or any code, via the code digest folded into
-    every compile key) changes.
+    The node is a parent-side aggregate over exactly the worker tasks the
+    figure's aggregator reads, so it draws from the values the run already
+    holds and stores nothing in the cache.
     """
     names = tuple(harness.benchmark_names)
     if figure_id in SPLIT_FIGURE_WORKLOADS:
@@ -136,7 +102,7 @@ def declare_figure_render(graph: TaskGraph, harness: EvaluationHarness, figure_i
         agg_arg: object = benchmark
     elif figure_id in ("area", "pareto"):
         deps = tuple(harness.declare_compile(graph, name) for name in names)
-        agg_arg = list(names)
+        agg_arg = names
     elif figure_id in EXPLORE_FIGURE_IDS:
         explored = explored_workloads(names)
         space = report_space()
@@ -145,7 +111,7 @@ def declare_figure_render(graph: TaskGraph, harness: EvaluationHarness, figure_i
             for name in explored
             for candidate in report_candidates()
         )
-        agg_arg = list(explored)
+        agg_arg = explored
     else:
         declarer = ARTEFACT_DECLARERS.get(f"figure_{figure_id}")
         if declarer is None:
@@ -153,17 +119,9 @@ def declare_figure_render(graph: TaskGraph, harness: EvaluationHarness, figure_i
             raise ReproError(f"no renderable figure '{figure_id}' (known: {known})")
         agg_id = declarer(graph, harness)
         deps = graph.task(agg_id).deps
-        agg_arg = list(names)
-    dep_keys = [graph.task(dep).key for dep in deps]
+        agg_arg = names
     return graph.add(
-        render_task(
-            figure_id,
-            "repro.eval.renders:compute_figure_render",
-            deps,
-            dep_keys,
-            agg_arg,
-            harness._cache_root,
-        )
+        aggregate_task(f"render:{figure_id}", _render_figure, deps, (figure_id, agg_arg))
     )
 
 
@@ -187,7 +145,7 @@ def figure_svg(
     config: Optional[CompilerConfig] = None,
     parallel: Optional[int] = None,
 ) -> str:
-    """One figure's SVG markup (``repro figure 6.x --svg``), cache-backed."""
+    """One figure's SVG markup (``repro figure 6.x --svg``)."""
     return _run_one(
         lambda graph, h: declare_figure_render(graph, h, figure_id), harness, config, parallel
     )
@@ -202,10 +160,9 @@ def run_report_figures(
 
     Returns ``(artefacts, figures)``: the same artefact mapping
     :func:`run_report` produces, and ``figure id → SVG markup``.  Renders
-    share the graph with the artefacts they draw, so ``--parallel`` pool
-    workers pipeline compiles, sweep points and figure renders together, and
-    a warm ``repro report --html`` re-renders nothing (render tasks hit the
-    artifact cache like every other node).
+    share the graph with the artefacts they draw, so each figure is drawn
+    in the parent as soon as its last input is done, and a warm
+    ``repro report --html`` computes nothing but the figures themselves.
     """
     harness = _harness(harness, config)
     graph = TaskGraph()

@@ -14,11 +14,9 @@ Every thesis artefact is a small DAG over four node kinds:
   design-space-exploration candidate (:mod:`repro.explore`) or a
   Figure 6.3/6.4 split point, which is the harness config with another
   ``partition.sw_fraction``;
-* **render** — one figure's SVG markup (``repro.viz``), keyed by the content
-  addresses of the artefacts it draws, so warm reports re-render nothing and
-  cold figures fan out like any other derived artefact;
-* **aggregate** — parent-side row/table construction from the values of its
-  dependencies (a table, a figure, the §6.7 summary).
+* **aggregate** — parent-side construction from the values of its
+  dependencies: a table, a figure's rows or its SVG markup, the §6.7
+  summary.
 
 ``repro.eval.experiments`` *declares* these graphs instead of looping
 inline; :class:`TaskScheduler` then executes ready tasks — serially, or on
@@ -53,7 +51,7 @@ from typing import (
 from repro import perf
 from repro.config import CompilerConfig, RuntimeConfig
 from repro.errors import TaskGraphCycleError, TaskGraphError
-from repro.eval.cache import ArtifactCache, derived_key, render_key
+from repro.eval.cache import ArtifactCache, derived_key
 from repro.obs import tracing as obs_tracing
 
 if TYPE_CHECKING:  # multiprocessing loads only when a pool slot forks
@@ -65,11 +63,10 @@ KIND_COMPILE = "compile"
 KIND_RUNTIME = "runtime"
 KIND_EXPLORE = "explore"
 KIND_INGEST = "ingest"
-KIND_RENDER = "render"
 KIND_AGGREGATE = "aggregate"
 
 #: Kinds whose payload is picklable and may run in a worker process.
-WORKER_KINDS = (KIND_COMPILE, KIND_RUNTIME, KIND_EXPLORE, KIND_INGEST, KIND_RENDER)
+WORKER_KINDS = (KIND_COMPILE, KIND_RUNTIME, KIND_EXPLORE, KIND_INGEST)
 
 #: The modules pool workers run: the slot loop and payloads, the compiler
 #: stages, the artifact encoder and the profiler hook of
@@ -86,14 +83,9 @@ WORKER_MODULES = (
     "repro.obs.profile",
 )
 
-#: What a render task runs on top of :data:`WORKER_MODULES`.  A slot forked
-#: while a render is pending inherits them; a slot that gets a render later
-#: imports them itself.
-RENDER_MODULES = ("repro.eval.renders", "repro.viz.figures")
-
 #: Kinds whose value is a derived (JSON) artifact of a compile node — the
 #: harness memoises them in its in-memory derived layer after a run.
-DERIVED_KINDS = (KIND_RUNTIME, KIND_EXPLORE, KIND_INGEST, KIND_RENDER)
+DERIVED_KINDS = (KIND_RUNTIME, KIND_EXPLORE, KIND_INGEST)
 
 
 @dataclass(frozen=True)
@@ -330,39 +322,6 @@ def aggregate_task(
     )
 
 
-def render_task(
-    figure_id: str,
-    fn: Any,
-    deps: Sequence[str],
-    dep_keys: Sequence[str],
-    agg_arg: Any,
-    cache_root: Optional[str],
-) -> Task:
-    """One figure-render node (id ``render:<figure_id>``).
-
-    A render is a worker task like any sweep point: *fn* (a payload such as
-    :func:`repro.eval.renders.compute_figure_render`, or a reference to
-    one) rebuilds the
-    figure's input mapping from the shared cache using the dependency task
-    ids and content keys, aggregates it and returns the SVG markup.  The
-    node is keyed by :func:`repro.eval.cache.render_key` over the dependency
-    keys, so a warm run re-renders nothing and figures fan out across the
-    pool on cold runs.  When the scheduler runs a render *inline* it passes
-    the in-memory dependency values instead (see
-    :meth:`TaskScheduler._run_task_inline`), so ``--no-cache`` runs render
-    without re-reading anything.
-    """
-    return Task(
-        task_id=f"render:{figure_id}",
-        kind=KIND_RENDER,
-        fn=fn,
-        args=(figure_id, tuple(deps), tuple(dep_keys), agg_arg, cache_root),
-        deps=tuple(deps),
-        key=render_key(figure_id, list(dep_keys)),
-        serializer="json",
-    )
-
-
 # ---------------------------------------------------------------------------
 # the process pool
 # ---------------------------------------------------------------------------
@@ -394,8 +353,8 @@ def place(
     oldest task first at each step:
 
     1. a task whose workload an idle slot already ran goes to that slot;
-    2. else a task whose workload no busy slot holds (a compile, a render)
-       goes to the first idle slot;
+    2. else a task whose workload no busy slot holds goes to the first idle
+       slot;
     3. else the first idle slot steals the oldest task and rebuilds its
        workload's state.
 
@@ -453,16 +412,12 @@ class LocalProcessExecutor:
         """The slots running no task, lowest first."""
         return [slot for slot in range(self.max_workers) if slot not in self._running]
 
-    def _fork_slot(self, tasks: Sequence[Task]) -> Tuple[Any, Connection]:
+    def _fork_slot(self) -> Tuple[Any, Connection]:
         # A forked worker starts with what the parent has imported: import
-        # the stages here, once, so that no worker imports them.  The figure
-        # renderer comes too only if one of *tasks* is a render.
-        modules = WORKER_MODULES
-        if any(task.kind == KIND_RENDER for task in tasks):
-            modules += RENDER_MODULES
-        if not all(module in sys.modules for module in modules):
+        # the stages here, once, so that no worker imports them.
+        if not all(module in sys.modules for module in WORKER_MODULES):
             with obs_tracing.span("import worker modules", kind="import"):
-                for module in modules:
+                for module in WORKER_MODULES:
                     importlib.import_module(module)
         import multiprocessing
 
@@ -482,7 +437,7 @@ class LocalProcessExecutor:
         slot, index, placement = place(pending, self._resident, self.idle_slots())
         task = pending.pop(index)
         if self._slots[slot] is None:
-            self._slots[slot] = self._fork_slot([task, *pending])
+            self._slots[slot] = self._fork_slot()
         if task.workload is not None:
             self._resident[slot].add(task.workload)
         trace_ctx = obs_tracing.wire_context()
@@ -619,7 +574,7 @@ class TaskScheduler:
         self.seeds = dict(seeds or {})
         #: Execution statistics of the last :meth:`run` — how each task was
         #: satisfied.  Purely observational (the HTML report's "cache hit
-        #: stats" and the warm-run re-render assertions read it); only
+        #: stats" and the warm-run assertions read it); only
         #: order-independent counts, so serial and parallel runs agree.
         self.stats: Dict[str, Any] = {
             "total": len(graph),
@@ -664,17 +619,11 @@ class TaskScheduler:
         if not task.runs_in_worker():
             return task.fn(results, *task.args)
         fn = resolve(task.fn)
-        kwargs: Dict[str, Any] = {}
-        if task.kind == KIND_RENDER:
-            # Inline renders aggregate straight from the in-memory dependency
-            # values (all completed before this point) instead of re-reading
-            # the shared cache — which also makes --no-cache runs renderable.
-            kwargs["values"] = {dep: results[dep] for dep in task.deps}
         if task.key is not None and self.cache is not None:
             return self.cache.get_or_compute(
-                task.key, lambda: fn(*task.args, **kwargs), serializer=task.serializer
+                task.key, lambda: fn(*task.args), serializer=task.serializer
             )
-        return fn(*task.args, **kwargs)
+        return fn(*task.args)
 
     def _obs_mark(self, task: Task, **attrs: Any) -> None:
         """Record a zero-duration span for a node satisfied without running

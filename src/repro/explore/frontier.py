@@ -160,13 +160,3 @@ class Frontier:
                 row["speedup_vs_sw"] = result["speedup_vs_sw"]
             rows.append(row)
         return rows
-
-    def best_by(self, objective_name: str) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-        """The frontier point minimising one named objective (ties: canonical order)."""
-        for objective in self.objectives:
-            if objective.name == objective_name:
-                return min(
-                    self.points(),
-                    key=lambda pair: (objective.value(pair[1]), sorted(pair[0].items())),
-                )
-        raise KeyError(f"no objective named '{objective_name}'")

@@ -37,9 +37,6 @@ class Type:
     def is_array(self) -> bool:
         return isinstance(self, ArrayType)
 
-    def is_function(self) -> bool:
-        return isinstance(self, FunctionType)
-
     # Size in bytes when laid out in the simulated unified memory.
     def size_bytes(self) -> int:
         raise IRError(f"type {self!r} has no memory size")

@@ -52,7 +52,7 @@ latency, coherency delay, memory read cycles and processor-op cycles (each
 with its type: ``2`` and ``2.0`` can give different bytes), the HLS issue
 width and loop pipelining, and the content of both domains' opcode-cost
 tables, which folds in the memory write cycles and any custom cost model.
-The host-policy field (the cache bound) is never part of it.  A repeated (trace, assignment content, config key) — a sweep point at
+A repeated (trace, assignment content, config key) — a sweep point at
 the compile's own config, an explore or split point equal to an earlier
 one, each re-run of a baseline — runs neither pass: the memo holds plain
 values, and every hit builds a fresh result from the caller's own thread

@@ -19,10 +19,9 @@ standard library:
 * :mod:`repro.viz.report_html` — the self-contained ``report.html``
   assembler behind ``repro report --html``.
 
-Rendering is wired into the evaluation task graph as first-class ``render``
-tasks (see :mod:`repro.eval.taskgraph`), keyed by the content addresses of
-their input artefacts, so figures are disk-cached and parallelise like every
-other derived artefact.  Determinism is a hard requirement throughout: no
+Each figure is a ``render:<id>`` aggregate of the evaluation task graph
+(see :mod:`repro.eval.renders`), drawn in the parent from the values its
+inputs already produced.  Determinism is a hard requirement throughout: no
 clocks, no randomness, no environment-dependent output.
 """
 

@@ -61,7 +61,6 @@ TIMELINE_KIND_SLOTS: Dict[str, int] = {
     "runtime": 1,
     "explore": 3,
     "aggregate": 4,
-    "render": 6,
 }
 
 

@@ -9,8 +9,8 @@ holds a pure ``build`` function mapping the corresponding
 :mod:`repro.eval.experiments` result dictionary onto a chart.  The specs
 read only the ``rows`` lists of those dicts, so a figure is a pure function
 of the same structured data the tables and the JSON report are built from:
-identical data renders to identical bytes, which is what lets the task
-graph cache rendered figures by the content addresses of their inputs.
+identical data renders to identical bytes, so serial, parallel, cold and
+warm runs draw the same figures.
 
 Series → palette-slot assignment is fixed per entity (Twill blue, LegUp
 orange, pure software aqua; benchmarks take slots 0-7 in row order in the

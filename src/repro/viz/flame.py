@@ -17,7 +17,7 @@ the per-worker flamegraphs of one parallel run.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping
 
 from repro.viz import theme
 from repro.viz.svg import Element, render, svg_root, text_width
@@ -134,12 +134,3 @@ def flamegraph(
     draw(root, float(_PAD), 0, is_root=True)
     return render(svg)
 
-
-def top_frames_rows(stacks: Mapping[str, int], limit: int = 12) -> List[Tuple[str, str, str]]:
-    """``(frame, samples, share)`` table rows for the report's profile card."""
-    from repro.obs.profile import top_self
-
-    return [
-        (entry["frame"], str(entry["samples"]), f"{entry['fraction'] * 100.0:.1f}%")
-        for entry in top_self(stacks, limit=limit)
-    ]

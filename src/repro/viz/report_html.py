@@ -12,7 +12,7 @@ the viewer's system stack.  The document carries:
 * the exploration section's best-found-configuration table;
 * Tables 6.1 and 6.2 plus the summary as real HTML tables;
 * run metadata — configuration hash, benchmark set, and the scheduler's
-  cache-hit statistics (a warm run shows zero executed render tasks);
+  cache-hit statistics (a warm run shows zero computed simulations);
 * optionally, when the run was observed (``$REPRO_TRACE`` /
   ``$REPRO_PROFILE`` / ``$REPRO_HISTORY``), the per-worker span timeline,
   a trace-analytics card (per-kind statistics + critical path + scheduler
@@ -40,6 +40,7 @@ import json
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.report import format_cell
+from repro.eval.taskgraph import WORKER_KINDS
 from repro.viz import theme
 from repro.viz.charts import Span, timeline_chart
 from repro.viz.figures import FIGURE_SPECS
@@ -207,9 +208,10 @@ def _metadata_rows(metadata: Dict[str, Any]) -> List[str]:
                 f"{stats.get('seeded', 0)} seeded, {executed_total} executed"
             ),
         )
-        renders = executed.get("render", 0)
-        hits = stats.get("cache_hit_kinds", {}).get("render", 0)
-        row("figure renders", _esc(f"{renders} rendered, {hits} from cache"))
+        kind_hits = stats.get("cache_hit_kinds") or {}
+        computed = sum(executed.get(kind, 0) for kind in WORKER_KINDS)
+        hits = sum(kind_hits.get(kind, 0) for kind in WORKER_KINDS)
+        row("simulations", _esc(f"{computed} computed, {hits} from cache"))
     timings = metadata.get("stage_timings") or {}
     if timings:
         parts = [

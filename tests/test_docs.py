@@ -90,7 +90,6 @@ def test_reporting_doc_covers_the_viz_surface():
         "repro report --html",
         "--svg",
         "render",
-        "render_key",
         "byte-identical",
         "prefers-color-scheme",
     ):

@@ -101,7 +101,7 @@ def test_pareto_maximise_sense_inverts():
     assert pareto_indices(results, objectives, ["a", "b", "c"]) == [1]
 
 
-def test_frontier_rows_and_best_by():
+def test_frontier_rows():
     evaluations = [
         ({"x": 1}, {"area_luts": 100, "cycles": 50.0, "power_mw": 10.0, "speedup_vs_sw": 2.0}),
         ({"x": 2}, {"area_luts": 50, "cycles": 80.0, "power_mw": 10.0, "speedup_vs_sw": 1.5}),
@@ -110,8 +110,6 @@ def test_frontier_rows_and_best_by():
     frontier = Frontier(evaluations)
     assert len(frontier) == 2  # x=3 is dominated by x=1
     assert [row["params"]["x"] for row in frontier.to_rows()] == [2, 1]
-    assert frontier.best_by("cycles")[0] == {"x": 1}
-    assert frontier.best_by("area")[0] == {"x": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +283,9 @@ def test_parallel_search_keeps_one_pool_and_matches_serial(tmp_path, monkeypatch
     forks = []
     fork_slot = LocalProcessExecutor._fork_slot
 
-    def counting(self, tasks):
+    def counting(self):
         forks.append(1)
-        return fork_slot(self, tasks)
+        return fork_slot(self)
 
     monkeypatch.setattr(LocalProcessExecutor, "_fork_slot", counting)
     serial = run_search(make_harness(tmp_path / "serial")).run()

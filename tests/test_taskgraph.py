@@ -302,19 +302,6 @@ def test_prune_to_zero_and_stats_across_formats(tmp_path):
     assert not (cache.locks_dir / "11" / ("1" * 64 + ".lock")).exists()
 
 
-def test_auto_prune_threshold_in_runtime_config(tmp_path):
-    config = CompilerConfig()
-    config.runtime.cache_max_bytes = 1  # smaller than any artifact
-    harness = EvaluationHarness(
-        config=config, benchmarks=["blowfish"], cache_dir=str(tmp_path / "cache")
-    )
-    harness.run_all()
-    assert harness.cache.stats()["entries"] == 0  # pruned right after the run
-    # Policy knobs must not leak into content hashes or sweep keys.
-    assert config.content_hash() == CompilerConfig().content_hash()
-    assert RuntimeConfig(cache_max_bytes=123).to_dict() == RuntimeConfig().to_dict()
-
-
 # ---------------------------------------------------------------------------
 # derived artifacts are structured JSON
 # ---------------------------------------------------------------------------
@@ -468,9 +455,9 @@ def test_place_prefers_resident_then_unheld_then_steals():
     assert place(pending[:2], [{"b"}, {"a"}], idle=[1]) == (1, 0, PLACED_FREE)
     # Among several idle slots, the resident one gets its task.
     assert place(pending[1:], [set(), {"b"}], idle=[0, 1]) == (1, 0, PLACED_RESIDENT)
-    # A render (no workload) is never held by anyone.
-    render = Task(task_id="render:6.3", kind="render", fn=len)
-    assert place([_pooled("sweep:b", "b"), render], [{"b"}, set()], idle=[1]) == (
+    # A task with no workload is never held by anyone.
+    unheld = _pooled("t:none", None)
+    assert place([_pooled("sweep:b", "b"), unheld], [{"b"}, set()], idle=[1]) == (
         1, 1, PLACED_FREE,
     )
     # Every pending workload is held by a busy slot: the idle slot steals

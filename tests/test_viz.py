@@ -8,9 +8,8 @@ Three layers, cheapest first:
 * figure-spec and HTML-assembly tests on synthetic result dicts (no
   compiles), asserting the report is self-contained;
 * end-to-end determinism over the cheapest workload: byte-identical SVG and
-  ``report.html`` across two warm runs and across serial vs ``--parallel``
-  renders, with render tasks hitting the artifact cache (0 re-renders on a
-  warm run).
+  ``report.html`` across two warm runs, across serial vs ``--parallel``
+  renders and without a cache, with a warm run computing no simulation.
 """
 
 import json
@@ -152,11 +151,11 @@ def test_timeline_chart_lanes_and_kinds():
         [
             Span("compile:a", "compile", "pid:1", 0.0, 2.0),
             Span("sweep:x", "runtime", "pid:2", 1.0, 1.5),
-            Span("render:6.1", "render", "pid:1", 2.0, 2.2),
+            Span("render:6.1", "aggregate", "pid:1", 2.0, 2.2),
         ]
     )
     assert "pid:1" in markup and "pid:2" in markup
-    assert "compile" in markup and "render" in markup  # kind legend
+    assert ">compile<" in markup and ">aggregate<" in markup  # kind legend
     assert timeline_chart([]) == ""
 
 
@@ -214,11 +213,12 @@ def test_report_html_is_self_contained():
         "benchmarks": ["blowfish", "mips"],
         "cache": ".repro_cache",
         "scheduler": {"total": 9, "cache_hits": 8, "seeded": 0,
-                      "executed": {"aggregate": 1}, "cache_hit_kinds": {"render": 1}},
+                      "executed": {"aggregate": 1},
+                      "cache_hit_kinds": {"compile": 2, "runtime": 6}},
     }
     document = build_report_html(artefacts, figures, metadata)
     assert 'id="figure-6.1"' in document and 'id="table_6.1"' in document
-    assert "0 rendered, 1 from cache" in document
+    assert "<th>simulations</th><td>0 computed, 8 from cache</td>" in document
     # Self-contained: no executable scripts, no external stylesheets, no
     # fetched assets.  The only <script allowed is the inert data island.
     assert "<script" not in document.replace('<script type="application/json"', "")
@@ -263,12 +263,12 @@ def test_figure_svg_renders_through_the_cache(tmp_path):
     cold = EvaluationHarness(benchmarks=["blowfish"], cache_dir=cache_dir)
     markup = renders.figure_svg("6.4", cold)
     assert markup.startswith("<svg") and "blowfish" in markup
-    assert cold.last_stats["executed"].get("render") == 1
-    # Fresh harness, same cache: byte-identical and zero re-renders.
+    assert cold.last_stats["executed"]["compile"] == 1
+    # Fresh harness, same cache: byte-identical, and only the parent-side
+    # aggregates (the figure's rows and its drawing) run again.
     warm = EvaluationHarness(benchmarks=["blowfish"], cache_dir=cache_dir)
     assert renders.figure_svg("6.4", warm) == markup
-    assert warm.last_stats["executed"].get("render", 0) == 0
-    assert warm.last_stats["cache_hit_kinds"].get("render") == 1
+    assert set(warm.last_stats["executed"]) == {"aggregate"}
 
 
 def test_report_figures_serial_vs_parallel_byte_identical(tmp_path):
@@ -315,6 +315,44 @@ def test_cli_figure_svg_writes_standalone_file(tmp_path, capsys):
     assert code == 0 and out == markup
 
 
+def _svgs(path):
+    """Every SVG a figure file or report document carries, in order."""
+    text = path.read_text(encoding="utf-8")
+    return ["<svg" + part.split("</svg>", 1)[0] for part in text.split("<svg")[1:]]
+
+
+@pytest.mark.parametrize(
+    "argv, output",
+    [
+        (["report", "--benchmarks", "blowfish", "--html", "out"], "out/report.html"),
+        (["figure", "6.4", "--svg", "fig.svg"], "fig.svg"),
+    ],
+    ids=["report-html", "figure-svg"],
+)
+def test_cli_no_cache_parallel_renders_without_any_cache(
+    argv, output, tmp_path, capsys, monkeypatch
+):
+    # Without $REPRO_CACHE_DIR a cache opened from nothing falls back to
+    # ./.repro_cache, so a --no-cache run must never open one.  No history
+    # ledger: its trends chart would grow between the two runs.
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.setenv("REPRO_HISTORY", "0")
+    cached, uncached = tmp_path / "cached", tmp_path / "uncached"
+    cached.mkdir()
+    uncached.mkdir()
+    monkeypatch.chdir(cached)
+    assert main(argv + ["--cache-dir", str(tmp_path / "cache")]) == 0
+    monkeypatch.chdir(uncached)
+    assert main(argv + ["--no-cache", "-j", "2"]) == 0
+    capsys.readouterr()
+    assert _svgs(uncached / output) == _svgs(cached / output)
+    assert _svgs(uncached / output)
+    if argv[0] == "report":
+        page = "out/benchmark-blowfish.html"
+        assert (uncached / page).read_bytes() == (cached / page).read_bytes()
+    assert not (uncached / ".repro_cache").exists()
+
+
 def test_cli_report_html_end_to_end(tmp_path, capsys, monkeypatch):
     # The trends card renders whenever $REPRO_HISTORY names a ledger (as
     # every test's own does) and grows with every run; warm byte-identity
@@ -348,7 +386,7 @@ def test_cli_report_html_end_to_end(tmp_path, capsys, monkeypatch):
     warm_one = (tmp_path / "out2" / "report.html").read_text(encoding="utf-8")
     warm_two = (tmp_path / "out3" / "report.html").read_text(encoding="utf-8")
     assert warm_one == warm_two
-    assert "0 rendered" in warm_one  # the warm runs re-rendered nothing
+    assert "<th>simulations</th><td>0 computed," in warm_one  # nothing simulated
     # The figures themselves are identical cold vs warm (only metadata moves).
     assert warm_one.count("<svg") == report.count("<svg")
 

@@ -18,8 +18,9 @@ Asserts the produced ``report.html``
   drill-down page exists beside the report, passes the same
   self-containment scan, and embeds its ``benchmark-data`` island.
 
-With ``--expect-warm`` it additionally asserts the run re-rendered nothing
-("0 rendered" in the metadata card) — the render-task caching guarantee.
+With ``--expect-warm`` it additionally asserts the run computed nothing
+("0 computed" simulations in the metadata card) — a warm run reads every
+compile and sweep point from the cache and only redraws the figures.
 
 Usage: ``python tools/check_report_html.py out/report.html
 [--expect-warm] [--benchmark-pages blowfish,mips]``
@@ -37,6 +38,10 @@ FORBIDDEN_MARKUP = ("<link", "src=", "@import", "http-equiv")
 
 #: The one ``<script`` form allowed: the inert raw-data island.
 DATA_ISLAND = '<script type="application/json"'
+
+#: The metadata row of a run that computed nothing ("80 computed" must not
+#: match, so the row's label anchors it).
+WARM_ROW = "<th>simulations</th><td>0 computed,"
 
 
 def scan_self_contained(document: str, label: str) -> list:
@@ -75,8 +80,8 @@ def check(
         failures.append("embedded report-data JSON island missing")
     if "configuration hash" not in document:
         failures.append("run metadata (configuration hash) missing")
-    if expect_warm and "0 rendered" not in document:
-        failures.append("expected a warm run (0 re-renders), but renders executed")
+    if expect_warm and WARM_ROW not in document:
+        failures.append("expected a warm run (0 computed), but simulations executed")
     for benchmark in benchmark_pages:
         page_path = path.parent / f"benchmark-{benchmark}.html"
         if not page_path.is_file():
@@ -99,7 +104,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--expect-warm",
         action="store_true",
-        help="also require the run to have re-rendered nothing (cache warm)",
+        help="also require the run to have computed nothing (cache warm)",
     )
     parser.add_argument(
         "--benchmark-pages",
