@@ -49,7 +49,7 @@ def _explore_text(result) -> str:
 
 def _cmd_explore(args: argparse.Namespace) -> int:
     """``repro explore``: search the partition/configuration design space."""
-    from repro.explore.driver import ExplorationDriver
+    from repro.explore.driver import ExplorationDriver, run_searches
     from repro.workloads import all_workloads, get_workload
 
     if args.workload == "all":
@@ -66,27 +66,26 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     results = {}
     totals = {"evaluated": 0, "executed": 0, "cache_hits": 0}
     run_started = time.perf_counter()
-    with harness.pool(args.parallel):  # one pool for every workload's search
-        for name in names:
-            driver = ExplorationDriver(
-                harness,
-                name,
-                strategy=args.strategy,
-                budget=args.budget,
-                seed=args.seed,
-                jobs=args.parallel,
-            )
-            results[name] = driver.run()
-            stats = driver.stats
-            for key in totals:
-                totals[key] += int(stats.get(key, 0))
-            # Effort goes to stderr: stdout stays byte-identical cold vs warm.
-            print(
-                f"explored {name}: {stats['evaluated']} candidates "
-                f"({stats['executed']} executed, {stats['cache_hits']} cache hits), "
-                f"frontier size {len(results[name].frontier)}",
-                file=sys.stderr,
-            )
+    drivers = [
+        ExplorationDriver(
+            harness, name, strategy=args.strategy, budget=args.budget, seed=args.seed,
+            jobs=args.parallel,
+        )
+        for name in names
+    ]
+    # Every workload's search at once, on one pool.
+    for driver, result in zip(drivers, run_searches(harness, drivers, args.parallel)):
+        results[driver.workload] = result
+        stats = driver.stats
+        for key in totals:
+            totals[key] += int(stats.get(key, 0))
+        # Effort goes to stderr: stdout stays byte-identical cold vs warm.
+        print(
+            f"explored {driver.workload}: {stats['evaluated']} candidates "
+            f"({stats['executed']} executed, {stats['cache_hits']} cache hits), "
+            f"frontier size {len(result.frontier)}",
+            file=sys.stderr,
+        )
     record_run_history(
         "explore",
         args,

@@ -641,6 +641,12 @@ def declare_report(graph: TaskGraph, harness: EvaluationHarness) -> Dict[str, st
     are skipped when the harness's benchmark set excludes it (matching the
     CLI's behaviour for ``--benchmarks`` restrictions).
     """
+    # The compiles come first, longest C source first: a ``-j N`` pool
+    # starts the oldest workload no slot holds, so the largest starts first
+    # (Graham's longest-processing-time-first rule, on the only size of a
+    # workload known before it compiles).  No output depends on this order.
+    for name in sorted(harness.benchmark_names, key=lambda n: -len(get_workload(n).source)):
+        harness.declare_compile(graph, name)
     names = set(harness.benchmark_names)
     mapping: Dict[str, str] = {}
     for artefact, declare in ARTEFACT_DECLARERS.items():

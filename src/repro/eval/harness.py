@@ -101,6 +101,9 @@ class EvaluationHarness:
         #: hits, seeds, executed tasks by kind) — what ``repro report --html``
         #: publishes as the run's cache-hit stats.
         self.last_stats: Dict[str, Any] = {}
+        #: How each task of the most recent :meth:`execute` was satisfied
+        #: (:attr:`TaskScheduler.outcomes`).
+        self.last_outcomes: Dict[str, str] = {}
 
     # -- shared instances --------------------------------------------------------------
 
@@ -265,6 +268,7 @@ class EvaluationHarness:
         ):
             results = scheduler.run()
         self.last_stats = scheduler.stats
+        self.last_outcomes = scheduler.outcomes
         for task in graph:
             if task.kind == taskgraph.KIND_COMPILE:
                 if task.workload not in self._runs:

@@ -336,30 +336,29 @@ class TaskOutcome:
 
 
 #: How :func:`place` chose a task for a slot: the slot already ran its
-#: workload, no busy slot holds it, or every pending workload is held
-#: elsewhere and the slot takes the oldest task anyway.
+#: workload, or no slot holds it yet.
 PLACED_RESIDENT = "resident"
 PLACED_FREE = "free"
-PLACED_STOLEN = "stolen"
 
 
 def place(
     pending: Sequence[Task], resident: Sequence[AbstractSet[str]], idle: Sequence[int]
-) -> Tuple[int, int, str]:
+) -> Optional[Tuple[int, int, str]]:
     """Pick the next (slot, index into *pending*, placement) for the pool.
 
     *resident[s]* holds the workloads slot *s* has run (its process keeps
-    their artifacts); *idle* lists the idle slots, lowest first.  The rule,
-    oldest task first at each step:
+    their artifacts); *idle* lists the idle slots, lowest first.  A
+    workload lives in one slot per run:
 
-    1. a task whose workload an idle slot already ran goes to that slot;
-    2. else a task whose workload no busy slot holds goes to the first idle
+    1. the oldest task whose workload an idle slot already ran goes to that
        slot;
-    3. else the first idle slot steals the oldest task and rebuilds its
-       workload's state.
+    2. else the oldest task whose workload no slot holds goes to the first
+       idle slot (so a graph that declares its largest workload first
+       starts it first, see :func:`repro.eval.experiments.declare_report`);
+    3. else ``None``: every pending task waits for the busy slot that holds
+       its workload.
 
-    Both lists must be non-empty; some task is always placed, so no slot
-    idles while a task is pending.
+    *idle* must be non-empty.
     """
     for index, task in enumerate(pending):
         for slot in idle:
@@ -371,7 +370,7 @@ def place(
     for index, task in enumerate(pending):
         if task.workload not in held:
             return idle[0], index, PLACED_FREE
-    return idle[0], 0, PLACED_STOLEN
+    return None
 
 
 class _RemoteTraceback(Exception):
@@ -386,9 +385,11 @@ class LocalProcessExecutor:
     ``multiprocessing.connection.wait`` and starts no thread, so every slot
     forks a single-threaded process.  A slot's sweep-input memo keeps the
     full compile results it computed or built, and with them each trace's
-    replay index, setups and schedules.  :meth:`submit` therefore takes a
-    task off the scheduler's pending list only for an idle slot, picked by
-    :func:`place` so that a workload's sweep points follow its compile.
+    replay index, setups and schedules.  :meth:`placement` therefore
+    offers a task off the scheduler's pending list only to an idle slot,
+    picked by :func:`place` so that a workload's sweep points follow its
+    compile and wait for that slot when it is busy; :meth:`submit` starts
+    it.
 
     The scheduler owns graph order, seeds, cache pre-checks and aggregate
     nodes; the slots only run keyed worker payloads and report
@@ -408,10 +409,6 @@ class LocalProcessExecutor:
         self._resident: List[Set[str]] = [set() for _ in range(self.max_workers)]
         self._running: Dict[int, Task] = {}
 
-    def idle_slots(self) -> List[int]:
-        """The slots running no task, lowest first."""
-        return [slot for slot in range(self.max_workers) if slot not in self._running]
-
     def _fork_slot(self) -> Tuple[Any, Connection]:
         # A forked worker starts with what the parent has imported: import
         # the stages here, once, so that no worker imports them.
@@ -430,11 +427,22 @@ class LocalProcessExecutor:
         child_conn.close()
         return process, conn
 
-    def submit(self, pending: List[Task], cache: Optional[ArtifactCache]) -> Task:
-        """Take the task :func:`place` picks off *pending*, start it on its
-        idle slot and return it.  Call only while :meth:`idle_slots` is
-        non-empty."""
-        slot, index, placement = place(pending, self._resident, self.idle_slots())
+    def placement(self, pending: Sequence[Task]) -> Optional[Tuple[int, int, str]]:
+        """What :func:`place` picks from *pending* for an idle slot, or
+        ``None`` when no slot is idle or every pending task's workload is
+        held by a busy slot (a later :meth:`wait` frees that slot)."""
+        idle = [slot for slot in range(self.max_workers) if slot not in self._running]
+        return place(pending, self._resident, idle) if idle else None
+
+    def submit(
+        self,
+        pending: List[Task],
+        placement: Tuple[int, int, str],
+        cache: Optional[ArtifactCache],
+    ) -> Task:
+        """Take the task of *placement* (from :meth:`placement`) off
+        *pending*, start it on its idle slot and return it."""
+        slot, index, how = placement
         task = pending.pop(index)
         if self._slots[slot] is None:
             self._slots[slot] = self._fork_slot()
@@ -446,8 +454,7 @@ class LocalProcessExecutor:
                 **trace_ctx,
                 "task_id": task.task_id,
                 "kind": task.kind,
-                "resident": placement == PLACED_RESIDENT,
-                "stolen": placement == PLACED_STOLEN,
+                "resident": how == PLACED_RESIDENT,
             }
         self._slots[slot][1].send(
             (
@@ -540,12 +547,12 @@ class TaskScheduler:
       :meth:`TaskGraph.topological_order`;
     * ``jobs > 1``: they wait in a pending list and start on the idle slots
       of a :class:`LocalProcessExecutor` (a workload's tasks follow it to
-      the slot that ran it).  A compile's summary comes back over the
-      pipe, and its full result stays in its slot's memo for the points
-      that follow it there.  *pool* is a :class:`LocalProcessExecutor`
-      the caller owns and keeps across runs (its slots keep their memos);
-      without it a run with ``jobs > 1`` forks its own and shuts it down at
-      the end.
+      the slot that ran it, and wait while that slot is busy).  A
+      compile's summary comes back over the pipe, and its full result
+      stays in its slot's memo for the points that follow it there.
+      *pool* is a :class:`LocalProcessExecutor` the caller owns and keeps
+      across runs (its slots keep their memos); without it a run with
+      ``jobs > 1`` forks its own and shuts it down at the end.
 
     Keyed tasks are memoised through *cache* (parent-side pre-check, then
     ``get_or_compute`` under the per-key lock).  *seeds* maps task ids to
@@ -583,16 +590,23 @@ class TaskScheduler:
             "executed": {},
             "cache_hit_kinds": {},
         }
+        #: How each task of the last :meth:`run` was satisfied: ``seeded``,
+        #: ``cache_hit`` or ``executed`` (searches that share one graph
+        #: count their own tasks by it).
+        self.outcomes: Dict[str, str] = {}
 
     def _count_seeded(self, task: Task) -> None:
         self.stats["seeded"] += 1
+        self.outcomes[task.task_id] = "seeded"
 
     def _count_hit(self, task: Task) -> None:
         self.stats["cache_hits"] += 1
+        self.outcomes[task.task_id] = "cache_hit"
         kinds = self.stats["cache_hit_kinds"]
         kinds[task.kind] = kinds.get(task.kind, 0) + 1
 
     def _count_executed(self, task: Task) -> None:
+        self.outcomes[task.task_id] = "executed"
         executed = self.stats["executed"]
         executed[task.kind] = executed.get(task.kind, 0) + 1
 
@@ -711,8 +725,13 @@ class TaskScheduler:
                     if task.key is not None and self.cache is not None:
                         owned_keys.add(task.key)
                 current = None
-                while pending and pool.idle_slots():
-                    task = pool.submit(pending, self.cache)
+                # A task whose workload a busy slot holds waits for it, so
+                # this may place nothing; then some task is in flight.
+                while pending:
+                    placement = pool.placement(pending)
+                    if placement is None:
+                        break
+                    task = pool.submit(pending, placement, self.cache)
                     self._count_executed(task)
                     in_flight[task.task_id] = task
                 if in_flight:

@@ -167,7 +167,6 @@ def _execute_in_worker(
             kind=str(ctx.get("kind", "task")),
             worker=f"pid:{os.getpid()}",
             resident=ctx.get("resident"),
-            stolen=ctx.get("stolen"),
         ):
             if key is not None and cache_spec is not None:
                 cache = ArtifactCache(cache_spec)

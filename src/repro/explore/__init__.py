@@ -23,7 +23,8 @@ The pieces (one module each):
   generation-oriented :class:`Strategy` interface;
 * :mod:`repro.explore.driver` — the :class:`ExplorationDriver` that submits
   each generation as ordinary task-graph nodes (parallel, disk-cached), so
-  a killed search re-run with the same seed resumes from the cache.
+  a killed search re-run with the same seed resumes from the cache, and
+  :func:`run_searches`, which runs several workloads' searches at once.
 
 ``repro explore <workload> --strategy S --budget N --seed K`` is the CLI
 entry point; see ``docs/EXPLORATION.md``.
@@ -39,7 +40,7 @@ _EXPORTS = {
         "default_space",
         "report_space",
     ),
-    "repro.explore.driver": ("ExplorationDriver", "ExplorationResult"),
+    "repro.explore.driver": ("ExplorationDriver", "ExplorationResult", "run_searches"),
     "repro.explore.frontier": ("Frontier", "OBJECTIVES", "Objective", "pareto_indices"),
     "repro.explore.strategies": ("STRATEGIES", "Strategy", "make_strategy"),
 }

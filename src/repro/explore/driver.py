@@ -1,11 +1,13 @@
 """The exploration driver: strategies on top, the task graph underneath.
 
-:class:`ExplorationDriver` runs one budgeted search for one workload.  Each
-generation the strategy proposes becomes ordinary task-graph nodes — one
-``explore`` node per fresh candidate, hanging off the workload's compile
-node — executed through :meth:`repro.eval.harness.EvaluationHarness.execute`,
-so candidate evaluation inherits everything the evaluation stack already
-does: process-pool parallelism (``--jobs``, one pool for the whole search),
+:class:`ExplorationDriver` holds one budgeted search for one workload, and
+:func:`run_searches` runs any number of them at once.  Each round, the next
+generation of every unfinished search becomes ordinary task-graph nodes —
+one ``explore`` node per fresh candidate, hanging off its workload's
+compile node — executed as one graph through
+:meth:`repro.eval.harness.EvaluationHarness.execute`, so candidate
+evaluation inherits everything the evaluation stack already does:
+process-pool parallelism (``--jobs``, one pool for every round),
 content-addressed disk caching, and single-flight across concurrent
 processes.
 
@@ -23,7 +25,7 @@ asserted by ``tests/test_explore.py``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.eval.harness import EvaluationHarness
@@ -133,39 +135,16 @@ class ExplorationDriver:
             "evaluated": 0, "executed": 0, "cache_hits": 0, "seeded": 0,
         }
 
-    # -- evaluation ------------------------------------------------------------
-
-    def _evaluate(self, candidates: List[Candidate]) -> Dict[Candidate, Dict[str, Any]]:
-        """Evaluate fresh candidates as one task-graph generation."""
-        graph = TaskGraph()
-        for candidate in candidates:
-            self.harness.declare_explore_point(graph, self.workload, self.space, candidate)
-        results = self.harness.execute(graph, parallel=self.jobs)
-        stats = self.harness.last_stats
-        self.stats["executed"] += stats.get("executed", {}).get("explore", 0)
-        self.stats["cache_hits"] += stats.get("cache_hit_kinds", {}).get("explore", 0)
-        self.stats["seeded"] += stats.get("seeded", 0)
-        return {
-            candidate: results[explore_task_id(self.workload, candidate)]
-            for candidate in candidates
-        }
-
-    # -- the search loop -------------------------------------------------------
+    # -- the search ------------------------------------------------------------
 
     def run(self) -> ExplorationResult:
-        """Execute the search; returns the deterministic exploration result.
+        """Execute the search; returns the deterministic exploration result."""
+        return run_searches(self.harness, [self], self.jobs)[0]
 
-        Every generation runs on one process pool (:meth:`EvaluationHarness.pool`)."""
-        with self.harness.pool(self.jobs), obs_tracing.span(
-            "explore.run",
-            kind="explore",
-            workload=self.workload,
-            strategy=self.strategy_name,
-            budget=self.budget,
-        ):
-            return self._run()
-
-    def _run(self) -> ExplorationResult:
+    def _search(self) -> "Search":
+        """The search as a generator: it yields each generation's fresh
+        candidates and is sent back their results, in the order it asked;
+        it returns the :class:`ExplorationResult`."""
         strategy = make_strategy(
             self.strategy_name, self.space, self.budget, self.seed,
             config=self.harness.config,
@@ -180,16 +159,7 @@ class ExplorationDriver:
             if not batch:
                 break
             fresh = [c for c in batch if c not in known]
-            if fresh:
-                with obs_tracing.span(
-                    f"explore.generation:{generation}",
-                    kind="explore",
-                    generation=generation,
-                    candidates=len(fresh),
-                ):
-                    computed = self._evaluate(fresh)
-            else:
-                computed = {}
+            computed = (yield fresh) if fresh else {}
             batch_results = {c: known.get(c, computed.get(c)) for c in batch}
             for candidate in batch:
                 if candidate not in known:
@@ -213,3 +183,70 @@ class ExplorationDriver:
             generations=generation,
             stats=dict(self.stats),
         )
+
+
+#: One search as a generator (:meth:`ExplorationDriver._search`).
+Search = Generator[List[Candidate], Dict[Candidate, Dict[str, Any]], ExplorationResult]
+
+#: The driver's effort counter for each way the scheduler satisfied a task.
+_EFFORT = {"seeded": "seeded", "cache_hit": "cache_hits", "executed": "executed"}
+
+
+def run_searches(
+    harness: EvaluationHarness,
+    drivers: Sequence[ExplorationDriver],
+    jobs: Optional[int] = None,
+) -> List[ExplorationResult]:
+    """Run several searches at once; returns their results in order.
+
+    Each round declares the next generation of every unfinished search on
+    one graph and executes it once, on one process pool for all rounds.  A
+    ``-j N`` pool keeps each workload on one slot, so the slots re-time
+    different workloads side by side instead of idling while one
+    workload's generation runs.  Every search is sent its results in the
+    order it asked, so each result is the one a search run alone produces.
+    """
+    results: Dict[int, ExplorationResult] = {}
+    asks: Dict[int, Tuple[Search, List[Candidate]]] = {}
+
+    def advance(index: int, search: Search, sent: Any) -> None:
+        try:
+            asks[index] = (search, search.send(sent))
+        except StopIteration as stop:
+            results[index] = stop.value
+
+    with harness.pool(jobs), obs_tracing.span(
+        "explore.run",
+        kind="explore",
+        workloads=",".join(driver.workload for driver in drivers),
+    ):
+        for index, driver in enumerate(drivers):
+            advance(index, driver._search(), None)
+        generation = 0
+        while asks:
+            graph = TaskGraph()
+            for index, (_, fresh) in asks.items():
+                for candidate in fresh:
+                    harness.declare_explore_point(
+                        graph, drivers[index].workload, drivers[index].space, candidate
+                    )
+            with obs_tracing.span(
+                f"explore.generation:{generation}",
+                kind="explore",
+                generation=generation,
+                searches=len(asks),
+                candidates=sum(len(fresh) for _, fresh in asks.values()),
+            ):
+                values = harness.execute(graph, parallel=jobs)
+            outcomes = harness.last_outcomes
+            current, asks = asks, {}
+            for index, (search, fresh) in current.items():
+                driver = drivers[index]
+                computed = {}
+                for candidate in fresh:
+                    task_id = explore_task_id(driver.workload, candidate)
+                    driver.stats[_EFFORT[outcomes[task_id]]] += 1
+                    computed[candidate] = values[task_id]
+                advance(index, search, computed)
+            generation += 1
+    return [results[index] for index in range(len(drivers))]

@@ -36,9 +36,11 @@ from repro.eval.worker import sweep_input
 # A 240-candidate search typically spans only a handful of distinct
 # partition parameter sets (the other dimensions act after partitioning), so
 # candidates evaluated in the same process share one DSWPResult instead of
-# re-running DSWP per candidate.
+# re-running DSWP per candidate.  ``repro explore all`` interleaves every
+# workload's search in one process (about ten partitions each by default),
+# so the bound holds sixteen for each of eight workloads.
 _DSWP_MEMO: "OrderedDict[Tuple[str, Tuple[Any, ...]], Any]" = OrderedDict()
-_DSWP_MEMO_LIMIT = 16
+_DSWP_MEMO_LIMIT = 128
 
 
 def _candidate_dswp(

@@ -23,8 +23,8 @@ Four instruments:
   engine spent *between* tasks (topo sorting, result plumbing, cache
   bookkeeping).
 * :func:`pool_placements` — how the ``-j N`` pool placed its tasks: on the
-  worker that already held the task's workload, or stolen by one that did
-  not.
+  worker that already held the task's workload, or free, on a worker that
+  took up a workload no worker held.
 
 Percentiles use the deterministic nearest-rank method so the same trace
 always yields the same report.
@@ -241,17 +241,14 @@ def scheduler_overhead(spans: List[Span]) -> Dict[str, Any]:
 
 
 def pool_placements(spans: List[Span]) -> Dict[str, int]:
-    """Count the pool's task placements from the ``resident`` and ``stolen``
-    attributes of its task spans (spans without them ran in the parent).
-    Returns ``{tasks, resident, stolen}``."""
+    """Count the pool's task placements from the ``resident`` attribute of
+    its task spans (spans without it ran in the parent).  Returns
+    ``{tasks, resident, free}``."""
     placed = [
         span["attrs"] for span in spans if span.get("attrs", {}).get("resident") is not None
     ]
-    return {
-        "tasks": len(placed),
-        "resident": sum(1 for attrs in placed if attrs["resident"]),
-        "stolen": sum(1 for attrs in placed if attrs.get("stolen")),
-    }
+    resident = sum(1 for attrs in placed if attrs["resident"])
+    return {"tasks": len(placed), "resident": resident, "free": len(placed) - resident}
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +303,7 @@ def render_summary(spans: List[Span]) -> str:
     if placements["tasks"]:
         lines.append(
             f"pool placements: {placements['resident']} resident, "
-            f"{placements['stolen']} stolen of {placements['tasks']}"
+            f"{placements['free']} free of {placements['tasks']}"
         )
     return "\n".join(lines)
 

@@ -299,6 +299,44 @@ def test_parallel_search_keeps_one_pool_and_matches_serial(tmp_path, monkeypatch
     )
 
 
+def test_searches_run_together_match_each_search_run_alone(tmp_path, monkeypatch):
+    """``run_searches`` puts every search's next generation on one graph:
+    each result is the one its search gives alone, each driver counts only
+    its own candidates, and the rounds number the longest search's
+    generations, not their sum."""
+    from repro.explore.driver import run_searches
+
+    def drivers(harness, **options):
+        return [
+            ExplorationDriver(harness, "blowfish", strategy="annealing", budget=5, seed=7,
+                              space=SMALL_SPACE, **options),
+            ExplorationDriver(harness, "mips", strategy="random", budget=3, seed=1,
+                              space=SMALL_SPACE, **options),
+        ]
+
+    def harness_in(name):
+        return EvaluationHarness(benchmarks=["blowfish", "mips"], cache_dir=str(tmp_path / name))
+
+    alone = [driver.run() for driver in drivers(harness_in("alone"))]
+    harness = harness_in("together")
+    rounds = []
+    execute = harness.execute
+    monkeypatch.setattr(
+        harness, "execute", lambda graph, parallel=None: rounds.append(len(graph)) or execute(
+            graph, parallel
+        ),
+    )
+    together_drivers = drivers(harness, jobs=2)
+    together = run_searches(harness, together_drivers, jobs=2)
+    for one, shared in zip(alone, together):
+        assert json.dumps(one.to_json_dict(), sort_keys=True) == json.dumps(
+            shared.to_json_dict(), sort_keys=True
+        )
+    assert len(rounds) == max(result.generations for result in alone) > 1
+    for driver, result in zip(together_drivers, together):
+        assert driver.stats["executed"] == driver.stats["evaluated"] == len(result.evaluations)
+
+
 def test_warm_rerun_evaluates_nothing_and_is_byte_identical(tmp_path):
     cold_driver = run_search(make_harness(tmp_path))
     cold = cold_driver.run().to_json_dict()

@@ -11,7 +11,7 @@ Three layers, cheapest first:
   worker's lane, an untraced run opens no span, and a ``jobs=2`` pool run
   yields one coherent trace across the process hop;
 * CLI: ``repro trace`` renders tree and Gantt views and exports Chrome
-  Trace Event JSON, its summary counts the pool's resident and stolen
+  Trace Event JSON, its summary counts the pool's resident and free
   placements and, for a cold run in a fresh process, lists the
   pipeline import as a layer (under the cache span serially, under the
   scheduler before a pool forks), a traced ``repro ingest`` is byte-identical
@@ -313,20 +313,16 @@ def test_trace_summary_counts_the_pool_placements(tmp_path, capsys):
     trace_file = tmp_path / "trace.jsonl"
     records = [
         _span("scheduler.run", "01", None, 0.0, 4.0),
-        _span("task:compile:x", "02", "01", 0.0, 1.0, worker="pid:1",
-              resident=False, stolen=False),
-        _span("task:sweep:x:1", "03", "01", 1.0, 2.0, worker="pid:1",
-              resident=True, stolen=False),
-        _span("task:sweep:x:2", "04", "01", 1.0, 2.0, worker="pid:2",
-              resident=False, stolen=True),
-        _span("task:sweep:x:3", "05", "01", 2.0, 3.0, worker="pid:1",
-              resident=True, stolen=False),
+        _span("task:compile:x", "02", "01", 0.0, 1.0, worker="pid:1", resident=False),
+        _span("task:sweep:x:1", "03", "01", 1.0, 2.0, worker="pid:1", resident=True),
+        _span("task:compile:y", "04", "01", 1.0, 2.0, worker="pid:2", resident=False),
+        _span("task:sweep:x:2", "05", "01", 2.0, 3.0, worker="pid:1", resident=True),
         _span("task:agg", "06", "01", 3.0, 4.0, worker="parent"),
     ]
     trace_file.write_text("\n".join(json.dumps(r) for r in records) + "\n")
     assert main(["trace", str(trace_file), "--summary"]) == 0
     summary, _ = capsys.readouterr()
-    assert "pool placements: 2 resident, 1 stolen of 4" in summary.splitlines()
+    assert "pool placements: 2 resident, 2 free of 4" in summary.splitlines()
 
     # A serial trace has no pool task spans and prints no placement line.
     trace_file.write_text("\n".join(json.dumps(r) for r in records[:1]) + "\n")

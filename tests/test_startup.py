@@ -181,7 +181,8 @@ def stage_loaded():
 before = STAGE in sys.modules
 executor = LocalProcessExecutor(1)
 try:
-    executor.submit([Task("probe", "compile", stage_loaded)], None)
+    pending = [Task("probe", "compile", stage_loaded)]
+    executor.submit(pending, executor.placement(pending), None)
     (outcome,) = executor.wait()
 finally:
     executor.close()

@@ -4,9 +4,10 @@ Graph-shape tests use cheap dummy nodes; end-to-end tests use the two
 cheapest workloads (blowfish, mips) against pytest-managed temp cache
 directories, mirroring ``tests/test_eval_cache.py``.  The pool's placement
 rule is tested as a pure function, and its effect (a worker keeps the
-artifact it compiled, and a sweep point follows its compile to that worker)
-end to end; so are the slots themselves (no thread in the parent, a dead
-worker's error, a worker's traceback).
+artifact it compiled, a sweep point follows its compile to that worker, and
+a traced cold ``report -j 2`` interprets each workload once) end to end; so
+are the slots themselves (no thread in the parent, a dead worker's error, a
+worker's traceback).
 """
 
 import json
@@ -443,40 +444,81 @@ def _pooled(task_id, workload):
     return Task(task_id=task_id, kind="runtime", fn=len, workload=workload)
 
 
-def test_place_prefers_resident_then_unheld_then_steals():
-    from repro.eval.taskgraph import PLACED_FREE, PLACED_RESIDENT, PLACED_STOLEN, place
+def test_place_puts_a_task_on_the_idle_slot_that_ran_its_workload_first():
+    from repro.eval.taskgraph import PLACED_RESIDENT, place
 
-    pending = [_pooled("compile:c", "c"), _pooled("sweep:b", "b"), _pooled("sweep:a", "a")]
+    pending = [_pooled("compile:c", "c"), _pooled("sweep:b", "b"),
+               _pooled("sweep:a", "a"), _pooled("sweep:a:2", "a")]
     # Slot 1 ran workload a: its oldest a task goes there first, ahead of
     # older tasks of other workloads.
     assert place(pending, [{"b"}, {"a"}], idle=[1]) == (1, 2, PLACED_RESIDENT)
-    # With no a task pending, idle slot 1 leaves the b task to busy slot 0,
-    # which holds b, and takes the unheld compile.
-    assert place(pending[:2], [{"b"}, {"a"}], idle=[1]) == (1, 0, PLACED_FREE)
     # Among several idle slots, the resident one gets its task.
     assert place(pending[1:], [set(), {"b"}], idle=[0, 1]) == (1, 0, PLACED_RESIDENT)
-    # A task with no workload is never held by anyone.
+
+
+def test_place_starts_the_oldest_unheld_workload_on_the_first_idle_slot():
+    from repro.eval.taskgraph import PLACED_FREE, place
+
+    pending = [_pooled("sweep:mpeg2", "mpeg2"), _pooled("compile:aes", "aes"),
+               _pooled("compile:jpeg", "jpeg")]
+    assert place(pending[1:], [set(), set()], idle=[0, 1]) == (0, 0, PLACED_FREE)
+    # A workload a busy slot holds is never started elsewhere, however old.
+    assert place(pending, [{"mpeg2"}, set()], idle=[1]) == (1, 1, PLACED_FREE)
+    # A task with no workload is never held.
     unheld = _pooled("t:none", None)
     assert place([_pooled("sweep:b", "b"), unheld], [{"b"}, set()], idle=[1]) == (
         1, 1, PLACED_FREE,
     )
-    # Every pending workload is held by a busy slot: the idle slot steals
-    # the oldest task rather than idling.
-    assert place(pending[1:], [{"a", "b"}, set()], idle=[1]) == (1, 0, PLACED_STOLEN)
 
 
-def test_place_never_leaves_a_slot_idle_while_a_task_is_pending():
+def test_report_declares_its_compiles_longest_source_first(tmp_path):
+    """The pool starts the oldest unheld workload, so the report declares
+    its compiles first, longest C source first (mpeg2 before the rest)."""
+    from repro.eval import experiments
+    from repro.workloads import all_workloads, get_workload
+
+    graph = TaskGraph()
+    experiments.declare_report(graph, EvaluationHarness(cache_dir=str(tmp_path / "cache")))
+    compiles = [task.workload for task in graph if task.kind == "compile"]
+    assert [task.kind for task in graph][: len(compiles)] == ["compile"] * len(compiles)
+    assert sorted(compiles) == sorted(w.name for w in all_workloads())
+    sizes = [len(get_workload(name).source) for name in compiles]
+    assert compiles[0] == "mpeg2" and sizes == sorted(sizes, reverse=True)
+
+
+def test_place_places_nothing_while_a_busy_slot_holds_every_pending_workload():
+    from repro.eval.taskgraph import place
+
+    pending = [_pooled("sweep:b", "b"), _pooled("sweep:a", "a")]
+    assert place(pending, [{"a", "b"}, set()], idle=[1]) is None
+    assert place(pending, [{"a"}, {"b"}, set()], idle=[2]) is None
+
+
+def test_place_idles_a_slot_only_while_a_busy_slot_holds_every_pending_workload():
     from itertools import product
 
     from repro.eval.taskgraph import place
 
     workloads = ("a", "b", None)
+    slots = (0, 1)
     for kinds in product(workloads, repeat=3):
         pending = [_pooled(f"t{i}", w) for i, w in enumerate(kinds)]
         for resident in product([set(), {"a"}, {"b"}, {"a", "b"}], repeat=2):
             for idle in ([0], [1], [0, 1]):
-                slot, index, _ = place(pending, list(resident), idle)
+                placed = place(pending, list(resident), idle)
+                busy = [s for s in slots if s not in idle]
+                if placed is None:
+                    # Each pending workload sits in a busy slot, none in an
+                    # idle one: no workload would ever live in two slots.
+                    assert all(any(t.workload in resident[s] for s in busy) for t in pending)
+                    assert not any(t.workload in resident[s] for t in pending for s in idle)
+                    continue
+                slot, index, _ = placed
                 assert slot in idle and 0 <= index < len(pending)
+                # The slot a task goes to holds its workload, or no slot does.
+                workload = pending[index].workload
+                holders = [s for s in slots if workload in resident[s]]
+                assert not holders or slot in holders
 
 
 def test_worker_keeps_its_compile_artifact_for_later_sweep_points(tmp_path, monkeypatch):
@@ -546,7 +588,7 @@ def test_pool_runs_a_sweep_point_in_its_compiles_lane(tmp_path):
     assert sweep_span["worker"] == compile_span["worker"]
     assert compile_span["attrs"]["resident"] is False
     assert sweep_span["attrs"]["resident"] is True
-    assert sweep_span["attrs"]["stolen"] is False
+    assert "stolen" not in sweep_span["attrs"]
 
 
 
@@ -582,3 +624,38 @@ def test_without_a_cache_the_pool_runs_sweep_points_in_their_compiles_lane(tmp_p
     assert type(results["compile:blowfish"]) is CompileSummary  # the parent holds the summary only
     serial = TaskScheduler(graph, jobs=1).run()
     assert results["sweep:latency:blowfish:8"] == serial["sweep:latency:blowfish:8"]
+
+
+@pytest.mark.parametrize("benchmarks", ["blowfish,mips", "mpeg2"])
+def test_a_cold_parallel_report_builds_each_workload_once(tmp_path, benchmarks):
+    """A traced cold ``report --json -j 2`` interprets each workload once:
+    its points wait for the slot that compiled it instead of rebuilding the
+    workload on an idle one (with one workload, the other slot idles)."""
+    import subprocess
+    import sys
+
+    import repro
+    from repro.obs import tracing as obs_tracing
+    from repro.obs.render import load_spans
+
+    trace_file = tmp_path / "trace.jsonl"
+    env = dict(os.environ)
+    src_dir = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    env[obs_tracing.TRACE_ENV] = str(trace_file)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "report", "--json", "-j", "2",
+         "--benchmarks", benchmarks, "--cache-dir", str(tmp_path / "cache")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = load_spans(trace_file)
+    assert [s["kind"] for s in spans].count("stage:interp") == len(benchmarks.split(","))
+    names = benchmarks.split(",")
+    workers = {}
+    for span in spans:
+        if span.get("attrs", {}).get("resident") is not None:
+            (workload,) = [part for part in span["name"].split(":") if part in names]
+            workers.setdefault(workload, set()).add(span["worker"])
+    assert sorted(workers) == sorted(names)
+    assert all(len(lanes) == 1 for lanes in workers.values()), workers

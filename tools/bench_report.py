@@ -16,6 +16,13 @@ baseline: if it takes more than ``--max-cold-ratio`` (default 1.25) times
 the baseline's cold wall time, the run fails.  That is the CI guard that
 keeps hot-path regressions from landing silently.
 
+A fourth run, cold and parallel again on a cache of its own, is traced
+(``$REPRO_TRACE``) and must print the same bytes.  Its per-layer numbers go
+into the record next to the wall times: each pipeline stage's self
+seconds, the number of builds (``stage:interp`` spans: one per workload
+interpreted, so a cold ``-j 2`` report of all eight builds 8) and each
+pool slot's busy seconds.  They are recorded, not gated.
+
 Worker count defaults to *auto*: 2 processes when the machine has at least
 2 CPUs, otherwise serial — on a single core two workers only timeshare it
 and the process-pool overhead makes the "parallel" run strictly slower
@@ -41,8 +48,11 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 
-def run_report(cache_dir: str, parallel: int | None, benchmarks: str | None) -> tuple[float, str]:
-    """One ``repro report --json`` invocation; returns (seconds, stdout)."""
+def run_report(
+    cache_dir: str, parallel: int | None, benchmarks: str | None, trace_file: str | None = None
+) -> tuple[float, str]:
+    """One ``repro report --json`` invocation, traced into *trace_file* if
+    given; returns (seconds, stdout)."""
     cmd = [sys.executable, "-m", "repro.cli", "report", "--json", "--cache-dir", cache_dir]
     if parallel is not None:
         cmd += ["--parallel", str(parallel)]
@@ -50,12 +60,44 @@ def run_report(cache_dir: str, parallel: int | None, benchmarks: str | None) -> 
         cmd += ["--benchmarks", benchmarks]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("REPRO_TRACE", None)
+    if trace_file is not None:
+        env["REPRO_TRACE"] = trace_file
     start = time.perf_counter()
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=1200)
     elapsed = time.perf_counter() - start
     if proc.returncode != 0:
         raise SystemExit(f"report run failed ({' '.join(cmd)}):\n{proc.stderr}")
     return elapsed, proc.stdout
+
+
+def traced_layers(trace_file: str) -> dict:
+    """The per-layer numbers of one traced run: each pipeline stage's self
+    seconds, the builds (``stage:interp`` spans) and each pool slot's busy
+    seconds (the summed durations of its task spans), slots in the order
+    they took their first task."""
+    from repro.obs.analyze import summarize
+    from repro.obs.render import load_spans
+
+    spans = load_spans(trace_file)
+    rows = {row["kind"]: row for row in summarize(spans)}
+    busy: dict = {}
+    first: dict = {}
+    for span in spans:
+        if span.get("attrs", {}).get("resident") is None:
+            continue  # ran in the parent
+        worker = span["worker"]
+        busy[worker] = busy.get(worker, 0.0) + span["end"] - span["start"]
+        first[worker] = min(first.get(worker, span["start"]), span["start"])
+    return {
+        "stage_self_seconds": {
+            kind[len("stage:"):]: round(row["self_seconds"], 4)
+            for kind, row in sorted(rows.items())
+            if kind.startswith("stage:")
+        },
+        "builds": rows["stage:interp"]["count"] if "stage:interp" in rows else 0,
+        "slot_busy_seconds": [round(busy[worker], 4) for worker in sorted(busy, key=first.get)],
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -111,12 +153,19 @@ def main(argv: list[str] | None = None) -> int:
         cold_seconds, cold_out = run_report(cache_dir, workers, args.benchmarks)
         warm_seconds, warm_out = run_report(cache_dir, workers, args.benchmarks)
         serial_seconds, serial_out = run_report(cache_dir, None, args.benchmarks)
+        trace_file = os.path.join(workdir, "trace.jsonl")
+        traced_seconds, traced_out = run_report(
+            os.path.join(workdir, "traced_cache"), workers, args.benchmarks, trace_file
+        )
+        layers = traced_layers(trace_file)
 
     failures = []
     if warm_out != cold_out:
         failures.append("warm parallel output differs from cold parallel output")
     if serial_out != cold_out:
         failures.append("serial output differs from parallel output")
+    if traced_out != cold_out:
+        failures.append("traced output differs from untraced output")
     warm_fraction = warm_seconds / max(cold_seconds, 1e-9)
     if warm_fraction >= args.max_warm_fraction:
         failures.append(
@@ -142,6 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         "warm_parallel_seconds": round(warm_seconds, 3),
         "warm_serial_seconds": round(serial_seconds, 3),
         "warm_fraction_of_cold": round(warm_fraction, 4),
+        "traced_cold_parallel": {"seconds": round(traced_seconds, 3), **layers},
         "outputs_byte_identical": not failures or all("output" not in f for f in failures),
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
